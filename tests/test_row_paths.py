@@ -1,0 +1,87 @@
+"""Row-path regression: every way a runner turns a grid triple into rows.
+
+Each case runs a small config through one runner (or the `simulate`
+command) and its CSV, from the `# config sha256` line onward with the
+generator/numpy-version line skipped, is compared with the stored
+tables in data/row_paths.expected.  Together the cases hit every row
+path: invalid triples, points outside the dichotomy window (rejected,
+or exploratory for alpha > 0), a sampling box that swallows the
+equilibrium, per-draw failures, summary rows, OutOfRange audits and the
+a0 <= 0 reject of the green study.
+"""
+
+from pathlib import Path
+
+from hardyhenon4.cli import main
+from hardyhenon4.experiments import ExperimentConfig, run_experiment
+
+EXPECTED = Path(__file__).parent / "data" / "row_paths.expected"
+
+INVALID = (4, 0.0, 4.0)        # n <= 2m
+NO_EQUILIBRIUM = (5, -1.0, 3.2)  # a0 < 0
+OUT_OF_RANGE = (6, 0.0, 2.9)   # p below Serrin
+
+CASES = {
+    "atlas": ExperimentConfig(
+        kind="atlas",
+        param_grid=((6, 0.0, 4.0), INVALID, NO_EQUILIBRIUM, (6, 0.0, 5.0), OUT_OF_RANGE),
+    ),
+    "classify": ExperimentConfig(
+        kind="classification",
+        param_grid=(INVALID, (6, 0.0, 9.0), (6, 1.0, 4.5), (6, 0.0, 4.0)),
+        samples=3, seed=2, horizon=-12.0,
+    ),
+    "classify-box-swallows-equilibrium": ExperimentConfig(
+        kind="classification", param_grid=((6, 0.0, 4.0),), samples=2, box=10.0,
+    ),
+    "classify-short-horizon": ExperimentConfig(
+        kind="classification", param_grid=((6, 0.0, 4.0),),
+        samples=2, seed=4, box=1e-9, horizon=-8.0,
+    ),
+    "energy-audit": ExperimentConfig(
+        kind="energy-audit",
+        param_grid=(INVALID, OUT_OF_RANGE, (6, 0.0, 4.0), NO_EQUILIBRIUM),
+        samples=2, seed=3, horizon=-12.0,
+    ),
+    "energy-audit-few-samples": ExperimentConfig(
+        kind="energy-audit", param_grid=((6, 0.0, 4.0),), samples=2, horizon=-0.5,
+    ),
+    "green": ExperimentConfig(
+        kind="green-study",
+        param_grid=(INVALID, NO_EQUILIBRIUM, (6, 0.0, 4.0)),
+        samples=2, seed=11, box=1e-5, tol=1e-12, grid_nodes=256,
+    ),
+    "green-wide-box": ExperimentConfig(
+        kind="green-study", param_grid=((6, 0.0, 4.0),),
+        samples=3, seed=1, box=0.5, tol=1e-8, grid_nodes=256,
+    ),
+}
+
+SIMULATE = ["simulate", "--n", "6", "--alpha", "0", "--p", "4",
+            "--t-end", "-3", "--seed", "3", "--quiet"]
+
+
+def _stable_part(csv: str) -> list[str]:
+    lines = csv.splitlines()
+    start = next(i for i, ln in enumerate(lines) if ln.startswith("# config sha256="))
+    return [ln for ln in lines[start:] if not ln.startswith("# generator ")]
+
+
+def render_cases(tmp_dir: Path) -> str:
+    out = []
+    for name, config in CASES.items():
+        out.append(f"## {name}")
+        out.extend(_stable_part(run_experiment(config).to_csv()))
+    trajectory = tmp_dir / "simulate.csv"
+    assert main(SIMULATE + ["--out", str(trajectory)]) == 0
+    out.append("## simulate")
+    out.extend(_stable_part(trajectory.read_text()))
+    return "\n".join(out) + "\n"
+
+
+def test_row_paths_match_stored_tables(tmp_path):
+    got = render_cases(tmp_path).split("## ")
+    want = EXPECTED.read_text().split("## ")
+    assert [b.split("\n", 1)[0] for b in got] == [b.split("\n", 1)[0] for b in want]
+    for block_got, block_want in zip(got, want):
+        assert block_got == block_want
