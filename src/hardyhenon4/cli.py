@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
-from .params import ProblemParams, in_dichotomy_window, coefficients, classify_regime
-from .transform import OdeState
+from .params import ProblemParams, in_dichotomy_window, coefficients
 from .dynamics import (
     DEFAULT_MARGIN,
     IntegrationUnderflow,
@@ -36,10 +37,18 @@ from .experiments import (
     ExperimentConfig,
     ResultTable,
     run_experiment,
-    _rng,
+    _draws,
 )
 
-COMMANDS = ("coeffs", "simulate", "classify", "energy-audit", "green-check", "atlas")
+_COMMAND_HELP = {
+    "coeffs": "coefficients, exponents and regime for one (n, alpha, p)",
+    "simulate": "one seeded backward trajectory with its energy",
+    "classify": "seeded classification sweep near the equilibrium",
+    "energy-audit": "monotonicity and rate-law audit over seeded draws",
+    "green-check": "Green-operator diagnostics or field validation",
+    "atlas": "coefficient atlas over a parameter grid",
+}
+COMMANDS = tuple(_COMMAND_HELP)
 
 
 class UsageError(ValueError):
@@ -57,6 +66,52 @@ class CliInvocation:
     config_path: str | None = None
 
 
+@dataclass(frozen=True)
+class _Option:
+    """One option, given as --flag or as a config-file key."""
+
+    name: str
+    type: Callable  # bool marks a switch: a bare flag, or true/false in a config file
+    help: str
+    choices: tuple[str, ...] | None = None
+    command: str | None = None  # the one command that takes it; None for all
+
+    def parse(self, text: str):
+        if self.type is bool:
+            value = _BOOLEANS.get(text.lower())
+            if value is None:
+                raise ValueError(f"{text!r} is not one of {', '.join(_BOOLEANS)}")
+            return value
+        value = self.type(text)
+        if self.choices is not None and value not in self.choices:
+            raise ValueError(f"{text!r} is not one of {', '.join(self.choices)}")
+        return value
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+_OPTIONS = {
+    opt.name: opt
+    for opt in (
+        _Option("n", int, "space dimension"),
+        _Option("alpha", float, "weight exponent"),
+        _Option("p", float, "nonlinearity exponent"),
+        _Option("tol", float, "integrator tolerance"),
+        _Option("seed", int, "draw seed (64-bit)"),
+        _Option("samples", int, "number of seeded draws"),
+        _Option("margin", float, "classification margin"),
+        _Option("t_end", float, "backward time horizon"),
+        _Option("grid_nodes", int, "radial grid nodes"),
+        _Option("out", str, "write data here instead of stdout"),
+        _Option("format", str, "force output format", choices=("csv", "aligned")),
+        _Option("quiet", bool, "silence diagnostics"),
+        _Option("jobs", int, "accepted for compatibility; runs stay single-process"),
+        _Option("field", str, "stored radial field to validate and solve", command="green-check"),
+        _Option("grid", str, "semicolon-separated n alpha p triples", command="atlas"),
+    )
+}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 by default; the interface reserves 2
     # for numerical failures, so usage problems are remapped to 1.
@@ -70,33 +125,17 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hardyhenon4", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, help=help_text)
+    for command in COMMANDS:
+        cmd = sub.add_parser(command, help=_COMMAND_HELP[command])
         cmd.add_argument("--config", help="flat key = value config file")
-        cmd.add_argument("--n", type=int, help="space dimension")
-        cmd.add_argument("--alpha", type=float, help="weight exponent")
-        cmd.add_argument("--p", type=float, help="nonlinearity exponent")
-        cmd.add_argument("--tol", type=float, help="integrator tolerance")
-        cmd.add_argument("--seed", type=int, help="draw seed (64-bit)")
-        cmd.add_argument("--samples", type=int, help="number of seeded draws")
-        cmd.add_argument("--margin", type=float, help="classification margin")
-        cmd.add_argument("--t-end", dest="t_end", type=float, help="backward time horizon")
-        cmd.add_argument("--grid-nodes", dest="grid_nodes", type=int, help="radial grid nodes")
-        cmd.add_argument("--out", help="write data here instead of stdout")
-        cmd.add_argument("--format", choices=("csv", "aligned"), help="force output format")
-        cmd.add_argument("--quiet", action="store_true", default=None, help="silence diagnostics")
-        cmd.add_argument("--jobs", type=int, help="worker count (output is order-independent)")
-        return cmd
-
-    add("coeffs", "coefficients, exponents and regime for one (n, alpha, p)")
-    add("simulate", "one seeded backward trajectory with its energy")
-    add("classify", "seeded classification sweep near the equilibrium")
-    add("energy-audit", "monotonicity and rate-law audit over seeded draws")
-    green = add("green-check", "Green-operator diagnostics or field validation")
-    green.add_argument("--field", help="stored radial field to validate and solve")
-    atlas = add("atlas", "coefficient atlas over a parameter grid")
-    atlas.add_argument("--grid", help="semicolon-separated n alpha p triples")
+        for opt in _OPTIONS.values():
+            if opt.command not in (None, command):
+                continue
+            flag = "--" + opt.name.replace("_", "-")
+            if opt.type is bool:
+                cmd.add_argument(flag, action="store_true", default=None, help=opt.help)
+            else:
+                cmd.add_argument(flag, type=opt.type, choices=opt.choices, help=opt.help)
     return parser
 
 
@@ -105,25 +144,6 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
     ns = _build_parser().parse_args(argv)
     flags = {k: v for k, v in vars(ns).items() if k not in ("command", "config") and v is not None}
     return CliInvocation(command=ns.command, flags=flags, config_path=ns.config)
-
-
-_CONFIG_TYPES = {
-    "n": int,
-    "alpha": float,
-    "p": float,
-    "tol": float,
-    "seed": int,
-    "samples": int,
-    "margin": float,
-    "t_end": float,
-    "grid_nodes": int,
-    "jobs": int,
-    "out": str,
-    "format": str,
-    "quiet": lambda s: s.lower() in ("1", "true", "yes"),
-    "field": str,
-    "grid": str,
-}
 
 
 def _read_config(path: str) -> dict:
@@ -136,10 +156,10 @@ def _read_config(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _CONFIG_TYPES:
+        if key not in _OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            opts[key] = _CONFIG_TYPES[key](value)
+            opts[key] = _OPTIONS[key].parse(value)
         except ValueError as err:
             raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {err}") from err
     return opts
@@ -173,6 +193,11 @@ def _require_triple(opts: dict) -> tuple[int, float, float]:
     return opts["n"], opts["alpha"], opts["p"]
 
 
+def _require_params(opts: dict) -> ProblemParams:
+    n, alpha, p = _require_triple(opts)
+    return ProblemParams(n=n, alpha=alpha, p=p)
+
+
 def _emit(text: str, opts: dict) -> None:
     out = opts.get("out")
     if out:
@@ -200,133 +225,105 @@ def _check_jobs(opts: dict) -> None:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
 
 
-def _cmd_coeffs(opts: dict) -> int:
-    triple = _require_triple(opts)
-    ProblemParams(n=triple[0], alpha=triple[1], p=triple[2])  # surface errors as usage
-    table = run_experiment(ExperimentConfig(kind=ATLAS, param_grid=(triple,)))
-    _emit(_render(table, opts), opts)
-    return 0
+# Each handler returns the table to render, or finished text.
 
 
-def _cmd_atlas(opts: dict) -> int:
-    if "grid" in opts:
-        grid = _parse_grid(opts["grid"])
-    else:
-        grid = [_require_triple(opts)]
-    table = run_experiment(ExperimentConfig(kind=ATLAS, param_grid=tuple(grid)))
-    _emit(_render(table, opts), opts)
-    return 0
+def _cmd_coeffs(opts: dict) -> ResultTable:
+    return run_experiment(ExperimentConfig(kind=ATLAS, param_grid=(_require_params(opts),)))
 
 
-def _cmd_simulate(opts: dict) -> int:
-    triple = _require_triple(opts)
-    params = ProblemParams(n=triple[0], alpha=triple[1], p=triple[2])
+def _cmd_atlas(opts: dict) -> ResultTable:
+    grid = _parse_grid(opts["grid"]) if "grid" in opts else [_require_triple(opts)]
+    return run_experiment(ExperimentConfig(kind=ATLAS, param_grid=tuple(grid)))
+
+
+def _cmd_simulate(opts: dict) -> ResultTable:
+    params = _require_params(opts)
     ok, reason = in_dichotomy_window(params)
     if not ok:
         raise UsageError(reason)
-    coeffs = coefficients(params)
-    tol = opts.get("tol", 1e-10)
     t_end = opts.get("t_end", -15.0)
     if t_end >= 0.0:
         raise UsageError(f"--t-end must be negative (backward time), got {t_end}")
-    wstar = fixed_points(coeffs, params.p)[1]
-    draw = _rng(opts.get("seed", 0), 0).uniform(-1e-3, 1e-3, 4)
-    state = OdeState(float(wstar + draw[0]), float(draw[1]), float(draw[2]), float(draw[3]))
-    traj = integrate(state, 0.0, t_end, tol, coeffs, params.p)
-    margin = opts.get("margin", DEFAULT_MARGIN)
+    config = ExperimentConfig(
+        kind=CLASSIFICATION,
+        param_grid=(params,),
+        tol=opts.get("tol", 1e-10),
+        samples=1,
+        seed=opts.get("seed", 0),
+        margin=opts.get("margin", DEFAULT_MARGIN),
+        horizon=t_end,
+    )
+    coeffs = coefficients(params)
+    _, state = next(_draws(config, 0, fixed_points(coeffs, params.p)[1]))
+    traj = integrate(state, 0.0, t_end, config.tol, coeffs, params.p)
     window = min(5.0, traj.span / 2.0)
-    cls = classify_limit(traj, coeffs, params.p, margin=margin, window=window)
-    rows = tuple(
-        (t, s.w0, s.w1, s.w2, s.w3, energy(s, coeffs, params.p, params.n).value)
-        for t, s in zip(traj.times, traj.states)
-    )
-    table = ResultTable(
-        kind="trajectory",
-        schema=("t", "w0", "w1", "w2", "w3", "energy"),
-        rows=rows,
-        config_digest=ExperimentConfig(
-            kind=CLASSIFICATION,
-            param_grid=(triple,),
-            tol=tol,
-            samples=1,
-            seed=opts.get("seed", 0),
-            margin=margin,
-            horizon=t_end,
-        ).digest(),
-    )
+    cls = classify_limit(traj, coeffs, params.p, margin=config.margin, window=window)
     _log(
         f"terminated {traj.termination} at t={traj.t_end:.6g}; "
         f"classified {cls.tag} (terminal w0 = {cls.terminal_value:.6g})",
         opts,
     )
-    _emit(_render(table, opts), opts)
-    return 0
+    rows = tuple(
+        (t, s.w0, s.w1, s.w2, s.w3, energy(s, coeffs, params.p, params.n).value)
+        for t, s in zip(traj.times, traj.states)
+    )
+    return ResultTable(
+        kind="trajectory",
+        schema=("t", "w0", "w1", "w2", "w3", "energy"),
+        rows=rows,
+        config_digest=config.digest(),
+    )
 
 
-def _sweep_config(kind: str, opts: dict) -> ExperimentConfig:
-    triple = _require_triple(opts)
-    ProblemParams(n=triple[0], alpha=triple[1], p=triple[2])
-    return ExperimentConfig(
+def _cmd_sweep(kind: str, opts: dict) -> ResultTable:
+    return run_experiment(ExperimentConfig(
         kind=kind,
-        param_grid=(triple,),
+        param_grid=(_require_params(opts),),
         tol=opts.get("tol", 1e-10),
         samples=opts.get("samples", 64),
         seed=opts.get("seed", 0),
         margin=opts.get("margin", DEFAULT_MARGIN),
         horizon=opts.get("t_end", DEFAULT_HORIZON),
-    )
+    ))
 
 
-def _cmd_classify(opts: dict) -> int:
-    table = run_experiment(_sweep_config(CLASSIFICATION, opts))
-    _emit(_render(table, opts), opts)
-    return 0
-
-
-def _cmd_energy_audit(opts: dict) -> int:
-    table = run_experiment(_sweep_config(ENERGY_AUDIT, opts))
-    _emit(_render(table, opts), opts)
-    return 0
-
-
-def _cmd_green_check(opts: dict) -> int:
-    if "field" in opts:
+def _cmd_green_check(opts: dict) -> ResultTable | str:
+    if "field" not in opts:
+        return run_experiment(ExperimentConfig(
+            kind=GREEN_STUDY,
+            param_grid=(_require_params(opts),),
+            tol=opts.get("tol", 1e-12),
+            samples=opts.get("samples", 4),
+            seed=opts.get("seed", 0),
+            box=1e-5,
+            grid_nodes=opts.get("grid_nodes", 2048),
+        ))
+    try:
         field_obj = RadialField.load(opts["field"])
-        bad = [j for j, v in enumerate(field_obj.values) if v < 0.0]
-        if bad:
-            j = bad[0]
-            raise NumericalFailure(
-                f"field value at node {j} (r = {field_obj.grid.nodes[j]:.6g}) is negative: "
-                f"{float(field_obj.values[j])!r}"
-            )
-        n = opts.get("n", field_obj.n)
-        if n is None:
-            raise UsageError("field file carries no dimension; pass --n")
-        solved = bilaplacian_solve_radial(field_obj, int(n))
-        solved.n, solved.alpha, solved.p = field_obj.n, field_obj.alpha, field_obj.p
-        _log(f"solved on {field_obj.grid.count} nodes (n = {int(n)})", opts)
-        _emit(solved.dumps(), opts)
-        return 0
-    triple = _require_triple(opts)
-    ProblemParams(n=triple[0], alpha=triple[1], p=triple[2])
-    config = ExperimentConfig(
-        kind=GREEN_STUDY,
-        param_grid=(triple,),
-        tol=opts.get("tol", 1e-12),
-        samples=opts.get("samples", 4),
-        seed=opts.get("seed", 0),
-        box=1e-5,
-        grid_nodes=opts.get("grid_nodes", 2048),
-    )
-    _emit(_render(run_experiment(config), opts), opts)
-    return 0
+    except ValueError as err:
+        raise NumericalFailure(f"invalid field data: {err}") from err
+    bad = [j for j, v in enumerate(field_obj.values) if v < 0.0]
+    if bad:
+        j = bad[0]
+        raise NumericalFailure(
+            f"field value at node {j} (r = {field_obj.grid.nodes[j]:.6g}) is negative: "
+            f"{float(field_obj.values[j])!r}"
+        )
+    n = opts.get("n", field_obj.n)
+    if n is None:
+        raise UsageError("field file carries no dimension; pass --n")
+    solved = bilaplacian_solve_radial(field_obj, int(n))
+    solved.n, solved.alpha, solved.p = field_obj.n, field_obj.alpha, field_obj.p
+    _log(f"solved on {field_obj.grid.count} nodes (n = {int(n)})", opts)
+    return solved.dumps()
 
 
 _HANDLERS = {
     "coeffs": _cmd_coeffs,
     "simulate": _cmd_simulate,
-    "classify": _cmd_classify,
-    "energy-audit": _cmd_energy_audit,
+    "classify": partial(_cmd_sweep, CLASSIFICATION),
+    "energy-audit": partial(_cmd_sweep, ENERGY_AUDIT),
     "green-check": _cmd_green_check,
     "atlas": _cmd_atlas,
 }
@@ -338,8 +335,13 @@ def execute(inv: CliInvocation) -> int:
     try:
         opts = _merged_options(inv)
         _check_jobs(opts)
-        return _HANDLERS[inv.command](opts)
-    except (NumericalFailure, IntegrabilityError, IntegrationUnderflow, NonPositiveState) as err:
+        result = _HANDLERS[inv.command](opts)
+        _emit(result if isinstance(result, str) else _render(result, opts), opts)
+        return 0
+    except (
+        NumericalFailure, IntegrabilityError, IntegrationUnderflow, NonPositiveState,
+        ArithmeticError,
+    ) as err:
         print(f"hardyhenon4 {inv.command}: numerical failure: {err}", file=sys.stderr)
         return 2
     except (UsageError, ValueError) as err:

@@ -90,7 +90,12 @@ def fixed_points(coeffs: CoefficientSet, p: float) -> list[float]:
             stacklevel=2,
         )
         return [0.0]
-    seed = a0 ** (1.0 / (p - 1.0))
+    try:
+        seed = a0 ** (1.0 / (p - 1.0))
+    except OverflowError:
+        raise OverflowError(
+            f"equilibrium a0^(1/(p-1)) overflows a double (a0={a0:.6g}, p={p!r})"
+        ) from None
     best_w, best_g = seed, abs(_wpow(seed, p) - a0 * seed)
     w = seed
     for _ in range(_FIXED_POINT_SCAN_ULPS):

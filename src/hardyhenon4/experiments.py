@@ -31,7 +31,6 @@ from .params import (
 from .transform import OdeState
 from .dynamics import (
     IntegrationUnderflow,
-    NonPositiveState,
     Trajectory,
     classify_limit,
     equilibrium_trajectory,
@@ -43,7 +42,6 @@ from .dynamics import (
 from .energy import audit_monotonicity, energy
 from .green import (
     MIN_NODE_COUNT,
-    IntegrabilityError,
     integrability_report,
     representation_check,
     singularity_bound_check,
@@ -186,9 +184,65 @@ def _row_key(param_index: int, draw_index: int) -> int:
     return (param_index << 32) | draw_index
 
 
-def _make_params(triple: tuple) -> ProblemParams:
-    n, alpha, p = triple
-    return ProblemParams(n=int(n), alpha=float(alpha), p=float(p))
+# Failures that end one draw or one check and land in its row's note
+# (NonPositiveState and IntegrabilityError are ValueErrors).
+_DRAW_ERRORS = (ValueError, ArithmeticError, IntegrationUnderflow)
+
+_UNIT_BASIS = tuple(OdeState(*(float(j == k) for j in range(4))) for k in range(4))
+
+
+def _row(schema: tuple[str, ...], **cells) -> tuple:
+    """The named cells in schema order; the others blank, the note ''."""
+    return tuple(cells.get(name) for name in schema[:-1]) + (cells.get("note") or "",)
+
+
+def _table(kind: str, schema: tuple[str, ...], rows: list, config: ExperimentConfig) -> ResultTable:
+    return ResultTable(kind=kind, schema=schema, rows=tuple(rows), config_digest=config.digest())
+
+
+def _grid_points(config: ExperimentConfig, schema: tuple[str, ...], rows: list, **reject):
+    """Yield (index, params, coeffs, tag) for each valid grid triple.
+
+    An invalid triple, or one whose coefficients overflow a double, gets
+    one row with the error message and the `reject` cells instead.  tag
+    holds the n, alpha, p and regime cells every row of the point starts
+    with.
+    """
+    for idx, (n, alpha, p) in enumerate(config.param_grid):
+        try:
+            params = ProblemParams(n=n, alpha=alpha, p=p)
+            coeffs = coefficients(params)
+        except (ValueError, ArithmeticError) as err:
+            rows.append(_row(schema, n=n, alpha=alpha, p=p, note=str(err), **reject))
+            continue
+        tag = dict(n=params.n, alpha=params.alpha, p=params.p, regime=coeffs.regime)
+        yield idx, params, coeffs, tag
+
+
+def _draws(config: ExperimentConfig, idx: int, center: float, basis=_UNIT_BASIS):
+    """Yield (i, state) for the config's draws at grid point idx.
+
+    State i is (center, 0, 0, 0) + sum_k c_k basis_k with the c_k uniform
+    in (-box, box) from the generator keyed by (seed, row key), so a draw
+    does not depend on which other draws run.
+    """
+    for i in range(config.samples):
+        draw = _rng(config.seed, _row_key(idx, i)).uniform(-config.box, config.box, len(basis))
+        comps = [center, 0.0, 0.0, 0.0]
+        for c, vec in zip(draw.tolist(), basis):
+            for k in range(4):
+                comps[k] += c * vec[k]
+        yield i, OdeState(*comps)
+
+
+def _equilibrium(coeffs, p: float) -> tuple[float | None, str]:
+    """(w*, "") if a0 > 0, (None, "") if not, (None, reason) if w* overflows."""
+    if coeffs.a0 <= 0.0:
+        return None, ""
+    try:
+        return fixed_points(coeffs, p)[1], ""
+    except OverflowError as err:
+        return None, str(err)
 
 
 def run_atlas(config: ExperimentConfig) -> ResultTable:
@@ -199,29 +253,14 @@ def run_atlas(config: ExperimentConfig) -> ResultTable:
         "B", "a0", "a1", "a2", "a3", "a4",
         "regime", "signs_ok", "w_star", "note",
     )
-    rows = []
-    blank = [None] * (len(schema) - 4)
-    for triple in config.param_grid:
-        try:
-            params = _make_params(triple)
-        except ValueError as err:
-            rows.append((*triple, *blank, str(err)))
-            continue
-        exps = critical_exponents(params)
-        coeffs = coefficients(params)
-        report = classify_regime(params)
-        expected = _EXPECTED_SIGNS.get(report.regime)
-        signs_ok = None if expected is None else report.signs == expected
-        w_star = fixed_points(coeffs, params.p)[1] if coeffs.a0 > 0.0 else None
-        rows.append(
-            (
-                params.n, params.alpha, params.p,
-                exps.serrin, exps.hardy_sobolev, exps.sobolev, exps.upper_dichotomy,
-                coeffs.B, coeffs.a0, coeffs.a1, coeffs.a2, coeffs.a3, coeffs.a4,
-                report.regime, signs_ok, w_star, "",
-            )
-        )
-    return ResultTable(kind=ATLAS, schema=schema, rows=tuple(rows), config_digest=config.digest())
+    rows: list[tuple] = []
+    for _, params, coeffs, tag in _grid_points(config, schema, rows):
+        expected = _EXPECTED_SIGNS.get(coeffs.regime)
+        signs_ok = None if expected is None else classify_regime(params).signs == expected
+        w_star, note = _equilibrium(coeffs, params.p)
+        cells = {**vars(critical_exponents(params)), **vars(coeffs), **tag}
+        rows.append(_row(schema, **cells, signs_ok=signs_ok, w_star=w_star, note=note))
+    return _table(ATLAS, schema, rows, config)
 
 
 def _energies_along(traj: Trajectory, coeffs, p: float, n: int) -> tuple[float, float]:
@@ -242,60 +281,42 @@ def run_classification_sweep(config: ExperimentConfig) -> ResultTable:
         "limit_class", "terminal_w0", "window_variation",
         "e_min", "e_max", "count", "note",
     )
-    rows = []
-    for idx, triple in enumerate(config.param_grid):
-        try:
-            params = _make_params(triple)
-        except ValueError as err:
-            rows.append((*triple, None, "reject", None, None, None, None, None, None, None, str(err)))
-            continue
-        regime = classify_regime(params).regime
-        coeffs = coefficients(params)
-        tag = (params.n, params.alpha, params.p, regime)
+    rows: list[tuple] = []
+    for idx, params, coeffs, tag in _grid_points(config, schema, rows, kind="reject"):
         ok, reason = in_dichotomy_window(params)
-        note = ""
-        if not ok:
-            exploratory = (
-                params.alpha > 0.0
-                and coeffs.a0 > 0.0
-                and regime in (SUBCRITICAL, CRITICAL, SUPERCRITICAL)
-            )
-            if not exploratory:
-                rows.append((*tag, "reject", None, None, None, None, None, None, None, reason))
-                continue
-            note = "exploratory: " + reason
-        wstar = fixed_points(coeffs, params.p)[1]
-        if wstar <= config.box:
-            rows.append(
-                (*tag, "reject", None, None, None, None, None, None, None,
-                 f"box {config.box:g} swallows the equilibrium {wstar:.6g}")
-            )
+        exploratory = params.alpha > 0.0 and coeffs.a0 > 0.0 and coeffs.regime != OUT_OF_RANGE
+        if not (ok or exploratory):
+            rows.append(_row(schema, **tag, kind="reject", note=reason))
+            continue
+        note = "" if ok else "exploratory: " + reason
+        wstar, problem = _equilibrium(coeffs, params.p)
+        if not problem and wstar <= config.box:
+            problem = f"box {config.box:g} swallows the equilibrium {wstar:.6g}"
+        if problem:
+            rows.append(_row(schema, **tag, kind="reject", note=problem))
             continue
         counts: Counter[str] = Counter()
-        for i in range(config.samples):
-            draw = _rng(config.seed, _row_key(idx, i)).uniform(-config.box, config.box, 4)
-            state = OdeState(float(wstar + draw[0]), float(draw[1]), float(draw[2]), float(draw[3]))
+        for i, state in _draws(config, idx, wstar):
             try:
                 traj = integrate(state, 0.0, config.horizon, config.tol, coeffs, params.p)
                 cls = classify_limit(
                     traj, coeffs, params.p, margin=config.margin, window=config.window
                 )
-            except (NonPositiveState, IntegrationUnderflow, ValueError) as err:
-                rows.append((*tag, "draw", i, None, None, None, None, None, None, str(err)))
+            except _DRAW_ERRORS as err:
+                rows.append(_row(schema, **tag, kind="draw", index=i, note=str(err)))
                 continue
             e_min, e_max = _energies_along(traj, coeffs, params.p, params.n)
             counts[cls.tag] += 1
-            rows.append(
-                (*tag, "draw", i, cls.tag, cls.terminal_value, cls.window_variation,
-                 e_min, e_max, None, note)
-            )
-        for cls_tag in sorted(counts):
-            rows.append(
-                (*tag, "summary", None, cls_tag, None, None, None, None, counts[cls_tag], note)
-            )
-    return ResultTable(
-        kind=CLASSIFICATION, schema=schema, rows=tuple(rows), config_digest=config.digest()
-    )
+            rows.append(_row(
+                schema, **tag, kind="draw", index=i, limit_class=cls.tag,
+                terminal_w0=cls.terminal_value, window_variation=cls.window_variation,
+                e_min=e_min, e_max=e_max, note=note,
+            ))
+        rows.extend(
+            _row(schema, **tag, kind="summary", limit_class=c, count=counts[c], note=note)
+            for c in sorted(counts)
+        )
+    return _table(CLASSIFICATION, schema, rows, config)
 
 
 def run_energy_audit(config: ExperimentConfig) -> ResultTable:
@@ -309,42 +330,33 @@ def run_energy_audit(config: ExperimentConfig) -> ResultTable:
         "n", "alpha", "p", "regime", "index",
         "max_violation", "rate_mismatch", "e_initial", "e_final", "note",
     )
-    rows = []
-    for idx, triple in enumerate(config.param_grid):
-        try:
-            params = _make_params(triple)
-        except ValueError as err:
-            rows.append((*triple, None, None, None, None, None, None, str(err)))
+    rows: list[tuple] = []
+    for idx, params, coeffs, tag in _grid_points(config, schema, rows):
+        note = "" if coeffs.regime != OUT_OF_RANGE else "no monotone-direction contract for OutOfRange"
+        wstar, problem = _equilibrium(coeffs, params.p)
+        if problem:
+            rows.append(_row(schema, **tag, note=problem))
             continue
-        coeffs = coefficients(params)
-        regime = classify_regime(params).regime
-        tag = (params.n, params.alpha, params.p, regime)
-        note = "" if regime != OUT_OF_RANGE else "no monotone-direction contract for OutOfRange"
-        if coeffs.a0 > 0.0:
-            center = fixed_points(coeffs, params.p)[1]
-        else:
-            center = 1.0
+        center = 1.0 if wstar is None else wstar
         threshold = _AUDIT_ESCAPE_FACTOR * max(center, 1.0)
-        for i in range(config.samples):
-            draw = _rng(config.seed, _row_key(idx, i)).uniform(-config.box, config.box, 4)
-            state = OdeState(float(center + draw[0]), float(draw[1]), float(draw[2]), float(draw[3]))
+        for i, state in _draws(config, idx, center):
             try:
                 traj = integrate(
                     state, 0.0, config.horizon, config.tol, coeffs, params.p,
                     blowup_threshold=threshold,
                 )
                 audit = audit_monotonicity(traj, coeffs, params.p, params.n)
-            except (NonPositiveState, IntegrationUnderflow, ValueError) as err:
-                rows.append((*tag, i, None, None, None, None, str(err)))
+            except _DRAW_ERRORS as err:
+                rows.append(_row(schema, **tag, index=i, note=str(err)))
                 continue
-            e_initial = energy(traj.states[0], coeffs, params.p, params.n).value
-            e_final = energy(traj.states[-1], coeffs, params.p, params.n).value
-            rows.append(
-                (*tag, i, audit.max_violation, audit.rate_mismatch, e_initial, e_final, note)
-            )
-    return ResultTable(
-        kind=ENERGY_AUDIT, schema=schema, rows=tuple(rows), config_digest=config.digest()
-    )
+            rows.append(_row(
+                schema, **tag, index=i,
+                max_violation=audit.max_violation, rate_mismatch=audit.rate_mismatch,
+                e_initial=energy(traj.states[0], coeffs, params.p, params.n).value,
+                e_final=energy(traj.states[-1], coeffs, params.p, params.n).value,
+                note=note,
+            ))
+    return _table(ENERGY_AUDIT, schema, rows, config)
 
 
 def _backward_decaying_basis(coeffs, p: float) -> list[OdeState]:
@@ -356,15 +368,33 @@ def _backward_decaying_basis(coeffs, p: float) -> list[OdeState]:
         if z.real <= 0.0 or z.imag < -1e-9:
             continue
         v = np.array([z**k for k in range(4)])
-        if abs(z.imag) < 1e-9:
-            basis.append(v.real / np.linalg.norm(v.real))
-        else:
-            basis.append(v.real / np.linalg.norm(v.real))
+        basis.append(v.real / np.linalg.norm(v.real))
+        if abs(z.imag) >= 1e-9:
             basis.append(v.imag / np.linalg.norm(v.imag))
     return [OdeState(*map(float, b)) for b in basis]
 
 
 _GREEN_DEEP_HORIZON = -16.0
+
+
+def _superharmonic_cells(traj: Trajectory, params: ProblemParams) -> dict:
+    sh = superharmonic_check(traj, params)
+    return dict(tau=sh.tau, neglap_min=sh.min_value)
+
+
+def _integrability_cells(traj: Trajectory, params: ProblemParams) -> dict:
+    rep = integrability_report(traj, params)
+    return dict(
+        l1_converges=rep.l1_converges,
+        weighted_diverges=rep.weighted_diverges,
+        l1_exponent=rep.l1_shell_exponent,
+        weighted_exponent=rep.weighted_shell_exponent,
+    )
+
+
+def _sup_cells(traj: Trajectory, params: ProblemParams) -> dict:
+    sups = singularity_bound_check(traj, params).sup_values
+    return dict(zip(("sup0", "sup1", "sup2", "sup3"), sups))
 
 
 def run_green_study(config: ExperimentConfig) -> ResultTable:
@@ -384,51 +414,29 @@ def run_green_study(config: ExperimentConfig) -> ResultTable:
         "l1_converges", "weighted_diverges", "l1_exponent", "weighted_exponent",
         "sup0", "sup1", "sup2", "sup3", "note",
     )
-    blank = {name: None for name in schema}
-
-    def emit(rows, tag, case, index, **cells) -> None:
-        filled = dict(blank, **cells)
-        rows.append(
-            (*tag, case, index, *(filled[name] for name in schema[6:-1]), filled["note"] or "")
-        )
-
     rows: list[tuple] = []
-    for idx, triple in enumerate(config.param_grid):
-        try:
-            params = _make_params(triple)
-        except ValueError as err:
-            emit(rows, (*triple, None), "reject", None, note=str(err))
-            continue
-        coeffs = coefficients(params)
-        tag = (params.n, params.alpha, params.p, classify_regime(params).regime)
-
+    for idx, params, coeffs, tag in _grid_points(config, schema, rows, case="reject"):
         removable = mode_trajectory([(1.0, coeffs.B)], 0.0, _GREEN_DEEP_HORIZON)
-        cells: dict = {}
         try:
             superharmonic_check(removable, params)
-            cells["note"] = "superharmonic check unexpectedly accepted a removable orbit"
-        except ValueError as err:
-            cells["note"] = f"superharmonic rejected: {err}"
+            cells = {"note": "superharmonic check unexpectedly accepted a removable orbit"}
+        except _DRAW_ERRORS as err:
+            cells = {"note": f"superharmonic rejected: {err}"}
         try:
-            rep = integrability_report(removable, params)
-            cells.update(
-                l1_converges=rep.l1_converges,
-                weighted_diverges=rep.weighted_diverges,
-                l1_exponent=rep.l1_shell_exponent,
-                weighted_exponent=rep.weighted_shell_exponent,
-            )
-        except (IntegrabilityError, ValueError) as err:
+            cells.update(_integrability_cells(removable, params))
+        except _DRAW_ERRORS as err:
             cells["note"] = str(err)
-        sups = singularity_bound_check(removable, params).sup_values
-        cells.update(sup0=sups[0], sup1=sups[1], sup2=sups[2], sup3=sups[3])
-        emit(rows, tag, "removable", None, **cells)
+        cells.update(_sup_cells(removable, params))
+        rows.append(_row(schema, **tag, case="removable", **cells))
 
-        if coeffs.a0 <= 0.0:
-            emit(rows, tag, "reject", None, note="no positive equilibrium (a0 <= 0)")
+        wstar, problem = _equilibrium(coeffs, params.p)
+        if wstar is None:
+            note = problem or "no positive equilibrium (a0 <= 0)"
+            rows.append(_row(schema, **tag, case="reject", note=note))
             continue
 
         exact = equilibrium_trajectory(coeffs, params.p, 0.0, _GREEN_DEEP_HORIZON)
-        cells = {}
+        cells = {"note": ""}
         try:
             coarse = representation_check(exact, params, count=config.grid_nodes)
             fine = representation_check(exact, params, count=4 * config.grid_nodes)
@@ -436,49 +444,25 @@ def run_green_study(config: ExperimentConfig) -> ResultTable:
             cells.update(
                 residual_coarse=coarse.residual, residual_fine=fine.residual, ratio=ratio
             )
-        except (IntegrabilityError, ValueError) as err:
+        except _DRAW_ERRORS as err:
             cells["note"] = str(err)
         try:
-            sh = superharmonic_check(exact, params)
-            cells.update(tau=sh.tau, neglap_min=sh.min_value)
-            rep = integrability_report(exact, params)
-            cells.update(
-                l1_converges=rep.l1_converges,
-                weighted_diverges=rep.weighted_diverges,
-                l1_exponent=rep.l1_shell_exponent,
-                weighted_exponent=rep.weighted_shell_exponent,
-            )
-        except (IntegrabilityError, ValueError) as err:
-            cells["note"] = (cells.get("note") or "") + str(err)
-        sups = singularity_bound_check(exact, params).sup_values
-        cells.update(sup0=sups[0], sup1=sups[1], sup2=sups[2], sup3=sups[3])
-        emit(rows, tag, "exact", None, **cells)
+            cells.update(_superharmonic_cells(exact, params))
+            cells.update(_integrability_cells(exact, params))
+        except _DRAW_ERRORS as err:
+            cells["note"] += str(err)
+        cells.update(_sup_cells(exact, params))
+        rows.append(_row(schema, **tag, case="exact", **cells))
 
         basis = _backward_decaying_basis(coeffs, params.p)
-        wstar = fixed_points(coeffs, params.p)[1]
-        for i in range(config.samples):
-            draw = _rng(config.seed, _row_key(idx, i)).uniform(-config.box, config.box, len(basis))
-            comps = [wstar, 0.0, 0.0, 0.0]
-            for c, vec in zip(draw, basis):
-                for k in range(4):
-                    comps[k] = float(comps[k] + c * vec[k])
-            cells = {}
+        for i, state in _draws(config, idx, wstar, basis):
             try:
-                traj = integrate(
-                    OdeState(*comps), 0.0, _PERTURBED_HORIZON, config.tol, coeffs, params.p
-                )
-                sh = superharmonic_check(traj, params)
-                sups = singularity_bound_check(traj, params).sup_values
-                cells.update(
-                    tau=sh.tau, neglap_min=sh.min_value,
-                    sup0=sups[0], sup1=sups[1], sup2=sups[2], sup3=sups[3],
-                )
-            except (NonPositiveState, IntegrationUnderflow, ValueError) as err:
-                cells["note"] = str(err)
-            emit(rows, tag, "perturbed", i, **cells)
-    return ResultTable(
-        kind=GREEN_STUDY, schema=schema, rows=tuple(rows), config_digest=config.digest()
-    )
+                traj = integrate(state, 0.0, _PERTURBED_HORIZON, config.tol, coeffs, params.p)
+                cells = {**_superharmonic_cells(traj, params), **_sup_cells(traj, params)}
+            except _DRAW_ERRORS as err:
+                cells = {"note": str(err)}
+            rows.append(_row(schema, **tag, case="perturbed", index=i, **cells))
+    return _table(GREEN_STUDY, schema, rows, config)
 
 
 _RUNNERS = {

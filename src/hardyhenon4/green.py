@@ -184,6 +184,7 @@ class RadialField:
 
     @classmethod
     def load(cls, path: str | Path) -> "RadialField":
+        """Read a saved field; radii must be log-uniform, ascending and end at 1."""
         text = Path(path).read_text()
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("# radial-field"):
@@ -204,10 +205,19 @@ class RadialField:
             radii.append(float(parts[0]))
             vals.append(float(parts[1]))
         radii_arr = np.array(radii)
+        if not np.all(radii_arr > 0.0):
+            raise ValueError(f"{path}: radii must be positive")
         t = np.log(radii_arr)
         diffs = np.diff(t)
+        if not np.all(diffs > 0.0):
+            raise ValueError(f"{path}: radii must be strictly ascending")
         if len(diffs) == 0 or np.max(np.abs(diffs - diffs[0])) > 1e-9 * abs(diffs[0]):
             raise ValueError(f"{path}: radii are not log-uniform")
+        if abs(t[-1]) > 1e-12:
+            raise ValueError(
+                f"{path}: last radius is {radii[-1]!r}; the grid must end at r = 1, "
+                "where the Navier data are imposed"
+            )
         h = float(diffs[0])
         grid = RadialGrid(
             r_min=float(np.exp(t[0] - h)), t=t, nodes=radii_arr, h=h
@@ -366,10 +376,6 @@ class IntegrabilityReport:
     l1_shell_exponent: float
     weighted_shell_exponent: float
 
-    @property
-    def dyadic_ratios(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        return (self.l1_ratios, self.weighted_ratios)
-
 
 def _shell_sums(traj: Trajectory, params: ProblemParams, weight_exp: float, k_max: int) -> np.ndarray:
     """Quadrature of e^{weight_exp * t} u^p over shells [2^{-k-1}, 2^{-k}]."""
@@ -385,7 +391,12 @@ def _shell_sums(traj: Trajectory, params: ProblemParams, weight_exp: float, k_ma
             w0 = traj.sample(t).w0
             if w0 < 0.0:
                 raise ValueError(f"negative w at t={t:.6g}; integrand undefined")
-            u = math.exp(-B * t) * w0
+            try:
+                u = math.exp(-B * t) * w0
+            except OverflowError:
+                raise OverflowError(
+                    f"u = r^-B w overflows a double at r = {math.exp(t):.3g} (B = {B:.6g})"
+                ) from None
             g[i] = math.exp(weight_exp * t) * _wpow(u, p)
         sums[k] = float(np.sum(_panel_increments(g, h)))
     return sums

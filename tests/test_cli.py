@@ -184,3 +184,72 @@ def test_energy_audit_command(capsys):
     out = capsys.readouterr().out
     assert out.startswith("# result-table kind=energy-audit")
     assert "max_violation" in out
+
+
+def test_atlas_grid_rejects_unusable_triples_per_row(capsys):
+    assert main(["atlas", "--grid", "6.5 0 4; inf 0 4; 6 1e300 4; 6 0 4",
+                 "--format", "csv"]) == 0
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    assert len(rows) == 5
+    assert rows[1].startswith("6.5,0.0,4.0,")
+    assert rows[1].endswith("dimension n must be an integer; got 6.5")
+    for row in rows[2:4]:
+        assert row.split(",")[13:16] == ["", "", ""] and row.split(",")[16]
+    assert rows[4].endswith(",Subcritical,true,1.9917354429142955,")
+
+
+def test_large_B_prints_no_traceback(capsys):
+    # At (12, -3, 1.006) B is about 166: the equilibrium a0^(1/(p-1)) and
+    # r^-B overflow a double.
+    triple = ["--n", "12", "--alpha", "-3", "--p", "1.006", "--samples", "2",
+              "--format", "csv"]
+    for command in ("atlas", "coeffs", "energy-audit", "green-check"):
+        assert main([command] + triple) == 0, command
+        out = capsys.readouterr().out
+        assert "overflows" in out, command
+    assert main(["coeffs"] + triple) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert row[-2] == ""  # w_star blank, the rest of the row kept
+    assert row[13] == "OutOfRange"
+
+
+def test_config_values_get_flag_checks(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("n = 6\nalpha = 0\np = 4\nformat = xml\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--format", "xml", "--n", "6", "--alpha", "0", "--p", "4"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert main(["coeffs", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "run.ini:4" in err and "xml" in err
+    cfg.write_text("n = 6\nalpha = 0\np = 4\nquiet = maybe\n")
+    assert main(["coeffs", "--config", str(cfg)]) == 1
+    assert "quiet" in capsys.readouterr().err
+
+
+def _field_file(path, radii):
+    lines = ["# radial-field n=6 alpha=0 p=4"] + [f"{float(r)!r},1.0" for r in radii]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_green_check_field_descending_radii_is_numerical_failure(tmp_path, capsys):
+    radii = make_grid(count=512).nodes[::-1]
+    assert main(["green-check", "--field", str(_field_file(tmp_path / "d.csv", radii))]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "ascending" in err
+
+
+def test_green_check_field_not_ending_at_one_is_numerical_failure(tmp_path, capsys):
+    radii = make_grid(count=512).nodes / 2.0
+    assert main(["green-check", "--field", str(_field_file(tmp_path / "h.csv", radii))]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "r = 1" in err
+
+
+def test_green_check_field_data_defects_exit_two(tmp_path, capsys):
+    uneven = _field_file(tmp_path / "uneven.csv", [0.1, 0.2, 0.9, 1.0])
+    assert main(["green-check", "--field", str(uneven)]) == 2
+    assert "log-uniform" in capsys.readouterr().err
+    assert main(["green-check", "--field", str(tmp_path / "missing.csv")]) == 1

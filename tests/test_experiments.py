@@ -248,3 +248,31 @@ def test_aligned_rendering():
     assert lines[3].startswith("n ")
     assert "Subcritical" in text
     assert not any(ln.endswith(" ") for ln in lines)
+
+
+@pytest.mark.parametrize(
+    "kind", ["atlas", "classification", "energy-audit", "green-study"]
+)
+def test_non_integer_dimension_is_rejected_not_truncated(kind):
+    table = run_experiment(
+        ExperimentConfig(kind=kind, param_grid=((6.5, 0.0, 4.0),), samples=1)
+    )
+    assert len(table.rows) == 1
+    row = table.rows[0]
+    assert row[_col(table, "n")] == 6.5
+    assert "must be an integer" in row[_col(table, "note")]
+
+
+def test_overflowing_equilibrium_stays_in_its_row():
+    grid = ((12, -3.0, 1.006), (6, 0.0, 4.0))  # B is about 166 at the first point
+    atlas = run_atlas(ExperimentConfig(kind="atlas", param_grid=grid))
+    big, ok = atlas.rows
+    assert big[_col(atlas, "w_star")] is None
+    assert "overflows" in big[_col(atlas, "note")]
+    assert big[_col(atlas, "a0")] > 0.0
+    assert ok[_col(atlas, "w_star")] == WSTAR
+    audit = run_energy_audit(
+        ExperimentConfig(kind="energy-audit", param_grid=grid[:1], samples=2)
+    )
+    assert len(audit.rows) == 1
+    assert "overflows" in audit.rows[0][_col(audit, "note")]

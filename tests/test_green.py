@@ -162,6 +162,16 @@ def test_field_load_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError, match="log-uniform"):
         RadialField.load(uneven)
 
+    nodes = make_grid(count=512).nodes
+    for name, radii, match in (
+        ("descending.csv", nodes[::-1], "ascending"),
+        ("half.csv", nodes / 2.0, "r = 1"),
+    ):
+        path = tmp_path / name
+        path.write_text("# radial-field n= alpha= p=\n" + "".join(f"{float(r)!r},1.0\n" for r in radii))
+        with pytest.raises(ValueError, match=match):
+            RadialField.load(path)
+
 
 def test_field_validation():
     grid = make_grid(count=512)
@@ -245,9 +255,8 @@ def test_integrability_split_on_singular_orbit():
     # closed-form shell exponents: n + alpha - pB and 2 + alpha - pB
     assert rep.l1_shell_exponent == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert rep.weighted_shell_exponent == pytest.approx(-10.0 / 3.0, abs=1e-9)
-    l1_ratios, wt_ratios = rep.dyadic_ratios
-    assert all(q < 1.0 for q in l1_ratios[-6:])
-    assert all(q > 1.0 for q in wt_ratios[-6:])
+    assert all(q < 1.0 for q in rep.l1_ratios[-6:])
+    assert all(q > 1.0 for q in rep.weighted_ratios[-6:])
 
 
 def test_integrability_both_converge_for_bounded_solution():
