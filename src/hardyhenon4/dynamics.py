@@ -12,6 +12,7 @@ Hermite dense output, and are classified against those equilibria.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -60,17 +61,9 @@ def _wpow(w: float, q: float) -> float:
 
 def vector_field(state: OdeState, coeffs: CoefficientSet, p: float) -> OdeState:
     """Right-hand side of the first-order system; rejects negative w."""
-    w0, w1, w2, w3 = state
-    if w0 < 0.0:
-        raise NonPositiveState(f"w={w0!r} < 0: trajectory left the admissible cone")
-    w4 = (
-        _wpow(w0, p)
-        - coeffs.a3 * w3
-        - coeffs.a2 * w2
-        - coeffs.a1 * w1
-        - coeffs.a0 * w0
-    )
-    return OdeState(w1, w2, w3, w4)
+    if state[0] < 0.0:
+        raise NonPositiveState(f"w={state[0]!r} < 0: trajectory left the admissible cone")
+    return OdeState(*_rhs(state, coeffs, p))
 
 
 def fixed_points(coeffs: CoefficientSet, p: float) -> list[float]:
@@ -106,6 +99,13 @@ def fixed_points(coeffs: CoefficientSet, p: float) -> list[float]:
             best_w, best_g = w, g
         w = math.nextafter(w, math.inf)
     return [0.0, best_w]
+
+
+def _positive_equilibrium(coeffs: CoefficientSet, p: float) -> float:
+    """The snapped equilibrium a0^{1/(p-1)}; ValueError when a0 <= 0."""
+    if coeffs.a0 <= 0.0:
+        raise ValueError(f"a0={coeffs.a0:g} <= 0: no positive equilibrium")
+    return fixed_points(coeffs, p)[1]
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def backward_stable_mode(coeffs: CoefficientSet, p: float) -> tuple[float, OdeSt
     the equilibrium as t -> -infinity, which makes this the direction of
     choice for seeding trajectories that converge backward.
     """
-    wstar = fixed_points(coeffs, p)[1]
+    wstar = _positive_equilibrium(coeffs, p)
     rep = linearize(wstar, coeffs, p)
     real_roots = [z.real for z in rep.roots if abs(z.imag) < 1e-9 and z.real > 0.0]
     if not real_roots:
@@ -181,7 +181,8 @@ class Trajectory:
     times run strictly monotonically (decreasing for backward runs); the
     stored samples lie on a uniform spacing except for the terminal point.
     sample(t) evaluates the dense representation anywhere in the covered
-    span, so audits can resample at their own stencils.
+    span, so audits can resample at their own stencils; at a stored
+    sample other than the terminal point it returns the stored state.
     """
 
     times: tuple[float, ...]
@@ -201,6 +202,9 @@ class Trajectory:
         for s in self.states:
             if not s.finite:
                 raise ValueError("trajectory contains a non-finite state")
+        sgn, ends = _step_ends(self.segments)
+        object.__setattr__(self, "_sgn", sgn)
+        object.__setattr__(self, "_ends", ends)
 
     @property
     def t_start(self) -> float:
@@ -226,17 +230,26 @@ class Trajectory:
             return self.analytic(t)
         if not self.segments:
             raise ValueError("trajectory carries no dense segments")
-        # Segments are ordered along the integration direction.
-        lo, hi = 0, len(self.segments) - 1
-        forward = self.segments[0][1] > self.segments[0][0]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            ta, tb = self.segments[mid][0], self.segments[mid][1]
-            if (t <= tb if forward else t >= tb):
-                hi = mid
-            else:
-                lo = mid + 1
-        return _hermite(t, *self.segments[lo])
+        return _dense(self.segments, self._sgn, self._ends, t)
+
+
+def _step_ends(segments) -> tuple[float, list[float]]:
+    """The run direction sgn and each step's end time times sgn (ascending)."""
+    sgn = -1.0 if segments and segments[0][1] < segments[0][0] else 1.0
+    return sgn, [sgn * seg[1] for seg in segments]
+
+
+def _dense(segments, sgn: float, ends: list[float], t: float) -> OdeState:
+    # The first step ending at or past t holds it; a t within covers()'s
+    # slack past the last end falls to the last step.
+    i = bisect.bisect_left(ends, sgn * t)
+    return _hermite(t, *segments[min(i, len(ends) - 1)])
+
+
+def uniform_times(t0: float, t1: float, spacing: float) -> list[float]:
+    """t0 + sgn k spacing for k = 0 .. floor(|t1 - t0| / spacing), sgn toward t1."""
+    sgn = 1.0 if t1 > t0 else -1.0
+    return [t0 + sgn * k * spacing for k in range(int(abs(t1 - t0) / spacing) + 1)]
 
 
 def analytic_trajectory(
@@ -249,9 +262,9 @@ def analytic_trajectory(
     """Wrap a closed-form solution t -> state as a Trajectory."""
     if t0 == t1:
         raise ValueError("need t0 != t1")
-    sgn = 1.0 if t1 > t0 else -1.0
-    n = max(2, int(abs(t1 - t0) / spacing) + 1)
-    ts = [t0 + sgn * k * spacing for k in range(n)]
+    if not spacing > 0.0:
+        raise ValueError("spacing must be positive")
+    ts = uniform_times(t0, t1, spacing)
     if ts[-1] != t1:
         ts.append(t1)
     states = [fn(t) for t in ts]
@@ -272,7 +285,7 @@ def equilibrium_trajectory(
     spacing: float = DEFAULT_SAMPLE_SPACING,
 ) -> Trajectory:
     """The exact constant orbit at the positive equilibrium."""
-    wstar = fixed_points(coeffs, p)[1]
+    wstar = _positive_equilibrium(coeffs, p)
     return analytic_trajectory(lambda t: OdeState(wstar, 0.0, 0.0, 0.0), t0, t1, spacing)
 
 
@@ -496,24 +509,12 @@ def integrate(
         h *= factor
 
     # Uniform samples from the dense segments, terminal point included.
-    times = [t0]
-    states = [OdeState(*initial)]
-    if segments:
-        traj_stub = Trajectory(
-            times=(t0, t),
-            states=(OdeState(*initial), OdeState(*y)),
-            tol=tol,
-            termination=termination,
-            segments=tuple(segments),
-        )
-        n_full = int(abs(t - t0) / sample_spacing)
-        for kk in range(1, n_full + 1):
-            tk = t0 + sgn * kk * sample_spacing
-            times.append(tk)
-            states.append(traj_stub.sample(tk))
-        if times[-1] != t:
-            times.append(t)
-            states.append(OdeState(*y))
+    times = uniform_times(t0, t, sample_spacing)
+    sgn, ends = _step_ends(segments)
+    states = [OdeState(*initial)] + [_dense(segments, sgn, ends, tk) for tk in times[1:]]
+    if times[-1] != t:
+        times.append(t)
+        states.append(OdeState(*y))
     return Trajectory(
         times=tuple(times),
         states=tuple(states),

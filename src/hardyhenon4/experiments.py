@@ -32,6 +32,7 @@ from .transform import OdeState
 from .dynamics import (
     IntegrationUnderflow,
     Trajectory,
+    _positive_equilibrium,
     classify_limit,
     equilibrium_trajectory,
     fixed_points,
@@ -361,7 +362,7 @@ def run_energy_audit(config: ExperimentConfig) -> ResultTable:
 
 def _backward_decaying_basis(coeffs, p: float) -> list[OdeState]:
     """Real unit vectors spanning the modes that decay as t -> -infinity."""
-    wstar = fixed_points(coeffs, p)[1]
+    wstar = _positive_equilibrium(coeffs, p)
     rep = linearize(wstar, coeffs, p)
     basis = []
     for z in rep.roots:

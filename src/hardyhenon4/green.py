@@ -6,10 +6,10 @@ on a log-uniform grid:
     v(r) = int_r^1 tau^{1-n} ( int_0^tau f(s) s^{n-1} ds ) dtau,
 
 iterated twice for the bilaplacian with Navier data v(1) = Delta v(1) = 0.
-Panel integrals use a 5-node Lagrange rule (exact weights derived in
-rational arithmetic at import, O(h^5) globally); the inner integral's
-piece below the grid is closed by a geometric tail whose exponent comes
-from the two bottom octave sums, which is exact for power-law integrands.
+Panel integrals use a 5-node Lagrange rule (weights c/720 from a literal
+table, O(h^5) globally); the inner integral's piece below the grid is
+closed by a geometric tail whose exponent comes from the two bottom
+octave sums, which is exact for power-law integrands.
 The outer integral is accumulated from the boundary downward so the large
 interior mass never cancels.
 """
@@ -19,13 +19,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .params import ProblemParams, coefficients
-from .transform import OdeState, neg_laplacian_radial
+from .transform import _scaled_jet, neg_laplacian_radial
 from .dynamics import (
     CONVERGES_TO_FIXED_POINT,
     Trajectory,
@@ -47,33 +46,18 @@ class IntegrabilityError(ValueError):
     """A required radial integral fails its dyadic integrability test."""
 
 
-def _panel_rows() -> tuple[tuple[float, ...], ...]:
-    # Integrals of the degree-4 Lagrange basis on nodes {0..4} over the
-    # panels [0,1], [1,2], [2,3], [3,4], in exact rational arithmetic.
-    rows = []
-    for panel in range(4):
-        row = []
-        for i in range(5):
-            poly = [Fraction(1)]
-            denom = Fraction(1)
-            for j in range(5):
-                if j == i:
-                    continue
-                denom *= i - j
-                shifted = [Fraction(0)] * (len(poly) + 1)
-                for k, c in enumerate(poly):
-                    shifted[k + 1] += c
-                    shifted[k] -= c * j
-                poly = shifted
-            val = Fraction(0)
-            for k, c in enumerate(poly):
-                val += c * (Fraction(panel + 1) ** (k + 1) - Fraction(panel) ** (k + 1)) / (k + 1)
-            row.append(float(val / denom))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-_ROWS = _panel_rows()
+# Integrals of the degree-4 Lagrange basis on nodes {0..4} over the panels
+# [0,1], [1,2], [2,3], [3,4]; each c / 720.0 is the correctly rounded
+# rational weight.
+_ROWS = tuple(
+    tuple(c / 720.0 for c in row)
+    for row in (
+        (251, 646, -264, 106, -19),
+        (-19, 346, 456, -74, 11),
+        (11, -74, 456, 346, -19),
+        (-19, 106, -264, 646, 251),
+    )
+)
 
 
 def _panel_increments(g: np.ndarray, h: float) -> np.ndarray:
@@ -468,17 +452,7 @@ def singularity_bound_check(traj: Trajectory, params: ProblemParams) -> Singular
         if t > half:
             continue
         seen = True
-        w0, w1, w2, w3 = s
-        b0 = w0
-        b1 = w1 - B * w0
-        b2 = w2 - (2.0 * B + 1.0) * w1 + B * (B + 1.0) * w0
-        b3 = (
-            w3
-            - 3.0 * (B + 1.0) * w2
-            + (3.0 * B * B + 6.0 * B + 2.0) * w1
-            - B * (B + 1.0) * (B + 2.0) * w0
-        )
-        for i, b in enumerate((b0, b1, b2, b3)):
+        for i, b in enumerate(_scaled_jet(s, B)):
             sups[i] = max(sups[i], abs(b))
     if not seen:
         raise ValueError("trajectory has no samples with r <= 1/2")

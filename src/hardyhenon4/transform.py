@@ -72,20 +72,29 @@ def to_log(jet: RadialJet, B: float) -> tuple[float, OdeState]:
     return t, OdeState(w0, w1, w2, w3)
 
 
-def from_log(t: float, state: OdeState, B: float) -> RadialJet:
-    """Invert to_log: recover the u-jet at r = e^t from a w-jet."""
+def _scaled_jet(state: OdeState, B: float) -> tuple[float, float, float, float]:
+    """r^{B+i} u^(i)(r) for i = 0..3: the inverse transform's brackets in w."""
     w0, w1, w2, w3 = state
-    r = math.exp(t)
-    rmB = r**-B
-    u0 = rmB * w0
-    u1 = rmB / r * (w1 - B * w0)
-    u2 = rmB / (r * r) * (w2 - (2.0 * B + 1.0) * w1 + B * (B + 1.0) * w0)
-    u3 = rmB / (r * r * r) * (
+    return (
+        w0,
+        w1 - B * w0,
+        w2 - (2.0 * B + 1.0) * w1 + B * (B + 1.0) * w0,
         w3
         - 3.0 * (B + 1.0) * w2
         + (3.0 * B * B + 6.0 * B + 2.0) * w1
-        - B * (B + 1.0) * (B + 2.0) * w0
+        - B * (B + 1.0) * (B + 2.0) * w0,
     )
+
+
+def from_log(t: float, state: OdeState, B: float) -> RadialJet:
+    """Invert to_log: recover the u-jet at r = e^t from a w-jet."""
+    b0, b1, b2, b3 = _scaled_jet(state, B)
+    r = math.exp(t)
+    rmB = r**-B
+    u0 = rmB * b0
+    u1 = rmB / r * b1
+    u2 = rmB / (r * r) * b2
+    u3 = rmB / (r * r * r) * b3
     return RadialJet(r=r, u0=u0, u1=u1, u2=u2, u3=u3)
 
 

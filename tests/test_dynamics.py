@@ -21,6 +21,7 @@ from hardyhenon4.dynamics import (
     mode_trajectory,
     vector_field,
 )
+from hardyhenon4.experiments import _backward_decaying_basis
 from hardyhenon4.transform import OdeState
 
 PARAMS = ProblemParams(6, 0.0, 4.0)
@@ -151,9 +152,10 @@ def test_integrate_clamps_zero_crossing():
 
 def test_trajectory_dense_sampling():
     traj = integrate(OdeState(WSTAR + 0.01, 0.0, 0.0, 0.0), 0.0, -3.0, 1e-10, COEFFS, P)
-    for t, s in zip(traj.times, traj.states):
-        dense = traj.sample(t)
-        assert dense.w0 == pytest.approx(s.w0, rel=1e-9, abs=1e-12)
+    # energy audits read stored samples in place of dense resamples
+    for t, s in zip(traj.times[:-1], traj.states[:-1]):
+        assert traj.sample(t) == s
+    assert traj.sample(traj.t_end).w0 == pytest.approx(traj.states[-1].w0, rel=1e-9, abs=1e-12)
     assert traj.covers(-1.5) and traj.covers(0.0)
     assert not traj.covers(0.5)
     with pytest.raises(ValueError):
@@ -223,6 +225,22 @@ def test_mode_trajectory_jet_consistency():
     assert s.w3 == pytest.approx(mu**3 * e, rel=1e-13)
 
 
+def test_analytic_trajectory_shorter_than_spacing():
+    traj = equilibrium_trajectory(COEFFS, P, 0.0, -0.005)
+    assert traj.times == (0.0, -0.005)
+
+
+def test_positive_equilibrium_users_reject_a0_not_positive():
+    coeffs = coefficients(ProblemParams(5, -1.0, 3.2))
+    for build in (equilibrium_trajectory, backward_stable_mode, _backward_decaying_basis):
+        with pytest.raises(ValueError, match="a0=.* <= 0"):
+            build(coeffs, 3.2)
+
+
 def test_analytic_trajectory_rejects_empty_span():
+    const = lambda t: OdeState(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        analytic_trajectory(lambda t: OdeState(1.0, 0.0, 0.0, 0.0), 0.0, 0.0)
+        analytic_trajectory(const, 0.0, 0.0)
+    for spacing in (0.0, -0.01):
+        with pytest.raises(ValueError, match="spacing"):
+            analytic_trajectory(const, 0.0, -1.0, spacing)

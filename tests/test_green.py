@@ -52,14 +52,21 @@ def test_grid_validation():
 
 
 def test_cumulative_quadrature_exact_on_cubics():
+    # the 5-node rule integrates polynomials up to degree 4 exactly
     grid = make_grid(count=512)
     t = grid.t
-    g = t**3 - 2.0 * t**2 + 5.0
-    F = _cumulative_up(g, grid.h)
     t0 = t[0]
-    exact = (t**4 - t0**4) / 4.0 - 2.0 * (t**3 - t0**3) / 3.0 + 5.0 * (t - t0)
-    scale = 1.0 + np.max(np.abs(exact))
-    assert np.max(np.abs(F - exact)) <= 1e-11 * scale
+    cases = [
+        (
+            t**3 - 2.0 * t**2 + 5.0,
+            (t**4 - t0**4) / 4.0 - 2.0 * (t**3 - t0**3) / 3.0 + 5.0 * (t - t0),
+        ),
+        (t**4 - 3.0 * t, (t**5 - t0**5) / 5.0 - 1.5 * (t**2 - t0**2)),
+    ]
+    for g, exact in cases:
+        F = _cumulative_up(g, grid.h)
+        scale = 1.0 + np.max(np.abs(exact))
+        assert np.max(np.abs(F - exact)) <= 1e-11 * scale
 
 
 # -------------------------------------------------------------- solves
