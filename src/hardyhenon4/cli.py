@@ -11,6 +11,7 @@ file values.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -243,8 +244,8 @@ def _cmd_simulate(opts: dict) -> ResultTable:
     if not ok:
         raise UsageError(reason)
     t_end = opts.get("t_end", -15.0)
-    if t_end >= 0.0:
-        raise UsageError(f"--t-end must be negative (backward time), got {t_end}")
+    if not -math.inf < t_end < 0.0:
+        raise UsageError(f"--t-end must be finite and negative (backward time), got {t_end}")
     config = ExperimentConfig(
         kind=CLASSIFICATION,
         param_grid=(params,),

@@ -156,21 +156,23 @@ def backward_stable_mode(coeffs: CoefficientSet, p: float) -> tuple[float, OdeSt
     return mu, OdeState(*(v / scale for v in vec))
 
 
-# Cubic Hermite evaluation of one accepted step's dense segment.
-def _hermite(t: float, ta: float, tb: float, ya, yb, fa, fb) -> OdeState:
+# Cubic Hermite evaluation of one accepted step's dense segment, stored as
+# the flat float tuple (ta, tb, ya[0..3], yb[0..3], fa[0..3], fb[0..3]).
+def _hermite(t: float, seg: tuple) -> OdeState:
+    ta, tb, ya0, ya1, ya2, ya3, yb0, yb1, yb2, yb3, fa0, fa1, fa2, fa3, fb0, fb1, fb2, fb3 = seg
     h = tb - ta
     s = (t - ta) / h
     s2 = s * s
     s3 = s2 * s
     h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    h10 = s3 - 2.0 * s2 + s
+    h10 = (s3 - 2.0 * s2 + s) * h
     h01 = -2.0 * s3 + 3.0 * s2
-    h11 = s3 - s2
+    h11 = (s3 - s2) * h
     return OdeState(
-        *(
-            h00 * ya[i] + h10 * h * fa[i] + h01 * yb[i] + h11 * h * fb[i]
-            for i in range(4)
-        )
+        h00 * ya0 + h10 * fa0 + h01 * yb0 + h11 * fb0,
+        h00 * ya1 + h10 * fa1 + h01 * yb1 + h11 * fb1,
+        h00 * ya2 + h10 * fa2 + h01 * yb2 + h11 * fb2,
+        h00 * ya3 + h10 * fa3 + h01 * yb3 + h11 * fb3,
     )
 
 
@@ -183,6 +185,7 @@ class Trajectory:
     sample(t) evaluates the dense representation anywhere in the covered
     span, so audits can resample at their own stencils; at a stored
     sample other than the terminal point it returns the stored state.
+    segments holds one flat float tuple per accepted step (see _hermite).
     """
 
     times: tuple[float, ...]
@@ -243,7 +246,7 @@ def _dense(segments, sgn: float, ends: list[float], t: float) -> OdeState:
     # The first step ending at or past t holds it; a t within covers()'s
     # slack past the last end falls to the last step.
     i = bisect.bisect_left(ends, sgn * t)
-    return _hermite(t, *segments[min(i, len(ends) - 1)])
+    return _hermite(t, segments[min(i, len(ends) - 1)])
 
 
 def uniform_times(t0: float, t1: float, spacing: float) -> list[float]:
@@ -313,8 +316,8 @@ def mode_trajectory(
     return analytic_trajectory(fn, t0, t1, spacing)
 
 
-# Dormand-Prince 5(4) tableau.
-_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0)
+# Dormand-Prince 5(4) tableau; the flow is autonomous, so the nodes c_i
+# never enter.
 _A = (
     (),
     (1.0 / 5.0,),
@@ -343,9 +346,9 @@ _PI_BETA = 0.4 / 5.0
 
 
 def _rhs(y, coeffs: CoefficientSet, p: float):
-    # Internal right-hand side for trial stages: the pow base is clipped
-    # at zero; sign crossings are handled by the termination logic, so a
-    # stage poking below zero is tolerated without raising.
+    # Right-hand side with the pow base clipped at zero; sign crossings are
+    # handled by the termination logic, so a trial stage poking below zero
+    # is tolerated without raising.  integrate inlines this expression.
     w0 = y[0]
     w4 = (
         _wpow(w0, p)
@@ -355,15 +358,6 @@ def _rhs(y, coeffs: CoefficientSet, p: float):
         - coeffs.a0 * y[0]
     )
     return (y[1], y[2], y[3], w4)
-
-
-def _err_norm(err, y_old, y_new, rtol: float, atol: float) -> float:
-    acc = 0.0
-    for i in range(4):
-        scale = atol + rtol * max(abs(y_old[i]), abs(y_new[i]))
-        q = err[i] / scale
-        acc += q * q
-    return math.sqrt(acc / 4.0)
 
 
 def _initial_step(y0, f0, span: float, rtol: float, atol: float) -> float:
@@ -380,15 +374,13 @@ def _initial_step(y0, f0, span: float, rtol: float, atol: float) -> float:
     return min(h, span)
 
 
-def _bisect_crossing(seg, level: float) -> tuple[float, OdeState]:
+def _bisect_crossing(seg: tuple, level: float) -> tuple[float, OdeState]:
     """Locate w0 == level inside one dense segment by bisection."""
-    ta, tb = seg[0], seg[1]
-    fa = seg[2][0] - level
-    lo, hi = ta, tb
-    flo = fa
+    lo, hi = seg[0], seg[1]
+    flo = seg[2] - level
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        fmid = _hermite(mid, *seg)[0] - level
+        fmid = _hermite(mid, seg)[0] - level
         if fmid == 0.0:
             lo = hi = mid
             break
@@ -398,7 +390,7 @@ def _bisect_crossing(seg, level: float) -> tuple[float, OdeState]:
         else:
             hi = mid
     tc = 0.5 * (lo + hi)
-    return tc, _hermite(tc, *seg)
+    return tc, _hermite(tc, seg)
 
 
 def integrate(
@@ -416,7 +408,7 @@ def integrate(
     Parameters
     ----------
     initial : starting 4-jet with w >= 0.
-    t0, t1 : time span; t1 < t0 integrates backward toward r -> 0.
+    t0, t1 : finite time span; t1 < t0 integrates backward toward r -> 0.
     tol : relative tolerance in [1e-13, 1e-4]; absolute tolerance is
         tol/100.
     sample_spacing : spacing of the stored uniform samples.
@@ -436,23 +428,41 @@ def integrate(
     """
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"time span must be finite, got t0={t0!r}, t1={t1!r}")
     if t0 == t1:
         raise ValueError("need t0 != t1")
     if not initial.finite:
         raise ValueError("initial state must be finite")
     if initial.w0 < 0.0:
         raise NonPositiveState(f"initial w={initial.w0!r} < 0")
-    if sample_spacing <= 0.0:
+    if not sample_spacing > 0.0:
         raise ValueError("sample_spacing must be positive")
 
     rtol, atol = tol, tol * 1e-2
     sgn = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
 
-    y = tuple(initial)
+    # The step below is the Dormand-Prince tableau written out per stage
+    # and per component, with the right-hand side inlined: k<s><j> is
+    # component j of stage s, u is component 0 of the stage state (its
+    # components 1..3 are k<s>0..k<s>2).  Every tableau sum keeps the
+    # left-to-right order, the leading 0.0 and the zero weights of
+    # sum(_A[i][m] * k[m][j] for m in range(i)), so each rounding, and the
+    # sign of each zero, is that of the generic stepper over the tableau
+    # that tests/test_dynamics.py keeps as the reference.
+    a0, a1, a2, a3 = coeffs.a0, coeffs.a1, coeffs.a2, coeffs.a3
+    exp, log, isfinite = math.exp, math.log, math.isfinite
+    _, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (
+        a61, a62, a63, a64, a65) = _A
+    b1, b2, b3, b4, b5, b6 = _B5
+    e1, e2, e3, e4, e5, e6, e7 = _E
+
+    y0, y1, y2, y3 = initial
+    f = _rhs(initial, coeffs, p)
+    k10, k11, k12, k13 = f
     t = t0
-    f = _rhs(y, coeffs, p)
-    h = _initial_step(y, f, span, rtol, atol)
+    h = _initial_step(initial, f, span, rtol, atol)
     err_prev = 1.0
 
     segments: list[tuple] = []
@@ -465,38 +475,78 @@ def integrate(
                 f"step size underflow at t={t:.6g}; outcome undetermined"
             )
         hs = sgn * h
-        k = [f]
-        for i in range(1, 6):
-            yi = tuple(
-                y[j] + hs * sum(_A[i][m] * k[m][j] for m in range(i)) for j in range(4)
-            )
-            k.append(_rhs(yi, coeffs, p))
-        y_new = tuple(y[j] + hs * sum(_B5[m] * k[m][j] for m in range(6)) for j in range(4))
-        f_new = _rhs(y_new, coeffs, p)
-        k.append(f_new)
-        err = tuple(hs * sum(_E[m] * k[m][j] for m in range(7)) for j in range(4))
 
-        if not all(map(math.isfinite, y_new)):
+        u = y0 + hs * (0.0 + a21 * k10)
+        k20 = y1 + hs * (0.0 + a21 * k11)
+        k21 = y2 + hs * (0.0 + a21 * k12)
+        k22 = y3 + hs * (0.0 + a21 * k13)
+        k23 = (exp(p * log(u)) if u > 0.0 else 0.0) - a3 * k22 - a2 * k21 - a1 * k20 - a0 * u
+
+        u = y0 + hs * (0.0 + a31 * k10 + a32 * k20)
+        k30 = y1 + hs * (0.0 + a31 * k11 + a32 * k21)
+        k31 = y2 + hs * (0.0 + a31 * k12 + a32 * k22)
+        k32 = y3 + hs * (0.0 + a31 * k13 + a32 * k23)
+        k33 = (exp(p * log(u)) if u > 0.0 else 0.0) - a3 * k32 - a2 * k31 - a1 * k30 - a0 * u
+
+        u = y0 + hs * (0.0 + a41 * k10 + a42 * k20 + a43 * k30)
+        k40 = y1 + hs * (0.0 + a41 * k11 + a42 * k21 + a43 * k31)
+        k41 = y2 + hs * (0.0 + a41 * k12 + a42 * k22 + a43 * k32)
+        k42 = y3 + hs * (0.0 + a41 * k13 + a42 * k23 + a43 * k33)
+        k43 = (exp(p * log(u)) if u > 0.0 else 0.0) - a3 * k42 - a2 * k41 - a1 * k40 - a0 * u
+
+        u = y0 + hs * (0.0 + a51 * k10 + a52 * k20 + a53 * k30 + a54 * k40)
+        k50 = y1 + hs * (0.0 + a51 * k11 + a52 * k21 + a53 * k31 + a54 * k41)
+        k51 = y2 + hs * (0.0 + a51 * k12 + a52 * k22 + a53 * k32 + a54 * k42)
+        k52 = y3 + hs * (0.0 + a51 * k13 + a52 * k23 + a53 * k33 + a54 * k43)
+        k53 = (exp(p * log(u)) if u > 0.0 else 0.0) - a3 * k52 - a2 * k51 - a1 * k50 - a0 * u
+
+        u = y0 + hs * (0.0 + a61 * k10 + a62 * k20 + a63 * k30 + a64 * k40 + a65 * k50)
+        k60 = y1 + hs * (0.0 + a61 * k11 + a62 * k21 + a63 * k31 + a64 * k41 + a65 * k51)
+        k61 = y2 + hs * (0.0 + a61 * k12 + a62 * k22 + a63 * k32 + a64 * k42 + a65 * k52)
+        k62 = y3 + hs * (0.0 + a61 * k13 + a62 * k23 + a63 * k33 + a64 * k43 + a65 * k53)
+        k63 = (exp(p * log(u)) if u > 0.0 else 0.0) - a3 * k62 - a2 * k61 - a1 * k60 - a0 * u
+
+        # The 5th-order solution; its derivative is stage 7 (first same as last).
+        n0 = y0 + hs * (0.0 + b1 * k10 + b2 * k20 + b3 * k30 + b4 * k40 + b5 * k50 + b6 * k60)
+        n1 = y1 + hs * (0.0 + b1 * k11 + b2 * k21 + b3 * k31 + b4 * k41 + b5 * k51 + b6 * k61)
+        n2 = y2 + hs * (0.0 + b1 * k12 + b2 * k22 + b3 * k32 + b4 * k42 + b5 * k52 + b6 * k62)
+        n3 = y3 + hs * (0.0 + b1 * k13 + b2 * k23 + b3 * k33 + b4 * k43 + b5 * k53 + b6 * k63)
+        # Stage 7 comes before the finiteness check, as in the generic stepper:
+        # exp raises OverflowError when a finite n0 is huge.
+        k70, k71, k72 = n1, n2, n3
+        k73 = (exp(p * log(n0)) if n0 > 0.0 else 0.0) - a3 * n3 - a2 * n2 - a1 * n1 - a0 * n0
+        if not (isfinite(n0) and isfinite(n1) and isfinite(n2) and isfinite(n3)):
             h *= 0.25
             continue
-        norm = _err_norm(err, y, y_new, rtol, atol)
+
+        # RMS over components of err / (atol + rtol max(|y|, |y_new|)).
+        q0 = hs * (0.0 + e1 * k10 + e2 * k20 + e3 * k30 + e4 * k40 + e5 * k50 + e6 * k60
+                   + e7 * k70) / (atol + rtol * max(abs(y0), abs(n0)))
+        q1 = hs * (0.0 + e1 * k11 + e2 * k21 + e3 * k31 + e4 * k41 + e5 * k51 + e6 * k61
+                   + e7 * k71) / (atol + rtol * max(abs(y1), abs(n1)))
+        q2 = hs * (0.0 + e1 * k12 + e2 * k22 + e3 * k32 + e4 * k42 + e5 * k52 + e6 * k62
+                   + e7 * k72) / (atol + rtol * max(abs(y2), abs(n2)))
+        q3 = hs * (0.0 + e1 * k13 + e2 * k23 + e3 * k33 + e4 * k43 + e5 * k53 + e6 * k63
+                   + e7 * k73) / (atol + rtol * max(abs(y3), abs(n3)))
+        norm = math.sqrt((0.0 + q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) / 4.0)
         if norm > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * norm**-0.2)
             continue
 
-        seg = (t, t + hs, OdeState(*y), OdeState(*y_new), OdeState(*f), OdeState(*f_new))
+        tn = t + hs
+        seg = (t, tn, y0, y1, y2, y3, n0, n1, n2, n3, k10, k11, k12, k13, k70, k71, k72, k73)
         segments.append(seg)
-        t, y, f = t + hs, y_new, f_new
+        t, y0, y1, y2, y3 = tn, n0, n1, n2, n3
+        k10, k11, k12, k13 = k70, k71, k72, k73
 
-        if y[0] > blowup_threshold:
-            tc, yc = _bisect_crossing(seg, blowup_threshold)
-            t, y = tc, tuple(yc)
+        if y0 > blowup_threshold:
+            t, yc = _bisect_crossing(seg, blowup_threshold)
+            y0, y1, y2, y3 = yc
             termination = BLOW_UP
             break
-        if y[0] < 0.0:
-            tc, yc = _bisect_crossing(seg, 0.0)
-            w0c = max(yc.w0, 0.0)
-            t, y = tc, (w0c, yc.w1, yc.w2, yc.w3)
+        if y0 < 0.0:
+            t, yc = _bisect_crossing(seg, 0.0)
+            y0, y1, y2, y3 = max(yc.w0, 0.0), yc.w1, yc.w2, yc.w3
             termination = NON_POSITIVE
             break
 
@@ -514,7 +564,7 @@ def integrate(
     states = [OdeState(*initial)] + [_dense(segments, sgn, ends, tk) for tk in times[1:]]
     if times[-1] != t:
         times.append(t)
-        states.append(OdeState(*y))
+        states.append(OdeState(y0, y1, y2, y3))
     return Trajectory(
         times=tuple(times),
         states=tuple(states),

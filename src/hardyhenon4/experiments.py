@@ -11,6 +11,7 @@ in the note column.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import Counter
 from dataclasses import dataclass, fields
 from importlib import metadata
@@ -114,8 +115,10 @@ class ExperimentConfig:
         for name in ("margin", "window", "box"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"need {name} > 0, got {getattr(self, name)!r}")
-        if not self.horizon < 0.0:
-            raise ValueError(f"horizon must be negative (backward time), got {self.horizon!r}")
+        if not -math.inf < self.horizon < 0.0:
+            raise ValueError(
+                f"horizon must be finite and negative (backward time), got {self.horizon!r}"
+            )
         if self.grid_nodes < MIN_NODE_COUNT:
             raise ValueError(f"grid_nodes must be >= {MIN_NODE_COUNT}, got {self.grid_nodes!r}")
 

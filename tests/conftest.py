@@ -1,0 +1,40 @@
+import contextlib
+import signal
+
+import pytest
+
+
+class DeadlineExceeded(Exception):
+    """Raised into a test whose code is still running at its deadline.
+
+    Not an OSError or ValueError, so the CLI's exit-status mapping cannot
+    turn it into an ordinary error exit.
+    """
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds) guards a block that must return, not hang.
+
+    Where the platform has no SIGALRM (Windows) the block runs unguarded:
+    it is still checked, only a hang would stall the suite.
+    """
+
+    @contextlib.contextmanager
+    def guard(seconds: int):
+        if not hasattr(signal, "SIGALRM"):
+            yield
+            return
+
+        def expire(signum, frame):
+            raise DeadlineExceeded(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return guard

@@ -61,6 +61,16 @@ def test_simulate_requires_negative_horizon(capsys):
     assert "--t-end" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "classify", "energy-audit"])
+def test_infinite_horizon_is_usage_error(command, capsys, deadline):
+    with deadline(60):
+        code = main([command, "--n", "6", "--alpha", "0", "--p", "4", "--t-end=-inf"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "finite and negative" in err
+
+
 def test_simulate_emits_trajectory_and_diagnostic(capsys):
     assert main(["simulate", "--n", "6", "--alpha", "0", "--p", "4",
                  "--t-end", "-12"]) == 0

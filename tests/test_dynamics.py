@@ -1,16 +1,30 @@
+import bisect
 import math
+import struct
+import sys
 
 import pytest
 
-from hardyhenon4.params import ProblemParams, coefficients
+from hardyhenon4.params import CRITICAL, SUBCRITICAL, SUPERCRITICAL, ProblemParams, coefficients
 from hardyhenon4.dynamics import (
     BLOW_UP,
     CONVERGES_TO_FIXED_POINT,
     CONVERGES_TO_ZERO,
+    DEFAULT_SAMPLE_SPACING,
     NON_POSITIVE,
     REACHED_END,
     UNDETERMINED,
     NonPositiveState,
+    _A,
+    _B5,
+    _E,
+    _MAX_FACTOR,
+    _MIN_FACTOR,
+    _PI_ALPHA,
+    _PI_BETA,
+    _SAFETY,
+    _initial_step,
+    _rhs,
     analytic_trajectory,
     backward_stable_mode,
     classify_limit,
@@ -19,6 +33,7 @@ from hardyhenon4.dynamics import (
     integrate,
     linearize,
     mode_trajectory,
+    uniform_times,
     vector_field,
 )
 from hardyhenon4.experiments import _backward_decaying_basis
@@ -51,9 +66,10 @@ def test_fixed_points_values():
 def test_fixed_points_warns_when_a0_not_positive():
     coeffs = coefficients(ProblemParams(5, -1.0, 3.2))
     assert coeffs.a0 < 0.0
-    with pytest.warns(UserWarning):
-        pts = fixed_points(coeffs, 3.2)
-    assert pts == [0.0]
+    for _ in range(2):  # every call warns, not only the first
+        with pytest.warns(UserWarning):
+            pts = fixed_points(coeffs, 3.2)
+        assert pts == [0.0]
 
 
 def test_linearization_at_zero_has_biharmonic_kernel_roots():
@@ -121,12 +137,44 @@ def test_integrate_validates_inputs():
         integrate(OdeState(-0.5, 0.0, 0.0, 0.0), 0.0, -1.0, 1e-10, COEFFS, P)
 
 
-def test_integrate_holds_exact_equilibrium():
-    traj = integrate(OdeState(WSTAR, 0.0, 0.0, 0.0), 0.0, -40.0, 1e-10, COEFFS, P)
+def test_integrate_rejects_non_finite_span(deadline):
+    # From the exact equilibrium an infinite span never terminates on its own.
+    y = OdeState(WSTAR, 0.0, 0.0, 0.0)
+    with deadline(30):
+        for t0, t1 in ((0.0, -math.inf), (0.0, math.inf), (math.nan, -1.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="time span must be finite"):
+                integrate(y, t0, t1, 1e-10, COEFFS, P)
+        with pytest.raises(ValueError, match="sample_spacing"):
+            integrate(y, 0.0, -1.0, 1e-10, COEFFS, P, sample_spacing=math.nan)
+
+
+# Triples whose snapped equilibrium zeroes the field exactly, one per regime.
+@pytest.mark.parametrize(
+    "regime, triple",
+    [
+        (SUBCRITICAL, (6, 0.0, 4.0)),
+        (CRITICAL, (6, -1.0, 4.0)),
+        (SUPERCRITICAL, (6, 0.0, 5.25)),
+    ],
+    ids=["subcritical", "critical", "supercritical"],
+)
+def test_integrate_holds_exact_equilibrium(regime, triple):
+    coeffs = coefficients(ProblemParams(*triple))
+    p = triple[2]
+    assert coeffs.regime == regime
+    wstar = fixed_points(coeffs, p)[1]
+    traj = integrate(OdeState(wstar, 0.0, 0.0, 0.0), 0.0, -40.0, 1e-10, coeffs, p)
     assert traj.termination == REACHED_END
     assert traj.t_end == -40.0
-    drift = max(abs(s.w0 - WSTAR) for s in traj.states)
-    assert drift < 1e-12
+    # The stages see the field of fixed_points' own power path, which is
+    # exactly zero here, so the whole span is one exact step.
+    assert traj.segments == ((0.0, -40.0) + (wstar, 0.0, 0.0, 0.0) * 2 + (0.0,) * 8,)
+    # The cubic Hermite samples keep the derivatives at zero; their w0 is
+    # h00 w* + h01 w*, whose weights sum to 1 only up to rounding.
+    assert traj.states[0] == (wstar, 0.0, 0.0, 0.0)
+    for s in traj.states:
+        assert s[1:] == (0.0, 0.0, 0.0)
+        assert abs(s.w0 - wstar) <= math.ulp(wstar)
 
 
 def test_integrate_truncates_at_blowup_threshold():
@@ -244,3 +292,173 @@ def test_analytic_trajectory_rejects_empty_span():
     for spacing in (0.0, -0.01):
         with pytest.raises(ValueError, match="spacing"):
             analytic_trajectory(const, 0.0, -1.0, spacing)
+
+
+# Reference for integrate's unrolled step: the generic Dormand-Prince
+# stepper that sums over the tableau, cubic Hermite segments of OdeState-like
+# tuples, and a bisection lookup per stored sample.  It also counts the
+# rejected steps.
+def _lsum(terms):
+    # sum() as CPython evaluates float terms before 3.12: start from int 0
+    # and add left to right (3.12 switched to compensated summation).
+    acc = 0
+    for x in terms:
+        acc = acc + x
+    return acc
+
+
+
+# integrate's unrolled sums reproduce the built-in sum() only where sum() is
+# the plain left-to-right loop above; from 3.12 on the tables keep the
+# 3.11 bytes rather than those of sum().
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="sum() is compensated from 3.12")
+def test_lsum_is_builtin_sum():
+    cases = ([1e16, 1.0, -1e16], [-0.0], [-0.0, -0.0], [0.1] * 10, [1.0, 1e-17, -1.0, 3e-17])
+    for terms in cases:
+        assert struct.pack("<d", _lsum(terms)) == struct.pack("<d", sum(terms))
+
+def _generic_hermite(t, ta, tb, ya, yb, fa, fb):
+    h = tb - ta
+    s = (t - ta) / h
+    s2 = s * s
+    s3 = s2 * s
+    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
+    h10 = s3 - 2.0 * s2 + s
+    h01 = -2.0 * s3 + 3.0 * s2
+    h11 = s3 - s2
+    return tuple(h00 * ya[i] + h10 * h * fa[i] + h01 * yb[i] + h11 * h * fb[i] for i in range(4))
+
+
+def _generic_crossing(seg, level):
+    lo, hi = seg[0], seg[1]
+    flo = seg[2][0] - level
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fmid = _generic_hermite(mid, *seg)[0] - level
+        if fmid == 0.0:
+            lo = hi = mid
+            break
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    tc = 0.5 * (lo + hi)
+    return tc, _generic_hermite(tc, *seg)
+
+
+def _generic_integrate(initial, t0, t1, tol, coeffs, p, blowup_threshold):
+    rtol, atol = tol, tol * 1e-2
+    sgn = 1.0 if t1 > t0 else -1.0
+    y = tuple(initial)
+    t = t0
+    f = _rhs(y, coeffs, p)
+    h = _initial_step(y, f, abs(t1 - t0), rtol, atol)
+    err_prev = 1.0
+    segments, rejected, termination = [], 0, REACHED_END
+    while sgn * (t1 - t) > 0.0:
+        h = min(h, abs(t1 - t))
+        assert h >= 1e-13 * max(1.0, abs(t))
+        hs = sgn * h
+        k = [f]
+        for i in range(1, 6):
+            yi = tuple(y[j] + hs * _lsum(_A[i][m] * k[m][j] for m in range(i)) for j in range(4))
+            k.append(_rhs(yi, coeffs, p))
+        y_new = tuple(y[j] + hs * _lsum(_B5[m] * k[m][j] for m in range(6)) for j in range(4))
+        f_new = _rhs(y_new, coeffs, p)
+        k.append(f_new)
+        err = tuple(hs * _lsum(_E[m] * k[m][j] for m in range(7)) for j in range(4))
+        if not all(map(math.isfinite, y_new)):
+            h *= 0.25
+            rejected += 1
+            continue
+        acc = 0.0
+        for i in range(4):
+            q = err[i] / (atol + rtol * max(abs(y[i]), abs(y_new[i])))
+            acc += q * q
+        norm = math.sqrt(acc / 4.0)
+        if norm > 1.0:
+            h *= max(_MIN_FACTOR, _SAFETY * norm**-0.2)
+            rejected += 1
+            continue
+        seg = (t, t + hs, y, y_new, f, f_new)
+        segments.append(seg)
+        t, y, f = t + hs, y_new, f_new
+        if y[0] > blowup_threshold:
+            t, y = _generic_crossing(seg, blowup_threshold)
+            termination = BLOW_UP
+            break
+        if y[0] < 0.0:
+            t, yc = _generic_crossing(seg, 0.0)
+            y = (max(yc[0], 0.0),) + yc[1:]
+            termination = NON_POSITIVE
+            break
+        if norm == 0.0:
+            factor = _MAX_FACTOR
+        else:
+            factor = _SAFETY * norm**-_PI_ALPHA * err_prev**_PI_BETA
+            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            err_prev = norm
+        h *= factor
+    times = uniform_times(t0, t, DEFAULT_SAMPLE_SPACING)
+    ends = [sgn * seg[1] for seg in segments]
+    states = [tuple(initial)] + [
+        _generic_hermite(tk, *segments[min(bisect.bisect_left(ends, sgn * tk), len(ends) - 1)])
+        for tk in times[1:]
+    ]
+    if times[-1] != t:
+        times.append(t)
+        states.append(y)
+    flat = [(ta, tb, *ya, *yb, *fa, *fb) for ta, tb, ya, yb, fa, fb in segments]
+    return times, states, flat, termination, rejected
+
+
+def _bits(values) -> bytes:
+    # Bitwise, so a sign of zero or a NaN payload also counts.
+    values = list(values)
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _singular_orbit_start(amplitude: float) -> OdeState:
+    comps = [WSTAR, 0.0, 0.0, 0.0]
+    for c, vec in zip((3.0, -2.0, 1.0), _backward_decaying_basis(COEFFS, P)):
+        for k in range(4):
+            comps[k] += c * amplitude * vec[k]
+    return OdeState(*comps)
+
+
+@pytest.mark.parametrize(
+    "initial, t1, tol, threshold, termination",
+    [
+        (_singular_orbit_start(1e-6), -4.0, 1e-10, 1e6, REACHED_END),
+        (_singular_orbit_start(1e-6), -4.0, 1e-12, 1e6, REACHED_END),
+        (OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), -60.0, 1e-10, 10.0, BLOW_UP),
+        (OdeState(WSTAR, 0.2, 0.0, 0.0), -60.0, 1e-10, 1e6, NON_POSITIVE),
+        (OdeState(1.0, 1.0, 0.0, 0.0), -20.0, 1e-6, 1e6, NON_POSITIVE),
+        (OdeState(WSTAR + 0.01, 0.0, 0.0, 0.0), 3.0, 1e-10, 1e6, BLOW_UP),
+        (OdeState(WSTAR, -1e-3, 0.0, 0.0), -20.0, 1e-12, 1e6, BLOW_UP),
+    ],
+    ids=[
+        "converging", "converging-tol1e-12", "blowup", "nonpositive", "tol1e-6",
+        "forward", "blowup-tol1e-12",
+    ],
+)
+def test_integrate_matches_generic_stepper_bit_for_bit(initial, t1, tol, threshold, termination):
+    traj = integrate(initial, 0.0, t1, tol, COEFFS, P, blowup_threshold=threshold)
+    times, states, segments, want_termination, _ = _generic_integrate(
+        initial, 0.0, t1, tol, COEFFS, P, threshold
+    )
+    assert traj.termination == want_termination == termination
+    assert _bits(traj.times) == _bits(times)
+    assert _bits(v for s in traj.states for v in s) == _bits(v for s in states for v in s)
+    assert len(traj.segments) == len(segments)
+    assert _bits(v for seg in traj.segments for v in seg) == _bits(
+        v for seg in segments for v in seg
+    )
+
+
+def test_generic_stepper_cases_include_rejected_steps():
+    # The "converging" bit-for-bit case above also takes the rejection branch.
+    *_, rejected = _generic_integrate(
+        _singular_orbit_start(1e-6), 0.0, -4.0, 1e-10, COEFFS, P, 1e6
+    )
+    assert rejected > 0
