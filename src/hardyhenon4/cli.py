@@ -18,6 +18,8 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .params import ProblemParams, in_dichotomy_window, coefficients
 from .dynamics import (
     DEFAULT_MARGIN,
@@ -226,6 +228,13 @@ def _check_jobs(opts: dict) -> None:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
 
 
+def _checked_t_end(opts: dict, default: float) -> float:
+    t_end = opts.get("t_end", default)
+    if not -math.inf < t_end < 0.0:
+        raise UsageError(f"--t-end must be finite and negative (backward time), got {t_end}")
+    return t_end
+
+
 # Each handler returns the table to render, or finished text.
 
 
@@ -243,9 +252,7 @@ def _cmd_simulate(opts: dict) -> ResultTable:
     ok, reason = in_dichotomy_window(params)
     if not ok:
         raise UsageError(reason)
-    t_end = opts.get("t_end", -15.0)
-    if not -math.inf < t_end < 0.0:
-        raise UsageError(f"--t-end must be finite and negative (backward time), got {t_end}")
+    t_end = _checked_t_end(opts, -15.0)
     config = ExperimentConfig(
         kind=CLASSIFICATION,
         param_grid=(params,),
@@ -285,7 +292,7 @@ def _cmd_sweep(kind: str, opts: dict) -> ResultTable:
         samples=opts.get("samples", 64),
         seed=opts.get("seed", 0),
         margin=opts.get("margin", DEFAULT_MARGIN),
-        horizon=opts.get("t_end", DEFAULT_HORIZON),
+        horizon=_checked_t_end(opts, DEFAULT_HORIZON),
     ))
 
 
@@ -304,9 +311,9 @@ def _cmd_green_check(opts: dict) -> ResultTable | str:
         field_obj = RadialField.load(opts["field"])
     except ValueError as err:
         raise NumericalFailure(f"invalid field data: {err}") from err
-    bad = [j for j, v in enumerate(field_obj.values) if v < 0.0]
-    if bad:
-        j = bad[0]
+    bad = np.flatnonzero(field_obj.values < 0.0)
+    if len(bad):
+        j = int(bad[0])
         raise NumericalFailure(
             f"field value at node {j} (r = {field_obj.grid.nodes[j]:.6g}) is negative: "
             f"{float(field_obj.values[j])!r}"

@@ -7,9 +7,10 @@ on a log-uniform grid:
 
 iterated twice for the bilaplacian with Navier data v(1) = Delta v(1) = 0.
 Panel integrals use a 5-node Lagrange rule (weights c/720 from a literal
-table, O(h^5) globally); the inner integral's piece below the grid is
-closed by a geometric tail whose exponent comes from the two bottom
-octave sums, which is exact for power-law integrands.
+table, O(h^5) globally), summed 0.0 + w0*g + ... + w4*g left to right
+over shifted slices of whole arrays, never by BLAS; the inner integral's
+piece below the grid is closed by a geometric tail whose exponent comes
+from the two bottom octave sums, which is exact for power-law integrands.
 The outer integral is accumulated from the boundary downward so the large
 interior mass never cancels.
 """
@@ -61,14 +62,15 @@ _ROWS = tuple(
 
 
 def _panel_increments(g: np.ndarray, h: float) -> np.ndarray:
-    n = len(g)
-    if n < 5:
-        raise ValueError(f"need at least 5 nodes, got {n}")
-    inc = np.empty(n - 1)
-    for k in range(n - 1):
-        b = min(max(k - 2, 0), n - 5)
-        inc[k] = h * float(np.dot(_ROWS[k - b], g[b : b + 5]))
-    return inc
+    if g.shape[-1] < 5:
+        raise ValueError(f"need at least 5 nodes, got {g.shape[-1]}")
+    parts = []
+    for row, part in zip(_ROWS, (g[..., :5], g[..., :5], g, g[..., -5:])):
+        acc = 0.0
+        for i, w in enumerate(row):
+            acc = acc + w * part[..., i : part.shape[-1] - 4 + i]
+        parts.append(acc)
+    return h * np.concatenate(parts, axis=-1)
 
 
 def _cumulative_up(g: np.ndarray, h: float) -> np.ndarray:
@@ -78,23 +80,21 @@ def _cumulative_up(g: np.ndarray, h: float) -> np.ndarray:
 
 
 def _cumulative_down(g: np.ndarray, h: float) -> np.ndarray:
-    inc = _panel_increments(g, h)
     out = np.zeros(len(g))
-    out[:-1] = np.cumsum(inc[::-1])[::-1]
+    out[:-1] = np.cumsum(_panel_increments(g, h)[::-1])[::-1]
     return out
 
 
-def _tail_estimate(g: np.ndarray, h: float) -> float:
+def _tail_estimate(F: np.ndarray, h: float) -> float:
     """Mass of int_{-inf}^{t_0} g dt assuming a geometric (power-law) tail.
 
-    The exponent is read off the two bottom octave sums S1, S2 of the
-    grid: for g = C e^{sigma t} the estimate S1 / (S2/S1 - 1) is exact,
-    and the panel-rule errors cancel in the ratio.
+    The exponent is read off the bottom octave sums S1, S2 of F, the
+    cumulative integral of g: for g = C e^{sigma t} the estimate
+    S1 / (S2/S1 - 1) is exact, and the panel-rule errors cancel in the ratio.
     """
     m = max(2, int(round(math.log(2.0) / h)))
-    if 2 * m + 5 > len(g):
+    if 2 * m >= len(F):
         raise ValueError("grid too coarse for the octave tail estimate")
-    F = _cumulative_up(g[: 2 * m + 5], h)
     s1, s2 = float(F[m]), float(F[2 * m] - F[m])
     if s1 <= 0.0:
         return 0.0
@@ -202,6 +202,8 @@ class RadialField:
                 f"{path}: last radius is {radii[-1]!r}; the grid must end at r = 1, "
                 "where the Navier data are imposed"
             )
+        if len(radii) < MIN_NODE_COUNT:
+            raise ValueError(f"{path}: {len(radii)} nodes; need at least {MIN_NODE_COUNT}")
         h = float(diffs[0])
         grid = RadialGrid(
             r_min=float(np.exp(t[0] - h)), t=t, nodes=radii_arr, h=h
@@ -215,7 +217,8 @@ def poisson_solve_radial(f: RadialField, n: int) -> RadialField:
         raise ValueError(f"need dimension n >= 3, got {n}")
     grid = f.grid
     g_in = f.values * np.exp(n * grid.t)
-    inner = _tail_estimate(g_in, grid.h) + _cumulative_up(g_in, grid.h)
+    F = _cumulative_up(g_in, grid.h)
+    inner = _tail_estimate(F, grid.h) + F
     g_out = inner * np.exp((2.0 - n) * grid.t)
     return RadialField(grid=grid, values=_cumulative_down(g_out, grid.h))
 
@@ -361,15 +364,14 @@ class IntegrabilityReport:
     weighted_shell_exponent: float
 
 
-def _shell_sums(traj: Trajectory, params: ProblemParams, weight_exp: float, k_max: int) -> np.ndarray:
-    """Quadrature of e^{weight_exp * t} u^p over shells [2^{-k-1}, 2^{-k}]."""
+def _shell_sums(traj: Trajectory, params: ProblemParams, weights: tuple, k_max: int) -> np.ndarray:
+    """Quadrature of e^{w t} u^p over shells [2^{-k-1}, 2^{-k}], one row per w in weights."""
     B, p = params.B, params.p
     ln2 = math.log(2.0)
     h = ln2 / _SHELL_PANELS
-    sums = np.empty(k_max + 1)
+    g = np.empty((len(weights), k_max + 1, _SHELL_PANELS + 1))
     for k in range(k_max + 1):
         t_hi = -k * ln2
-        g = np.empty(_SHELL_PANELS + 1)
         for i in range(_SHELL_PANELS + 1):
             t = t_hi - ln2 + i * h
             w0 = traj.sample(t).w0
@@ -381,9 +383,9 @@ def _shell_sums(traj: Trajectory, params: ProblemParams, weight_exp: float, k_ma
                 raise OverflowError(
                     f"u = r^-B w overflows a double at r = {math.exp(t):.3g} (B = {B:.6g})"
                 ) from None
-            g[i] = math.exp(weight_exp * t) * _wpow(u, p)
-        sums[k] = float(np.sum(_panel_increments(g, h)))
-    return sums
+            up = _wpow(u, p)
+            g[:, k, i] = [math.exp(w * t) * up for w in weights]
+    return _panel_increments(g, h).sum(axis=-1)
 
 
 def integrability_report(traj: Trajectory, params: ProblemParams) -> IntegrabilityReport:
@@ -405,12 +407,9 @@ def integrability_report(traj: Trajectory, params: ProblemParams) -> Integrabili
             f"insufficient resolution: trajectory reaches r = {math.exp(t_min):.3g}, "
             f"need 2^-17 or deeper"
         )
-    l1 = _shell_sums(traj, params, weight_exp=float(n) + alpha, k_max=k_max)
-    wt = _shell_sums(traj, params, weight_exp=2.0 + alpha, k_max=k_max)
-
+    sums = _shell_sums(traj, params, (float(n) + alpha, 2.0 + alpha), k_max)
     # ratios[k] = deeper shell / shallower shell
-    l1_ratios = tuple(float(l1[k + 1] / l1[k]) for k in range(k_max))
-    wt_ratios = tuple(float(wt[k + 1] / wt[k]) for k in range(k_max))
+    l1_ratios, wt_ratios = (tuple((s[1:] / s[:-1]).tolist()) for s in sums)
     run = _DIVERGENCE_RUN
     l1_diverges = all(q >= 1.0 for q in l1_ratios[-run:])
     if l1_diverges:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -63,12 +68,13 @@ def test_simulate_requires_negative_horizon(capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "classify", "energy-audit"])
 def test_infinite_horizon_is_usage_error(command, capsys, deadline):
-    with deadline(60):
-        code = main([command, "--n", "6", "--alpha", "0", "--p", "4", "--t-end=-inf"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert "finite and negative" in err
+    for t_end in ("-inf", "5"):
+        with deadline(60):
+            code = main([command, "--n", "6", "--alpha", "0", "--p", "4", f"--t-end={t_end}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "--t-end must be finite and negative" in err
 
 
 def test_simulate_emits_trajectory_and_diagnostic(capsys):
@@ -263,3 +269,37 @@ def test_green_check_field_data_defects_exit_two(tmp_path, capsys):
     assert main(["green-check", "--field", str(uneven)]) == 2
     assert "log-uniform" in capsys.readouterr().err
     assert main(["green-check", "--field", str(tmp_path / "missing.csv")]) == 1
+
+
+def test_green_check_field_below_node_floor_exits_two(tmp_path, capsys):
+    # 3 nodes, and 10 nodes spanning 20 octaves (step h = 1.39): both are
+    # log-uniform and end at r = 1, but fewer than make_grid's 256 nodes.
+    for name, radii in (("three.csv", [0.25, 0.5, 1.0]),
+                        ("ten.csv", [2.0 ** (-2 * k) for k in range(9, -1, -1)])):
+        assert main(["green-check", "--field", str(_field_file(tmp_path / name, radii))]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "need at least 256" in err
+
+
+def test_green_check_field_output_ignores_blas_core(tmp_path):
+    # The quadrature never calls BLAS, so the OpenBLAS kernel picked for
+    # the CPU cannot change the solved field.  Prescott is the SSE3
+    # baseline, safe on any x86-64 CPU; other BLAS builds ignore it.
+    grid = make_grid(count=512)
+    path = tmp_path / "source.csv"
+    RadialField(grid=grid, values=grid.nodes**-1.5, n=6, alpha=0.0, p=4.0).save(path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for core in (None, "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        run = subprocess.run(
+            [sys.executable, "-m", "hardyhenon4.cli", "green-check", "--field", str(path),
+             "--quiet"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outs.append(run.stdout)
+    assert outs[0].startswith("# radial-field n=6")
+    assert outs[0] == outs[1]

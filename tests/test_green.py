@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from hardyhenon4.params import ProblemParams, coefficients
-from hardyhenon4.dynamics import equilibrium_trajectory, fixed_points, mode_trajectory
+from hardyhenon4.dynamics import (
+    analytic_trajectory,
+    equilibrium_trajectory,
+    fixed_points,
+    mode_trajectory,
+)
 from hardyhenon4.green import (
     IntegrabilityError,
     RadialField,
     _cumulative_up,
+    _panel_increments,
     bilaplacian_solve_radial,
     biharmonic_span_residual,
     integrability_report,
@@ -18,6 +24,7 @@ from hardyhenon4.green import (
     singularity_bound_check,
     superharmonic_check,
 )
+from hardyhenon4.transform import OdeState
 
 PARAMS = ProblemParams(6, 0.0, 4.0)
 COEFFS = coefficients(PARAMS)
@@ -67,6 +74,51 @@ def test_cumulative_quadrature_exact_on_cubics():
         F = _cumulative_up(g, grid.h)
         scale = 1.0 + np.max(np.abs(exact))
         assert np.max(np.abs(F - exact)) <= 1e-11 * scale
+
+
+# Integrals of the degree-4 Lagrange basis over the four panels of five
+# nodes, in units of 1/720.
+_RULE = (
+    (251, 646, -264, 106, -19),
+    (-19, 346, 456, -74, 11),
+    (11, -74, 456, 346, -19),
+    (-19, 106, -264, 646, 251),
+)
+
+
+def _reference_increments(g, h):
+    # One window per panel: the first two and the last panel use the end
+    # windows, every other panel the window centred on it.  Each sum runs
+    # left to right from 0.0 (builtin sum() is compensated from 3.12).
+    n = len(g)
+    inc = []
+    for k in range(n - 1):
+        b = min(max(k - 2, 0), n - 5)
+        acc = 0.0
+        for c, x in zip(_RULE[k - b], g[b : b + 5]):
+            acc = acc + (c / 720.0) * float(x)
+        inc.append(h * acc)
+    return inc
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def test_panel_increments_match_left_to_right_reference():
+    rng = np.random.default_rng(7)
+    h = math.log(2.0) / 64
+    flat = rng.standard_normal(97) * np.exp(rng.uniform(-20.0, 20.0, 97))
+    assert _bits(_panel_increments(flat, h)) == _bits(_reference_increments(flat, h))
+    stacked = rng.standard_normal((3, 65)) * np.exp(rng.uniform(-5.0, 5.0, (3, 65)))
+    got = _panel_increments(stacked, h)
+    assert got.shape == (3, 64)
+    for row_got, row in zip(got, stacked):
+        assert _bits(row_got) == _bits(_reference_increments(row, h))
+    five = rng.standard_normal(5)
+    assert _bits(_panel_increments(five, h)) == _bits(_reference_increments(five, h))
+    with pytest.raises(ValueError, match="at least 5 nodes"):
+        _panel_increments(five[:4], h)
 
 
 # -------------------------------------------------------------- solves
@@ -238,9 +290,6 @@ def test_superharmonic_rejects_removable_orbit():
 def test_superharmonic_prefix_stops_at_sign_change():
     # plant a sign change of -Delta u near t = ln(0.236)/5 while keeping
     # w0 pinned at the equilibrium so the orbit still classifies singular
-    from hardyhenon4.dynamics import analytic_trajectory
-    from hardyhenon4.transform import OdeState
-
     fn = lambda t: OdeState(WSTAR, 0.0, 30.0 * math.exp(5.0 * t), 0.0)
     traj = analytic_trajectory(fn, 0.0, -15.0)
     rep = superharmonic_check(traj, PARAMS)
@@ -278,6 +327,20 @@ def test_integrability_error_for_too_singular_profile():
     traj = mode_trajectory([(1.0, COEFFS.B - 5.0)], 0.0, -16.0)
     with pytest.raises(IntegrabilityError, match="diverges"):
         integrability_report(traj, PARAMS)
+
+
+def test_integrability_samples_each_shell_node_once():
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return OdeState(WSTAR, 0.0, 0.0, 0.0)
+
+    traj = analytic_trajectory(fn, 0.0, -16.0)
+    calls.clear()
+    integrability_report(traj, PARAMS)
+    # 23 dyadic shells of 65 nodes each, both integrands from one sample
+    assert len(calls) == 23 * 65
 
 
 def test_integrability_needs_depth_and_boundary():

@@ -8,6 +8,11 @@ path: invalid triples, points outside the dichotomy window (rejected,
 or exploratory for alpha > 0), a sampling box that swallows the
 equilibrium, per-draw failures, summary rows, OutOfRange audits and the
 a0 <= 0 reject of the green study.
+
+When a change moves these numbers on purpose, regenerate the stored
+tables and list every moved cell with
+
+    PYTHONPATH=src python tests/test_row_paths.py
 """
 
 from pathlib import Path
@@ -85,3 +90,38 @@ def test_row_paths_match_stored_tables(tmp_path):
     assert [b.split("\n", 1)[0] for b in got] == [b.split("\n", 1)[0] for b in want]
     for block_got, block_want in zip(got, want):
         assert block_got == block_want
+
+
+def _relative_change(old: str, new: str) -> str:
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return "not numeric"
+    return f"{abs(b - a) / abs(a):.2g} relative" if a else "old value is zero"
+
+
+if __name__ == "__main__":
+    import csv
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        rendered = render_cases(Path(tmp))
+    stored = EXPECTED.read_text()
+    EXPECTED.write_text(rendered)
+    blocks_old, blocks_new = stored.split("## ")[1:], rendered.split("## ")[1:]
+    if len(blocks_old) != len(blocks_new):
+        print(f"{len(blocks_old)} blocks -> {len(blocks_new)}; compare by hand")
+    # Each block is its name, the config digest line, the header, the rows.
+    for block_old, block_new in zip(blocks_old, blocks_new):
+        old_lines, new_lines = block_old.splitlines(), block_new.splitlines()
+        name = new_lines[0]
+        if old_lines[:3] != new_lines[:3] or len(old_lines) != len(new_lines):
+            print(f"{name}: name, digest, header or row count changed; compare by hand")
+            continue
+        header = next(csv.reader([new_lines[2]]))
+        for row, (line_old, line_new) in enumerate(zip(old_lines[3:], new_lines[3:])):
+            cells = zip(header, *csv.reader([line_old, line_new]))
+            for column, old, new in cells:
+                if old != new:
+                    print(f"{name} row {row} {column}: {old} -> {new} ({_relative_change(old, new)})")
+    print(f"wrote {EXPECTED}")
