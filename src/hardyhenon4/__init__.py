@@ -2,11 +2,12 @@
 
 The equation under study is
 
-    Delta^2 u = |x|^alpha u^p   on the punctured unit ball, n > 4,
+    Delta^2 u = |x|^alpha u^p   on the punctured unit ball, n > 4.
 
-approached through the Emden-Fowler change of variables w(t) = r^B u(r),
-t = ln r, which turns the radial problem into an autonomous fourth-order
-ODE.  The subpackages cover the coefficient algebra and sign regimes
+It is Delta^2 only: the polyharmonic order is fixed at m = 2, and the
+paper's general (-Delta)^m is not covered.  The Emden-Fowler change of
+variables w(t) = r^B u(r), t = ln r, turns the radial problem into an
+autonomous fourth-order ODE.  The subpackages cover the coefficient algebra and sign regimes
 (:mod:`.params`), the change of variables (:mod:`.transform`), the ODE as
 a dynamical system (:mod:`.dynamics`), the monotone energy along the flow
 (:mod:`.energy`), radial Green operators on the unit ball (:mod:`.green`),
@@ -39,7 +40,6 @@ from .dynamics import (
     classify_limit,
 )
 from .energy import (
-    EnergyValue,
     MonotonicityAudit,
     energy,
     energy_rate,
@@ -91,7 +91,6 @@ __all__ = [
     "linearize",
     "integrate",
     "classify_limit",
-    "EnergyValue",
     "MonotonicityAudit",
     "energy",
     "energy_rate",

@@ -273,7 +273,7 @@ def _cmd_simulate(opts: dict) -> ResultTable:
         opts,
     )
     rows = tuple(
-        (t, s.w0, s.w1, s.w2, s.w3, energy(s, coeffs, params.p, params.n).value)
+        (t, s.w0, s.w1, s.w2, s.w3, energy(s, coeffs, params.p, params.n))
         for t, s in zip(traj.times, traj.states)
     )
     return ResultTable(
@@ -321,9 +321,10 @@ def _cmd_green_check(opts: dict) -> ResultTable | str:
     n = opts.get("n", field_obj.n)
     if n is None:
         raise UsageError("field file carries no dimension; pass --n")
-    solved = bilaplacian_solve_radial(field_obj, int(n))
-    solved.n, solved.alpha, solved.p = field_obj.n, field_obj.alpha, field_obj.p
-    _log(f"solved on {field_obj.grid.count} nodes (n = {int(n)})", opts)
+    n = int(n)
+    solved = bilaplacian_solve_radial(field_obj, n)
+    solved.n, solved.alpha, solved.p = n, field_obj.alpha, field_obj.p
+    _log(f"solved on {field_obj.grid.count} nodes (n = {n})", opts)
     return solved.dumps()
 
 

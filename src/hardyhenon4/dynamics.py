@@ -138,24 +138,6 @@ def linearize(point: float, coeffs: CoefficientSet, p: float) -> LinearizationRe
     return LinearizationReport(char_coeffs=cs, roots=roots, n_unstable_backward=n_right)
 
 
-def backward_stable_mode(coeffs: CoefficientSet, p: float) -> tuple[float, OdeState]:
-    """Largest real root mu at the positive equilibrium and its unit mode.
-
-    States displaced along (1, mu, mu^2, mu^3) with Re mu > 0 decay onto
-    the equilibrium as t -> -infinity, which makes this the direction of
-    choice for seeding trajectories that converge backward.
-    """
-    wstar = _positive_equilibrium(coeffs, p)
-    rep = linearize(wstar, coeffs, p)
-    real_roots = [z.real for z in rep.roots if abs(z.imag) < 1e-9 and z.real > 0.0]
-    if not real_roots:
-        raise ValueError("no real backward-stable root at the positive equilibrium")
-    mu = max(real_roots)
-    vec = (1.0, mu, mu * mu, mu**3)
-    scale = math.sqrt(sum(v * v for v in vec))
-    return mu, OdeState(*(v / scale for v in vec))
-
-
 # Cubic Hermite evaluation of one accepted step's dense segment, stored as
 # the flat float tuple (ta, tb, ya[0..3], yb[0..3], fa[0..3], fb[0..3]).
 def _hermite(t: float, seg: tuple) -> OdeState:
@@ -181,7 +163,8 @@ class Trajectory:
     """A computed orbit: uniform samples plus dense per-step segments.
 
     times run strictly monotonically (decreasing for backward runs); the
-    stored samples lie on a uniform spacing except for the terminal point.
+    stored samples lie DEFAULT_SAMPLE_SPACING apart except for the
+    terminal point.
     sample(t) evaluates the dense representation anywhere in the covered
     span, so audits can resample at their own stencils; at a stored
     sample other than the terminal point it returns the stored state.
@@ -255,19 +238,11 @@ def uniform_times(t0: float, t1: float, spacing: float) -> list[float]:
     return [t0 + sgn * k * spacing for k in range(int(abs(t1 - t0) / spacing) + 1)]
 
 
-def analytic_trajectory(
-    fn: Callable[[float], OdeState],
-    t0: float,
-    t1: float,
-    spacing: float = DEFAULT_SAMPLE_SPACING,
-    termination: str = REACHED_END,
-) -> Trajectory:
+def analytic_trajectory(fn: Callable[[float], OdeState], t0: float, t1: float) -> Trajectory:
     """Wrap a closed-form solution t -> state as a Trajectory."""
     if t0 == t1:
         raise ValueError("need t0 != t1")
-    if not spacing > 0.0:
-        raise ValueError("spacing must be positive")
-    ts = uniform_times(t0, t1, spacing)
+    ts = uniform_times(t0, t1, DEFAULT_SAMPLE_SPACING)
     if ts[-1] != t1:
         ts.append(t1)
     states = [fn(t) for t in ts]
@@ -275,29 +250,20 @@ def analytic_trajectory(
         times=tuple(ts),
         states=tuple(states),
         tol=0.0,
-        termination=termination,
+        termination=REACHED_END,
         analytic=fn,
     )
 
 
 def equilibrium_trajectory(
-    coeffs: CoefficientSet,
-    p: float,
-    t0: float = 0.0,
-    t1: float = -15.0,
-    spacing: float = DEFAULT_SAMPLE_SPACING,
+    coeffs: CoefficientSet, p: float, t0: float = 0.0, t1: float = -15.0
 ) -> Trajectory:
     """The exact constant orbit at the positive equilibrium."""
     wstar = _positive_equilibrium(coeffs, p)
-    return analytic_trajectory(lambda t: OdeState(wstar, 0.0, 0.0, 0.0), t0, t1, spacing)
+    return analytic_trajectory(lambda t: OdeState(wstar, 0.0, 0.0, 0.0), t0, t1)
 
 
-def mode_trajectory(
-    terms: Sequence[tuple[float, float]],
-    t0: float,
-    t1: float,
-    spacing: float = DEFAULT_SAMPLE_SPACING,
-) -> Trajectory:
+def mode_trajectory(terms: Sequence[tuple[float, float]], t0: float, t1: float) -> Trajectory:
     """Exact orbit of the linear part: w(t) = sum of c * e^{mu t} terms.
 
     Useful for kernel elements of the linearization at zero, e.g. u == 1
@@ -313,7 +279,7 @@ def mode_trajectory(
                 e *= mu
         return OdeState(*comps)
 
-    return analytic_trajectory(fn, t0, t1, spacing)
+    return analytic_trajectory(fn, t0, t1)
 
 
 # Dormand-Prince 5(4) tableau; the flow is autonomous, so the nodes c_i
@@ -400,10 +366,9 @@ def integrate(
     tol: float,
     coeffs: CoefficientSet,
     p: float,
-    sample_spacing: float = DEFAULT_SAMPLE_SPACING,
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
 ) -> Trajectory:
-    """Adaptive integration of the flow from t0 to t1 (either direction).
+    """Adaptive integration of the Delta^2 flow (m = 2) from t0 to t1, either direction.
 
     Parameters
     ----------
@@ -411,14 +376,14 @@ def integrate(
     t0, t1 : finite time span; t1 < t0 integrates backward toward r -> 0.
     tol : relative tolerance in [1e-13, 1e-4]; absolute tolerance is
         tol/100.
-    sample_spacing : spacing of the stored uniform samples.
     blowup_threshold : w level that terminates the run as BlowUp.
 
     Returns
     -------
-    Trajectory with termination ReachedEnd, BlowUp (threshold crossed,
-    trajectory truncated at the crossing) or NonPositive (w hit zero;
-    terminal sample clamped to the crossing).
+    Trajectory sampled every DEFAULT_SAMPLE_SPACING in t, with
+    termination ReachedEnd, BlowUp (threshold crossed, trajectory
+    truncated at the crossing) or NonPositive (w hit zero; terminal
+    sample clamped to the crossing).
 
     Raises
     ------
@@ -436,8 +401,6 @@ def integrate(
         raise ValueError("initial state must be finite")
     if initial.w0 < 0.0:
         raise NonPositiveState(f"initial w={initial.w0!r} < 0")
-    if not sample_spacing > 0.0:
-        raise ValueError("sample_spacing must be positive")
 
     rtol, atol = tol, tol * 1e-2
     sgn = 1.0 if t1 > t0 else -1.0
@@ -559,7 +522,7 @@ def integrate(
         h *= factor
 
     # Uniform samples from the dense segments, terminal point included.
-    times = uniform_times(t0, t, sample_spacing)
+    times = uniform_times(t0, t, DEFAULT_SAMPLE_SPACING)
     sgn, ends = _step_ends(segments)
     states = [OdeState(*initial)] + [_dense(segments, sgn, ends, tk) for tk in times[1:]]
     if times[-1] != t:

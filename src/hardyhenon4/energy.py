@@ -1,6 +1,7 @@
 """The monotone energy of the log-variable flow and its audits.
 
-For radial w the energy per unit sphere measure is
+The flow is that of Delta^2 only (m = 2 fixed).  For radial w the energy
+per unit sphere measure is
 
     e(y) = w3 w1 - w2^2/2 + a3 w2 w1 + a2 w1^2/2 + a0 w0^2/2 - w0^{p+1}/(p+1),
 
@@ -13,7 +14,8 @@ so e decreases in t below the critical exponent (a3 < 0, a1 > 0), is
 conserved exactly at it (a1 = a3 = 0), and increases above it.  Note the
 -w2^2/2 term: it is forced by the rate law, since any first integral must
 have its w3-dependence enter through w3 w1 - w2^2/2 for the w3 w2 and
-w1 w2 cross terms to cancel.  E multiplies e by |S^{n-1}|.
+w1 w2 cross terms to cancel.  E multiplies e by |S^{n-1}|; energy()
+returns E as a plain float.
 """
 
 from __future__ import annotations
@@ -38,12 +40,6 @@ def sphere_measure(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class EnergyValue:
-    value: float
-    sphere_measure: float
-
-
-@dataclass(frozen=True)
 class MonotonicityAudit:
     """Worst monotonicity violation and worst rate-law mismatch.
 
@@ -62,8 +58,8 @@ class MonotonicityAudit:
             raise ValueError("audit fields must be nonnegative")
 
 
-def energy(state: OdeState, coeffs: CoefficientSet, p: float, n: int) -> EnergyValue:
-    """E at one state; angular contributions vanish in the radial slice."""
+def energy(state: OdeState, coeffs: CoefficientSet, p: float, n: int) -> float:
+    """E = |S^{n-1}| e at one state; angular contributions vanish in the radial slice."""
     w0, w1, w2, w3 = state
     bracket = (
         w3 * w1
@@ -73,8 +69,7 @@ def energy(state: OdeState, coeffs: CoefficientSet, p: float, n: int) -> EnergyV
         + 0.5 * coeffs.a0 * w0 * w0
         - _wpow(w0, p + 1.0) / (p + 1.0)
     )
-    measure = sphere_measure(n)
-    return EnergyValue(value=measure * bracket, sphere_measure=measure)
+    return sphere_measure(n) * bracket
 
 
 def energy_rate(state: OdeState, coeffs: CoefficientSet, n: int) -> float:
@@ -99,7 +94,7 @@ def audit_monotonicity(
     samples = sorted(zip(traj.times[: k + 1], traj.states[: k + 1]))
     if len(samples) < 100:
         raise ValueError(f"need at least 100 samples to audit, got {len(samples)}")
-    evals = [energy(s, coeffs, p, n).value for _, s in samples]
+    evals = [energy(s, coeffs, p, n) for _, s in samples]
 
     forbidden_decrease = coeffs.regime == SUPERCRITICAL
     max_violation = 0.0
@@ -115,8 +110,8 @@ def audit_monotonicity(
     for t, s in samples:
         if t - _FD_STEP < lo or t + _FD_STEP > hi:
             continue
-        e_plus = energy(traj.sample(t + _FD_STEP), coeffs, p, n).value
-        e_minus = energy(traj.sample(t - _FD_STEP), coeffs, p, n).value
+        e_plus = energy(traj.sample(t + _FD_STEP), coeffs, p, n)
+        e_minus = energy(traj.sample(t - _FD_STEP), coeffs, p, n)
         fd = (e_plus - e_minus) / (2.0 * _FD_STEP)
         rate = energy_rate(s, coeffs, n)
         mismatch = max(mismatch, abs(fd - rate) / (1.0 + abs(rate)))
@@ -153,7 +148,7 @@ def scaling_check(
     for i in range(k + 1):
         t = lo_olap + (hi_olap - lo_olap) * i / k
         shifted = traj.sample(t + s)
-        e_ref = energy(shifted, coeffs, p, n).value
+        e_ref = energy(shifted, coeffs, p, n)
         jet = from_log(t + s, shifted, B)
         scaled = RadialJet(
             r=jet.r / lam,
@@ -163,6 +158,6 @@ def scaling_check(
             u3=lam ** (B + 3.0) * jet.u3,
         )
         _, state = to_log(scaled, B)
-        e_scaled = energy(state, coeffs, p, n).value
+        e_scaled = energy(state, coeffs, p, n)
         worst = max(worst, abs(e_scaled - e_ref))
     return worst

@@ -31,6 +31,10 @@ from .params import (
 )
 from .transform import OdeState
 from .dynamics import (
+    DEFAULT_MARGIN,
+    DEFAULT_WINDOW,
+    TOL_MAX,
+    TOL_MIN,
     IntegrationUnderflow,
     Trajectory,
     _positive_equilibrium,
@@ -86,8 +90,8 @@ class ExperimentConfig:
     tol: float = 1e-10
     samples: int = 64
     seed: int = 0
-    margin: float = 1e-3
-    window: float = 5.0
+    margin: float = DEFAULT_MARGIN
+    window: float = DEFAULT_WINDOW
     box: float = DEFAULT_BOX
     horizon: float = DEFAULT_HORIZON
     grid_nodes: int = 2048
@@ -106,8 +110,8 @@ class ExperimentConfig:
             n = int(n) if float(n).is_integer() else float(n)
             grid.append((n, float(alpha), float(p)))
         object.__setattr__(self, "param_grid", tuple(grid))
-        if not self.tol > 0.0:
-            raise ValueError(f"need tol > 0, got {self.tol!r}")
+        if not TOL_MIN <= self.tol <= TOL_MAX:
+            raise ValueError(f"tol={self.tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
         if self.samples < 0 or int(self.samples) != self.samples:
             raise ValueError(f"samples must be a nonnegative integer, got {self.samples!r}")
         if not 0 <= self.seed < 2**64:
@@ -268,7 +272,7 @@ def run_atlas(config: ExperimentConfig) -> ResultTable:
 
 
 def _energies_along(traj: Trajectory, coeffs, p: float, n: int) -> tuple[float, float]:
-    vals = [energy(s, coeffs, p, n).value for s in traj.states]
+    vals = [energy(s, coeffs, p, n) for s in traj.states]
     return min(vals), max(vals)
 
 
@@ -356,8 +360,8 @@ def run_energy_audit(config: ExperimentConfig) -> ResultTable:
             rows.append(_row(
                 schema, **tag, index=i,
                 max_violation=audit.max_violation, rate_mismatch=audit.rate_mismatch,
-                e_initial=energy(traj.states[0], coeffs, params.p, params.n).value,
-                e_final=energy(traj.states[-1], coeffs, params.p, params.n).value,
+                e_initial=energy(traj.states[0], coeffs, params.p, params.n),
+                e_final=energy(traj.states[-1], coeffs, params.p, params.n),
                 note=note,
             ))
     return _table(ENERGY_AUDIT, schema, rows, config)

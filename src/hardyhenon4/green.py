@@ -120,16 +120,15 @@ class RadialGrid:
         return len(self.nodes)
 
 
-def make_grid(r_min: float = DEFAULT_R_MIN, count: int = DEFAULT_NODE_COUNT) -> RadialGrid:
-    if not 0.0 < r_min < 1.0:
-        raise ValueError(f"need 0 < r_min < 1, got {r_min!r}")
+def make_grid(count: int = DEFAULT_NODE_COUNT) -> RadialGrid:
+    """count log-uniform radii in (DEFAULT_R_MIN, 1]."""
     if count < MIN_NODE_COUNT:
         raise ValueError(f"need at least {MIN_NODE_COUNT} nodes, got {count}")
-    t_min = math.log(r_min)
+    t_min = math.log(DEFAULT_R_MIN)
     h = -t_min / count
     t = t_min + (np.arange(count) + 1) * h
     t[-1] = 0.0
-    return RadialGrid(r_min=r_min, t=t, nodes=np.exp(t), h=h)
+    return RadialGrid(r_min=DEFAULT_R_MIN, t=t, nodes=np.exp(t), h=h)
 
 
 @dataclass(eq=False)
@@ -298,10 +297,7 @@ class RepresentationReport:
 
 
 def representation_check(
-    traj: Trajectory,
-    params: ProblemParams,
-    count: int = DEFAULT_NODE_COUNT,
-    r_min: float = DEFAULT_R_MIN,
+    traj: Trajectory, params: ProblemParams, count: int = DEFAULT_NODE_COUNT
 ) -> RepresentationReport:
     """Post-projection residual of u - G2[r^alpha u^p] for a trajectory.
 
@@ -309,7 +305,7 @@ def representation_check(
     (boundary kernels), so the projected residual is pure quadrature
     error and must shrink under grid refinement.
     """
-    grid = make_grid(r_min=r_min, count=count)
+    grid = make_grid(count)
     u_field, f_field = _field_from_trajectory(traj, params, grid)
     return RepresentationReport(
         residual=biharmonic_span_residual(u_field, f_field, params.n),

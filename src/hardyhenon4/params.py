@@ -1,7 +1,9 @@
 """Problem parameters, critical exponents, and the coefficient algebra of the
 transformed radial equation.
 
-Everything here is closed-form polynomial/rational algebra in (n, alpha, p).
+The package treats Delta^2 only: the polyharmonic order is fixed at m = 2,
+so every 2m of the paper is written here as the number 4.  Everything here
+is closed-form polynomial/rational algebra in (n, alpha, p).
 The Emden-Fowler substitution w(t) = r^B u(r), t = ln r, with
 B = (4+alpha)/(p-1), turns the radial equation Delta^2 u = r^alpha u^p into
 
@@ -29,26 +31,19 @@ CRITICALITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """The triple (n, alpha, p) plus the polyharmonic order m.
-
-    m is fixed to 2 for all dynamics and coefficient work; exponent
-    formulas are the only consumers that accept other values.
-    """
+    """The triple (n, alpha, p) of Delta^2 u = |x|^alpha u^p (m = 2 fixed)."""
 
     n: int
     alpha: float
     p: float
-    m: int = 2
 
     def __post_init__(self) -> None:
         if int(self.n) != self.n:
             raise ValueError(f"dimension n must be an integer, got {self.n!r}")
-        if self.m < 1 or int(self.m) != self.m:
-            raise ValueError(f"polyharmonic order m must be a positive integer, got {self.m!r}")
-        if self.n <= 2 * self.m:
-            raise ValueError(f"need n > 2m, got n={self.n}, m={self.m}")
-        if not self.alpha > -2.0 * self.m:
-            raise ValueError(f"need alpha > {-2.0 * self.m}, got alpha={self.alpha}")
+        if self.n <= 4:
+            raise ValueError(f"need n > 2m, got n={self.n}, m=2")
+        if not self.alpha > -4.0:
+            raise ValueError(f"need alpha > -4.0, got alpha={self.alpha}")
         if not self.p > 1.0:
             raise ValueError(f"need p > 1, got p={self.p}")
 
@@ -59,12 +54,12 @@ class ProblemParams:
 
 @dataclass(frozen=True)
 class ExponentSet:
-    """The four critical exponents attached to (n, m, alpha)."""
+    """The four critical exponents attached to (n, alpha), m = 2."""
 
-    serrin: float          # (n + alpha) / (n - 2m)
-    hardy_sobolev: float   # (n + 2m + 2 alpha) / (n - 2m)
-    sobolev: float         # (n + 2m) / (n - 2m)
-    upper_dichotomy: float     # (n + 2m + alpha) / (n - 2m)
+    serrin: float          # (n + alpha) / (n - 4)
+    hardy_sobolev: float   # (n + 4 + 2 alpha) / (n - 4)
+    sobolev: float         # (n + 4) / (n - 4)
+    upper_dichotomy: float     # (n + 4 + alpha) / (n - 4)
 
 
 @dataclass(frozen=True)
@@ -92,19 +87,14 @@ class RegimeReport:
 
 def critical_exponents(params: ProblemParams) -> ExponentSet:
     """Evaluate the four exponents by their defining rational formulas."""
-    n, m, alpha = params.n, params.m, params.alpha
-    d = n - 2 * m
+    n, alpha = params.n, params.alpha
+    d = n - 4
     return ExponentSet(
         serrin=(n + alpha) / d,
-        hardy_sobolev=(n + 2 * m + 2 * alpha) / d,
-        sobolev=(n + 2 * m) / d,
-        upper_dichotomy=(n + 2 * m + alpha) / d,
+        hardy_sobolev=(n + 4 + 2 * alpha) / d,
+        sobolev=(n + 4) / d,
+        upper_dichotomy=(n + 4 + alpha) / d,
     )
-
-
-def _require_m2(params: ProblemParams, what: str) -> None:
-    if params.m != 2:
-        raise ValueError(f"{what} is derived for m=2 only, got m={params.m}")
 
 
 def _regime_tag(params: ProblemParams) -> str:
@@ -120,7 +110,6 @@ def _regime_tag(params: ProblemParams) -> str:
 
 def coefficients(params: ProblemParams) -> CoefficientSet:
     """B and A0..A4, evaluated exactly as the displayed polynomials in B."""
-    _require_m2(params, "the coefficient list")
     n = float(params.n)
     B = params.B
     q = n * n - 10.0 * n + 20.0
@@ -134,7 +123,6 @@ def coefficients(params: ProblemParams) -> CoefficientSet:
 
 def a0_factored(params: ProblemParams) -> float:
     """A0 in product form B(B+2)(n-2-B)(n-4-B); cross-check for the quartic."""
-    _require_m2(params, "the A0 factorization")
     n = float(params.n)
     B = params.B
     return B * (B + 2.0) * (n - 2.0 - B) * (n - 4.0 - B)
@@ -164,15 +152,16 @@ def classify_regime(params: ProblemParams) -> RegimeReport:
 def in_dichotomy_window(params: ProblemParams) -> tuple[bool, str]:
     """Check the hypothesis window for the removable/singular dichotomy.
 
-    Requires -2m < alpha <= 0, serrin < p < (n+2m+alpha)/(n-2m) and p not
-    critical.  Returns (ok, reason); reason spells out the violated bound
-    with its numeric endpoints so callers can surface it verbatim.
+    Requires -4 < alpha <= 0, serrin < p < (n+4+alpha)/(n-4) and p not
+    critical (the m = 2 window).  Returns (ok, reason); reason spells out
+    the violated bound with its numeric endpoints so callers can surface
+    it verbatim.
     """
     exps = critical_exponents(params)
     if params.alpha > 0.0:
         return False, (
             f"alpha={params.alpha:g} is positive; the dichotomy window needs "
-            f"{-2.0 * params.m:g} < alpha <= 0"
+            "-4 < alpha <= 0"
         )
     if not exps.serrin < params.p < exps.upper_dichotomy:
         return False, (

@@ -107,8 +107,6 @@ def neg_laplacian_radial(t: float, state: OdeState, params: ProblemParams) -> fl
 
     positivity of which is the super-polyharmonicity property for m = 2.
     """
-    if params.m != 2:
-        raise ValueError(f"radial -Delta in w-coordinates assumes m=2, got m={params.m}")
     n = float(params.n)
     B = params.B
     w0, w1, w2, _ = state

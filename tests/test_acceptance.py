@@ -171,7 +171,7 @@ def test_criterion_05_energy_monotonicity_and_rate():
         draw = _rng(13, _row_key(0, i)).uniform(-1e-6, 1e-6, 4)
         state = OdeState(float(ws + draw[0]), float(draw[1]), float(draw[2]), float(draw[3]))
         traj = integrate(state, 0.0, -3.0, 1e-13, crit_coeffs, 5.0)
-        evals = [energy(s, crit_coeffs, 5.0, 6).value for s in traj.states]
+        evals = [energy(s, crit_coeffs, 5.0, 6) for s in traj.states]
         assert max(evals) - min(evals) <= 1e-8
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hardyhenon4.cli import main, parse_invocation
-from hardyhenon4.green import RadialField, make_grid
+from hardyhenon4.green import RadialField, bilaplacian_solve_radial, make_grid
 
 
 def test_parse_keeps_only_explicit_flags():
@@ -175,6 +175,32 @@ def test_green_check_field_round_trip(tmp_path, capsys):
 def _write(path, text):
     path.write_text(text)
     return path
+
+
+def test_green_check_field_header_names_the_dimension_solved_with(tmp_path, capsys):
+    grid = make_grid(count=512)
+    field = RadialField(grid=grid, values=np.ones(grid.count), n=5, alpha=0.0, p=4.0)
+    field.save(tmp_path / "source.csv")
+    assert main(["green-check", "--field", str(tmp_path / "source.csv"), "--n", "7",
+                 "--quiet"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "# radial-field n=7 alpha=0 p=4"
+    solved = RadialField.load(_write(tmp_path / "solved.csv", out))
+    assert solved.n == 7
+    want = bilaplacian_solve_radial(RadialField.load(tmp_path / "source.csv"), 7)
+    assert np.array_equal(solved.values, want.values)
+
+
+@pytest.mark.parametrize("command", ["classify", "energy-audit", "green-check"])
+def test_tol_outside_integrator_range_is_usage_error(command, capsys):
+    # A tolerance the integrator refuses fails the command up front instead
+    # of printing a table whose every row carries the same failure note.
+    for tol in ("1e-3", "1e-14"):
+        assert main([command, "--n", "6", "--alpha", "0", "--p", "4", "--samples", "1",
+                     "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"tol={float(tol)!r} outside [1e-13, 0.0001]" in captured.err
 
 
 def test_green_check_field_negative_is_numerical_failure(tmp_path, capsys):

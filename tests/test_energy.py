@@ -34,16 +34,15 @@ def test_sphere_measures():
 
 
 def test_energy_zero_state():
-    assert energy(OdeState(0.0, 0.0, 0.0, 0.0), COEFFS, P, 6).value == 0.0
+    assert energy(OdeState(0.0, 0.0, 0.0, 0.0), COEFFS, P, 6) == 0.0
 
 
 def test_energy_at_equilibrium_closed_form():
     # w*^{p-1} = a0 collapses e(w*) to a0 w*^2 (p-1) / (2(p+1))
     got = energy(OdeState(WSTAR, 0.0, 0.0, 0.0), COEFFS, P, 6)
     want = sphere_measure(6) * COEFFS.a0 * WSTAR**2 * (P - 1.0) / (2.0 * (P + 1.0))
-    assert got.value == pytest.approx(want, rel=1e-13)
-    assert got.value == pytest.approx(291.5607987327416, abs=1e-9)
-    assert got.sphere_measure == sphere_measure(6)
+    assert got == pytest.approx(want, rel=1e-13)
+    assert got == pytest.approx(291.5607987327416, abs=1e-9)
 
 
 finite = st.floats(min_value=-20.0, max_value=20.0)
@@ -121,7 +120,7 @@ def test_critical_orbit_conserves_energy():
     ws = fixed_points(coeffs, 5.0)[1]
     traj = integrate(OdeState(ws + 1e-6, 0.0, 0.0, 0.0), 0.0, -3.0, 1e-13, coeffs, 5.0)
     assert traj.termination == REACHED_END
-    evals = [energy(s, coeffs, 5.0, 6).value for s in traj.states]
+    evals = [energy(s, coeffs, 5.0, 6) for s in traj.states]
     assert max(evals) - min(evals) <= 1e-10
 
 

@@ -51,10 +51,6 @@ def test_grid_defaults():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        make_grid(r_min=0.0)
-    with pytest.raises(ValueError):
-        make_grid(r_min=1.0)
-    with pytest.raises(ValueError):
         make_grid(count=255)
 
 

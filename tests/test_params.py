@@ -33,13 +33,6 @@ def test_exponents_handle_negative_alpha():
     assert exps.upper_dichotomy == pytest.approx(4.5)
 
 
-def test_exponents_general_order():
-    # m enters only through the exponent formulas
-    exps = critical_exponents(ProblemParams(5, 0.0, 2.0, m=1))
-    assert exps.serrin == pytest.approx(5.0 / 3.0)
-    assert exps.sobolev == pytest.approx(7.0 / 3.0)
-
-
 def test_coefficients_at_6_0_4():
     c = coefficients(ProblemParams(6, 0.0, 4.0))
     assert c.B == pytest.approx(4.0 / 3.0, rel=1e-15)
@@ -59,11 +52,6 @@ def test_coefficients_at_critical_point_vanish_exactly():
     assert c.a2 == -10.0
     assert c.a3 == 0.0
     assert c.regime == CRITICAL
-
-
-def test_coefficients_require_second_order():
-    with pytest.raises(ValueError):
-        coefficients(ProblemParams(7, 0.0, 3.0, m=3))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -114,7 +102,6 @@ def test_regime_is_critical_only_within_tolerance():
         dict(n=6.5, alpha=0.0, p=4.0),        # integer dimensions only
         dict(n=6, alpha=-4.0, p=4.0),         # alpha > -2m strictly
         dict(n=6, alpha=0.0, p=1.0),          # p > 1 strictly
-        dict(n=6, alpha=0.0, p=4.0, m=0),
     ],
 )
 def test_invalid_params_rejected(kwargs):

@@ -90,12 +90,6 @@ def test_neg_laplacian_at_equilibrium():
     )
 
 
-def test_neg_laplacian_requires_second_order():
-    params = ProblemParams(7, 0.0, 3.0, m=1)
-    with pytest.raises(ValueError):
-        neg_laplacian_radial(0.0, OdeState(1.0, 0.0, 0.0, 0.0), params)
-
-
 def test_nonpositive_radius_rejected():
     with pytest.raises(ValueError):
         RadialJet(0.0, 1.0, 0.0, 0.0, 0.0)
