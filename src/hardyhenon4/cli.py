@@ -5,7 +5,8 @@ breakdown, divergent quadrature, invalid field data).  Data goes to
 stdout or --out; every diagnostic goes to stderr.  Output defaults to
 aligned columns on a terminal and CSV when redirected; config files are
 flat `key = value` text with `#` comments, and explicit flags win over
-file values.
+file values.  Each command takes only the options it reads, as a flag or
+as a config key; any other is a usage error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .params import ProblemParams, in_dichotomy_window, coefficients
 from .dynamics import (
-    DEFAULT_MARGIN,
     IntegrationUnderflow,
     NonPositiveState,
     classify_limit,
@@ -36,7 +36,6 @@ from .experiments import (
     CLASSIFICATION,
     ENERGY_AUDIT,
     GREEN_STUDY,
-    DEFAULT_HORIZON,
     ExperimentConfig,
     ResultTable,
     run_experiment,
@@ -71,13 +70,18 @@ class CliInvocation:
 
 @dataclass(frozen=True)
 class _Option:
-    """One option, given as --flag or as a config-file key."""
+    """One option, given as --flag or as a config-file key, and the commands that read it."""
 
     name: str
     type: Callable  # bool marks a switch: a bare flag, or true/false in a config file
+    commands: tuple[str, ...]
     help: str
     choices: tuple[str, ...] | None = None
-    command: str | None = None  # the one command that takes it; None for all
+    excludes: tuple[str, ...] = ()  # options the command does not read beside this one
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
 
     def parse(self, text: str):
         if self.type is bool:
@@ -93,24 +97,32 @@ class _Option:
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
+_INTEGRATING = ("simulate", "classify", "energy-audit", "green-check")
+_SWEEPS = ("classify", "energy-audit", "green-check")
+_BACKWARD = ("simulate", "classify", "energy-audit")
+
+# The output options go on every command, so one config file can set
+# them for all runs.
 _OPTIONS = {
     opt.name: opt
     for opt in (
-        _Option("n", int, "space dimension"),
-        _Option("alpha", float, "weight exponent"),
-        _Option("p", float, "nonlinearity exponent"),
-        _Option("tol", float, "integrator tolerance"),
-        _Option("seed", int, "draw seed (64-bit)"),
-        _Option("samples", int, "number of seeded draws"),
-        _Option("margin", float, "classification margin"),
-        _Option("t_end", float, "backward time horizon"),
-        _Option("grid_nodes", int, "radial grid nodes"),
-        _Option("out", str, "write data here instead of stdout"),
-        _Option("format", str, "force output format", choices=("csv", "aligned")),
-        _Option("quiet", bool, "silence diagnostics"),
-        _Option("jobs", int, "accepted for compatibility; runs stay single-process"),
-        _Option("field", str, "stored radial field to validate and solve", command="green-check"),
-        _Option("grid", str, "semicolon-separated n alpha p triples", command="atlas"),
+        _Option("n", int, COMMANDS, "space dimension"),
+        _Option("alpha", float, COMMANDS, "weight exponent"),
+        _Option("p", float, COMMANDS, "nonlinearity exponent"),
+        _Option("tol", float, _INTEGRATING, "integrator tolerance"),
+        _Option("seed", int, _INTEGRATING, "draw seed (64-bit)"),
+        _Option("samples", int, _SWEEPS, "number of seeded draws"),
+        _Option("margin", float, ("simulate", "classify"), "classification margin"),
+        _Option("t_end", float, _BACKWARD, "backward time horizon"),
+        _Option("grid_nodes", int, ("green-check",), "radial grid nodes"),
+        _Option("out", str, COMMANDS, "write data here instead of stdout"),
+        _Option("format", str, COMMANDS, "force output format", choices=("csv", "aligned")),
+        _Option("quiet", bool, COMMANDS, "silence diagnostics"),
+        _Option("jobs", int, ("classify",), "accepted for compatibility; runs stay single-process"),
+        _Option("field", str, ("green-check",), "stored radial field to validate and solve",
+                excludes=("alpha", "p", "tol", "seed", "samples", "grid_nodes")),
+        _Option("grid", str, ("atlas",), "semicolon-separated n alpha p triples",
+                excludes=("n", "alpha", "p")),
     )
 }
 
@@ -129,16 +141,16 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
     for command in COMMANDS:
-        cmd = sub.add_parser(command, help=_COMMAND_HELP[command])
+        # No abbreviations: green-check's --grid would silently mean --grid-nodes.
+        cmd = sub.add_parser(command, help=_COMMAND_HELP[command], allow_abbrev=False)
         cmd.add_argument("--config", help="flat key = value config file")
         for opt in _OPTIONS.values():
-            if opt.command not in (None, command):
+            if command not in opt.commands:
                 continue
-            flag = "--" + opt.name.replace("_", "-")
             if opt.type is bool:
-                cmd.add_argument(flag, action="store_true", default=None, help=opt.help)
+                cmd.add_argument(opt.flag, action="store_true", default=None, help=opt.help)
             else:
-                cmd.add_argument(flag, type=opt.type, choices=opt.choices, help=opt.help)
+                cmd.add_argument(opt.flag, type=opt.type, choices=opt.choices, help=opt.help)
     return parser
 
 
@@ -149,7 +161,7 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
     return CliInvocation(command=ns.command, flags=flags, config_path=ns.config)
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str, command: str) -> dict:
     opts: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -161,6 +173,8 @@ def _read_config(path: str) -> dict:
         key = key.replace("-", "_")
         if key not in _OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if command not in _OPTIONS[key].commands:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} is not read by {command}")
         try:
             opts[key] = _OPTIONS[key].parse(value)
         except ValueError as err:
@@ -169,7 +183,7 @@ def _read_config(path: str) -> dict:
 
 
 def _merged_options(inv: CliInvocation) -> dict:
-    opts = _read_config(inv.config_path) if inv.config_path else {}
+    opts = _read_config(inv.config_path, inv.command) if inv.config_path else {}
     opts.update(inv.flags)
     return opts
 
@@ -222,17 +236,30 @@ def _log(msg: str, opts: dict) -> None:
         print(msg, file=sys.stderr)
 
 
-def _check_jobs(opts: dict) -> None:
+def _check_options(opts: dict) -> None:
     jobs = opts.get("jobs")
     if jobs is not None and jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
+    for name in opts:
+        given = [_OPTIONS[other].flag for other in _OPTIONS[name].excludes if other in opts]
+        if given:
+            raise UsageError(f"{_OPTIONS[name].flag} does not read {', '.join(given)}")
 
 
-def _checked_t_end(opts: dict, default: float) -> float:
-    t_end = opts.get("t_end", default)
-    if not -math.inf < t_end < 0.0:
-        raise UsageError(f"--t-end must be finite and negative (backward time), got {t_end}")
-    return t_end
+# Options that set the ExperimentConfig field of the same name; t_end
+# sets horizon.
+_CONFIG_FIELDS = ("tol", "seed", "samples", "margin", "grid_nodes")
+
+
+def _config(kind: str, params: ProblemParams, opts: dict, **defaults) -> ExperimentConfig:
+    """The given options over the command's `defaults` over ExperimentConfig's."""
+    fields = {**defaults, **{name: opts[name] for name in _CONFIG_FIELDS if name in opts}}
+    t_end = opts.get("t_end")
+    if t_end is not None:
+        if not -math.inf < t_end < 0.0:
+            raise UsageError(f"--t-end must be finite and negative (backward time), got {t_end}")
+        fields["horizon"] = t_end
+    return ExperimentConfig(kind=kind, param_grid=(params,), **fields)
 
 
 # Each handler returns the table to render, or finished text.
@@ -252,19 +279,10 @@ def _cmd_simulate(opts: dict) -> ResultTable:
     ok, reason = in_dichotomy_window(params)
     if not ok:
         raise UsageError(reason)
-    t_end = _checked_t_end(opts, -15.0)
-    config = ExperimentConfig(
-        kind=CLASSIFICATION,
-        param_grid=(params,),
-        tol=opts.get("tol", 1e-10),
-        samples=1,
-        seed=opts.get("seed", 0),
-        margin=opts.get("margin", DEFAULT_MARGIN),
-        horizon=t_end,
-    )
+    config = _config(CLASSIFICATION, params, opts, samples=1, horizon=-15.0)
     coeffs = coefficients(params)
     _, state = next(_draws(config, 0, fixed_points(coeffs, params.p)[1]))
-    traj = integrate(state, 0.0, t_end, config.tol, coeffs, params.p)
+    traj = integrate(state, 0.0, config.horizon, config.tol, coeffs, params.p)
     window = min(5.0, traj.span / 2.0)
     cls = classify_limit(traj, coeffs, params.p, margin=config.margin, window=window)
     _log(
@@ -285,28 +303,13 @@ def _cmd_simulate(opts: dict) -> ResultTable:
 
 
 def _cmd_sweep(kind: str, opts: dict) -> ResultTable:
-    return run_experiment(ExperimentConfig(
-        kind=kind,
-        param_grid=(_require_params(opts),),
-        tol=opts.get("tol", 1e-10),
-        samples=opts.get("samples", 64),
-        seed=opts.get("seed", 0),
-        margin=opts.get("margin", DEFAULT_MARGIN),
-        horizon=_checked_t_end(opts, DEFAULT_HORIZON),
-    ))
+    return run_experiment(_config(kind, _require_params(opts), opts))
 
 
 def _cmd_green_check(opts: dict) -> ResultTable | str:
     if "field" not in opts:
-        return run_experiment(ExperimentConfig(
-            kind=GREEN_STUDY,
-            param_grid=(_require_params(opts),),
-            tol=opts.get("tol", 1e-12),
-            samples=opts.get("samples", 4),
-            seed=opts.get("seed", 0),
-            box=1e-5,
-            grid_nodes=opts.get("grid_nodes", 2048),
-        ))
+        params = _require_params(opts)
+        return run_experiment(_config(GREEN_STUDY, params, opts, tol=1e-12, samples=4, box=1e-5))
     try:
         field_obj = RadialField.load(opts["field"])
     except ValueError as err:
@@ -343,7 +346,7 @@ def execute(inv: CliInvocation) -> int:
     opts: dict = {}
     try:
         opts = _merged_options(inv)
-        _check_jobs(opts)
+        _check_options(opts)
         result = _HANDLERS[inv.command](opts)
         _emit(result if isinstance(result, str) else _render(result, opts), opts)
         return 0

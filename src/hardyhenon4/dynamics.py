@@ -101,6 +101,18 @@ def fixed_points(coeffs: CoefficientSet, p: float) -> list[float]:
     return [0.0, best_w]
 
 
+def _wide_margin(coeffs: CoefficientSet, p: float, margin: float) -> str:
+    """Why `margin` cannot tell 0 from w* = a0^{1/(p-1)}, or "" if it can.
+
+    A margin above w*/2 puts both equilibria in one tube.  The test runs in
+    logs, (p-1) log(2 margin) > log(a0), so it needs no ulp scan and cannot
+    overflow where w* does.
+    """
+    if coeffs.a0 > 0.0 and (p - 1.0) * math.log(2.0 * margin) > math.log(coeffs.a0):
+        return f"margin {margin:g} swallows the equilibrium: need margin <= a0^(1/(p-1))/2"
+    return ""
+
+
 def _positive_equilibrium(coeffs: CoefficientSet, p: float) -> float:
     """The snapped equilibrium a0^{1/(p-1)}; ValueError when a0 <= 0."""
     if coeffs.a0 <= 0.0:
@@ -560,10 +572,14 @@ def classify_limit(
     zero has left the basin of the positive equilibrium for good, which is
     the removable branch).  Otherwise the final `window` time units must
     sit inside the margin-tube of one equilibrium, with the variation over
-    the window also below margin for the equilibrium class.
+    the window also below margin for the equilibrium class.  A margin above
+    half the positive equilibrium is a ValueError.
     """
     if margin <= 0.0 or window <= 0.0:
         raise ValueError("margin and window must be positive")
+    too_wide = _wide_margin(coeffs, p, margin)
+    if too_wide:
+        raise ValueError(too_wide)
     w_end = traj.states[-1].w0
     span_len = abs(traj.t_end - traj.t_start)
     wvals_window = [

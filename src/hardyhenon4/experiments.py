@@ -38,6 +38,7 @@ from .dynamics import (
     IntegrationUnderflow,
     Trajectory,
     _positive_equilibrium,
+    _wide_margin,
     classify_limit,
     equilibrium_trajectory,
     fixed_points,
@@ -112,7 +113,11 @@ class ExperimentConfig:
         object.__setattr__(self, "param_grid", tuple(grid))
         if not TOL_MIN <= self.tol <= TOL_MAX:
             raise ValueError(f"tol={self.tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
-        if self.samples < 0 or int(self.samples) != self.samples:
+        for name in ("samples", "seed", "grid_nodes"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if self.samples < 0:
             raise ValueError(f"samples must be a nonnegative integer, got {self.samples!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed!r}")
@@ -300,6 +305,7 @@ def run_classification_sweep(config: ExperimentConfig) -> ResultTable:
         wstar, problem = _equilibrium(coeffs, params.p)
         if not problem and wstar <= config.box:
             problem = f"box {config.box:g} swallows the equilibrium {wstar:.6g}"
+        problem = problem or _wide_margin(coeffs, params.p, config.margin)
         if problem:
             rows.append(_row(schema, **tag, kind="reject", note=problem))
             continue

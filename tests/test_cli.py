@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardyhenon4.cli import main, parse_invocation
+from hardyhenon4.cli import _OPTIONS, COMMANDS, main, parse_invocation
 from hardyhenon4.green import RadialField, bilaplacian_solve_radial, make_grid
 
 
@@ -143,10 +144,10 @@ def test_config_file_rejects_malformed_line(tmp_path, capsys):
 
 
 def test_jobs_must_be_positive(capsys):
-    assert main(["coeffs", "--n", "6", "--alpha", "0", "--p", "4",
+    assert main(["classify", "--n", "6", "--alpha", "0", "--p", "4", "--samples", "0",
                  "--jobs", "0"]) == 1
     assert "--jobs" in capsys.readouterr().err
-    assert main(["coeffs", "--n", "6", "--alpha", "0", "--p", "4",
+    assert main(["classify", "--n", "6", "--alpha", "0", "--p", "4", "--samples", "0",
                  "--jobs", "2"]) == 0
 
 
@@ -243,10 +244,10 @@ def test_atlas_grid_rejects_unusable_triples_per_row(capsys):
 def test_large_B_prints_no_traceback(capsys):
     # At (12, -3, 1.006) B is about 166: the equilibrium a0^(1/(p-1)) and
     # r^-B overflow a double.
-    triple = ["--n", "12", "--alpha", "-3", "--p", "1.006", "--samples", "2",
-              "--format", "csv"]
+    triple = ["--n", "12", "--alpha", "-3", "--p", "1.006", "--format", "csv"]
     for command in ("atlas", "coeffs", "energy-audit", "green-check"):
-        assert main([command] + triple) == 0, command
+        drawn = ["--samples", "2"] if command in ("energy-audit", "green-check") else []
+        assert main([command] + triple + drawn) == 0, command
         out = capsys.readouterr().out
         assert "overflows" in out, command
     assert main(["coeffs"] + triple) == 0
@@ -329,3 +330,88 @@ def test_green_check_field_output_ignores_blas_core(tmp_path):
         outs.append(run.stdout)
     assert outs[0].startswith("# radial-field n=6")
     assert outs[0] == outs[1]
+
+
+# The options each command reads, beside out, format and quiet, which
+# every command takes so that one config file can set them for all runs.
+TAKES = {
+    "coeffs": {"n", "alpha", "p"},
+    "atlas": {"n", "alpha", "p", "grid"},
+    "simulate": {"n", "alpha", "p", "tol", "seed", "margin", "t_end"},
+    "classify": {"n", "alpha", "p", "tol", "seed", "samples", "margin", "t_end", "jobs"},
+    "energy-audit": {"n", "alpha", "p", "tol", "seed", "samples", "t_end"},
+    "green-check": {"n", "alpha", "p", "tol", "seed", "samples", "grid_nodes", "field"},
+}
+UNREAD = [(command, opt) for command in COMMANDS for opt in _OPTIONS.values()
+          if command not in opt.commands]
+
+
+def _example(opt) -> str:
+    if opt.choices:
+        return opt.choices[0]
+    return {int: "1", float: "1.0", str: "x", bool: "true"}[opt.type]
+
+
+def test_declared_options_per_command():
+    declared = {c: {o.name for o in _OPTIONS.values() if c in o.commands} for c in COMMANDS}
+    assert declared == {c: names | {"out", "format", "quiet"} for c, names in TAKES.items()}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_lists_exactly_the_declared_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    declared = {o.flag for o in _OPTIONS.values() if command in o.commands}
+    assert listed - {"--help", "--config"} == declared
+
+
+@pytest.mark.parametrize("command,opt", UNREAD, ids=[f"{c}-{o.name}" for c, o in UNREAD])
+def test_option_the_command_does_not_read_is_usage_error(command, opt, tmp_path, capsys):
+    value = [] if opt.type is bool else [_example(opt)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "6", "--alpha", "0", "--p", "4", opt.flag, *value])
+    assert exc.value.code == 1
+    assert opt.flag in capsys.readouterr().err
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"n = 6\nalpha = 0\np = 4\n{opt.name} = {_example(opt)}\n")
+    assert main([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"run.ini:4: config key {opt.name!r} is not read by {command}" in captured.err
+
+
+def test_atlas_grid_rejects_a_triple_beside_it(tmp_path, capsys):
+    assert main(["atlas", "--grid", "6 0 4", "--n", "7", "--alpha", "1", "--p", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--grid does not read --n, --alpha, --p" in captured.err
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("p = 9\n")
+    assert main(["atlas", "--config", str(cfg), "--grid", "6 0 4"]) == 1
+    assert "--grid does not read --p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--alpha", "1"], ["--p", "3"], ["--tol", "1e-9"],
+                                   ["--seed", "2"], ["--samples", "3"],
+                                   ["--grid-nodes", "4096"]])
+def test_green_check_field_rejects_study_options(extra, tmp_path, capsys):
+    grid = make_grid(count=512)
+    RadialField(grid=grid, values=np.ones(grid.count), n=6).save(tmp_path / "f.csv")
+    assert main(["green-check", "--field", str(tmp_path / "f.csv"), *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--field does not read {extra[0]}" in captured.err
+
+
+def test_simulate_margin_that_swallows_the_equilibrium_is_usage_error(capsys):
+    # w* = 1.99 at (6, 0, 4): a margin of 10 put both equilibria in one
+    # tube and printed a confident ConvergesToZero.
+    args = ["simulate", "--n", "6", "--alpha", "0", "--p", "4", "--t-end", "-3", "--seed", "3"]
+    assert main(args + ["--margin", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "margin 10 swallows the equilibrium" in captured.err
+    assert main(args + ["--margin", "1e-3"]) == 0
+    assert "classified Undetermined" in capsys.readouterr().err

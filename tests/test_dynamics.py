@@ -241,6 +241,21 @@ def test_classify_validates_margin_and_window():
         classify_limit(traj, COEFFS, P, window=-1.0)
 
 
+def test_classify_rejects_margin_above_half_the_equilibrium():
+    traj = equilibrium_trajectory(COEFFS, P)
+    assert classify_limit(traj, COEFFS, P, margin=0.49 * WSTAR).tag == CONVERGES_TO_FIXED_POINT
+    for margin in (0.51 * WSTAR, 10.0):
+        with pytest.raises(ValueError, match="swallows the equilibrium"):
+            classify_limit(traj, COEFFS, P, margin=margin)
+    # At (12, -3, 1.006) w* overflows a double; the margin test runs in
+    # logs and still lets the orbit classify.
+    big = coefficients(ProblemParams(12, -3.0, 1.006))
+    with pytest.raises(OverflowError):
+        fixed_points(big, 1.006)
+    decay = mode_trajectory([(1.0, big.B)], 0.0, -20.0)
+    assert classify_limit(decay, big, 1.006).tag == CONVERGES_TO_ZERO
+
+
 def test_classify_between_tubes_is_undetermined():
     half = 0.5 * WSTAR
     traj = analytic_trajectory(lambda t: OdeState(half, 0.0, 0.0, 0.0), 0.0, -15.0)

@@ -42,6 +42,15 @@ def test_config_validation():
         ExperimentConfig(kind="atlas", grid_nodes=100)
 
 
+@pytest.mark.parametrize("name,value", [("samples", 2.0), ("samples", True), ("seed", 2.5),
+                                        ("seed", 2.0), ("grid_nodes", 2048.0)])
+def test_config_counts_must_be_ints(name, value):
+    # A float count would fail late in range(), run another seed's draws
+    # under its own digest, or hash apart from the equal int.
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        ExperimentConfig(kind="atlas", **{name: value})
+
+
 def test_config_accepts_params_objects():
     cfg = ExperimentConfig(kind="atlas", param_grid=(ProblemParams(6, 0.0, 4.0),))
     assert cfg.param_grid == ((6, 0.0, 4.0),)
@@ -158,6 +167,16 @@ def test_sweep_rejects_points_outside_the_window():
         assert row[_col(table, "kind")] == "reject"
         assert row[_col(table, "note")] != ""
     assert "(3, 5)" in table.rows[0][_col(table, "note")]
+
+
+def test_sweep_rejects_a_margin_that_swallows_the_equilibrium():
+    base = dict(kind="classification", param_grid=((6, 0.0, 4.0),), samples=2, horizon=-12.0)
+    table = run_classification_sweep(ExperimentConfig(margin=1.0, **base))
+    assert len(table.rows) == 1
+    assert table.rows[0][_col(table, "kind")] == "reject"
+    assert table.rows[0][_col(table, "note")].startswith("margin 1 swallows the equilibrium")
+    table = run_classification_sweep(ExperimentConfig(margin=0.49 * WSTAR, **base))
+    assert [r[_col(table, "kind")] for r in table.rows][:2] == ["draw", "draw"]
 
 
 def test_sweep_runs_exploratory_positive_alpha():
