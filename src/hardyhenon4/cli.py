@@ -23,6 +23,7 @@ import numpy as np
 
 from .params import ProblemParams, in_dichotomy_window, coefficients
 from .dynamics import (
+    DEFAULT_WINDOW,
     IntegrationUnderflow,
     NonPositiveState,
     classify_limit,
@@ -136,7 +137,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="hardyhenon4", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
@@ -151,12 +152,18 @@ def _build_parser() -> _Parser:
                 cmd.add_argument(opt.flag, action="store_true", default=None, help=opt.help)
             else:
                 cmd.add_argument(opt.flag, type=opt.type, choices=opt.choices, help=opt.help)
-    return parser
+    return parser, sub.choices
 
 
 def parse_invocation(argv: list[str]) -> CliInvocation:
-    """Parse argv into a command plus only the explicitly given flags."""
-    ns = _build_parser().parse_args(argv)
+    """Parse argv into a command plus only the explicitly given flags.
+
+    A flag the command does not take is reported with the command's usage.
+    """
+    parser, commands = _build_parser()
+    ns, unknown = parser.parse_known_args(argv)
+    if unknown:
+        commands[ns.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     flags = {k: v for k, v in vars(ns).items() if k not in ("command", "config") and v is not None}
     return CliInvocation(command=ns.command, flags=flags, config_path=ns.config)
 
@@ -281,17 +288,17 @@ def _cmd_simulate(opts: dict) -> ResultTable:
         raise UsageError(reason)
     config = _config(CLASSIFICATION, params, opts, samples=1, horizon=-15.0)
     coeffs = coefficients(params)
-    _, state = next(_draws(config, 0, fixed_points(coeffs, params.p)[1]))
-    traj = integrate(state, 0.0, config.horizon, config.tol, coeffs, params.p)
-    window = min(5.0, traj.span / 2.0)
-    cls = classify_limit(traj, coeffs, params.p, margin=config.margin, window=window)
+    _, state = next(_draws(config, 0, fixed_points(coeffs)[1]))
+    traj = integrate(state, 0.0, config.horizon, config.tol, coeffs)
+    window = min(DEFAULT_WINDOW, traj.span / 2.0)
+    cls = classify_limit(traj, coeffs, margin=config.margin, window=window)
     _log(
         f"terminated {traj.termination} at t={traj.t_end:.6g}; "
         f"classified {cls.tag} (terminal w0 = {cls.terminal_value:.6g})",
         opts,
     )
     rows = tuple(
-        (t, s.w0, s.w1, s.w2, s.w3, energy(s, coeffs, params.p, params.n))
+        (t, s.w0, s.w1, s.w2, s.w3, energy(s, coeffs))
         for t, s in zip(traj.times, traj.states)
     )
     return ResultTable(

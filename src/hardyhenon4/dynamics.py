@@ -59,14 +59,14 @@ def _wpow(w: float, q: float) -> float:
     return 0.0
 
 
-def vector_field(state: OdeState, coeffs: CoefficientSet, p: float) -> OdeState:
+def vector_field(state: OdeState, coeffs: CoefficientSet) -> OdeState:
     """Right-hand side of the first-order system; rejects negative w."""
     if state[0] < 0.0:
         raise NonPositiveState(f"w={state[0]!r} < 0: trajectory left the admissible cone")
-    return OdeState(*_rhs(state, coeffs, p))
+    return OdeState(*_rhs(state, coeffs))
 
 
-def fixed_points(coeffs: CoefficientSet, p: float) -> list[float]:
+def fixed_points(coeffs: CoefficientSet) -> list[float]:
     """Return the equilibria {0, a0^{1/(p-1)}} of the scalar reduction.
 
     The positive root is refined over a small ulp neighborhood of the
@@ -76,7 +76,7 @@ def fixed_points(coeffs: CoefficientSet, p: float) -> list[float]:
     exponentially along any long integration started there; snapping to
     an exact machine equilibrium makes such runs honestly stationary.
     """
-    a0 = coeffs.a0
+    a0, p = coeffs.a0, coeffs.p
     if a0 <= 0.0:
         warnings.warn(
             f"a0={a0:g} <= 0: no positive equilibrium (outside the expected regime)",
@@ -101,23 +101,16 @@ def fixed_points(coeffs: CoefficientSet, p: float) -> list[float]:
     return [0.0, best_w]
 
 
-def _wide_margin(coeffs: CoefficientSet, p: float, margin: float) -> str:
+def _wide_margin(coeffs: CoefficientSet, margin: float) -> str:
     """Why `margin` cannot tell 0 from w* = a0^{1/(p-1)}, or "" if it can.
 
     A margin above w*/2 puts both equilibria in one tube.  The test runs in
     logs, (p-1) log(2 margin) > log(a0), so it needs no ulp scan and cannot
     overflow where w* does.
     """
-    if coeffs.a0 > 0.0 and (p - 1.0) * math.log(2.0 * margin) > math.log(coeffs.a0):
+    if coeffs.a0 > 0.0 and (coeffs.p - 1.0) * math.log(2.0 * margin) > math.log(coeffs.a0):
         return f"margin {margin:g} swallows the equilibrium: need margin <= a0^(1/(p-1))/2"
     return ""
-
-
-def _positive_equilibrium(coeffs: CoefficientSet, p: float) -> float:
-    """The snapped equilibrium a0^{1/(p-1)}; ValueError when a0 <= 0."""
-    if coeffs.a0 <= 0.0:
-        raise ValueError(f"a0={coeffs.a0:g} <= 0: no positive equilibrium")
-    return fixed_points(coeffs, p)[1]
 
 
 @dataclass(frozen=True)
@@ -135,14 +128,14 @@ class LinearizationReport:
         return float(np.max(np.abs(poly.real - ref)) / (1.0 + np.max(np.abs(ref))))
 
 
-def linearize(point: float, coeffs: CoefficientSet, p: float) -> LinearizationReport:
+def linearize(point: float, coeffs: CoefficientSet) -> LinearizationReport:
     """Characteristic polynomial and roots of the linearization at a point.
 
     The polynomial is mu^4 + a3 mu^3 + a2 mu^2 + a1 mu + (a0 - p point^{p-1});
     roots come from numpy's balanced companion eigenvalues, which stay
     accurate when root patterns collide near the critical exponent.
     """
-    c0 = coeffs.a0 - p * _wpow(point, p - 1.0)
+    c0 = coeffs.a0 - coeffs.p * _wpow(point, coeffs.p - 1.0)
     cs = (1.0, coeffs.a3, coeffs.a2, coeffs.a1, c0)
     roots = np.roots(np.array(cs))
     roots = tuple(sorted((complex(z) for z in roots), key=lambda z: (z.real, z.imag)))
@@ -244,17 +237,18 @@ def _dense(segments, sgn: float, ends: list[float], t: float) -> OdeState:
     return _hermite(t, segments[min(i, len(ends) - 1)])
 
 
-def uniform_times(t0: float, t1: float, spacing: float) -> list[float]:
-    """t0 + sgn k spacing for k = 0 .. floor(|t1 - t0| / spacing), sgn toward t1."""
+def uniform_times(t0: float, t1: float) -> list[float]:
+    """t0 + sgn k h, k = 0 .. floor(|t1 - t0| / h), toward t1; h = DEFAULT_SAMPLE_SPACING."""
+    h = DEFAULT_SAMPLE_SPACING
     sgn = 1.0 if t1 > t0 else -1.0
-    return [t0 + sgn * k * spacing for k in range(int(abs(t1 - t0) / spacing) + 1)]
+    return [t0 + sgn * k * h for k in range(int(abs(t1 - t0) / h) + 1)]
 
 
 def analytic_trajectory(fn: Callable[[float], OdeState], t0: float, t1: float) -> Trajectory:
     """Wrap a closed-form solution t -> state as a Trajectory."""
     if t0 == t1:
         raise ValueError("need t0 != t1")
-    ts = uniform_times(t0, t1, DEFAULT_SAMPLE_SPACING)
+    ts = uniform_times(t0, t1)
     if ts[-1] != t1:
         ts.append(t1)
     states = [fn(t) for t in ts]
@@ -267,11 +261,8 @@ def analytic_trajectory(fn: Callable[[float], OdeState], t0: float, t1: float) -
     )
 
 
-def equilibrium_trajectory(
-    coeffs: CoefficientSet, p: float, t0: float = 0.0, t1: float = -15.0
-) -> Trajectory:
-    """The exact constant orbit at the positive equilibrium."""
-    wstar = _positive_equilibrium(coeffs, p)
+def equilibrium_trajectory(wstar: float, t0: float = 0.0, t1: float = -15.0) -> Trajectory:
+    """The exact constant orbit at wstar, the snapped equilibrium fixed_points(coeffs)[1]."""
     return analytic_trajectory(lambda t: OdeState(wstar, 0.0, 0.0, 0.0), t0, t1)
 
 
@@ -323,13 +314,13 @@ _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 
 
-def _rhs(y, coeffs: CoefficientSet, p: float):
+def _rhs(y, coeffs: CoefficientSet):
     # Right-hand side with the pow base clipped at zero; sign crossings are
     # handled by the termination logic, so a trial stage poking below zero
     # is tolerated without raising.  integrate inlines this expression.
     w0 = y[0]
     w4 = (
-        _wpow(w0, p)
+        _wpow(w0, coeffs.p)
         - coeffs.a3 * y[3]
         - coeffs.a2 * y[2]
         - coeffs.a1 * y[1]
@@ -377,7 +368,6 @@ def integrate(
     t1: float,
     tol: float,
     coeffs: CoefficientSet,
-    p: float,
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
 ) -> Trajectory:
     """Adaptive integration of the Delta^2 flow (m = 2) from t0 to t1, either direction.
@@ -388,6 +378,7 @@ def integrate(
     t0, t1 : finite time span; t1 < t0 integrates backward toward r -> 0.
     tol : relative tolerance in [1e-13, 1e-4]; absolute tolerance is
         tol/100.
+    coeffs : the problem: p and the coefficients a0..a3 of the flow.
     blowup_threshold : w level that terminates the run as BlowUp.
 
     Returns
@@ -426,7 +417,7 @@ def integrate(
     # sum(_A[i][m] * k[m][j] for m in range(i)), so each rounding, and the
     # sign of each zero, is that of the generic stepper over the tableau
     # that tests/test_dynamics.py keeps as the reference.
-    a0, a1, a2, a3 = coeffs.a0, coeffs.a1, coeffs.a2, coeffs.a3
+    p, a0, a1, a2, a3 = coeffs.p, coeffs.a0, coeffs.a1, coeffs.a2, coeffs.a3
     exp, log, isfinite = math.exp, math.log, math.isfinite
     _, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (
         a61, a62, a63, a64, a65) = _A
@@ -434,7 +425,7 @@ def integrate(
     e1, e2, e3, e4, e5, e6, e7 = _E
 
     y0, y1, y2, y3 = initial
-    f = _rhs(initial, coeffs, p)
+    f = _rhs(initial, coeffs)
     k10, k11, k12, k13 = f
     t = t0
     h = _initial_step(initial, f, span, rtol, atol)
@@ -534,7 +525,7 @@ def integrate(
         h *= factor
 
     # Uniform samples from the dense segments, terminal point included.
-    times = uniform_times(t0, t, DEFAULT_SAMPLE_SPACING)
+    times = uniform_times(t0, t)
     sgn, ends = _step_ends(segments)
     states = [OdeState(*initial)] + [_dense(segments, sgn, ends, tk) for tk in times[1:]]
     if times[-1] != t:
@@ -561,7 +552,6 @@ class LimitClass:
 def classify_limit(
     traj: Trajectory,
     coeffs: CoefficientSet,
-    p: float,
     margin: float = DEFAULT_MARGIN,
     window: float = DEFAULT_WINDOW,
 ) -> LimitClass:
@@ -577,7 +567,7 @@ def classify_limit(
     """
     if margin <= 0.0 or window <= 0.0:
         raise ValueError("margin and window must be positive")
-    too_wide = _wide_margin(coeffs, p, margin)
+    too_wide = _wide_margin(coeffs, margin)
     if too_wide:
         raise ValueError(too_wide)
     w_end = traj.states[-1].w0
@@ -599,7 +589,7 @@ def classify_limit(
     if all(w < margin for w in wvals_window):
         return LimitClass(tag=CONVERGES_TO_ZERO, terminal_value=w_end, window_variation=variation)
     if coeffs.a0 > 0.0:
-        wstar = fixed_points(coeffs, p)[1]
+        wstar = fixed_points(coeffs)[1]
         if variation < margin and all(abs(w - wstar) < margin for w in wvals_window):
             return LimitClass(
                 tag=CONVERGES_TO_FIXED_POINT, terminal_value=w_end, window_variation=variation

@@ -58,7 +58,7 @@ class MonotonicityAudit:
             raise ValueError("audit fields must be nonnegative")
 
 
-def energy(state: OdeState, coeffs: CoefficientSet, p: float, n: int) -> float:
+def energy(state: OdeState, coeffs: CoefficientSet) -> float:
     """E = |S^{n-1}| e at one state; angular contributions vanish in the radial slice."""
     w0, w1, w2, w3 = state
     bracket = (
@@ -67,20 +67,18 @@ def energy(state: OdeState, coeffs: CoefficientSet, p: float, n: int) -> float:
         + coeffs.a3 * w2 * w1
         + 0.5 * coeffs.a2 * w1 * w1
         + 0.5 * coeffs.a0 * w0 * w0
-        - _wpow(w0, p + 1.0) / (p + 1.0)
+        - _wpow(w0, coeffs.p + 1.0) / (coeffs.p + 1.0)
     )
-    return sphere_measure(n) * bracket
+    return sphere_measure(coeffs.n) * bracket
 
 
-def energy_rate(state: OdeState, coeffs: CoefficientSet, n: int) -> float:
+def energy_rate(state: OdeState, coeffs: CoefficientSet) -> float:
     """Exact dE/dt along the flow: |S^{n-1}| (a3 w2^2 - a1 w1^2)."""
     _, w1, w2, _ = state
-    return sphere_measure(n) * (coeffs.a3 * w2 * w2 - coeffs.a1 * w1 * w1)
+    return sphere_measure(coeffs.n) * (coeffs.a3 * w2 * w2 - coeffs.a1 * w1 * w1)
 
 
-def audit_monotonicity(
-    traj: Trajectory, coeffs: CoefficientSet, p: float, n: int
-) -> MonotonicityAudit:
+def audit_monotonicity(traj: Trajectory, coeffs: CoefficientSet) -> MonotonicityAudit:
     """Check the monotone direction and the rate law along one trajectory.
 
     The audit reads the stored samples that lie on the uniform spacing,
@@ -94,7 +92,7 @@ def audit_monotonicity(
     samples = sorted(zip(traj.times[: k + 1], traj.states[: k + 1]))
     if len(samples) < 100:
         raise ValueError(f"need at least 100 samples to audit, got {len(samples)}")
-    evals = [energy(s, coeffs, p, n) for _, s in samples]
+    evals = [energy(s, coeffs) for _, s in samples]
 
     forbidden_decrease = coeffs.regime == SUPERCRITICAL
     max_violation = 0.0
@@ -110,17 +108,15 @@ def audit_monotonicity(
     for t, s in samples:
         if t - _FD_STEP < lo or t + _FD_STEP > hi:
             continue
-        e_plus = energy(traj.sample(t + _FD_STEP), coeffs, p, n)
-        e_minus = energy(traj.sample(t - _FD_STEP), coeffs, p, n)
+        e_plus = energy(traj.sample(t + _FD_STEP), coeffs)
+        e_minus = energy(traj.sample(t - _FD_STEP), coeffs)
         fd = (e_plus - e_minus) / (2.0 * _FD_STEP)
-        rate = energy_rate(s, coeffs, n)
+        rate = energy_rate(s, coeffs)
         mismatch = max(mismatch, abs(fd - rate) / (1.0 + abs(rate)))
     return MonotonicityAudit(max_violation=max_violation, rate_mismatch=mismatch)
 
 
-def scaling_check(
-    traj: Trajectory, lam: float, coeffs: CoefficientSet, p: float, n: int
-) -> float:
+def scaling_check(traj: Trajectory, lam: float, coeffs: CoefficientSet) -> float:
     """Verify the scaling identity for u_lam(x) = lam^B u(lam x).
 
     In log variables the scaling is exactly time translation by ln(lam),
@@ -148,7 +144,7 @@ def scaling_check(
     for i in range(k + 1):
         t = lo_olap + (hi_olap - lo_olap) * i / k
         shifted = traj.sample(t + s)
-        e_ref = energy(shifted, coeffs, p, n)
+        e_ref = energy(shifted, coeffs)
         jet = from_log(t + s, shifted, B)
         scaled = RadialJet(
             r=jet.r / lam,
@@ -158,6 +154,6 @@ def scaling_check(
             u3=lam ** (B + 3.0) * jet.u3,
         )
         _, state = to_log(scaled, B)
-        e_scaled = energy(state, coeffs, p, n)
+        e_scaled = energy(state, coeffs)
         worst = max(worst, abs(e_scaled - e_ref))
     return worst

@@ -23,6 +23,7 @@ from .params import (
     OUT_OF_RANGE,
     SUBCRITICAL,
     SUPERCRITICAL,
+    CoefficientSet,
     ProblemParams,
     classify_regime,
     coefficients,
@@ -37,7 +38,6 @@ from .dynamics import (
     TOL_MIN,
     IntegrationUnderflow,
     Trajectory,
-    _positive_equilibrium,
     _wide_margin,
     classify_limit,
     equilibrium_trajectory,
@@ -228,7 +228,7 @@ def _grid_points(config: ExperimentConfig, schema: tuple[str, ...], rows: list, 
         except (ValueError, ArithmeticError) as err:
             rows.append(_row(schema, n=n, alpha=alpha, p=p, note=str(err), **reject))
             continue
-        tag = dict(n=params.n, alpha=params.alpha, p=params.p, regime=coeffs.regime)
+        tag = dict(n=coeffs.n, alpha=coeffs.alpha, p=coeffs.p, regime=coeffs.regime)
         yield idx, params, coeffs, tag
 
 
@@ -248,12 +248,12 @@ def _draws(config: ExperimentConfig, idx: int, center: float, basis=_UNIT_BASIS)
         yield i, OdeState(*comps)
 
 
-def _equilibrium(coeffs, p: float) -> tuple[float | None, str]:
+def _equilibrium(coeffs: CoefficientSet) -> tuple[float | None, str]:
     """(w*, "") if a0 > 0, (None, "") if not, (None, reason) if w* overflows."""
     if coeffs.a0 <= 0.0:
         return None, ""
     try:
-        return fixed_points(coeffs, p)[1], ""
+        return fixed_points(coeffs)[1], ""
     except OverflowError as err:
         return None, str(err)
 
@@ -267,17 +267,17 @@ def run_atlas(config: ExperimentConfig) -> ResultTable:
         "regime", "signs_ok", "w_star", "note",
     )
     rows: list[tuple] = []
-    for _, params, coeffs, tag in _grid_points(config, schema, rows):
+    for _, params, coeffs, _ in _grid_points(config, schema, rows):
         expected = _EXPECTED_SIGNS.get(coeffs.regime)
         signs_ok = None if expected is None else classify_regime(params).signs == expected
-        w_star, note = _equilibrium(coeffs, params.p)
-        cells = {**vars(critical_exponents(params)), **vars(coeffs), **tag}
+        w_star, note = _equilibrium(coeffs)
+        cells = {**vars(critical_exponents(params)), **vars(coeffs)}
         rows.append(_row(schema, **cells, signs_ok=signs_ok, w_star=w_star, note=note))
     return _table(ATLAS, schema, rows, config)
 
 
-def _energies_along(traj: Trajectory, coeffs, p: float, n: int) -> tuple[float, float]:
-    vals = [energy(s, coeffs, p, n) for s in traj.states]
+def _energies_along(traj: Trajectory, coeffs: CoefficientSet) -> tuple[float, float]:
+    vals = [energy(s, coeffs) for s in traj.states]
     return min(vals), max(vals)
 
 
@@ -302,24 +302,22 @@ def run_classification_sweep(config: ExperimentConfig) -> ResultTable:
             rows.append(_row(schema, **tag, kind="reject", note=reason))
             continue
         note = "" if ok else "exploratory: " + reason
-        wstar, problem = _equilibrium(coeffs, params.p)
+        wstar, problem = _equilibrium(coeffs)
         if not problem and wstar <= config.box:
             problem = f"box {config.box:g} swallows the equilibrium {wstar:.6g}"
-        problem = problem or _wide_margin(coeffs, params.p, config.margin)
+        problem = problem or _wide_margin(coeffs, config.margin)
         if problem:
             rows.append(_row(schema, **tag, kind="reject", note=problem))
             continue
         counts: Counter[str] = Counter()
         for i, state in _draws(config, idx, wstar):
             try:
-                traj = integrate(state, 0.0, config.horizon, config.tol, coeffs, params.p)
-                cls = classify_limit(
-                    traj, coeffs, params.p, margin=config.margin, window=config.window
-                )
+                traj = integrate(state, 0.0, config.horizon, config.tol, coeffs)
+                cls = classify_limit(traj, coeffs, margin=config.margin, window=config.window)
             except _DRAW_ERRORS as err:
                 rows.append(_row(schema, **tag, kind="draw", index=i, note=str(err)))
                 continue
-            e_min, e_max = _energies_along(traj, coeffs, params.p, params.n)
+            e_min, e_max = _energies_along(traj, coeffs)
             counts[cls.tag] += 1
             rows.append(_row(
                 schema, **tag, kind="draw", index=i, limit_class=cls.tag,
@@ -345,9 +343,9 @@ def run_energy_audit(config: ExperimentConfig) -> ResultTable:
         "max_violation", "rate_mismatch", "e_initial", "e_final", "note",
     )
     rows: list[tuple] = []
-    for idx, params, coeffs, tag in _grid_points(config, schema, rows):
+    for idx, _, coeffs, tag in _grid_points(config, schema, rows):
         note = "" if coeffs.regime != OUT_OF_RANGE else "no monotone-direction contract for OutOfRange"
-        wstar, problem = _equilibrium(coeffs, params.p)
+        wstar, problem = _equilibrium(coeffs)
         if problem:
             rows.append(_row(schema, **tag, note=problem))
             continue
@@ -356,27 +354,25 @@ def run_energy_audit(config: ExperimentConfig) -> ResultTable:
         for i, state in _draws(config, idx, center):
             try:
                 traj = integrate(
-                    state, 0.0, config.horizon, config.tol, coeffs, params.p,
-                    blowup_threshold=threshold,
+                    state, 0.0, config.horizon, config.tol, coeffs, blowup_threshold=threshold
                 )
-                audit = audit_monotonicity(traj, coeffs, params.p, params.n)
+                audit = audit_monotonicity(traj, coeffs)
             except _DRAW_ERRORS as err:
                 rows.append(_row(schema, **tag, index=i, note=str(err)))
                 continue
             rows.append(_row(
                 schema, **tag, index=i,
                 max_violation=audit.max_violation, rate_mismatch=audit.rate_mismatch,
-                e_initial=energy(traj.states[0], coeffs, params.p, params.n),
-                e_final=energy(traj.states[-1], coeffs, params.p, params.n),
+                e_initial=energy(traj.states[0], coeffs),
+                e_final=energy(traj.states[-1], coeffs),
                 note=note,
             ))
     return _table(ENERGY_AUDIT, schema, rows, config)
 
 
-def _backward_decaying_basis(coeffs, p: float) -> list[OdeState]:
-    """Real unit vectors spanning the modes that decay as t -> -infinity."""
-    wstar = _positive_equilibrium(coeffs, p)
-    rep = linearize(wstar, coeffs, p)
+def _backward_decaying_basis(wstar: float, coeffs: CoefficientSet) -> list[OdeState]:
+    """Real unit vectors spanning the modes at wstar that decay as t -> -infinity."""
+    rep = linearize(wstar, coeffs)
     basis = []
     for z in rep.roots:
         if z.real <= 0.0 or z.imag < -1e-9:
@@ -391,13 +387,13 @@ def _backward_decaying_basis(coeffs, p: float) -> list[OdeState]:
 _GREEN_DEEP_HORIZON = -16.0
 
 
-def _superharmonic_cells(traj: Trajectory, params: ProblemParams) -> dict:
-    sh = superharmonic_check(traj, params)
+def _superharmonic_cells(traj: Trajectory, coeffs: CoefficientSet) -> dict:
+    sh = superharmonic_check(traj, coeffs)
     return dict(tau=sh.tau, neglap_min=sh.min_value)
 
 
-def _integrability_cells(traj: Trajectory, params: ProblemParams) -> dict:
-    rep = integrability_report(traj, params)
+def _integrability_cells(traj: Trajectory, coeffs: CoefficientSet) -> dict:
+    rep = integrability_report(traj, coeffs)
     return dict(
         l1_converges=rep.l1_converges,
         weighted_diverges=rep.weighted_diverges,
@@ -406,8 +402,8 @@ def _integrability_cells(traj: Trajectory, params: ProblemParams) -> dict:
     )
 
 
-def _sup_cells(traj: Trajectory, params: ProblemParams) -> dict:
-    sups = singularity_bound_check(traj, params).sup_values
+def _sup_cells(traj: Trajectory, coeffs: CoefficientSet) -> dict:
+    sups = singularity_bound_check(traj, coeffs).sup_values
     return dict(zip(("sup0", "sup1", "sup2", "sup3"), sups))
 
 
@@ -429,31 +425,31 @@ def run_green_study(config: ExperimentConfig) -> ResultTable:
         "sup0", "sup1", "sup2", "sup3", "note",
     )
     rows: list[tuple] = []
-    for idx, params, coeffs, tag in _grid_points(config, schema, rows, case="reject"):
+    for idx, _, coeffs, tag in _grid_points(config, schema, rows, case="reject"):
         removable = mode_trajectory([(1.0, coeffs.B)], 0.0, _GREEN_DEEP_HORIZON)
         try:
-            superharmonic_check(removable, params)
+            superharmonic_check(removable, coeffs)
             cells = {"note": "superharmonic check unexpectedly accepted a removable orbit"}
         except _DRAW_ERRORS as err:
             cells = {"note": f"superharmonic rejected: {err}"}
         try:
-            cells.update(_integrability_cells(removable, params))
+            cells.update(_integrability_cells(removable, coeffs))
         except _DRAW_ERRORS as err:
             cells["note"] = str(err)
-        cells.update(_sup_cells(removable, params))
+        cells.update(_sup_cells(removable, coeffs))
         rows.append(_row(schema, **tag, case="removable", **cells))
 
-        wstar, problem = _equilibrium(coeffs, params.p)
+        wstar, problem = _equilibrium(coeffs)
         if wstar is None:
             note = problem or "no positive equilibrium (a0 <= 0)"
             rows.append(_row(schema, **tag, case="reject", note=note))
             continue
 
-        exact = equilibrium_trajectory(coeffs, params.p, 0.0, _GREEN_DEEP_HORIZON)
+        exact = equilibrium_trajectory(wstar, 0.0, _GREEN_DEEP_HORIZON)
         cells = {"note": ""}
         try:
-            coarse = representation_check(exact, params, count=config.grid_nodes)
-            fine = representation_check(exact, params, count=4 * config.grid_nodes)
+            coarse = representation_check(exact, coeffs, count=config.grid_nodes)
+            fine = representation_check(exact, coeffs, count=4 * config.grid_nodes)
             ratio = coarse.residual / fine.residual if fine.residual > 0.0 else float("inf")
             cells.update(
                 residual_coarse=coarse.residual, residual_fine=fine.residual, ratio=ratio
@@ -461,18 +457,18 @@ def run_green_study(config: ExperimentConfig) -> ResultTable:
         except _DRAW_ERRORS as err:
             cells["note"] = str(err)
         try:
-            cells.update(_superharmonic_cells(exact, params))
-            cells.update(_integrability_cells(exact, params))
+            cells.update(_superharmonic_cells(exact, coeffs))
+            cells.update(_integrability_cells(exact, coeffs))
         except _DRAW_ERRORS as err:
             cells["note"] += str(err)
-        cells.update(_sup_cells(exact, params))
+        cells.update(_sup_cells(exact, coeffs))
         rows.append(_row(schema, **tag, case="exact", **cells))
 
-        basis = _backward_decaying_basis(coeffs, params.p)
+        basis = _backward_decaying_basis(wstar, coeffs)
         for i, state in _draws(config, idx, wstar, basis):
             try:
-                traj = integrate(state, 0.0, _PERTURBED_HORIZON, config.tol, coeffs, params.p)
-                cells = {**_superharmonic_cells(traj, params), **_sup_cells(traj, params)}
+                traj = integrate(state, 0.0, _PERTURBED_HORIZON, config.tol, coeffs)
+                cells = {**_superharmonic_cells(traj, coeffs), **_sup_cells(traj, coeffs)}
             except _DRAW_ERRORS as err:
                 cells = {"note": str(err)}
             rows.append(_row(schema, **tag, case="perturbed", index=i, **cells))

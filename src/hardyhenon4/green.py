@@ -24,10 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import ProblemParams, coefficients
+from .params import CoefficientSet
 from .transform import _scaled_jet, neg_laplacian_radial
 from .dynamics import (
     CONVERGES_TO_FIXED_POINT,
+    DEFAULT_WINDOW,
     Trajectory,
     _wpow,
     classify_limit,
@@ -266,10 +267,10 @@ def biharmonic_span_residual(u: RadialField, source: RadialField, n: int) -> flo
 
 
 def _field_from_trajectory(
-    traj: Trajectory, params: ProblemParams, grid: RadialGrid
+    traj: Trajectory, coeffs: CoefficientSet, grid: RadialGrid
 ) -> tuple[RadialField, RadialField]:
     """Sample u = r^{-B} w and f = r^alpha u^p on the grid nodes."""
-    B = params.B
+    B = coeffs.B
     t0 = float(grid.t[0])
     if not (traj.covers(t0) and traj.covers(0.0)):
         raise ValueError(
@@ -284,9 +285,9 @@ def _field_from_trajectory(
             raise ValueError(f"non-positive field value at node {j} (r={grid.nodes[j]:.6g})")
         u = math.exp(-B * t) * w0
         u_vals[j] = u
-        f_vals[j] = math.exp(params.alpha * t) * _wpow(u, params.p)
-    u_field = RadialField(grid=grid, values=u_vals, n=params.n, alpha=params.alpha, p=params.p)
-    f_field = RadialField(grid=grid, values=f_vals, n=params.n, alpha=params.alpha, p=params.p)
+        f_vals[j] = math.exp(coeffs.alpha * t) * _wpow(u, coeffs.p)
+    u_field = RadialField(grid=grid, values=u_vals, n=coeffs.n, alpha=coeffs.alpha, p=coeffs.p)
+    f_field = RadialField(grid=grid, values=f_vals, n=coeffs.n, alpha=coeffs.alpha, p=coeffs.p)
     return u_field, f_field
 
 
@@ -297,7 +298,7 @@ class RepresentationReport:
 
 
 def representation_check(
-    traj: Trajectory, params: ProblemParams, count: int = DEFAULT_NODE_COUNT
+    traj: Trajectory, coeffs: CoefficientSet, count: int = DEFAULT_NODE_COUNT
 ) -> RepresentationReport:
     """Post-projection residual of u - G2[r^alpha u^p] for a trajectory.
 
@@ -306,9 +307,9 @@ def representation_check(
     error and must shrink under grid refinement.
     """
     grid = make_grid(count)
-    u_field, f_field = _field_from_trajectory(traj, params, grid)
+    u_field, f_field = _field_from_trajectory(traj, coeffs, grid)
     return RepresentationReport(
-        residual=biharmonic_span_residual(u_field, f_field, params.n),
+        residual=biharmonic_span_residual(u_field, f_field, coeffs.n),
         node_count=count,
     )
 
@@ -319,7 +320,7 @@ class SuperharmonicReport:
     min_value: float
 
 
-def superharmonic_check(traj: Trajectory, params: ProblemParams) -> SuperharmonicReport:
+def superharmonic_check(traj: Trajectory, coeffs: CoefficientSet) -> SuperharmonicReport:
     """Positivity sweep of -Delta u along a singular-class trajectory.
 
     Returns the largest tau with -Delta u > 0 on (0, tau) within the
@@ -327,16 +328,14 @@ def superharmonic_check(traj: Trajectory, params: ProblemParams) -> Superharmoni
     trajectories are rejected: the property is asserted only near a
     non-removable singularity.
     """
-    coeffs = coefficients(params)
-    window = min(5.0, traj.span / 2.0)
-    cls = classify_limit(traj, coeffs, params.p, window=window)
+    cls = classify_limit(traj, coeffs, window=min(DEFAULT_WINDOW, traj.span / 2.0))
     if cls.tag != CONVERGES_TO_FIXED_POINT:
         raise ValueError(
             f"superharmonicity needs a singular-class trajectory, got {cls.tag}"
         )
     order = sorted(range(len(traj.times)), key=lambda i: traj.times[i])
     vals = [
-        neg_laplacian_radial(traj.times[i], traj.states[i], params) for i in order
+        neg_laplacian_radial(traj.times[i], traj.states[i], coeffs) for i in order
     ]
     ts = [traj.times[i] for i in order]
     # Largest prefix from the deep end on which -Delta u stays positive.
@@ -360,9 +359,9 @@ class IntegrabilityReport:
     weighted_shell_exponent: float
 
 
-def _shell_sums(traj: Trajectory, params: ProblemParams, weights: tuple, k_max: int) -> np.ndarray:
+def _shell_sums(traj: Trajectory, coeffs: CoefficientSet, weights: tuple, k_max: int) -> np.ndarray:
     """Quadrature of e^{w t} u^p over shells [2^{-k-1}, 2^{-k}], one row per w in weights."""
-    B, p = params.B, params.p
+    B, p = coeffs.B, coeffs.p
     ln2 = math.log(2.0)
     h = ln2 / _SHELL_PANELS
     g = np.empty((len(weights), k_max + 1, _SHELL_PANELS + 1))
@@ -384,7 +383,7 @@ def _shell_sums(traj: Trajectory, params: ProblemParams, weights: tuple, k_max: 
     return _panel_increments(g, h).sum(axis=-1)
 
 
-def integrability_report(traj: Trajectory, params: ProblemParams) -> IntegrabilityReport:
+def integrability_report(traj: Trajectory, coeffs: CoefficientSet) -> IntegrabilityReport:
     """Run both dyadic shell tests on r^alpha u^p.
 
     The L^1 test integrates against r^{n-1} dr and must converge for the
@@ -393,7 +392,7 @@ def integrability_report(traj: Trajectory, params: ProblemParams) -> Integrabili
     (the m = 2 kernel weight) and is expected to diverge exactly for the
     singular class.  Shell exponents are read off the deepest ratio.
     """
-    n, alpha = params.n, params.alpha
+    n, alpha = coeffs.n, coeffs.alpha
     t_min = min(traj.t_start, traj.t_end)
     if not traj.covers(0.0):
         raise ValueError("trajectory must reach t = 0 (the outer boundary)")
@@ -403,7 +402,7 @@ def integrability_report(traj: Trajectory, params: ProblemParams) -> Integrabili
             f"insufficient resolution: trajectory reaches r = {math.exp(t_min):.3g}, "
             f"need 2^-17 or deeper"
         )
-    sums = _shell_sums(traj, params, (float(n) + alpha, 2.0 + alpha), k_max)
+    sums = _shell_sums(traj, coeffs, (float(n) + alpha, 2.0 + alpha), k_max)
     # ratios[k] = deeper shell / shallower shell
     l1_ratios, wt_ratios = (tuple((s[1:] / s[:-1]).tolist()) for s in sums)
     run = _DIVERGENCE_RUN
@@ -432,14 +431,14 @@ class SingularityBoundReport:
     sup_values: tuple[float, float, float, float]
 
 
-def singularity_bound_check(traj: Trajectory, params: ProblemParams) -> SingularityBoundReport:
+def singularity_bound_check(traj: Trajectory, coeffs: CoefficientSet) -> SingularityBoundReport:
     """Scaled sups of the u-jet; finite iff the scale-invariant bound holds.
 
     r^{B+i} u^(i)(r) equals the i-th inverse-transform bracket in w, so
     the sups are computed directly from trajectory states without any
     exponentials (exact scaling).
     """
-    B = params.B
+    B = coeffs.B
     half = -math.log(2.0)
     sups = [0.0, 0.0, 0.0, 0.0]
     seen = False

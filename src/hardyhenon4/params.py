@@ -64,12 +64,17 @@ class ExponentSet:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """B and the coefficients A0..A4 of the transformed equation.
+    """The problem (n, alpha, p) with B and the coefficients A0..A4 of its equation.
 
-    a4 multiplies the angular Laplacian and is inert in the radial
-    reduction; it is carried because the coefficient list is a unit.
+    Built by coefficients(), so the fields agree; it is the one problem
+    argument of the transform, dynamics, energy and Green functions.  a4
+    multiplies the angular Laplacian and is inert in the radial reduction;
+    it is carried because the coefficient list is a unit.
     """
 
+    n: int
+    alpha: float
+    p: float
     B: float
     a0: float
     a1: float
@@ -118,7 +123,10 @@ def coefficients(params: ProblemParams) -> CoefficientSet:
     a2 = 6.0 * B**2 - 6.0 * (n - 4.0) * B + q
     a3 = -4.0 * B + 2.0 * n - 8.0
     a4 = 2.0 * B**2 - 2.0 * (n - 4.0) * B - 2.0 * (n - 4.0)
-    return CoefficientSet(B=B, a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, regime=_regime_tag(params))
+    return CoefficientSet(
+        n=params.n, alpha=params.alpha, p=params.p,
+        B=B, a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, regime=_regime_tag(params),
+    )
 
 
 def a0_factored(params: ProblemParams) -> float:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .params import ProblemParams
+from .params import CoefficientSet
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def from_log(t: float, state: OdeState, B: float) -> RadialJet:
     return RadialJet(r=r, u0=u0, u1=u1, u2=u2, u3=u3)
 
 
-def neg_laplacian_radial(t: float, state: OdeState, params: ProblemParams) -> float:
+def neg_laplacian_radial(t: float, state: OdeState, coeffs: CoefficientSet) -> float:
     """-Delta u at r = e^t, straight from the w-jet.
 
     Substituting the inverse transform into u'' + (n-1)u'/r gives
@@ -107,8 +107,8 @@ def neg_laplacian_radial(t: float, state: OdeState, params: ProblemParams) -> fl
 
     positivity of which is the super-polyharmonicity property for m = 2.
     """
-    n = float(params.n)
-    B = params.B
+    n = float(coeffs.n)
+    B = coeffs.B
     w0, w1, w2, _ = state
     bracket = -w2 - (n - 2.0 - 2.0 * B) * w1 + B * (n - 2.0 - B) * w0
     return math.exp(-(B + 2.0) * t) * bracket

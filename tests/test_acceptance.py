@@ -59,7 +59,7 @@ from hardyhenon4.green import (
 PARAMS = ProblemParams(6, 0.0, 4.0)
 COEFFS = coefficients(PARAMS)
 P = 4.0
-WSTAR = fixed_points(COEFFS, P)[1]
+WSTAR = fixed_points(COEFFS)[1]
 
 _THREE_CLASSES = {CONVERGES_TO_ZERO, CONVERGES_TO_FIXED_POINT, BLOW_UP}
 
@@ -72,13 +72,13 @@ def _param_stream(seed: int):
 
 def _perturbed_singular_orbit(seed: int, index: int, horizon: float, box: float = 1e-5):
     """Seeded draw along the backward-decaying eigenmodes at the equilibrium."""
-    basis = _backward_decaying_basis(COEFFS, P)
+    basis = _backward_decaying_basis(WSTAR, COEFFS)
     draw = _rng(seed, _row_key(0, index)).uniform(-box, box, len(basis))
     comps = [WSTAR, 0.0, 0.0, 0.0]
     for c, vec in zip(draw, basis):
         for k in range(4):
             comps[k] = float(comps[k] + c * vec[k])
-    return integrate(OdeState(*comps), 0.0, horizon, 1e-12, COEFFS, P)
+    return integrate(OdeState(*comps), 0.0, horizon, 1e-12, COEFFS)
 
 
 def test_criterion_01_sign_regimes():
@@ -125,10 +125,10 @@ def test_criterion_02_quartic_factorization():
 
 
 def test_criterion_03_exact_singular_solution():
-    assert vector_field(OdeState(WSTAR, 0.0, 0.0, 0.0), COEFFS, P) == OdeState(
+    assert vector_field(OdeState(WSTAR, 0.0, 0.0, 0.0), COEFFS) == OdeState(
         0.0, 0.0, 0.0, 0.0
     )
-    traj = integrate(OdeState(WSTAR, 0.0, 0.0, 0.0), 0.0, -40.0, 1e-10, COEFFS, P)
+    traj = integrate(OdeState(WSTAR, 0.0, 0.0, 0.0), 0.0, -40.0, 1e-10, COEFFS)
     assert traj.t_end == -40.0
     assert max(abs(s.w0 - WSTAR) for s in traj.states) < 1e-6
 
@@ -140,12 +140,12 @@ def test_criterion_04_kernel_roots():
         p = float(rng.uniform(1.5, 12.0))
         c = coefficients(ProblemParams(n, alpha, p))
         B = c.B
-        rep = linearize(0.0, c, p)
+        rep = linearize(0.0, c)
         expected = sorted([B, B + 2.0, B - (n - 2.0), B - (n - 4.0)])
         for root, want in zip(rep.roots, expected):
             assert abs(root - want) <= 1e-8, (n, alpha, p)
 
-    crit = linearize(0.0, coefficients(ProblemParams(6, 0.0, 5.0)), 5.0)
+    crit = linearize(0.0, coefficients(ProblemParams(6, 0.0, 5.0)))
     for root, want in zip(crit.roots, (-3.0, -1.0, 1.0, 3.0)):
         assert abs(root - want) <= 1e-10
 
@@ -166,12 +166,12 @@ def test_criterion_05_energy_monotonicity_and_rate():
 
     crit_params = ProblemParams(6, 0.0, 5.0)
     crit_coeffs = coefficients(crit_params)
-    ws = fixed_points(crit_coeffs, 5.0)[1]
+    ws = fixed_points(crit_coeffs)[1]
     for i in range(16):
         draw = _rng(13, _row_key(0, i)).uniform(-1e-6, 1e-6, 4)
         state = OdeState(float(ws + draw[0]), float(draw[1]), float(draw[2]), float(draw[3]))
-        traj = integrate(state, 0.0, -3.0, 1e-13, crit_coeffs, 5.0)
-        evals = [energy(s, crit_coeffs, 5.0, 6) for s in traj.states]
+        traj = integrate(state, 0.0, -3.0, 1e-13, crit_coeffs)
+        evals = [energy(s, crit_coeffs) for s in traj.states]
         assert max(evals) - min(evals) <= 1e-8
 
 
@@ -236,11 +236,11 @@ def test_criterion_07_scaling_identity():
             float(WSTAR + draw[0]), float(draw[1]), float(draw[2]), float(draw[3])
         )
         traj = integrate(
-            state, 0.0, -60.0, 1e-10, COEFFS, P,
+            state, 0.0, -60.0, 1e-10, COEFFS,
             blowup_threshold=4.0 * max(WSTAR, 1.0),
         )
         for lam in (math.exp(-2.0), math.exp(-1.0), math.exp(1.0)):
-            assert scaling_check(traj, lam, COEFFS, P, 6) <= 1e-8
+            assert scaling_check(traj, lam, COEFFS) <= 1e-8
 
 
 def test_criterion_08_green_closed_forms():
@@ -258,9 +258,9 @@ def test_criterion_08_green_closed_forms():
 
 
 def test_criterion_09_representation_residual_refinement():
-    traj = equilibrium_trajectory(COEFFS, P)
+    traj = equilibrium_trajectory(WSTAR)
     res = {
-        count: representation_check(traj, PARAMS, count=count).residual
+        count: representation_check(traj, COEFFS, count=count).residual
         for count in (2048, 4096, 8192)
     }
     assert res[2048] / res[4096] >= 2.0
@@ -268,22 +268,22 @@ def test_criterion_09_representation_residual_refinement():
 
 
 def test_criterion_10_superharmonicity():
-    singular = [equilibrium_trajectory(COEFFS, P)]
+    singular = [equilibrium_trajectory(WSTAR)]
     singular += [_perturbed_singular_orbit(11, i, horizon=-4.0) for i in range(4)]
     for traj in singular:
-        rep = superharmonic_check(traj, PARAMS)
+        rep = superharmonic_check(traj, COEFFS)
         assert rep.min_value > 0.0
         assert rep.tau == 1.0
 
-    at_r1 = neg_laplacian_radial(0.0, OdeState(WSTAR, 0.0, 0.0, 0.0), PARAMS)
+    at_r1 = neg_laplacian_radial(0.0, OdeState(WSTAR, 0.0, 0.0, 0.0), COEFFS)
     closed_form = COEFFS.B * (6.0 - 2.0 - COEFFS.B) * WSTAR
     assert abs(at_r1 - closed_form) <= 1e-10
     assert at_r1 == pytest.approx(7.0816, abs=1e-3)
 
 
 def test_criterion_11_integrability_split():
-    singular = equilibrium_trajectory(COEFFS, P, t1=-16.0)
-    rep = integrability_report(singular, PARAMS)
+    singular = equilibrium_trajectory(WSTAR, t1=-16.0)
+    rep = integrability_report(singular, COEFFS)
     assert rep.l1_converges
     assert rep.weighted_diverges
     pB = P * COEFFS.B
@@ -291,28 +291,28 @@ def test_criterion_11_integrability_split():
     assert abs(rep.weighted_shell_exponent - (2.0 + 0.0 - pB)) <= 1e-6
 
     removable = mode_trajectory([(1.0, COEFFS.B)], 0.0, -16.0)
-    rep_r = integrability_report(removable, PARAMS)
+    rep_r = integrability_report(removable, COEFFS)
     assert rep_r.l1_converges
     assert not rep_r.weighted_diverges
 
 
 def test_criterion_12_singularity_bounds():
     everything = [
-        equilibrium_trajectory(COEFFS, P),
+        equilibrium_trajectory(WSTAR),
         mode_trajectory([(1.0, COEFFS.B)], 0.0, -16.0),
         integrate(
-            OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS, P,
+            OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS,
             blowup_threshold=10.0,
         ),
-        integrate(OdeState(WSTAR, 0.2, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS, P),
+        integrate(OdeState(WSTAR, 0.2, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS),
         _perturbed_singular_orbit(21, 0, horizon=-4.0),
     ]
     for traj in everything:
-        sups = singularity_bound_check(traj, PARAMS).sup_values
+        sups = singularity_bound_check(traj, COEFFS).sup_values
         assert all(math.isfinite(s) for s in sups)
 
     for horizon in (-2.0, -3.0, -4.0):
         for i in range(4):
             traj = _perturbed_singular_orbit(21, i, horizon=horizon)
-            sups = singularity_bound_check(traj, PARAMS).sup_values
+            sups = singularity_bound_check(traj, COEFFS).sup_values
             assert abs(sups[0] - WSTAR) <= 1e-3, (horizon, i)

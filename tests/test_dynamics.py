@@ -10,7 +10,6 @@ from hardyhenon4.dynamics import (
     BLOW_UP,
     CONVERGES_TO_FIXED_POINT,
     CONVERGES_TO_ZERO,
-    DEFAULT_SAMPLE_SPACING,
     NON_POSITIVE,
     REACHED_END,
     UNDETERMINED,
@@ -45,17 +44,17 @@ WSTAR = 1.9917354429142955  # snapped machine equilibrium of a0^(1/3), a0 = 640/
 
 
 def test_vector_field_vanishes_exactly_at_equilibrium():
-    f = vector_field(OdeState(WSTAR, 0.0, 0.0, 0.0), COEFFS, P)
+    f = vector_field(OdeState(WSTAR, 0.0, 0.0, 0.0), COEFFS)
     assert f == OdeState(0.0, 0.0, 0.0, 0.0)
 
 
 def test_vector_field_rejects_negative_w():
     with pytest.raises(NonPositiveState):
-        vector_field(OdeState(-1e-9, 0.0, 0.0, 0.0), COEFFS, P)
+        vector_field(OdeState(-1e-9, 0.0, 0.0, 0.0), COEFFS)
 
 
 def test_fixed_points_values():
-    pts = fixed_points(COEFFS, P)
+    pts = fixed_points(COEFFS)
     assert pts[0] == 0.0
     assert pts[1] == WSTAR
     # the snapped root satisfies the equilibrium equation to the last bit
@@ -67,14 +66,14 @@ def test_fixed_points_warns_when_a0_not_positive():
     assert coeffs.a0 < 0.0
     for _ in range(2):  # every call warns, not only the first
         with pytest.warns(UserWarning):
-            pts = fixed_points(coeffs, 3.2)
+            pts = fixed_points(coeffs)
         assert pts == [0.0]
 
 
 def test_linearization_at_zero_has_biharmonic_kernel_roots():
     # the linear flow at w=0 is the biharmonic kernel {1, r^2, r^{2-n}, r^{4-n}}
     # read in log variables: mu in {B, B+2, B+2-n, B+4-n}
-    rep = linearize(0.0, COEFFS, P)
+    rep = linearize(0.0, COEFFS)
     B = COEFFS.B
     expected = sorted([B, B + 2.0, B + 2.0 - 6.0, B + 4.0 - 6.0])
     for root, want in zip(rep.roots, expected):
@@ -86,7 +85,7 @@ def test_linearization_at_zero_has_biharmonic_kernel_roots():
 
 def test_linearization_critical_roots_are_integers():
     coeffs = coefficients(ProblemParams(6, 0.0, 5.0))
-    rep = linearize(0.0, coeffs, 5.0)
+    rep = linearize(0.0, coeffs)
     for root, want in zip(rep.roots, (-3.0, -1.0, 1.0, 3.0)):
         assert abs(root.imag) < 1e-10
         assert root.real == pytest.approx(want, abs=1e-10)
@@ -94,7 +93,7 @@ def test_linearization_critical_roots_are_integers():
 
 
 def test_linearization_at_equilibrium():
-    rep = linearize(WSTAR, COEFFS, P)
+    rep = linearize(WSTAR, COEFFS)
     assert rep.n_unstable_backward == 3
     assert rep.residual() < 1e-12
     reals = [z for z in rep.roots if abs(z.imag) < 1e-9]
@@ -112,15 +111,15 @@ def test_linearization_at_equilibrium():
 def test_integrate_validates_inputs():
     y = OdeState(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        integrate(y, 0.0, -1.0, 1e-3, COEFFS, P)  # tol above the cap
+        integrate(y, 0.0, -1.0, 1e-3, COEFFS)  # tol above the cap
     with pytest.raises(ValueError):
-        integrate(y, 0.0, -1.0, 1e-14, COEFFS, P)  # tol below the floor
+        integrate(y, 0.0, -1.0, 1e-14, COEFFS)  # tol below the floor
     with pytest.raises(ValueError):
-        integrate(y, 0.0, 0.0, 1e-10, COEFFS, P)
+        integrate(y, 0.0, 0.0, 1e-10, COEFFS)
     with pytest.raises(ValueError):
-        integrate(OdeState(math.nan, 0.0, 0.0, 0.0), 0.0, -1.0, 1e-10, COEFFS, P)
+        integrate(OdeState(math.nan, 0.0, 0.0, 0.0), 0.0, -1.0, 1e-10, COEFFS)
     with pytest.raises(NonPositiveState):
-        integrate(OdeState(-0.5, 0.0, 0.0, 0.0), 0.0, -1.0, 1e-10, COEFFS, P)
+        integrate(OdeState(-0.5, 0.0, 0.0, 0.0), 0.0, -1.0, 1e-10, COEFFS)
 
 
 def test_integrate_rejects_non_finite_span(deadline):
@@ -129,7 +128,7 @@ def test_integrate_rejects_non_finite_span(deadline):
     with deadline(30):
         for t0, t1 in ((0.0, -math.inf), (0.0, math.inf), (math.nan, -1.0), (0.0, math.nan)):
             with pytest.raises(ValueError, match="time span must be finite"):
-                integrate(y, t0, t1, 1e-10, COEFFS, P)
+                integrate(y, t0, t1, 1e-10, COEFFS)
 
 
 # Triples whose snapped equilibrium zeroes the field exactly, one per regime.
@@ -144,10 +143,9 @@ def test_integrate_rejects_non_finite_span(deadline):
 )
 def test_integrate_holds_exact_equilibrium(regime, triple):
     coeffs = coefficients(ProblemParams(*triple))
-    p = triple[2]
     assert coeffs.regime == regime
-    wstar = fixed_points(coeffs, p)[1]
-    traj = integrate(OdeState(wstar, 0.0, 0.0, 0.0), 0.0, -40.0, 1e-10, coeffs, p)
+    wstar = fixed_points(coeffs)[1]
+    traj = integrate(OdeState(wstar, 0.0, 0.0, 0.0), 0.0, -40.0, 1e-10, coeffs)
     assert traj.termination == REACHED_END
     assert traj.t_end == -40.0
     # The stages see the field of fixed_points' own power path, which is
@@ -163,7 +161,7 @@ def test_integrate_holds_exact_equilibrium(regime, triple):
 
 def test_integrate_truncates_at_blowup_threshold():
     traj = integrate(
-        OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS, P,
+        OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS,
         blowup_threshold=10.0,
     )
     assert traj.termination == BLOW_UP
@@ -175,7 +173,7 @@ def test_integrate_truncates_at_blowup_threshold():
 
 def test_integrate_clamps_zero_crossing():
     traj = integrate(
-        OdeState(WSTAR, 0.2, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS, P,
+        OdeState(WSTAR, 0.2, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS,
     )
     assert traj.termination == NON_POSITIVE
     assert traj.states[-1].w0 >= 0.0
@@ -183,7 +181,7 @@ def test_integrate_clamps_zero_crossing():
 
 
 def test_trajectory_dense_sampling():
-    traj = integrate(OdeState(WSTAR + 0.01, 0.0, 0.0, 0.0), 0.0, -3.0, 1e-10, COEFFS, P)
+    traj = integrate(OdeState(WSTAR + 0.01, 0.0, 0.0, 0.0), 0.0, -3.0, 1e-10, COEFFS)
     # energy audits read stored samples in place of dense resamples
     for t, s in zip(traj.times[:-1], traj.states[:-1]):
         assert traj.sample(t) == s
@@ -195,15 +193,15 @@ def test_trajectory_dense_sampling():
 
 
 def test_times_run_backward_with_uniform_spacing():
-    traj = integrate(OdeState(WSTAR, 0.0, 0.0, 0.0), 0.0, -2.0, 1e-10, COEFFS, P)
+    traj = integrate(OdeState(WSTAR, 0.0, 0.0, 0.0), 0.0, -2.0, 1e-10, COEFFS)
     diffs = [b - a for a, b in zip(traj.times, traj.times[1:])]
     assert all(d < 0.0 for d in diffs)
     assert diffs[0] == pytest.approx(-0.01, rel=1e-12)
 
 
 def test_classify_equilibrium_orbit():
-    traj = equilibrium_trajectory(COEFFS, P)
-    verdict = classify_limit(traj, COEFFS, P)
+    traj = equilibrium_trajectory(WSTAR)
+    verdict = classify_limit(traj, COEFFS)
     assert verdict.tag == CONVERGES_TO_FIXED_POINT
     assert verdict.terminal_value == pytest.approx(WSTAR, abs=1e-12)
     assert verdict.window_variation < 1e-12
@@ -212,54 +210,54 @@ def test_classify_equilibrium_orbit():
 def test_classify_kernel_mode_collapses_to_zero():
     # w = e^{Bt} (u identically 1) decays backward to zero
     traj = mode_trajectory([(1.0, COEFFS.B)], 0.0, -20.0)
-    verdict = classify_limit(traj, COEFFS, P)
+    verdict = classify_limit(traj, COEFFS)
     assert verdict.tag == CONVERGES_TO_ZERO
     assert verdict.terminal_value < 1e-9
 
 
 def test_classify_blowup_and_zero_crossing_route_immediately():
     up = integrate(
-        OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS, P,
+        OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS,
         blowup_threshold=10.0,
     )
-    assert classify_limit(up, COEFFS, P).tag == BLOW_UP
-    down = integrate(OdeState(WSTAR, 0.2, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS, P)
-    assert classify_limit(down, COEFFS, P).tag == CONVERGES_TO_ZERO
+    assert classify_limit(up, COEFFS).tag == BLOW_UP
+    down = integrate(OdeState(WSTAR, 0.2, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS)
+    assert classify_limit(down, COEFFS).tag == CONVERGES_TO_ZERO
 
 
 def test_classify_requires_span_twice_the_window():
-    traj = equilibrium_trajectory(COEFFS, P, t0=0.0, t1=-4.0)
+    traj = equilibrium_trajectory(WSTAR, t0=0.0, t1=-4.0)
     with pytest.raises(ValueError):
-        classify_limit(traj, COEFFS, P, window=5.0)
+        classify_limit(traj, COEFFS, window=5.0)
 
 
 def test_classify_validates_margin_and_window():
-    traj = equilibrium_trajectory(COEFFS, P)
+    traj = equilibrium_trajectory(WSTAR)
     with pytest.raises(ValueError):
-        classify_limit(traj, COEFFS, P, margin=0.0)
+        classify_limit(traj, COEFFS, margin=0.0)
     with pytest.raises(ValueError):
-        classify_limit(traj, COEFFS, P, window=-1.0)
+        classify_limit(traj, COEFFS, window=-1.0)
 
 
 def test_classify_rejects_margin_above_half_the_equilibrium():
-    traj = equilibrium_trajectory(COEFFS, P)
-    assert classify_limit(traj, COEFFS, P, margin=0.49 * WSTAR).tag == CONVERGES_TO_FIXED_POINT
+    traj = equilibrium_trajectory(WSTAR)
+    assert classify_limit(traj, COEFFS, margin=0.49 * WSTAR).tag == CONVERGES_TO_FIXED_POINT
     for margin in (0.51 * WSTAR, 10.0):
         with pytest.raises(ValueError, match="swallows the equilibrium"):
-            classify_limit(traj, COEFFS, P, margin=margin)
+            classify_limit(traj, COEFFS, margin=margin)
     # At (12, -3, 1.006) w* overflows a double; the margin test runs in
     # logs and still lets the orbit classify.
     big = coefficients(ProblemParams(12, -3.0, 1.006))
     with pytest.raises(OverflowError):
-        fixed_points(big, 1.006)
+        fixed_points(big)
     decay = mode_trajectory([(1.0, big.B)], 0.0, -20.0)
-    assert classify_limit(decay, big, 1.006).tag == CONVERGES_TO_ZERO
+    assert classify_limit(decay, big).tag == CONVERGES_TO_ZERO
 
 
 def test_classify_between_tubes_is_undetermined():
     half = 0.5 * WSTAR
     traj = analytic_trajectory(lambda t: OdeState(half, 0.0, 0.0, 0.0), 0.0, -15.0)
-    assert classify_limit(traj, COEFFS, P).tag == UNDETERMINED
+    assert classify_limit(traj, COEFFS).tag == UNDETERMINED
 
 
 def test_mode_trajectory_jet_consistency():
@@ -273,15 +271,8 @@ def test_mode_trajectory_jet_consistency():
 
 
 def test_analytic_trajectory_shorter_than_spacing():
-    traj = equilibrium_trajectory(COEFFS, P, 0.0, -0.005)
+    traj = equilibrium_trajectory(WSTAR, 0.0, -0.005)
     assert traj.times == (0.0, -0.005)
-
-
-def test_positive_equilibrium_users_reject_a0_not_positive():
-    coeffs = coefficients(ProblemParams(5, -1.0, 3.2))
-    for build in (equilibrium_trajectory, _backward_decaying_basis):
-        with pytest.raises(ValueError, match="a0=.* <= 0"):
-            build(coeffs, 3.2)
 
 
 def test_analytic_trajectory_rejects_empty_span():
@@ -342,12 +333,12 @@ def _generic_crossing(seg, level):
     return tc, _generic_hermite(tc, *seg)
 
 
-def _generic_integrate(initial, t0, t1, tol, coeffs, p, blowup_threshold):
+def _generic_integrate(initial, t0, t1, tol, coeffs, blowup_threshold):
     rtol, atol = tol, tol * 1e-2
     sgn = 1.0 if t1 > t0 else -1.0
     y = tuple(initial)
     t = t0
-    f = _rhs(y, coeffs, p)
+    f = _rhs(y, coeffs)
     h = _initial_step(y, f, abs(t1 - t0), rtol, atol)
     err_prev = 1.0
     segments, rejected, termination = [], 0, REACHED_END
@@ -358,9 +349,9 @@ def _generic_integrate(initial, t0, t1, tol, coeffs, p, blowup_threshold):
         k = [f]
         for i in range(1, 6):
             yi = tuple(y[j] + hs * _lsum(_A[i][m] * k[m][j] for m in range(i)) for j in range(4))
-            k.append(_rhs(yi, coeffs, p))
+            k.append(_rhs(yi, coeffs))
         y_new = tuple(y[j] + hs * _lsum(_B5[m] * k[m][j] for m in range(6)) for j in range(4))
-        f_new = _rhs(y_new, coeffs, p)
+        f_new = _rhs(y_new, coeffs)
         k.append(f_new)
         err = tuple(hs * _lsum(_E[m] * k[m][j] for m in range(7)) for j in range(4))
         if not all(map(math.isfinite, y_new)):
@@ -395,7 +386,7 @@ def _generic_integrate(initial, t0, t1, tol, coeffs, p, blowup_threshold):
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
             err_prev = norm
         h *= factor
-    times = uniform_times(t0, t, DEFAULT_SAMPLE_SPACING)
+    times = uniform_times(t0, t)
     ends = [sgn * seg[1] for seg in segments]
     states = [tuple(initial)] + [
         _generic_hermite(tk, *segments[min(bisect.bisect_left(ends, sgn * tk), len(ends) - 1)])
@@ -416,7 +407,7 @@ def _bits(values) -> bytes:
 
 def _singular_orbit_start(amplitude: float) -> OdeState:
     comps = [WSTAR, 0.0, 0.0, 0.0]
-    for c, vec in zip((3.0, -2.0, 1.0), _backward_decaying_basis(COEFFS, P)):
+    for c, vec in zip((3.0, -2.0, 1.0), _backward_decaying_basis(WSTAR, COEFFS)):
         for k in range(4):
             comps[k] += c * amplitude * vec[k]
     return OdeState(*comps)
@@ -439,9 +430,9 @@ def _singular_orbit_start(amplitude: float) -> OdeState:
     ],
 )
 def test_integrate_matches_generic_stepper_bit_for_bit(initial, t1, tol, threshold, termination):
-    traj = integrate(initial, 0.0, t1, tol, COEFFS, P, blowup_threshold=threshold)
+    traj = integrate(initial, 0.0, t1, tol, COEFFS, blowup_threshold=threshold)
     times, states, segments, want_termination, _ = _generic_integrate(
-        initial, 0.0, t1, tol, COEFFS, P, threshold
+        initial, 0.0, t1, tol, COEFFS, threshold
     )
     assert traj.termination == want_termination == termination
     assert _bits(traj.times) == _bits(times)
@@ -455,6 +446,6 @@ def test_integrate_matches_generic_stepper_bit_for_bit(initial, t1, tol, thresho
 def test_generic_stepper_cases_include_rejected_steps():
     # The "converging" bit-for-bit case above also takes the rejection branch.
     *_, rejected = _generic_integrate(
-        _singular_orbit_start(1e-6), 0.0, -4.0, 1e-10, COEFFS, P, 1e6
+        _singular_orbit_start(1e-6), 0.0, -4.0, 1e-10, COEFFS, 1e6
     )
     assert rejected > 0

@@ -23,7 +23,7 @@ from hardyhenon4.transform import OdeState
 PARAMS = ProblemParams(6, 0.0, 4.0)
 COEFFS = coefficients(PARAMS)
 P = 4.0
-WSTAR = fixed_points(COEFFS, P)[1]
+WSTAR = fixed_points(COEFFS)[1]
 
 
 def test_sphere_measures():
@@ -34,12 +34,12 @@ def test_sphere_measures():
 
 
 def test_energy_zero_state():
-    assert energy(OdeState(0.0, 0.0, 0.0, 0.0), COEFFS, P, 6) == 0.0
+    assert energy(OdeState(0.0, 0.0, 0.0, 0.0), COEFFS) == 0.0
 
 
 def test_energy_at_equilibrium_closed_form():
     # w*^{p-1} = a0 collapses e(w*) to a0 w*^2 (p-1) / (2(p+1))
-    got = energy(OdeState(WSTAR, 0.0, 0.0, 0.0), COEFFS, P, 6)
+    got = energy(OdeState(WSTAR, 0.0, 0.0, 0.0), COEFFS)
     want = sphere_measure(6) * COEFFS.a0 * WSTAR**2 * (P - 1.0) / (2.0 * (P + 1.0))
     assert got == pytest.approx(want, rel=1e-13)
     assert got == pytest.approx(291.5607987327416, abs=1e-9)
@@ -61,7 +61,7 @@ def test_energy_rate_matches_gradient_along_flow(w0, rest, n, alpha, p):
     # collapse to the two-term rate law
     coeffs = coefficients(ProblemParams(n, alpha, p))
     state = OdeState(w0, *rest)
-    f = vector_field(state, coeffs, p)
+    f = vector_field(state, coeffs)
     wp = w0**p if w0 > 0.0 else 0.0
     grad = (
         coeffs.a0 * w0 - wp,
@@ -71,7 +71,7 @@ def test_energy_rate_matches_gradient_along_flow(w0, rest, n, alpha, p):
     )
     terms = [g * fi for g, fi in zip(grad, f)]
     lhs = sphere_measure(n) * sum(terms)
-    rhs = energy_rate(state, coeffs, n)
+    rhs = energy_rate(state, coeffs)
     scale = sphere_measure(n) * (1.0 + sum(abs(x) for x in terms))
     assert abs(lhs - rhs) <= 1e-10 * scale
 
@@ -79,24 +79,24 @@ def test_energy_rate_matches_gradient_along_flow(w0, rest, n, alpha, p):
 def test_rate_sign_fixed_by_regime():
     # below critical a3 < 0 < a1 makes the rate nonpositive for every state
     for w1, w2 in [(0.3, -1.2), (-2.0, 0.7), (0.0, 5.0)]:
-        assert energy_rate(OdeState(1.0, w1, w2, 0.0), COEFFS, 6) <= 0.0
+        assert energy_rate(OdeState(1.0, w1, w2, 0.0), COEFFS) <= 0.0
     ccrit = coefficients(ProblemParams(6, 0.0, 5.0))
-    assert energy_rate(OdeState(1.0, 3.0, -2.0, 0.5), ccrit, 6) == 0.0
+    assert energy_rate(OdeState(1.0, 3.0, -2.0, 0.5), ccrit) == 0.0
 
 
 def test_audit_trivial_on_equilibrium():
-    traj = equilibrium_trajectory(COEFFS, P)
-    audit = audit_monotonicity(traj, COEFFS, P, 6)
+    traj = equilibrium_trajectory(WSTAR)
+    audit = audit_monotonicity(traj, COEFFS)
     assert audit.max_violation == 0.0
     assert audit.rate_mismatch == 0.0
 
 
 def test_audit_subcritical_orbit():
     traj = integrate(
-        OdeState(WSTAR + 1e-3, 0.0, 0.0, 0.0), 0.0, -6.0, 1e-11, COEFFS, P,
+        OdeState(WSTAR + 1e-3, 0.0, 0.0, 0.0), 0.0, -6.0, 1e-11, COEFFS,
         blowup_threshold=4.0 * WSTAR,
     )
-    audit = audit_monotonicity(traj, COEFFS, P, 6)
+    audit = audit_monotonicity(traj, COEFFS)
     assert audit.max_violation <= 1e-10
     assert audit.rate_mismatch <= 2e-4
 
@@ -104,12 +104,12 @@ def test_audit_subcritical_orbit():
 def test_audit_supercritical_orbit_flips_direction():
     params = ProblemParams(6, 0.0, 5.5)
     coeffs = coefficients(params)
-    ws = fixed_points(coeffs, 5.5)[1]
+    ws = fixed_points(coeffs)[1]
     traj = integrate(
-        OdeState(ws * 1.001, 0.0, 0.0, 0.0), 0.0, -6.0, 1e-11, coeffs, 5.5,
+        OdeState(ws * 1.001, 0.0, 0.0, 0.0), 0.0, -6.0, 1e-11, coeffs,
         blowup_threshold=4.0 * max(ws, 1.0),
     )
-    audit = audit_monotonicity(traj, coeffs, 5.5, 6)
+    audit = audit_monotonicity(traj, coeffs)
     assert audit.max_violation <= 1e-10
     assert audit.rate_mismatch <= 2e-4
 
@@ -117,35 +117,35 @@ def test_audit_supercritical_orbit_flips_direction():
 def test_critical_orbit_conserves_energy():
     params = ProblemParams(6, 0.0, 5.0)
     coeffs = coefficients(params)
-    ws = fixed_points(coeffs, 5.0)[1]
-    traj = integrate(OdeState(ws + 1e-6, 0.0, 0.0, 0.0), 0.0, -3.0, 1e-13, coeffs, 5.0)
+    ws = fixed_points(coeffs)[1]
+    traj = integrate(OdeState(ws + 1e-6, 0.0, 0.0, 0.0), 0.0, -3.0, 1e-13, coeffs)
     assert traj.termination == REACHED_END
-    evals = [energy(s, coeffs, 5.0, 6) for s in traj.states]
+    evals = [energy(s, coeffs) for s in traj.states]
     assert max(evals) - min(evals) <= 1e-10
 
 
 def test_audit_rejects_short_trajectories():
-    traj = equilibrium_trajectory(COEFFS, P, t0=0.0, t1=-0.5)
+    traj = equilibrium_trajectory(WSTAR, t0=0.0, t1=-0.5)
     with pytest.raises(ValueError):
-        audit_monotonicity(traj, COEFFS, P, 6)
+        audit_monotonicity(traj, COEFFS)
 
 
 def test_scaling_identity_trivial_cases():
-    traj = equilibrium_trajectory(COEFFS, P)
-    assert scaling_check(traj, 1.0, COEFFS, P, 6) == 0.0
+    traj = equilibrium_trajectory(WSTAR)
+    assert scaling_check(traj, 1.0, COEFFS) == 0.0
     with pytest.raises(ValueError):
-        scaling_check(traj, 0.0, COEFFS, P, 6)
+        scaling_check(traj, 0.0, COEFFS)
     with pytest.raises(ValueError):
-        scaling_check(traj, -2.0, COEFFS, P, 6)
+        scaling_check(traj, -2.0, COEFFS)
 
 
 def test_scaling_identity_on_equilibrium():
-    traj = equilibrium_trajectory(COEFFS, P)
+    traj = equilibrium_trajectory(WSTAR)
     for lam in (math.exp(-1.0), math.exp(1.0), 2.5):
-        assert scaling_check(traj, lam, COEFFS, P, 6) <= 1e-10
+        assert scaling_check(traj, lam, COEFFS) <= 1e-10
 
 
 def test_scaling_needs_overlap():
-    traj = equilibrium_trajectory(COEFFS, P, t0=0.0, t1=-2.0)
+    traj = equilibrium_trajectory(WSTAR, t0=0.0, t1=-2.0)
     with pytest.raises(ValueError):
-        scaling_check(traj, math.exp(3.0), COEFFS, P, 6)
+        scaling_check(traj, math.exp(3.0), COEFFS)

@@ -28,8 +28,7 @@ from hardyhenon4.transform import OdeState
 
 PARAMS = ProblemParams(6, 0.0, 4.0)
 COEFFS = coefficients(PARAMS)
-P = 4.0
-WSTAR = fixed_points(COEFFS, P)[1]
+WSTAR = fixed_points(COEFFS)[1]
 
 
 # ---------------------------------------------------------------- grid
@@ -251,26 +250,26 @@ def test_biharmonic_functions_have_zero_residual():
 
 
 def test_representation_residual_shrinks_under_refinement():
-    traj = equilibrium_trajectory(COEFFS, P)
-    coarse = representation_check(traj, PARAMS, count=2048)
-    fine = representation_check(traj, PARAMS, count=4096)
+    traj = equilibrium_trajectory(WSTAR)
+    coarse = representation_check(traj, COEFFS, count=2048)
+    fine = representation_check(traj, COEFFS, count=4096)
     assert coarse.node_count == 2048
     assert coarse.residual <= 5e-11
     assert fine.residual < coarse.residual
 
 
 def test_representation_requires_coverage():
-    traj = equilibrium_trajectory(COEFFS, P, t0=0.0, t1=-5.0)
+    traj = equilibrium_trajectory(WSTAR, t0=0.0, t1=-5.0)
     with pytest.raises(ValueError, match="grid needs"):
-        representation_check(traj, PARAMS)
+        representation_check(traj, COEFFS)
 
 
 # ------------------------------------------------------- superharmonic
 
 
 def test_superharmonic_on_singular_orbit():
-    traj = equilibrium_trajectory(COEFFS, P)
-    rep = superharmonic_check(traj, PARAMS)
+    traj = equilibrium_trajectory(WSTAR)
+    rep = superharmonic_check(traj, COEFFS)
     assert rep.tau == 1.0
     # minimum sits at t = 0 where the r^{-B-2} factor is smallest
     want = COEFFS.B * (6.0 - 2.0 - COEFFS.B) * WSTAR
@@ -280,7 +279,7 @@ def test_superharmonic_on_singular_orbit():
 def test_superharmonic_rejects_removable_orbit():
     traj = mode_trajectory([(1.0, COEFFS.B)], 0.0, -20.0)
     with pytest.raises(ValueError, match="singular-class"):
-        superharmonic_check(traj, PARAMS)
+        superharmonic_check(traj, COEFFS)
 
 
 def test_superharmonic_prefix_stops_at_sign_change():
@@ -288,7 +287,7 @@ def test_superharmonic_prefix_stops_at_sign_change():
     # w0 pinned at the equilibrium so the orbit still classifies singular
     fn = lambda t: OdeState(WSTAR, 0.0, 30.0 * math.exp(5.0 * t), 0.0)
     traj = analytic_trajectory(fn, 0.0, -15.0)
-    rep = superharmonic_check(traj, PARAMS)
+    rep = superharmonic_check(traj, COEFFS)
     bracket0 = COEFFS.B * (6.0 - 2.0 - COEFFS.B) * WSTAR
     t_cross = math.log(bracket0 / 30.0) / 5.0
     assert rep.min_value > 0.0
@@ -300,8 +299,8 @@ def test_superharmonic_prefix_stops_at_sign_change():
 
 
 def test_integrability_split_on_singular_orbit():
-    traj = equilibrium_trajectory(COEFFS, P, t1=-16.0)
-    rep = integrability_report(traj, PARAMS)
+    traj = equilibrium_trajectory(WSTAR, t1=-16.0)
+    rep = integrability_report(traj, COEFFS)
     assert rep.l1_converges
     assert rep.weighted_diverges
     # closed-form shell exponents: n + alpha - pB and 2 + alpha - pB
@@ -313,7 +312,7 @@ def test_integrability_split_on_singular_orbit():
 
 def test_integrability_both_converge_for_bounded_solution():
     traj = mode_trajectory([(1.0, COEFFS.B)], 0.0, -16.0)
-    rep = integrability_report(traj, PARAMS)
+    rep = integrability_report(traj, COEFFS)
     assert rep.l1_converges
     assert not rep.weighted_diverges
 
@@ -322,7 +321,7 @@ def test_integrability_error_for_too_singular_profile():
     # u = r^{-5} pushes r^{n-1+alpha} u^p past integrability in dim 6
     traj = mode_trajectory([(1.0, COEFFS.B - 5.0)], 0.0, -16.0)
     with pytest.raises(IntegrabilityError, match="diverges"):
-        integrability_report(traj, PARAMS)
+        integrability_report(traj, COEFFS)
 
 
 def test_integrability_samples_each_shell_node_once():
@@ -334,26 +333,26 @@ def test_integrability_samples_each_shell_node_once():
 
     traj = analytic_trajectory(fn, 0.0, -16.0)
     calls.clear()
-    integrability_report(traj, PARAMS)
+    integrability_report(traj, COEFFS)
     # 23 dyadic shells of 65 nodes each, both integrands from one sample
     assert len(calls) == 23 * 65
 
 
 def test_integrability_needs_depth_and_boundary():
-    shallow = equilibrium_trajectory(COEFFS, P, t1=-10.0)
+    shallow = equilibrium_trajectory(WSTAR, t1=-10.0)
     with pytest.raises(ValueError, match="insufficient resolution"):
-        integrability_report(shallow, PARAMS)
-    offset = equilibrium_trajectory(COEFFS, P, t0=-1.0, t1=-16.0)
+        integrability_report(shallow, COEFFS)
+    offset = equilibrium_trajectory(WSTAR, t0=-1.0, t1=-16.0)
     with pytest.raises(ValueError, match="t = 0"):
-        integrability_report(offset, PARAMS)
+        integrability_report(offset, COEFFS)
 
 
 # --------------------------------------------------- singularity bounds
 
 
 def test_singularity_bounds_on_equilibrium():
-    traj = equilibrium_trajectory(COEFFS, P)
-    rep = singularity_bound_check(traj, PARAMS)
+    traj = equilibrium_trajectory(WSTAR)
+    rep = singularity_bound_check(traj, COEFFS)
     B = COEFFS.B
     want = (
         WSTAR,
@@ -366,6 +365,6 @@ def test_singularity_bounds_on_equilibrium():
 
 
 def test_singularity_bounds_need_deep_samples():
-    traj = equilibrium_trajectory(COEFFS, P, t0=0.0, t1=-0.5)
+    traj = equilibrium_trajectory(WSTAR, t0=0.0, t1=-0.5)
     with pytest.raises(ValueError, match="r <= 1/2"):
-        singularity_bound_check(traj, PARAMS)
+        singularity_bound_check(traj, COEFFS)

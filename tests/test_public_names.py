@@ -2,11 +2,14 @@
 
 perfbench/tracer.py wraps its TARGETS by module and attribute path, and
 `--trace 1` fails if a deletion leaves one dangling; the package's
-__all__ is the public surface.
+__all__ is the public surface.  The coefficient set is the one problem
+argument of the numeric functions, so none takes its parts beside it.
 """
 
 import importlib
 import importlib.util
+import inspect
+import pkgutil
 from pathlib import Path
 
 import hardyhenon4
@@ -36,3 +39,29 @@ def test_every_traced_target_resolves():
             assert hasattr(obj, part), f"{span}: {mod_name}.{attr} does not resolve"
             obj = getattr(obj, part)
         assert callable(obj), span
+
+
+def _functions(module):
+    """Functions defined in module, and the methods of its classes."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            methods = (getattr(m, "__func__", m) for m in vars(obj).values())
+            yield from (m for m in methods if inspect.isfunction(m))
+
+
+def test_no_function_takes_the_coefficient_set_beside_its_parts():
+    mixed, seen = [], 0
+    for info in pkgutil.iter_modules(hardyhenon4.__path__):
+        module = importlib.import_module(f"{hardyhenon4.__name__}.{info.name}")
+        for fn in _functions(module):
+            names = set(inspect.signature(fn).parameters)
+            if "coeffs" in names:
+                seen += 1
+                if names & {"p", "n", "alpha", "params"}:
+                    mixed.append(f"{module.__name__}.{fn.__qualname__}")
+    assert seen > 10
+    assert mixed == []

@@ -78,14 +78,14 @@ def test_neg_laplacian_at_equilibrium():
     c = coefficients(params)
     wstar = 1.9917354429142955
     state = OdeState(wstar, 0.0, 0.0, 0.0)
-    got = neg_laplacian_radial(0.0, state, params)
+    got = neg_laplacian_radial(0.0, state, c)
     want = c.B * (params.n - 2.0 - c.B) * wstar  # (4/3)(8/3) w* = 32 w*/9
     assert got == pytest.approx(want, rel=1e-14)
     assert got == pytest.approx(32.0 * wstar / 9.0, rel=1e-14)
 
     # and the r^{-B-2} scaling at other times
     t = -2.0
-    assert neg_laplacian_radial(t, state, params) == pytest.approx(
+    assert neg_laplacian_radial(t, state, c) == pytest.approx(
         want * math.exp(-(c.B + 2.0) * t), rel=1e-13
     )
 
