@@ -288,10 +288,11 @@ def _cmd_simulate(opts: dict) -> ResultTable:
         raise UsageError(reason)
     config = _config(CLASSIFICATION, params, opts, samples=1, horizon=-15.0)
     coeffs = coefficients(params)
-    _, state = next(_draws(config, 0, fixed_points(coeffs)[1]))
+    wstar = fixed_points(coeffs)[1]
+    _, state = next(_draws(config, 0, wstar))
     traj = integrate(state, 0.0, config.horizon, config.tol, coeffs)
     window = min(DEFAULT_WINDOW, traj.span / 2.0)
-    cls = classify_limit(traj, coeffs, margin=config.margin, window=window)
+    cls = classify_limit(traj, wstar, margin=config.margin, window=window)
     _log(
         f"terminated {traj.termination} at t={traj.t_end:.6g}; "
         f"classified {cls.tag} (terminal w0 = {cls.terminal_value:.6g})",

@@ -101,14 +101,12 @@ def fixed_points(coeffs: CoefficientSet) -> list[float]:
     return [0.0, best_w]
 
 
-def _wide_margin(coeffs: CoefficientSet, margin: float) -> str:
-    """Why `margin` cannot tell 0 from w* = a0^{1/(p-1)}, or "" if it can.
+def _wide_margin(wstar: float, margin: float) -> str:
+    """Why `margin` cannot tell 0 from the equilibrium wstar, or "" if it can.
 
-    A margin above w*/2 puts both equilibria in one tube.  The test runs in
-    logs, (p-1) log(2 margin) > log(a0), so it needs no ulp scan and cannot
-    overflow where w* does.
+    A margin above wstar/2 puts both equilibria in one tube.
     """
-    if coeffs.a0 > 0.0 and (coeffs.p - 1.0) * math.log(2.0 * margin) > math.log(coeffs.a0):
+    if 2.0 * margin > wstar:
         return f"margin {margin:g} swallows the equilibrium: need margin <= a0^(1/(p-1))/2"
     return ""
 
@@ -178,7 +176,6 @@ class Trajectory:
 
     times: tuple[float, ...]
     states: tuple[OdeState, ...]
-    tol: float
     termination: str
     segments: tuple = field(repr=False, default=())
     analytic: Callable[[float], OdeState] | None = field(repr=False, default=None)
@@ -255,7 +252,6 @@ def analytic_trajectory(fn: Callable[[float], OdeState], t0: float, t1: float) -
     return Trajectory(
         times=tuple(ts),
         states=tuple(states),
-        tol=0.0,
         termination=REACHED_END,
         analytic=fn,
     )
@@ -534,7 +530,6 @@ def integrate(
     return Trajectory(
         times=tuple(times),
         states=tuple(states),
-        tol=tol,
         termination=termination,
         segments=tuple(segments),
     )
@@ -551,27 +546,27 @@ class LimitClass:
 
 def classify_limit(
     traj: Trajectory,
-    coeffs: CoefficientSet,
+    wstar: float | None,
     margin: float = DEFAULT_MARGIN,
     window: float = DEFAULT_WINDOW,
 ) -> LimitClass:
-    """Classify a backward trajectory as zero / equilibrium / blow-up.
+    """Classify a backward trajectory as zero / equilibrium wstar / blow-up.
 
-    Early terminations decide immediately: a threshold exit is BlowUp and
-    a zero crossing is ConvergesToZero (a nonnegative solution touching
-    zero has left the basin of the positive equilibrium for good, which is
-    the removable branch).  Otherwise the final `window` time units must
-    sit inside the margin-tube of one equilibrium, with the variation over
-    the window also below margin for the equilibrium class.  A margin above
-    half the positive equilibrium is a ValueError.
+    wstar is fixed_points(coeffs)[1], or None where there is none.  Early
+    terminations decide immediately: a threshold exit is BlowUp and a zero
+    crossing is ConvergesToZero (a nonnegative solution touching zero has
+    left the basin of the positive equilibrium for good, which is the
+    removable branch).  Otherwise the final `window` time units must sit
+    inside the margin-tube of one equilibrium, with the variation over the
+    window also below margin for the equilibrium class.  A margin or window
+    not > 0 (NaN included), or a margin above wstar/2, is a ValueError.
     """
-    if margin <= 0.0 or window <= 0.0:
+    if not (margin > 0.0 and window > 0.0):
         raise ValueError("margin and window must be positive")
-    too_wide = _wide_margin(coeffs, margin)
+    too_wide = "" if wstar is None else _wide_margin(wstar, margin)
     if too_wide:
         raise ValueError(too_wide)
     w_end = traj.states[-1].w0
-    span_len = abs(traj.t_end - traj.t_start)
     wvals_window = [
         s.w0 for tt, s in zip(traj.times, traj.states) if abs(tt - traj.t_end) <= window
     ]
@@ -582,16 +577,15 @@ def classify_limit(
     if traj.termination == NON_POSITIVE:
         return LimitClass(tag=CONVERGES_TO_ZERO, terminal_value=w_end, window_variation=variation)
 
-    if span_len < 2.0 * window:
+    if traj.span < 2.0 * window:
         raise ValueError(
-            f"trajectory spans {span_len:.3g} time units, need at least {2.0 * window:.3g}"
+            f"trajectory spans {traj.span:.3g} time units, need at least {2.0 * window:.3g}"
         )
     if all(w < margin for w in wvals_window):
         return LimitClass(tag=CONVERGES_TO_ZERO, terminal_value=w_end, window_variation=variation)
-    if coeffs.a0 > 0.0:
-        wstar = fixed_points(coeffs)[1]
-        if variation < margin and all(abs(w - wstar) < margin for w in wvals_window):
-            return LimitClass(
-                tag=CONVERGES_TO_FIXED_POINT, terminal_value=w_end, window_variation=variation
-            )
+    near = wstar is not None and all(abs(w - wstar) < margin for w in wvals_window)
+    if near and variation < margin:
+        return LimitClass(
+            tag=CONVERGES_TO_FIXED_POINT, terminal_value=w_end, window_variation=variation
+        )
     return LimitClass(tag=UNDETERMINED, terminal_value=w_end, window_variation=variation)

@@ -214,22 +214,21 @@ def _table(kind: str, schema: tuple[str, ...], rows: list, config: ExperimentCon
 
 
 def _grid_points(config: ExperimentConfig, schema: tuple[str, ...], rows: list, **reject):
-    """Yield (index, params, coeffs, tag) for each valid grid triple.
+    """Yield (index, coeffs, tag) for each valid grid triple.
 
     An invalid triple, or one whose coefficients overflow a double, gets
-    one row with the error message and the `reject` cells instead.  tag
-    holds the n, alpha, p and regime cells every row of the point starts
-    with.
+    one row with the error message and the `reject` cells instead.  coeffs
+    is the point's one problem value; tag holds the n, alpha, p and regime
+    cells every row of the point starts with.
     """
     for idx, (n, alpha, p) in enumerate(config.param_grid):
         try:
-            params = ProblemParams(n=n, alpha=alpha, p=p)
-            coeffs = coefficients(params)
+            coeffs = coefficients(ProblemParams(n=n, alpha=alpha, p=p))
         except (ValueError, ArithmeticError) as err:
             rows.append(_row(schema, n=n, alpha=alpha, p=p, note=str(err), **reject))
             continue
         tag = dict(n=coeffs.n, alpha=coeffs.alpha, p=coeffs.p, regime=coeffs.regime)
-        yield idx, params, coeffs, tag
+        yield idx, coeffs, tag
 
 
 def _draws(config: ExperimentConfig, idx: int, center: float, basis=_UNIT_BASIS):
@@ -267,11 +266,11 @@ def run_atlas(config: ExperimentConfig) -> ResultTable:
         "regime", "signs_ok", "w_star", "note",
     )
     rows: list[tuple] = []
-    for _, params, coeffs, _ in _grid_points(config, schema, rows):
+    for _, coeffs, _ in _grid_points(config, schema, rows):
         expected = _EXPECTED_SIGNS.get(coeffs.regime)
-        signs_ok = None if expected is None else classify_regime(params).signs == expected
+        signs_ok = None if expected is None else classify_regime(coeffs).signs == expected
         w_star, note = _equilibrium(coeffs)
-        cells = {**vars(critical_exponents(params)), **vars(coeffs)}
+        cells = {**vars(critical_exponents(coeffs)), **vars(coeffs)}
         rows.append(_row(schema, **cells, signs_ok=signs_ok, w_star=w_star, note=note))
     return _table(ATLAS, schema, rows, config)
 
@@ -295,9 +294,9 @@ def run_classification_sweep(config: ExperimentConfig) -> ResultTable:
         "e_min", "e_max", "count", "note",
     )
     rows: list[tuple] = []
-    for idx, params, coeffs, tag in _grid_points(config, schema, rows, kind="reject"):
-        ok, reason = in_dichotomy_window(params)
-        exploratory = params.alpha > 0.0 and coeffs.a0 > 0.0 and coeffs.regime != OUT_OF_RANGE
+    for idx, coeffs, tag in _grid_points(config, schema, rows, kind="reject"):
+        ok, reason = in_dichotomy_window(coeffs)
+        exploratory = coeffs.alpha > 0.0 and coeffs.a0 > 0.0 and coeffs.regime != OUT_OF_RANGE
         if not (ok or exploratory):
             rows.append(_row(schema, **tag, kind="reject", note=reason))
             continue
@@ -305,7 +304,7 @@ def run_classification_sweep(config: ExperimentConfig) -> ResultTable:
         wstar, problem = _equilibrium(coeffs)
         if not problem and wstar <= config.box:
             problem = f"box {config.box:g} swallows the equilibrium {wstar:.6g}"
-        problem = problem or _wide_margin(coeffs, config.margin)
+        problem = problem or _wide_margin(wstar, config.margin)
         if problem:
             rows.append(_row(schema, **tag, kind="reject", note=problem))
             continue
@@ -313,7 +312,7 @@ def run_classification_sweep(config: ExperimentConfig) -> ResultTable:
         for i, state in _draws(config, idx, wstar):
             try:
                 traj = integrate(state, 0.0, config.horizon, config.tol, coeffs)
-                cls = classify_limit(traj, coeffs, margin=config.margin, window=config.window)
+                cls = classify_limit(traj, wstar, margin=config.margin, window=config.window)
             except _DRAW_ERRORS as err:
                 rows.append(_row(schema, **tag, kind="draw", index=i, note=str(err)))
                 continue
@@ -343,7 +342,7 @@ def run_energy_audit(config: ExperimentConfig) -> ResultTable:
         "max_violation", "rate_mismatch", "e_initial", "e_final", "note",
     )
     rows: list[tuple] = []
-    for idx, _, coeffs, tag in _grid_points(config, schema, rows):
+    for idx, coeffs, tag in _grid_points(config, schema, rows):
         note = "" if coeffs.regime != OUT_OF_RANGE else "no monotone-direction contract for OutOfRange"
         wstar, problem = _equilibrium(coeffs)
         if problem:
@@ -387,8 +386,8 @@ def _backward_decaying_basis(wstar: float, coeffs: CoefficientSet) -> list[OdeSt
 _GREEN_DEEP_HORIZON = -16.0
 
 
-def _superharmonic_cells(traj: Trajectory, coeffs: CoefficientSet) -> dict:
-    sh = superharmonic_check(traj, coeffs)
+def _superharmonic_cells(traj: Trajectory, coeffs: CoefficientSet, wstar: float) -> dict:
+    sh = superharmonic_check(traj, coeffs, wstar)
     return dict(tau=sh.tau, neglap_min=sh.min_value)
 
 
@@ -415,7 +414,8 @@ def run_green_study(config: ExperimentConfig) -> ResultTable:
     tests, scaled-jet sups).  The u == 1 orbit documents the removable
     side.  Perturbed singular orbits are integrated only to t = -4 and
     checked for superharmonicity and sups; their useful depth is limited
-    by the backward-growing mode, see the module notes.
+    by the backward-growing mode, see the module notes.  All three share
+    the one w* found per grid point.
     """
     schema = (
         "n", "alpha", "p", "regime", "case", "index",
@@ -425,10 +425,11 @@ def run_green_study(config: ExperimentConfig) -> ResultTable:
         "sup0", "sup1", "sup2", "sup3", "note",
     )
     rows: list[tuple] = []
-    for idx, _, coeffs, tag in _grid_points(config, schema, rows, case="reject"):
+    for idx, coeffs, tag in _grid_points(config, schema, rows, case="reject"):
+        wstar, problem = _equilibrium(coeffs)
         removable = mode_trajectory([(1.0, coeffs.B)], 0.0, _GREEN_DEEP_HORIZON)
         try:
-            superharmonic_check(removable, coeffs)
+            superharmonic_check(removable, coeffs, wstar)
             cells = {"note": "superharmonic check unexpectedly accepted a removable orbit"}
         except _DRAW_ERRORS as err:
             cells = {"note": f"superharmonic rejected: {err}"}
@@ -438,8 +439,6 @@ def run_green_study(config: ExperimentConfig) -> ResultTable:
             cells["note"] = str(err)
         cells.update(_sup_cells(removable, coeffs))
         rows.append(_row(schema, **tag, case="removable", **cells))
-
-        wstar, problem = _equilibrium(coeffs)
         if wstar is None:
             note = problem or "no positive equilibrium (a0 <= 0)"
             rows.append(_row(schema, **tag, case="reject", note=note))
@@ -457,7 +456,7 @@ def run_green_study(config: ExperimentConfig) -> ResultTable:
         except _DRAW_ERRORS as err:
             cells["note"] = str(err)
         try:
-            cells.update(_superharmonic_cells(exact, coeffs))
+            cells.update(_superharmonic_cells(exact, coeffs, wstar))
             cells.update(_integrability_cells(exact, coeffs))
         except _DRAW_ERRORS as err:
             cells["note"] += str(err)
@@ -468,7 +467,7 @@ def run_green_study(config: ExperimentConfig) -> ResultTable:
         for i, state in _draws(config, idx, wstar, basis):
             try:
                 traj = integrate(state, 0.0, _PERTURBED_HORIZON, config.tol, coeffs)
-                cells = {**_superharmonic_cells(traj, coeffs), **_sup_cells(traj, coeffs)}
+                cells = {**_superharmonic_cells(traj, coeffs, wstar), **_sup_cells(traj, coeffs)}
             except _DRAW_ERRORS as err:
                 cells = {"note": str(err)}
             rows.append(_row(schema, **tag, case="perturbed", index=i, **cells))

@@ -320,15 +320,18 @@ class SuperharmonicReport:
     min_value: float
 
 
-def superharmonic_check(traj: Trajectory, coeffs: CoefficientSet) -> SuperharmonicReport:
+def superharmonic_check(
+    traj: Trajectory, coeffs: CoefficientSet, wstar: float | None
+) -> SuperharmonicReport:
     """Positivity sweep of -Delta u along a singular-class trajectory.
 
     Returns the largest tau with -Delta u > 0 on (0, tau) within the
-    sampled range and the minimum over that range.  Removable-class
-    trajectories are rejected: the property is asserted only near a
-    non-removable singularity.
+    sampled range and the minimum over that range.  The trajectory must
+    classify to the equilibrium wstar (see classify_limit; None where
+    a0 <= 0): removable-class trajectories are rejected, since the
+    property is asserted only near a non-removable singularity.
     """
-    cls = classify_limit(traj, coeffs, window=min(DEFAULT_WINDOW, traj.span / 2.0))
+    cls = classify_limit(traj, wstar, window=min(DEFAULT_WINDOW, traj.span / 2.0))
     if cls.tag != CONVERGES_TO_FIXED_POINT:
         raise ValueError(
             f"superharmonicity needs a singular-class trajectory, got {cls.tag}"

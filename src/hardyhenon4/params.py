@@ -90,8 +90,8 @@ class RegimeReport:
     signs: tuple[str, str, str]  # sign tags of (a0, a1, a3)
 
 
-def critical_exponents(params: ProblemParams) -> ExponentSet:
-    """Evaluate the four exponents by their defining rational formulas."""
+def critical_exponents(params: ProblemParams | CoefficientSet) -> ExponentSet:
+    """Evaluate the four exponents by their defining rational formulas (reads n, alpha)."""
     n, alpha = params.n, params.alpha
     d = n - 4
     return ExponentSet(
@@ -129,10 +129,10 @@ def coefficients(params: ProblemParams) -> CoefficientSet:
     )
 
 
-def a0_factored(params: ProblemParams) -> float:
-    """A0 in product form B(B+2)(n-2-B)(n-4-B); cross-check for the quartic."""
-    n = float(params.n)
-    B = params.B
+def a0_factored(coeffs: CoefficientSet) -> float:
+    """A0 in product form B(B+2)(n-2-B)(n-4-B); cross-check for the quartic coeffs.a0."""
+    n = float(coeffs.n)
+    B = coeffs.B
     return B * (B + 2.0) * (n - 2.0 - B) * (n - 4.0 - B)
 
 
@@ -142,28 +142,29 @@ def _sign_tag(x: float, scale: float) -> str:
     return "+" if x > 0.0 else "-"
 
 
-def classify_regime(params: ProblemParams) -> RegimeReport:
-    """Place p relative to the Serrin / Hardy-Sobolev exponents.
+def classify_regime(coeffs: CoefficientSet) -> RegimeReport:
+    """The regime of coeffs with the sign tags of its (a0, a1, a3).
 
+    The regime places p relative to the Serrin / Hardy-Sobolev exponents;
     OutOfRange means p at or below the Serrin exponent, where the
     dichotomy machinery has no positive equilibrium; the computed signs
     are still reported.  The upper admissibility cap used by sweeps is
     a separate check (see in_dichotomy_window), since the supercritical
     regime is open-ended.
     """
-    c = coefficients(params)
-    scale = 1.0 + abs(c.a2)
-    signs = (_sign_tag(c.a0, scale), _sign_tag(c.a1, scale), _sign_tag(c.a3, scale))
-    return RegimeReport(regime=c.regime, signs=signs)
+    scale = 1.0 + abs(coeffs.a2)
+    signs = (_sign_tag(coeffs.a0, scale), _sign_tag(coeffs.a1, scale), _sign_tag(coeffs.a3, scale))
+    return RegimeReport(regime=coeffs.regime, signs=signs)
 
 
-def in_dichotomy_window(params: ProblemParams) -> tuple[bool, str]:
+def in_dichotomy_window(params: ProblemParams | CoefficientSet) -> tuple[bool, str]:
     """Check the hypothesis window for the removable/singular dichotomy.
 
     Requires -4 < alpha <= 0, serrin < p < (n+4+alpha)/(n-4) and p not
     critical (the m = 2 window).  Returns (ok, reason); reason spells out
     the violated bound with its numeric endpoints so callers can surface
-    it verbatim.
+    it verbatim.  Reads n, alpha and p only, so it takes the problem or
+    its coefficient set alike.
     """
     exps = critical_exponents(params)
     if params.alpha > 0.0:

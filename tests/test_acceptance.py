@@ -98,7 +98,7 @@ def test_criterion_01_sign_regimes():
                 p = exps.serrin + u * (exps.hardy_sobolev - exps.serrin)
             else:
                 p = exps.hardy_sobolev + 0.15 + 3.0 * u
-            report = classify_regime(ProblemParams(n, alpha, p))
+            report = classify_regime(coefficients(ProblemParams(n, alpha, p)))
             assert report.regime == want_regime, (n, alpha, p)
             assert report.signs == want_signs, (n, alpha, p)
             checked += 1
@@ -118,9 +118,9 @@ def test_criterion_02_quartic_factorization():
     for _ in range(10_000):
         n, alpha, rng = next(stream)
         p = float(rng.uniform(1.5, 12.0))
-        params = ProblemParams(n, alpha, p)
-        quartic = coefficients(params).a0
-        product = a0_factored(params)
+        coeffs = coefficients(ProblemParams(n, alpha, p))
+        quartic = coeffs.a0
+        product = a0_factored(coeffs)
         assert abs(quartic - product) <= 1e-12 * max(1.0, abs(product)), (n, alpha, p)
 
 
@@ -271,7 +271,7 @@ def test_criterion_10_superharmonicity():
     singular = [equilibrium_trajectory(WSTAR)]
     singular += [_perturbed_singular_orbit(11, i, horizon=-4.0) for i in range(4)]
     for traj in singular:
-        rep = superharmonic_check(traj, COEFFS)
+        rep = superharmonic_check(traj, COEFFS, WSTAR)
         assert rep.min_value > 0.0
         assert rep.tau == 1.0
 

@@ -201,7 +201,7 @@ def test_times_run_backward_with_uniform_spacing():
 
 def test_classify_equilibrium_orbit():
     traj = equilibrium_trajectory(WSTAR)
-    verdict = classify_limit(traj, COEFFS)
+    verdict = classify_limit(traj, WSTAR)
     assert verdict.tag == CONVERGES_TO_FIXED_POINT
     assert verdict.terminal_value == pytest.approx(WSTAR, abs=1e-12)
     assert verdict.window_variation < 1e-12
@@ -210,7 +210,7 @@ def test_classify_equilibrium_orbit():
 def test_classify_kernel_mode_collapses_to_zero():
     # w = e^{Bt} (u identically 1) decays backward to zero
     traj = mode_trajectory([(1.0, COEFFS.B)], 0.0, -20.0)
-    verdict = classify_limit(traj, COEFFS)
+    verdict = classify_limit(traj, WSTAR)
     assert verdict.tag == CONVERGES_TO_ZERO
     assert verdict.terminal_value < 1e-9
 
@@ -220,44 +220,47 @@ def test_classify_blowup_and_zero_crossing_route_immediately():
         OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS,
         blowup_threshold=10.0,
     )
-    assert classify_limit(up, COEFFS).tag == BLOW_UP
+    assert classify_limit(up, WSTAR).tag == BLOW_UP
     down = integrate(OdeState(WSTAR, 0.2, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS)
-    assert classify_limit(down, COEFFS).tag == CONVERGES_TO_ZERO
+    assert classify_limit(down, WSTAR).tag == CONVERGES_TO_ZERO
 
 
 def test_classify_requires_span_twice_the_window():
     traj = equilibrium_trajectory(WSTAR, t0=0.0, t1=-4.0)
     with pytest.raises(ValueError):
-        classify_limit(traj, COEFFS, window=5.0)
+        classify_limit(traj, WSTAR, window=5.0)
 
 
 def test_classify_validates_margin_and_window():
     traj = equilibrium_trajectory(WSTAR)
     with pytest.raises(ValueError):
-        classify_limit(traj, COEFFS, margin=0.0)
+        classify_limit(traj, WSTAR, margin=0.0)
     with pytest.raises(ValueError):
-        classify_limit(traj, COEFFS, window=-1.0)
+        classify_limit(traj, WSTAR, window=-1.0)
+    for bad in ({"margin": math.nan}, {"window": math.nan}):
+        with pytest.raises(ValueError, match="must be positive"):
+            classify_limit(traj, WSTAR, **bad)
 
 
 def test_classify_rejects_margin_above_half_the_equilibrium():
     traj = equilibrium_trajectory(WSTAR)
-    assert classify_limit(traj, COEFFS, margin=0.49 * WSTAR).tag == CONVERGES_TO_FIXED_POINT
+    assert classify_limit(traj, WSTAR, margin=0.49 * WSTAR).tag == CONVERGES_TO_FIXED_POINT
     for margin in (0.51 * WSTAR, 10.0):
         with pytest.raises(ValueError, match="swallows the equilibrium"):
-            classify_limit(traj, COEFFS, margin=margin)
-    # At (12, -3, 1.006) w* overflows a double; the margin test runs in
-    # logs and still lets the orbit classify.
+            classify_limit(traj, WSTAR, margin=margin)
+    # At (12, -3, 1.006) w* overflows a double; without it the orbit
+    # still classifies.
     big = coefficients(ProblemParams(12, -3.0, 1.006))
     with pytest.raises(OverflowError):
         fixed_points(big)
     decay = mode_trajectory([(1.0, big.B)], 0.0, -20.0)
-    assert classify_limit(decay, big).tag == CONVERGES_TO_ZERO
+    assert classify_limit(decay, None).tag == CONVERGES_TO_ZERO
 
 
 def test_classify_between_tubes_is_undetermined():
     half = 0.5 * WSTAR
     traj = analytic_trajectory(lambda t: OdeState(half, 0.0, 0.0, 0.0), 0.0, -15.0)
-    assert classify_limit(traj, COEFFS).tag == UNDETERMINED
+    assert classify_limit(traj, WSTAR).tag == UNDETERMINED
 
 
 def test_mode_trajectory_jet_consistency():

@@ -2,7 +2,8 @@ import re
 
 import pytest
 
-from hardyhenon4.params import ProblemParams, classify_regime
+from hardyhenon4 import cli, dynamics, experiments
+from hardyhenon4.params import ProblemParams, classify_regime, coefficients
 from hardyhenon4.dynamics import CONVERGES_TO_FIXED_POINT
 from hardyhenon4.experiments import (
     ExperimentConfig,
@@ -102,7 +103,7 @@ def test_atlas_regimes_agree_with_classifier():
     grid = ((6, 0.0, 4.0), (6, 0.0, 5.5), (6, -1.0, 5.0), (5, -1.0, 3.2))
     table = run_atlas(ExperimentConfig(kind="atlas", param_grid=grid))
     for triple, row in zip(grid, table.rows):
-        want = classify_regime(ProblemParams(*triple)).regime
+        want = classify_regime(coefficients(ProblemParams(*triple))).regime
         assert row[_col(table, "regime")] == want
 
 
@@ -295,3 +296,28 @@ def test_overflowing_equilibrium_stays_in_its_row():
     )
     assert len(audit.rows) == 1
     assert "overflows" in audit.rows[0][_col(audit, "note")]
+
+
+_ONE_POINT = {
+    "atlas": {},
+    "classification": dict(samples=2, seed=1),
+    "energy-audit": dict(samples=2, seed=1),
+    "green-study": dict(samples=2, seed=1, box=1e-5, tol=1e-12, grid_nodes=256),
+}
+
+
+@pytest.mark.parametrize("run", [*_ONE_POINT, "simulate"])
+def test_each_runner_finds_the_equilibrium_once(run, monkeypatch, capsys):
+    scan, calls = dynamics.fixed_points, []
+
+    def counting(coeffs):
+        calls.append(coeffs)
+        return scan(coeffs)
+
+    for module in (dynamics, experiments, cli):
+        monkeypatch.setattr(module, "fixed_points", counting)
+    if run == "simulate":
+        assert cli.main(["simulate", "--n", "6", "--alpha", "0", "--p", "4", "--seed", "1"]) == 0
+    else:
+        run_experiment(ExperimentConfig(kind=run, param_grid=((6, 0.0, 4.0),), **_ONE_POINT[run]))
+    assert len(calls) == 1

@@ -269,7 +269,7 @@ def test_representation_requires_coverage():
 
 def test_superharmonic_on_singular_orbit():
     traj = equilibrium_trajectory(WSTAR)
-    rep = superharmonic_check(traj, COEFFS)
+    rep = superharmonic_check(traj, COEFFS, WSTAR)
     assert rep.tau == 1.0
     # minimum sits at t = 0 where the r^{-B-2} factor is smallest
     want = COEFFS.B * (6.0 - 2.0 - COEFFS.B) * WSTAR
@@ -279,7 +279,7 @@ def test_superharmonic_on_singular_orbit():
 def test_superharmonic_rejects_removable_orbit():
     traj = mode_trajectory([(1.0, COEFFS.B)], 0.0, -20.0)
     with pytest.raises(ValueError, match="singular-class"):
-        superharmonic_check(traj, COEFFS)
+        superharmonic_check(traj, COEFFS, WSTAR)
 
 
 def test_superharmonic_prefix_stops_at_sign_change():
@@ -287,7 +287,7 @@ def test_superharmonic_prefix_stops_at_sign_change():
     # w0 pinned at the equilibrium so the orbit still classifies singular
     fn = lambda t: OdeState(WSTAR, 0.0, 30.0 * math.exp(5.0 * t), 0.0)
     traj = analytic_trajectory(fn, 0.0, -15.0)
-    rep = superharmonic_check(traj, COEFFS)
+    rep = superharmonic_check(traj, COEFFS, WSTAR)
     bracket0 = COEFFS.B * (6.0 - 2.0 - COEFFS.B) * WSTAR
     t_cross = math.log(bracket0 / 30.0) / 5.0
     assert rep.min_value > 0.0

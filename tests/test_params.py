@@ -61,9 +61,8 @@ def test_coefficients_at_critical_point_vanish_exactly():
     p=st.floats(min_value=1.01, max_value=12.0),
 )
 def test_a0_factors_as_product_of_roots(n, alpha, p):
-    params = ProblemParams(n, alpha, p)
-    c = coefficients(params)
-    f = a0_factored(params)
+    c = coefficients(ProblemParams(n, alpha, p))
+    f = a0_factored(c)
     assert abs(c.a0 - f) <= 1e-12 * max(1.0, abs(f))
 
 
@@ -79,20 +78,20 @@ def test_a0_factors_as_product_of_roots(n, alpha, p):
     ],
 )
 def test_regime_tags(n, alpha, p, expected):
-    assert classify_regime(ProblemParams(n, alpha, p)).regime == expected
+    assert classify_regime(coefficients(ProblemParams(n, alpha, p))).regime == expected
 
 
 def test_regime_sign_patterns():
-    assert classify_regime(ProblemParams(6, 0.0, 4.0)).signs == ("+", "+", "-")
-    assert classify_regime(ProblemParams(6, 0.0, 5.0)).signs == ("+", "0", "0")
-    assert classify_regime(ProblemParams(6, 0.0, 5.5)).signs == ("+", "-", "+")
+    assert classify_regime(coefficients(ProblemParams(6, 0.0, 4.0))).signs == ("+", "+", "-")
+    assert classify_regime(coefficients(ProblemParams(6, 0.0, 5.0))).signs == ("+", "0", "0")
+    assert classify_regime(coefficients(ProblemParams(6, 0.0, 5.5))).signs == ("+", "-", "+")
 
 
 def test_regime_is_critical_only_within_tolerance():
     exps = critical_exponents(ProblemParams(6, 0.0, 4.0))
     pc = exps.hardy_sobolev
-    assert classify_regime(ProblemParams(6, 0.0, pc + 5e-13)).regime == CRITICAL
-    assert classify_regime(ProblemParams(6, 0.0, pc + 1e-9)).regime == SUPERCRITICAL
+    assert classify_regime(coefficients(ProblemParams(6, 0.0, pc + 5e-13))).regime == CRITICAL
+    assert classify_regime(coefficients(ProblemParams(6, 0.0, pc + 1e-9))).regime == SUPERCRITICAL
 
 
 @pytest.mark.parametrize(

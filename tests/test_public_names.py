@@ -3,7 +3,8 @@
 perfbench/tracer.py wraps its TARGETS by module and attribute path, and
 `--trace 1` fails if a deletion leaves one dangling; the package's
 __all__ is the public surface.  The coefficient set is the one problem
-argument of the numeric functions, so none takes its parts beside it.
+argument of the numeric functions, so none takes its parts beside it, and
+only params (which builds it) and the CLI take a ProblemParams.
 """
 
 import importlib
@@ -65,3 +66,21 @@ def test_no_function_takes_the_coefficient_set_beside_its_parts():
                     mixed.append(f"{module.__name__}.{fn.__qualname__}")
     assert seen > 10
     assert mixed == []
+
+
+def test_only_params_takes_the_problem_params():
+    takers = {}
+    for name in ("params", "transform", "dynamics", "energy", "green", "experiments"):
+        module = importlib.import_module(f"{hardyhenon4.__name__}.{name}")
+        takers[name] = sorted(
+            fn.__qualname__
+            for fn in _functions(module)
+            if any(
+                "ProblemParams" in str(arg.annotation)
+                for arg in inspect.signature(fn).parameters.values()
+            )
+        )
+    assert takers.pop("params") == [
+        "_regime_tag", "coefficients", "critical_exponents", "in_dichotomy_window",
+    ]
+    assert takers == {"transform": [], "dynamics": [], "energy": [], "green": [], "experiments": []}
