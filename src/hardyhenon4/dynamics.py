@@ -41,6 +41,8 @@ DEFAULT_SAMPLE_SPACING = 0.01
 TOL_MIN, TOL_MAX = 1e-13, 1e-4
 
 _FIXED_POINT_SCAN_ULPS = 2048
+# Radii, in ulps, of the rings fixed_points scans; the last is the window.
+_FIXED_POINT_RINGS = (16, 128, _FIXED_POINT_SCAN_ULPS)
 
 
 class NonPositiveState(ValueError):
@@ -69,12 +71,21 @@ def vector_field(state: OdeState, coeffs: CoefficientSet) -> OdeState:
 def fixed_points(coeffs: CoefficientSet) -> list[float]:
     """Return the equilibria {0, a0^{1/(p-1)}} of the scalar reduction.
 
-    The positive root is refined over a small ulp neighborhood of the
-    power-function seed to the double minimizing |w^p - a0 w| in the same
-    floating-point path vector_field uses (exact zeros preferred).  The
+    The positive root is snapped to a double near the power-function seed
+    a0^{1/(p-1)}: over the window of +-2048 ulps around the seed, the w
+    with the smallest key (residual |w^p - a0 w| in the floating-point
+    path vector_field uses, then |w - seed|, then the lower w).  The
     equilibrium is hyperbolic, so a nonzero residual would be amplified
     exponentially along any long integration started there; snapping to
     an exact machine equilibrium makes such runs honestly stationary.
+
+    The result does not depend on the order of the scan, so it runs in
+    rings of +-16, +-128 and +-2048 ulps, each side walking outward.
+    Before each ring it stops if the best residual is an exact zero and
+    lies strictly nearer the seed than the next unscanned ulp on both
+    sides: no ulp left can beat it.  An ulp whose residual overflows a
+    double cannot be the minimizer and is skipped; if the seed's own
+    residual overflows, OverflowError names it.
     """
     a0, p = coeffs.a0, coeffs.p
     if a0 <= 0.0:
@@ -89,15 +100,40 @@ def fixed_points(coeffs: CoefficientSet) -> list[float]:
         raise OverflowError(
             f"equilibrium a0^(1/(p-1)) overflows a double (a0={a0:.6g}, p={p!r})"
         ) from None
-    best_w, best_g = seed, abs(_wpow(seed, p) - a0 * seed)
-    w = seed
-    for _ in range(_FIXED_POINT_SCAN_ULPS):
-        w = math.nextafter(w, 0.0)
-    for _ in range(2 * _FIXED_POINT_SCAN_ULPS + 1):
-        g = abs(_wpow(w, p) - a0 * w)
-        if g < best_g or (g == best_g and abs(w - seed) < abs(best_w - seed)):
-            best_w, best_g = w, g
-        w = math.nextafter(w, math.inf)
+    try:
+        best_g = abs(_wpow(seed, p) - a0 * seed)
+    except OverflowError:
+        raise OverflowError(
+            f"residual w^p at the equilibrium w={seed:.6g} overflows a double (p={p!r})"
+        ) from None
+    exp, log, nextafter, inf = math.exp, math.log, math.nextafter, math.inf
+    best_w, best_d = seed, 0.0
+    lo = hi = seed  # the last ulp scanned below and above the seed
+    scanned = 0
+    for ring in _FIXED_POINT_RINGS:
+        # Below the seed the window ends at 0.0: nothing is left there.
+        if (
+            best_g == 0.0
+            and (lo == 0.0 or best_d < seed - nextafter(lo, 0.0))
+            and best_d < nextafter(hi, inf) - seed
+        ):
+            break
+        # The distances are exact (Sterbenz); on a tie in residual and
+        # distance the lower w wins, hence <= below and < above.
+        for _ in range(ring - scanned):
+            lo = nextafter(lo, 0.0)
+            g = abs((exp(p * log(lo)) if lo > 0.0 else 0.0) - a0 * lo)
+            if g <= best_g and (g < best_g or seed - lo <= best_d):
+                best_w, best_g, best_d = lo, g, seed - lo
+        for _ in range(ring - scanned):
+            hi = nextafter(hi, inf)
+            try:
+                g = abs(exp(p * log(hi)) - a0 * hi)
+            except OverflowError:
+                continue
+            if g <= best_g and (g < best_g or hi - seed < best_d):
+                best_w, best_g, best_d = hi, g, hi - seed
+        scanned = ring
     return [0.0, best_w]
 
 

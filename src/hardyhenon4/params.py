@@ -15,6 +15,7 @@ below/at/above the Hardy-Sobolev critical exponent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Regime tags for RegimeReport / CoefficientSet.
@@ -46,6 +47,10 @@ class ProblemParams:
             raise ValueError(f"need alpha > -4.0, got alpha={self.alpha}")
         if not self.p > 1.0:
             raise ValueError(f"need p > 1, got p={self.p}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"need finite alpha, got alpha={self.alpha}")
+        if not math.isfinite(self.p):
+            raise ValueError(f"need finite p, got p={self.p}")
 
     @property
     def B(self) -> float:

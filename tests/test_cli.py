@@ -229,6 +229,16 @@ def test_energy_audit_command(capsys):
     assert "max_violation" in out
 
 
+@pytest.mark.parametrize("command", ["coeffs", "energy-audit"])
+def test_infinite_exponent_is_usage_error(command, capsys):
+    for bad, message in ((["--alpha", "0", "--p", "inf"], "need finite p, got p=inf"),
+                         (["--alpha", "inf", "--p", "4"], "need finite alpha, got alpha=inf")):
+        assert main([command, "--n", "6", *bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 def test_atlas_grid_rejects_unusable_triples_per_row(capsys):
     assert main(["atlas", "--grid", "6.5 0 4; inf 0 4; 6 1e300 4; 6 0 4",
                  "--format", "csv"]) == 0

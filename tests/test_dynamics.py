@@ -1,10 +1,16 @@
 import bisect
+import dataclasses
+import importlib.util
 import math
+import random
 import struct
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
+from hardyhenon4 import dynamics
 from hardyhenon4.params import CRITICAL, SUBCRITICAL, SUPERCRITICAL, ProblemParams, coefficients
 from hardyhenon4.dynamics import (
     BLOW_UP,
@@ -68,6 +74,98 @@ def test_fixed_points_warns_when_a0_not_positive():
         with pytest.warns(UserWarning):
             pts = fixed_points(coeffs)
         assert pts == [0.0]
+
+
+def _full_scan(a0, p):
+    """The equilibrium snap as a plain walk over every ulp of the window.
+
+    Starts 2048 ulps below the seed (or at 0.0) and keeps the first w of
+    least (residual, |w - seed|); an overflowing residual counts as +inf.
+    """
+    def residual(w):
+        try:
+            return abs((math.exp(p * math.log(w)) if w > 0.0 else 0.0) - a0 * w)
+        except OverflowError:
+            return math.inf
+
+    seed = a0 ** (1.0 / (p - 1.0))
+    best_w, best_g = seed, residual(seed)
+    w = seed
+    for _ in range(2048):
+        w = math.nextafter(w, 0.0)
+    for _ in range(4097):
+        g = residual(w)
+        if g < best_g or (g == best_g and abs(w - seed) < abs(best_w - seed)):
+            best_w, best_g = w, g
+        w = math.nextafter(w, math.inf)
+    return best_w
+
+
+def test_fixed_points_matches_full_scan(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # @dataclass looks the module up in sys.modules while the body runs.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    cases = []
+    for seed in (1, 2):
+        for triple in workloads.atlas_triples(seed):
+            try:
+                coeffs = coefficients(ProblemParams(*triple))
+            except ValueError:
+                continue
+            if coeffs.a0 > 0.0:
+                cases.append((coeffs.a0, coeffs.p))
+    rng = random.Random(20)
+    cases += [(math.exp(rng.uniform(-30.0, 30.0)), 1.0 + math.exp(rng.uniform(-3.0, 2.0)))
+              for _ in range(300)]
+    above_two = math.nextafter(math.nextafter(math.nextafter(2.0, 3.0), 3.0), 3.0)
+    cases += [
+        (4.0, 3.0),                # seed exactly 2.0, a power of two
+        (above_two ** 2, 3.0),     # a few ulps above a power of two
+        # Seeds 10 and 5 ulps above 2^23 and 2^-19, where the ulps
+        # below the power of two are half as wide: the nearest exact zeros
+        # lie equally far on both sides, the lower one in a later ring.
+        (3.3283782822062693, 1.0754269308824598),
+        (0.22992954513821023, 1.111617696614685),
+        (2.0 ** -1070, 2.0),       # subnormal seed, window clipped at 0.0
+        (1e-300, 1.001),           # seed underflows to 0.0
+    ]
+    assert len(cases) > 1000
+    mismatches = []
+    for a0, p in cases:
+        got = fixed_points(dataclasses.replace(COEFFS, a0=a0, p=p))[1]
+        want = _full_scan(a0, p)
+        if repr(got) != repr(want):
+            mismatches.append((a0, p, got, want))
+    assert mismatches == []
+
+
+def test_fixed_points_stops_at_the_first_exact_zero(monkeypatch):
+    calls = []
+
+    def log(x):
+        calls.append(x)
+        return math.log(x)
+
+    counting = types.SimpleNamespace(exp=math.exp, log=log, nextafter=math.nextafter, inf=math.inf)
+    monkeypatch.setattr(dynamics, "math", counting)
+    # (6, 0, 4): the seed itself is an exact zero; (6, 0, 5.25): one lies
+    # in the first ring of +-16 ulps; (7, 0, 3): none in the window.
+    for triple, most in (((6, 0.0, 4.0), 33), ((6, 0.0, 5.25), 33), ((7, 0.0, 3.0), 4097)):
+        calls.clear()
+        coeffs = coefficients(ProblemParams(*triple))
+        wstar = fixed_points(coeffs)[1]
+        assert len(calls) <= most, triple
+        assert repr(wstar) == repr(_full_scan(coeffs.a0, coeffs.p)), triple
+    assert len(calls) == 4097
+
+
+def test_fixed_points_names_an_overflowing_residual():
+    # At (12, -3, 1.021525) w* is about 8.6e301, but w*^p overflows.
+    with pytest.raises(OverflowError, match=r"residual w\^p at the equilibrium .* overflows"):
+        fixed_points(coefficients(ProblemParams(12, -3.0, 1.021525)))
 
 
 def test_linearization_at_zero_has_biharmonic_kernel_roots():

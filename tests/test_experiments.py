@@ -298,6 +298,14 @@ def test_overflowing_equilibrium_stays_in_its_row():
     assert "overflows" in audit.rows[0][_col(audit, "note")]
 
 
+def test_overflowing_residual_is_named_in_its_row():
+    # At (12, -3, 1.021525) w* is about 8.6e301, but w*^p overflows.
+    atlas = run_atlas(ExperimentConfig(kind="atlas", param_grid=((12, -3.0, 1.021525),)))
+    (row,) = atlas.rows
+    assert row[_col(atlas, "w_star")] is None
+    assert re.search(r"residual w\^p at the equilibrium .* overflows a double", row[_col(atlas, "note")])
+
+
 _ONE_POINT = {
     "atlas": {},
     "classification": dict(samples=2, seed=1),

@@ -101,6 +101,9 @@ def test_regime_is_critical_only_within_tolerance():
         dict(n=6.5, alpha=0.0, p=4.0),        # integer dimensions only
         dict(n=6, alpha=-4.0, p=4.0),         # alpha > -2m strictly
         dict(n=6, alpha=0.0, p=1.0),          # p > 1 strictly
+        dict(n=6, alpha=0.0, p=math.inf),     # finite p only
+        dict(n=6, alpha=math.inf, p=4.0),     # finite alpha only
+        dict(n=6, alpha=0.0, p=math.nan),
     ],
 )
 def test_invalid_params_rejected(kwargs):
