@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -129,6 +130,12 @@ _OPTIONS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes -12 and -1.5 but reads -1e-1 or -inf
+        # as a flag; this one takes them as values, like "--alpha=-1e-1".
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
     # argparse exits with status 2 by default; the interface reserves 2
     # for numerical failures, so usage problems are remapped to 1.
     def error(self, message: str) -> None:
@@ -299,8 +306,7 @@ def _cmd_simulate(opts: dict) -> ResultTable:
         opts,
     )
     rows = tuple(
-        (t, s.w0, s.w1, s.w2, s.w3, energy(s, coeffs))
-        for t, s in zip(traj.times, traj.states)
+        (t, *s, energy(s, coeffs)) for t, s in zip(traj.times.tolist(), traj.states.tolist())
     )
     return ResultTable(
         kind="trajectory",

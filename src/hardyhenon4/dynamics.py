@@ -7,12 +7,14 @@ State is the 4-jet y = (w, w', w'', w''') in log-radius t; the flow is
 Backward time (t decreasing) walks toward the singularity r -> 0.  The two
 equilibria are w = 0 and w = a0^{1/(p-1)}; trajectories are produced by an
 embedded Dormand-Prince 5(4) pair with PI step-size control and cubic
-Hermite dense output, and are classified against those equilibria.
+Hermite dense output, and are classified against those equilibria.  A
+trajectory is stored as arrays (times, a (k, 4) state array and an
+(m, 18) segment array); Trajectory.sample(ts) evaluates the dense output
+at a whole array of times at once.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -177,9 +179,10 @@ def linearize(point: float, coeffs: CoefficientSet) -> LinearizationReport:
     return LinearizationReport(char_coeffs=cs, roots=roots, n_unstable_backward=n_right)
 
 
-# Cubic Hermite evaluation of one accepted step's dense segment, stored as
-# the flat float tuple (ta, tb, ya[0..3], yb[0..3], fa[0..3], fb[0..3]).
-def _hermite(t: float, seg: tuple) -> OdeState:
+# Cubic Hermite evaluation of one step's dense segment (ta, tb, ya[0..3],
+# yb[0..3], fa[0..3], fb[0..3]) at a float t, or of 18 segment columns at
+# an equal-length array t: numpy rounds like Python floats, so bits agree.
+def _hermite(t, seg):
     ta, tb, ya0, ya1, ya2, ya3, yb0, yb1, yb2, yb3, fa0, fa1, fa2, fa3, fb0, fb1, fb2, fb3 = seg
     h = tb - ta
     s = (t - ta) / h
@@ -189,7 +192,7 @@ def _hermite(t: float, seg: tuple) -> OdeState:
     h10 = (s3 - 2.0 * s2 + s) * h
     h01 = -2.0 * s3 + 3.0 * s2
     h11 = (s3 - s2) * h
-    return OdeState(
+    return (
         h00 * ya0 + h10 * fa0 + h01 * yb0 + h11 * fb0,
         h00 * ya1 + h10 * fa1 + h01 * yb1 + h11 * fb1,
         h00 * ya2 + h10 * fa2 + h01 * yb2 + h11 * fb2,
@@ -197,84 +200,81 @@ def _hermite(t: float, seg: tuple) -> OdeState:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A computed orbit: uniform samples plus dense per-step segments.
 
-    times run strictly monotonically (decreasing for backward runs); the
+    times, shape (k,), run strictly monotonically (decreasing for backward
+    runs); states, shape (k, 4), holds the 4-jet at each time.  The
     stored samples lie DEFAULT_SAMPLE_SPACING apart except for the
-    terminal point.
-    sample(t) evaluates the dense representation anywhere in the covered
-    span, so audits can resample at their own stencils; at a stored
-    sample other than the terminal point it returns the stored state.
-    segments holds one flat float tuple per accepted step (see _hermite).
+    terminal point.  segments, shape (m, 18), holds one row per accepted
+    step (see _hermite).  sample(ts) evaluates the dense representation
+    at every time of ts in the covered span, so audits can resample at
+    their own stencils; at a stored sample other than the terminal point
+    it returns the stored state.
     """
 
-    times: tuple[float, ...]
-    states: tuple[OdeState, ...]
+    times: np.ndarray
+    states: np.ndarray
     termination: str
-    segments: tuple = field(repr=False, default=())
+    segments: np.ndarray = field(repr=False, default_factory=lambda: np.empty((0, 18)))
     analytic: Callable[[float], OdeState] | None = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
-        if len(self.times) != len(self.states):
+        for name in ("times", "states", "segments"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.states.shape != (len(self.times), 4):
             raise ValueError("times and states must have equal length")
-        if len(self.times) >= 2:
-            diffs = [b - a for a, b in zip(self.times, self.times[1:])]
-            if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-                raise ValueError("trajectory times must be strictly monotone")
-        for s in self.states:
-            if not s.finite:
-                raise ValueError("trajectory contains a non-finite state")
-        sgn, ends = _step_ends(self.segments)
-        object.__setattr__(self, "_sgn", sgn)
-        object.__setattr__(self, "_ends", ends)
+        diffs = np.diff(self.times)
+        if not (np.all(diffs > 0) or np.all(diffs < 0)):
+            raise ValueError("trajectory times must be strictly monotone")
+        if not np.all(np.isfinite(self.states)):
+            raise ValueError("trajectory contains a non-finite state")
 
     @property
     def t_start(self) -> float:
-        return self.times[0]
+        return float(self.times[0])
 
     @property
     def t_end(self) -> float:
-        return self.times[-1]
+        return float(self.times[-1])
 
     @property
     def span(self) -> float:
         return abs(self.t_end - self.t_start)
 
-    def covers(self, t: float) -> bool:
+    def covers(self, t):
+        """Whether t, a float or an array of them, lies in the span up to 1e-12."""
         lo, hi = min(self.t_start, self.t_end), max(self.t_start, self.t_end)
-        return lo - 1e-12 <= t <= hi + 1e-12
+        return (lo - 1e-12 <= t) & (t <= hi + 1e-12)
 
-    def sample(self, t: float) -> OdeState:
-        """Dense evaluation at any covered time."""
-        if not self.covers(t):
+    def sample(self, ts) -> np.ndarray:
+        """Dense evaluation at each covered time of the 1-D ts: a (len(ts), 4) array."""
+        ts = np.asarray(ts, dtype=float)
+        outside = ~self.covers(ts)
+        if outside.any():
+            t = float(ts[outside][0])
             raise ValueError(f"t={t!r} outside the covered span [{self.t_start}, {self.t_end}]")
         if self.analytic is not None:
-            return self.analytic(t)
-        if not self.segments:
+            return np.array([self.analytic(t) for t in ts.tolist()], dtype=float).reshape(-1, 4)
+        if not len(self.segments):
             raise ValueError("trajectory carries no dense segments")
-        return _dense(self.segments, self._sgn, self._ends, t)
+        return _dense(self.segments, ts)
 
 
-def _step_ends(segments) -> tuple[float, list[float]]:
-    """The run direction sgn and each step's end time times sgn (ascending)."""
-    sgn = -1.0 if segments and segments[0][1] < segments[0][0] else 1.0
-    return sgn, [sgn * seg[1] for seg in segments]
-
-
-def _dense(segments, sgn: float, ends: list[float], t: float) -> OdeState:
+def _dense(segments: np.ndarray, ts: np.ndarray) -> np.ndarray:
     # The first step ending at or past t holds it; a t within covers()'s
     # slack past the last end falls to the last step.
-    i = bisect.bisect_left(ends, sgn * t)
-    return _hermite(t, segments[min(i, len(ends) - 1)])
+    sgn = -1.0 if segments[0, 1] < segments[0, 0] else 1.0
+    i = np.searchsorted(sgn * segments[:, 1], sgn * ts)
+    return np.stack(_hermite(ts, segments[np.minimum(i, len(segments) - 1)].T), axis=1)
 
 
-def uniform_times(t0: float, t1: float) -> list[float]:
+def uniform_times(t0: float, t1: float) -> np.ndarray:
     """t0 + sgn k h, k = 0 .. floor(|t1 - t0| / h), toward t1; h = DEFAULT_SAMPLE_SPACING."""
     h = DEFAULT_SAMPLE_SPACING
     sgn = 1.0 if t1 > t0 else -1.0
-    return [t0 + sgn * k * h for k in range(int(abs(t1 - t0) / h) + 1)]
+    return t0 + sgn * np.arange(int(abs(t1 - t0) / h) + 1) * h
 
 
 def analytic_trajectory(fn: Callable[[float], OdeState], t0: float, t1: float) -> Trajectory:
@@ -283,14 +283,9 @@ def analytic_trajectory(fn: Callable[[float], OdeState], t0: float, t1: float) -
         raise ValueError("need t0 != t1")
     ts = uniform_times(t0, t1)
     if ts[-1] != t1:
-        ts.append(t1)
-    states = [fn(t) for t in ts]
-    return Trajectory(
-        times=tuple(ts),
-        states=tuple(states),
-        termination=REACHED_END,
-        analytic=fn,
-    )
+        ts = np.append(ts, t1)
+    states = [fn(t) for t in ts.tolist()]
+    return Trajectory(times=ts, states=states, termination=REACHED_END, analytic=fn)
 
 
 def equilibrium_trajectory(wstar: float, t0: float = 0.0, t1: float = -15.0) -> Trajectory:
@@ -375,7 +370,7 @@ def _initial_step(y0, f0, span: float, rtol: float, atol: float) -> float:
     return min(h, span)
 
 
-def _bisect_crossing(seg: tuple, level: float) -> tuple[float, OdeState]:
+def _bisect_crossing(seg: tuple, level: float) -> tuple[float, tuple]:
     """Locate w0 == level inside one dense segment by bisection."""
     lo, hi = seg[0], seg[1]
     flo = seg[2] - level
@@ -538,13 +533,12 @@ def integrate(
         k10, k11, k12, k13 = k70, k71, k72, k73
 
         if y0 > blowup_threshold:
-            t, yc = _bisect_crossing(seg, blowup_threshold)
-            y0, y1, y2, y3 = yc
+            t, (y0, y1, y2, y3) = _bisect_crossing(seg, blowup_threshold)
             termination = BLOW_UP
             break
         if y0 < 0.0:
-            t, yc = _bisect_crossing(seg, 0.0)
-            y0, y1, y2, y3 = max(yc.w0, 0.0), yc.w1, yc.w2, yc.w3
+            t, (y0, y1, y2, y3) = _bisect_crossing(seg, 0.0)
+            y0 = max(y0, 0.0)
             termination = NON_POSITIVE
             break
 
@@ -557,17 +551,14 @@ def integrate(
         h *= factor
 
     # Uniform samples from the dense segments, terminal point included.
+    segs = np.array(segments)
     times = uniform_times(t0, t)
-    sgn, ends = _step_ends(segments)
-    states = [OdeState(*initial)] + [_dense(segments, sgn, ends, tk) for tk in times[1:]]
+    states = [[initial], _dense(segs, times[1:])]
     if times[-1] != t:
-        times.append(t)
-        states.append(OdeState(y0, y1, y2, y3))
+        times = np.append(times, t)
+        states.append([(y0, y1, y2, y3)])
     return Trajectory(
-        times=tuple(times),
-        states=tuple(states),
-        termination=termination,
-        segments=tuple(segments),
+        times=times, states=np.concatenate(states), termination=termination, segments=segs
     )
 
 
@@ -602,11 +593,9 @@ def classify_limit(
     too_wide = "" if wstar is None else _wide_margin(wstar, margin)
     if too_wide:
         raise ValueError(too_wide)
-    w_end = traj.states[-1].w0
-    wvals_window = [
-        s.w0 for tt, s in zip(traj.times, traj.states) if abs(tt - traj.t_end) <= window
-    ]
-    variation = max(wvals_window) - min(wvals_window) if wvals_window else 0.0
+    w_end = float(traj.states[-1, 0])
+    wvals_window = traj.states[np.abs(traj.times - traj.t_end) <= window, 0]
+    variation = float(wvals_window.max() - wvals_window.min())  # t_end is always in the window
 
     if traj.termination == BLOW_UP:
         return LimitClass(tag=BLOW_UP, terminal_value=w_end, window_variation=variation)
@@ -617,9 +606,9 @@ def classify_limit(
         raise ValueError(
             f"trajectory spans {traj.span:.3g} time units, need at least {2.0 * window:.3g}"
         )
-    if all(w < margin for w in wvals_window):
+    if np.all(wvals_window < margin):
         return LimitClass(tag=CONVERGES_TO_ZERO, terminal_value=w_end, window_variation=variation)
-    near = wstar is not None and all(abs(w - wstar) < margin for w in wvals_window)
+    near = wstar is not None and np.all(np.abs(wvals_window - wstar) < margin)
     if near and variation < margin:
         return LimitClass(
             tag=CONVERGES_TO_FIXED_POINT, terminal_value=w_end, window_variation=variation

@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+
+import numpy as np
 
 from .params import CoefficientSet, SUPERCRITICAL
 from .transform import OdeState, RadialJet, from_log, to_log
@@ -34,6 +37,7 @@ _FD_STEP = 1e-3
 _ULP_ALLOWANCE = 4.0 * math.ulp(1.0)
 
 
+@cache
 def sphere_measure(n: int) -> float:
     """|S^{n-1}| = 2 pi^{n/2} / Gamma(n/2), by the closed form."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
@@ -89,10 +93,11 @@ def audit_monotonicity(traj: Trajectory, coeffs: CoefficientSet) -> Monotonicity
         raise ValueError("trajectory too short to audit")
     k = int(traj.span / abs(traj.times[1] - traj.times[0]))
     # the law is stated for increasing t
-    samples = sorted(zip(traj.times[: k + 1], traj.states[: k + 1]))
-    if len(samples) < 100:
-        raise ValueError(f"need at least 100 samples to audit, got {len(samples)}")
-    evals = [energy(s, coeffs) for _, s in samples]
+    order = np.argsort(traj.times[: k + 1])
+    times, states = traj.times[order], traj.states[order]
+    if len(times) < 100:
+        raise ValueError(f"need at least 100 samples to audit, got {len(times)}")
+    evals = [energy(s, coeffs) for s in states.tolist()]
 
     forbidden_decrease = coeffs.regime == SUPERCRITICAL
     max_violation = 0.0
@@ -104,13 +109,13 @@ def audit_monotonicity(traj: Trajectory, coeffs: CoefficientSet) -> Monotonicity
 
     lo = min(traj.t_start, traj.t_end)
     hi = max(traj.t_start, traj.t_end)
+    inside = (times - _FD_STEP >= lo) & (times + _FD_STEP <= hi)
+    t_in = times[inside]
+    stencil = traj.sample(np.concatenate((t_in + _FD_STEP, t_in - _FD_STEP))).tolist()
+    plus, minus = stencil[: len(t_in)], stencil[len(t_in) :]
     mismatch = 0.0
-    for t, s in samples:
-        if t - _FD_STEP < lo or t + _FD_STEP > hi:
-            continue
-        e_plus = energy(traj.sample(t + _FD_STEP), coeffs)
-        e_minus = energy(traj.sample(t - _FD_STEP), coeffs)
-        fd = (e_plus - e_minus) / (2.0 * _FD_STEP)
+    for s, s_plus, s_minus in zip(states[inside].tolist(), plus, minus):
+        fd = (energy(s_plus, coeffs) - energy(s_minus, coeffs)) / (2.0 * _FD_STEP)
         rate = energy_rate(s, coeffs)
         mismatch = max(mismatch, abs(fd - rate) / (1.0 + abs(rate)))
     return MonotonicityAudit(max_violation=max_violation, rate_mismatch=mismatch)
@@ -139,13 +144,12 @@ def scaling_check(traj: Trajectory, lam: float, coeffs: CoefficientSet) -> float
             f"overlap of [{lo:.3g}, {hi:.3g}] with its ln(lam)={s:.3g} shift is too short"
         )
     B = coeffs.B
-    worst = 0.0
     k = 200
-    for i in range(k + 1):
-        t = lo_olap + (hi_olap - lo_olap) * i / k
-        shifted = traj.sample(t + s)
+    ts = lo_olap + (hi_olap - lo_olap) * np.arange(k + 1) / k + s
+    worst = 0.0
+    for t, shifted in zip(ts.tolist(), traj.sample(ts).tolist()):
         e_ref = energy(shifted, coeffs)
-        jet = from_log(t + s, shifted, B)
+        jet = from_log(t, shifted, B)
         scaled = RadialJet(
             r=jet.r / lam,
             u0=lam**B * jet.u0,

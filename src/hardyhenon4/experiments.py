@@ -276,7 +276,7 @@ def run_atlas(config: ExperimentConfig) -> ResultTable:
 
 
 def _energies_along(traj: Trajectory, coeffs: CoefficientSet) -> tuple[float, float]:
-    vals = [energy(s, coeffs) for s in traj.states]
+    vals = [energy(s, coeffs) for s in traj.states.tolist()]
     return min(vals), max(vals)
 
 
@@ -362,8 +362,8 @@ def run_energy_audit(config: ExperimentConfig) -> ResultTable:
             rows.append(_row(
                 schema, **tag, index=i,
                 max_violation=audit.max_violation, rate_mismatch=audit.rate_mismatch,
-                e_initial=energy(traj.states[0], coeffs),
-                e_final=energy(traj.states[-1], coeffs),
+                e_initial=energy(traj.states[0].tolist(), coeffs),
+                e_final=energy(traj.states[-1].tolist(), coeffs),
                 note=note,
             ))
     return _table(ENERGY_AUDIT, schema, rows, config)

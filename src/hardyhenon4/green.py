@@ -42,6 +42,7 @@ MIN_NODE_COUNT = 256
 # declares convergence/divergence.
 _DIVERGENCE_RUN = 6
 _SHELL_PANELS = 64
+_LOAD_ROWS = 4096  # rows RadialField.load converts at a time
 
 
 class IntegrabilityError(ValueError):
@@ -158,10 +159,8 @@ class RadialField:
             f" alpha={'' if self.alpha is None else format(self.alpha, 'g')}"
             f" p={'' if self.p is None else format(self.p, 'g')}"
         )
-        lines = [head]
-        for r, v in zip(self.grid.nodes, self.values):
-            lines.append(f"{float(r)!r},{float(v)!r}")
-        return "\n".join(lines) + "\n"
+        rows = [f"{r!r},{v!r}" for r, v in zip(self.grid.nodes.tolist(), self.values.tolist())]
+        return "\n".join([head, *rows]) + "\n"
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.dumps())
@@ -181,17 +180,30 @@ class RadialField:
         n = int(m.group(1)) if m.group(1) else None
         alpha = float(m.group(2)) if m.group(2) else None
         p = float(m.group(3)) if m.group(3) else None
-        radii, vals = [], []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 2:
+        body = lines[1:]
+        for ln in body:
+            if ln.count(",") != 1:
                 raise ValueError(f"{path}: expected 'radius,value', got {ln!r}")
-            radii.append(float(parts[0]))
-            vals.append(float(parts[1]))
-        radii_arr = np.array(radii)
-        if not np.all(radii_arr > 0.0):
+        data = np.empty((len(body), 2))
+        # numpy converts each str with float(), so the doubles are float()'s.
+        # Chunks keep the cell strings of a large file from all living at once.
+        for j in range(0, len(body), _LOAD_ROWS):
+            chunk = body[j : j + _LOAD_ROWS]
+            try:
+                data[j : j + len(chunk)] = np.array(
+                    ",".join(chunk).split(","), dtype=float
+                ).reshape(-1, 2)
+            except ValueError:
+                for i, ln in enumerate(chunk, start=j):
+                    try:
+                        np.array(ln.split(","), dtype=float)
+                    except ValueError as err:
+                        raise ValueError(f"{path}: row {i} {ln!r}: {err}") from None
+                raise
+        radii, vals = data[:, 0], data[:, 1]
+        if not np.all(radii > 0.0):
             raise ValueError(f"{path}: radii must be positive")
-        t = np.log(radii_arr)
+        t = np.log(radii)
         diffs = np.diff(t)
         if not np.all(diffs > 0.0):
             raise ValueError(f"{path}: radii must be strictly ascending")
@@ -199,16 +211,14 @@ class RadialField:
             raise ValueError(f"{path}: radii are not log-uniform")
         if abs(t[-1]) > 1e-12:
             raise ValueError(
-                f"{path}: last radius is {radii[-1]!r}; the grid must end at r = 1, "
+                f"{path}: last radius is {float(radii[-1])!r}; the grid must end at r = 1, "
                 "where the Navier data are imposed"
             )
         if len(radii) < MIN_NODE_COUNT:
             raise ValueError(f"{path}: {len(radii)} nodes; need at least {MIN_NODE_COUNT}")
         h = float(diffs[0])
-        grid = RadialGrid(
-            r_min=float(np.exp(t[0] - h)), t=t, nodes=radii_arr, h=h
-        )
-        return cls(grid=grid, values=np.array(vals), n=n, alpha=alpha, p=p)
+        grid = RadialGrid(r_min=float(np.exp(t[0] - h)), t=t, nodes=radii, h=h)
+        return cls(grid=grid, values=vals, n=n, alpha=alpha, p=p)
 
 
 def poisson_solve_radial(f: RadialField, n: int) -> RadialField:
@@ -279,8 +289,8 @@ def _field_from_trajectory(
         )
     u_vals = np.empty(grid.count)
     f_vals = np.empty(grid.count)
-    for j, t in enumerate(grid.t):
-        w0 = traj.sample(float(t)).w0
+    w = traj.sample(grid.t)[:, 0]
+    for j, (t, w0) in enumerate(zip(grid.t.tolist(), w.tolist())):
         if w0 <= 0.0:
             raise ValueError(f"non-positive field value at node {j} (r={grid.nodes[j]:.6g})")
         u = math.exp(-B * t) * w0
@@ -336,11 +346,9 @@ def superharmonic_check(
         raise ValueError(
             f"superharmonicity needs a singular-class trajectory, got {cls.tag}"
         )
-    order = sorted(range(len(traj.times)), key=lambda i: traj.times[i])
-    vals = [
-        neg_laplacian_radial(traj.times[i], traj.states[i], coeffs) for i in order
-    ]
-    ts = [traj.times[i] for i in order]
+    order = np.argsort(traj.times)
+    ts = traj.times[order].tolist()
+    vals = [neg_laplacian_radial(t, s, coeffs) for t, s in zip(ts, traj.states[order].tolist())]
     # Largest prefix from the deep end on which -Delta u stays positive.
     k_bad = next((k for k, v in enumerate(vals) if v <= 0.0), None)
     if k_bad == 0:
@@ -367,22 +375,21 @@ def _shell_sums(traj: Trajectory, coeffs: CoefficientSet, weights: tuple, k_max:
     B, p = coeffs.B, coeffs.p
     ln2 = math.log(2.0)
     h = ln2 / _SHELL_PANELS
-    g = np.empty((len(weights), k_max + 1, _SHELL_PANELS + 1))
-    for k in range(k_max + 1):
-        t_hi = -k * ln2
-        for i in range(_SHELL_PANELS + 1):
-            t = t_hi - ln2 + i * h
-            w0 = traj.sample(t).w0
-            if w0 < 0.0:
-                raise ValueError(f"negative w at t={t:.6g}; integrand undefined")
-            try:
-                u = math.exp(-B * t) * w0
-            except OverflowError:
-                raise OverflowError(
-                    f"u = r^-B w overflows a double at r = {math.exp(t):.3g} (B = {B:.6g})"
-                ) from None
-            up = _wpow(u, p)
-            g[:, k, i] = [math.exp(w * t) * up for w in weights]
+    t_hi = -np.arange(k_max + 1) * ln2
+    ts = (t_hi[:, None] - ln2 + np.arange(_SHELL_PANELS + 1) * h).ravel()
+    g = np.empty((len(weights), len(ts)))
+    for j, (t, w0) in enumerate(zip(ts.tolist(), traj.sample(ts)[:, 0].tolist())):
+        if w0 < 0.0:
+            raise ValueError(f"negative w at t={t:.6g}; integrand undefined")
+        try:
+            u = math.exp(-B * t) * w0
+        except OverflowError:
+            raise OverflowError(
+                f"u = r^-B w overflows a double at r = {math.exp(t):.3g} (B = {B:.6g})"
+            ) from None
+        up = _wpow(u, p)
+        g[:, j] = [math.exp(w * t) * up for w in weights]
+    g = g.reshape(len(weights), k_max + 1, _SHELL_PANELS + 1)
     return _panel_increments(g, h).sum(axis=-1)
 
 
@@ -441,16 +448,8 @@ def singularity_bound_check(traj: Trajectory, coeffs: CoefficientSet) -> Singula
     the sups are computed directly from trajectory states without any
     exponentials (exact scaling).
     """
-    B = coeffs.B
-    half = -math.log(2.0)
-    sups = [0.0, 0.0, 0.0, 0.0]
-    seen = False
-    for t, s in zip(traj.times, traj.states):
-        if t > half:
-            continue
-        seen = True
-        for i, b in enumerate(_scaled_jet(s, B)):
-            sups[i] = max(sups[i], abs(b))
-    if not seen:
+    inner = traj.states[traj.times <= -math.log(2.0)]
+    if not len(inner):
         raise ValueError("trajectory has no samples with r <= 1/2")
-    return SingularityBoundReport(sup_values=tuple(sups))
+    sups = np.abs(_scaled_jet(inner.T, coeffs.B)).max(axis=1)
+    return SingularityBoundReport(sup_values=tuple(sups.tolist()))

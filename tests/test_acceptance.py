@@ -130,7 +130,7 @@ def test_criterion_03_exact_singular_solution():
     )
     traj = integrate(OdeState(WSTAR, 0.0, 0.0, 0.0), 0.0, -40.0, 1e-10, COEFFS)
     assert traj.t_end == -40.0
-    assert max(abs(s.w0 - WSTAR) for s in traj.states) < 1e-6
+    assert max(abs(traj.states[:, 0] - WSTAR)) < 1e-6
 
 
 def test_criterion_04_kernel_roots():

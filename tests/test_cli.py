@@ -22,6 +22,18 @@ def test_parse_keeps_only_explicit_flags():
     assert inv.flags == {"quiet": True}
 
 
+def test_negative_values_in_exponent_form_parse_like_equals_form(capsys):
+    inv = parse_invocation(["simulate", "--t-end", "-1.2e1", "--alpha", "-.5E+0"])
+    assert inv.flags == {"t_end": -12.0, "alpha": -0.5}
+    outs = []
+    for alpha in (["--alpha", "-1e-1"], ["--alpha=-1e-1"], ["--alpha", "-inf"], ["--alpha=-inf"]):
+        code = main(["coeffs", "--n", "6", *alpha, "--p", "4", "--format", "csv"])
+        outs.append((code, *capsys.readouterr()))
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert outs[2] == outs[3] and outs[2][0] == 1
+    assert "need alpha > -4.0, got alpha=-inf" in outs[2][2]
+
+
 def test_unknown_command_and_flag_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectralize"])

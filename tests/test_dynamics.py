@@ -37,7 +37,6 @@ from hardyhenon4.dynamics import (
     integrate,
     linearize,
     mode_trajectory,
-    uniform_times,
     vector_field,
 )
 from hardyhenon4.experiments import _backward_decaying_basis
@@ -248,13 +247,13 @@ def test_integrate_holds_exact_equilibrium(regime, triple):
     assert traj.t_end == -40.0
     # The stages see the field of fixed_points' own power path, which is
     # exactly zero here, so the whole span is one exact step.
-    assert traj.segments == ((0.0, -40.0) + (wstar, 0.0, 0.0, 0.0) * 2 + (0.0,) * 8,)
+    assert traj.segments.tolist() == [[0.0, -40.0] + [wstar, 0.0, 0.0, 0.0] * 2 + [0.0] * 8]
     # The cubic Hermite samples keep the derivatives at zero; their w0 is
     # h00 w* + h01 w*, whose weights sum to 1 only up to rounding.
-    assert traj.states[0] == (wstar, 0.0, 0.0, 0.0)
-    for s in traj.states:
-        assert s[1:] == (0.0, 0.0, 0.0)
-        assert abs(s.w0 - wstar) <= math.ulp(wstar)
+    assert traj.states[0].tolist() == [wstar, 0.0, 0.0, 0.0]
+    for s in traj.states.tolist():
+        assert s[1:] == [0.0, 0.0, 0.0]
+        assert abs(s[0] - wstar) <= math.ulp(wstar)
 
 
 def test_integrate_truncates_at_blowup_threshold():
@@ -264,9 +263,9 @@ def test_integrate_truncates_at_blowup_threshold():
     )
     assert traj.termination == BLOW_UP
     assert traj.t_end > -60.0
-    assert traj.states[-1].w0 == pytest.approx(10.0, abs=1e-9)
+    assert traj.states[-1, 0] == pytest.approx(10.0, abs=1e-9)
     # no stored sample overshoots the threshold
-    assert max(s.w0 for s in traj.states) <= 10.0 + 1e-9
+    assert max(traj.states[:, 0]) <= 10.0 + 1e-9
 
 
 def test_integrate_clamps_zero_crossing():
@@ -274,20 +273,20 @@ def test_integrate_clamps_zero_crossing():
         OdeState(WSTAR, 0.2, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS,
     )
     assert traj.termination == NON_POSITIVE
-    assert traj.states[-1].w0 >= 0.0
-    assert traj.states[-1].w0 < 1e-9
+    assert traj.states[-1, 0] >= 0.0
+    assert traj.states[-1, 0] < 1e-9
 
 
 def test_trajectory_dense_sampling():
     traj = integrate(OdeState(WSTAR + 0.01, 0.0, 0.0, 0.0), 0.0, -3.0, 1e-10, COEFFS)
     # energy audits read stored samples in place of dense resamples
-    for t, s in zip(traj.times[:-1], traj.states[:-1]):
-        assert traj.sample(t) == s
-    assert traj.sample(traj.t_end).w0 == pytest.approx(traj.states[-1].w0, rel=1e-9, abs=1e-12)
+    assert traj.sample(traj.times[:-1]).tolist() == traj.states[:-1].tolist()
+    w_end = traj.sample([traj.t_end])[0, 0]
+    assert w_end == pytest.approx(traj.states[-1, 0], rel=1e-9, abs=1e-12)
     assert traj.covers(-1.5) and traj.covers(0.0)
     assert not traj.covers(0.5)
     with pytest.raises(ValueError):
-        traj.sample(1.0)
+        traj.sample([1.0])
 
 
 def test_times_run_backward_with_uniform_spacing():
@@ -364,16 +363,16 @@ def test_classify_between_tubes_is_undetermined():
 def test_mode_trajectory_jet_consistency():
     mu = 1.25
     traj = mode_trajectory([(2.0, mu)], 0.0, -5.0)
-    s = traj.sample(-1.0)
+    w0, w1, _, w3 = traj.sample([-1.0])[0]
     e = 2.0 * math.exp(-mu)
-    assert s.w0 == pytest.approx(e, rel=1e-13)
-    assert s.w1 == pytest.approx(mu * e, rel=1e-13)
-    assert s.w3 == pytest.approx(mu**3 * e, rel=1e-13)
+    assert w0 == pytest.approx(e, rel=1e-13)
+    assert w1 == pytest.approx(mu * e, rel=1e-13)
+    assert w3 == pytest.approx(mu**3 * e, rel=1e-13)
 
 
 def test_analytic_trajectory_shorter_than_spacing():
     traj = equilibrium_trajectory(WSTAR, 0.0, -0.005)
-    assert traj.times == (0.0, -0.005)
+    assert traj.times.tolist() == [0.0, -0.005]
 
 
 def test_analytic_trajectory_rejects_empty_span():
@@ -434,6 +433,17 @@ def _generic_crossing(seg, level):
     return tc, _generic_hermite(tc, *seg)
 
 
+def _generic_dense(segments, ts):
+    # Per time, the first step ending at or past it, found by bisection; a
+    # time past the last end falls to the last step.
+    sgn = -1.0 if segments[0][1] < segments[0][0] else 1.0
+    ends = [sgn * seg[1] for seg in segments]
+    return [
+        _generic_hermite(t, *segments[min(bisect.bisect_left(ends, sgn * t), len(ends) - 1)])
+        for t in ts
+    ]
+
+
 def _generic_integrate(initial, t0, t1, tol, coeffs, blowup_threshold):
     rtol, atol = tol, tol * 1e-2
     sgn = 1.0 if t1 > t0 else -1.0
@@ -487,12 +497,9 @@ def _generic_integrate(initial, t0, t1, tol, coeffs, blowup_threshold):
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
             err_prev = norm
         h *= factor
-    times = uniform_times(t0, t)
-    ends = [sgn * seg[1] for seg in segments]
-    states = [tuple(initial)] + [
-        _generic_hermite(tk, *segments[min(bisect.bisect_left(ends, sgn * tk), len(ends) - 1)])
-        for tk in times[1:]
-    ]
+    h = dynamics.DEFAULT_SAMPLE_SPACING
+    times = [t0 + sgn * k * h for k in range(int(abs(t - t0) / h) + 1)]
+    states = [tuple(initial)] + _generic_dense(segments, times[1:])
     if times[-1] != t:
         times.append(t)
         states.append(y)
@@ -536,11 +543,35 @@ def test_integrate_matches_generic_stepper_bit_for_bit(initial, t1, tol, thresho
         initial, 0.0, t1, tol, COEFFS, threshold
     )
     assert traj.termination == want_termination == termination
-    assert _bits(traj.times) == _bits(times)
-    assert _bits(v for s in traj.states for v in s) == _bits(v for s in states for v in s)
+    assert _bits(traj.times.tolist()) == _bits(times)
+    assert _bits(traj.states.ravel().tolist()) == _bits(v for s in states for v in s)
     assert len(traj.segments) == len(segments)
-    assert _bits(v for seg in traj.segments for v in seg) == _bits(
-        v for seg in segments for v in seg
+    assert _bits(traj.segments.ravel().tolist()) == _bits(v for seg in segments for v in seg)
+
+
+@pytest.mark.parametrize(
+    "initial, t1",
+    [(_singular_orbit_start(1e-6), -4.0), (OdeState(WSTAR + 0.01, 0.0, 0.0, 0.0), 3.0)],
+    ids=["backward", "forward"],
+)
+def test_sample_matches_generic_hermite_bit_for_bit(initial, t1):
+    traj = integrate(initial, 0.0, t1, 1e-10, COEFFS)
+    _, _, flat, _, _ = _generic_integrate(initial, 0.0, t1, 1e-10, COEFFS, 1e6)
+    segments = [(s[0], s[1], s[2:6], s[6:10], s[10:14], s[14:18]) for s in flat]
+    rng = random.Random(5)
+    lo, hi = sorted((traj.t_start, traj.t_end))
+    sgn = 1.0 if t1 > 0.0 else -1.0
+    ts = (
+        [rng.uniform(lo, hi) for _ in range(400)]
+        + [flat[0][0]]
+        + [seg[1] for seg in flat if traj.covers(seg[1])]
+        # within covers()'s slack; past the last step end on the backward run
+        + [traj.t_start - sgn * 5e-13, traj.t_end + sgn * 5e-13]
+    )
+    assert (t1 < 0.0) == (traj.t_end == flat[-1][1])
+    assert len(ts) > 420
+    assert _bits(traj.sample(ts).ravel().tolist()) == _bits(
+        v for s in _generic_dense(segments, ts) for v in s
     )
 
 

@@ -200,6 +200,24 @@ def test_field_unlabeled_round_trip(tmp_path):
     assert back.n is None and back.alpha is None and back.p is None
 
 
+def test_field_round_trip_is_bitwise(tmp_path):
+    # Random doubles of every magnitude, subnormals and -0.0 included, over
+    # more rows than load converts at a time.
+    grid = make_grid(count=10000)
+    values = np.random.default_rng(3).integers(0, 2**64, grid.count, dtype=np.uint64).view(float)
+    values[~np.isfinite(values)] = 1.5
+    values[:4] = (5e-324, -2.2250738585072e-308, 1e-310, -0.0)
+    field = RadialField(grid=grid, values=values, n=6, alpha=-1.0, p=3.5)
+    text = field.dumps()
+    rows = [f"{float(r)!r},{float(v)!r}" for r, v in zip(grid.nodes, values)]
+    assert text == "\n".join(["# radial-field n=6 alpha=-1 p=3.5", *rows]) + "\n"
+    path = tmp_path / "field.csv"
+    path.write_text(text)
+    back = RadialField.load(path)
+    assert back.values.tobytes() == values.tobytes()
+    assert back.grid.nodes.tobytes() == grid.nodes.tobytes()
+
+
 def test_field_load_rejects_bad_input(tmp_path):
     missing = tmp_path / "no-header.csv"
     missing.write_text("0.5,1.0\n1.0,2.0\n")
@@ -210,6 +228,15 @@ def test_field_load_rejects_bad_input(tmp_path):
     badrow.write_text("# radial-field n= alpha= p=\n0.5;1.0\n")
     with pytest.raises(ValueError, match="radius,value"):
         RadialField.load(badrow)
+
+    nodes = make_grid(count=5000).nodes
+    for row in (0, 4500):
+        badnum = tmp_path / f"bad-number-{row}.csv"
+        cells = [f"{float(r)!r},1.0" for r in nodes]
+        cells[row] = f"{float(nodes[row])!r},1.0x"
+        badnum.write_text("# radial-field n= alpha= p=\n" + "\n".join(cells) + "\n")
+        with pytest.raises(ValueError, match=rf"bad-number-{row}.csv: row {row} .*'1.0x'"):
+            RadialField.load(badnum)
 
     uneven = tmp_path / "uneven.csv"
     uneven.write_text("# radial-field n= alpha= p=\n0.1,1.0\n0.2,1.0\n0.9,1.0\n")
