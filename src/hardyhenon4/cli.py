@@ -305,9 +305,8 @@ def _cmd_simulate(opts: dict) -> ResultTable:
         f"classified {cls.tag} (terminal w0 = {cls.terminal_value:.6g})",
         opts,
     )
-    rows = tuple(
-        (t, *s, energy(s, coeffs)) for t, s in zip(traj.times.tolist(), traj.states.tolist())
-    )
+    columns = (traj.times, *traj.states.T, energy(traj.states.T, coeffs))
+    rows = tuple(zip(*(c.tolist() for c in columns)))
     return ResultTable(
         kind="trajectory",
         schema=("t", "w0", "w1", "w2", "w3", "energy"),

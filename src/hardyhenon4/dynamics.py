@@ -10,7 +10,8 @@ embedded Dormand-Prince 5(4) pair with PI step-size control and cubic
 Hermite dense output, and are classified against those equilibria.  A
 trajectory is stored as arrays (times, a (k, 4) state array and an
 (m, 18) segment array); Trajectory.sample(ts) evaluates the dense output
-at a whole array of times at once.
+at a whole array of times at once; a closed-form orbit evaluates its
+analytic(ts) instead, which maps k times to a (k, 4) state array.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .params import CoefficientSet
-from .transform import OdeState
+from .transform import OdeState, _libm
 
 # Termination reasons.
 REACHED_END = "ReachedEnd"
@@ -55,12 +56,11 @@ class IntegrationUnderflow(RuntimeError):
     """Step size collapsed; the integration outcome is undetermined."""
 
 
-def _wpow(w: float, q: float) -> float:
-    # One shared power path for the nonlinearity and for fixed-point
-    # refinement, so that both see bit-identical arithmetic.
-    if w > 0.0:
-        return math.exp(q * math.log(w))
-    return 0.0
+def _wpow(w, q: float):
+    # w^q = exp(q log w) where w > 0, else 0, for a float or an array: one
+    # power path for the flow, fixed points and energy, so bits agree.
+    pos = w > 0.0
+    return _libm(math.exp, q * _libm(math.log, np.where(pos, w, 1.0))) * pos
 
 
 def vector_field(state: OdeState, coeffs: CoefficientSet) -> OdeState:
@@ -211,14 +211,15 @@ class Trajectory:
     step (see _hermite).  sample(ts) evaluates the dense representation
     at every time of ts in the covered span, so audits can resample at
     their own stencils; at a stored sample other than the terminal point
-    it returns the stored state.
+    it returns the stored state.  A closed-form orbit carries analytic,
+    which maps a 1-D array of times to their (len(ts), 4) states.
     """
 
     times: np.ndarray
     states: np.ndarray
     termination: str
     segments: np.ndarray = field(repr=False, default_factory=lambda: np.empty((0, 18)))
-    analytic: Callable[[float], OdeState] | None = field(repr=False, default=None)
+    analytic: Callable[[np.ndarray], np.ndarray] | None = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
         for name in ("times", "states", "segments"):
@@ -256,7 +257,7 @@ class Trajectory:
             t = float(ts[outside][0])
             raise ValueError(f"t={t!r} outside the covered span [{self.t_start}, {self.t_end}]")
         if self.analytic is not None:
-            return np.array([self.analytic(t) for t in ts.tolist()], dtype=float).reshape(-1, 4)
+            return self.analytic(ts)
         if not len(self.segments):
             raise ValueError("trajectory carries no dense segments")
         return _dense(self.segments, ts)
@@ -277,20 +278,19 @@ def uniform_times(t0: float, t1: float) -> np.ndarray:
     return t0 + sgn * np.arange(int(abs(t1 - t0) / h) + 1) * h
 
 
-def analytic_trajectory(fn: Callable[[float], OdeState], t0: float, t1: float) -> Trajectory:
-    """Wrap a closed-form solution t -> state as a Trajectory."""
+def analytic_trajectory(fn: Callable[[np.ndarray], np.ndarray], t0: float, t1: float) -> Trajectory:
+    """Wrap a closed-form solution, k times -> (k, 4) states, as a Trajectory."""
     if t0 == t1:
         raise ValueError("need t0 != t1")
     ts = uniform_times(t0, t1)
     if ts[-1] != t1:
         ts = np.append(ts, t1)
-    states = [fn(t) for t in ts.tolist()]
-    return Trajectory(times=ts, states=states, termination=REACHED_END, analytic=fn)
+    return Trajectory(times=ts, states=fn(ts), termination=REACHED_END, analytic=fn)
 
 
 def equilibrium_trajectory(wstar: float, t0: float = 0.0, t1: float = -15.0) -> Trajectory:
     """The exact constant orbit at wstar, the snapped equilibrium fixed_points(coeffs)[1]."""
-    return analytic_trajectory(lambda t: OdeState(wstar, 0.0, 0.0, 0.0), t0, t1)
+    return analytic_trajectory(lambda ts: np.tile((wstar, 0.0, 0.0, 0.0), (len(ts), 1)), t0, t1)
 
 
 def mode_trajectory(terms: Sequence[tuple[float, float]], t0: float, t1: float) -> Trajectory:
@@ -300,14 +300,14 @@ def mode_trajectory(terms: Sequence[tuple[float, float]], t0: float, t1: float) 
     corresponds to the single term (1, B).
     """
 
-    def fn(t: float) -> OdeState:
-        comps = [0.0, 0.0, 0.0, 0.0]
+    def fn(ts: np.ndarray) -> np.ndarray:
+        comps = np.zeros((len(ts), 4))
         for c, mu in terms:
-            e = c * math.exp(mu * t)
+            e = c * _libm(math.exp, mu * ts)
             for k in range(4):
-                comps[k] += e
+                comps[:, k] += e
                 e *= mu
-        return OdeState(*comps)
+        return comps
 
     return analytic_trajectory(fn, t0, t1)
 

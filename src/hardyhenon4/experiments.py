@@ -275,11 +275,6 @@ def run_atlas(config: ExperimentConfig) -> ResultTable:
     return _table(ATLAS, schema, rows, config)
 
 
-def _energies_along(traj: Trajectory, coeffs: CoefficientSet) -> tuple[float, float]:
-    vals = [energy(s, coeffs) for s in traj.states.tolist()]
-    return min(vals), max(vals)
-
-
 def run_classification_sweep(config: ExperimentConfig) -> ResultTable:
     """Backward classification of seeded draws near the positive equilibrium.
 
@@ -316,12 +311,12 @@ def run_classification_sweep(config: ExperimentConfig) -> ResultTable:
             except _DRAW_ERRORS as err:
                 rows.append(_row(schema, **tag, kind="draw", index=i, note=str(err)))
                 continue
-            e_min, e_max = _energies_along(traj, coeffs)
+            evals = energy(traj.states.T, coeffs)
             counts[cls.tag] += 1
             rows.append(_row(
                 schema, **tag, kind="draw", index=i, limit_class=cls.tag,
                 terminal_w0=cls.terminal_value, window_variation=cls.window_variation,
-                e_min=e_min, e_max=e_max, note=note,
+                e_min=float(evals.min()), e_max=float(evals.max()), note=note,
             ))
         rows.extend(
             _row(schema, **tag, kind="summary", limit_class=c, count=counts[c], note=note)
@@ -377,9 +372,9 @@ def _backward_decaying_basis(wstar: float, coeffs: CoefficientSet) -> list[OdeSt
         if z.real <= 0.0 or z.imag < -1e-9:
             continue
         v = np.array([z**k for k in range(4)])
-        basis.append(v.real / np.linalg.norm(v.real))
+        basis.append(v.real / math.hypot(*v.real.tolist()))
         if abs(z.imag) >= 1e-9:
-            basis.append(v.imag / np.linalg.norm(v.imag))
+            basis.append(v.imag / math.hypot(*v.imag.tolist()))
     return [OdeState(*map(float, b)) for b in basis]
 
 

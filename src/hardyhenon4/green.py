@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .params import CoefficientSet
-from .transform import _scaled_jet, neg_laplacian_radial
+from .transform import _libm, _scaled_jet, neg_laplacian_radial
 from .dynamics import (
     CONVERGES_TO_FIXED_POINT,
     DEFAULT_WINDOW,
@@ -43,6 +43,7 @@ MIN_NODE_COUNT = 256
 _DIVERGENCE_RUN = 6
 _SHELL_PANELS = 64
 _LOAD_ROWS = 4096  # rows RadialField.load converts at a time
+_LN_DBL_MAX = math.log(np.finfo(float).max)
 
 
 class IntegrabilityError(ValueError):
@@ -130,7 +131,7 @@ def make_grid(count: int = DEFAULT_NODE_COUNT) -> RadialGrid:
     h = -t_min / count
     t = t_min + (np.arange(count) + 1) * h
     t[-1] = 0.0
-    return RadialGrid(r_min=DEFAULT_R_MIN, t=t, nodes=np.exp(t), h=h)
+    return RadialGrid(r_min=DEFAULT_R_MIN, t=t, nodes=_libm(math.exp, t), h=h)
 
 
 @dataclass(eq=False)
@@ -167,7 +168,8 @@ class RadialField:
 
     @classmethod
     def load(cls, path: str | Path) -> "RadialField":
-        """Read a saved field; radii must be log-uniform, ascending and end at 1."""
+        """Read a saved field; radii must be log-uniform, ascending and end at 1,
+        and a header dimension must be an integer n >= 3."""
         text = Path(path).read_text()
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("# radial-field"):
@@ -177,7 +179,10 @@ class RadialField:
         )
         if m is None:
             raise ValueError(f"{path}: malformed radial-field header: {lines[0]!r}")
-        n = int(m.group(1)) if m.group(1) else None
+        n_text = m.group(1)
+        if n_text and not (n_text.isdecimal() and int(n_text) >= 3):
+            raise ValueError(f"{path}: header dimension n={n_text} is not an integer >= 3")
+        n = int(n_text) if n_text else None
         alpha = float(m.group(2)) if m.group(2) else None
         p = float(m.group(3)) if m.group(3) else None
         body = lines[1:]
@@ -203,7 +208,7 @@ class RadialField:
         radii, vals = data[:, 0], data[:, 1]
         if not np.all(radii > 0.0):
             raise ValueError(f"{path}: radii must be positive")
-        t = np.log(radii)
+        t = _libm(math.log, radii)
         diffs = np.diff(t)
         if not np.all(diffs > 0.0):
             raise ValueError(f"{path}: radii must be strictly ascending")
@@ -217,7 +222,7 @@ class RadialField:
         if len(radii) < MIN_NODE_COUNT:
             raise ValueError(f"{path}: {len(radii)} nodes; need at least {MIN_NODE_COUNT}")
         h = float(diffs[0])
-        grid = RadialGrid(r_min=float(np.exp(t[0] - h)), t=t, nodes=radii, h=h)
+        grid = RadialGrid(r_min=_libm(math.exp, t[0] - h), t=t, nodes=radii, h=h)
         return cls(grid=grid, values=vals, n=n, alpha=alpha, p=p)
 
 
@@ -226,10 +231,10 @@ def poisson_solve_radial(f: RadialField, n: int) -> RadialField:
     if n < 3:
         raise ValueError(f"need dimension n >= 3, got {n}")
     grid = f.grid
-    g_in = f.values * np.exp(n * grid.t)
+    g_in = f.values * _libm(math.exp, n * grid.t)
     F = _cumulative_up(g_in, grid.h)
     inner = _tail_estimate(F, grid.h) + F
-    g_out = inner * np.exp((2.0 - n) * grid.t)
+    g_out = inner * _libm(math.exp, (2.0 - n) * grid.t)
     return RadialField(grid=grid, values=_cumulative_down(g_out, grid.h))
 
 
@@ -264,11 +269,10 @@ def biharmonic_span_residual(u: RadialField, source: RadialField, n: int) -> flo
         raise ValueError("u and source must share a grid")
     v = bilaplacian_solve_radial(source, n)
     d = u.values - v.values
-    r = grid.nodes
     lo, hi = grid.count // 4, 3 * grid.count // 4
-    basis = np.stack(
-        [np.ones(grid.count), r**2, r ** (2.0 - n), r ** (4.0 - n)], axis=1
-    )
+    # r^k = e^{k t}, with t the grid's own log-radii
+    powers = _libm(math.exp, np.multiply.outer(grid.t, (2.0, 2.0 - n, 4.0 - n)))
+    basis = np.column_stack([np.ones(grid.count), powers])
     scale = np.abs(u.values[lo:hi])
     if np.any(scale == 0.0):
         raise ValueError("u vanishes on the interior window; cannot form relative residual")
@@ -287,15 +291,12 @@ def _field_from_trajectory(
             f"trajectory covers [{traj.t_start:.3g}, {traj.t_end:.3g}] but the "
             f"grid needs [{t0:.3g}, 0]"
         )
-    u_vals = np.empty(grid.count)
-    f_vals = np.empty(grid.count)
     w = traj.sample(grid.t)[:, 0]
-    for j, (t, w0) in enumerate(zip(grid.t.tolist(), w.tolist())):
-        if w0 <= 0.0:
-            raise ValueError(f"non-positive field value at node {j} (r={grid.nodes[j]:.6g})")
-        u = math.exp(-B * t) * w0
-        u_vals[j] = u
-        f_vals[j] = math.exp(coeffs.alpha * t) * _wpow(u, coeffs.p)
+    j = int(np.argmax(w <= 0.0))
+    if w[j] <= 0.0:
+        raise ValueError(f"non-positive field value at node {j} (r={grid.nodes[j]:.6g})")
+    u_vals = _libm(math.exp, -B * grid.t) * w
+    f_vals = _libm(math.exp, coeffs.alpha * grid.t) * _wpow(u_vals, coeffs.p)
     u_field = RadialField(grid=grid, values=u_vals, n=coeffs.n, alpha=coeffs.alpha, p=coeffs.p)
     f_field = RadialField(grid=grid, values=f_vals, n=coeffs.n, alpha=coeffs.alpha, p=coeffs.p)
     return u_field, f_field
@@ -347,15 +348,13 @@ def superharmonic_check(
             f"superharmonicity needs a singular-class trajectory, got {cls.tag}"
         )
     order = np.argsort(traj.times)
-    ts = traj.times[order].tolist()
-    vals = [neg_laplacian_radial(t, s, coeffs) for t, s in zip(ts, traj.states[order].tolist())]
-    # Largest prefix from the deep end on which -Delta u stays positive.
-    k_bad = next((k for k, v in enumerate(vals) if v <= 0.0), None)
-    if k_bad == 0:
-        return SuperharmonicReport(tau=0.0, min_value=vals[0])
-    last = len(vals) - 1 if k_bad is None else k_bad - 1
-    prefix = vals[: last + 1]
-    return SuperharmonicReport(tau=math.exp(ts[last]), min_value=min(prefix))
+    ts = traj.times[order]
+    vals = neg_laplacian_radial(ts, traj.states[order].T, coeffs)
+    # Largest prefix vals[:k] from the deep end on which -Delta u stays positive.
+    k = int(np.argmax(np.append(vals <= 0.0, True)))
+    if k == 0:
+        return SuperharmonicReport(tau=0.0, min_value=float(vals[0]))
+    return SuperharmonicReport(tau=math.exp(ts[k - 1]), min_value=float(vals[:k].min()))
 
 
 @dataclass(frozen=True)
@@ -377,20 +376,20 @@ def _shell_sums(traj: Trajectory, coeffs: CoefficientSet, weights: tuple, k_max:
     h = ln2 / _SHELL_PANELS
     t_hi = -np.arange(k_max + 1) * ln2
     ts = (t_hi[:, None] - ln2 + np.arange(_SHELL_PANELS + 1) * h).ravel()
-    g = np.empty((len(weights), len(ts)))
-    for j, (t, w0) in enumerate(zip(ts.tolist(), traj.sample(ts)[:, 0].tolist())):
-        if w0 < 0.0:
-            raise ValueError(f"negative w at t={t:.6g}; integrand undefined")
-        try:
-            u = math.exp(-B * t) * w0
-        except OverflowError:
-            raise OverflowError(
-                f"u = r^-B w overflows a double at r = {math.exp(t):.3g} (B = {B:.6g})"
-            ) from None
-        up = _wpow(u, p)
-        g[:, j] = [math.exp(w * t) * up for w in weights]
-    g = g.reshape(len(weights), k_max + 1, _SHELL_PANELS + 1)
-    return _panel_increments(g, h).sum(axis=-1)
+    w = traj.sample(ts)[:, 0]
+    arg = -B * ts
+    # The first node, in shell order, where w < 0 or where r^-B = e^arg
+    # overflows a double, which math.exp does exactly above ln(DBL_MAX).
+    j = int(np.argmax((w < 0.0) | (arg > _LN_DBL_MAX)))
+    if w[j] < 0.0:
+        raise ValueError(f"negative w at t={ts[j]:.6g}; integrand undefined")
+    if arg[j] > _LN_DBL_MAX:
+        raise OverflowError(
+            f"u = r^-B w overflows a double at r = {math.exp(ts[j]):.3g} (B = {B:.6g})"
+        )
+    up = _wpow(_libm(math.exp, arg) * w, p)
+    g = _libm(math.exp, np.multiply.outer(weights, ts)) * up
+    return _panel_increments(g.reshape(len(weights), k_max + 1, -1), h).sum(axis=-1)
 
 
 def integrability_report(traj: Trajectory, coeffs: CoefficientSet) -> IntegrabilityReport:

@@ -15,7 +15,21 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .params import CoefficientSet
+
+
+def _libm(fn, x):
+    """fn(x) for fn = math.exp or math.log, on a float or elementwise on an array.
+
+    Every transcendental on a table path comes from libm: numpy's SIMD
+    kernels, picked per CPU at run time, differ from it in the last bit
+    on some arguments, so tables would follow the machine.
+    """
+    if np.ndim(x) == 0:
+        return fn(x)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -98,8 +112,8 @@ def from_log(t: float, state: OdeState, B: float) -> RadialJet:
     return RadialJet(r=r, u0=u0, u1=u1, u2=u2, u3=u3)
 
 
-def neg_laplacian_radial(t: float, state: OdeState, coeffs: CoefficientSet) -> float:
-    """-Delta u at r = e^t, straight from the w-jet.
+def neg_laplacian_radial(t, state, coeffs: CoefficientSet) -> float | np.ndarray:
+    """-Delta u at r = e^t from the w-jet, or at k times from a (4, k) stack of jets.
 
     Substituting the inverse transform into u'' + (n-1)u'/r gives
 
@@ -111,4 +125,4 @@ def neg_laplacian_radial(t: float, state: OdeState, coeffs: CoefficientSet) -> f
     B = coeffs.B
     w0, w1, w2, _ = state
     bracket = -w2 - (n - 2.0 - 2.0 * B) * w1 + B * (n - 2.0 - B) * w0
-    return math.exp(-(B + 2.0) * t) * bracket
+    return _libm(math.exp, -(B + 2.0) * t) * bracket

@@ -233,6 +233,21 @@ def test_green_check_field_needs_dimension(tmp_path, capsys):
     assert "--n" in capsys.readouterr().err
 
 
+def test_green_check_field_header_dimension(tmp_path, capsys):
+    # A header n below 3 or not an integer breaks the file's rules (exit 2,
+    # naming the file); --n 2 on the command line is a usage error.
+    grid = make_grid(count=512)
+    text = RadialField(grid=grid, values=np.ones(grid.count), n=6, alpha=0.0, p=4.0).dumps()
+    for n in ("2", "x", "6.5"):
+        path = _write(tmp_path / f"n{n}.csv", text.replace("n=6", f"n={n}", 1))
+        assert main(["green-check", "--field", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid field data" in err and str(path) in err and f"n={n}" in err
+    path = _write(tmp_path / "n6.csv", text)
+    assert main(["green-check", "--field", str(path), "--n", "2"]) == 1
+    assert "error: need dimension n >= 3" in capsys.readouterr().err
+
+
 def test_energy_audit_command(capsys):
     assert main(["energy-audit", "--n", "6", "--alpha", "0", "--p", "4",
                  "--samples", "2"]) == 0

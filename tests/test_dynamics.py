@@ -8,6 +8,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hardyhenon4 import dynamics
@@ -304,6 +305,12 @@ def test_classify_equilibrium_orbit():
     assert verdict.window_variation < 1e-12
 
 
+def test_equilibrium_samples_are_exact():
+    traj = equilibrium_trajectory(WSTAR)
+    ts = np.linspace(traj.t_end, traj.t_start, 1001)
+    assert np.array_equal(traj.sample(ts), np.tile((WSTAR, 0.0, 0.0, 0.0), (1001, 1)))
+
+
 def test_classify_kernel_mode_collapses_to_zero():
     # w = e^{Bt} (u identically 1) decays backward to zero
     traj = mode_trajectory([(1.0, COEFFS.B)], 0.0, -20.0)
@@ -356,7 +363,7 @@ def test_classify_rejects_margin_above_half_the_equilibrium():
 
 def test_classify_between_tubes_is_undetermined():
     half = 0.5 * WSTAR
-    traj = analytic_trajectory(lambda t: OdeState(half, 0.0, 0.0, 0.0), 0.0, -15.0)
+    traj = analytic_trajectory(lambda ts: np.tile((half, 0.0, 0.0, 0.0), (len(ts), 1)), 0.0, -15.0)
     assert classify_limit(traj, WSTAR).tag == UNDETERMINED
 
 
@@ -376,7 +383,7 @@ def test_analytic_trajectory_shorter_than_spacing():
 
 
 def test_analytic_trajectory_rejects_empty_span():
-    const = lambda t: OdeState(1.0, 0.0, 0.0, 0.0)
+    const = lambda ts: np.tile((1.0, 0.0, 0.0, 0.0), (len(ts), 1))
     with pytest.raises(ValueError):
         analytic_trajectory(const, 0.0, 0.0)
 

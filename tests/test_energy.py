@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardyhenon4.params import ProblemParams, coefficients
+from hardyhenon4.params import CRITICAL, SUBCRITICAL, SUPERCRITICAL, ProblemParams, coefficients
 from hardyhenon4.dynamics import (
     REACHED_END,
     equilibrium_trajectory,
@@ -18,7 +19,7 @@ from hardyhenon4.energy import (
     scaling_check,
     sphere_measure,
 )
-from hardyhenon4.transform import OdeState
+from hardyhenon4.transform import OdeState, neg_laplacian_radial
 
 PARAMS = ProblemParams(6, 0.0, 4.0)
 COEFFS = coefficients(PARAMS)
@@ -43,6 +44,23 @@ def test_energy_at_equilibrium_closed_form():
     want = sphere_measure(6) * COEFFS.a0 * WSTAR**2 * (P - 1.0) / (2.0 * (P + 1.0))
     assert got == pytest.approx(want, rel=1e-13)
     assert got == pytest.approx(291.5607987327416, abs=1e-9)
+
+
+@pytest.mark.parametrize("p, regime", [(4.0, SUBCRITICAL), (5.0, CRITICAL), (5.5, SUPERCRITICAL)])
+def test_column_stack_matches_per_state_calls_bit_for_bit(p, regime):
+    # An orbit that falls to w = 0, read at its samples and in between.
+    coeffs = coefficients(ProblemParams(6, 0.0, p))
+    assert coeffs.regime == regime
+    traj = integrate(OdeState(fixed_points(coeffs)[1], 0.2, 0.0, 0.0), 0.0, -8.0, 1e-10, coeffs)
+    dense = np.linspace(traj.t_end, traj.t_start, 997)
+    times = np.concatenate((traj.times, dense))
+    states = np.concatenate((traj.states, traj.sample(dense)))
+    rows = states.tolist()
+    for fn in (energy, energy_rate):
+        want = np.array([fn(s, coeffs) for s in rows])
+        assert fn(states.T, coeffs).tobytes() == want.tobytes()
+    want = np.array([neg_laplacian_radial(t, s, coeffs) for t, s in zip(times.tolist(), rows)])
+    assert neg_laplacian_radial(times, states.T, coeffs).tobytes() == want.tobytes()
 
 
 finite = st.floats(min_value=-20.0, max_value=20.0)

@@ -24,7 +24,6 @@ from hardyhenon4.green import (
     singularity_bound_check,
     superharmonic_check,
 )
-from hardyhenon4.transform import OdeState
 
 PARAMS = ProblemParams(6, 0.0, 4.0)
 COEFFS = coefficients(PARAMS)
@@ -312,7 +311,12 @@ def test_superharmonic_rejects_removable_orbit():
 def test_superharmonic_prefix_stops_at_sign_change():
     # plant a sign change of -Delta u near t = ln(0.236)/5 while keeping
     # w0 pinned at the equilibrium so the orbit still classifies singular
-    fn = lambda t: OdeState(WSTAR, 0.0, 30.0 * math.exp(5.0 * t), 0.0)
+    def fn(ts):
+        states = np.zeros((len(ts), 4))
+        states[:, 0] = WSTAR
+        states[:, 2] = 30.0 * np.exp(5.0 * ts)
+        return states
+
     traj = analytic_trajectory(fn, 0.0, -15.0)
     rep = superharmonic_check(traj, COEFFS, WSTAR)
     bracket0 = COEFFS.B * (6.0 - 2.0 - COEFFS.B) * WSTAR
@@ -354,15 +358,15 @@ def test_integrability_error_for_too_singular_profile():
 def test_integrability_samples_each_shell_node_once():
     calls = []
 
-    def fn(t):
-        calls.append(t)
-        return OdeState(WSTAR, 0.0, 0.0, 0.0)
+    def fn(ts):
+        calls.append(len(ts))
+        return np.tile((WSTAR, 0.0, 0.0, 0.0), (len(ts), 1))
 
     traj = analytic_trajectory(fn, 0.0, -16.0)
     calls.clear()
     integrability_report(traj, COEFFS)
     # 23 dyadic shells of 65 nodes each, both integrands from one sample
-    assert len(calls) == 23 * 65
+    assert sum(calls) == 23 * 65
 
 
 def test_integrability_needs_depth_and_boundary():

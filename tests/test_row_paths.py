@@ -15,7 +15,13 @@ tables and list every moved cell with
     PYTHONPATH=src python tests/test_row_paths.py
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from hardyhenon4.cli import main
 from hardyhenon4.experiments import ExperimentConfig, run_experiment
@@ -90,6 +96,48 @@ def test_row_paths_match_stored_tables(tmp_path):
     assert [b.split("\n", 1)[0] for b in got] == [b.split("\n", 1)[0] for b in want]
     for block_got, block_want in zip(got, want):
         assert block_got == block_want
+
+
+# Renders every case, then solves a 512-node field made by make_grid, in
+# one fresh interpreter.  The source 1/r^2 uses only IEEE arithmetic, so
+# every transcendental in the output is the package's own.
+_CHILD = """
+import sys, tempfile
+from pathlib import Path
+from hardyhenon4.cli import main
+from hardyhenon4.green import RadialField, make_grid
+from test_row_paths import render_cases
+with tempfile.TemporaryDirectory() as tmp:
+    sys.stdout.write(render_cases(Path(tmp)))
+    grid = make_grid(count=512)
+    source = Path(tmp) / "source.csv"
+    RadialField(grid, 1.0 / (grid.nodes * grid.nodes), n=6, alpha=0.0, p=4.0).save(source)
+    sys.stdout.flush()
+    main(["green-check", "--field", str(source), "--quiet"])
+"""
+
+
+def test_tables_ignore_numpy_cpu_dispatch():
+    # numpy picks SIMD kernels for exp and log by CPU at run time; the
+    # tables take every exp and log from libm, so switching off every
+    # dispatched feature numpy found here must not move a byte.
+    found = np.__config__.CONFIG.get("SIMD Extensions", {}).get("found", [])
+    if not found:
+        pytest.skip("numpy found no CPU features beyond its baseline")
+    here = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(here.parent / "src"), str(here), env.get("PYTHONPATH")))
+    )
+    outs = []
+    for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(found)}):
+        run = subprocess.run(
+            [sys.executable, "-c", _CHILD], env={**env, **disabled},
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        outs.append(run.stdout)
+    assert "# radial-field n=6" in outs[0]
+    assert outs[0] == outs[1]
 
 
 def _relative_change(old: str, new: str) -> str:

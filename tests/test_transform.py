@@ -1,10 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardyhenon4.params import ProblemParams, coefficients
-from hardyhenon4.transform import OdeState, RadialJet, from_log, neg_laplacian_radial, to_log
+from hardyhenon4.transform import (
+    OdeState,
+    RadialJet,
+    _libm,
+    from_log,
+    neg_laplacian_radial,
+    to_log,
+)
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -88,6 +96,20 @@ def test_neg_laplacian_at_equilibrium():
     assert neg_laplacian_radial(t, state, c) == pytest.approx(
         want * math.exp(-(c.B + 2.0) * t), rel=1e-13
     )
+
+
+def test_libm_map_is_math_elementwise():
+    # numpy's own exp may run a SIMD kernel that differs from libm in the
+    # last bit; the map must give math's bits at every element.
+    x = np.linspace(-30.0, 5.0, 200001)
+    ex = _libm(math.exp, x)
+    assert ex.tobytes() == np.array([math.exp(v) for v in x.tolist()]).tobytes()
+    log_ex = _libm(math.log, ex.reshape(3, -1))
+    assert log_ex.shape == (3, 66667)
+    assert log_ex.tobytes() == np.array([math.log(v) for v in ex.tolist()]).tobytes()
+    assert type(_libm(math.exp, 0.5)) is float and _libm(math.exp, 0.5) == math.exp(0.5)
+    with pytest.raises(OverflowError):
+        _libm(math.exp, np.array([0.0, 710.0]))
 
 
 def test_nonpositive_radius_rejected():
