@@ -141,18 +141,14 @@ def scaling_check(traj: Trajectory, lam: float, coeffs: CoefficientSet) -> float
     B = coeffs.B
     k = 200
     ts = lo_olap + (hi_olap - lo_olap) * np.arange(k + 1) / k + s
-    worst = 0.0
-    for t, shifted in zip(ts.tolist(), traj.sample(ts).tolist()):
-        e_ref = energy(shifted, coeffs)
-        jet = from_log(t, shifted, B)
-        scaled = RadialJet(
-            r=jet.r / lam,
-            u0=lam**B * jet.u0,
-            u1=lam ** (B + 1.0) * jet.u1,
-            u2=lam ** (B + 2.0) * jet.u2,
-            u3=lam ** (B + 3.0) * jet.u3,
-        )
-        _, state = to_log(scaled, B)
-        e_scaled = energy(state, coeffs)
-        worst = max(worst, abs(e_scaled - e_ref))
-    return worst
+    shifted = traj.sample(ts).T
+    jet = from_log(ts, shifted, B)
+    scaled = RadialJet(
+        r=jet.r / lam,
+        u0=lam**B * jet.u0,
+        u1=lam ** (B + 1.0) * jet.u1,
+        u2=lam ** (B + 2.0) * jet.u2,
+        u3=lam ** (B + 3.0) * jet.u3,
+    )
+    _, state = to_log(scaled, B)
+    return float(np.max(np.abs(energy(state, coeffs) - energy(shifted, coeffs))))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +43,6 @@ MIN_NODE_COUNT = 256
 # declares convergence/divergence.
 _DIVERGENCE_RUN = 6
 _SHELL_PANELS = 64
-_LOAD_ROWS = 4096  # rows RadialField.load converts at a time
 _LN_DBL_MAX = math.log(np.finfo(float).max)
 
 
@@ -168,62 +168,61 @@ class RadialField:
 
     @classmethod
     def load(cls, path: str | Path) -> "RadialField":
-        """Read a saved field; radii must be log-uniform, ascending and end at 1,
-        and a header dimension must be an integer n >= 3."""
-        text = Path(path).read_text()
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("# radial-field"):
-            raise ValueError(f"{path}: missing '# radial-field' header")
-        m = re.match(
-            r"# radial-field n=(\S*) alpha=(\S*) p=(\S*)\s*$", lines[0]
-        )
-        if m is None:
-            raise ValueError(f"{path}: malformed radial-field header: {lines[0]!r}")
-        n_text = m.group(1)
-        if n_text and not (n_text.isdecimal() and int(n_text) >= 3):
-            raise ValueError(f"{path}: header dimension n={n_text} is not an integer >= 3")
-        n = int(n_text) if n_text else None
-        alpha = float(m.group(2)) if m.group(2) else None
-        p = float(m.group(3)) if m.group(3) else None
-        body = lines[1:]
-        for ln in body:
-            if ln.count(",") != 1:
-                raise ValueError(f"{path}: expected 'radius,value', got {ln!r}")
-        data = np.empty((len(body), 2))
-        # numpy converts each str with float(), so the doubles are float()'s.
-        # Chunks keep the cell strings of a large file from all living at once.
-        for j in range(0, len(body), _LOAD_ROWS):
-            chunk = body[j : j + _LOAD_ROWS]
-            try:
-                data[j : j + len(chunk)] = np.array(
-                    ",".join(chunk).split(","), dtype=float
-                ).reshape(-1, 2)
-            except ValueError:
-                for i, ln in enumerate(chunk, start=j):
-                    try:
-                        np.array(ln.split(","), dtype=float)
-                    except ValueError as err:
-                        raise ValueError(f"{path}: row {i} {ln!r}: {err}") from None
-                raise
-        radii, vals = data[:, 0], data[:, 1]
-        if not np.all(radii > 0.0):
-            raise ValueError(f"{path}: radii must be positive")
-        t = _libm(math.log, radii)
-        diffs = np.diff(t)
-        if not np.all(diffs > 0.0):
-            raise ValueError(f"{path}: radii must be strictly ascending")
-        if len(diffs) == 0 or np.max(np.abs(diffs - diffs[0])) > 1e-9 * abs(diffs[0]):
-            raise ValueError(f"{path}: radii are not log-uniform")
-        if abs(t[-1]) > 1e-12:
-            raise ValueError(
-                f"{path}: last radius is {float(radii[-1])!r}; the grid must end at r = 1, "
-                "where the Navier data are imposed"
-            )
-        if len(radii) < MIN_NODE_COUNT:
-            raise ValueError(f"{path}: {len(radii)} nodes; need at least {MIN_NODE_COUNT}")
-        h = float(diffs[0])
-        grid = RadialGrid(r_min=_libm(math.exp, t[0] - h), t=t, nodes=radii, h=h)
-        return cls(grid=grid, values=vals, n=n, alpha=alpha, p=p)
+        """Read a saved field: a '# radial-field' header line, then 'radius,value'
+        rows of log-uniform, ascending radii ending at 1.  Header labels may be
+        empty; n must be an integer >= 3, alpha and p finite numbers.  Every
+        ValueError names the file."""
+        try:
+            with open(path) as fh:
+                head = fh.readline()
+            m = re.fullmatch(r"# radial-field n=(\S*) alpha=(\S*) p=(\S*)\s*", head)
+            if m is None:
+                raise ValueError(f"first line is not a '# radial-field' header: {head!r}")
+            n, alpha, p = map(_header_label, ("n", "alpha", "p"), m.groups())
+            with warnings.catch_warnings():
+                # a header-only file is reported by the node floor below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                try:
+                    data = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2)
+                except ValueError as err:
+                    raise ValueError(f"expected 'radius,value' rows: {err}") from err
+            if len(data) and data.shape[1] != 2:
+                raise ValueError(f"expected 'radius,value' rows, got {data.shape[1]} columns")
+            radii, vals = data.reshape(-1, 2).T
+            if not np.all(radii > 0.0):
+                raise ValueError("radii must be positive")
+            t = _libm(math.log, radii)
+            diffs = np.diff(t)
+            if not np.all(diffs > 0.0):
+                raise ValueError("radii must be strictly ascending")
+            if np.any(np.abs(diffs - diffs[:1]) > 1e-9 * np.abs(diffs[:1])):
+                raise ValueError("radii are not log-uniform")
+            if np.any(np.abs(t[-1:]) > 1e-12):
+                raise ValueError(
+                    f"last radius is {float(radii[-1])!r}; the grid must end at r = 1, "
+                    "where the Navier data are imposed"
+                )
+            if len(radii) < MIN_NODE_COUNT:
+                raise ValueError(f"{len(radii)} nodes; need at least {MIN_NODE_COUNT}")
+            h = float(diffs[0])
+            grid = RadialGrid(r_min=_libm(math.exp, t[0] - h), t=t, nodes=radii, h=h)
+            return cls(grid=grid, values=vals, n=n, alpha=alpha, p=p)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
+
+
+def _header_label(name: str, text: str) -> int | float | None:
+    """A '# radial-field' label: empty is None, n an integer >= 3, else a finite float."""
+    if not text:
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    rule = "an integer >= 3" if name == "n" else "a finite number"
+    if not (math.isfinite(value) and (name != "n" or (text.isdecimal() and value >= 3))):
+        raise ValueError(f"header label {name}={text} is not {rule}")
+    return int(text) if name == "n" else value
 
 
 def poisson_solve_radial(f: RadialField, n: int) -> RadialField:

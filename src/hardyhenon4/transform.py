@@ -34,16 +34,17 @@ def _libm(fn, x):
 
 @dataclass(frozen=True)
 class RadialJet:
-    """u and its first three radial derivatives at a single radius r > 0."""
+    """u and its first three radial derivatives at a radius r > 0, or at each
+    of k radii when every field is a length-k array."""
 
-    r: float
-    u0: float
-    u1: float
-    u2: float
-    u3: float
+    r: float | np.ndarray
+    u0: float | np.ndarray
+    u1: float | np.ndarray
+    u2: float | np.ndarray
+    u3: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.r > 0.0:
+        if not np.all(np.greater(self.r, 0.0)):
             raise ValueError(f"radius must be positive, got r={self.r!r}")
 
 
@@ -60,17 +61,16 @@ class OdeState(NamedTuple):
         return all(map(math.isfinite, self))
 
 
-def to_log(jet: RadialJet, B: float) -> tuple[float, OdeState]:
-    """Map a physical jet at radius r to (t, w-jet) with t = ln r.
+def to_log(jet: RadialJet, B: float) -> tuple[float | np.ndarray, OdeState]:
+    """Map a physical jet at radius r to (t, w-jet) with t = ln r; array
+    fields give k times and a w-jet of length-k arrays.
 
     Writing D = r d/dr, the forward map is w_k = r^B (B + D)^k u, expanded
     below into radial derivatives.
     """
     r = jet.r
-    if not r > 0.0:
-        raise ValueError(f"radius must be positive, got r={r!r}")
-    t = math.log(r)
-    rB = r**B
+    t = _libm(math.log, r)
+    rB = _libm(math.exp, B * t)
     ru1 = r * jet.u1
     r2u2 = r * r * jet.u2
     r3u3 = r * r * r * jet.u3
@@ -100,11 +100,12 @@ def _scaled_jet(state: OdeState, B: float) -> tuple[float, float, float, float]:
     )
 
 
-def from_log(t: float, state: OdeState, B: float) -> RadialJet:
-    """Invert to_log: recover the u-jet at r = e^t from a w-jet."""
+def from_log(t, state, B: float) -> RadialJet:
+    """Invert to_log: recover the u-jet at r = e^t from a w-jet, or at k times
+    from a (4, k) stack of w-jets."""
     b0, b1, b2, b3 = _scaled_jet(state, B)
-    r = math.exp(t)
-    rmB = r**-B
+    r = _libm(math.exp, t)
+    rmB = _libm(math.exp, -B * t)
     u0 = rmB * b0
     u1 = rmB / r * b1
     u2 = rmB / (r * r) * b2

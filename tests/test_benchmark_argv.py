@@ -1,28 +1,57 @@
-"""The benchmark drives the CLI with generated argv; they must keep parsing.
+"""The benchmark's own inputs must keep working with the package.
 
 perfbench/workloads.py builds every invocation the benchmark makes.  A
 flag dropped from a command would fail those runs, so this builds each
-workload's plan and the reference panel and parses every argv.
+workload's plan and the reference panel and parses every argv.  It also
+writes the 65,536-row field file of the `green` workload and reads it back.
 """
 
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 from hardyhenon4.cli import parse_invocation
+from hardyhenon4.green import RadialField
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
-def test_every_benchmark_argv_parses(tmp_path, monkeypatch):
+def _workloads(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     # @dataclass looks the module up in sys.modules while the body runs.
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_every_benchmark_argv_parses(tmp_path, monkeypatch):
+    workloads = _workloads(monkeypatch)
     plans = [workloads.build_plan(name, 1, tmp_path) for name in workloads.WORKLOADS]
     plans.append(workloads.panel_plan())
     for plan in plans:
         assert plan.invocations
         for inv in plan.invocations:
             assert parse_invocation(inv.argv).command == inv.argv[0], inv.label
+
+
+def test_benchmark_field_file_loads_exactly_and_lean(tmp_path, monkeypatch):
+    workloads = _workloads(monkeypatch)
+    text = workloads.field_text(workloads.field_spec(1))
+    path = tmp_path / "field.csv"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        field = RadialField.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = np.array([[float(c) for c in row.split(",")] for row in text.splitlines()[1:]])
+    assert field.grid.nodes.tobytes() == cells[:, 0].tobytes()
+    assert field.values.tobytes() == cells[:, 1].tobytes()
+    # Two 65,536-double columns are 1 MB; reading the file must not hold
+    # the text or one Python object per cell.
+    assert peak < 6.5e6, peak

@@ -234,15 +234,19 @@ def test_green_check_field_needs_dimension(tmp_path, capsys):
 
 
 def test_green_check_field_header_dimension(tmp_path, capsys):
-    # A header n below 3 or not an integer breaks the file's rules (exit 2,
-    # naming the file); --n 2 on the command line is a usage error.
+    # A header n below 3 or not an integer, or an alpha or p that is not a
+    # finite number, breaks the file's rules (exit 2, naming the file and
+    # the label); --n 2 on the command line is a usage error.
     grid = make_grid(count=512)
     text = RadialField(grid=grid, values=np.ones(grid.count), n=6, alpha=0.0, p=4.0).dumps()
-    for n in ("2", "x", "6.5"):
-        path = _write(tmp_path / f"n{n}.csv", text.replace("n=6", f"n={n}", 1))
+    for old, label in (("n=6", "n=2"), ("n=6", "n=x"), ("n=6", "n=6.5"),
+                       ("alpha=0", "alpha=x"), ("p=4", "p=nan"), ("alpha=0", "alpha=inf")):
+        path = _write(tmp_path / f"{label}.csv", text.replace(old, label, 1))
         assert main(["green-check", "--field", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "invalid field data" in err and str(path) in err and f"n={n}" in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert "invalid field data" in err and f"{path}: header label {label} " in err
     path = _write(tmp_path / "n6.csv", text)
     assert main(["green-check", "--field", str(path), "--n", "2"]) == 1
     assert "error: need dimension n >= 3" in capsys.readouterr().err
@@ -333,6 +337,17 @@ def test_green_check_field_data_defects_exit_two(tmp_path, capsys):
     assert main(["green-check", "--field", str(uneven)]) == 2
     assert "log-uniform" in capsys.readouterr().err
     assert main(["green-check", "--field", str(tmp_path / "missing.csv")]) == 1
+    # Rows go through numpy's text reader: a whitespace-only line, a '#'
+    # inside a row and a cell float() would take but numpy's reader does
+    # not ('1_0') are each invalid field data that names the file.
+    rows = _field_file(tmp_path / "good.csv", make_grid(count=512).nodes).read_text().splitlines()
+    row = rows[100]
+    for name, middle in (("blank.csv", [" ", row]), ("hash.csv", [row + "#note"]),
+                         ("underscore.csv", [row.replace(",1.0", ",1_0")])):
+        path = _write(tmp_path / name, "\n".join(rows[:100] + middle + rows[101:]) + "\n")
+        assert main(["green-check", "--field", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid field data" in err and str(path) in err
 
 
 def test_green_check_field_below_node_floor_exits_two(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,8 +201,7 @@ def test_field_unlabeled_round_trip(tmp_path):
 
 
 def test_field_round_trip_is_bitwise(tmp_path):
-    # Random doubles of every magnitude, subnormals and -0.0 included, over
-    # more rows than load converts at a time.
+    # Random doubles of every magnitude, subnormals and -0.0 included.
     grid = make_grid(count=10000)
     values = np.random.default_rng(3).integers(0, 2**64, grid.count, dtype=np.uint64).view(float)
     values[~np.isfinite(values)] = 1.5
@@ -215,6 +215,23 @@ def test_field_round_trip_is_bitwise(tmp_path):
     back = RadialField.load(path)
     assert back.values.tobytes() == values.tobytes()
     assert back.grid.nodes.tobytes() == grid.nodes.tobytes()
+
+
+def test_field_load_parses_cells_like_float(tmp_path):
+    # Cells need not be repr() output: exponents, signs, padding and CRLF
+    # line ends all parse to the double float() gives.
+    nodes = make_grid(count=512).nodes
+    radii = [f"{float(r):.17e}" for r in nodes]
+    values = ["1e-3", " 0.5 ", "+2.5E+01", "-7.25e-310"] * (len(radii) // 4)
+    path = tmp_path / "forms.csv"
+    path.write_bytes(
+        "\r\n".join(["# radial-field n=6 alpha=0 p=4", *map(",".join, zip(radii, values))]).encode()
+        + b"\r\n"
+    )
+    back = RadialField.load(path)
+    assert back.grid.nodes.tobytes() == np.array([float(r) for r in radii]).tobytes()
+    assert back.values.tobytes() == np.array([float(v) for v in values]).tobytes()
+    assert (back.n, back.alpha, back.p) == (6, 0.0, 4.0)
 
 
 def test_field_load_rejects_bad_input(tmp_path):
@@ -234,13 +251,33 @@ def test_field_load_rejects_bad_input(tmp_path):
         cells = [f"{float(r)!r},1.0" for r in nodes]
         cells[row] = f"{float(nodes[row])!r},1.0x"
         badnum.write_text("# radial-field n= alpha= p=\n" + "\n".join(cells) + "\n")
-        with pytest.raises(ValueError, match=rf"bad-number-{row}.csv: row {row} .*'1.0x'"):
+        with pytest.raises(
+            ValueError,
+            match=rf"bad-number-{row}.csv: .*could not convert string '1.0x' to float64 "
+            rf"at row {row}, column 2",
+        ):
             RadialField.load(badnum)
 
     uneven = tmp_path / "uneven.csv"
     uneven.write_text("# radial-field n= alpha= p=\n0.1,1.0\n0.2,1.0\n0.9,1.0\n")
     with pytest.raises(ValueError, match="log-uniform"):
         RadialField.load(uneven)
+
+    header = b"# radial-field n= alpha= p=\n"
+    rows = [f"{float(r)!r},1.0\n".encode() for r in make_grid(count=512).nodes]
+    nan_row = rows[:4] + [rows[4].replace(b",1.0", b",nan")] + rows[5:]
+    for name, body, match in (
+        ("nan.csv", nan_row, "non-finite field value at node 4"),
+        ("undecodable.csv", rows[:3] + [b"0.5,\xff\xfe\n"] + rows[3:], "decode"),
+        ("header-only.csv", [], "0 nodes; need at least 256"),
+        ("one-row.csv", rows[-1:], "1 nodes; need at least 256"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(header + b"".join(body))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"{name}: .*{match}"):
+                RadialField.load(path)
 
     nodes = make_grid(count=512).nodes
     for name, radii, match in (

@@ -112,11 +112,31 @@ def test_libm_map_is_math_elementwise():
         _libm(math.exp, np.array([0.0, 710.0]))
 
 
+def test_stacked_jets_match_per_column_calls_bit_for_bit():
+    rng = np.random.default_rng(7)
+    k = 257
+    t = rng.uniform(-12.0, 3.0, k)
+    w = rng.uniform(-50.0, 50.0, (4, k))
+    B = 4.0 / 3.0
+    jet = from_log(t, w, B)
+    back_t, back = to_log(jet, B)
+    for j in range(k):
+        one = from_log(float(t[j]), OdeState(*w[:, j].tolist()), B)
+        one_t, one_back = to_log(one, B)
+        got = [float(jet.r[j]), *(float(u[j]) for u in (jet.u0, jet.u1, jet.u2, jet.u3))]
+        assert got == [one.r, one.u0, one.u1, one.u2, one.u3]
+        assert [float(back_t[j]), *(float(x[j]) for x in back)] == [one_t, *one_back]
+
+
 def test_nonpositive_radius_rejected():
     with pytest.raises(ValueError):
         RadialJet(0.0, 1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         RadialJet(-1.0, 1.0, 0.0, 0.0, 0.0)
+    ones = np.ones(3)
+    for r in (np.array([1.0, 0.0, 2.0]), np.array([1.0, math.nan, 2.0])):
+        with pytest.raises(ValueError):
+            RadialJet(r, ones, ones, ones, ones)
 
 
 def test_state_finiteness_flag():
