@@ -1,0 +1,237 @@
+/* Compiled kernels of hardyhenon4.dynamics: the Dormand-Prince 5(4) step
+ * loop of integrate and the ulp ring scan of fixed_points.
+ *
+ * Each is the Python loop of dynamics.py (_steps_py, _scan_py) written out
+ * expression for expression: every sum keeps its left-to-right order, its
+ * leading 0.0 and its zero weights; w^p is exp(p log w) for w > 0, else 0;
+ * powers go through pow; min and max keep Python's tie rules.  Built with
+ * -ffp-contract=off and without -ffast-math, every operation rounds as
+ * Python's float does, so both paths give the same bits.  The loader in
+ * _dp5.py compiles this file and falls back to the Python loops when it
+ * cannot.
+ */
+
+#include <float.h>
+#include <math.h>
+#include <stdint.h>
+
+#if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
+#error "double expressions must round to double at every operation"
+#endif
+
+/* Return statuses of hh_steps, as _STEP_STATUS in dynamics.py. */
+enum { END, BLOW_UP, NON_POSITIVE, FULL, UNDERFLOW, OVERFLOW };
+
+/* Python's min(a, b) and max(a, b): a unless b is strictly smaller / larger. */
+static double py_min(double a, double b) { return b < a ? b : a; }
+static double py_max(double a, double b) { return b > a ? b : a; }
+
+/* w^p = exp(p log w) for w > 0, else 0.  Sets *ovf where math.exp raises
+ * OverflowError: a finite argument whose exp is infinite. */
+static double wpow(double w, double p, int *ovf)
+{
+    if (!(w > 0.0))
+        return 0.0;
+    double x = p * log(w);
+    double r = exp(x);
+    if (isinf(r) && isfinite(x))
+        *ovf = 1;
+    return r;
+}
+
+/* Dormand-Prince 5(4) tableau, as _A, _B5 and _E in dynamics.py. */
+static const double A21 = 1.0 / 5.0;
+static const double A31 = 3.0 / 40.0, A32 = 9.0 / 40.0;
+static const double A41 = 44.0 / 45.0, A42 = -56.0 / 15.0, A43 = 32.0 / 9.0;
+static const double A51 = 19372.0 / 6561.0, A52 = -25360.0 / 2187.0,
+                    A53 = 64448.0 / 6561.0, A54 = -212.0 / 729.0;
+static const double A61 = 9017.0 / 3168.0, A62 = -355.0 / 33.0, A63 = 46732.0 / 5247.0,
+                    A64 = 49.0 / 176.0, A65 = -5103.0 / 18656.0;
+static const double B1 = 35.0 / 384.0, B2 = 0.0, B3 = 500.0 / 1113.0, B4 = 125.0 / 192.0,
+                    B5 = -2187.0 / 6784.0, B6 = 11.0 / 84.0;
+static const double E1 = 71.0 / 57600.0, E2 = 0.0, E3 = -71.0 / 16695.0, E4 = 71.0 / 1920.0,
+                    E5 = -17253.0 / 339200.0, E6 = 22.0 / 525.0, E7 = -1.0 / 40.0;
+
+static const double SAFETY = 0.9, MIN_FACTOR = 0.2, MAX_FACTOR = 10.0;
+static const double PI_ALPHA = 0.7 / 5.0, PI_BETA = 0.4 / 5.0;
+
+/* Accepted steps of the adaptive loop, appended to seg from row cnt[0] on.
+ *
+ * st (in/out): t, y0..y3, f0..f3 (the field at y), h, err_prev.
+ * prm: t1, sgn, rtol, atol, p, a0, a1, a2, a3, blowup_threshold.
+ * seg: cap rows of 18 doubles, (t, t_new, y, y_new, f, f_new) per step.
+ * cnt (in/out): rows written, rejected steps.
+ * Returns END at t1, BLOW_UP or NON_POSITIVE after the step whose w
+ * crossed (its row is the last one written), FULL when seg has no room
+ * left (call again with a larger seg to go on), UNDERFLOW when the step
+ * collapses at st[0], or OVERFLOW where a stage's w^p overflows.
+ */
+int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *cnt)
+{
+    double t = st[0], y0 = st[1], y1 = st[2], y2 = st[3], y3 = st[4];
+    double k10 = st[5], k11 = st[6], k12 = st[7], k13 = st[8];
+    double h = st[9], err_prev = st[10];
+    const double t1 = prm[0], sgn = prm[1], rtol = prm[2], atol = prm[3];
+    const double p = prm[4], a0 = prm[5], a1 = prm[6], a2 = prm[7], a3 = prm[8];
+    const double blowup_threshold = prm[9];
+    int64_t n = cnt[0], rejected = cnt[1];
+    int status = END, ovf = 0;
+
+    while (sgn * (t1 - t) > 0.0) {
+        if (n == cap) {
+            status = FULL;
+            break;
+        }
+        h = py_min(h, fabs(t1 - t));
+        if (h < 1e-13 * py_max(1.0, fabs(t))) {
+            status = UNDERFLOW;
+            break;
+        }
+        double hs = sgn * h;
+        double u;
+
+        u = y0 + hs * (0.0 + A21 * k10);
+        double k20 = y1 + hs * (0.0 + A21 * k11);
+        double k21 = y2 + hs * (0.0 + A21 * k12);
+        double k22 = y3 + hs * (0.0 + A21 * k13);
+        double k23 = wpow(u, p, &ovf) - a3 * k22 - a2 * k21 - a1 * k20 - a0 * u;
+
+        u = y0 + hs * (0.0 + A31 * k10 + A32 * k20);
+        double k30 = y1 + hs * (0.0 + A31 * k11 + A32 * k21);
+        double k31 = y2 + hs * (0.0 + A31 * k12 + A32 * k22);
+        double k32 = y3 + hs * (0.0 + A31 * k13 + A32 * k23);
+        double k33 = wpow(u, p, &ovf) - a3 * k32 - a2 * k31 - a1 * k30 - a0 * u;
+
+        u = y0 + hs * (0.0 + A41 * k10 + A42 * k20 + A43 * k30);
+        double k40 = y1 + hs * (0.0 + A41 * k11 + A42 * k21 + A43 * k31);
+        double k41 = y2 + hs * (0.0 + A41 * k12 + A42 * k22 + A43 * k32);
+        double k42 = y3 + hs * (0.0 + A41 * k13 + A42 * k23 + A43 * k33);
+        double k43 = wpow(u, p, &ovf) - a3 * k42 - a2 * k41 - a1 * k40 - a0 * u;
+
+        u = y0 + hs * (0.0 + A51 * k10 + A52 * k20 + A53 * k30 + A54 * k40);
+        double k50 = y1 + hs * (0.0 + A51 * k11 + A52 * k21 + A53 * k31 + A54 * k41);
+        double k51 = y2 + hs * (0.0 + A51 * k12 + A52 * k22 + A53 * k32 + A54 * k42);
+        double k52 = y3 + hs * (0.0 + A51 * k13 + A52 * k23 + A53 * k33 + A54 * k43);
+        double k53 = wpow(u, p, &ovf) - a3 * k52 - a2 * k51 - a1 * k50 - a0 * u;
+
+        u = y0 + hs * (0.0 + A61 * k10 + A62 * k20 + A63 * k30 + A64 * k40 + A65 * k50);
+        double k60 = y1 + hs * (0.0 + A61 * k11 + A62 * k21 + A63 * k31 + A64 * k41 + A65 * k51);
+        double k61 = y2 + hs * (0.0 + A61 * k12 + A62 * k22 + A63 * k32 + A64 * k42 + A65 * k52);
+        double k62 = y3 + hs * (0.0 + A61 * k13 + A62 * k23 + A63 * k33 + A64 * k43 + A65 * k53);
+        double k63 = wpow(u, p, &ovf) - a3 * k62 - a2 * k61 - a1 * k60 - a0 * u;
+
+        double n0 = y0 + hs * (0.0 + B1 * k10 + B2 * k20 + B3 * k30 + B4 * k40 + B5 * k50 + B6 * k60);
+        double n1 = y1 + hs * (0.0 + B1 * k11 + B2 * k21 + B3 * k31 + B4 * k41 + B5 * k51 + B6 * k61);
+        double n2 = y2 + hs * (0.0 + B1 * k12 + B2 * k22 + B3 * k32 + B4 * k42 + B5 * k52 + B6 * k62);
+        double n3 = y3 + hs * (0.0 + B1 * k13 + B2 * k23 + B3 * k33 + B4 * k43 + B5 * k53 + B6 * k63);
+        double k70 = n1, k71 = n2, k72 = n3;
+        double k73 = wpow(n0, p, &ovf) - a3 * n3 - a2 * n2 - a1 * n1 - a0 * n0;
+        /* Python raises at the first overflowing stage; nothing between
+         * that stage and here has an effect outside the step. */
+        if (ovf)
+            return OVERFLOW;
+        if (!(isfinite(n0) && isfinite(n1) && isfinite(n2) && isfinite(n3))) {
+            h *= 0.25;
+            rejected++;
+            continue;
+        }
+
+        double q0 = hs * (0.0 + E1 * k10 + E2 * k20 + E3 * k30 + E4 * k40 + E5 * k50 + E6 * k60
+                          + E7 * k70) / (atol + rtol * py_max(fabs(y0), fabs(n0)));
+        double q1 = hs * (0.0 + E1 * k11 + E2 * k21 + E3 * k31 + E4 * k41 + E5 * k51 + E6 * k61
+                          + E7 * k71) / (atol + rtol * py_max(fabs(y1), fabs(n1)));
+        double q2 = hs * (0.0 + E1 * k12 + E2 * k22 + E3 * k32 + E4 * k42 + E5 * k52 + E6 * k62
+                          + E7 * k72) / (atol + rtol * py_max(fabs(y2), fabs(n2)));
+        double q3 = hs * (0.0 + E1 * k13 + E2 * k23 + E3 * k33 + E4 * k43 + E5 * k53 + E6 * k63
+                          + E7 * k73) / (atol + rtol * py_max(fabs(y3), fabs(n3)));
+        double norm = sqrt((0.0 + q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) / 4.0);
+        if (norm > 1.0) {
+            h *= py_max(MIN_FACTOR, SAFETY * pow(norm, -0.2));
+            rejected++;
+            continue;
+        }
+
+        double tn = t + hs;
+        double *row = seg + 18 * n++;
+        row[0] = t;    row[1] = tn;
+        row[2] = y0;   row[3] = y1;   row[4] = y2;   row[5] = y3;
+        row[6] = n0;   row[7] = n1;   row[8] = n2;   row[9] = n3;
+        row[10] = k10; row[11] = k11; row[12] = k12; row[13] = k13;
+        row[14] = k70; row[15] = k71; row[16] = k72; row[17] = k73;
+        t = tn; y0 = n0; y1 = n1; y2 = n2; y3 = n3;
+        k10 = k70; k11 = k71; k12 = k72; k13 = k73;
+
+        if (y0 > blowup_threshold) {
+            status = BLOW_UP;
+            break;
+        }
+        if (y0 < 0.0) {
+            status = NON_POSITIVE;
+            break;
+        }
+
+        double factor;
+        if (norm == 0.0) {
+            factor = MAX_FACTOR;
+        } else {
+            factor = SAFETY * pow(norm, -PI_ALPHA) * pow(err_prev, PI_BETA);
+            factor = py_min(MAX_FACTOR, py_max(MIN_FACTOR, factor));
+            err_prev = norm;
+        }
+        h *= factor;
+    }
+
+    st[0] = t;   st[1] = y0;  st[2] = y1;  st[3] = y2;  st[4] = y3;
+    st[5] = k10; st[6] = k11; st[7] = k12; st[8] = k13;
+    st[9] = h;   st[10] = err_prev;
+    cnt[0] = n;
+    cnt[1] = rejected;
+    return status;
+}
+
+/* Radii, in ulps, of the rings, as _FIXED_POINT_RINGS in dynamics.py. */
+static const int64_t RINGS[] = {16, 128, 2048};
+
+/* The ring scan of fixed_points around seed, whose residual is best_g.
+ * Stores the snapped equilibrium in *best and returns the number of ulps
+ * whose residual was evaluated, the seed included, or -1 where a residual
+ * below the seed overflows (math.exp raises there). */
+int64_t hh_scan(double seed, double best_g, double a0, double p, double *best)
+{
+    double best_w = seed, best_d = 0.0;
+    double lo = seed, hi = seed;
+    int64_t scanned = 0;
+    int ovf = 0;
+    for (int r = 0; r < (int)(sizeof RINGS / sizeof RINGS[0]); r++) {
+        if (best_g == 0.0
+            && (lo == 0.0 || best_d < seed - nextafter(lo, 0.0))
+            && best_d < nextafter(hi, INFINITY) - seed)
+            break;
+        for (int64_t i = scanned; i < RINGS[r]; i++) {
+            lo = nextafter(lo, 0.0);
+            double g = fabs(wpow(lo, p, &ovf) - a0 * lo);
+            if (g <= best_g && (g < best_g || seed - lo <= best_d)) {
+                best_w = lo;
+                best_g = g;
+                best_d = seed - lo;
+            }
+        }
+        if (ovf)
+            return -1;
+        for (int64_t i = scanned; i < RINGS[r]; i++) {
+            hi = nextafter(hi, INFINITY);
+            int skip = 0;
+            double g = fabs(wpow(hi, p, &skip) - a0 * hi);
+            if (skip)
+                continue;
+            if (g <= best_g && (g < best_g || hi - seed < best_d)) {
+                best_w = hi;
+                best_g = g;
+                best_d = hi - seed;
+            }
+        }
+        scanned = RINGS[r];
+    }
+    *best = best_w;
+    return 1 + 2 * scanned;
+}

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _dp5
 from .params import CoefficientSet
 from .transform import OdeState, _libm
 
@@ -89,13 +90,19 @@ def fixed_points(coeffs: CoefficientSet) -> list[float]:
     double cannot be the minimizer and is skipped; if the seed's own
     residual overflows, OverflowError names it.
     """
-    a0, p = coeffs.a0, coeffs.p
+    a0 = coeffs.a0
     if a0 <= 0.0:
         warnings.warn(
             f"a0={a0:g} <= 0: no positive equilibrium (outside the expected regime)",
             stacklevel=2,
         )
         return [0.0]
+    return [0.0, _snap(a0, coeffs.p)[0]]
+
+
+def _snap(a0: float, p: float) -> tuple[float, int]:
+    """fixed_points' snapped equilibrium for a0 > 0, and the number of ulps
+    whose residual it evaluated, the seed included."""
     try:
         seed = a0 ** (1.0 / (p - 1.0))
     except OverflowError:
@@ -108,6 +115,13 @@ def fixed_points(coeffs: CoefficientSet) -> list[float]:
         raise OverflowError(
             f"residual w^p at the equilibrium w={seed:.6g} overflows a double (p={p!r})"
         ) from None
+    return _kernels().scan(seed, best_g, a0, p)
+
+
+def _scan_py(seed: float, best_g: float, a0: float, p: float) -> tuple[float, int]:
+    # The ring scan of fixed_points around seed, whose residual is best_g:
+    # the snapped w and the number of ulps evaluated, the seed included.
+    # hh_scan in _dp5.c is this loop in C.
     exp, log, nextafter, inf = math.exp, math.log, math.nextafter, math.inf
     best_w, best_d = seed, 0.0
     lo = hi = seed  # the last ulp scanned below and above the seed
@@ -136,7 +150,7 @@ def fixed_points(coeffs: CoefficientSet) -> list[float]:
             if g <= best_g and (g < best_g or hi - seed < best_d):
                 best_w, best_g, best_d = hi, g, hi - seed
         scanned = ring
-    return [0.0, best_w]
+    return best_w, 1 + 2 * scanned
 
 
 def _wide_margin(wstar: float, margin: float) -> str:
@@ -208,7 +222,8 @@ class Trajectory:
     runs); states, shape (k, 4), holds the 4-jet at each time.  The
     stored samples lie DEFAULT_SAMPLE_SPACING apart except for the
     terminal point.  segments, shape (m, 18), holds one row per accepted
-    step (see _hermite).  sample(ts) evaluates the dense representation
+    step (see _hermite); rejected counts the steps the controller turned
+    down on the way.  sample(ts) evaluates the dense representation
     at every time of ts in the covered span, so audits can resample at
     their own stencils; at a stored sample other than the terminal point
     it returns the stored state.  A closed-form orbit carries analytic,
@@ -220,6 +235,7 @@ class Trajectory:
     termination: str
     segments: np.ndarray = field(repr=False, default_factory=lambda: np.empty((0, 18)))
     analytic: Callable[[np.ndarray], np.ndarray] | None = field(repr=False, default=None)
+    rejected: int = 0
 
     def __post_init__(self) -> None:
         for name in ("times", "states", "segments"):
@@ -340,6 +356,9 @@ _MAX_FACTOR = 10.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 
+# Rows of integrate's first segment buffer; it doubles whenever it fills.
+_SEGMENT_ROWS = 1024
+
 
 def _rhs(y, coeffs: CoefficientSet):
     # Right-hand side with the pow base clipped at zero; sign crossings are
@@ -370,7 +389,7 @@ def _initial_step(y0, f0, span: float, rtol: float, atol: float) -> float:
     return min(h, span)
 
 
-def _bisect_crossing(seg: tuple, level: float) -> tuple[float, tuple]:
+def _bisect_crossing(seg: Sequence[float], level: float) -> tuple[float, tuple]:
     """Locate w0 == level inside one dense segment by bisection."""
     lo, hi = seg[0], seg[1]
     flo = seg[2] - level
@@ -413,13 +432,18 @@ def integrate(
     Trajectory sampled every DEFAULT_SAMPLE_SPACING in t, with
     termination ReachedEnd, BlowUp (threshold crossed, trajectory
     truncated at the crossing) or NonPositive (w hit zero; terminal
-    sample clamped to the crossing).
+    sample clamped to the crossing), and the count of rejected steps.
 
     Raises
     ------
     IntegrationUnderflow
         if the controller collapses the step: the outcome is then
         undetermined and never silently truncated.
+    OverflowError
+        ("math range error") if w^p overflows a double at a stage.
+
+    The step loop runs in the compiled kernel of _dp5.c where it builds,
+    else in _steps_py; the two give the same bits.
     """
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
@@ -434,7 +458,68 @@ def integrate(
 
     rtol, atol = tol, tol * 1e-2
     sgn = 1.0 if t1 > t0 else -1.0
-    span = abs(t1 - t0)
+    f = _rhs(initial, coeffs)
+    h = _initial_step(initial, f, abs(t1 - t0), rtol, atol)
+    # The kernel state (see _steps_py): t, y, the field at y, h, err_prev.
+    st = np.array([t0, *initial, *f, h, 1.0])
+    prm = np.array(
+        [t1, sgn, rtol, atol, coeffs.p, coeffs.a0, coeffs.a1, coeffs.a2, coeffs.a3,
+         blowup_threshold]
+    )
+    seg = np.empty((_SEGMENT_ROWS, 18))
+    cnt = np.zeros(2, np.int64)
+    steps = _kernels().steps
+    while (status := steps(st, prm, seg, cnt)) == _dp5.FULL:
+        seg = np.concatenate((seg, np.empty_like(seg)))
+    t, y0, y1, y2, y3 = st[:5].tolist()
+    if status == _dp5.UNDERFLOW:
+        raise IntegrationUnderflow(f"step size underflow at t={t:.6g}; outcome undetermined")
+
+    segs = seg[: cnt[0]].copy()
+    termination = REACHED_END
+    if status == _dp5.BLOW_UP:
+        t, (y0, y1, y2, y3) = _bisect_crossing(segs[-1].tolist(), blowup_threshold)
+        termination = BLOW_UP
+    elif status == _dp5.NON_POSITIVE:
+        t, (y0, y1, y2, y3) = _bisect_crossing(segs[-1].tolist(), 0.0)
+        y0 = max(y0, 0.0)
+        termination = NON_POSITIVE
+
+    # Uniform samples from the dense segments, terminal point included.
+    times = uniform_times(t0, t)
+    states = [[initial], _dense(segs, times[1:])]
+    if times[-1] != t:
+        times = np.append(times, t)
+        states.append([(y0, y1, y2, y3)])
+    return Trajectory(
+        times=times, states=np.concatenate(states), termination=termination, segments=segs,
+        rejected=int(cnt[1]),
+    )
+
+
+def _kernels() -> _dp5.Kernels:
+    # The compiled step loop and ring scan where they build, else the Python ones.
+    return _dp5.load() or _PY_KERNELS
+
+
+def _steps_py(st: np.ndarray, prm: np.ndarray, seg: np.ndarray, cnt: np.ndarray) -> int:
+    """integrate's adaptive loop: accepted steps appended to seg from row cnt[0] on.
+
+    st (updated in place) holds t, y0..y3, the field at y, h and err_prev;
+    prm holds t1, sgn, rtol, atol, p, a0..a3 and the blow-up threshold;
+    cnt (updated) counts the rows written and the rejected steps.  Returns
+    a status of _dp5: END at t1; BLOW_UP or NON_POSITIVE after the step
+    whose w crossed, its row the last written; FULL when seg has no room
+    left, to be called again with a larger seg; UNDERFLOW when the step
+    collapses at st[0].  An overflowing w^p raises OverflowError.
+    hh_steps in _dp5.c is this loop in C.
+    """
+    t, y0, y1, y2, y3, k10, k11, k12, k13, h, err_prev = st.tolist()
+    t1, sgn, rtol, atol, p, a0, a1, a2, a3, blowup_threshold = prm.tolist()
+    n, rejected = cnt.tolist()
+    rows: list[tuple] = []
+    room = len(seg) - n
+    status = _dp5.END
 
     # The step below is the Dormand-Prince tableau written out per stage
     # and per component, with the right-hand side inlined: k<s><j> is
@@ -444,31 +529,21 @@ def integrate(
     # sum(_A[i][m] * k[m][j] for m in range(i)), so each rounding, and the
     # sign of each zero, is that of the generic stepper over the tableau
     # that tests/test_dynamics.py keeps as the reference.
-    p, a0, a1, a2, a3 = coeffs.p, coeffs.a0, coeffs.a1, coeffs.a2, coeffs.a3
     exp, log, isfinite = math.exp, math.log, math.isfinite
     _, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (
         a61, a62, a63, a64, a65) = _A
     b1, b2, b3, b4, b5, b6 = _B5
     e1, e2, e3, e4, e5, e6, e7 = _E
 
-    y0, y1, y2, y3 = initial
-    f = _rhs(initial, coeffs)
-    k10, k11, k12, k13 = f
-    t = t0
-    h = _initial_step(initial, f, span, rtol, atol)
-    err_prev = 1.0
-
-    segments: list[tuple] = []
-    termination = REACHED_END
-
     while sgn * (t1 - t) > 0.0:
+        if len(rows) == room:
+            status = _dp5.FULL
+            break
         h = min(h, abs(t1 - t))
         if h < 1e-13 * max(1.0, abs(t)):
-            raise IntegrationUnderflow(
-                f"step size underflow at t={t:.6g}; outcome undetermined"
-            )
+            status = _dp5.UNDERFLOW
+            break
         hs = sgn * h
-
         u = y0 + hs * (0.0 + a21 * k10)
         k20 = y1 + hs * (0.0 + a21 * k11)
         k21 = y2 + hs * (0.0 + a21 * k12)
@@ -510,6 +585,7 @@ def integrate(
         k73 = (exp(p * log(n0)) if n0 > 0.0 else 0.0) - a3 * n3 - a2 * n2 - a1 * n1 - a0 * n0
         if not (isfinite(n0) and isfinite(n1) and isfinite(n2) and isfinite(n3)):
             h *= 0.25
+            rejected += 1
             continue
 
         # RMS over components of err / (atol + rtol max(|y|, |y_new|)).
@@ -524,22 +600,19 @@ def integrate(
         norm = math.sqrt((0.0 + q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) / 4.0)
         if norm > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * norm**-0.2)
+            rejected += 1
             continue
 
         tn = t + hs
-        seg = (t, tn, y0, y1, y2, y3, n0, n1, n2, n3, k10, k11, k12, k13, k70, k71, k72, k73)
-        segments.append(seg)
+        rows.append((t, tn, y0, y1, y2, y3, n0, n1, n2, n3, k10, k11, k12, k13, k70, k71, k72, k73))
         t, y0, y1, y2, y3 = tn, n0, n1, n2, n3
         k10, k11, k12, k13 = k70, k71, k72, k73
 
         if y0 > blowup_threshold:
-            t, (y0, y1, y2, y3) = _bisect_crossing(seg, blowup_threshold)
-            termination = BLOW_UP
+            status = _dp5.BLOW_UP
             break
         if y0 < 0.0:
-            t, (y0, y1, y2, y3) = _bisect_crossing(seg, 0.0)
-            y0 = max(y0, 0.0)
-            termination = NON_POSITIVE
+            status = _dp5.NON_POSITIVE
             break
 
         if norm == 0.0:
@@ -550,16 +623,14 @@ def integrate(
             err_prev = norm
         h *= factor
 
-    # Uniform samples from the dense segments, terminal point included.
-    segs = np.array(segments)
-    times = uniform_times(t0, t)
-    states = [[initial], _dense(segs, times[1:])]
-    if times[-1] != t:
-        times = np.append(times, t)
-        states.append([(y0, y1, y2, y3)])
-    return Trajectory(
-        times=times, states=np.concatenate(states), termination=termination, segments=segs
-    )
+    if rows:
+        seg[n : n + len(rows)] = rows
+    st[:] = (t, y0, y1, y2, y3, k10, k11, k12, k13, h, err_prev)
+    cnt[:] = (n + len(rows), rejected)
+    return status
+
+
+_PY_KERNELS = _dp5.Kernels(_steps_py, _scan_py)
 
 
 @dataclass(frozen=True)

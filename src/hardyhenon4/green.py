@@ -185,7 +185,9 @@ class RadialField:
                 try:
                     data = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2)
                 except ValueError as err:
-                    raise ValueError(f"expected 'radius,value' rows: {err}") from err
+                    raise ValueError(
+                        f"expected 'radius,value' rows: {_row_defect(path, err)}"
+                    ) from err
             if len(data) and data.shape[1] != 2:
                 raise ValueError(f"expected 'radius,value' rows, got {data.shape[1]} columns")
             radii, vals = data.reshape(-1, 2).T
@@ -209,6 +211,24 @@ class RadialField:
             return cls(grid=grid, values=vals, n=n, alpha=alpha, p=p)
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from err
+
+
+def _row_defect(path: str | Path, err: ValueError) -> str:
+    """What is wrong with the body of a field file numpy's reader refused:
+    the first row without exactly two cells, else numpy's own message.
+
+    Rows count from 0 after the header, empty lines left out, as in
+    numpy's messages about a bad cell.
+    """
+    with open(path) as fh:
+        rows = np.array(fh.read().split("\n")[1:], dtype=str)
+    rows = rows[np.char.str_len(rows) > 0]
+    cells = np.char.count(rows, ",") + 1
+    bad = np.flatnonzero(cells != 2)
+    if bad.size:
+        i, k = bad[0], cells[bad[0]]
+        return f"body row {i} has {k} cell{'s' if k != 1 else ''}"
+    return str(err)
 
 
 def _header_label(name: str, text: str) -> int | float | None:

@@ -348,6 +348,11 @@ def test_green_check_field_data_defects_exit_two(tmp_path, capsys):
         assert main(["green-check", "--field", str(path)]) == 2
         err = capsys.readouterr().err
         assert "invalid field data" in err and str(path) in err
+    # A row with a third cell is named by its body row, counted from 0.
+    extra = rows[:101] + [rows[101] + ",3"] + rows[102:]
+    path = _write(tmp_path / "extra.csv", "\n".join(extra) + "\n")
+    assert main(["green-check", "--field", str(path)]) == 2
+    assert f"{path}: expected 'radius,value' rows: body row 100 has 3 cells" in capsys.readouterr().err
 
 
 def test_green_check_field_below_node_floor_exits_two(tmp_path, capsys):

@@ -1,0 +1,75 @@
+"""The loader of the compiled kernels: cache, silent fallback, package contents."""
+
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+from hardyhenon4 import _dp5
+from hardyhenon4.cli import main
+
+PACKAGE = Path(_dp5.__file__).parent
+CLASSIFY = ["classify", "--n", "6", "--alpha", "0", "--p", "4",
+            "--samples", "4", "--seed", "7", "--t-end", "-20"]
+
+
+@pytest.fixture
+def fresh_load(monkeypatch):
+    """load() with its cached result dropped before and after the test."""
+    _dp5.load.cache_clear()
+    yield _dp5.load
+    _dp5.load.cache_clear()
+
+
+def _needs_compiler():
+    if shutil.which(_dp5._compiler()[0]) is None:
+        pytest.skip("no C compiler")
+
+
+def test_missing_compiler_and_unwritable_cache_fall_back_silently(
+    tmp_path, monkeypatch, capsys, fresh_load
+):
+    assert main(CLASSIFY) == 0
+    want = capsys.readouterr()
+    # A regular file where the cache directory's parent should be: no
+    # directory can be made there, not even by root.
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(_dp5, "_cache_dirs", lambda: [tmp_path / "file" / "cache"])
+    monkeypatch.setattr(_dp5, "_compiler", lambda: [str(tmp_path / "no-such-cc")])
+    _dp5.load.cache_clear()
+    assert main(CLASSIFY) == 0
+    got = capsys.readouterr()
+    assert fresh_load() is None
+    assert got.out == want.out
+    assert got.err == ""
+
+
+def test_missing_compiler_falls_back_silently(tmp_path, monkeypatch, fresh_load):
+    monkeypatch.setattr(_dp5, "_cache_dirs", lambda: [tmp_path / "cache"])
+    monkeypatch.setattr(_dp5, "_compiler", lambda: [str(tmp_path / "no-such-cc")])
+    assert fresh_load() is None
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
+def test_unwritable_cache_directory_falls_to_the_next(tmp_path, monkeypatch, fresh_load):
+    _needs_compiler()
+    (tmp_path / "file").write_text("")
+    dirs = [tmp_path / "file" / "cache", tmp_path / "tmp"]
+    monkeypatch.setattr(_dp5, "_cache_dirs", lambda: dirs)
+    assert fresh_load() is not None
+    [lib] = (tmp_path / "tmp").iterdir()
+    assert lib.name.startswith("_dp5-") and lib.suffix == ".so"
+    # A second process finds the library and compiles nothing.
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: pytest.fail("compiled again"))
+    _dp5.load.cache_clear()
+    assert fresh_load() is not None
+
+
+def test_package_holds_only_sources_after_a_compile(tmp_path, monkeypatch, fresh_load):
+    _needs_compiler()
+    monkeypatch.setattr(_dp5, "_cache_dirs", lambda: [tmp_path / "cache"])
+    assert fresh_load() is not None
+    others = [p.name for p in PACKAGE.iterdir()
+              if p.name != "__pycache__" and p.suffix != ".py" and p.name != "_dp5.c"]
+    assert others == []

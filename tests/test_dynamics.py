@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import math
 import random
+import shutil
 import struct
 import sys
 import types
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardyhenon4 import dynamics
+from hardyhenon4 import _dp5, dynamics
 from hardyhenon4.params import CRITICAL, SUBCRITICAL, SUPERCRITICAL, ProblemParams, coefficients
 from hardyhenon4.dynamics import (
     BLOW_UP,
@@ -47,6 +48,30 @@ PARAMS = ProblemParams(6, 0.0, 4.0)
 COEFFS = coefficients(PARAMS)
 P = 4.0
 WSTAR = 1.9917354429142955  # snapped machine equilibrium of a0^(1/3), a0 = 640/81
+
+
+def _kernel_paths(monkeypatch):
+    """Yield "compiled" where _dp5.c builds, then "python": until the next
+    name, integrate and fixed_points run on that path's kernels."""
+    if _dp5.load() is not None:
+        yield "compiled"
+    monkeypatch.setattr(_dp5, "load", lambda: None)
+    yield "python"
+
+
+def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch):
+    if shutil.which(_dp5._compiler()[0]) is None:
+        pytest.skip("no C compiler")
+    assert _dp5.load() is not None
+
+    def python_loop(*args):
+        raise AssertionError("the Python loop ran")
+
+    monkeypatch.setattr(dynamics, "_PY_KERNELS", _dp5.Kernels(python_loop, python_loop))
+    traj = integrate(OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS,
+                     blowup_threshold=10.0)
+    assert traj.termination == BLOW_UP
+    assert fixed_points(COEFFS) == [0.0, WSTAR]
 
 
 def test_vector_field_vanishes_exactly_at_equilibrium():
@@ -133,13 +158,14 @@ def test_fixed_points_matches_full_scan(monkeypatch):
         (1e-300, 1.001),           # seed underflows to 0.0
     ]
     assert len(cases) > 1000
-    mismatches = []
-    for a0, p in cases:
-        got = fixed_points(dataclasses.replace(COEFFS, a0=a0, p=p))[1]
-        want = _full_scan(a0, p)
-        if repr(got) != repr(want):
-            mismatches.append((a0, p, got, want))
-    assert mismatches == []
+    wants = [_full_scan(a0, p) for a0, p in cases]
+    for kernels in _kernel_paths(monkeypatch):
+        mismatches = []
+        for (a0, p), want in zip(cases, wants):
+            got = fixed_points(dataclasses.replace(COEFFS, a0=a0, p=p))[1]
+            if repr(got) != repr(want):
+                mismatches.append((a0, p, got, want))
+        assert mismatches == [], kernels
 
 
 def test_fixed_points_stops_at_the_first_exact_zero(monkeypatch):
@@ -153,13 +179,17 @@ def test_fixed_points_stops_at_the_first_exact_zero(monkeypatch):
     monkeypatch.setattr(dynamics, "math", counting)
     # (6, 0, 4): the seed itself is an exact zero; (6, 0, 5.25): one lies
     # in the first ring of +-16 ulps; (7, 0, 3): none in the window.
-    for triple, most in (((6, 0.0, 4.0), 33), ((6, 0.0, 5.25), 33), ((7, 0.0, 3.0), 4097)):
-        calls.clear()
-        coeffs = coefficients(ProblemParams(*triple))
-        wstar = fixed_points(coeffs)[1]
-        assert len(calls) <= most, triple
-        assert repr(wstar) == repr(_full_scan(coeffs.a0, coeffs.p)), triple
-    assert len(calls) == 4097
+    for kernels in _kernel_paths(monkeypatch):
+        for triple, most in (((6, 0.0, 4.0), 33), ((6, 0.0, 5.25), 33), ((7, 0.0, 3.0), 4097)):
+            calls.clear()
+            coeffs = coefficients(ProblemParams(*triple))
+            wstar, evaluated = dynamics._snap(coeffs.a0, coeffs.p)
+            assert evaluated <= most, (kernels, triple)
+            if kernels == "python":  # it counts the residuals the loop evaluates
+                assert evaluated == len(calls), triple
+            assert repr(wstar) == repr(_full_scan(coeffs.a0, coeffs.p)), (kernels, triple)
+            assert fixed_points(coeffs) == [0.0, wstar]
+        assert evaluated == 4097, kernels
 
 
 def test_fixed_points_names_an_overflowing_residual():
@@ -544,16 +574,22 @@ def _singular_orbit_start(amplitude: float) -> OdeState:
         "forward", "blowup-tol1e-12",
     ],
 )
-def test_integrate_matches_generic_stepper_bit_for_bit(initial, t1, tol, threshold, termination):
-    traj = integrate(initial, 0.0, t1, tol, COEFFS, blowup_threshold=threshold)
-    times, states, segments, want_termination, _ = _generic_integrate(
+def test_integrate_matches_generic_stepper_bit_for_bit(
+    initial, t1, tol, threshold, termination, monkeypatch
+):
+    times, states, segments, want_termination, rejected = _generic_integrate(
         initial, 0.0, t1, tol, COEFFS, threshold
     )
-    assert traj.termination == want_termination == termination
-    assert _bits(traj.times.tolist()) == _bits(times)
-    assert _bits(traj.states.ravel().tolist()) == _bits(v for s in states for v in s)
-    assert len(traj.segments) == len(segments)
-    assert _bits(traj.segments.ravel().tolist()) == _bits(v for seg in segments for v in seg)
+    for kernels in _kernel_paths(monkeypatch):
+        traj = integrate(initial, 0.0, t1, tol, COEFFS, blowup_threshold=threshold)
+        assert traj.termination == want_termination == termination, kernels
+        assert _bits(traj.times.tolist()) == _bits(times), kernels
+        assert _bits(traj.states.ravel().tolist()) == _bits(v for s in states for v in s), kernels
+        assert len(traj.segments) == len(segments), kernels
+        assert _bits(traj.segments.ravel().tolist()) == _bits(
+            v for seg in segments for v in seg
+        ), kernels
+        assert traj.rejected == rejected, kernels
 
 
 @pytest.mark.parametrize(
@@ -561,30 +597,65 @@ def test_integrate_matches_generic_stepper_bit_for_bit(initial, t1, tol, thresho
     [(_singular_orbit_start(1e-6), -4.0), (OdeState(WSTAR + 0.01, 0.0, 0.0, 0.0), 3.0)],
     ids=["backward", "forward"],
 )
-def test_sample_matches_generic_hermite_bit_for_bit(initial, t1):
-    traj = integrate(initial, 0.0, t1, 1e-10, COEFFS)
+def test_sample_matches_generic_hermite_bit_for_bit(initial, t1, monkeypatch):
     _, _, flat, _, _ = _generic_integrate(initial, 0.0, t1, 1e-10, COEFFS, 1e6)
     segments = [(s[0], s[1], s[2:6], s[6:10], s[10:14], s[14:18]) for s in flat]
-    rng = random.Random(5)
-    lo, hi = sorted((traj.t_start, traj.t_end))
-    sgn = 1.0 if t1 > 0.0 else -1.0
-    ts = (
-        [rng.uniform(lo, hi) for _ in range(400)]
-        + [flat[0][0]]
-        + [seg[1] for seg in flat if traj.covers(seg[1])]
-        # within covers()'s slack; past the last step end on the backward run
-        + [traj.t_start - sgn * 5e-13, traj.t_end + sgn * 5e-13]
-    )
-    assert (t1 < 0.0) == (traj.t_end == flat[-1][1])
-    assert len(ts) > 420
-    assert _bits(traj.sample(ts).ravel().tolist()) == _bits(
-        v for s in _generic_dense(segments, ts) for v in s
-    )
+    for kernels in _kernel_paths(monkeypatch):
+        traj = integrate(initial, 0.0, t1, 1e-10, COEFFS)
+        rng = random.Random(5)
+        lo, hi = sorted((traj.t_start, traj.t_end))
+        sgn = 1.0 if t1 > 0.0 else -1.0
+        ts = (
+            [rng.uniform(lo, hi) for _ in range(400)]
+            + [flat[0][0]]
+            + [seg[1] for seg in flat if traj.covers(seg[1])]
+            # within covers()'s slack; past the last step end on the backward run
+            + [traj.t_start - sgn * 5e-13, traj.t_end + sgn * 5e-13]
+        )
+        assert (t1 < 0.0) == (traj.t_end == flat[-1][1]), kernels
+        assert len(ts) > 420
+        assert _bits(traj.sample(ts).ravel().tolist()) == _bits(
+            v for s in _generic_dense(segments, ts) for v in s
+        ), kernels
 
 
-def test_generic_stepper_cases_include_rejected_steps():
-    # The "converging" bit-for-bit case above also takes the rejection branch.
-    *_, rejected = _generic_integrate(
-        _singular_orbit_start(1e-6), 0.0, -4.0, 1e-10, COEFFS, 1e6
-    )
+def test_generic_stepper_cases_include_rejected_steps(monkeypatch):
+    # The "converging" bit-for-bit case above also takes the rejection
+    # branch, and integrate counts those steps as the generic stepper does.
+    initial = _singular_orbit_start(1e-6)
+    *_, rejected = _generic_integrate(initial, 0.0, -4.0, 1e-10, COEFFS, 1e6)
     assert rejected > 0
+    for kernels in _kernel_paths(monkeypatch):
+        assert integrate(initial, 0.0, -4.0, 1e-10, COEFFS).rejected == rejected, kernels
+
+
+def test_integrate_resumes_when_the_segment_buffer_fills(monkeypatch):
+    initial = OdeState(WSTAR, -1e-3, 0.0, 0.0)
+    for kernels in _kernel_paths(monkeypatch):
+        monkeypatch.setattr(dynamics, "_SEGMENT_ROWS", 1024)
+        whole = integrate(initial, 0.0, -20.0, 1e-12, COEFFS)
+        assert len(whole.segments) > 1024
+        monkeypatch.setattr(dynamics, "_SEGMENT_ROWS", 1)
+        pieces = integrate(initial, 0.0, -20.0, 1e-12, COEFFS)
+        for name in ("times", "states", "segments"):
+            assert getattr(pieces, name).tobytes() == getattr(whole, name).tobytes(), kernels
+        assert (pieces.termination, pieces.rejected) == (whole.termination, whole.rejected)
+
+
+def test_integrate_reports_step_underflow(monkeypatch):
+    for kernels in _kernel_paths(monkeypatch):
+        with pytest.raises(dynamics.IntegrationUnderflow) as err:
+            integrate(OdeState(1e30, 1e70, 1e70, 0.0), 0.0, 1.0, 1e-4, COEFFS,
+                      blowup_threshold=1e300)
+        assert str(err.value) == "step size underflow at t=0; outcome undetermined", kernels
+
+
+def test_integrate_reports_an_overflowing_stage(monkeypatch):
+    # w^4 is finite at the start, but with a first step of 1 the second
+    # stage reaches w = 1.1e77 + 0.2e77 > 1.158e77, where w^4 overflows.
+    monkeypatch.setattr(dynamics, "_initial_step", lambda *args: 1.0)
+    for kernels in _kernel_paths(monkeypatch):
+        with pytest.raises(OverflowError) as err:
+            integrate(OdeState(1.1e77, 1e77, 0.0, 0.0), 0.0, 1.0, 1e-4, COEFFS,
+                      blowup_threshold=1e300)
+        assert str(err.value) == "math range error", kernels

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hardyhenon4 import _dp5
 from hardyhenon4.cli import main
 from hardyhenon4.experiments import ExperimentConfig, run_experiment
 
@@ -96,6 +97,13 @@ def test_row_paths_match_stored_tables(tmp_path):
     assert [b.split("\n", 1)[0] for b in got] == [b.split("\n", 1)[0] for b in want]
     for block_got, block_want in zip(got, want):
         assert block_got == block_want
+
+
+def test_python_loops_print_the_stored_tables(tmp_path, monkeypatch):
+    # Without the compiled kernels of _dp5.c, integrate and fixed_points
+    # run their Python loops, which must print the same bytes.
+    monkeypatch.setattr(_dp5, "load", lambda: None)
+    assert render_cases(tmp_path) == EXPECTED.read_text()
 
 
 # Renders every case, then solves a 512-node field made by make_grid, in
