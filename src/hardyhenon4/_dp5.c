@@ -19,7 +19,7 @@
 #error "double expressions must round to double at every operation"
 #endif
 
-/* Return statuses of hh_steps, as _STEP_STATUS in dynamics.py. */
+/* Return statuses of hh_steps, as END ... OVERFLOW = range(6) in _dp5.py. */
 enum { END, BLOW_UP, NON_POSITIVE, FULL, UNDERFLOW, OVERFLOW };
 
 /* Python's min(a, b) and max(a, b): a unless b is strictly smaller / larger. */

@@ -22,26 +22,18 @@ from typing import Callable
 
 import numpy as np
 
-from .params import ProblemParams, in_dichotomy_window, coefficients
-from .dynamics import (
-    DEFAULT_WINDOW,
-    IntegrationUnderflow,
-    NonPositiveState,
-    classify_limit,
-    fixed_points,
-    integrate,
-)
-from .energy import energy
+from .params import ProblemParams, in_dichotomy_window
+from .dynamics import IntegrationUnderflow, NonPositiveState
 from .green import IntegrabilityError, RadialField, bilaplacian_solve_radial
 from .experiments import (
     ATLAS,
     CLASSIFICATION,
     ENERGY_AUDIT,
     GREEN_STUDY,
+    TRAJECTORY,
     ExperimentConfig,
     ResultTable,
     run_experiment,
-    _draws,
 )
 
 _COMMAND_HELP = {
@@ -293,26 +285,9 @@ def _cmd_simulate(opts: dict) -> ResultTable:
     ok, reason = in_dichotomy_window(params)
     if not ok:
         raise UsageError(reason)
-    config = _config(CLASSIFICATION, params, opts, samples=1, horizon=-15.0)
-    coeffs = coefficients(params)
-    wstar = fixed_points(coeffs)[1]
-    _, state = next(_draws(config, 0, wstar))
-    traj = integrate(state, 0.0, config.horizon, config.tol, coeffs)
-    window = min(DEFAULT_WINDOW, traj.span / 2.0)
-    cls = classify_limit(traj, wstar, margin=config.margin, window=window)
-    _log(
-        f"terminated {traj.termination} at t={traj.t_end:.6g}; "
-        f"classified {cls.tag} (terminal w0 = {cls.terminal_value:.6g})",
-        opts,
-    )
-    columns = (traj.times, *traj.states.T, energy(traj.states.T, coeffs))
-    rows = tuple(zip(*(c.tolist() for c in columns)))
-    return ResultTable(
-        kind="trajectory",
-        schema=("t", "w0", "w1", "w2", "w3", "energy"),
-        rows=rows,
-        config_digest=config.digest(),
-    )
+    table = run_experiment(_config(TRAJECTORY, params, opts, samples=1, horizon=-15.0))
+    _log(table.diagnostic, opts)
+    return table
 
 
 def _cmd_sweep(kind: str, opts: dict) -> ResultTable:

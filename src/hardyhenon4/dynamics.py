@@ -363,7 +363,7 @@ _SEGMENT_ROWS = 1024
 def _rhs(y, coeffs: CoefficientSet):
     # Right-hand side with the pow base clipped at zero; sign crossings are
     # handled by the termination logic, so a trial stage poking below zero
-    # is tolerated without raising.  integrate inlines this expression.
+    # is tolerated without raising.  _steps_py and _dp5.c's hh_steps inline it.
     w0 = y[0]
     w4 = (
         _wpow(w0, coeffs.p)

@@ -15,7 +15,7 @@ conserved exactly at it (a1 = a3 = 0), and increases above it.  Note the
 -w2^2/2 term: it is forced by the rate law, since any first integral must
 have its w3-dependence enter through w3 w1 - w2^2/2 for the w3 w2 and
 w1 w2 cross terms to cancel.  E multiplies e by |S^{n-1}|; energy()
-returns E as a plain float.
+returns E as a float at one state, or as an array over a (4, k) stack.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Each runner maps an ExperimentConfig to a ResultTable whose serialization
 is byte-identical for identical configs: pseudo-random initial conditions
 come from a counter-based generator keyed by (seed, row key), so a row's
 draw does not depend on execution order, and every cell is formatted with
-round-trip float repr.  Rows never raise; per-row failures are recorded
-in the note column.
+round-trip float repr.  Sweep rows never raise; per-row failures are
+recorded in the note column.  A trajectory table is one orbit, so its
+failure raises.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
-from importlib import metadata
 
 import numpy as np
 
+from . import __version__
 from .params import (
     CRITICAL,
     OUT_OF_RANGE,
@@ -59,7 +60,8 @@ ATLAS = "atlas"
 CLASSIFICATION = "classification"
 ENERGY_AUDIT = "energy-audit"
 GREEN_STUDY = "green-study"
-_KINDS = (ATLAS, CLASSIFICATION, ENERGY_AUDIT, GREEN_STUDY)
+TRAJECTORY = "trajectory"
+_KINDS = (ATLAS, CLASSIFICATION, ENERGY_AUDIT, GREEN_STUDY, TRAJECTORY)
 
 DEFAULT_BOX = 1e-3
 DEFAULT_HORIZON = -60.0
@@ -69,11 +71,6 @@ DEFAULT_HORIZON = -60.0
 # draw bigger than roughly 1e-5 (use a small config.box for this kind).
 _PERTURBED_HORIZON = -4.0
 _AUDIT_ESCAPE_FACTOR = 4.0
-
-try:
-    _VERSION = metadata.version("artifact")
-except metadata.PackageNotFoundError:  # not installed, e.g. direct checkout
-    _VERSION = "0.1.0"
 
 _EXPECTED_SIGNS = {
     SUBCRITICAL: ("+", "+", "-"),
@@ -92,7 +89,6 @@ class ExperimentConfig:
     samples: int = 64
     seed: int = 0
     margin: float = DEFAULT_MARGIN
-    window: float = DEFAULT_WINDOW
     box: float = DEFAULT_BOX
     horizon: float = DEFAULT_HORIZON
     grid_nodes: int = 2048
@@ -121,7 +117,7 @@ class ExperimentConfig:
             raise ValueError(f"samples must be a nonnegative integer, got {self.samples!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed!r}")
-        for name in ("margin", "window", "box"):
+        for name in ("margin", "box"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"need {name} > 0, got {getattr(self, name)!r}")
         if not -math.inf < self.horizon < 0.0:
@@ -157,6 +153,7 @@ class ResultTable:
     schema: tuple[str, ...]
     rows: tuple[tuple, ...]
     config_digest: str
+    diagnostic: str = ""  # one line on how the run went, for stderr; never serialized
 
     def __post_init__(self) -> None:
         for i, row in enumerate(self.rows):
@@ -169,7 +166,7 @@ class ResultTable:
         return [
             f"# result-table kind={self.kind}",
             f"# config sha256={self.config_digest}",
-            f"# generator hardyhenon4 {_VERSION} numpy {np.__version__}",
+            f"# generator hardyhenon4 {__version__} numpy {np.__version__}",
         ]
 
     def to_csv(self) -> str:
@@ -214,12 +211,12 @@ def _table(kind: str, schema: tuple[str, ...], rows: list, config: ExperimentCon
 
 
 def _grid_points(config: ExperimentConfig, schema: tuple[str, ...], rows: list, **reject):
-    """Yield (index, coeffs, tag) for each valid grid triple.
+    """Yield (index, coeffs, tag, wstar, problem) for each valid grid triple.
 
     An invalid triple, or one whose coefficients overflow a double, gets
     one row with the error message and the `reject` cells instead.  coeffs
-    is the point's one problem value; tag holds the n, alpha, p and regime
-    cells every row of the point starts with.
+    is the point's one problem value, wstar and problem its one _equilibrium
+    scan; tag holds the n, alpha, p and regime cells every row starts with.
     """
     for idx, (n, alpha, p) in enumerate(config.param_grid):
         try:
@@ -228,7 +225,7 @@ def _grid_points(config: ExperimentConfig, schema: tuple[str, ...], rows: list, 
             rows.append(_row(schema, n=n, alpha=alpha, p=p, note=str(err), **reject))
             continue
         tag = dict(n=coeffs.n, alpha=coeffs.alpha, p=coeffs.p, regime=coeffs.regime)
-        yield idx, coeffs, tag
+        yield idx, coeffs, tag, *_equilibrium(coeffs)
 
 
 def _draws(config: ExperimentConfig, idx: int, center: float, basis=_UNIT_BASIS):
@@ -266,10 +263,9 @@ def run_atlas(config: ExperimentConfig) -> ResultTable:
         "regime", "signs_ok", "w_star", "note",
     )
     rows: list[tuple] = []
-    for _, coeffs, _ in _grid_points(config, schema, rows):
+    for _, coeffs, _, w_star, note in _grid_points(config, schema, rows):
         expected = _EXPECTED_SIGNS.get(coeffs.regime)
         signs_ok = None if expected is None else classify_regime(coeffs).signs == expected
-        w_star, note = _equilibrium(coeffs)
         cells = {**vars(critical_exponents(coeffs)), **vars(coeffs)}
         rows.append(_row(schema, **cells, signs_ok=signs_ok, w_star=w_star, note=note))
     return _table(ATLAS, schema, rows, config)
@@ -289,14 +285,13 @@ def run_classification_sweep(config: ExperimentConfig) -> ResultTable:
         "e_min", "e_max", "count", "note",
     )
     rows: list[tuple] = []
-    for idx, coeffs, tag in _grid_points(config, schema, rows, kind="reject"):
+    for idx, coeffs, tag, wstar, problem in _grid_points(config, schema, rows, kind="reject"):
         ok, reason = in_dichotomy_window(coeffs)
         exploratory = coeffs.alpha > 0.0 and coeffs.a0 > 0.0 and coeffs.regime != OUT_OF_RANGE
         if not (ok or exploratory):
             rows.append(_row(schema, **tag, kind="reject", note=reason))
             continue
         note = "" if ok else "exploratory: " + reason
-        wstar, problem = _equilibrium(coeffs)
         if not problem and wstar <= config.box:
             problem = f"box {config.box:g} swallows the equilibrium {wstar:.6g}"
         problem = problem or _wide_margin(wstar, config.margin)
@@ -307,7 +302,7 @@ def run_classification_sweep(config: ExperimentConfig) -> ResultTable:
         for i, state in _draws(config, idx, wstar):
             try:
                 traj = integrate(state, 0.0, config.horizon, config.tol, coeffs)
-                cls = classify_limit(traj, wstar, margin=config.margin, window=config.window)
+                cls = classify_limit(traj, wstar, margin=config.margin)
             except _DRAW_ERRORS as err:
                 rows.append(_row(schema, **tag, kind="draw", index=i, note=str(err)))
                 continue
@@ -325,6 +320,32 @@ def run_classification_sweep(config: ExperimentConfig) -> ResultTable:
     return _table(CLASSIFICATION, schema, rows, config)
 
 
+def run_trajectory(config: ExperimentConfig) -> ResultTable:
+    """Draw 0 of a one-sample sweep at the one grid point: t, w and energy rows.
+
+    A short orbit is classified over half its span, and the verdict goes to
+    the diagnostic line."""
+    if len(config.param_grid) != 1 or config.samples != 1:
+        raise ValueError("a trajectory config needs one grid point and samples=1")
+    coeffs = coefficients(ProblemParams(*config.param_grid[0]))
+    if coeffs.a0 <= 0.0:
+        raise ValueError(f"a0={coeffs.a0:g} <= 0: no positive equilibrium to draw around")
+    wstar = fixed_points(coeffs)[1]
+    _, state = next(_draws(config, 0, wstar))
+    traj = integrate(state, 0.0, config.horizon, config.tol, coeffs)
+    window = min(DEFAULT_WINDOW, traj.span / 2.0)
+    cls = classify_limit(traj, wstar, margin=config.margin, window=window)
+    columns = (traj.times, *traj.states.T, energy(traj.states.T, coeffs))
+    return ResultTable(
+        kind=TRAJECTORY,
+        schema=("t", "w0", "w1", "w2", "w3", "energy"),
+        rows=tuple(zip(*(c.tolist() for c in columns))),
+        config_digest=config.digest(),
+        diagnostic=f"terminated {traj.termination} at t={traj.t_end:.6g}; "
+        f"classified {cls.tag} (terminal w0 = {cls.terminal_value:.6g})",
+    )
+
+
 def run_energy_audit(config: ExperimentConfig) -> ResultTable:
     """Monotonicity and rate-law audit over seeded trajectories.
 
@@ -337,9 +358,8 @@ def run_energy_audit(config: ExperimentConfig) -> ResultTable:
         "max_violation", "rate_mismatch", "e_initial", "e_final", "note",
     )
     rows: list[tuple] = []
-    for idx, coeffs, tag in _grid_points(config, schema, rows):
+    for idx, coeffs, tag, wstar, problem in _grid_points(config, schema, rows):
         note = "" if coeffs.regime != OUT_OF_RANGE else "no monotone-direction contract for OutOfRange"
-        wstar, problem = _equilibrium(coeffs)
         if problem:
             rows.append(_row(schema, **tag, note=problem))
             continue
@@ -420,8 +440,7 @@ def run_green_study(config: ExperimentConfig) -> ResultTable:
         "sup0", "sup1", "sup2", "sup3", "note",
     )
     rows: list[tuple] = []
-    for idx, coeffs, tag in _grid_points(config, schema, rows, case="reject"):
-        wstar, problem = _equilibrium(coeffs)
+    for idx, coeffs, tag, wstar, problem in _grid_points(config, schema, rows, case="reject"):
         removable = mode_trajectory([(1.0, coeffs.B)], 0.0, _GREEN_DEEP_HORIZON)
         try:
             superharmonic_check(removable, coeffs, wstar)
@@ -474,6 +493,7 @@ _RUNNERS = {
     CLASSIFICATION: run_classification_sweep,
     ENERGY_AUDIT: run_energy_audit,
     GREEN_STUDY: run_green_study,
+    TRAJECTORY: run_trajectory,
 }
 
 

@@ -146,7 +146,7 @@ def test_draws_are_a_prefix_when_samples_grow():
 def test_collapsed_sampling_box_yields_pure_fixed_point_class():
     cfg = ExperimentConfig(
         kind="classification", param_grid=((6, 0.0, 4.0),),
-        box=1e-20, tol=1e-13, horizon=-7.0, window=2.0, samples=8, seed=1,
+        box=1e-20, tol=1e-13, horizon=-10.0, samples=8, seed=1,
     )
     table = run_classification_sweep(cfg)
     draws = [r for r in table.rows if r[_col(table, "kind")] == "draw"]
@@ -322,10 +322,50 @@ def test_each_runner_finds_the_equilibrium_once(run, monkeypatch, capsys):
         calls.append(coeffs)
         return scan(coeffs)
 
-    for module in (dynamics, experiments, cli):
+    for module in (dynamics, experiments):
         monkeypatch.setattr(module, "fixed_points", counting)
     if run == "simulate":
         assert cli.main(["simulate", "--n", "6", "--alpha", "0", "--p", "4", "--seed", "1"]) == 0
     else:
         run_experiment(ExperimentConfig(kind=run, param_grid=((6, 0.0, 4.0),), **_ONE_POINT[run]))
     assert len(calls) == 1
+
+
+_SIMULATE = ["simulate", "--n", "6", "--alpha", "0", "--p", "4", "--seed", "0",
+             "--tol", "1e-9", "--margin", "0.5"]
+
+
+def test_simulate_hashes_its_own_config_kind(tmp_path, capsys):
+    # simulate runs the first draw of a one-sample classification to
+    # -15, but its table is the orbit, not the verdict: the two digests
+    # must differ.
+    paths = tmp_path / "simulate.csv", tmp_path / "classify.csv"
+    classify = ["classify", *_SIMULATE[1:], "--samples", "1", "--t-end", "-15"]
+    for argv, path in zip((_SIMULATE, classify), paths):
+        assert cli.main([*argv, "--out", str(path)]) == 0
+    capsys.readouterr()
+    digests = [path.read_text().splitlines()[1] for path in paths]
+    assert digests[0].startswith("# config sha256=")
+    assert digests[0] != digests[1]
+
+
+def test_trajectory_runner_prints_the_simulate_table(tmp_path, capsys):
+    out = tmp_path / "simulate.csv"
+    assert cli.main([*_SIMULATE, "--out", str(out)]) == 0
+    cfg = ExperimentConfig(
+        kind="trajectory", param_grid=((6, 0.0, 4.0),), samples=1, horizon=-15.0,
+        seed=0, tol=1e-9, margin=0.5,
+    )
+    table = run_experiment(cfg)
+    assert table.to_csv() == out.read_text()
+    assert capsys.readouterr().err == table.diagnostic + "\n"
+    assert table.diagnostic.startswith("terminated ")
+
+
+def test_trajectory_config_is_one_draw_at_one_point():
+    point = (6, 0.0, 4.0)
+    for grid, samples in (((point,), 64), ((point, point), 1)):
+        with pytest.raises(ValueError, match="one grid point and samples=1"):
+            run_experiment(ExperimentConfig(kind="trajectory", param_grid=grid, samples=samples))
+    with pytest.raises(ValueError, match="no positive equilibrium"):
+        run_experiment(ExperimentConfig(kind="trajectory", param_grid=((5, -1.0, 3.2),), samples=1))

@@ -7,6 +7,7 @@ argument of the numeric functions, so none takes its parts beside it, and
 only params (which builds it) and the CLI take a ProblemParams.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -14,6 +15,7 @@ import pkgutil
 from pathlib import Path
 
 import hardyhenon4
+from hardyhenon4 import cli, dynamics
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -84,3 +86,21 @@ def test_only_params_takes_the_problem_params():
         "_regime_tag", "coefficients", "critical_exponents", "in_dichotomy_window",
     ]
     assert takers == {"transform": [], "dynamics": [], "energy": [], "green": [], "experiments": []}
+
+
+def test_cli_borrows_only_public_names_and_no_dynamics_but_its_errors():
+    # The CLI drives the runners; the draw, integrate and classify steps
+    # belong to experiments, so cli binds no private name of another
+    # module and, from dynamics, only the exceptions it maps to exit 2.
+    borrowed = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    ]
+    assert borrowed
+    assert [name for _, name in borrowed if name.startswith("_")] == []
+    from_dynamics = [getattr(dynamics, name) for module, name in borrowed if module == "dynamics"]
+    assert all(inspect.isclass(obj) and issubclass(obj, Exception) for obj in from_dynamics)
+    assert not [obj for obj in vars(cli).values() if inspect.ismodule(obj)
+                and obj.__name__.startswith(hardyhenon4.__name__ + ".")]
