@@ -1,13 +1,17 @@
-/* Compiled kernels of hardyhenon4.dynamics: the Dormand-Prince 5(4) step
- * loop of integrate and the ulp ring scan of fixed_points.
+/* Compiled kernels of hardyhenon4: the Dormand-Prince 5(4) step loop of
+ * integrate, the ulp ring scan of fixed_points, the crossing bisection and
+ * the dense Hermite output of a trajectory, and the elementwise libm exp
+ * and log of transform._libm.
  *
- * Each is the Python loop of dynamics.py (_steps_py, _scan_py) written out
+ * Each is its Python twin (_steps_py, _scan_py, _bisect_py and _dense_py
+ * in dynamics.py, _exp_py and _log_py in transform.py) written out
  * expression for expression: every sum keeps its left-to-right order, its
  * leading 0.0 and its zero weights; w^p is exp(p log w) for w > 0, else 0;
- * powers go through pow; min and max keep Python's tie rules.  Built with
+ * powers go through pow; min and max keep Python's tie rules; exp and log
+ * are the libm functions Python's math module calls.  Built with
  * -ffp-contract=off and without -ffast-math, every operation rounds as
  * Python's float does, so both paths give the same bits.  The loader in
- * _dp5.py compiles this file and falls back to the Python loops when it
+ * _dp5.py compiles this file and falls back to the Python twins when it
  * cannot.
  */
 
@@ -234,4 +238,101 @@ int64_t hh_scan(double seed, double best_g, double a0, double p, double *best)
     }
     *best = best_w;
     return 1 + 2 * scanned;
+}
+
+/* The cubic Hermite interpolant of one dense segment row (ta, tb, ya[0..3],
+ * yb[0..3], fa[0..3], fb[0..3]) at t, as _hermite in dynamics.py: y[0..3]
+ * gets the 4-jet, or only y[0] where comps is 1. */
+static void hermite(double t, const double *seg, int comps, double *y)
+{
+    double h = seg[1] - seg[0];
+    double s = (t - seg[0]) / h;
+    double s2 = s * s;
+    double s3 = s2 * s;
+    double h00 = 2.0 * s3 - 3.0 * s2 + 1.0;
+    double h10 = (s3 - 2.0 * s2 + s) * h;
+    double h01 = -2.0 * s3 + 3.0 * s2;
+    double h11 = (s3 - s2) * h;
+    for (int i = 0; i < comps; i++)
+        y[i] = h00 * seg[2 + i] + h10 * seg[10 + i] + h01 * seg[6 + i] + h11 * seg[14 + i];
+}
+
+/* The crossing of w0 == level inside the segment row seg by 80 halvings,
+ * as _bisect_py: out gets tc, then the 4-jet there. */
+void hh_bisect(const double *seg, double level, double *out)
+{
+    double lo = seg[0], hi = seg[1];
+    double flo = seg[2] - level;
+    for (int i = 0; i < 80; i++) {
+        double mid = 0.5 * (lo + hi);
+        double fmid;
+        hermite(mid, seg, 1, &fmid);
+        fmid = fmid - level;
+        if (fmid == 0.0) {
+            lo = hi = mid;
+            break;
+        }
+        if ((fmid > 0.0) == (flo > 0.0)) {
+            lo = mid;
+            flo = fmid;
+        } else {
+            hi = mid;
+        }
+    }
+    double tc = 0.5 * (lo + hi);
+    out[0] = tc;
+    hermite(tc, seg, 4, out + 1);
+}
+
+/* numpy's order on doubles, NaN last: a sorts before b. */
+static int npy_lt(double a, double b) { return a < b || (b != b && a == a); }
+
+/* The dense output of the m segment rows at each of the k times ts, as
+ * _dense_py: out, k rows of 4, gets the Hermite value in the first segment
+ * whose end is at or past t (np.searchsorted on sgn * ends, side left),
+ * the last segment where there is none. */
+void hh_dense(const double *seg, int64_t m, const double *ts, int64_t k, double *out)
+{
+    double sgn = seg[1] < seg[0] ? -1.0 : 1.0;
+    for (int64_t j = 0; j < k; j++) {
+        double v = sgn * ts[j];
+        int64_t lo = 0, hi = m;
+        while (lo < hi) {
+            int64_t mid = lo + (hi - lo) / 2;
+            if (npy_lt(sgn * seg[18 * mid + 1], v))
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        if (lo > m - 1)
+            lo = m - 1;
+        hermite(ts[j], seg + 18 * lo, 4, out + 4 * j);
+    }
+}
+
+/* out[i] = exp(x[i]) for the n doubles of x, stopping at the first i where
+ * math.exp raises OverflowError (a finite x whose exp is infinite).
+ * Returns that i, or -1. */
+int64_t hh_exp(const double *x, int64_t n, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        out[i] = exp(x[i]);
+        if (isinf(out[i]) && isfinite(x[i]))
+            return i;
+    }
+    return -1;
+}
+
+/* out[i] = log(x[i]) under math.log's rules: log(inf) = inf, log(nan) is
+ * that nan, and x <= 0 (-0.0 and -inf too) raises ValueError, where this
+ * loop stops.  Returns that i, or -1. */
+int64_t hh_log(const double *x, int64_t n, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double v = x[i];
+        if (v <= 0.0)
+            return i;
+        out[i] = isfinite(v) ? log(v) : v;
+    }
+    return -1;
 }

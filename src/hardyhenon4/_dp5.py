@@ -3,18 +3,21 @@
 load() compiles _dp5.c with the C compiler Python was built with into a
 shared library cached under ~/.cache/hardyhenon4 (or the system temporary
 directory where that is not writable), keyed by the sha256 of the source,
-the compiler and the flags, and returns the two kernels with the
-signatures of dynamics._steps_py and dynamics._scan_py.  It returns None,
+the compiler and the flags, and returns the six kernels with the
+signatures of their Python twins: _steps_py, _scan_py, _bisect_py and
+_dense_py in dynamics, _exp_py and _log_py in transform.  It returns None,
 without a word, where anything fails (no compiler, a compile error, a
-target whose doubles carry excess precision, no writable cache), and
-dynamics then runs the Python loops, which print the same bytes.  Nothing
-is compiled, and no compiler module imported, before the first call.
+target whose doubles carry excess precision, no writable cache).
+kernels() is the one dispatch point: the compiled kernels where they
+load, else the Python twins, which print the same bytes.  Nothing is
+compiled, and no compiler module imported, before the first call.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -37,6 +40,23 @@ END, BLOW_UP, NON_POSITIVE, FULL, UNDERFLOW, OVERFLOW = range(6)
 class Kernels(NamedTuple):
     steps: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]
     scan: Callable[[float, float, float, float], tuple[float, int]]
+    bisect: Callable[[np.ndarray, float], tuple[float, tuple[float, float, float, float]]]
+    dense: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    exp: Callable[[np.ndarray], np.ndarray]
+    log: Callable[[np.ndarray], np.ndarray]
+
+
+def kernels() -> Kernels:
+    """The compiled kernels where they load, else their Python twins."""
+    return load() or _twins()
+
+
+def _twins() -> Kernels:
+    # Those modules import this one, so the twins are looked up per call.
+    from . import dynamics, transform
+
+    return Kernels(dynamics._steps_py, dynamics._scan_py, dynamics._bisect_py,
+                   dynamics._dense_py, transform._exp_py, transform._log_py)
 
 
 def _compiler() -> list[str]:
@@ -106,15 +126,23 @@ def load() -> Kernels | None:
         if lib is None:
             return None
         dll = ctypes.CDLL(str(lib))
-        steps, scan = dll.hh_steps, dll.hh_scan
+        steps, scan, bisect, dense = dll.hh_steps, dll.hh_scan, dll.hh_bisect, dll.hh_dense
+        exp, log = dll.hh_exp, dll.hh_log
     # No compiler, no home directory, no os.getuid, a CC that will not
-    # split, a library that will not load: each leaves the Python loops.
+    # split, a library that will not load: each leaves the Python twins.
     except (OSError, RuntimeError, AttributeError, ValueError):
         return None
     steps.restype = ctypes.c_int
     steps.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64, ctypes.c_void_p]
     scan.restype = ctypes.c_int64
     scan.argtypes = [ctypes.c_double] * 4 + [ctypes.POINTER(ctypes.c_double)]
+    bisect.restype = None
+    bisect.argtypes = [ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p]
+    dense.restype = None
+    dense.argtypes = [ctypes.c_void_p, ctypes.c_int64] * 2 + [ctypes.c_void_p]
+    for fn in (exp, log):
+        fn.restype = ctypes.c_int64
+        fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
 
     def run_steps(st: np.ndarray, prm: np.ndarray, seg: np.ndarray, cnt: np.ndarray) -> int:
         _check(st, (11,), np.float64)
@@ -133,11 +161,47 @@ def load() -> Kernels | None:
             raise OverflowError("math range error")
         return best.value, evaluated
 
-    return Kernels(run_steps, run_scan)
+    # Buffers the kernels only read are copied where they are not
+    # C-contiguous float64.
+    def run_bisect(row: np.ndarray, level: float) -> tuple[float, tuple[float, ...]]:
+        row = np.ascontiguousarray(row, np.float64)
+        _check(row, (18,), np.float64, writable=False)
+        out = (ctypes.c_double * 5)()
+        bisect(row.ctypes.data, level, out)
+        tc, *jet = out
+        return tc, tuple(jet)
+
+    def run_dense(segments: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        segments = np.ascontiguousarray(segments, np.float64)
+        ts = np.ascontiguousarray(ts, np.float64)
+        if not len(segments):
+            raise ValueError("no dense segments")
+        _check(segments, (len(segments), 18), np.float64, writable=False)
+        _check(ts, (len(ts),), np.float64, writable=False)
+        out = np.empty((len(ts), 4))
+        dense(segments.ctypes.data, len(segments), ts.ctypes.data, len(ts), out.ctypes.data)
+        return out
+
+    def libm_map(kernel, fn):
+        def run(x: np.ndarray) -> np.ndarray:
+            x = np.ascontiguousarray(x, np.float64)
+            out = np.empty(x.shape)
+            bad = kernel(x.ctypes.data, x.size, out.ctypes.data)
+            if bad >= 0:
+                fn(x.flat[bad].item())  # raises what the Python map raises there
+                raise AssertionError(f"{fn.__name__}({x.flat[bad]!r}) did not raise")
+            return out
+
+        return run
+
+    return Kernels(run_steps, run_scan, run_bisect, run_dense,
+                   libm_map(exp, math.exp), libm_map(log, math.log))
 
 
-def _check(a: np.ndarray, shape: tuple[int, ...], dtype: type) -> None:
-    # The kernel reads and writes these buffers through bare pointers.
-    if a.shape != shape or a.dtype != dtype or not a.flags.c_contiguous or not a.flags.writeable:
+def _check(a: np.ndarray, shape: tuple[int, ...], dtype: type, writable: bool = True) -> None:
+    # The kernel reads, and writes where writable, these buffers through bare pointers.
+    if (a.shape != shape or a.dtype != dtype or not a.flags.c_contiguous
+            or (writable and not a.flags.writeable)):
+        need = "writable C-contiguous" if writable else "C-contiguous"
         raise ValueError(f"kernel buffer of shape {a.shape} and dtype {a.dtype}, "
-                         f"need a writable C-contiguous {shape} {np.dtype(dtype)}")
+                         f"need a {need} {shape} {np.dtype(dtype)}")

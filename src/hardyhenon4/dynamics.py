@@ -115,7 +115,7 @@ def _snap(a0: float, p: float) -> tuple[float, int]:
         raise OverflowError(
             f"residual w^p at the equilibrium w={seed:.6g} overflows a double (p={p!r})"
         ) from None
-    return _kernels().scan(seed, best_g, a0, p)
+    return _dp5.kernels().scan(seed, best_g, a0, p)
 
 
 def _scan_py(seed: float, best_g: float, a0: float, p: float) -> tuple[float, int]:
@@ -196,6 +196,7 @@ def linearize(point: float, coeffs: CoefficientSet) -> LinearizationReport:
 # Cubic Hermite evaluation of one step's dense segment (ta, tb, ya[0..3],
 # yb[0..3], fa[0..3], fb[0..3]) at a float t, or of 18 segment columns at
 # an equal-length array t: numpy rounds like Python floats, so bits agree.
+# hermite in _dp5.c is this formula in C.
 def _hermite(t, seg):
     ta, tb, ya0, ya1, ya2, ya3, yb0, yb1, yb2, yb3, fa0, fa1, fa2, fa3, fb0, fb1, fb2, fb3 = seg
     h = tb - ta
@@ -223,11 +224,12 @@ class Trajectory:
     stored samples lie DEFAULT_SAMPLE_SPACING apart except for the
     terminal point.  segments, shape (m, 18), holds one row per accepted
     step (see _hermite); rejected counts the steps the controller turned
-    down on the way.  sample(ts) evaluates the dense representation
-    at every time of ts in the covered span, so audits can resample at
-    their own stencils; at a stored sample other than the terminal point
-    it returns the stored state.  A closed-form orbit carries analytic,
-    which maps a 1-D array of times to their (len(ts), 4) states.
+    down on the way; rhs_evals, h_min and h_max follow from the two.
+    sample(ts) evaluates the dense representation at every time of ts in
+    the covered span, so audits can resample at their own stencils; at a
+    stored sample other than the terminal point it returns the stored
+    state.  A closed-form orbit carries analytic, which maps a 1-D array
+    of times to their (len(ts), 4) states.
     """
 
     times: np.ndarray
@@ -249,6 +251,25 @@ class Trajectory:
             raise ValueError("trajectory contains a non-finite state")
 
     @property
+    def rhs_evals(self) -> int:
+        """Right-hand side evaluations of integrate: one at the start, six per
+        attempted step; 0 for an orbit without segments."""
+        return 1 + 6 * (len(self.segments) + self.rejected) if len(self.segments) else 0
+
+    @property
+    def h_min(self) -> float:
+        """The smallest accepted step, nan for an orbit without segments."""
+        return float(self._step_sizes().min()) if len(self.segments) else math.nan
+
+    @property
+    def h_max(self) -> float:
+        """The largest accepted step, nan for an orbit without segments."""
+        return float(self._step_sizes().max()) if len(self.segments) else math.nan
+
+    def _step_sizes(self) -> np.ndarray:
+        return np.abs(self.segments[:, 1] - self.segments[:, 0])
+
+    @property
     def t_start(self) -> float:
         return float(self.times[0])
 
@@ -268,6 +289,8 @@ class Trajectory:
     def sample(self, ts) -> np.ndarray:
         """Dense evaluation at each covered time of the 1-D ts: a (len(ts), 4) array."""
         ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1:
+            raise ValueError(f"need a 1-D array of times, got shape {ts.shape}")
         outside = ~self.covers(ts)
         if outside.any():
             t = float(ts[outside][0])
@@ -276,12 +299,14 @@ class Trajectory:
             return self.analytic(ts)
         if not len(self.segments):
             raise ValueError("trajectory carries no dense segments")
-        return _dense(self.segments, ts)
+        return _dp5.kernels().dense(self.segments, ts)
 
 
-def _dense(segments: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    # The first step ending at or past t holds it; a t within covers()'s
-    # slack past the last end falls to the last step.
+def _dense_py(segments: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    # The (len(ts), 4) dense output of the segment rows at the 1-D ts: the
+    # first step ending at or past t holds it; a t within covers()'s slack
+    # past the last end falls to the last step.  hh_dense in _dp5.c is
+    # this function in C.
     sgn = -1.0 if segments[0, 1] < segments[0, 0] else 1.0
     i = np.searchsorted(sgn * segments[:, 1], sgn * ts)
     return np.stack(_hermite(ts, segments[np.minimum(i, len(segments) - 1)].T), axis=1)
@@ -389,8 +414,10 @@ def _initial_step(y0, f0, span: float, rtol: float, atol: float) -> float:
     return min(h, span)
 
 
-def _bisect_crossing(seg: Sequence[float], level: float) -> tuple[float, tuple]:
-    """Locate w0 == level inside one dense segment by bisection."""
+def _bisect_py(row: np.ndarray, level: float) -> tuple[float, tuple]:
+    """Locate w0 == level inside one dense segment row by bisection: the
+    crossing time and the 4-jet there.  hh_bisect in _dp5.c is this loop in C."""
+    seg = row.tolist()
     lo, hi = seg[0], seg[1]
     flo = seg[2] - level
     for _ in range(80):
@@ -442,8 +469,9 @@ def integrate(
     OverflowError
         ("math range error") if w^p overflows a double at a stage.
 
-    The step loop runs in the compiled kernel of _dp5.c where it builds,
-    else in _steps_py; the two give the same bits.
+    The step loop, the crossing bisection and the sample fill run in the
+    compiled kernels of _dp5.c where they build, else in _steps_py,
+    _bisect_py and _dense_py; the two paths give the same bits.
     """
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
@@ -468,7 +496,8 @@ def integrate(
     )
     seg = np.empty((_SEGMENT_ROWS, 18))
     cnt = np.zeros(2, np.int64)
-    steps = _kernels().steps
+    kernels = _dp5.kernels()
+    steps = kernels.steps
     while (status := steps(st, prm, seg, cnt)) == _dp5.FULL:
         seg = np.concatenate((seg, np.empty_like(seg)))
     t, y0, y1, y2, y3 = st[:5].tolist()
@@ -478,16 +507,16 @@ def integrate(
     segs = seg[: cnt[0]].copy()
     termination = REACHED_END
     if status == _dp5.BLOW_UP:
-        t, (y0, y1, y2, y3) = _bisect_crossing(segs[-1].tolist(), blowup_threshold)
+        t, (y0, y1, y2, y3) = kernels.bisect(segs[-1], blowup_threshold)
         termination = BLOW_UP
     elif status == _dp5.NON_POSITIVE:
-        t, (y0, y1, y2, y3) = _bisect_crossing(segs[-1].tolist(), 0.0)
+        t, (y0, y1, y2, y3) = kernels.bisect(segs[-1], 0.0)
         y0 = max(y0, 0.0)
         termination = NON_POSITIVE
 
     # Uniform samples from the dense segments, terminal point included.
     times = uniform_times(t0, t)
-    states = [[initial], _dense(segs, times[1:])]
+    states = [[initial], kernels.dense(segs, times[1:])]
     if times[-1] != t:
         times = np.append(times, t)
         states.append([(y0, y1, y2, y3)])
@@ -495,11 +524,6 @@ def integrate(
         times=times, states=np.concatenate(states), termination=termination, segments=segs,
         rejected=int(cnt[1]),
     )
-
-
-def _kernels() -> _dp5.Kernels:
-    # The compiled step loop and ring scan where they build, else the Python ones.
-    return _dp5.load() or _PY_KERNELS
 
 
 def _steps_py(st: np.ndarray, prm: np.ndarray, seg: np.ndarray, cnt: np.ndarray) -> int:
@@ -628,9 +652,6 @@ def _steps_py(st: np.ndarray, prm: np.ndarray, seg: np.ndarray, cnt: np.ndarray)
     st[:] = (t, y0, y1, y2, y3, k10, k11, k12, k13, h, err_prev)
     cnt[:] = (n + len(rows), rejected)
     return status
-
-
-_PY_KERNELS = _dp5.Kernels(_steps_py, _scan_py)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _dp5
 from .params import CoefficientSet
 
 
@@ -25,11 +26,27 @@ def _libm(fn, x):
 
     Every transcendental on a table path comes from libm: numpy's SIMD
     kernels, picked per CPU at run time, differ from it in the last bit
-    on some arguments, so tables would follow the machine.
+    on some arguments, so tables would follow the machine.  An array goes
+    through the libm loops of _dp5.c where they build, else through
+    _exp_py or _log_py; either raises where math's function would.
     """
     if np.ndim(x) == 0:
         return fn(x)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    if fn is math.exp:
+        return _dp5.kernels().exp(x)
+    if fn is math.log:
+        return _dp5.kernels().log(x)
+    raise ValueError(f"no elementwise libm map for {fn!r}")
+
+
+def _exp_py(x: np.ndarray) -> np.ndarray:
+    # math.exp at each element; hh_exp in _dp5.c is this map in C.
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _log_py(x: np.ndarray) -> np.ndarray:
+    # math.log at each element; hh_log in _dp5.c is this map in C.
+    return np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ import signal
 
 import pytest
 
+from hardyhenon4 import _dp5
+
 
 class DeadlineExceeded(Exception):
     """Raised into a test whose code is still running at its deadline.
@@ -38,3 +40,17 @@ def deadline():
             signal.signal(signal.SIGALRM, previous)
 
     return guard
+
+
+@pytest.fixture
+def kernel_paths(monkeypatch):
+    """kernel_paths() yields "compiled" where _dp5.c builds, then "python":
+    until the next name, every kernel of _dp5 runs on that path."""
+
+    def paths():
+        if _dp5.load() is not None:
+            yield "compiled"
+        monkeypatch.setattr(_dp5, "load", lambda: None)
+        yield "python"
+
+    return paths

@@ -73,3 +73,15 @@ def test_package_holds_only_sources_after_a_compile(tmp_path, monkeypatch, fresh
     others = [p.name for p in PACKAGE.iterdir()
               if p.name != "__pycache__" and p.suffix != ".py" and p.name != "_dp5.c"]
     assert others == []
+
+
+def test_kernel_source_compiles_without_a_warning():
+    # The loader falls back without a word on any compile failure, so a
+    # warning that some compiler turns into an error would only cost speed.
+    _needs_compiler()
+    run = subprocess.run(
+        [*_dp5._compiler(), "-fsyntax-only", "-std=c99", "-Wall", "-Wextra", "-Wpedantic",
+         "-Werror", str(_dp5.SOURCE)],
+        capture_output=True, text=True, timeout=_dp5.COMPILE_TIMEOUT_S,
+    )
+    assert run.returncode == 0, run.stderr

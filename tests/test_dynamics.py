@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardyhenon4 import _dp5, dynamics
+from hardyhenon4 import _dp5, dynamics, transform
+from hardyhenon4.energy import energy
 from hardyhenon4.params import CRITICAL, SUBCRITICAL, SUPERCRITICAL, ProblemParams, coefficients
 from hardyhenon4.dynamics import (
     BLOW_UP,
@@ -50,28 +51,26 @@ P = 4.0
 WSTAR = 1.9917354429142955  # snapped machine equilibrium of a0^(1/3), a0 = 640/81
 
 
-def _kernel_paths(monkeypatch):
-    """Yield "compiled" where _dp5.c builds, then "python": until the next
-    name, integrate and fixed_points run on that path's kernels."""
-    if _dp5.load() is not None:
-        yield "compiled"
-    monkeypatch.setattr(_dp5, "load", lambda: None)
-    yield "python"
-
-
 def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch):
     if shutil.which(_dp5._compiler()[0]) is None:
         pytest.skip("no C compiler")
     assert _dp5.load() is not None
 
-    def python_loop(*args):
-        raise AssertionError("the Python loop ran")
+    def python_twin(*args):
+        raise AssertionError("a Python twin ran")
 
-    monkeypatch.setattr(dynamics, "_PY_KERNELS", _dp5.Kernels(python_loop, python_loop))
+    for module, name in ((dynamics, "_steps_py"), (dynamics, "_scan_py"),
+                         (dynamics, "_bisect_py"), (dynamics, "_dense_py"),
+                         (transform, "_exp_py"), (transform, "_log_py")):
+        monkeypatch.setattr(module, name, python_twin)
+    # Steps, the crossing bisection and the sample fill; then dense reads.
     traj = integrate(OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS,
                      blowup_threshold=10.0)
     assert traj.termination == BLOW_UP
+    assert traj.sample(traj.times[:-1]).tolist() == traj.states[:-1].tolist()
     assert fixed_points(COEFFS) == [0.0, WSTAR]
+    # Both libm maps, through the energy's w^(p+1) = exp((p+1) log w).
+    assert np.all(np.isfinite(energy(traj.states.T, COEFFS)))
 
 
 def test_vector_field_vanishes_exactly_at_equilibrium():
@@ -126,7 +125,7 @@ def _full_scan(a0, p):
     return best_w
 
 
-def test_fixed_points_matches_full_scan(monkeypatch):
+def test_fixed_points_matches_full_scan(monkeypatch, kernel_paths):
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -159,7 +158,7 @@ def test_fixed_points_matches_full_scan(monkeypatch):
     ]
     assert len(cases) > 1000
     wants = [_full_scan(a0, p) for a0, p in cases]
-    for kernels in _kernel_paths(monkeypatch):
+    for kernels in kernel_paths():
         mismatches = []
         for (a0, p), want in zip(cases, wants):
             got = fixed_points(dataclasses.replace(COEFFS, a0=a0, p=p))[1]
@@ -168,7 +167,7 @@ def test_fixed_points_matches_full_scan(monkeypatch):
         assert mismatches == [], kernels
 
 
-def test_fixed_points_stops_at_the_first_exact_zero(monkeypatch):
+def test_fixed_points_stops_at_the_first_exact_zero(monkeypatch, kernel_paths):
     calls = []
 
     def log(x):
@@ -179,7 +178,7 @@ def test_fixed_points_stops_at_the_first_exact_zero(monkeypatch):
     monkeypatch.setattr(dynamics, "math", counting)
     # (6, 0, 4): the seed itself is an exact zero; (6, 0, 5.25): one lies
     # in the first ring of +-16 ulps; (7, 0, 3): none in the window.
-    for kernels in _kernel_paths(monkeypatch):
+    for kernels in kernel_paths():
         for triple, most in (((6, 0.0, 4.0), 33), ((6, 0.0, 5.25), 33), ((7, 0.0, 3.0), 4097)):
             calls.clear()
             coeffs = coefficients(ProblemParams(*triple))
@@ -575,12 +574,12 @@ def _singular_orbit_start(amplitude: float) -> OdeState:
     ],
 )
 def test_integrate_matches_generic_stepper_bit_for_bit(
-    initial, t1, tol, threshold, termination, monkeypatch
+    initial, t1, tol, threshold, termination, kernel_paths
 ):
     times, states, segments, want_termination, rejected = _generic_integrate(
         initial, 0.0, t1, tol, COEFFS, threshold
     )
-    for kernels in _kernel_paths(monkeypatch):
+    for kernels in kernel_paths():
         traj = integrate(initial, 0.0, t1, tol, COEFFS, blowup_threshold=threshold)
         assert traj.termination == want_termination == termination, kernels
         assert _bits(traj.times.tolist()) == _bits(times), kernels
@@ -597,10 +596,10 @@ def test_integrate_matches_generic_stepper_bit_for_bit(
     [(_singular_orbit_start(1e-6), -4.0), (OdeState(WSTAR + 0.01, 0.0, 0.0, 0.0), 3.0)],
     ids=["backward", "forward"],
 )
-def test_sample_matches_generic_hermite_bit_for_bit(initial, t1, monkeypatch):
+def test_sample_matches_generic_hermite_bit_for_bit(initial, t1, kernel_paths):
     _, _, flat, _, _ = _generic_integrate(initial, 0.0, t1, 1e-10, COEFFS, 1e6)
     segments = [(s[0], s[1], s[2:6], s[6:10], s[10:14], s[14:18]) for s in flat]
-    for kernels in _kernel_paths(monkeypatch):
+    for kernels in kernel_paths():
         traj = integrate(initial, 0.0, t1, 1e-10, COEFFS)
         rng = random.Random(5)
         lo, hi = sorted((traj.t_start, traj.t_end))
@@ -619,19 +618,95 @@ def test_sample_matches_generic_hermite_bit_for_bit(initial, t1, monkeypatch):
         ), kernels
 
 
-def test_generic_stepper_cases_include_rejected_steps(monkeypatch):
+def test_sample_reads_strided_times_and_only_1d_times(kernel_paths):
+    for kernels in kernel_paths():
+        traj = integrate(OdeState(WSTAR + 0.01, 0.0, 0.0, 0.0), 0.0, -3.0, 1e-10, COEFFS)
+        ts = np.linspace(-3.0, 0.0, 301)[::-3]
+        assert not ts.flags.c_contiguous
+        assert traj.sample(ts).tobytes() == traj.sample(ts.copy()).tobytes(), kernels
+        for bad in (-0.5, [[-0.5, -0.6], [-0.7, -0.8]]):
+            with pytest.raises(ValueError, match="need a 1-D array of times"):
+                traj.sample(bad)
+
+
+@pytest.mark.parametrize(
+    "initial, t1, threshold",
+    [
+        (OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), -60.0, 10.0),
+        (OdeState(WSTAR, 0.2, 0.0, 0.0), -60.0, 1e6),
+        (OdeState(WSTAR + 0.01, 0.0, 0.0, 0.0), 3.0, 1e6),
+    ],
+    ids=["blowup", "nonpositive", "forward"],
+)
+def test_crossing_matches_generic_bisection_bit_for_bit(initial, t1, threshold, kernel_paths):
+    *_, flat, _, _ = _generic_integrate(initial, 0.0, t1, 1e-10, COEFFS, threshold)
+    row = flat[-1]
+    seg = (row[0], row[1], row[2:6], row[6:10], row[10:14], row[14:18])
+    # The step's own crossing, a level that the first midpoint hits
+    # exactly (the early exit), the levels at both ends and one the
+    # segment never reaches.
+    mid_level = _generic_hermite(0.5 * (row[0] + row[1]), *seg)[0]
+    levels = (threshold, 0.0, mid_level, row[2], row[6], -1.0)
+    for kernels in kernel_paths():
+        for level in levels:
+            tc, jet = _dp5.kernels().bisect(np.array(row), level)
+            want_t, want_jet = _generic_crossing(seg, level)
+            assert _bits([tc, *jet]) == _bits([want_t, *want_jet]), (kernels, level)
+        assert _generic_crossing(seg, mid_level)[0] == 0.5 * (row[0] + row[1])
+
+
+@pytest.mark.parametrize(
+    "initial, t1, threshold, termination",
+    [
+        (OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), -60.0, 10.0, BLOW_UP),
+        (_singular_orbit_start(1e-6), -4.0, 1e6, REACHED_END),
+    ],
+    ids=["blowup", "reached-end"],
+)
+def test_integrator_statistics_count_what_integrate_did(
+    initial, t1, threshold, termination, monkeypatch, kernel_paths
+):
+    # Every stage state of these runs has w > 0, so each right-hand side
+    # evaluation of the Python loop calls exp once.
+    calls = []
+
+    def exp(x):
+        calls.append(x)
+        return math.exp(x)
+
+    monkeypatch.setattr(dynamics, "math", types.SimpleNamespace(**{**vars(math), "exp": exp}))
+    for kernels in kernel_paths():
+        calls.clear()
+        traj = integrate(initial, 0.0, t1, 1e-10, COEFFS, blowup_threshold=threshold)
+        assert traj.termination == termination
+        steps = np.abs(traj.segments[:, 1] - traj.segments[:, 0])
+        assert traj.rhs_evals == 1 + 6 * (len(traj.segments) + traj.rejected)
+        assert (traj.h_min, traj.h_max) == (steps.min(), steps.max())
+        assert 0.0 < traj.h_min < traj.h_max <= abs(t1)
+        if kernels == "python":
+            assert len(calls) == traj.rhs_evals
+    assert traj.rejected > 0 or termination == BLOW_UP
+
+
+def test_closed_form_orbits_carry_no_integrator_statistics():
+    traj = equilibrium_trajectory(WSTAR)
+    assert traj.rhs_evals == 0
+    assert math.isnan(traj.h_min) and math.isnan(traj.h_max)
+
+
+def test_generic_stepper_cases_include_rejected_steps(kernel_paths):
     # The "converging" bit-for-bit case above also takes the rejection
     # branch, and integrate counts those steps as the generic stepper does.
     initial = _singular_orbit_start(1e-6)
     *_, rejected = _generic_integrate(initial, 0.0, -4.0, 1e-10, COEFFS, 1e6)
     assert rejected > 0
-    for kernels in _kernel_paths(monkeypatch):
+    for kernels in kernel_paths():
         assert integrate(initial, 0.0, -4.0, 1e-10, COEFFS).rejected == rejected, kernels
 
 
-def test_integrate_resumes_when_the_segment_buffer_fills(monkeypatch):
+def test_integrate_resumes_when_the_segment_buffer_fills(monkeypatch, kernel_paths):
     initial = OdeState(WSTAR, -1e-3, 0.0, 0.0)
-    for kernels in _kernel_paths(monkeypatch):
+    for kernels in kernel_paths():
         monkeypatch.setattr(dynamics, "_SEGMENT_ROWS", 1024)
         whole = integrate(initial, 0.0, -20.0, 1e-12, COEFFS)
         assert len(whole.segments) > 1024
@@ -642,19 +717,19 @@ def test_integrate_resumes_when_the_segment_buffer_fills(monkeypatch):
         assert (pieces.termination, pieces.rejected) == (whole.termination, whole.rejected)
 
 
-def test_integrate_reports_step_underflow(monkeypatch):
-    for kernels in _kernel_paths(monkeypatch):
+def test_integrate_reports_step_underflow(kernel_paths):
+    for kernels in kernel_paths():
         with pytest.raises(dynamics.IntegrationUnderflow) as err:
             integrate(OdeState(1e30, 1e70, 1e70, 0.0), 0.0, 1.0, 1e-4, COEFFS,
                       blowup_threshold=1e300)
         assert str(err.value) == "step size underflow at t=0; outcome undetermined", kernels
 
 
-def test_integrate_reports_an_overflowing_stage(monkeypatch):
+def test_integrate_reports_an_overflowing_stage(monkeypatch, kernel_paths):
     # w^4 is finite at the start, but with a first step of 1 the second
     # stage reaches w = 1.1e77 + 0.2e77 > 1.158e77, where w^4 overflows.
     monkeypatch.setattr(dynamics, "_initial_step", lambda *args: 1.0)
-    for kernels in _kernel_paths(monkeypatch):
+    for kernels in kernel_paths():
         with pytest.raises(OverflowError) as err:
             integrate(OdeState(1.1e77, 1e77, 0.0, 0.0), 0.0, 1.0, 1e-4, COEFFS,
                       blowup_threshold=1e300)

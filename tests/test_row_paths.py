@@ -15,6 +15,7 @@ tables and list every moved cell with
     PYTHONPATH=src python tests/test_row_paths.py
 """
 
+import csv
 import os
 import subprocess
 import sys
@@ -156,28 +157,50 @@ def _relative_change(old: str, new: str) -> str:
     return f"{abs(b - a) / abs(a):.2g} relative" if a else "old value is zero"
 
 
+def report_moves(stored: str, rendered: str) -> list[str]:
+    """One line per difference between two renderings: each moved config
+    digest, each block whose name, header or row count changed, and every
+    moved cell of the other blocks."""
+    lines = []
+    blocks_old, blocks_new = stored.split("## ")[1:], rendered.split("## ")[1:]
+    if len(blocks_old) != len(blocks_new):
+        lines.append(f"{len(blocks_old)} blocks -> {len(blocks_new)}; compare by hand")
+    # Each block is its name, the config digest line, the header, the rows.
+    for block_old, block_new in zip(blocks_old, blocks_new):
+        (name, digest_old, header_old, *rows_old) = block_old.splitlines()
+        (name_new, digest_new, header, *rows_new) = block_new.splitlines()
+        if digest_old != digest_new:
+            lines.append(f"{name_new}: {digest_old} -> {digest_new}")
+        if (name, header_old, len(rows_old)) != (name_new, header, len(rows_new)):
+            lines.append(f"{name_new}: name, header or row count changed; compare by hand")
+            continue
+        columns = next(csv.reader([header]))
+        for row, (line_old, line_new) in enumerate(zip(rows_old, rows_new)):
+            for column, old, new in zip(columns, *csv.reader([line_old, line_new])):
+                if old != new:
+                    lines.append(f"{name} row {row} {column}: {old} -> {new} "
+                                 f"({_relative_change(old, new)})")
+    return lines
+
+
+def test_regeneration_report_lists_cells_under_a_digest_move():
+    stored = "## a\n# config sha256=00\nx,y\n1,2\n3,4\n## b\n# config sha256=11\nz\n5\n"
+    rendered = "## a\n# config sha256=99\nx,y\n1,2\n3,8\n## b\n# config sha256=11\nz,w\n5,6\n"
+    assert report_moves(stored, rendered) == [
+        "a: # config sha256=00 -> # config sha256=99",
+        "a row 1 y: 4 -> 8 (1 relative)",
+        "b: name, header or row count changed; compare by hand",
+    ]
+    assert report_moves(stored, stored) == []
+
+
 if __name__ == "__main__":
-    import csv
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         rendered = render_cases(Path(tmp))
     stored = EXPECTED.read_text()
     EXPECTED.write_text(rendered)
-    blocks_old, blocks_new = stored.split("## ")[1:], rendered.split("## ")[1:]
-    if len(blocks_old) != len(blocks_new):
-        print(f"{len(blocks_old)} blocks -> {len(blocks_new)}; compare by hand")
-    # Each block is its name, the config digest line, the header, the rows.
-    for block_old, block_new in zip(blocks_old, blocks_new):
-        old_lines, new_lines = block_old.splitlines(), block_new.splitlines()
-        name = new_lines[0]
-        if old_lines[:3] != new_lines[:3] or len(old_lines) != len(new_lines):
-            print(f"{name}: name, digest, header or row count changed; compare by hand")
-            continue
-        header = next(csv.reader([new_lines[2]]))
-        for row, (line_old, line_new) in enumerate(zip(old_lines[3:], new_lines[3:])):
-            cells = zip(header, *csv.reader([line_old, line_new]))
-            for column, old, new in cells:
-                if old != new:
-                    print(f"{name} row {row} {column}: {old} -> {new} ({_relative_change(old, new)})")
+    for line in report_moves(stored, rendered):
+        print(line)
     print(f"wrote {EXPECTED}")
