@@ -1,11 +1,12 @@
 /* Compiled kernels of hardyhenon4: the Dormand-Prince 5(4) step loop of
  * integrate, the ulp ring scan of fixed_points, the crossing bisection and
- * the dense Hermite output of a trajectory, and the elementwise libm exp
- * and log of transform._libm.
+ * the dense Hermite output of a trajectory, the elementwise libm exp and
+ * log of transform._libm, and the 'radius,value' rows of a field file.
  *
  * Each is its Python twin (_steps_py, _scan_py, _bisect_py and _dense_py
- * in dynamics.py, _exp_py and _log_py in transform.py) written out
- * expression for expression: every sum keeps its left-to-right order, its
+ * in dynamics.py, _exp_py and _log_py in transform.py, _rows_py in
+ * green.py).  The row writer prints repr()'s bytes; the others are written
+ * out expression for expression: every sum keeps its left-to-right order, its
  * leading 0.0 and its zero weights; w^p is exp(p log w) for w > 0, else 0;
  * powers go through pow; min and max keep Python's tie rules; exp and log
  * are the libm functions Python's math module calls.  Built with
@@ -18,6 +19,7 @@
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
 #error "double expressions must round to double at every operation"
@@ -335,4 +337,241 @@ int64_t hh_log(const double *x, int64_t n, double *out)
         out[i] = isfinite(v) ? log(v) : v;
     }
     return -1;
+}
+
+/* Rows of the power-of-5 multipliers passed to hh_rows, as POW5_INV_ROWS
+ * and POW5_ROWS in _dp5.py: each row is a 128-bit (low, high) word pair. */
+enum { POW5_INV_ROWS = 291, POW5_ROWS = 326 };
+
+/* The 128-bit product a * b from 32-bit halves: the low word, *hi the high. */
+static uint64_t umul128(uint64_t a, uint64_t b, uint64_t *hi)
+{
+    uint64_t a_lo = (uint32_t)a, a_hi = a >> 32, b_lo = (uint32_t)b, b_hi = b >> 32;
+    uint64_t b00 = a_lo * b_lo, b01 = a_lo * b_hi, b10 = a_hi * b_lo, b11 = a_hi * b_hi;
+    uint64_t mid1 = b10 + (b00 >> 32);
+    uint64_t mid2 = b01 + (uint32_t)mid1;
+    *hi = b11 + (mid1 >> 32) + (mid2 >> 32);
+    return (mid2 << 32) | (uint32_t)b00;
+}
+
+/* (m * mul) >> j for the 128-bit multiplier mul, m below 2^55 and
+ * 64 < j < 128, where the result fits 64 bits. */
+static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    uint64_t high0, high1;
+    uint64_t low1 = umul128(m, mul[1], &high1);
+    umul128(m, mul[0], &high0);
+    uint64_t sum = high0 + low1;
+    if (sum < high0)
+        high1++;
+    return (high1 << (128 - j)) | (sum >> (j - 64));
+}
+
+/* The bit length of 5^e, floor(log10(2^e)) and floor(log10(5^e)), exact for
+ * every exponent of a double. */
+static int32_t pow5bits(int32_t e) { return (int32_t)((((uint32_t)e * 1217359) >> 19) + 1); }
+static int32_t log10_pow2(int32_t e) { return (int32_t)(((uint32_t)e * 78913) >> 18); }
+static int32_t log10_pow5(int32_t e) { return (int32_t)(((uint32_t)e * 732923) >> 20); }
+
+/* Whether 5^q divides v. */
+static int multiple_of_pow5(uint64_t v, int32_t q)
+{
+    for (; q > 0; q--, v /= 5)
+        if (v % 5)
+            return 0;
+    return 1;
+}
+
+/* The shortest digits of the positive finite double with these IEEE fields
+ * that read back as it, nearest to it, ties to even: Ryu (Adams, PLDI
+ * 2018), with pow5 as built by _dp5._pow5_rows.  Sets *e10 to the power
+ * of ten of the last digit and returns the digits, which never end in 0:
+ * the search stops only when the interval holds no multiple of ten. */
+static uint64_t shortest(uint64_t ieee_m, int32_t ieee_e, const uint64_t *pow5, int32_t *e10)
+{
+    int32_t e2;
+    uint64_t m2;
+    if (ieee_e == 0) {
+        e2 = 1 - 1023 - 52 - 2;
+        m2 = ieee_m;
+    } else {
+        e2 = ieee_e - 1023 - 52 - 2;
+        m2 = (UINT64_C(1) << 52) | ieee_m;
+    }
+    /* A bound of the rounding interval reads back as x when m2 is even. */
+    int accept = (m2 & 1) == 0;
+    uint64_t mv = 4 * m2;
+    uint32_t mm_shift = ieee_m != 0 || ieee_e <= 1;
+    uint64_t mp = mv + 2, mm = mv - 1 - mm_shift;
+
+    uint64_t vr, vp, vm;
+    int vm_zeros = 0, vr_zeros = 0;
+    if (e2 >= 0) {
+        int32_t q = log10_pow2(e2) - (e2 > 3);
+        const uint64_t *mul = pow5 + 2 * q;
+        int32_t j = -e2 + q + 124 + pow5bits(q);
+        *e10 = q;
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mp, mul, j);
+        vm = mul_shift(mm, mul, j);
+        if (q <= 21) {
+            /* At most one of mp, mv and mm is a multiple of 5. */
+            if (mv % 5 == 0)
+                vr_zeros = multiple_of_pow5(mv, q);
+            else if (accept)
+                vm_zeros = multiple_of_pow5(mm, q);
+            else
+                vp -= (uint64_t)multiple_of_pow5(mp, q);
+        }
+    } else {
+        int32_t q = log10_pow5(-e2) - (-e2 > 1);
+        int32_t i = -e2 - q;
+        const uint64_t *mul = pow5 + 2 * (POW5_INV_ROWS + i);
+        int32_t j = q - (pow5bits(i) - 125);
+        *e10 = q + e2;
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mp, mul, j);
+        vm = mul_shift(mm, mul, j);
+        if (q <= 1) {
+            /* mv has two trailing zero bits, mm one where mm_shift is 1. */
+            vr_zeros = 1;
+            if (accept)
+                vm_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_zeros = (mv & ((UINT64_C(1) << q) - 1)) == 0;
+        }
+    }
+
+    /* Drop digits while the interval still holds a shorter number. */
+    int32_t removed = 0;
+    uint64_t out;
+    if (vm_zeros || vr_zeros) {
+        int last = 0;
+        while (vp / 10 > vm / 10) {
+            vm_zeros &= vm % 10 == 0;
+            vr_zeros &= last == 0;
+            last = (int)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        if (vm_zeros) {
+            while (vm % 10 == 0) {
+                vr_zeros &= last == 0;
+                last = (int)(vr % 10);
+                vr /= 10;
+                vp /= 10;
+                vm /= 10;
+                removed++;
+            }
+        }
+        if (vr_zeros && last == 5 && vr % 2 == 0)
+            last = 4; /* an exact tie: round to even */
+        out = vr + ((vr == vm && (!accept || !vm_zeros)) || last >= 5);
+    } else {
+        int round_up = 0;
+        while (vp / 10 > vm / 10) {
+            round_up = vr % 10 >= 5;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        out = vr + (vr == vm || round_up);
+    }
+    *e10 += removed;
+    return out;
+}
+
+/* repr(x) at out, in the layout of Python's float repr: fixed notation for
+ * 1e-4 <= |x| < 1e16, with ".0" after an integral value, else d.ddde+XX
+ * with at least two exponent digits; 0.0, -0.0, inf, -inf and nan.
+ * Returns the bytes written, at most 24. */
+static int repr_double(double x, const uint64_t *pow5, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    uint64_t ieee_m = bits & ((UINT64_C(1) << 52) - 1);
+    int32_t ieee_e = (int32_t)((bits >> 52) & 0x7ff);
+    char *p = out;
+    if (ieee_e == 0x7ff && ieee_m) {
+        memcpy(p, "nan", 3);
+        return 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (ieee_e == 0x7ff || (ieee_e == 0 && ieee_m == 0)) {
+        memcpy(p, ieee_e ? "inf" : "0.0", 3);
+        return (int)(p - out) + 3;
+    }
+
+    int32_t e10;
+    uint64_t v = shortest(ieee_m, ieee_e, pow5, &e10);
+    char digits[20];
+    int nd = 0;
+    for (; v; v /= 10)
+        digits[19 - nd++] = (char)('0' + v % 10);
+    const char *d = digits + 20 - nd;
+    /* x = 0.d1d2... * 10^decpt */
+    int decpt = nd + e10;
+
+    if (-4 < decpt && decpt <= 16) {
+        if (decpt <= 0) {
+            memcpy(p, "0.", 2);
+            p += 2;
+            memset(p, '0', (size_t)-decpt);
+            p += -decpt;
+            memcpy(p, d, (size_t)nd);
+            p += nd;
+        } else if (decpt < nd) {
+            memcpy(p, d, (size_t)decpt);
+            p += decpt;
+            *p++ = '.';
+            memcpy(p, d + decpt, (size_t)(nd - decpt));
+            p += nd - decpt;
+        } else {
+            memcpy(p, d, (size_t)nd);
+            p += nd;
+            memset(p, '0', (size_t)(decpt - nd));
+            p += decpt - nd;
+            memcpy(p, ".0", 2);
+            p += 2;
+        }
+    } else {
+        *p++ = d[0];
+        if (nd > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, (size_t)(nd - 1));
+            p += nd - 1;
+        }
+        int e = decpt - 1;
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        if (e < 0)
+            e = -e;
+        if (e >= 100)
+            *p++ = (char)('0' + e / 100);
+        *p++ = (char)('0' + e / 10 % 10);
+        *p++ = (char)('0' + e % 10);
+    }
+    return (int)(p - out);
+}
+
+/* The n lines f"{r!r},{v!r}\n" of _rows_py for the columns r and v,
+ * written at out, which needs room for 50 bytes a line.  pow5 holds the
+ * POW5_INV_ROWS + POW5_ROWS multipliers of shortest().  Returns the bytes
+ * written. */
+int64_t hh_rows(const double *r, const double *v, int64_t n, const uint64_t *pow5, char *out)
+{
+    char *p = out;
+    for (int64_t i = 0; i < n; i++) {
+        p += repr_double(r[i], pow5, p);
+        *p++ = ',';
+        p += repr_double(v[i], pow5, p);
+        *p++ = '\n';
+    }
+    return p - out;
 }

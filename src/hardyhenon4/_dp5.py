@@ -3,14 +3,15 @@
 load() compiles _dp5.c with the C compiler Python was built with into a
 shared library cached under ~/.cache/hardyhenon4 (or the system temporary
 directory where that is not writable), keyed by the sha256 of the source,
-the compiler and the flags, and returns the six kernels with the
+the compiler and the flags, and returns the seven kernels with the
 signatures of their Python twins: _steps_py, _scan_py, _bisect_py and
-_dense_py in dynamics, _exp_py and _log_py in transform.  It returns None,
-without a word, where anything fails (no compiler, a compile error, a
-target whose doubles carry excess precision, no writable cache).
-kernels() is the one dispatch point: the compiled kernels where they
-load, else the Python twins, which print the same bytes.  Nothing is
-compiled, and no compiler module imported, before the first call.
+_dense_py in dynamics, _exp_py and _log_py in transform, _rows_py in
+green.  It returns None, without a word, where anything fails (no
+compiler, a compile error, a target whose doubles carry excess precision,
+no writable cache).  kernels() is the one dispatch point: the compiled
+kernels where they load, else the Python twins, which print the same
+bytes.  Nothing is compiled, and no compiler module imported, before the
+first call.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ COMPILE_TIMEOUT_S = 120
 # OverflowError that math.exp raises in the Python loop.
 END, BLOW_UP, NON_POSITIVE, FULL, UNDERFLOW, OVERFLOW = range(6)
 
+# Multiplier rows of the row writer, as the enum in _dp5.c, and the room
+# it needs per row: two 24-byte reprs, a comma and a newline.
+POW5_INV_ROWS, POW5_ROWS = 291, 326
+ROW_BYTES = 50
+
 
 class Kernels(NamedTuple):
     steps: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]
@@ -44,6 +50,7 @@ class Kernels(NamedTuple):
     dense: Callable[[np.ndarray, np.ndarray], np.ndarray]
     exp: Callable[[np.ndarray], np.ndarray]
     log: Callable[[np.ndarray], np.ndarray]
+    rows: Callable[[np.ndarray, np.ndarray], str]
 
 
 def kernels() -> Kernels:
@@ -53,10 +60,10 @@ def kernels() -> Kernels:
 
 def _twins() -> Kernels:
     # Those modules import this one, so the twins are looked up per call.
-    from . import dynamics, transform
+    from . import dynamics, green, transform
 
     return Kernels(dynamics._steps_py, dynamics._scan_py, dynamics._bisect_py,
-                   dynamics._dense_py, transform._exp_py, transform._log_py)
+                   dynamics._dense_py, transform._exp_py, transform._log_py, green._rows_py)
 
 
 def _compiler() -> list[str]:
@@ -127,7 +134,7 @@ def load() -> Kernels | None:
             return None
         dll = ctypes.CDLL(str(lib))
         steps, scan, bisect, dense = dll.hh_steps, dll.hh_scan, dll.hh_bisect, dll.hh_dense
-        exp, log = dll.hh_exp, dll.hh_log
+        exp, log, rows = dll.hh_exp, dll.hh_log, dll.hh_rows
     # No compiler, no home directory, no os.getuid, a CC that will not
     # split, a library that will not load: each leaves the Python twins.
     except (OSError, RuntimeError, AttributeError, ValueError):
@@ -143,6 +150,8 @@ def load() -> Kernels | None:
     for fn in (exp, log):
         fn.restype = ctypes.c_int64
         fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    rows.restype = ctypes.c_int64
+    rows.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 2
 
     def run_steps(st: np.ndarray, prm: np.ndarray, seg: np.ndarray, cnt: np.ndarray) -> int:
         _check(st, (11,), np.float64)
@@ -194,8 +203,38 @@ def load() -> Kernels | None:
 
         return run
 
+    def run_rows(radii: np.ndarray, values: np.ndarray) -> str:
+        radii = np.ascontiguousarray(radii, np.float64)
+        values = np.ascontiguousarray(values, np.float64)
+        _check(radii, (len(radii),), np.float64, writable=False)
+        _check(values, (len(radii),), np.float64, writable=False)
+        out = np.empty(ROW_BYTES * len(radii), np.uint8)
+        size = rows(radii.ctypes.data, values.ctypes.data, len(radii),
+                    _pow5_rows().ctypes.data, out.ctypes.data)
+        return str(out[:size], "ascii")
+
     return Kernels(run_steps, run_scan, run_bisect, run_dense,
-                   libm_map(exp, math.exp), libm_map(log, math.log))
+                   libm_map(exp, math.exp), libm_map(log, math.log), run_rows)
+
+
+@functools.cache
+def _pow5_rows() -> np.ndarray:
+    """The multipliers of the row writer's shortest-digit search (Ryu), as
+    (low, high) words of 128-bit integers: first floor(2^(b + 124) / 5^q) + 1
+    for q < POW5_INV_ROWS, then 5^i scaled to 125 bits, truncated, for
+    i < POW5_ROWS, where b is the bit length of that power of 5."""
+    words = []
+    for q in range(POW5_INV_ROWS):
+        power = 5**q
+        words.append((1 << (power.bit_length() + 124)) // power + 1)
+    for i in range(POW5_ROWS):
+        power = 5**i
+        shift = power.bit_length() - 125
+        words.append(power >> shift if shift >= 0 else power << -shift)
+    low = (1 << 64) - 1
+    table = np.array([(w & low, w >> 64) for w in words], dtype=np.uint64)
+    table.flags.writeable = False
+    return table
 
 
 def _check(a: np.ndarray, shape: tuple[int, ...], dtype: type, writable: bool = True) -> None:

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _dp5
 from .params import CoefficientSet
 from .transform import _libm, _scaled_jet, neg_laplacian_radial
 from .dynamics import (
@@ -157,11 +158,9 @@ class RadialField:
     def dumps(self) -> str:
         head = (
             f"# radial-field n={'' if self.n is None else self.n}"
-            f" alpha={'' if self.alpha is None else format(self.alpha, 'g')}"
-            f" p={'' if self.p is None else format(self.p, 'g')}"
+            f" alpha={_label(self.alpha)} p={_label(self.p)}\n"
         )
-        rows = [f"{r!r},{v!r}" for r, v in zip(self.grid.nodes.tolist(), self.values.tolist())]
-        return "\n".join([head, *rows]) + "\n"
+        return head + _dp5.kernels().rows(self.grid.nodes, self.values)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.dumps())
@@ -211,6 +210,21 @@ class RadialField:
             return cls(grid=grid, values=vals, n=n, alpha=alpha, p=p)
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from err
+
+
+def _label(x: float | None) -> str:
+    """A header label: empty for None, else format(x, 'g') where that reads
+    back as x, else repr(x)."""
+    if x is None:
+        return ""
+    short = format(x, "g")
+    return short if float(short) == x else repr(x)
+
+
+def _rows_py(radii: np.ndarray, values: np.ndarray) -> str:
+    """The 'radius,value' lines of a field file, each cell repr() of its
+    double.  hh_rows in _dp5.c writes the same bytes."""
+    return "".join([f"{r!r},{v!r}\n" for r, v in zip(radii.tolist(), values.tolist())])
 
 
 def _row_defect(path: str | Path, err: ValueError) -> str:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from hardyhenon4 import _dp5
 from hardyhenon4.cli import parse_invocation
 from hardyhenon4.green import RadialField
 
@@ -55,3 +56,30 @@ def test_benchmark_field_file_loads_exactly_and_lean(tmp_path, monkeypatch):
     # Two 65,536-double columns are 1 MB; reading the file must not hold
     # the text or one Python object per cell.
     assert peak < 6.5e6, peak
+
+
+def test_benchmark_field_file_dumps_exactly_and_lean(tmp_path, monkeypatch, kernel_paths):
+    workloads = _workloads(monkeypatch)
+    text = workloads.field_text(workloads.field_spec(1))
+    path = tmp_path / "field.csv"
+    path.write_text(text)
+    field = RadialField.load(path)
+    rows = field.grid.count
+    peaks = {}
+    for kernels in kernel_paths():
+        # Build the library and the writer's multipliers outside the trace.
+        assert field.dumps() == text, kernels
+        tracemalloc.start()
+        try:
+            out = field.dumps()
+            peaks[kernels] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == text, kernels
+    # The compiled writer holds its byte buffer (at most 50 bytes a row),
+    # the output str and contiguous copies of the two strided columns that
+    # load returns; the Python twin also holds one str per row.
+    bound = _dp5.ROW_BYTES * rows + len(text) + 2 * 8 * rows + 2**16
+    if "compiled" in peaks:
+        assert peaks["compiled"] < bound, peaks
+    assert peaks["python"] > bound, peaks

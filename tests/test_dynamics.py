@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardyhenon4 import _dp5, dynamics, transform
+from hardyhenon4 import _dp5, dynamics, green, transform
 from hardyhenon4.energy import energy
 from hardyhenon4.params import CRITICAL, SUBCRITICAL, SUPERCRITICAL, ProblemParams, coefficients
 from hardyhenon4.dynamics import (
@@ -61,7 +61,8 @@ def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch):
 
     for module, name in ((dynamics, "_steps_py"), (dynamics, "_scan_py"),
                          (dynamics, "_bisect_py"), (dynamics, "_dense_py"),
-                         (transform, "_exp_py"), (transform, "_log_py")):
+                         (transform, "_exp_py"), (transform, "_log_py"),
+                         (green, "_rows_py")):
         monkeypatch.setattr(module, name, python_twin)
     # Steps, the crossing bisection and the sample fill; then dense reads.
     traj = integrate(OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS,
@@ -71,6 +72,10 @@ def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch):
     assert fixed_points(COEFFS) == [0.0, WSTAR]
     # Both libm maps, through the energy's w^(p+1) = exp((p+1) log w).
     assert np.all(np.isfinite(energy(traj.states.T, COEFFS)))
+    # The field writer.
+    grid = green.make_grid(256)
+    rows = green.RadialField(grid, np.sqrt(grid.nodes)).dumps().splitlines()[1:]
+    assert rows == [f"{r!r},{math.sqrt(r)!r}" for r in grid.nodes.tolist()]
 
 
 def test_vector_field_vanishes_exactly_at_equilibrium():

@@ -1,9 +1,11 @@
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
+from hardyhenon4 import _dp5
 from hardyhenon4.params import ProblemParams, coefficients
 from hardyhenon4.dynamics import (
     analytic_trajectory,
@@ -200,21 +202,59 @@ def test_field_unlabeled_round_trip(tmp_path):
     assert back.n is None and back.alpha is None and back.p is None
 
 
-def test_field_round_trip_is_bitwise(tmp_path):
+def test_field_round_trip_is_bitwise(tmp_path, kernel_paths):
     # Random doubles of every magnitude, subnormals and -0.0 included.
     grid = make_grid(count=10000)
     values = np.random.default_rng(3).integers(0, 2**64, grid.count, dtype=np.uint64).view(float)
     values[~np.isfinite(values)] = 1.5
     values[:4] = (5e-324, -2.2250738585072e-308, 1e-310, -0.0)
     field = RadialField(grid=grid, values=values, n=6, alpha=-1.0, p=3.5)
-    text = field.dumps()
     rows = [f"{float(r)!r},{float(v)!r}" for r, v in zip(grid.nodes, values)]
-    assert text == "\n".join(["# radial-field n=6 alpha=-1 p=3.5", *rows]) + "\n"
+    for kernels in kernel_paths():
+        text = field.dumps()
+        assert text == "\n".join(["# radial-field n=6 alpha=-1 p=3.5", *rows]) + "\n", kernels
+        path = tmp_path / "field.csv"
+        path.write_text(text)
+        back = RadialField.load(path)
+        assert back.values.tobytes() == values.tobytes(), kernels
+        assert back.grid.nodes.tobytes() == grid.nodes.tobytes(), kernels
+
+
+def _repr_oracle_doubles() -> np.ndarray:
+    powers = [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+    edges = [5e-324, 1.7976931348623157e308, 0.0, -0.0, math.inf, -math.inf, math.nan,
+             2.0**53 - 1, 2.0**53 + 1, 1e16, 1e-4,
+             math.nextafter(1e16, 0.0), math.nextafter(1e-4, 0.0)]
+    random_bits = np.random.default_rng(17).integers(0, 2**64, 200_000, dtype=np.uint64)
+    return np.concatenate([
+        random_bits.view(float),
+        [x for v in powers for x in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))],
+        edges,
+    ])
+
+
+def test_field_rows_print_repr_bytes(kernel_paths):
+    # Both kernels write repr() of every double: shortest round-trip digits
+    # nearest the value, ties to even, in Python's fixed or exponent layout.
+    x = _repr_oracle_doubles()
+    y = x[::-1]
+    want = "".join([f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())])
+    for kernels in kernel_paths():
+        assert _dp5.kernels().rows(x, y) == want, kernels
+        assert _dp5.kernels().rows(x[:0], y[:0]) == "", kernels
+
+
+@pytest.mark.parametrize("label", [-1.2345678, 3.14159265, 1e-7, 1e20])
+def test_field_header_labels_read_back_bit_for_bit(tmp_path, label):
+    grid = make_grid(count=256)
+    field = RadialField(grid=grid, values=np.ones(grid.count), n=5, alpha=label, p=label)
     path = tmp_path / "field.csv"
-    path.write_text(text)
+    field.save(path)
     back = RadialField.load(path)
-    assert back.values.tobytes() == values.tobytes()
-    assert back.grid.nodes.tobytes() == grid.nodes.tobytes()
+    assert struct.pack("<dd", back.alpha, back.p) == struct.pack("<dd", label, label)
+    # Labels that 'g' keeps exact are still written short.
+    head = RadialField(grid=grid, values=np.ones(grid.count), n=5, alpha=-1.0, p=2.0).dumps()
+    assert head.splitlines()[0] == "# radial-field n=5 alpha=-1 p=2"
 
 
 def test_field_load_parses_cells_like_float(tmp_path):
