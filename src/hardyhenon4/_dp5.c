@@ -1,11 +1,12 @@
 /* Compiled kernels of hardyhenon4: the Dormand-Prince 5(4) step loop of
- * integrate, the ulp ring scan of fixed_points, the crossing bisection and
- * the dense Hermite output of a trajectory, the elementwise libm exp and
- * log of transform._libm, and the 'radius,value' rows of a field file.
+ * integrate, which ends the orbit at its crossing by bisection, the ulp
+ * ring scan of fixed_points, the dense Hermite output of a trajectory, the
+ * elementwise libm exp and log of transform._exp and transform._log, and
+ * the 'radius,value' rows of a field file.
  *
- * Each is its Python twin (_steps_py, _scan_py, _bisect_py and _dense_py
- * in dynamics.py, _exp_py and _log_py in transform.py, _rows_py in
- * green.py).  The row writer prints repr()'s bytes; the others are written
+ * Each is its Python twin: _steps_py (with _bisect_py), _scan_py and
+ * _dense_py in dynamics.py, _exp_py and _log_py in transform.py, _rows_py
+ * in green.py.  The row writer prints repr()'s bytes; the others are written
  * out expression for expression: every sum keeps its left-to-right order, its
  * leading 0.0 and its zero weights; w^p is exp(p log w) for w > 0, else 0;
  * powers go through pow; min and max keep Python's tie rules; exp and log
@@ -61,16 +62,62 @@ static const double E1 = 71.0 / 57600.0, E2 = 0.0, E3 = -71.0 / 16695.0, E4 = 71
 static const double SAFETY = 0.9, MIN_FACTOR = 0.2, MAX_FACTOR = 10.0;
 static const double PI_ALPHA = 0.7 / 5.0, PI_BETA = 0.4 / 5.0;
 
+/* The cubic Hermite interpolant of one dense segment row (ta, tb, ya[0..3],
+ * yb[0..3], fa[0..3], fb[0..3]) at t, as _hermite in dynamics.py: y[0..3]
+ * gets the 4-jet, or only y[0] where comps is 1. */
+static void hermite(double t, const double *seg, int comps, double *y)
+{
+    double h = seg[1] - seg[0];
+    double s = (t - seg[0]) / h;
+    double s2 = s * s;
+    double s3 = s2 * s;
+    double h00 = 2.0 * s3 - 3.0 * s2 + 1.0;
+    double h10 = (s3 - 2.0 * s2 + s) * h;
+    double h01 = -2.0 * s3 + 3.0 * s2;
+    double h11 = (s3 - s2) * h;
+    for (int i = 0; i < comps; i++)
+        y[i] = h00 * seg[2 + i] + h10 * seg[10 + i] + h01 * seg[6 + i] + h11 * seg[14 + i];
+}
+
+/* The crossing of w0 == level inside the segment row seg by 80 halvings,
+ * as _bisect_py: out gets tc, then the 4-jet there. */
+static void bisect(const double *seg, double level, double *out)
+{
+    double lo = seg[0], hi = seg[1];
+    double flo = seg[2] - level;
+    for (int i = 0; i < 80; i++) {
+        double mid = 0.5 * (lo + hi);
+        double fmid;
+        hermite(mid, seg, 1, &fmid);
+        fmid = fmid - level;
+        if (fmid == 0.0) {
+            lo = hi = mid;
+            break;
+        }
+        if ((fmid > 0.0) == (flo > 0.0)) {
+            lo = mid;
+            flo = fmid;
+        } else {
+            hi = mid;
+        }
+    }
+    double tc = 0.5 * (lo + hi);
+    out[0] = tc;
+    hermite(tc, seg, 4, out + 1);
+}
+
 /* Accepted steps of the adaptive loop, appended to seg from row cnt[0] on.
  *
  * st (in/out): t, y0..y3, f0..f3 (the field at y), h, err_prev.
  * prm: t1, sgn, rtol, atol, p, a0, a1, a2, a3, blowup_threshold.
  * seg: cap rows of 18 doubles, (t, t_new, y, y_new, f, f_new) per step.
  * cnt (in/out): rows written, rejected steps.
- * Returns END at t1, BLOW_UP or NON_POSITIVE after the step whose w
- * crossed (its row is the last one written), FULL when seg has no room
- * left (call again with a larger seg to go on), UNDERFLOW when the step
- * collapses at st[0], or OVERFLOW where a stage's w^p overflows.
+ * Returns END at t1; BLOW_UP or NON_POSITIVE after the step whose w
+ * crossed the threshold or 0.0, its row the last one written, with
+ * st[0..4] moved back to the crossing in that row and w clamped at 0.0 on
+ * a zero crossing; FULL when seg has no room left (call again with a
+ * larger seg to go on); UNDERFLOW when the step collapses at st[0]; or
+ * OVERFLOW where a stage's w^p overflows.
  */
 int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *cnt)
 {
@@ -192,6 +239,10 @@ int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *c
     st[9] = h;   st[10] = err_prev;
     cnt[0] = n;
     cnt[1] = rejected;
+    if (status == BLOW_UP || status == NON_POSITIVE)
+        bisect(seg + 18 * (n - 1), status == BLOW_UP ? blowup_threshold : 0.0, st);
+    if (status == NON_POSITIVE)
+        st[1] = py_max(st[1], 0.0);
     return status;
 }
 
@@ -240,50 +291,6 @@ int64_t hh_scan(double seed, double best_g, double a0, double p, double *best)
     }
     *best = best_w;
     return 1 + 2 * scanned;
-}
-
-/* The cubic Hermite interpolant of one dense segment row (ta, tb, ya[0..3],
- * yb[0..3], fa[0..3], fb[0..3]) at t, as _hermite in dynamics.py: y[0..3]
- * gets the 4-jet, or only y[0] where comps is 1. */
-static void hermite(double t, const double *seg, int comps, double *y)
-{
-    double h = seg[1] - seg[0];
-    double s = (t - seg[0]) / h;
-    double s2 = s * s;
-    double s3 = s2 * s;
-    double h00 = 2.0 * s3 - 3.0 * s2 + 1.0;
-    double h10 = (s3 - 2.0 * s2 + s) * h;
-    double h01 = -2.0 * s3 + 3.0 * s2;
-    double h11 = (s3 - s2) * h;
-    for (int i = 0; i < comps; i++)
-        y[i] = h00 * seg[2 + i] + h10 * seg[10 + i] + h01 * seg[6 + i] + h11 * seg[14 + i];
-}
-
-/* The crossing of w0 == level inside the segment row seg by 80 halvings,
- * as _bisect_py: out gets tc, then the 4-jet there. */
-void hh_bisect(const double *seg, double level, double *out)
-{
-    double lo = seg[0], hi = seg[1];
-    double flo = seg[2] - level;
-    for (int i = 0; i < 80; i++) {
-        double mid = 0.5 * (lo + hi);
-        double fmid;
-        hermite(mid, seg, 1, &fmid);
-        fmid = fmid - level;
-        if (fmid == 0.0) {
-            lo = hi = mid;
-            break;
-        }
-        if ((fmid > 0.0) == (flo > 0.0)) {
-            lo = mid;
-            flo = fmid;
-        } else {
-            hi = mid;
-        }
-    }
-    double tc = 0.5 * (lo + hi);
-    out[0] = tc;
-    hermite(tc, seg, 4, out + 1);
 }
 
 /* numpy's order on doubles, NaN last: a sorts before b. */

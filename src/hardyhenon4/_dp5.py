@@ -3,12 +3,14 @@
 load() compiles _dp5.c with the C compiler Python was built with into a
 shared library cached under ~/.cache/hardyhenon4 (or the system temporary
 directory where that is not writable), keyed by the sha256 of the source,
-the compiler and the flags, and returns the seven kernels with the
-signatures of their Python twins: _steps_py, _scan_py, _bisect_py and
-_dense_py in dynamics, _exp_py and _log_py in transform, _rows_py in
-green.  It returns None, without a word, where anything fails (no
-compiler, a compile error, a target whose doubles carry excess precision,
-no writable cache).  kernels() is the one dispatch point: the compiled
+the compiler and the flags, and returns the six kernels with the
+signatures of their Python twins: _steps_py, _scan_py and _dense_py in
+dynamics, _exp_py and _log_py in transform, _rows_py in green.  The step
+kernel ends an orbit at its crossing itself, as _steps_py does through
+_bisect_py; its wrapper is the one place that holds a segment buffer.
+It returns None, without a word, where anything fails (no compiler, a
+compile error, a target whose doubles carry excess precision, no
+writable cache).  kernels() is the one dispatch point: the compiled
 kernels where they load, else the Python twins, which print the same
 bytes.  Nothing is compiled, and no compiler module imported, before the
 first call.
@@ -33,9 +35,13 @@ LIBS = ("-lm",)
 COMPILE_TIMEOUT_S = 120
 
 # Statuses of the step kernel, as the enum in _dp5.c.  The C kernel
-# reports an overflowing w^p as OVERFLOW; its wrapper raises the
-# OverflowError that math.exp raises in the Python loop.
+# reports an overflowing w^p as OVERFLOW, and a full segment buffer as
+# FULL; its wrapper raises the OverflowError that math.exp raises in the
+# Python loop, and resumes into a buffer twice the size.
 END, BLOW_UP, NON_POSITIVE, FULL, UNDERFLOW, OVERFLOW = range(6)
+
+# Rows of the step kernel's first segment buffer.
+SEGMENT_ROWS = 1024
 
 # Multiplier rows of the row writer, as the enum in _dp5.c, and the room
 # it needs per row: two 24-byte reprs, a comma and a newline.
@@ -44,9 +50,8 @@ ROW_BYTES = 50
 
 
 class Kernels(NamedTuple):
-    steps: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]
+    steps: Callable[[np.ndarray, np.ndarray], tuple[int, np.ndarray, int]]
     scan: Callable[[float, float, float, float], tuple[float, int]]
-    bisect: Callable[[np.ndarray, float], tuple[float, tuple[float, float, float, float]]]
     dense: Callable[[np.ndarray, np.ndarray], np.ndarray]
     exp: Callable[[np.ndarray], np.ndarray]
     log: Callable[[np.ndarray], np.ndarray]
@@ -62,8 +67,8 @@ def _twins() -> Kernels:
     # Those modules import this one, so the twins are looked up per call.
     from . import dynamics, green, transform
 
-    return Kernels(dynamics._steps_py, dynamics._scan_py, dynamics._bisect_py,
-                   dynamics._dense_py, transform._exp_py, transform._log_py, green._rows_py)
+    return Kernels(dynamics._steps_py, dynamics._scan_py, dynamics._dense_py,
+                   transform._exp_py, transform._log_py, green._rows_py)
 
 
 def _compiler() -> list[str]:
@@ -133,7 +138,7 @@ def load() -> Kernels | None:
         if lib is None:
             return None
         dll = ctypes.CDLL(str(lib))
-        steps, scan, bisect, dense = dll.hh_steps, dll.hh_scan, dll.hh_bisect, dll.hh_dense
+        steps, scan, dense = dll.hh_steps, dll.hh_scan, dll.hh_dense
         exp, log, rows = dll.hh_exp, dll.hh_log, dll.hh_rows
     # No compiler, no home directory, no os.getuid, a CC that will not
     # split, a library that will not load: each leaves the Python twins.
@@ -143,8 +148,6 @@ def load() -> Kernels | None:
     steps.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64, ctypes.c_void_p]
     scan.restype = ctypes.c_int64
     scan.argtypes = [ctypes.c_double] * 4 + [ctypes.POINTER(ctypes.c_double)]
-    bisect.restype = None
-    bisect.argtypes = [ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p]
     dense.restype = None
     dense.argtypes = [ctypes.c_void_p, ctypes.c_int64] * 2 + [ctypes.c_void_p]
     for fn in (exp, log):
@@ -153,15 +156,17 @@ def load() -> Kernels | None:
     rows.restype = ctypes.c_int64
     rows.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 2
 
-    def run_steps(st: np.ndarray, prm: np.ndarray, seg: np.ndarray, cnt: np.ndarray) -> int:
+    def run_steps(st: np.ndarray, prm: np.ndarray) -> tuple[int, np.ndarray, int]:
         _check(st, (11,), np.float64)
         _check(prm, (10,), np.float64)
-        _check(seg, (len(seg), 18), np.float64)
-        _check(cnt, (2,), np.int64)
-        status = steps(st.ctypes.data, prm.ctypes.data, seg.ctypes.data, len(seg), cnt.ctypes.data)
+        seg = np.empty((SEGMENT_ROWS, 18))
+        cnt = np.zeros(2, np.int64)  # rows written, rejected steps
+        while (status := steps(st.ctypes.data, prm.ctypes.data, seg.ctypes.data, len(seg),
+                               cnt.ctypes.data)) == FULL:
+            seg = np.concatenate((seg, np.empty_like(seg)))
         if status == OVERFLOW:
             raise OverflowError("math range error")
-        return status
+        return status, seg[: cnt[0]].copy(), int(cnt[1])
 
     def run_scan(seed: float, best_g: float, a0: float, p: float) -> tuple[float, int]:
         best = ctypes.c_double()
@@ -172,14 +177,6 @@ def load() -> Kernels | None:
 
     # Buffers the kernels only read are copied where they are not
     # C-contiguous float64.
-    def run_bisect(row: np.ndarray, level: float) -> tuple[float, tuple[float, ...]]:
-        row = np.ascontiguousarray(row, np.float64)
-        _check(row, (18,), np.float64, writable=False)
-        out = (ctypes.c_double * 5)()
-        bisect(row.ctypes.data, level, out)
-        tc, *jet = out
-        return tc, tuple(jet)
-
     def run_dense(segments: np.ndarray, ts: np.ndarray) -> np.ndarray:
         segments = np.ascontiguousarray(segments, np.float64)
         ts = np.ascontiguousarray(ts, np.float64)
@@ -213,7 +210,7 @@ def load() -> Kernels | None:
                     _pow5_rows().ctypes.data, out.ctypes.data)
         return str(out[:size], "ascii")
 
-    return Kernels(run_steps, run_scan, run_bisect, run_dense,
+    return Kernels(run_steps, run_scan, run_dense,
                    libm_map(exp, math.exp), libm_map(log, math.log), run_rows)
 
 

@@ -25,12 +25,14 @@ import numpy as np
 
 from . import _dp5
 from .params import CoefficientSet
-from .transform import OdeState, _libm
+from .transform import OdeState, _exp, _log
 
 # Termination reasons.
 REACHED_END = "ReachedEnd"
 BLOW_UP = "BlowUp"
 NON_POSITIVE = "NonPositive"
+# The termination of each status with which the step kernel ends an orbit.
+_TERMINATION = {_dp5.END: REACHED_END, _dp5.BLOW_UP: BLOW_UP, _dp5.NON_POSITIVE: NON_POSITIVE}
 
 # Limit-class tags.
 CONVERGES_TO_ZERO = "ConvergesToZero"
@@ -61,7 +63,7 @@ def _wpow(w, q: float):
     # w^q = exp(q log w) where w > 0, else 0, for a float or an array: one
     # power path for the flow, fixed points and energy, so bits agree.
     pos = w > 0.0
-    return _libm(math.exp, q * _libm(math.log, np.where(pos, w, 1.0))) * pos
+    return _exp(q * _log(np.where(pos, w, 1.0))) * pos
 
 
 def vector_field(state: OdeState, coeffs: CoefficientSet) -> OdeState:
@@ -244,6 +246,8 @@ class Trajectory:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.states.shape != (len(self.times), 4):
             raise ValueError("times and states must have equal length")
+        if self.segments.ndim != 2 or self.segments.shape[1] != 18:
+            raise ValueError(f"segments must have shape (m, 18), got {self.segments.shape}")
         diffs = np.diff(self.times)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("trajectory times must be strictly monotone")
@@ -344,7 +348,7 @@ def mode_trajectory(terms: Sequence[tuple[float, float]], t0: float, t1: float) 
     def fn(ts: np.ndarray) -> np.ndarray:
         comps = np.zeros((len(ts), 4))
         for c, mu in terms:
-            e = c * _libm(math.exp, mu * ts)
+            e = c * _exp(mu * ts)
             for k in range(4):
                 comps[:, k] += e
                 e *= mu
@@ -381,9 +385,6 @@ _MAX_FACTOR = 10.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 
-# Rows of integrate's first segment buffer; it doubles whenever it fills.
-_SEGMENT_ROWS = 1024
-
 
 def _rhs(y, coeffs: CoefficientSet):
     # Right-hand side with the pow base clipped at zero; sign crossings are
@@ -414,10 +415,9 @@ def _initial_step(y0, f0, span: float, rtol: float, atol: float) -> float:
     return min(h, span)
 
 
-def _bisect_py(row: np.ndarray, level: float) -> tuple[float, tuple]:
+def _bisect_py(seg: tuple, level: float) -> tuple[float, tuple]:
     """Locate w0 == level inside one dense segment row by bisection: the
-    crossing time and the 4-jet there.  hh_bisect in _dp5.c is this loop in C."""
-    seg = row.tolist()
+    crossing time and the 4-jet there.  bisect in _dp5.c is this loop in C."""
     lo, hi = seg[0], seg[1]
     flo = seg[2] - level
     for _ in range(80):
@@ -459,7 +459,8 @@ def integrate(
     Trajectory sampled every DEFAULT_SAMPLE_SPACING in t, with
     termination ReachedEnd, BlowUp (threshold crossed, trajectory
     truncated at the crossing) or NonPositive (w hit zero; terminal
-    sample clamped to the crossing), and the count of rejected steps.
+    sample at the crossing, its w clamped at 0), and the count of
+    rejected steps.
 
     Raises
     ------
@@ -469,9 +470,10 @@ def integrate(
     OverflowError
         ("math range error") if w^p overflows a double at a stage.
 
-    The step loop, the crossing bisection and the sample fill run in the
-    compiled kernels of _dp5.c where they build, else in _steps_py,
-    _bisect_py and _dense_py; the two paths give the same bits.
+    One call of the step kernel runs the step loop and ends the orbit at
+    its crossing; the sample fill reads the dense output.  Both run in the
+    compiled kernels of _dp5.c where they build, else in _steps_py and
+    _dense_py; the two paths give the same bits.
     """
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
@@ -494,55 +496,41 @@ def integrate(
         [t1, sgn, rtol, atol, coeffs.p, coeffs.a0, coeffs.a1, coeffs.a2, coeffs.a3,
          blowup_threshold]
     )
-    seg = np.empty((_SEGMENT_ROWS, 18))
-    cnt = np.zeros(2, np.int64)
     kernels = _dp5.kernels()
-    steps = kernels.steps
-    while (status := steps(st, prm, seg, cnt)) == _dp5.FULL:
-        seg = np.concatenate((seg, np.empty_like(seg)))
-    t, y0, y1, y2, y3 = st[:5].tolist()
+    status, segs, rejected = kernels.steps(st, prm)
+    t, *y = st[:5].tolist()
     if status == _dp5.UNDERFLOW:
         raise IntegrationUnderflow(f"step size underflow at t={t:.6g}; outcome undetermined")
-
-    segs = seg[: cnt[0]].copy()
-    termination = REACHED_END
-    if status == _dp5.BLOW_UP:
-        t, (y0, y1, y2, y3) = kernels.bisect(segs[-1], blowup_threshold)
-        termination = BLOW_UP
-    elif status == _dp5.NON_POSITIVE:
-        t, (y0, y1, y2, y3) = kernels.bisect(segs[-1], 0.0)
-        y0 = max(y0, 0.0)
-        termination = NON_POSITIVE
 
     # Uniform samples from the dense segments, terminal point included.
     times = uniform_times(t0, t)
     states = [[initial], kernels.dense(segs, times[1:])]
     if times[-1] != t:
         times = np.append(times, t)
-        states.append([(y0, y1, y2, y3)])
+        states.append([y])
     return Trajectory(
-        times=times, states=np.concatenate(states), termination=termination, segments=segs,
-        rejected=int(cnt[1]),
+        times=times, states=np.concatenate(states), termination=_TERMINATION[status],
+        segments=segs, rejected=rejected,
     )
 
 
-def _steps_py(st: np.ndarray, prm: np.ndarray, seg: np.ndarray, cnt: np.ndarray) -> int:
-    """integrate's adaptive loop: accepted steps appended to seg from row cnt[0] on.
+def _steps_py(st: np.ndarray, prm: np.ndarray) -> tuple[int, np.ndarray, int]:
+    """integrate's adaptive loop: a status of _dp5, the (m, 18) rows of the
+    accepted steps and the number of rejected steps.
 
     st (updated in place) holds t, y0..y3, the field at y, h and err_prev;
-    prm holds t1, sgn, rtol, atol, p, a0..a3 and the blow-up threshold;
-    cnt (updated) counts the rows written and the rejected steps.  Returns
-    a status of _dp5: END at t1; BLOW_UP or NON_POSITIVE after the step
-    whose w crossed, its row the last written; FULL when seg has no room
-    left, to be called again with a larger seg; UNDERFLOW when the step
-    collapses at st[0].  An overflowing w^p raises OverflowError.
-    hh_steps in _dp5.c is this loop in C.
+    prm holds t1, sgn, rtol, atol, p, a0..a3 and the blow-up threshold.
+    The status is END at t1; BLOW_UP or NON_POSITIVE after the step whose
+    w crossed the threshold or 0.0, with st[:5] moved back to the crossing
+    in that step's row (_bisect_py) and w clamped at 0.0 on a zero
+    crossing; or UNDERFLOW when the step collapses at st[0].  An
+    overflowing w^p raises OverflowError.  hh_steps in _dp5.c is this
+    loop in C.
     """
     t, y0, y1, y2, y3, k10, k11, k12, k13, h, err_prev = st.tolist()
     t1, sgn, rtol, atol, p, a0, a1, a2, a3, blowup_threshold = prm.tolist()
-    n, rejected = cnt.tolist()
     rows: list[tuple] = []
-    room = len(seg) - n
+    rejected = 0
     status = _dp5.END
 
     # The step below is the Dormand-Prince tableau written out per stage
@@ -560,9 +548,6 @@ def _steps_py(st: np.ndarray, prm: np.ndarray, seg: np.ndarray, cnt: np.ndarray)
     e1, e2, e3, e4, e5, e6, e7 = _E
 
     while sgn * (t1 - t) > 0.0:
-        if len(rows) == room:
-            status = _dp5.FULL
-            break
         h = min(h, abs(t1 - t))
         if h < 1e-13 * max(1.0, abs(t)):
             status = _dp5.UNDERFLOW
@@ -634,9 +619,12 @@ def _steps_py(st: np.ndarray, prm: np.ndarray, seg: np.ndarray, cnt: np.ndarray)
 
         if y0 > blowup_threshold:
             status = _dp5.BLOW_UP
+            t, (y0, y1, y2, y3) = _bisect_py(rows[-1], blowup_threshold)
             break
         if y0 < 0.0:
             status = _dp5.NON_POSITIVE
+            t, (y0, y1, y2, y3) = _bisect_py(rows[-1], 0.0)
+            y0 = max(y0, 0.0)
             break
 
         if norm == 0.0:
@@ -647,11 +635,8 @@ def _steps_py(st: np.ndarray, prm: np.ndarray, seg: np.ndarray, cnt: np.ndarray)
             err_prev = norm
         h *= factor
 
-    if rows:
-        seg[n : n + len(rows)] = rows
     st[:] = (t, y0, y1, y2, y3, k10, k11, k12, k13, h, err_prev)
-    cnt[:] = (n + len(rows), rejected)
-    return status
+    return status, np.array(rows).reshape(-1, 18), rejected
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _dp5
 from .params import CoefficientSet
-from .transform import _libm, _scaled_jet, neg_laplacian_radial
+from .transform import _exp, _log, _scaled_jet, neg_laplacian_radial
 from .dynamics import (
     CONVERGES_TO_FIXED_POINT,
     DEFAULT_WINDOW,
@@ -132,7 +132,7 @@ def make_grid(count: int = DEFAULT_NODE_COUNT) -> RadialGrid:
     h = -t_min / count
     t = t_min + (np.arange(count) + 1) * h
     t[-1] = 0.0
-    return RadialGrid(r_min=DEFAULT_R_MIN, t=t, nodes=_libm(math.exp, t), h=h)
+    return RadialGrid(r_min=DEFAULT_R_MIN, t=t, nodes=_exp(t), h=h)
 
 
 @dataclass(eq=False)
@@ -192,7 +192,7 @@ class RadialField:
             radii, vals = data.reshape(-1, 2).T
             if not np.all(radii > 0.0):
                 raise ValueError("radii must be positive")
-            t = _libm(math.log, radii)
+            t = _log(radii)
             diffs = np.diff(t)
             if not np.all(diffs > 0.0):
                 raise ValueError("radii must be strictly ascending")
@@ -206,7 +206,7 @@ class RadialField:
             if len(radii) < MIN_NODE_COUNT:
                 raise ValueError(f"{len(radii)} nodes; need at least {MIN_NODE_COUNT}")
             h = float(diffs[0])
-            grid = RadialGrid(r_min=_libm(math.exp, t[0] - h), t=t, nodes=radii, h=h)
+            grid = RadialGrid(r_min=_exp(t[0] - h), t=t, nodes=radii, h=h)
             return cls(grid=grid, values=vals, n=n, alpha=alpha, p=p)
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from err
@@ -264,10 +264,10 @@ def poisson_solve_radial(f: RadialField, n: int) -> RadialField:
     if n < 3:
         raise ValueError(f"need dimension n >= 3, got {n}")
     grid = f.grid
-    g_in = f.values * _libm(math.exp, n * grid.t)
+    g_in = f.values * _exp(n * grid.t)
     F = _cumulative_up(g_in, grid.h)
     inner = _tail_estimate(F, grid.h) + F
-    g_out = inner * _libm(math.exp, (2.0 - n) * grid.t)
+    g_out = inner * _exp((2.0 - n) * grid.t)
     return RadialField(grid=grid, values=_cumulative_down(g_out, grid.h))
 
 
@@ -304,7 +304,7 @@ def biharmonic_span_residual(u: RadialField, source: RadialField, n: int) -> flo
     d = u.values - v.values
     lo, hi = grid.count // 4, 3 * grid.count // 4
     # r^k = e^{k t}, with t the grid's own log-radii
-    powers = _libm(math.exp, np.multiply.outer(grid.t, (2.0, 2.0 - n, 4.0 - n)))
+    powers = _exp(np.multiply.outer(grid.t, (2.0, 2.0 - n, 4.0 - n)))
     basis = np.column_stack([np.ones(grid.count), powers])
     scale = np.abs(u.values[lo:hi])
     if np.any(scale == 0.0):
@@ -328,8 +328,8 @@ def _field_from_trajectory(
     j = int(np.argmax(w <= 0.0))
     if w[j] <= 0.0:
         raise ValueError(f"non-positive field value at node {j} (r={grid.nodes[j]:.6g})")
-    u_vals = _libm(math.exp, -B * grid.t) * w
-    f_vals = _libm(math.exp, coeffs.alpha * grid.t) * _wpow(u_vals, coeffs.p)
+    u_vals = _exp(-B * grid.t) * w
+    f_vals = _exp(coeffs.alpha * grid.t) * _wpow(u_vals, coeffs.p)
     u_field = RadialField(grid=grid, values=u_vals, n=coeffs.n, alpha=coeffs.alpha, p=coeffs.p)
     f_field = RadialField(grid=grid, values=f_vals, n=coeffs.n, alpha=coeffs.alpha, p=coeffs.p)
     return u_field, f_field
@@ -420,8 +420,8 @@ def _shell_sums(traj: Trajectory, coeffs: CoefficientSet, weights: tuple, k_max:
         raise OverflowError(
             f"u = r^-B w overflows a double at r = {math.exp(ts[j]):.3g} (B = {B:.6g})"
         )
-    up = _wpow(_libm(math.exp, arg) * w, p)
-    g = _libm(math.exp, np.multiply.outer(weights, ts)) * up
+    up = _wpow(_exp(arg) * w, p)
+    g = _exp(np.multiply.outer(weights, ts)) * up
     return _panel_increments(g.reshape(len(weights), k_max + 1, -1), h).sum(axis=-1)
 
 

@@ -21,22 +21,19 @@ from . import _dp5
 from .params import CoefficientSet
 
 
-def _libm(fn, x):
-    """fn(x) for fn = math.exp or math.log, on a float or elementwise on an array.
+# Every transcendental on a table path comes from libm: numpy's SIMD
+# kernels, picked per CPU at run time, differ from it in the last bit on
+# some arguments, so tables would follow the machine.  An array goes
+# through the libm loops of _dp5.c where they build, else through _exp_py
+# or _log_py; either raises where math's function would.
+def _exp(x):
+    """math.exp(x) for a float, else elementwise on an array."""
+    return math.exp(x) if np.ndim(x) == 0 else _dp5.kernels().exp(x)
 
-    Every transcendental on a table path comes from libm: numpy's SIMD
-    kernels, picked per CPU at run time, differ from it in the last bit
-    on some arguments, so tables would follow the machine.  An array goes
-    through the libm loops of _dp5.c where they build, else through
-    _exp_py or _log_py; either raises where math's function would.
-    """
-    if np.ndim(x) == 0:
-        return fn(x)
-    if fn is math.exp:
-        return _dp5.kernels().exp(x)
-    if fn is math.log:
-        return _dp5.kernels().log(x)
-    raise ValueError(f"no elementwise libm map for {fn!r}")
+
+def _log(x):
+    """math.log(x) for a float, else elementwise on an array."""
+    return math.log(x) if np.ndim(x) == 0 else _dp5.kernels().log(x)
 
 
 def _exp_py(x: np.ndarray) -> np.ndarray:
@@ -86,8 +83,8 @@ def to_log(jet: RadialJet, B: float) -> tuple[float | np.ndarray, OdeState]:
     below into radial derivatives.
     """
     r = jet.r
-    t = _libm(math.log, r)
-    rB = _libm(math.exp, B * t)
+    t = _log(r)
+    rB = _exp(B * t)
     ru1 = r * jet.u1
     r2u2 = r * r * jet.u2
     r3u3 = r * r * r * jet.u3
@@ -121,8 +118,8 @@ def from_log(t, state, B: float) -> RadialJet:
     """Invert to_log: recover the u-jet at r = e^t from a w-jet, or at k times
     from a (4, k) stack of w-jets."""
     b0, b1, b2, b3 = _scaled_jet(state, B)
-    r = _libm(math.exp, t)
-    rmB = _libm(math.exp, -B * t)
+    r = _exp(t)
+    rmB = _exp(-B * t)
     u0 = rmB * b0
     u1 = rmB / r * b1
     u2 = rmB / (r * r) * b2
@@ -143,4 +140,4 @@ def neg_laplacian_radial(t, state, coeffs: CoefficientSet) -> float | np.ndarray
     B = coeffs.B
     w0, w1, w2, _ = state
     bracket = -w2 - (n - 2.0 - 2.0 * B) * w1 + B * (n - 2.0 - B) * w0
-    return _libm(math.exp, -(B + 2.0) * t) * bracket
+    return _exp(-(B + 2.0) * t) * bracket

@@ -1,5 +1,6 @@
 """The loader of the compiled kernels: cache, silent fallback, package contents."""
 
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -85,3 +86,28 @@ def test_kernel_source_compiles_without_a_warning():
         capture_output=True, text=True, timeout=_dp5.COMPILE_TIMEOUT_S,
     )
     assert run.returncode == 0, run.stderr
+
+
+def _c_enums(source: str) -> list[dict[str, int]]:
+    """The constants of each enum in C source, valued as C values them."""
+    enums = []
+    for body in re.findall(r"\benum\s*\{([^}]*)\}", source):
+        constants, value = {}, -1
+        for item in body.split(","):
+            name, _, given = item.partition("=")
+            value = int(given) if given.strip() else value + 1
+            constants[name.strip()] = value
+        enums.append(constants)
+    return enums
+
+
+def test_kernel_enums_match_the_loader_constants():
+    # The statuses of hh_steps and the multiplier rows of hh_rows are
+    # written in both files; the loader reads them by value.
+    enums = _c_enums(_dp5.SOURCE.read_text())
+    assert [list(e) for e in enums] == [
+        ["END", "BLOW_UP", "NON_POSITIVE", "FULL", "UNDERFLOW", "OVERFLOW"],
+        ["POW5_INV_ROWS", "POW5_ROWS"],
+    ]
+    for constants in enums:
+        assert constants == {name: getattr(_dp5, name) for name in constants}

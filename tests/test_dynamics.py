@@ -180,7 +180,9 @@ def test_fixed_points_stops_at_the_first_exact_zero(monkeypatch, kernel_paths):
         return math.log(x)
 
     counting = types.SimpleNamespace(exp=math.exp, log=log, nextafter=math.nextafter, inf=math.inf)
+    # The ring loop calls dynamics' math, the seed's residual transform's.
     monkeypatch.setattr(dynamics, "math", counting)
+    monkeypatch.setattr(transform, "math", counting)
     # (6, 0, 4): the seed itself is an exact zero; (6, 0, 5.25): one lies
     # in the first ring of +-16 ulps; (7, 0, 3): none in the window.
     for kernels in kernel_paths():
@@ -644,20 +646,31 @@ def test_sample_reads_strided_times_and_only_1d_times(kernel_paths):
     ids=["blowup", "nonpositive", "forward"],
 )
 def test_crossing_matches_generic_bisection_bit_for_bit(initial, t1, threshold, kernel_paths):
-    *_, flat, _, _ = _generic_integrate(initial, 0.0, t1, 1e-10, COEFFS, threshold)
+    *_, flat, termination, _ = _generic_integrate(initial, 0.0, t1, 1e-10, COEFFS, threshold)
     row = flat[-1]
     seg = (row[0], row[1], row[2:6], row[6:10], row[10:14], row[14:18])
-    # The step's own crossing, a level that the first midpoint hits
-    # exactly (the early exit), the levels at both ends and one the
-    # segment never reaches.
-    mid_level = _generic_hermite(0.5 * (row[0] + row[1]), *seg)[0]
-    levels = (threshold, 0.0, mid_level, row[2], row[6], -1.0)
+    # integrate ends at the crossing in the last step, w clamped at 0.0 on
+    # a zero crossing.
+    if termination == NON_POSITIVE:
+        tc, (w0, *jet) = _generic_crossing(seg, 0.0)
+        want = [tc, max(w0, 0.0), *jet]
+    else:
+        tc, jet = _generic_crossing(seg, threshold)
+        want = [tc, *jet]
+    # A threshold that the first midpoint of that step hits exactly: the
+    # bisection's early exit.
+    mid = 0.5 * (row[0] + row[1])
+    mid_level = _generic_hermite(mid, *seg)[0]
+    mid_t, mid_jet = _generic_crossing(seg, mid_level)
+    assert mid_t == mid
     for kernels in kernel_paths():
-        for level in levels:
-            tc, jet = _dp5.kernels().bisect(np.array(row), level)
-            want_t, want_jet = _generic_crossing(seg, level)
-            assert _bits([tc, *jet]) == _bits([want_t, *want_jet]), (kernels, level)
-        assert _generic_crossing(seg, mid_level)[0] == 0.5 * (row[0] + row[1])
+        traj = integrate(initial, 0.0, t1, 1e-10, COEFFS, blowup_threshold=threshold)
+        assert traj.termination == termination, kernels
+        assert _bits([traj.t_end, *traj.states[-1]]) == _bits(want), kernels
+        if termination == BLOW_UP:
+            early = integrate(initial, 0.0, t1, 1e-10, COEFFS, blowup_threshold=mid_level)
+            assert _bits(early.segments[-1]) == _bits(row), kernels
+            assert _bits([early.t_end, *early.states[-1]]) == _bits([mid, *mid_jet]), kernels
 
 
 @pytest.mark.parametrize(
@@ -679,7 +692,10 @@ def test_integrator_statistics_count_what_integrate_did(
         calls.append(x)
         return math.exp(x)
 
-    monkeypatch.setattr(dynamics, "math", types.SimpleNamespace(**{**vars(math), "exp": exp}))
+    counting = types.SimpleNamespace(**{**vars(math), "exp": exp})
+    # The step loop calls dynamics' math, the first field's w^p transform's.
+    monkeypatch.setattr(dynamics, "math", counting)
+    monkeypatch.setattr(transform, "math", counting)
     for kernels in kernel_paths():
         calls.clear()
         traj = integrate(initial, 0.0, t1, 1e-10, COEFFS, blowup_threshold=threshold)
@@ -712,14 +728,24 @@ def test_generic_stepper_cases_include_rejected_steps(kernel_paths):
 def test_integrate_resumes_when_the_segment_buffer_fills(monkeypatch, kernel_paths):
     initial = OdeState(WSTAR, -1e-3, 0.0, 0.0)
     for kernels in kernel_paths():
-        monkeypatch.setattr(dynamics, "_SEGMENT_ROWS", 1024)
+        monkeypatch.setattr(_dp5, "SEGMENT_ROWS", 1024)
         whole = integrate(initial, 0.0, -20.0, 1e-12, COEFFS)
         assert len(whole.segments) > 1024
-        monkeypatch.setattr(dynamics, "_SEGMENT_ROWS", 1)
+        monkeypatch.setattr(_dp5, "SEGMENT_ROWS", 1)
         pieces = integrate(initial, 0.0, -20.0, 1e-12, COEFFS)
         for name in ("times", "states", "segments"):
             assert getattr(pieces, name).tobytes() == getattr(whole, name).tobytes(), kernels
         assert (pieces.termination, pieces.rejected) == (whole.termination, whole.rejected)
+
+
+def test_trajectory_requires_segments_of_18_columns(kernel_paths):
+    for kernels in kernel_paths():
+        for bad in (np.zeros((1, 17)), np.zeros(18), np.zeros((1, 18, 1))):
+            with pytest.raises(ValueError, match=r"segments must have shape \(m, 18\), got"):
+                dynamics.Trajectory(
+                    times=[0.0, -1.0], states=np.zeros((2, 4)), termination=REACHED_END,
+                    segments=bad,
+                ).sample([-0.5])
 
 
 def test_integrate_reports_step_underflow(kernel_paths):
