@@ -2,11 +2,14 @@
  * integrate, which ends the orbit at its crossing by bisection, the ulp
  * ring scan of fixed_points, the dense Hermite output of a trajectory, the
  * elementwise libm exp and log of transform._exp and transform._log, and
- * the 'radius,value' rows of a field file.
+ * the writer and the reader of a field file's 'radius,value' rows.
  *
- * Each is its Python twin: _steps_py (with _bisect_py), _scan_py and
- * _dense_py in dynamics.py, _exp_py and _log_py in transform.py, _rows_py
- * in green.py.  The row writer prints repr()'s bytes; the others are written
+ * Each but the reader is its Python twin: _steps_py (with _bisect_py),
+ * _scan_py and _dense_py in dynamics.py, _exp_py and _log_py in
+ * transform.py, _rows_py in green.py.  The reader reads the rows the writer
+ * writes, and every cell as float() reads it (Eisel-Lemire, then strtod);
+ * its twin _parse_py reads nothing, and np.loadtxt reads every file it
+ * leaves.  The row writer prints repr()'s bytes; the others are written
  * out expression for expression: every sum keeps its left-to-right order, its
  * leading 0.0 and its zero weights; w^p is exp(p log w) for w > 0, else 0;
  * powers go through pow; min and max keep Python's tie rules; exp and log
@@ -20,6 +23,7 @@
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
@@ -581,4 +585,175 @@ int64_t hh_rows(const double *r, const double *v, int64_t n, const uint64_t *pow
         *p++ = '\n';
     }
     return p - out;
+}
+
+/* Rows of the power-of-5 multipliers passed to hh_parse, as POW5_Q_MIN and
+ * POW5_Q_ROWS in _dp5.py: row i holds 5^(POW5_Q_MIN + i) as a 128-bit
+ * (low, high) word pair. */
+enum { POW5_Q_MIN = -342, POW5_Q_ROWS = 651 };
+
+/* The leading zero bits of x > 0. */
+static int leading_zeros(uint64_t x)
+{
+    int n = 0;
+    for (int bits = 32; bits; bits /= 2) {
+        if (!(x >> (64 - bits))) {
+            n += bits;
+            x <<= bits;
+        }
+    }
+    return n;
+}
+
+/* The double nearest w * 10^q, ties to even, for 0 < w < 10^19 and q in
+ * [POW5_Q_MIN, POW5_Q_MIN + POW5_Q_ROWS), with pow5 as built by
+ * _dp5._pow5_q_rows: Eisel-Lemire (Lemire, "Number Parsing at a Gigabyte
+ * per Second", Softw. Pract. Exp. 2021).  Returns 0, leaving *out alone,
+ * where the truncated product is too close to a rounding boundary to
+ * decide, or where the double would be subnormal or infinite. */
+static int eisel_lemire(uint64_t w, int32_t q, const uint64_t *pow5, double *out)
+{
+    const uint64_t *mul = pow5 + 2 * (q - POW5_Q_MIN);
+    int lz = leading_zeros(w);
+    w <<= lz;
+    /* The high 128 bits of w * mul; the second product only where the 9
+     * low bits of the first, which rounding drops, are all ones. */
+    uint64_t hi;
+    uint64_t lo = umul128(w, mul[1], &hi);
+    if ((hi & 0x1ff) == 0x1ff) {
+        uint64_t hi2;
+        umul128(w, mul[0], &hi2);
+        lo += hi2;
+        if (lo < hi2)
+            hi++;
+    }
+    /* What the truncation dropped could still carry into hi, except where
+     * the row holds 5^q exactly or as a rounded-up reciprocal. */
+    if (lo == UINT64_MAX && (q < -27 || q > 55))
+        return 0;
+    int upper = (int)(hi >> 63);
+    int shift = upper + 9;
+    uint64_t m = hi >> shift;
+    /* The biased exponent: floor(log2(10^q)) + 63 + 1023 + upper - lz, the
+     * floor taken on a non-negative shifted value. */
+    int32_t e2 = (int32_t)((217706 * (int64_t)q + (INT64_C(2048) << 16)) >> 16) - 2048
+                 + 63 + 1023 + upper - lz;
+    if (e2 <= 0)
+        return 0;
+    /* An exact tie, possible only for these q: round to even. */
+    if (lo <= 1 && q >= -4 && q <= 23 && (m & 3) == 1 && (m << shift) == hi)
+        m &= ~UINT64_C(1);
+    m += m & 1;
+    m >>= 1;
+    if (m >= UINT64_C(2) << 52) {
+        m = UINT64_C(1) << 52;
+        e2++;
+    }
+    if (e2 >= 0x7ff)
+        return 0;
+    uint64_t bits = (m & ((UINT64_C(1) << 52) - 1)) | (uint64_t)e2 << 52;
+    memcpy(out, &bits, sizeof bits);
+    return 1;
+}
+
+static int is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/* The cell -?digits(.digits)?([eE][+-]?digits)? at *ps, read into *out as
+ * float() reads it, with *ps moved past it.  Eisel-Lemire reads up to 19
+ * significant digits; strtod reads longer cells and every case
+ * Eisel-Lemire leaves.  Returns 0 where *ps does not start such a cell,
+ * or where strtod stops elsewhere than at its end (under a locale whose
+ * decimal point is not '.').  Every scan stops at the first byte that
+ * cannot continue the cell, so a NUL after the buffer bounds them. */
+static int read_cell(const char **ps, const uint64_t *pow5, double *out)
+{
+    const char *cell = *ps, *p = cell;
+    int neg = *p == '-';
+    p += neg;
+    const char *digits = p;
+    while (*p == '0')
+        p++;
+    /* The digits from the first nonzero one, wrapping past 19 of them. */
+    const char *first = p;
+    uint64_t w = 0;
+    for (; is_digit(*p); p++)
+        w = 10 * w + (uint64_t)(*p - '0');
+    if (p == digits)
+        return 0;
+    int64_t sig = p - first, q = 0; /* the cell is w * 10^q while sig <= 19 */
+    if (*p == '.') {
+        digits = ++p;
+        if (!sig)
+            while (*p == '0')
+                p++;
+        first = p;
+        for (; is_digit(*p); p++)
+            w = 10 * w + (uint64_t)(*p - '0');
+        if (p == digits)
+            return 0;
+        sig += p - first;
+        q = digits - p;
+    }
+    if (*p == 'e' || *p == 'E') {
+        int eneg = p[1] == '-';
+        p += 1 + (p[1] == '-' || p[1] == '+');
+        int64_t e = 0;
+        /* Past 10^5 every cell is 0 or inf; strtod reads those. */
+        for (digits = p; is_digit(*p); p++)
+            if (e < 100000)
+                e = 10 * e + (*p - '0');
+        if (p == digits)
+            return 0;
+        q += eneg ? -e : e;
+    }
+    *ps = p;
+    double x;
+    if (sig == 0) {
+        *out = neg ? -0.0 : 0.0;
+        return 1;
+    }
+    if (sig <= 19 && q >= POW5_Q_MIN && q < POW5_Q_MIN + POW5_Q_ROWS
+        && eisel_lemire(w, (int32_t)q, pow5, &x)) {
+        *out = neg ? -x : x;
+        return 1;
+    }
+    char *end;
+    *out = strtod(cell, &end);
+    return end == p;
+}
+
+/* The 'radius,value' rows of a field file's body: the bytes s[start..len)
+ * of a buffer with a NUL at s[len], as a Python bytes object has.  Each
+ * line is two read_cell cells joined by ',' and ends in '\n', optional on
+ * the last line; empty lines are skipped, as np.loadtxt skips them.  Radii
+ * go to r, values to v.  Returns the rows read, or -1 at the first line
+ * that is no such row, which np.loadtxt then reads or refuses.  With r and
+ * v NULL, returns the room each needs instead: one double more than the
+ * body has '\n' bytes. */
+int64_t hh_parse(const char *s, int64_t start, int64_t len, const uint64_t *pow5,
+                 double *r, double *v)
+{
+    const char *p = s + start, *end = s + len;
+    int64_t n = 0;
+    if (!r || !v) {
+        while ((p = memchr(p, '\n', (size_t)(end - p))) != NULL) {
+            p++;
+            n++;
+        }
+        return n + 1;
+    }
+    while (p < end) {
+        if (*p == '\n') {
+            p++;
+            continue;
+        }
+        if (!read_cell(&p, pow5, r + n) || *p++ != ',' || !read_cell(&p, pow5, v + n))
+            return -1;
+        n++;
+        if (*p == '\n')
+            p++;
+        else if (p != end)
+            return -1;
+    }
+    return n;
 }

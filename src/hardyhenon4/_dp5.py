@@ -3,11 +3,14 @@
 load() compiles _dp5.c with the C compiler Python was built with into a
 shared library cached under ~/.cache/hardyhenon4 (or the system temporary
 directory where that is not writable), keyed by the sha256 of the source,
-the compiler and the flags, and returns the six kernels with the
+the compiler and the flags, and returns the seven kernels with the
 signatures of their Python twins: _steps_py, _scan_py and _dense_py in
-dynamics, _exp_py and _log_py in transform, _rows_py in green.  The step
-kernel ends an orbit at its crossing itself, as _steps_py does through
-_bisect_py; its wrapper is the one place that holds a segment buffer.
+dynamics, _exp_py and _log_py in transform, _rows_py and _parse_py in
+green.  The step kernel ends an orbit at its crossing itself, as _steps_py
+does through _bisect_py; its wrapper is the one place that holds a segment
+buffer.  The row reader reads the rows the row writer writes, each cell as
+float() reads it, and returns None for any other body; its twin returns
+None for every body, and np.loadtxt reads what the reader leaves.
 It returns None, without a word, where anything fails (no compiler, a
 compile error, a target whose doubles carry excess precision, no
 writable cache).  kernels() is the one dispatch point: the compiled
@@ -48,6 +51,10 @@ SEGMENT_ROWS = 1024
 POW5_INV_ROWS, POW5_ROWS = 291, 326
 ROW_BYTES = 50
 
+# The powers of five of the row reader, as the enum in _dp5.c: 5^q for
+# POW5_Q_MIN <= q < POW5_Q_MIN + POW5_Q_ROWS.
+POW5_Q_MIN, POW5_Q_ROWS = -342, 651
+
 
 class Kernels(NamedTuple):
     steps: Callable[[np.ndarray, np.ndarray], tuple[int, np.ndarray, int]]
@@ -56,6 +63,7 @@ class Kernels(NamedTuple):
     exp: Callable[[np.ndarray], np.ndarray]
     log: Callable[[np.ndarray], np.ndarray]
     rows: Callable[[np.ndarray, np.ndarray], str]
+    parse: Callable[[bytes, int], tuple[np.ndarray, np.ndarray] | None]
 
 
 def kernels() -> Kernels:
@@ -68,7 +76,7 @@ def _twins() -> Kernels:
     from . import dynamics, green, transform
 
     return Kernels(dynamics._steps_py, dynamics._scan_py, dynamics._dense_py,
-                   transform._exp_py, transform._log_py, green._rows_py)
+                   transform._exp_py, transform._log_py, green._rows_py, green._parse_py)
 
 
 def _compiler() -> list[str]:
@@ -139,7 +147,7 @@ def load() -> Kernels | None:
             return None
         dll = ctypes.CDLL(str(lib))
         steps, scan, dense = dll.hh_steps, dll.hh_scan, dll.hh_dense
-        exp, log, rows = dll.hh_exp, dll.hh_log, dll.hh_rows
+        exp, log, rows, parse = dll.hh_exp, dll.hh_log, dll.hh_rows, dll.hh_parse
     # No compiler, no home directory, no os.getuid, a CC that will not
     # split, a library that will not load: each leaves the Python twins.
     except (OSError, RuntimeError, AttributeError, ValueError):
@@ -155,6 +163,9 @@ def load() -> Kernels | None:
         fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
     rows.restype = ctypes.c_int64
     rows.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 2
+    parse.restype = ctypes.c_int64
+    # A bytes argument passes its own buffer, which ends in a NUL.
+    parse.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3
 
     def run_steps(st: np.ndarray, prm: np.ndarray) -> tuple[int, np.ndarray, int]:
         _check(st, (11,), np.float64)
@@ -210,8 +221,16 @@ def load() -> Kernels | None:
                     _pow5_rows().ctypes.data, out.ctypes.data)
         return str(out[:size], "ascii")
 
+    def run_parse(data: bytes, start: int) -> tuple[np.ndarray, np.ndarray] | None:
+        if type(data) is not bytes or not 0 <= start <= len(data):
+            raise ValueError("the row reader needs a bytes object and an offset inside it")
+        pow5 = _pow5_q_rows().ctypes.data
+        cols = np.empty((2, parse(data, start, len(data), pow5, None, None)))
+        count = parse(data, start, len(data), pow5, cols[0].ctypes.data, cols[1].ctypes.data)
+        return None if count < 0 else (cols[0, :count], cols[1, :count])
+
     return Kernels(run_steps, run_scan, run_dense,
-                   libm_map(exp, math.exp), libm_map(log, math.log), run_rows)
+                   libm_map(exp, math.exp), libm_map(log, math.log), run_rows, run_parse)
 
 
 @functools.cache
@@ -228,6 +247,31 @@ def _pow5_rows() -> np.ndarray:
         power = 5**i
         shift = power.bit_length() - 125
         words.append(power >> shift if shift >= 0 else power << -shift)
+    return _words128(words)
+
+
+@functools.cache
+def _pow5_q_rows() -> np.ndarray:
+    """The multipliers of the row reader (Eisel-Lemire), as (low, high) words
+    of 128-bit integers, for q from POW5_Q_MIN on: 5^q scaled to 128 bits and
+    truncated where q >= 0; else floor(2^b / 5^-q) + 1, truncated to 128
+    bits, with b = z + 127 for q >= -27 and b = 2z + 128 below, where 2^z is
+    the least power of two >= 5^-q."""
+    words = []
+    for q in range(POW5_Q_MIN, POW5_Q_MIN + POW5_Q_ROWS):
+        if q >= 0:
+            word = 5**q
+        else:
+            power = 5**-q
+            z = (power - 1).bit_length()
+            word = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // power + 1
+        shift = word.bit_length() - 128
+        words.append(word >> shift if shift >= 0 else word << -shift)
+    return _words128(words)
+
+
+def _words128(words: list[int]) -> np.ndarray:
+    """128-bit integers as a read-only table of (low, high) uint64 words."""
     low = (1 << 64) - 1
     table = np.array([(w & low, w >> 64) for w in words], dtype=np.uint64)
     table.flags.writeable = False

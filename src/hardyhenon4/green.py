@@ -170,26 +170,30 @@ class RadialField:
         """Read a saved field: a '# radial-field' header line, then 'radius,value'
         rows of log-uniform, ascending radii ending at 1.  Header labels may be
         empty; n must be an integer >= 3, alpha and p finite numbers.  Every
-        ValueError names the file."""
+        ValueError names the file.
+
+        The kernels' row reader reads the body of an ASCII file without a CR
+        byte, whose rows are in the form dumps writes, from the one read of
+        its bytes.  np.loadtxt reads every other body, to the same doubles
+        and with the same messages.
+        """
         try:
-            with open(path) as fh:
-                head = fh.readline()
+            data = Path(path).read_bytes()
+            start = data.find(b"\n") + 1 or len(data)
+            # Here readline would return the bytes up to the first '\n'.
+            if data.isascii() and b"\r" not in data:
+                head = data[:start].decode("ascii")
+            else:
+                data = None
+                with open(path) as fh:
+                    head = fh.readline()
             m = re.fullmatch(r"# radial-field n=(\S*) alpha=(\S*) p=(\S*)\s*", head)
             if m is None:
                 raise ValueError(f"first line is not a '# radial-field' header: {head!r}")
             n, alpha, p = map(_header_label, ("n", "alpha", "p"), m.groups())
-            with warnings.catch_warnings():
-                # a header-only file is reported by the node floor below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                try:
-                    data = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2)
-                except ValueError as err:
-                    raise ValueError(
-                        f"expected 'radius,value' rows: {_row_defect(path, err)}"
-                    ) from err
-            if len(data) and data.shape[1] != 2:
-                raise ValueError(f"expected 'radius,value' rows, got {data.shape[1]} columns")
-            radii, vals = data.reshape(-1, 2).T
+            columns = None if data is None else _dp5.kernels().parse(data, start)
+            del data  # the bytes are not held past the read
+            radii, vals = _read_rows(path) if columns is None else columns
             if not np.all(radii > 0.0):
                 raise ValueError("radii must be positive")
             t = _log(radii)
@@ -227,9 +231,30 @@ def _rows_py(radii: np.ndarray, values: np.ndarray) -> str:
     return "".join([f"{r!r},{v!r}\n" for r, v in zip(radii.tolist(), values.tolist())])
 
 
-def _row_defect(path: str | Path, err: ValueError) -> str:
-    """What is wrong with the body of a field file numpy's reader refused:
-    the first row without exactly two cells, else numpy's own message.
+def _parse_py(data: bytes, start: int) -> None:
+    """The Python twin of hh_parse reads no body: where the kernels are not
+    compiled, np.loadtxt reads every field file."""
+    return None
+
+
+def _read_rows(path: str | Path) -> np.ndarray:
+    """The body of a field file as np.loadtxt reads it: two C-contiguous
+    rows, the radii and the values."""
+    with warnings.catch_warnings():
+        # a header-only file is reported by the node floor in load
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            data = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2)
+        except ValueError as err:
+            raise ValueError(f"expected 'radius,value' rows: {_row_defect(path) or err}") from err
+    if len(data) and data.shape[1] != 2:
+        raise ValueError(f"expected 'radius,value' rows: {_row_defect(path)}")
+    return np.ascontiguousarray(data.reshape(-1, 2).T)
+
+
+def _row_defect(path: str | Path) -> str | None:
+    """The first row of a field file's body without exactly two cells, or
+    None.
 
     Rows count from 0 after the header, empty lines left out, as in
     numpy's messages about a bad cell.
@@ -242,7 +267,7 @@ def _row_defect(path: str | Path, err: ValueError) -> str:
     if bad.size:
         i, k = bad[0], cells[bad[0]]
         return f"body row {i} has {k} cell{'s' if k != 1 else ''}"
-    return str(err)
+    return None
 
 
 def _header_label(name: str, text: str) -> int | float | None:

@@ -337,9 +337,10 @@ def test_green_check_field_data_defects_exit_two(tmp_path, capsys):
     assert main(["green-check", "--field", str(uneven)]) == 2
     assert "log-uniform" in capsys.readouterr().err
     assert main(["green-check", "--field", str(tmp_path / "missing.csv")]) == 1
-    # Rows go through numpy's text reader: a whitespace-only line, a '#'
-    # inside a row and a cell float() would take but numpy's reader does
-    # not ('1_0') are each invalid field data that names the file.
+    # Rows outside the writer's grammar go through numpy's text reader: a
+    # whitespace-only line, a '#' inside a row and a cell float() would take
+    # but numpy's reader does not ('1_0') are each invalid field data that
+    # names the file.
     rows = _field_file(tmp_path / "good.csv", make_grid(count=512).nodes).read_text().splitlines()
     row = rows[100]
     for name, middle in (("blank.csv", [" ", row]), ("hash.csv", [row + "#note"]),

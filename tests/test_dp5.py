@@ -102,12 +102,13 @@ def _c_enums(source: str) -> list[dict[str, int]]:
 
 
 def test_kernel_enums_match_the_loader_constants():
-    # The statuses of hh_steps and the multiplier rows of hh_rows are
-    # written in both files; the loader reads them by value.
+    # The statuses of hh_steps and the multiplier rows of hh_rows and
+    # hh_parse are written in both files; the loader reads them by value.
     enums = _c_enums(_dp5.SOURCE.read_text())
     assert [list(e) for e in enums] == [
         ["END", "BLOW_UP", "NON_POSITIVE", "FULL", "UNDERFLOW", "OVERFLOW"],
         ["POW5_INV_ROWS", "POW5_ROWS"],
+        ["POW5_Q_MIN", "POW5_Q_ROWS"],
     ]
     for constants in enums:
         assert constants == {name: getattr(_dp5, name) for name in constants}

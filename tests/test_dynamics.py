@@ -51,7 +51,7 @@ P = 4.0
 WSTAR = 1.9917354429142955  # snapped machine equilibrium of a0^(1/3), a0 = 640/81
 
 
-def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch):
+def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch, tmp_path):
     if shutil.which(_dp5._compiler()[0]) is None:
         pytest.skip("no C compiler")
     assert _dp5.load() is not None
@@ -62,7 +62,7 @@ def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch):
     for module, name in ((dynamics, "_steps_py"), (dynamics, "_scan_py"),
                          (dynamics, "_bisect_py"), (dynamics, "_dense_py"),
                          (transform, "_exp_py"), (transform, "_log_py"),
-                         (green, "_rows_py")):
+                         (green, "_rows_py"), (green, "_parse_py")):
         monkeypatch.setattr(module, name, python_twin)
     # Steps, the crossing bisection and the sample fill; then dense reads.
     traj = integrate(OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS,
@@ -72,10 +72,13 @@ def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch):
     assert fixed_points(COEFFS) == [0.0, WSTAR]
     # Both libm maps, through the energy's w^(p+1) = exp((p+1) log w).
     assert np.all(np.isfinite(energy(traj.states.T, COEFFS)))
-    # The field writer.
+    # The field writer and reader.
     grid = green.make_grid(256)
-    rows = green.RadialField(grid, np.sqrt(grid.nodes)).dumps().splitlines()[1:]
+    field = green.RadialField(grid, np.sqrt(grid.nodes))
+    rows = field.dumps().splitlines()[1:]
     assert rows == [f"{r!r},{math.sqrt(r)!r}" for r in grid.nodes.tolist()]
+    field.save(tmp_path / "field.csv")
+    assert green.RadialField.load(tmp_path / "field.csv").values.tolist() == field.values.tolist()
 
 
 def test_vector_field_vanishes_exactly_at_equilibrium():

@@ -1,6 +1,7 @@
 import math
 import struct
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -180,26 +181,28 @@ def test_tail_rejects_borderline_integrand():
 # -------------------------------------------------------- serialization
 
 
-def test_field_header_and_round_trip(tmp_path):
+def test_field_header_and_round_trip(tmp_path, kernel_paths):
     grid = make_grid(count=512)
     field = RadialField(grid=grid, values=np.sqrt(grid.nodes), n=6, alpha=0.0, p=4.0)
-    assert field.dumps().splitlines()[0] == "# radial-field n=6 alpha=0 p=4"
-    path = tmp_path / "field.csv"
-    field.save(path)
-    back = RadialField.load(path)
-    assert back.n == 6 and back.alpha == 0.0 and back.p == 4.0
-    assert np.array_equal(back.values, field.values)
-    assert np.array_equal(back.grid.nodes, grid.nodes)
+    for kernels in kernel_paths():
+        assert field.dumps().splitlines()[0] == "# radial-field n=6 alpha=0 p=4"
+        path = tmp_path / "field.csv"
+        field.save(path)
+        back = RadialField.load(path)
+        assert back.n == 6 and back.alpha == 0.0 and back.p == 4.0, kernels
+        assert np.array_equal(back.values, field.values), kernels
+        assert np.array_equal(back.grid.nodes, grid.nodes), kernels
 
 
-def test_field_unlabeled_round_trip(tmp_path):
+def test_field_unlabeled_round_trip(tmp_path, kernel_paths):
     grid = make_grid(count=512)
     field = RadialField(grid=grid, values=np.ones(grid.count))
-    assert field.dumps().splitlines()[0] == "# radial-field n= alpha= p="
-    path = tmp_path / "plain.csv"
-    field.save(path)
-    back = RadialField.load(path)
-    assert back.n is None and back.alpha is None and back.p is None
+    for kernels in kernel_paths():
+        assert field.dumps().splitlines()[0] == "# radial-field n= alpha= p="
+        path = tmp_path / "plain.csv"
+        field.save(path)
+        back = RadialField.load(path)
+        assert back.n is None and back.alpha is None and back.p is None, kernels
 
 
 def test_field_round_trip_is_bitwise(tmp_path, kernel_paths):
@@ -218,6 +221,8 @@ def test_field_round_trip_is_bitwise(tmp_path, kernel_paths):
         back = RadialField.load(path)
         assert back.values.tobytes() == values.tobytes(), kernels
         assert back.grid.nodes.tobytes() == grid.nodes.tobytes(), kernels
+        # Kernels read both columns in place, without a strided copy.
+        assert back.values.flags.c_contiguous and back.grid.nodes.flags.c_contiguous, kernels
 
 
 def _repr_oracle_doubles() -> np.ndarray:
@@ -245,19 +250,20 @@ def test_field_rows_print_repr_bytes(kernel_paths):
 
 
 @pytest.mark.parametrize("label", [-1.2345678, 3.14159265, 1e-7, 1e20])
-def test_field_header_labels_read_back_bit_for_bit(tmp_path, label):
+def test_field_header_labels_read_back_bit_for_bit(tmp_path, label, kernel_paths):
     grid = make_grid(count=256)
     field = RadialField(grid=grid, values=np.ones(grid.count), n=5, alpha=label, p=label)
     path = tmp_path / "field.csv"
-    field.save(path)
-    back = RadialField.load(path)
-    assert struct.pack("<dd", back.alpha, back.p) == struct.pack("<dd", label, label)
+    for kernels in kernel_paths():
+        field.save(path)
+        back = RadialField.load(path)
+        assert struct.pack("<dd", back.alpha, back.p) == struct.pack("<dd", label, label), kernels
     # Labels that 'g' keeps exact are still written short.
     head = RadialField(grid=grid, values=np.ones(grid.count), n=5, alpha=-1.0, p=2.0).dumps()
     assert head.splitlines()[0] == "# radial-field n=5 alpha=-1 p=2"
 
 
-def test_field_load_parses_cells_like_float(tmp_path):
+def test_field_load_parses_cells_like_float(tmp_path, kernel_paths):
     # Cells need not be repr() output: exponents, signs, padding and CRLF
     # line ends all parse to the double float() gives.
     nodes = make_grid(count=512).nodes
@@ -268,17 +274,129 @@ def test_field_load_parses_cells_like_float(tmp_path):
         "\r\n".join(["# radial-field n=6 alpha=0 p=4", *map(",".join, zip(radii, values))]).encode()
         + b"\r\n"
     )
-    back = RadialField.load(path)
-    assert back.grid.nodes.tobytes() == np.array([float(r) for r in radii]).tobytes()
-    assert back.values.tobytes() == np.array([float(v) for v in values]).tobytes()
-    assert (back.n, back.alpha, back.p) == (6, 0.0, 4.0)
+    # A header ending in a lone CR is a line of its own, as readline sees it.
+    lone_cr = tmp_path / "lone-cr.csv"
+    lone_cr.write_bytes(b"# radial-field n=6 alpha=0 p=4\r"
+                        + "\n".join(f"{r},1.0" for r in radii).encode())
+    for kernels in kernel_paths():
+        back = RadialField.load(path)
+        assert back.grid.nodes.tobytes() == np.array([float(r) for r in radii]).tobytes(), kernels
+        assert back.values.tobytes() == np.array([float(v) for v in values]).tobytes(), kernels
+        assert (back.n, back.alpha, back.p) == (6, 0.0, 4.0), kernels
+        assert back.values.flags.c_contiguous and back.grid.nodes.flags.c_contiguous, kernels
+        back = RadialField.load(lone_cr)
+        assert back.grid.nodes.tobytes() == np.array([float(r) for r in radii]).tobytes(), kernels
+        assert (back.n, back.alpha, back.p) == (6, 0.0, 4.0), kernels
 
 
-def test_field_load_rejects_bad_input(tmp_path):
+def _halfway(x: float) -> str:
+    """The exact decimal midpoint of x > 0 and the next double up."""
+    mid = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+    return format(mid, "e")
+
+
+def test_field_load_reads_every_cell_as_float_does(tmp_path, kernel_paths):
+    # The reader's oracle is float(): exact midpoints between adjacent
+    # doubles (which round to the even one), 17-, 19- and 25-digit cells,
+    # subnormals, -0.0 and exponents of +-400 read to the same double on
+    # both paths, as do cells after a blank line and a last row without
+    # its '\n'.
+    x = np.random.default_rng(11).integers(0, 2**64, 2000, dtype=np.uint64).view(float)
+    x = np.abs(x[np.isfinite(x) & (x != 0.0)])[:1500].tolist()
+    edges = [5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 2.0**53, 2.0**64, 1.0]
+    values = [_halfway(v) for v in x[:1000] + edges]
+    values += [f"{v:.16e}" for v in x[:500]] + [f"{v:.18e}" for v in x[500:1000]]
+    values += [f"{v:.24e}" for v in x[1000:]]
+    values += ["-0.0", "-0", "0e400", "1e-400", "-1e-400", "4.9e-324", "2.4703282292062328e-324",
+               "-2.2250738585072011e-308", "1e308", "0." + "0" * 399 + "25e400", "9007199254740993",
+               "18446744073709551615", "1." + "0" * 30 + "1", "123456789012345678901234567890e-20"]
+    values += ["-" + v for v in values[:100]]
+    nodes = make_grid(count=len(values)).nodes.tolist()
+    rows = [f"{r!r},{v}" for r, v in zip(nodes, values)]
+    rows[7] = "\n" + rows[7]
+    path, overflow = tmp_path / "oracle.csv", tmp_path / "overflow.csv"
+    path.write_text("\n".join(["# radial-field n=6 alpha=0 p=4", *rows]))
+    # An overflowing cell reads as inf, as float() reads it.
+    rows[9] = f"{nodes[9]!r},1e400"
+    overflow.write_text("\n".join(["# radial-field n=6 alpha=0 p=4", *rows]))
+    want = np.array([float(v) for v in values])
+    data = path.read_bytes()
+    for kernels in kernel_paths():
+        # The compiled reader takes the whole body; its twin leaves it to numpy.
+        assert (_dp5.kernels().parse(data, data.index(b"\n") + 1) is None) == (kernels == "python")
+        back = RadialField.load(path)
+        assert back.values.tobytes() == want.tobytes(), kernels
+        assert back.grid.nodes.tolist() == nodes, kernels
+        with pytest.raises(ValueError, match="overflow.csv: non-finite field value at node 9$"):
+            RadialField.load(overflow)
+
+
+def test_compiled_reader_reads_every_repr_back():
+    # The rows the writer prints never leave the compiled reader for numpy.
+    kernels = _dp5.load()
+    if kernels is None:
+        pytest.skip("no compiled kernels")
+    x = _repr_oracle_doubles()
+    x = x[np.isfinite(x)]
+    y = x[::-1].copy()
+    data = b"# radial-field n= alpha= p=\n" + kernels.rows(x, y).encode()
+    columns = kernels.parse(data, data.index(b"\n") + 1)
+    assert columns is not None
+    assert columns[0].tobytes() == x.tobytes() and columns[1].tobytes() == y.tobytes()
+    assert kernels.parse(data + b"1.5,2.5", len(data))[0].tolist() == [1.5]
+    # Results past the doubles' range, and below or at the subnormal edge.
+    cells = ["1.8e308", "-1.7976931348623159e308", "1.7976931348623157e308", "2e-324",
+             "-3e-324", "2.2250738585072011e-308", "2.2250738585072012e-308", "1e-400"]
+    body = "".join(f"{a},{b}\n" for a, b in zip(cells[::2], cells[1::2])).encode()
+    radii, values = kernels.parse(body, 0)
+    want = np.array([float(c) for c in cells])
+    assert radii.tobytes() == want[::2].tobytes() and values.tobytes() == want[1::2].tobytes()
+    for body in (b"1.5,2.5\r\n", b"+1.5,2.5\n", b"1.5,2.5,3\n", b"1.5\n", b" 1.5,2.5\n",
+                 b"1.,2\n", b".5,2\n", b"1e,2\n", b"nan,2\n", b"1.5;2.5\n", b"1_0,2\n",
+                 b"1.5,2.5\x00\n", b"1.5,2.5\n \n"):
+        assert kernels.parse(body, 0) is None, body
+
+
+def test_field_files_in_the_writers_grammar_never_reach_numpy(tmp_path, monkeypatch):
+    # A file of dumps, and one of np.savetxt's %.18e cells, load without
+    # np.loadtxt wherever the kernels are compiled.
+    if _dp5.load() is None:
+        pytest.skip("no compiled kernels")
+    grid = make_grid(count=512)
+    field = RadialField(grid=grid, values=-np.sqrt(grid.nodes), n=6, alpha=0.0, p=4.0)
+    dumped, saved = tmp_path / "dumps.csv", tmp_path / "savetxt.csv"
+    field.save(dumped)
+    np.savetxt(saved, np.column_stack([grid.nodes, field.values]), fmt="%.18e", delimiter=",",
+               header="radial-field n=6 alpha=0 p=4")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt read a file in the writer's grammar")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    for path in (dumped, saved):
+        back = RadialField.load(path)
+        assert back.values.tobytes() == field.values.tobytes(), path
+        assert back.grid.nodes.tobytes() == grid.nodes.tobytes(), path
+
+
+def test_field_load_rejects_bad_input(tmp_path, kernel_paths):
+    for kernels in kernel_paths():
+        _field_load_rejects_bad_input(tmp_path)
+
+
+def _field_load_rejects_bad_input(tmp_path):
     missing = tmp_path / "no-header.csv"
     missing.write_text("0.5,1.0\n1.0,2.0\n")
     with pytest.raises(ValueError, match="header"):
         RadialField.load(missing)
+
+    # A header that is not ASCII reads as open() decodes it.
+    accented = tmp_path / "accented.csv"
+    accented.write_bytes("# radial-field n= alpha= p=\u00e9\n0.5,1.0\n1.0,2.0\n".encode())
+    with open(accented) as fh:
+        label = fh.readline().split("p=")[1].strip()
+    with pytest.raises(ValueError, match=f"header label p={label} is not a finite number"):
+        RadialField.load(accented)
 
     badrow = tmp_path / "bad-row.csv"
     badrow.write_text("# radial-field n= alpha= p=\n0.5;1.0\n")
@@ -327,6 +445,22 @@ def test_field_load_rejects_bad_input(tmp_path):
         path = tmp_path / name
         path.write_text("# radial-field n= alpha= p=\n" + "".join(f"{float(r)!r},1.0\n" for r in radii))
         with pytest.raises(ValueError, match=match):
+            RadialField.load(path)
+
+    # A wrong cell count is named by its first body row, whether every row
+    # has it or one row among good ones.
+    lines = [f"{float(r)!r},1.0" for r in nodes]
+    for name, body, match in (
+        ("one-cell.csv", [line.split(",")[0] for line in lines], "body row 0 has 1 cell"),
+        ("three-cells.csv", [line + ",2.0" for line in lines], "body row 0 has 3 cells"),
+        ("one-cell-at-10.csv", lines[:10] + [lines[10].split(",")[0]] + lines[11:],
+         "body row 10 has 1 cell"),
+        ("three-cells-at-10.csv", lines[:10] + [lines[10] + ",2.0"] + lines[11:],
+         "body row 10 has 3 cells"),
+    ):
+        path = tmp_path / name
+        path.write_text("# radial-field n= alpha= p=\n" + "\n".join(body) + "\n")
+        with pytest.raises(ValueError, match=rf"{name}: expected 'radius,value' rows: {match}$"):
             RadialField.load(path)
 
 
