@@ -1,11 +1,12 @@
 /* Compiled kernels of hardyhenon4: the Dormand-Prince 5(4) step loop of
  * integrate, which ends the orbit at its crossing by bisection, the ulp
  * ring scan of fixed_points, the dense Hermite output of a trajectory, the
- * elementwise libm exp and log of transform._exp and transform._log, and
- * the writer and the reader of a field file's 'radius,value' rows.
+ * elementwise libm exp and log of transform._exp and transform._log, the
+ * elementwise w^q of dynamics._wpow, and the writer and the reader of a
+ * field file's 'radius,value' rows.
  *
  * Each but the reader is its Python twin: _steps_py (with _bisect_py),
- * _scan_py and _dense_py in dynamics.py, _exp_py and _log_py in
+ * _scan_py, _dense_py and _wpow_py in dynamics.py, _exp_py and _log_py in
  * transform.py, _rows_py in green.py.  The reader reads the rows the writer
  * writes, and every cell as float() reads it (Eisel-Lemire, then strtod);
  * its twin _parse_py reads nothing, and np.loadtxt reads every file it
@@ -346,6 +347,20 @@ int64_t hh_log(const double *x, int64_t n, double *out)
         if (v <= 0.0)
             return i;
         out[i] = isfinite(v) ? log(v) : v;
+    }
+    return -1;
+}
+
+/* out[i] = x[i]^q = exp(q log x[i]) for x[i] > 0, else 0 (NaN too), for the
+ * n doubles of x, stopping at the first i where math.exp raises
+ * OverflowError.  Returns that i, or -1. */
+int64_t hh_wpow(const double *x, int64_t n, double q, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int ovf = 0;
+        out[i] = wpow(x[i], q, &ovf);
+        if (ovf)
+            return i;
     }
     return -1;
 }

@@ -3,12 +3,14 @@
 load() compiles _dp5.c with the C compiler Python was built with into a
 shared library cached under ~/.cache/hardyhenon4 (or the system temporary
 directory where that is not writable), keyed by the sha256 of the source,
-the compiler and the flags, and returns the seven kernels with the
-signatures of their Python twins: _steps_py, _scan_py and _dense_py in
-dynamics, _exp_py and _log_py in transform, _rows_py and _parse_py in
-green.  The step kernel ends an orbit at its crossing itself, as _steps_py
-does through _bisect_py; its wrapper is the one place that holds a segment
-buffer.  The row reader reads the rows the row writer writes, each cell as
+the compiler and the flags, and returns the eight kernels with the
+signatures of their Python twins: _steps_py, _scan_py, _dense_py and
+_wpow_py in dynamics, _exp_py and _log_py in transform, _rows_py and
+_parse_py in green.  The step kernel ends an orbit at its crossing itself,
+as _steps_py does through _bisect_py.  Its wrapper is the one place that
+holds a segment buffer: one per thread, kept between calls up to
+KEEP_ROWS rows, and every call returns an exact-size copy of its rows.
+The row reader reads the rows the row writer writes, each cell as
 float() reads it, and returns None for any other body; its twin returns
 None for every body, and np.loadtxt reads what the reader leaves.
 It returns None, without a word, where anything fails (no compiler, a
@@ -25,6 +27,7 @@ import ctypes
 import functools
 import math
 import os
+import threading
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -45,6 +48,13 @@ END, BLOW_UP, NON_POSITIVE, FULL, UNDERFLOW, OVERFLOW = range(6)
 
 # Rows of the step kernel's first segment buffer.
 SEGMENT_ROWS = 1024
+# A thread keeps its segment buffer, as _buffers.seg, between calls, so a
+# call writes into pages already mapped; one per thread, because ctypes
+# lets go of the GIL during a call.  A buffer grown past KEEP_ROWS rows
+# (2.25 MiB at 18 doubles a row) is let go, so one very long orbit does
+# not pin its memory.
+KEEP_ROWS = 16384
+_buffers = threading.local()
 
 # Multiplier rows of the row writer, as the enum in _dp5.c, and the room
 # it needs per row: two 24-byte reprs, a comma and a newline.
@@ -60,6 +70,7 @@ class Kernels(NamedTuple):
     steps: Callable[[np.ndarray, np.ndarray], tuple[int, np.ndarray, int]]
     scan: Callable[[float, float, float, float], tuple[float, int]]
     dense: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    wpow: Callable[[np.ndarray, float], np.ndarray]
     exp: Callable[[np.ndarray], np.ndarray]
     log: Callable[[np.ndarray], np.ndarray]
     rows: Callable[[np.ndarray, np.ndarray], str]
@@ -75,7 +86,7 @@ def _twins() -> Kernels:
     # Those modules import this one, so the twins are looked up per call.
     from . import dynamics, green, transform
 
-    return Kernels(dynamics._steps_py, dynamics._scan_py, dynamics._dense_py,
+    return Kernels(dynamics._steps_py, dynamics._scan_py, dynamics._dense_py, dynamics._wpow_py,
                    transform._exp_py, transform._log_py, green._rows_py, green._parse_py)
 
 
@@ -146,7 +157,7 @@ def load() -> Kernels | None:
         if lib is None:
             return None
         dll = ctypes.CDLL(str(lib))
-        steps, scan, dense = dll.hh_steps, dll.hh_scan, dll.hh_dense
+        steps, scan, dense, wpow = dll.hh_steps, dll.hh_scan, dll.hh_dense, dll.hh_wpow
         exp, log, rows, parse = dll.hh_exp, dll.hh_log, dll.hh_rows, dll.hh_parse
     # No compiler, no home directory, no os.getuid, a CC that will not
     # split, a library that will not load: each leaves the Python twins.
@@ -158,6 +169,8 @@ def load() -> Kernels | None:
     scan.argtypes = [ctypes.c_double] * 4 + [ctypes.POINTER(ctypes.c_double)]
     dense.restype = None
     dense.argtypes = [ctypes.c_void_p, ctypes.c_int64] * 2 + [ctypes.c_void_p]
+    wpow.restype = ctypes.c_int64
+    wpow.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p]
     for fn in (exp, log):
         fn.restype = ctypes.c_int64
         fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
@@ -170,11 +183,14 @@ def load() -> Kernels | None:
     def run_steps(st: np.ndarray, prm: np.ndarray) -> tuple[int, np.ndarray, int]:
         _check(st, (11,), np.float64)
         _check(prm, (10,), np.float64)
-        seg = np.empty((SEGMENT_ROWS, 18))
+        seg = getattr(_buffers, "seg", None)
+        if seg is None:
+            seg = np.empty((SEGMENT_ROWS, 18))
         cnt = np.zeros(2, np.int64)  # rows written, rejected steps
         while (status := steps(st.ctypes.data, prm.ctypes.data, seg.ctypes.data, len(seg),
                                cnt.ctypes.data)) == FULL:
             seg = np.concatenate((seg, np.empty_like(seg)))
+        _buffers.seg = seg if len(seg) <= KEEP_ROWS else None
         if status == OVERFLOW:
             raise OverflowError("math range error")
         return status, seg[: cnt[0]].copy(), int(cnt[1])
@@ -197,6 +213,15 @@ def load() -> Kernels | None:
         _check(ts, (len(ts),), np.float64, writable=False)
         out = np.empty((len(ts), 4))
         dense(segments.ctypes.data, len(segments), ts.ctypes.data, len(ts), out.ctypes.data)
+        return out
+
+    def run_wpow(w: np.ndarray, q: float) -> np.ndarray:
+        w = np.ascontiguousarray(w, np.float64)
+        out = np.empty(w.shape)
+        bad = wpow(w.ctypes.data, w.size, q, out.ctypes.data)
+        if bad >= 0:
+            math.exp(q * math.log(w.flat[bad].item()))  # raises what _wpow_py raises there
+            raise AssertionError(f"w^q of {w.flat[bad]!r} did not raise")
         return out
 
     def libm_map(kernel, fn):
@@ -229,7 +254,7 @@ def load() -> Kernels | None:
         count = parse(data, start, len(data), pow5, cols[0].ctypes.data, cols[1].ctypes.data)
         return None if count < 0 else (cols[0, :count], cols[1, :count])
 
-    return Kernels(run_steps, run_scan, run_dense,
+    return Kernels(run_steps, run_scan, run_dense, run_wpow,
                    libm_map(exp, math.exp), libm_map(log, math.log), run_rows, run_parse)
 
 

@@ -16,7 +16,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -136,6 +136,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# Built once per process: parsing keeps nothing in the parsers, since each
+# parse_known_args call fills a new namespace and every default is None.
+@cache
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="hardyhenon4", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")

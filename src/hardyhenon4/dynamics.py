@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _dp5
 from .params import CoefficientSet
-from .transform import OdeState, _exp, _log
+from .transform import OdeState, _exp, _exp_py, _log_py
 
 # Termination reasons.
 REACHED_END = "ReachedEnd"
@@ -62,8 +62,16 @@ class IntegrationUnderflow(RuntimeError):
 def _wpow(w, q: float):
     # w^q = exp(q log w) where w > 0, else 0, for a float or an array: one
     # power path for the flow, fixed points and energy, so bits agree.
+    if isinstance(w, float) or np.ndim(w) == 0:  # np.ndim of a float builds an array
+        return math.exp(q * math.log(w)) if w > 0.0 else 0.0
+    return _dp5.kernels().wpow(w, q)
+
+
+def _wpow_py(w: np.ndarray, q: float) -> np.ndarray:
+    # _wpow of an array, through the libm maps; hh_wpow in _dp5.c is this
+    # map in C, in one pass.
     pos = w > 0.0
-    return _exp(q * _log(np.where(pos, w, 1.0))) * pos
+    return _exp_py(q * _log_py(np.where(pos, w, 1.0))) * pos
 
 
 def vector_field(state: OdeState, coeffs: CoefficientSet) -> OdeState:

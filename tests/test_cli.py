@@ -475,3 +475,41 @@ def test_simulate_margin_that_swallows_the_equilibrium_is_usage_error(capsys):
     assert "margin 10 swallows the equilibrium" in captured.err
     assert main(args + ["--margin", "1e-3"]) == 0
     assert "classified Undetermined" in capsys.readouterr().err
+
+
+def test_one_process_parses_as_fresh_processes_do(monkeypatch, capsys):
+    # The parsers are built once per process; each call must still print
+    # the bytes, and exit with the status, of a process of its own.
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    calls = [
+        ["classify", "--n", "6", "--samples", "many"],
+        ["classify", "--n", "6", "--alpha", "0", "--p", "4", "--samples", "3", "--seed", "5",
+         "--t-end", "-20", "--format", "csv"],
+        ["atlas", "--grid", "6 0 4; 7 0 3", "--format", "csv"],
+        ["green-check", "--n", "6", "--alpha", "0", "--p", "4", "--margin", "1e-3"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = (code, *capsys.readouterr())
+        run = subprocess.run([sys.executable, "-m", "hardyhenon4.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert got == (run.returncode, run.stdout, run.stderr), argv
+        codes.append(code)
+    assert codes == [1, 0, 0, 1]
+
+
+def test_flags_of_one_parse_never_reach_the_next():
+    first = parse_invocation(["classify", "--n", "6", "--quiet", "--samples", "3",
+                              "--config", "c.ini"])
+    assert first.flags == {"n": 6, "quiet": True, "samples": 3}
+    second = parse_invocation(["classify", "--n", "7"])
+    assert (second.flags, second.config_path) == ({"n": 7}, None)
+    third = parse_invocation(["atlas", "--grid", "6 0 4"])
+    assert (third.command, third.flags) == ("atlas", {"grid": "6 0 4"})

@@ -2,11 +2,14 @@ import bisect
 import dataclasses
 import importlib.util
 import math
+import os
 import random
 import shutil
 import struct
+import subprocess
 import sys
 import types
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +45,12 @@ from hardyhenon4.dynamics import (
     mode_trajectory,
     vector_field,
 )
-from hardyhenon4.experiments import _backward_decaying_basis
+from hardyhenon4.experiments import (
+    CLASSIFICATION,
+    ExperimentConfig,
+    _backward_decaying_basis,
+    _draws,
+)
 from hardyhenon4.transform import OdeState
 
 PARAMS = ProblemParams(6, 0.0, 4.0)
@@ -61,7 +69,7 @@ def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch, tmp_path):
 
     for module, name in ((dynamics, "_steps_py"), (dynamics, "_scan_py"),
                          (dynamics, "_bisect_py"), (dynamics, "_dense_py"),
-                         (transform, "_exp_py"), (transform, "_log_py"),
+                         (dynamics, "_wpow_py"), (transform, "_exp_py"), (transform, "_log_py"),
                          (green, "_rows_py"), (green, "_parse_py")):
         monkeypatch.setattr(module, name, python_twin)
     # Steps, the crossing bisection and the sample fill; then dense reads.
@@ -70,9 +78,10 @@ def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch, tmp_path):
     assert traj.termination == BLOW_UP
     assert traj.sample(traj.times[:-1]).tolist() == traj.states[:-1].tolist()
     assert fixed_points(COEFFS) == [0.0, WSTAR]
-    # Both libm maps, through the energy's w^(p+1) = exp((p+1) log w).
+    # The w^q map, through the energy's w^(p+1) = exp((p+1) log w).
     assert np.all(np.isfinite(energy(traj.states.T, COEFFS)))
-    # The field writer and reader.
+    # The field writer and reader, and both libm maps: the grid's exp and
+    # the log of the radii read back.
     grid = green.make_grid(256)
     field = green.RadialField(grid, np.sqrt(grid.nodes))
     rows = field.dumps().splitlines()[1:]
@@ -696,9 +705,8 @@ def test_integrator_statistics_count_what_integrate_did(
         return math.exp(x)
 
     counting = types.SimpleNamespace(**{**vars(math), "exp": exp})
-    # The step loop calls dynamics' math, the first field's w^p transform's.
+    # The step loop and the first field's w^p both call dynamics' math.
     monkeypatch.setattr(dynamics, "math", counting)
-    monkeypatch.setattr(transform, "math", counting)
     for kernels in kernel_paths():
         calls.clear()
         traj = integrate(initial, 0.0, t1, 1e-10, COEFFS, blowup_threshold=threshold)
@@ -728,17 +736,127 @@ def test_generic_stepper_cases_include_rejected_steps(kernel_paths):
         assert integrate(initial, 0.0, -4.0, 1e-10, COEFFS).rejected == rejected, kernels
 
 
+def _in_new_thread(fn):
+    """fn() run in a thread of its own, which starts without a segment buffer."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result(timeout=120)
+
+
+def _trajectory_bytes(traj) -> tuple:
+    return (traj.times.tobytes(), traj.states.tobytes(), traj.segments.tobytes(),
+            traj.termination, traj.rejected)
+
+
 def test_integrate_resumes_when_the_segment_buffer_fills(monkeypatch, kernel_paths):
+    # SEGMENT_ROWS sizes only the first buffer of a thread, so each run goes
+    # in a new thread.  With one row to start from, the buffer the thread
+    # keeps can only have grown, by doubling, on a FULL at each power of two
+    # below the row count: the kernel returned FULL and resumed each time.
     initial = OdeState(WSTAR, -1e-3, 0.0, 0.0)
+
+    def run():
+        return integrate(initial, 0.0, -20.0, 1e-12, COEFFS), getattr(_dp5._buffers, "seg", None)
+
     for kernels in kernel_paths():
         monkeypatch.setattr(_dp5, "SEGMENT_ROWS", 1024)
-        whole = integrate(initial, 0.0, -20.0, 1e-12, COEFFS)
-        assert len(whole.segments) > 1024
+        whole, _ = _in_new_thread(run)
+        rows = len(whole.segments)
+        assert 1024 < rows <= _dp5.KEEP_ROWS
         monkeypatch.setattr(_dp5, "SEGMENT_ROWS", 1)
-        pieces = integrate(initial, 0.0, -20.0, 1e-12, COEFFS)
-        for name in ("times", "states", "segments"):
-            assert getattr(pieces, name).tobytes() == getattr(whole, name).tobytes(), kernels
-        assert (pieces.termination, pieces.rejected) == (whole.termination, whole.rejected)
+        pieces, buffer = _in_new_thread(run)
+        assert _trajectory_bytes(pieces) == _trajectory_bytes(whole), kernels
+        if kernels == "compiled":
+            assert len(buffer) == 2 ** (rows - 1).bit_length()
+        else:
+            assert buffer is None
+
+
+def test_each_integrate_call_owns_its_segments(kernel_paths):
+    long_run = (OdeState(WSTAR, -1e-3, 0.0, 0.0), 0.0, -20.0, 1e-10, COEFFS)
+    short_run = (OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS, 10.0)
+    for kernels in kernel_paths():
+        first = integrate(*long_run)
+        kept = _trajectory_bytes(first)
+        second = integrate(*short_run)
+        # The later call did not write over the earlier trajectory's rows.
+        assert _trajectory_bytes(first) == kept, kernels
+        assert not np.shares_memory(first.segments, second.segments), kernels
+        if kernels == "compiled":
+            for traj in (first, second):
+                assert not np.shares_memory(traj.segments, _dp5._buffers.seg)
+        # Nor does writing into a trajectory reach the next call.
+        first.segments[:] = np.nan
+        second.segments[:] = np.nan
+        assert _trajectory_bytes(integrate(*long_run)) == kept, kernels
+
+
+def test_threads_step_the_classify_draws_as_one_thread_does():
+    # The step kernel runs without the GIL, and each thread steps in its
+    # own buffer: threads at once, more of them than cores (up to 8) and
+    # switching often, give the bytes of one.
+    if _dp5.load() is None:
+        pytest.skip("the compiled kernels do not build here")
+    draws = []
+    for triple in ((6, 0.0, 4.0), (7, 0.0, 3.0), (6, -1.0, 3.5)):
+        coeffs = coefficients(ProblemParams(*triple))
+        config = ExperimentConfig(CLASSIFICATION, (triple,), seed=23)
+        draws += [(state, coeffs) for _, state in _draws(config, 0, fixed_points(coeffs)[1])]
+    assert len(draws) == 192
+
+    def run():
+        return [_trajectory_bytes(integrate(state, 0.0, -60.0, 1e-10, coeffs))
+                for state, coeffs in draws]
+
+    want = run()
+    threads = min(os.cpu_count() or 1, 8) + 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            runs = [pool.submit(run) for _ in range(threads)]
+            assert [r.result(timeout=120) for r in runs] == [want] * threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_integrate_maps_no_fresh_pages_per_call():
+    # The step kernel's buffer is kept between calls, so after a warm-up a
+    # 1400-row orbit writes only into pages already mapped.  A new
+    # interpreter counts the faults: how the allocator maps a buffer
+    # depends on what the process freed before.
+    if not sys.platform.startswith("linux"):
+        pytest.skip("minor page faults are counted as on Linux only there")
+    pytest.importorskip("resource")
+    if _dp5.load() is None:
+        pytest.skip("the compiled kernels do not build here")
+    script = """
+import resource
+from hardyhenon4.dynamics import integrate
+from hardyhenon4.params import ProblemParams, coefficients
+from hardyhenon4.transform import OdeState
+
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+coeffs = coefficients(ProblemParams(6, 0.0, 4.0))
+initial = OdeState(%r + 1e-6, 0.0, 0.0, 0.0)
+for _ in range(5):
+    traj = integrate(initial, 0.0, -60.0, 1e-10, coeffs)
+before = minor_faults()
+for _ in range(50):
+    integrate(initial, 0.0, -60.0, 1e-10, coeffs)
+print(before, minor_faults() - before, len(traj.segments))
+""" % WSTAR
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    counted, faults, rows = map(int, run.stdout.split())
+    if counted == 0:
+        pytest.skip("ru_minflt is not counted here")
+    assert rows >= 1400
+    assert faults < 10 * 50
 
 
 def test_trajectory_requires_segments_of_18_columns(kernel_paths):
@@ -768,3 +886,92 @@ def test_integrate_reports_an_overflowing_stage(monkeypatch, kernel_paths):
             integrate(OdeState(1.1e77, 1e77, 0.0, 0.0), 0.0, 1.0, 1e-4, COEFFS,
                       blowup_threshold=1e300)
         assert str(err.value) == "math range error", kernels
+
+
+# Exponents of the w^q oracle: the flow's w^p, the energy's w^(p+1), the
+# linearization's w^(p-1), and two that take the other branches of exp.
+WPOW_EXPONENTS = (P, P + 1.0, P - 1.0, 0.0, -0.5)
+WPOW_EDGES = (0.0, -0.0, -1.0, -1e300, -math.inf, math.nan, -math.nan, math.inf, 5e-324,
+              1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 2.0, WSTAR, 1e10, 1e50)
+
+
+def _overflow_edge(q: float) -> tuple[list[float], list[float]]:
+    """The 8 doubles below and the 8 above where w^q, q > 0, starts to
+    overflow: (finite, overflowing)."""
+
+    def overflows(bits: int) -> bool:
+        try:
+            math.exp(q * math.log(struct.unpack("<d", struct.pack("<q", bits))[0]))
+        except OverflowError:
+            return True
+        return False
+
+    # Positive doubles order as their bit patterns; bisect on those.
+    lo, hi = struct.unpack("<q", struct.pack("<d", 1.0))[0], 0x7FEFFFFFFFFFFFFF
+    assert not overflows(lo) and overflows(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if overflows(mid) else (mid, hi)
+    doubles = [struct.unpack("<d", struct.pack("<q", b))[0] for b in range(lo - 7, hi + 8)]
+    return doubles[:8], doubles[8:]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")  # 0 log(inf)
+def test_wpow_matches_its_python_twin_bit_for_bit(kernel_paths):
+    rng = np.random.default_rng(11)
+    cases = [
+        np.array(WPOW_EDGES),
+        rng.lognormal(0.0, 3.0, 500),
+        rng.normal(0.0, 2.0, (20, 25)),  # half of them w <= 0, in two dimensions
+        rng.lognormal(0.0, 3.0, 1000)[::3],  # strided
+        np.empty(0),
+    ]
+    for kernels in kernel_paths():
+        for q in WPOW_EXPONENTS:
+            finite, overflowing = _overflow_edge(q) if q > 0.0 else ([], [])
+            for w in (*cases, np.array(finite)):
+                got = dynamics._wpow(w, q)
+                assert got.shape == w.shape, (kernels, q)
+                assert got.tobytes() == dynamics._wpow_py(w, q).tobytes(), (kernels, q)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")  # 0 log(inf)
+def test_wpow_of_a_scalar_is_that_of_a_one_element_array(kernel_paths):
+    for kernels in kernel_paths():
+        for q in WPOW_EXPONENTS:
+            finite, overflowing = _overflow_edge(q) if q > 0.0 else ([], [])
+            for v in (*WPOW_EDGES, *finite):
+                want = _bits(dynamics._wpow(np.array([v]), q).tolist())
+                for w in (v, np.float64(v), np.array(v)):
+                    got = dynamics._wpow(w, q)
+                    assert _bits([got]) == want, (kernels, q, v, type(w))
+            for v in overflowing:
+                for w in (v, np.float64(v), np.array(v), np.array([v])):
+                    with pytest.raises(OverflowError, match="^math range error$"):
+                        dynamics._wpow(w, q)
+
+
+def test_wpow_overflow_raises_at_the_first_overflowing_element(monkeypatch, kernel_paths):
+    # Both paths raise through math.exp, the compiled one only at the
+    # element the kernel stopped at: the argument of the last exp call
+    # names that element.
+    args = []
+
+    def exp(x):
+        args.append(x)
+        return math.exp(x)
+
+    recording = types.SimpleNamespace(**{**vars(math), "exp": exp})
+    for module in (_dp5, dynamics, transform):
+        monkeypatch.setattr(module, "math", recording)
+    for kernels in kernel_paths():
+        for q in (P, P + 1.0, P - 1.0):
+            finite, overflowing = _overflow_edge(q)
+            for first in (0, 3, 9):
+                w = np.array([2.0, -1.0, math.nan, *finite, 0.5, math.inf])
+                w = np.insert(w, first, overflowing[0])
+                w = np.insert(w, first + 2, sys.float_info.max)
+                args.clear()
+                with pytest.raises(OverflowError, match="^math range error$"):
+                    dynamics._wpow(w, q)
+                assert args[-1] == q * math.log(overflowing[0]), (kernels, q, first)
