@@ -5,20 +5,20 @@
  * elementwise w^q of dynamics._wpow, and the writer and the reader of a
  * field file's 'radius,value' rows.
  *
- * Each but the reader is its Python twin: _steps_py (with _bisect_py),
- * _scan_py, _dense_py and _wpow_py in dynamics.py, _exp_py and _log_py in
- * transform.py, _rows_py in green.py.  The reader reads the rows the writer
- * writes, and every cell as float() reads it (Eisel-Lemire, then strtod);
- * its twin _parse_py reads nothing, and np.loadtxt reads every file it
- * leaves.  The row writer prints repr()'s bytes; the others are written
- * out expression for expression: every sum keeps its left-to-right order, its
- * leading 0.0 and its zero weights; w^p is exp(p log w) for w > 0, else 0;
+ * Each but the reader is its Python twin, all of them in _dp5.py: _steps_py
+ * (with _bisect_py), _scan_py, _dense_py, _wpow_py, _exp_py, _log_py and
+ * _rows_py.  The reader reads the rows the writer writes, and every cell
+ * as float() reads it (Eisel-Lemire, then strtod); its twin _parse_py
+ * reads nothing, and np.loadtxt reads every file it leaves.  The row
+ * writer prints repr()'s bytes; the others are written out expression for
+ * expression: every sum keeps its left-to-right order, its leading 0.0 and
+ * its zero weights; w^p is exp(p log w) for w > 0, else 0;
  * powers go through pow; min and max keep Python's tie rules; exp and log
  * are the libm functions Python's math module calls.  Built with
  * -ffp-contract=off and without -ffast-math, every operation rounds as
  * Python's float does, so both paths give the same bits.  The loader in
  * _dp5.py compiles this file and falls back to the Python twins when it
- * cannot.
+ * cannot; each enum below is written there too, with the same values.
  */
 
 #include <float.h>
@@ -33,6 +33,9 @@
 
 /* Return statuses of hh_steps, as END ... OVERFLOW = range(6) in _dp5.py. */
 enum { END, BLOW_UP, NON_POSITIVE, FULL, UNDERFLOW, OVERFLOW };
+
+/* Doubles per dense segment row, as SEGMENT_COLUMNS in _dp5.py. */
+enum { SEGMENT_COLUMNS = 18 };
 
 /* Python's min(a, b) and max(a, b): a unless b is strictly smaller / larger. */
 static double py_min(double a, double b) { return b < a ? b : a; }
@@ -51,7 +54,7 @@ static double wpow(double w, double p, int *ovf)
     return r;
 }
 
-/* Dormand-Prince 5(4) tableau, as _A, _B5 and _E in dynamics.py. */
+/* Dormand-Prince 5(4) tableau, as _A, _B5 and _E in _dp5.py. */
 static const double A21 = 1.0 / 5.0;
 static const double A31 = 3.0 / 40.0, A32 = 9.0 / 40.0;
 static const double A41 = 44.0 / 45.0, A42 = -56.0 / 15.0, A43 = 32.0 / 9.0;
@@ -68,7 +71,7 @@ static const double SAFETY = 0.9, MIN_FACTOR = 0.2, MAX_FACTOR = 10.0;
 static const double PI_ALPHA = 0.7 / 5.0, PI_BETA = 0.4 / 5.0;
 
 /* The cubic Hermite interpolant of one dense segment row (ta, tb, ya[0..3],
- * yb[0..3], fa[0..3], fb[0..3]) at t, as _hermite in dynamics.py: y[0..3]
+ * yb[0..3], fa[0..3], fb[0..3]) at t, as _hermite in _dp5.py: y[0..3]
  * gets the 4-jet, or only y[0] where comps is 1. */
 static void hermite(double t, const double *seg, int comps, double *y)
 {
@@ -115,7 +118,8 @@ static void bisect(const double *seg, double level, double *out)
  *
  * st (in/out): t, y0..y3, f0..f3 (the field at y), h, err_prev.
  * prm: t1, sgn, rtol, atol, p, a0, a1, a2, a3, blowup_threshold.
- * seg: cap rows of 18 doubles, (t, t_new, y, y_new, f, f_new) per step.
+ * seg: cap rows of SEGMENT_COLUMNS doubles, (t, t_new, y, y_new, f, f_new)
+ * per step.
  * cnt (in/out): rows written, rejected steps.
  * Returns END at t1; BLOW_UP or NON_POSITIVE after the step whose w
  * crossed the threshold or 0.0, its row the last one written, with
@@ -210,7 +214,7 @@ int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *c
         }
 
         double tn = t + hs;
-        double *row = seg + 18 * n++;
+        double *row = seg + SEGMENT_COLUMNS * n++;
         row[0] = t;    row[1] = tn;
         row[2] = y0;   row[3] = y1;   row[4] = y2;   row[5] = y3;
         row[6] = n0;   row[7] = n1;   row[8] = n2;   row[9] = n3;
@@ -245,13 +249,13 @@ int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *c
     cnt[0] = n;
     cnt[1] = rejected;
     if (status == BLOW_UP || status == NON_POSITIVE)
-        bisect(seg + 18 * (n - 1), status == BLOW_UP ? blowup_threshold : 0.0, st);
+        bisect(seg + SEGMENT_COLUMNS * (n - 1), status == BLOW_UP ? blowup_threshold : 0.0, st);
     if (status == NON_POSITIVE)
         st[1] = py_max(st[1], 0.0);
     return status;
 }
 
-/* Radii, in ulps, of the rings, as _FIXED_POINT_RINGS in dynamics.py. */
+/* Radii, in ulps, of the rings, as _FIXED_POINT_RINGS in _dp5.py. */
 static const int64_t RINGS[] = {16, 128, 2048};
 
 /* The ring scan of fixed_points around seed, whose residual is best_g.
@@ -313,14 +317,14 @@ void hh_dense(const double *seg, int64_t m, const double *ts, int64_t k, double 
         int64_t lo = 0, hi = m;
         while (lo < hi) {
             int64_t mid = lo + (hi - lo) / 2;
-            if (npy_lt(sgn * seg[18 * mid + 1], v))
+            if (npy_lt(sgn * seg[SEGMENT_COLUMNS * mid + 1], v))
                 lo = mid + 1;
             else
                 hi = mid;
         }
         if (lo > m - 1)
             lo = m - 1;
-        hermite(ts[j], seg + 18 * lo, 4, out + 4 * j);
+        hermite(ts[j], seg + SEGMENT_COLUMNS * lo, 4, out + 4 * j);
     }
 }
 
@@ -742,21 +746,13 @@ static int read_cell(const char **ps, const uint64_t *pow5, double *out)
  * line is two read_cell cells joined by ',' and ends in '\n', optional on
  * the last line; empty lines are skipped, as np.loadtxt skips them.  Radii
  * go to r, values to v.  Returns the rows read, or -1 at the first line
- * that is no such row, which np.loadtxt then reads or refuses.  With r and
- * v NULL, returns the room each needs instead: one double more than the
- * body has '\n' bytes. */
+ * that is no such row, which np.loadtxt then reads or refuses.  r and v
+ * need room for one double more than the body has '\n' bytes. */
 int64_t hh_parse(const char *s, int64_t start, int64_t len, const uint64_t *pow5,
                  double *r, double *v)
 {
     const char *p = s + start, *end = s + len;
     int64_t n = 0;
-    if (!r || !v) {
-        while ((p = memchr(p, '\n', (size_t)(end - p))) != NULL) {
-            p++;
-            n++;
-        }
-        return n + 1;
-    }
     while (p < end) {
         if (*p == '\n') {
             p++;

@@ -114,7 +114,7 @@ _OPTIONS = {
         _Option("quiet", bool, COMMANDS, "silence diagnostics"),
         _Option("jobs", int, ("classify",), "accepted for compatibility; runs stay single-process"),
         _Option("field", str, ("green-check",), "stored radial field to validate and solve",
-                excludes=("alpha", "p", "tol", "seed", "samples", "grid_nodes")),
+                excludes=("alpha", "p", "tol", "seed", "samples", "grid_nodes", "format")),
         _Option("grid", str, ("atlas",), "semicolon-separated n alpha p triples",
                 excludes=("n", "alpha", "p")),
     )
@@ -347,10 +347,7 @@ def execute(inv: CliInvocation) -> int:
     ) as err:
         print(f"hardyhenon4 {inv.command}: numerical failure: {err}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError) as err:
-        print(f"hardyhenon4 {inv.command}: error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (ValueError, OSError) as err:
         print(f"hardyhenon4 {inv.command}: error: {err}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,7 @@ interior mass never cancels.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 import warnings
@@ -172,28 +173,24 @@ class RadialField:
         empty; n must be an integer >= 3, alpha and p finite numbers.  Every
         ValueError names the file.
 
-        The kernels' row reader reads the body of an ASCII file without a CR
-        byte, whose rows are in the form dumps writes, from the one read of
-        its bytes.  np.loadtxt reads every other body, to the same doubles
-        and with the same messages.
+        The file is read once.  The kernels' row reader reads the body of
+        an ASCII file without a CR byte, whose rows are in the form dumps
+        writes; np.loadtxt reads every other body from the same bytes, to
+        the same doubles and with the same messages.
         """
         try:
             data = Path(path).read_bytes()
             start = data.find(b"\n") + 1 or len(data)
             # Here readline would return the bytes up to the first '\n'.
-            if data.isascii() and b"\r" not in data:
-                head = data[:start].decode("ascii")
-            else:
-                data = None
-                with open(path) as fh:
-                    head = fh.readline()
+            plain = data.isascii() and b"\r" not in data
+            head = data[:start].decode("ascii") if plain else _text(data).readline()
             m = re.fullmatch(r"# radial-field n=(\S*) alpha=(\S*) p=(\S*)\s*", head)
             if m is None:
                 raise ValueError(f"first line is not a '# radial-field' header: {head!r}")
             n, alpha, p = map(_header_label, ("n", "alpha", "p"), m.groups())
-            columns = None if data is None else _dp5.kernels().parse(data, start)
+            columns = _dp5.kernels().parse(data, start) if plain else None
+            radii, vals = _read_rows(data) if columns is None else columns
             del data  # the bytes are not held past the read
-            radii, vals = _read_rows(path) if columns is None else columns
             if not np.all(radii > 0.0):
                 raise ValueError("radii must be positive")
             t = _log(radii)
@@ -225,42 +222,34 @@ def _label(x: float | None) -> str:
     return short if float(short) == x else repr(x)
 
 
-def _rows_py(radii: np.ndarray, values: np.ndarray) -> str:
-    """The 'radius,value' lines of a field file, each cell repr() of its
-    double.  hh_rows in _dp5.c writes the same bytes."""
-    return "".join([f"{r!r},{v!r}\n" for r, v in zip(radii.tolist(), values.tolist())])
+def _text(data: bytes) -> io.TextIOWrapper:
+    """A field file's bytes as open() reads them: decoded, universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data))
 
 
-def _parse_py(data: bytes, start: int) -> None:
-    """The Python twin of hh_parse reads no body: where the kernels are not
-    compiled, np.loadtxt reads every field file."""
-    return None
-
-
-def _read_rows(path: str | Path) -> np.ndarray:
-    """The body of a field file as np.loadtxt reads it: two C-contiguous
-    rows, the radii and the values."""
+def _read_rows(data: bytes) -> np.ndarray:
+    """The body of a field file's bytes as np.loadtxt reads it: two
+    C-contiguous rows, the radii and the values."""
     with warnings.catch_warnings():
         # a header-only file is reported by the node floor in load
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            data = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2)
+            rows = np.loadtxt(_text(data), delimiter=",", comments=None, skiprows=1, ndmin=2)
         except ValueError as err:
-            raise ValueError(f"expected 'radius,value' rows: {_row_defect(path) or err}") from err
-    if len(data) and data.shape[1] != 2:
-        raise ValueError(f"expected 'radius,value' rows: {_row_defect(path)}")
-    return np.ascontiguousarray(data.reshape(-1, 2).T)
+            raise ValueError(f"expected 'radius,value' rows: {_row_defect(data) or err}") from err
+    if len(rows) and rows.shape[1] != 2:
+        raise ValueError(f"expected 'radius,value' rows: {_row_defect(data)}")
+    return np.ascontiguousarray(rows.reshape(-1, 2).T)
 
 
-def _row_defect(path: str | Path) -> str | None:
+def _row_defect(data: bytes) -> str | None:
     """The first row of a field file's body without exactly two cells, or
     None.
 
     Rows count from 0 after the header, empty lines left out, as in
     numpy's messages about a bad cell.
     """
-    with open(path) as fh:
-        rows = np.array(fh.read().split("\n")[1:], dtype=str)
+    rows = np.array(_text(data).read().split("\n")[1:], dtype=str)
     rows = rows[np.char.str_len(rows) > 0]
     cells = np.char.count(rows, ",") + 1
     bad = np.flatnonzero(cells != 2)

@@ -24,8 +24,8 @@ from .params import CoefficientSet
 # Every transcendental on a table path comes from libm: numpy's SIMD
 # kernels, picked per CPU at run time, differ from it in the last bit on
 # some arguments, so tables would follow the machine.  An array goes
-# through the libm loops of _dp5.c where they build, else through _exp_py
-# or _log_py; either raises where math's function would.
+# through the libm loops of _dp5.c where they build, else through their
+# twins in _dp5; either raises where math's function would.
 def _exp(x):
     """math.exp(x) for a float, else elementwise on an array."""
     return math.exp(x) if np.ndim(x) == 0 else _dp5.kernels().exp(x)
@@ -34,16 +34,6 @@ def _exp(x):
 def _log(x):
     """math.log(x) for a float, else elementwise on an array."""
     return math.log(x) if np.ndim(x) == 0 else _dp5.kernels().log(x)
-
-
-def _exp_py(x: np.ndarray) -> np.ndarray:
-    # math.exp at each element; hh_exp in _dp5.c is this map in C.
-    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def _log_py(x: np.ndarray) -> np.ndarray:
-    # math.log at each element; hh_log in _dp5.c is this map in C.
-    return np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,8 @@ def test_atlas_grid_flag(capsys):
     assert len(data) == 3  # header plus two rows
     assert main(["atlas", "--grid", "6 0"]) == 1
     assert "triple" in capsys.readouterr().err
+    assert main(["atlas", "--grid", ";"]) == 1
+    assert "hardyhenon4 atlas: error: grid is empty" in capsys.readouterr().err
 
 
 def test_green_check_field_round_trip(tmp_path, capsys):
@@ -336,6 +338,9 @@ def test_green_check_field_data_defects_exit_two(tmp_path, capsys):
     uneven = _field_file(tmp_path / "uneven.csv", [0.1, 0.2, 0.9, 1.0])
     assert main(["green-check", "--field", str(uneven)]) == 2
     assert "log-uniform" in capsys.readouterr().err
+    zero = _field_file(tmp_path / "zero.csv", [0.0, 0.25, 0.5, 1.0])
+    assert main(["green-check", "--field", str(zero)]) == 2
+    assert f"{zero}: radii must be positive" in capsys.readouterr().err
     assert main(["green-check", "--field", str(tmp_path / "missing.csv")]) == 1
     # Rows outside the writer's grammar go through numpy's text reader: a
     # whitespace-only line, a '#' inside a row and a cell float() would take
@@ -455,7 +460,7 @@ def test_atlas_grid_rejects_a_triple_beside_it(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [["--alpha", "1"], ["--p", "3"], ["--tol", "1e-9"],
                                    ["--seed", "2"], ["--samples", "3"],
-                                   ["--grid-nodes", "4096"]])
+                                   ["--grid-nodes", "4096"], ["--format", "csv"]])
 def test_green_check_field_rejects_study_options(extra, tmp_path, capsys):
     grid = make_grid(count=512)
     RadialField(grid=grid, values=np.ones(grid.count), n=6).save(tmp_path / "f.csv")

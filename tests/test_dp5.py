@@ -1,5 +1,6 @@
 """The loader of the compiled kernels: cache, silent fallback, package contents."""
 
+import ast
 import re
 import shutil
 import subprocess
@@ -102,13 +103,40 @@ def _c_enums(source: str) -> list[dict[str, int]]:
 
 
 def test_kernel_enums_match_the_loader_constants():
-    # The statuses of hh_steps and the multiplier rows of hh_rows and
-    # hh_parse are written in both files; the loader reads them by value.
+    # The statuses of hh_steps, the width of a dense segment row and the
+    # multiplier rows of hh_rows and hh_parse are written in both files;
+    # the loader reads them by value.
     enums = _c_enums(_dp5.SOURCE.read_text())
     assert [list(e) for e in enums] == [
         ["END", "BLOW_UP", "NON_POSITIVE", "FULL", "UNDERFLOW", "OVERFLOW"],
+        ["SEGMENT_COLUMNS"],
         ["POW5_INV_ROWS", "POW5_ROWS"],
         ["POW5_Q_MIN", "POW5_Q_ROWS"],
     ]
     for constants in enums:
         assert constants == {name: getattr(_dp5, name) for name in constants}
+
+
+def test_the_loader_is_a_leaf_that_pairs_each_kernel_with_its_twin():
+    # _dp5.py owns what _dp5.c owns: it imports nothing from the package,
+    # and each exported kernel is bound by load() and has a Kernels field
+    # whose Python twin is defined in _dp5.py.
+    tree = ast.parse(Path(_dp5.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert [name for name in imported
+            if name.startswith(".") or name.split(".")[0] == "hardyhenon4"] == []
+    exported = re.findall(r"^(?!static\b)[a-z][\w ]*?\b(hh_\w+)\(", _dp5.SOURCE.read_text(),
+                          re.MULTILINE)
+    load = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "load")
+    bound = {node.attr for node in ast.walk(load)
+             if isinstance(node, ast.Attribute) and node.attr.startswith("hh_")}
+    twins = _dp5._twins()._asdict()
+    assert sorted(exported) == sorted(bound) == sorted(f"hh_{name}" for name in twins)
+    for name, twin in twins.items():
+        assert twin.__module__ == _dp5.__name__, name

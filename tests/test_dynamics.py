@@ -18,6 +18,7 @@ import pytest
 from hardyhenon4 import _dp5, dynamics, green, transform
 from hardyhenon4.energy import energy
 from hardyhenon4.params import CRITICAL, SUBCRITICAL, SUPERCRITICAL, ProblemParams, coefficients
+from hardyhenon4._dp5 import _A, _B5, _E, _MAX_FACTOR, _MIN_FACTOR, _PI_ALPHA, _PI_BETA, _SAFETY
 from hardyhenon4.dynamics import (
     BLOW_UP,
     CONVERGES_TO_FIXED_POINT,
@@ -26,14 +27,6 @@ from hardyhenon4.dynamics import (
     REACHED_END,
     UNDETERMINED,
     NonPositiveState,
-    _A,
-    _B5,
-    _E,
-    _MAX_FACTOR,
-    _MIN_FACTOR,
-    _PI_ALPHA,
-    _PI_BETA,
-    _SAFETY,
     _initial_step,
     _rhs,
     analytic_trajectory,
@@ -67,11 +60,9 @@ def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch, tmp_path):
     def python_twin(*args):
         raise AssertionError("a Python twin ran")
 
-    for module, name in ((dynamics, "_steps_py"), (dynamics, "_scan_py"),
-                         (dynamics, "_bisect_py"), (dynamics, "_dense_py"),
-                         (dynamics, "_wpow_py"), (transform, "_exp_py"), (transform, "_log_py"),
-                         (green, "_rows_py"), (green, "_parse_py")):
-        monkeypatch.setattr(module, name, python_twin)
+    for name in ("_steps_py", "_scan_py", "_bisect_py", "_dense_py", "_wpow_py", "_exp_py",
+                 "_log_py", "_rows_py", "_parse_py"):
+        monkeypatch.setattr(_dp5, name, python_twin)
     # Steps, the crossing bisection and the sample fill; then dense reads.
     traj = integrate(OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS,
                      blowup_threshold=10.0)
@@ -173,6 +164,9 @@ def test_fixed_points_matches_full_scan(monkeypatch, kernel_paths):
         (2.0 ** -1070, 2.0),       # subnormal seed, window clipped at 0.0
         (1e-300, 1.001),           # seed underflows to 0.0
     ]
+    # Seeds w a few ulps below where w^3 overflows: the scan skips the
+    # ulps above them whose residual overflows.
+    cases += [(w * w, 3.0) for w in _overflow_edge(3.0)[0][-3:]]
     assert len(cases) > 1000
     wants = [_full_scan(a0, p) for a0, p in cases]
     for kernels in kernel_paths():
@@ -192,9 +186,9 @@ def test_fixed_points_stops_at_the_first_exact_zero(monkeypatch, kernel_paths):
         return math.log(x)
 
     counting = types.SimpleNamespace(exp=math.exp, log=log, nextafter=math.nextafter, inf=math.inf)
-    # The ring loop calls dynamics' math, the seed's residual transform's.
+    # The ring loop calls _dp5's math, the seed's residual dynamics'.
+    monkeypatch.setattr(_dp5, "math", counting)
     monkeypatch.setattr(dynamics, "math", counting)
-    monkeypatch.setattr(transform, "math", counting)
     # (6, 0, 4): the seed itself is an exact zero; (6, 0, 5.25): one lies
     # in the first ring of +-16 ulps; (7, 0, 3): none in the window.
     for kernels in kernel_paths():
@@ -287,22 +281,23 @@ def test_integrate_rejects_non_finite_span(deadline):
     ],
     ids=["subcritical", "critical", "supercritical"],
 )
-def test_integrate_holds_exact_equilibrium(regime, triple):
+def test_integrate_holds_exact_equilibrium(regime, triple, kernel_paths):
     coeffs = coefficients(ProblemParams(*triple))
     assert coeffs.regime == regime
     wstar = fixed_points(coeffs)[1]
-    traj = integrate(OdeState(wstar, 0.0, 0.0, 0.0), 0.0, -40.0, 1e-10, coeffs)
-    assert traj.termination == REACHED_END
-    assert traj.t_end == -40.0
-    # The stages see the field of fixed_points' own power path, which is
-    # exactly zero here, so the whole span is one exact step.
-    assert traj.segments.tolist() == [[0.0, -40.0] + [wstar, 0.0, 0.0, 0.0] * 2 + [0.0] * 8]
-    # The cubic Hermite samples keep the derivatives at zero; their w0 is
-    # h00 w* + h01 w*, whose weights sum to 1 only up to rounding.
-    assert traj.states[0].tolist() == [wstar, 0.0, 0.0, 0.0]
-    for s in traj.states.tolist():
-        assert s[1:] == [0.0, 0.0, 0.0]
-        assert abs(s[0] - wstar) <= math.ulp(wstar)
+    for kernels in kernel_paths():
+        traj = integrate(OdeState(wstar, 0.0, 0.0, 0.0), 0.0, -40.0, 1e-10, coeffs)
+        assert traj.termination == REACHED_END, kernels
+        assert traj.t_end == -40.0, kernels
+        # The stages see the field of fixed_points' own power path, which is
+        # exactly zero here, so the whole span is one exact step.
+        assert traj.segments.tolist() == [[0.0, -40.0] + [wstar, 0.0, 0.0, 0.0] * 2 + [0.0] * 8]
+        # The cubic Hermite samples keep the derivatives at zero; their w0 is
+        # h00 w* + h01 w*, whose weights sum to 1 only up to rounding.
+        assert traj.states[0].tolist() == [wstar, 0.0, 0.0, 0.0], kernels
+        for s in traj.states.tolist():
+            assert s[1:] == [0.0, 0.0, 0.0], kernels
+            assert abs(s[0] - wstar) <= math.ulp(wstar), kernels
 
 
 def test_integrate_truncates_at_blowup_threshold():
@@ -499,13 +494,14 @@ def _generic_dense(segments, ts):
     ]
 
 
-def _generic_integrate(initial, t0, t1, tol, coeffs, blowup_threshold):
+def _generic_integrate(initial, t0, t1, tol, coeffs, blowup_threshold, h0=None):
+    # h0, where given, replaces the first step of _initial_step.
     rtol, atol = tol, tol * 1e-2
     sgn = 1.0 if t1 > t0 else -1.0
     y = tuple(initial)
     t = t0
     f = _rhs(y, coeffs)
-    h = _initial_step(y, f, abs(t1 - t0), rtol, atol)
+    h = _initial_step(y, f, abs(t1 - t0), rtol, atol) if h0 is None else h0
     err_prev = 1.0
     segments, rejected, termination = [], 0, REACHED_END
     while sgn * (t1 - t) > 0.0:
@@ -577,27 +573,35 @@ def _singular_orbit_start(amplitude: float) -> OdeState:
 
 
 @pytest.mark.parametrize(
-    "initial, t1, tol, threshold, termination",
+    "initial, t1, tol, threshold, h0, termination",
     [
-        (_singular_orbit_start(1e-6), -4.0, 1e-10, 1e6, REACHED_END),
-        (_singular_orbit_start(1e-6), -4.0, 1e-12, 1e6, REACHED_END),
-        (OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), -60.0, 1e-10, 10.0, BLOW_UP),
-        (OdeState(WSTAR, 0.2, 0.0, 0.0), -60.0, 1e-10, 1e6, NON_POSITIVE),
-        (OdeState(1.0, 1.0, 0.0, 0.0), -20.0, 1e-6, 1e6, NON_POSITIVE),
-        (OdeState(WSTAR + 0.01, 0.0, 0.0, 0.0), 3.0, 1e-10, 1e6, BLOW_UP),
-        (OdeState(WSTAR, -1e-3, 0.0, 0.0), -20.0, 1e-12, 1e6, BLOW_UP),
+        (_singular_orbit_start(1e-6), -4.0, 1e-10, 1e6, None, REACHED_END),
+        (_singular_orbit_start(1e-6), -4.0, 1e-12, 1e6, None, REACHED_END),
+        (OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), -60.0, 1e-10, 10.0, None, BLOW_UP),
+        (OdeState(WSTAR, 0.2, 0.0, 0.0), -60.0, 1e-10, 1e6, None, NON_POSITIVE),
+        (OdeState(1.0, 1.0, 0.0, 0.0), -20.0, 1e-6, 1e6, None, NON_POSITIVE),
+        (OdeState(WSTAR + 0.01, 0.0, 0.0, 0.0), 3.0, 1e-10, 1e6, None, BLOW_UP),
+        (OdeState(WSTAR, -1e-3, 0.0, 0.0), -20.0, 1e-12, 1e6, None, BLOW_UP),
+        # w is so small that _initial_step starts from its floor of 1e-6.
+        (OdeState(1e-20, 0.0, 0.0, 0.0), 1.0, 1e-4, 1e6, None, REACHED_END),
+        # From a first step of 1, the 5th-order solution overflows though
+        # no stage's w^p does: the step is rejected as non-finite and
+        # retried at a quarter of its size.
+        (OdeState(1.0, 0.0, 0.0, -1e307), 1.0, 1e-4, 1e300, 1.0, NON_POSITIVE),
     ],
     ids=[
         "converging", "converging-tol1e-12", "blowup", "nonpositive", "tol1e-6",
-        "forward", "blowup-tol1e-12",
+        "forward", "blowup-tol1e-12", "tiny-w", "non-finite-step",
     ],
 )
 def test_integrate_matches_generic_stepper_bit_for_bit(
-    initial, t1, tol, threshold, termination, kernel_paths
+    initial, t1, tol, threshold, h0, termination, monkeypatch, kernel_paths
 ):
     times, states, segments, want_termination, rejected = _generic_integrate(
-        initial, 0.0, t1, tol, COEFFS, threshold
+        initial, 0.0, t1, tol, COEFFS, threshold, h0
     )
+    if h0 is not None:
+        monkeypatch.setattr(dynamics, "_initial_step", lambda *args: h0)
     for kernels in kernel_paths():
         traj = integrate(initial, 0.0, t1, tol, COEFFS, blowup_threshold=threshold)
         assert traj.termination == want_termination == termination, kernels
@@ -705,7 +709,8 @@ def test_integrator_statistics_count_what_integrate_did(
         return math.exp(x)
 
     counting = types.SimpleNamespace(**{**vars(math), "exp": exp})
-    # The step loop and the first field's w^p both call dynamics' math.
+    # The step loop calls _dp5's math, the first field's w^p dynamics'.
+    monkeypatch.setattr(_dp5, "math", counting)
     monkeypatch.setattr(dynamics, "math", counting)
     for kernels in kernel_paths():
         calls.clear()
@@ -869,6 +874,19 @@ def test_trajectory_requires_segments_of_18_columns(kernel_paths):
                 ).sample([-0.5])
 
 
+def test_trajectory_rejects_malformed_samples():
+    good = np.zeros((3, 4))
+    nan_state = good.copy()
+    nan_state[1, 2] = math.nan
+    for times, states, message in (
+        ([0.0, -1.0], good, "times and states must have equal length"),
+        ([0.0, -1.0, -0.5], good, "trajectory times must be strictly monotone"),
+        ([0.0, -1.0, -2.0], nan_state, "trajectory contains a non-finite state"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dynamics.Trajectory(times=times, states=states, termination=REACHED_END)
+
+
 def test_integrate_reports_step_underflow(kernel_paths):
     for kernels in kernel_paths():
         with pytest.raises(dynamics.IntegrationUnderflow) as err:
@@ -932,7 +950,7 @@ def test_wpow_matches_its_python_twin_bit_for_bit(kernel_paths):
             for w in (*cases, np.array(finite)):
                 got = dynamics._wpow(w, q)
                 assert got.shape == w.shape, (kernels, q)
-                assert got.tobytes() == dynamics._wpow_py(w, q).tobytes(), (kernels, q)
+                assert got.tobytes() == _dp5._wpow_py(w, q).tobytes(), (kernels, q)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")  # 0 log(inf)

@@ -353,7 +353,7 @@ def test_compiled_reader_reads_every_repr_back():
     assert radii.tobytes() == want[::2].tobytes() and values.tobytes() == want[1::2].tobytes()
     for body in (b"1.5,2.5\r\n", b"+1.5,2.5\n", b"1.5,2.5,3\n", b"1.5\n", b" 1.5,2.5\n",
                  b"1.,2\n", b".5,2\n", b"1e,2\n", b"nan,2\n", b"1.5;2.5\n", b"1_0,2\n",
-                 b"1.5,2.5\x00\n", b"1.5,2.5\n \n"):
+                 b"1.5,2.5\x00\n", b"1.5,2.5\n \n", b"1,2\n3", b"1,2\n3,"):
         assert kernels.parse(body, 0) is None, body
 
 
@@ -535,6 +535,22 @@ def test_superharmonic_prefix_stops_at_sign_change():
     assert rep.min_value > 0.0
     assert rep.tau < 1.0
     assert rep.tau == pytest.approx(math.exp(t_cross), abs=0.02)
+
+
+def test_superharmonic_prefix_is_empty_where_the_deepest_sample_fails():
+    # -Delta u < 0 toward the singularity, > 0 near r = 1: the prefix from
+    # the deep end is empty, so tau is 0 and the minimum is the deepest value.
+    def fn(ts):
+        states = np.zeros((len(ts), 4))
+        states[:, 0] = WSTAR
+        states[:, 2] = 30.0 * np.exp(-5.0 * ts)
+        return states
+
+    traj = analytic_trajectory(fn, 0.0, -15.0)
+    rep = superharmonic_check(traj, COEFFS, WSTAR)
+    bracket = COEFFS.B * (6.0 - 2.0 - COEFFS.B) * WSTAR - 30.0 * math.exp(75.0)
+    assert rep.tau == 0.0
+    assert rep.min_value == pytest.approx(math.exp((COEFFS.B + 2.0) * 15.0) * bracket, rel=1e-12)
 
 
 # -------------------------------------------------------- integrability
