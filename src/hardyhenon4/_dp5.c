@@ -1,20 +1,22 @@
 /* Compiled kernels of hardyhenon4: the Dormand-Prince 5(4) step loop of
  * integrate, which ends the orbit at its crossing by bisection, the ulp
- * ring scan of fixed_points, the dense Hermite output of a trajectory, the
- * elementwise libm exp and log of transform._exp and transform._log, the
- * elementwise w^q of dynamics._wpow, and the writer and the reader of a
- * field file's 'radius,value' rows.
+ * ring scan of fixed_points, which stops where an error bound for libm's
+ * exp, log and pow within SCAN_LIBM_ULPS ulps rules out every ulp left,
+ * the dense Hermite output of a trajectory, the elementwise libm exp and
+ * log of transform._exp and transform._log, the elementwise w^q of
+ * dynamics._wpow, and the writer and the reader of a field file's
+ * 'radius,value' rows.
  *
  * Each but the reader is its Python twin, all of them in _dp5.py: _steps_py
- * (with _bisect_py), _scan_py, _dense_py, _wpow_py, _exp_py, _log_py and
- * _rows_py.  The reader reads the rows the writer writes, and every cell
- * as float() reads it (Eisel-Lemire, then strtod); its twin _parse_py
- * reads nothing, and np.loadtxt reads every file it leaves.  The row
- * writer prints repr()'s bytes; the others are written out expression for
- * expression: every sum keeps its left-to-right order, its leading 0.0 and
- * its zero weights; w^p is exp(p log w) for w > 0, else 0;
- * powers go through pow; min and max keep Python's tie rules; exp and log
- * are the libm functions Python's math module calls.  Built with
+ * (with _bisect_py), _scan_py (with _scan_bound), _dense_py, _wpow_py,
+ * _exp_py, _log_py and _rows_py.  The reader reads the rows the writer
+ * writes, and every cell as float() reads it (Eisel-Lemire, then strtod);
+ * its twin _parse_py reads nothing, and np.loadtxt reads every file it
+ * leaves.  The row writer prints repr()'s bytes; the others are written
+ * out expression for expression: every sum keeps its left-to-right order,
+ * its leading 0.0 and its zero weights; w^p is exp(p log w) for w > 0,
+ * else 0; powers go through pow; min and max keep Python's tie rules; exp
+ * and log are the libm functions Python's math module calls.  Built with
  * -ffp-contract=off and without -ffast-math, every operation rounds as
  * Python's float does, so both paths give the same bits.  The loader in
  * _dp5.py compiles this file and falls back to the Python twins when it
@@ -255,51 +257,110 @@ int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *c
     return status;
 }
 
-/* Radii, in ulps, of the rings, as _FIXED_POINT_RINGS in _dp5.py. */
-static const int64_t RINGS[] = {16, 128, 2048};
+/* The rings of the scan double from SCAN_FIRST_RING ulps to SCAN_WINDOW,
+ * the window's radius; the stop rule allows libm's exp and log, and the
+ * pow behind the seed, SCAN_LIBM_ULPS ulps of error.  As the constants of
+ * the same names in _dp5.py. */
+enum { SCAN_FIRST_RING = 16, SCAN_WINDOW = 2048, SCAN_LIBM_ULPS = 4 };
 
-/* The ring scan of fixed_points around seed, whose residual is best_g.
- * Stores the snapped equilibrium in *best and returns the number of ulps
- * whose residual was evaluated, the seed included, or -1 where a residual
- * below the seed overflows (math.exp raises there). */
+/* The stop rule of the scan around seed = a0 ** (1/(p-1)), as _scan_bound:
+ * no ulp w of the window with k * tau > best_g + c, where
+ * tau = |w - seed| / max(w, seed), has a computed residual
+ * |exp(p*log(w)) - a0*w| at or below best_g.  Sets k = c = 0, which
+ * closes nothing, outside the range the rule covers.
+ *
+ * Why.  Let u = 2^-53, N = SCAN_LIBM_ULPS, and w_r the exact root, with
+ * w_r^(p-1) = a0.  In the normal range an N-ulp error is a relative one of
+ * at most 2Nu; the range test keeps the seed, a0*w and w^p there.
+ * - L (big_l) >= |ln w| over the window and at w_r: from seed's exponent
+ *   e, each such w lies in [2^(e-1), 2^e] up to a factor 1 +- 2^-40.
+ * - The seed: p - 1 and 1/(p-1) round by u each and pow errs by 2Nu, so
+ *   |ln(seed/w_r)| <= 3u L + 2Nu + O(u^2) <= rho.
+ * - The exact residual is a0 w |R - 1| with R = (w/w_r)^(p-1).  As
+ *   |ln(w/seed)| >= tau and the window spans |ln(w/seed)| <= 2^-41,
+ *   |R - 1| >= (p-1)(tau - rho) e^(-z) and R <= e^z.
+ * - The computed residual: exp(p*log(w)) = w^p (1 + e3) e^t with
+ *   |e3| <= 2Nu and |t| <= d (log's error and the rounding of p*log);
+ *   a0*w rounds by u, and the difference by a factor 1 - u.
+ * So residual / (a0 w (1 - u))
+ *   >= (p-1)(tau - rho) e^(-z) - e^z ((1 + 2Nu) e^d - 1) - u
+ *   >= (p-1) tau (1 - 2^-20) - ((p-1) rho + (2N+1) u + d)(1 + 2^-17)
+ * for z, d < 2^-20.  k and c are a0*seed times those two terms, with
+ * 1 -+ 1e-5 in place of the factors, which leaves room for w/seed and for
+ * every rounding of k, c and the comparison. */
+static void scan_bound(double seed, double a0, double p, double *k, double *c)
+{
+    double scale = a0 * seed;
+    *k = *c = 0.0;
+    if (!(p > 1.0 && 0x1p-1000 <= seed && seed <= 0x1p1000
+          && 0x1p-1000 <= scale && scale <= 0x1p1000))
+        return;
+    int n = SCAN_LIBM_ULPS, e;
+    double u = 0x1p-53;
+    frexp(seed, &e);
+    double big_l = (e > 1 - e ? e : 1 - e) * 0.6932;
+    double rho = 3.0 * u * (big_l + 1.0) + 2.0 * n * u;
+    double z = (p - 1.0) * (0x1p-40 + rho);
+    double d = p * big_l * (2 * n + 1) * u * (1.0 + 4 * n * u);
+    if (!(z < 0x1p-20 && d < 0x1p-20))
+        return;
+    *k = (p - 1.0) * scale * (1.0 - 1e-5);
+    *c = ((p - 1.0) * rho + (2 * n + 1) * u + d) * scale * (1.0 + 1e-5);
+}
+
+/* The ring scan of fixed_points around seed = a0 ** (1/(p-1)), whose
+ * residual is best_g, as _scan_py.  Before each ring it stops if best_g is
+ * an exact zero nearer the seed than the next ulp on both sides, and it
+ * closes a side whose next ulp is past scan_bound's bound; a closed side
+ * stays closed, since best_g only falls.  Stores the snapped equilibrium
+ * in *best and returns the number of ulps whose residual was evaluated,
+ * the seed included, or -1 where a residual below the seed overflows
+ * (math.exp raises there). */
 int64_t hh_scan(double seed, double best_g, double a0, double p, double *best)
 {
     double best_w = seed, best_d = 0.0;
     double lo = seed, hi = seed;
-    int64_t scanned = 0;
+    int64_t below = 0, above = 0;
     int ovf = 0;
-    for (int r = 0; r < (int)(sizeof RINGS / sizeof RINGS[0]); r++) {
+    double k, c;
+    scan_bound(seed, a0, p, &k, &c);
+    for (int64_t ring = SCAN_FIRST_RING; ring <= SCAN_WINDOW; ring *= 2) {
         if (best_g == 0.0
             && (lo == 0.0 || best_d < seed - nextafter(lo, 0.0))
             && best_d < nextafter(hi, INFINITY) - seed)
             break;
-        for (int64_t i = scanned; i < RINGS[r]; i++) {
-            lo = nextafter(lo, 0.0);
-            double g = fabs(wpow(lo, p, &ovf) - a0 * lo);
-            if (g <= best_g && (g < best_g || seed - lo <= best_d)) {
-                best_w = lo;
-                best_g = g;
-                best_d = seed - lo;
+        if (!(k * ((seed - nextafter(lo, 0.0)) / seed) > best_g + c)) {
+            for (int64_t i = below; i < ring; i++) {
+                lo = nextafter(lo, 0.0);
+                double g = fabs(wpow(lo, p, &ovf) - a0 * lo);
+                if (g <= best_g && (g < best_g || seed - lo <= best_d)) {
+                    best_w = lo;
+                    best_g = g;
+                    best_d = seed - lo;
+                }
             }
+            if (ovf)
+                return -1;
+            below = ring;
         }
-        if (ovf)
-            return -1;
-        for (int64_t i = scanned; i < RINGS[r]; i++) {
-            hi = nextafter(hi, INFINITY);
-            int skip = 0;
-            double g = fabs(wpow(hi, p, &skip) - a0 * hi);
-            if (skip)
-                continue;
-            if (g <= best_g && (g < best_g || hi - seed < best_d)) {
-                best_w = hi;
-                best_g = g;
-                best_d = hi - seed;
+        if (!(k * ((nextafter(hi, INFINITY) - seed) / nextafter(hi, INFINITY)) > best_g + c)) {
+            for (int64_t i = above; i < ring; i++) {
+                hi = nextafter(hi, INFINITY);
+                int skip = 0;
+                double g = fabs(wpow(hi, p, &skip) - a0 * hi);
+                if (skip)
+                    continue;
+                if (g <= best_g && (g < best_g || hi - seed < best_d)) {
+                    best_w = hi;
+                    best_g = g;
+                    best_d = hi - seed;
+                }
             }
+            above = ring;
         }
-        scanned = RINGS[r];
     }
     *best = best_w;
-    return 1 + 2 * scanned;
+    return 1 + below + above;
 }
 
 /* numpy's order on doubles, NaN last: a sorts before b. */

@@ -56,7 +56,23 @@ SEGMENT_ROWS = 1024
 # (2.25 MiB at 18 doubles a row) is let go, so one very long orbit does
 # not pin its memory.
 KEEP_ROWS = 16384
-_buffers = threading.local()
+
+
+class _Buffers(threading.local):
+    """A thread's segment buffer and the step kernel's two counts, each
+    with its address, read once per buffer, since a .ctypes.data read
+    costs microseconds."""
+
+    def __init__(self) -> None:
+        self.cnt = np.zeros(2, np.int64)  # rows written, rejected steps
+        self.cnt_at = self.cnt.ctypes.data
+        self.keep(None)
+
+    def keep(self, seg: np.ndarray | None) -> None:
+        self.seg, self.seg_at = seg, 0 if seg is None else seg.ctypes.data
+
+
+_buffers = _Buffers()
 
 # Multiplier rows of the row writer, as the enum in _dp5.c, and the room
 # it needs per row: two 24-byte reprs, a comma and a newline.
@@ -182,14 +198,17 @@ def load() -> Kernels | None:
     def run_steps(st: np.ndarray, prm: np.ndarray) -> tuple[int, np.ndarray, int]:
         _check(st, (11,), np.float64)
         _check(prm, (10,), np.float64)
-        seg = getattr(_buffers, "seg", None)
-        if seg is None:
-            seg = np.empty((SEGMENT_ROWS, SEGMENT_COLUMNS))
-        cnt = np.zeros(2, np.int64)  # rows written, rejected steps
-        while (status := steps(st.ctypes.data, prm.ctypes.data, seg.ctypes.data, len(seg),
-                               cnt.ctypes.data)) == FULL:
-            seg = np.concatenate((seg, np.empty_like(seg)))
-        _buffers.seg = seg if len(seg) <= KEEP_ROWS else None
+        buf = _buffers
+        if buf.seg is None:
+            buf.keep(np.empty((SEGMENT_ROWS, SEGMENT_COLUMNS)))
+        cnt = buf.cnt
+        cnt.fill(0)
+        while (status := steps(st.ctypes.data, prm.ctypes.data, buf.seg_at, len(buf.seg),
+                               buf.cnt_at)) == FULL:
+            buf.keep(np.concatenate((buf.seg, np.empty_like(buf.seg))))
+        seg = buf.seg
+        if len(seg) > KEEP_ROWS:
+            buf.keep(None)
         if status == OVERFLOW:
             raise OverflowError("math range error")
         return status, seg[: cnt[0]].copy(), int(cnt[1])
@@ -505,19 +524,46 @@ def _steps_py(st: np.ndarray, prm: np.ndarray) -> tuple[int, np.ndarray, int]:
     return status, np.array(rows).reshape(-1, SEGMENT_COLUMNS), rejected
 
 
-# Radii, in ulps, of the rings fixed_points scans; the last is the window.
-_FIXED_POINT_RINGS = (16, 128, 2048)
+# The rings of fixed_points' scan double from SCAN_FIRST_RING ulps to
+# SCAN_WINDOW, the window's radius; its stop rule allows libm's exp and
+# log, and the pow behind the seed, SCAN_LIBM_ULPS ulps of error.  As the
+# enum in _dp5.c.
+SCAN_FIRST_RING, SCAN_WINDOW, SCAN_LIBM_ULPS = 16, 2048, 4
+
+
+def _scan_bound(seed: float, a0: float, p: float) -> tuple[float, float]:
+    # The stop rule of the scan around seed = a0 ** (1/(p-1)): no ulp w of
+    # the window with k * tau > best_g + c, tau = |w - seed| / max(w, seed),
+    # has a computed residual at or below best_g.  (0.0, 0.0), which closes
+    # nothing, outside the range the rule covers.  scan_bound in _dp5.c is
+    # this function in C, and derives it.
+    scale = a0 * seed
+    if not (p > 1.0 and 2.0 ** -1000 <= seed <= 2.0 ** 1000
+            and 2.0 ** -1000 <= scale <= 2.0 ** 1000):
+        return 0.0, 0.0
+    n, u = SCAN_LIBM_ULPS, 2.0 ** -53
+    e = math.frexp(seed)[1]
+    big_l = max(e, 1 - e) * 0.6932
+    rho = 3.0 * u * (big_l + 1.0) + 2.0 * n * u
+    z = (p - 1.0) * (2.0 ** -40 + rho)
+    d = p * big_l * (2 * n + 1) * u * (1.0 + 4 * n * u)
+    if not (z < 2.0 ** -20 and d < 2.0 ** -20):
+        return 0.0, 0.0
+    return ((p - 1.0) * scale * (1.0 - 1e-5),
+            ((p - 1.0) * rho + (2 * n + 1) * u + d) * scale * (1.0 + 1e-5))
 
 
 def _scan_py(seed: float, best_g: float, a0: float, p: float) -> tuple[float, int]:
-    # The ring scan of fixed_points around seed, whose residual is best_g:
-    # the snapped w and the number of ulps evaluated, the seed included.
-    # hh_scan in _dp5.c is this loop in C.
+    # The ring scan of fixed_points around seed = a0 ** (1/(p-1)), whose
+    # residual is best_g: the snapped w and the number of ulps evaluated,
+    # the seed included.  hh_scan in _dp5.c is this loop in C.
     exp, log, nextafter, inf = math.exp, math.log, math.nextafter, math.inf
     best_w, best_d = seed, 0.0
     lo = hi = seed  # the last ulp scanned below and above the seed
-    scanned = 0
-    for ring in _FIXED_POINT_RINGS:
+    below = above = 0  # the number of ulps scanned below and above it
+    k, c = _scan_bound(seed, a0, p)
+    ring = SCAN_FIRST_RING
+    while ring <= SCAN_WINDOW:
         # Below the seed the window ends at 0.0: nothing is left there.
         if (
             best_g == 0.0
@@ -525,23 +571,29 @@ def _scan_py(seed: float, best_g: float, a0: float, p: float) -> tuple[float, in
             and best_d < nextafter(hi, inf) - seed
         ):
             break
-        # The distances are exact (Sterbenz); on a tie in residual and
-        # distance the lower w wins, hence <= below and < above.
-        for _ in range(ring - scanned):
-            lo = nextafter(lo, 0.0)
-            g = abs((exp(p * log(lo)) if lo > 0.0 else 0.0) - a0 * lo)
-            if g <= best_g and (g < best_g or seed - lo <= best_d):
-                best_w, best_g, best_d = lo, g, seed - lo
-        for _ in range(ring - scanned):
-            hi = nextafter(hi, inf)
-            try:
-                g = abs(exp(p * log(hi)) - a0 * hi)
-            except OverflowError:
-                continue
-            if g <= best_g and (g < best_g or hi - seed < best_d):
-                best_w, best_g, best_d = hi, g, hi - seed
-        scanned = ring
-    return best_w, 1 + 2 * scanned
+        # A side whose next ulp is past the bound is closed, and stays so:
+        # best_g only falls.  The distances are exact (Sterbenz); on a tie
+        # in residual and distance the lower w wins, hence <= below and <
+        # above.
+        if not k * ((seed - nextafter(lo, 0.0)) / seed) > best_g + c:
+            for _ in range(ring - below):
+                lo = nextafter(lo, 0.0)
+                g = abs((exp(p * log(lo)) if lo > 0.0 else 0.0) - a0 * lo)
+                if g <= best_g and (g < best_g or seed - lo <= best_d):
+                    best_w, best_g, best_d = lo, g, seed - lo
+            below = ring
+        if not k * ((nextafter(hi, inf) - seed) / nextafter(hi, inf)) > best_g + c:
+            for _ in range(ring - above):
+                hi = nextafter(hi, inf)
+                try:
+                    g = abs(exp(p * log(hi)) - a0 * hi)
+                except OverflowError:
+                    continue
+                if g <= best_g and (g < best_g or hi - seed < best_d):
+                    best_w, best_g, best_d = hi, g, hi - seed
+            above = ring
+        ring *= 2
+    return best_w, 1 + below + above
 
 
 def _dense_py(segments: np.ndarray, ts: np.ndarray) -> np.ndarray:

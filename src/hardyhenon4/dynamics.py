@@ -84,12 +84,20 @@ def fixed_points(coeffs: CoefficientSet) -> list[float]:
     an exact machine equilibrium makes such runs honestly stationary.
 
     The result does not depend on the order of the scan, so it runs in
-    rings of +-16, +-128 and +-2048 ulps, each side walking outward.
-    Before each ring it stops if the best residual is an exact zero and
-    lies strictly nearer the seed than the next unscanned ulp on both
-    sides: no ulp left can beat it.  An ulp whose residual overflows a
-    double cannot be the minimizer and is skipped; if the seed's own
-    residual overflows, OverflowError names it.
+    rings of +-16, +-32, ... +-2048 ulps, each side walking outward, and
+    stops early where no ulp left can beat the best so far.  Before each
+    ring it stops if the best residual is an exact zero and lies strictly
+    nearer the seed than the next unscanned ulp on both sides.  It also
+    closes a side once a lower bound on the computed residual of every
+    ulp left there exceeds the best residual: the exact residual grows
+    with the distance from the true root, by more than the rounding of
+    log, p*log, exp and a0*w can hide, given libm's exp, log and pow
+    within 4 ulps (_dp5.SCAN_LIBM_ULPS).  That rule holds only where the
+    seed and a0 times it lie within 2^-1000..2^1000, p > 1, and p is not
+    so large that the bound's first-order terms break down; elsewhere the
+    whole window is scanned, as without it.  An ulp whose residual
+    overflows a double cannot be the minimizer and is skipped; if the
+    seed's own residual overflows, OverflowError names it.
     """
     a0 = coeffs.a0
     if a0 <= 0.0:

@@ -133,7 +133,9 @@ def _full_scan(a0, p):
     return best_w
 
 
-def test_fixed_points_matches_full_scan(monkeypatch, kernel_paths):
+def _full_scan_cases(monkeypatch):
+    """(a0, p) of the atlas triples at seeds 1 and 2 with a0 > 0, 300
+    random pairs and the edge cases of the ulp scan."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -168,6 +170,11 @@ def test_fixed_points_matches_full_scan(monkeypatch, kernel_paths):
     # ulps above them whose residual overflows.
     cases += [(w * w, 3.0) for w in _overflow_edge(3.0)[0][-3:]]
     assert len(cases) > 1000
+    return cases
+
+
+def test_fixed_points_matches_full_scan(monkeypatch, kernel_paths):
+    cases = _full_scan_cases(monkeypatch)
     wants = [_full_scan(a0, p) for a0, p in cases]
     for kernels in kernel_paths():
         mismatches = []
@@ -178,6 +185,48 @@ def test_fixed_points_matches_full_scan(monkeypatch, kernel_paths):
         assert mismatches == [], kernels
 
 
+@pytest.mark.parametrize("libm_ulps", [_dp5.SCAN_LIBM_ULPS, 1])
+def test_scan_stop_rule_bounds_every_residual_of_the_window(monkeypatch, kernel_paths, libm_ulps):
+    # The scan closes a side once k * tau of its next ulp exceeds best_g + c.
+    # tau grows away from the seed, so the rule rules out no ulp at or
+    # below best_g if no ulp of the window has k * tau > g + c for its own
+    # residual g.  Checked at every ulp of the +-2048-ulp window, with
+    # residuals through the kernels' log and exp (the bits of math's), and
+    # also for an error allowance of 1 ulp, four times tighter.
+    monkeypatch.setattr(_dp5, "SCAN_LIBM_ULPS", libm_ulps)
+    cases = _full_scan_cases(monkeypatch)
+    offsets = np.arange(-_dp5.SCAN_WINDOW, _dp5.SCAN_WINDOW + 1)
+    for kernels in kernel_paths():
+        ruled = 0
+        for a0, p in cases:
+            seed = a0 ** (1.0 / (p - 1.0))
+            k, c = _dp5._scan_bound(seed, a0, p)
+            if k == 0.0:  # outside the rule's range: it closes nothing
+                assert (k, c) == (0.0, 0.0), (a0, p)
+                continue
+            w = (np.float64(seed).view(np.int64) + offsets).view(np.float64)
+            assert w[0] > 0.0 and np.all(np.diff(w) > 0.0), (a0, p)
+            g = np.abs(_dp5.kernels().exp(p * _dp5.kernels().log(w)) - a0 * w)
+            tau = np.where(w < seed, (seed - w) / seed, (w - seed) / w)
+            closing = k * tau > g + c
+            assert not closing.any(), (kernels, a0, p, w[closing])
+            ruled += int(np.count_nonzero(k * tau > c))  # past the bound for best_g = 0
+        # The check is not empty: most ulps of the windows are past the bound.
+        assert ruled > 0.75 * len(cases) * len(offsets), kernels
+
+
+def test_scan_kernels_agree_on_the_snapped_root_and_its_count(monkeypatch):
+    if _dp5.load() is None:
+        pytest.skip("no compiled kernels")
+    for a0, p in _full_scan_cases(monkeypatch):
+        seed = a0 ** (1.0 / (p - 1.0))
+        try:
+            best_g = abs(dynamics._wpow(seed, p) - a0 * seed)
+        except OverflowError:
+            continue
+        assert _dp5.load().scan(seed, best_g, a0, p) == _dp5._scan_py(seed, best_g, a0, p)
+
+
 def test_fixed_points_stops_at_the_first_exact_zero(monkeypatch, kernel_paths):
     calls = []
 
@@ -185,14 +234,16 @@ def test_fixed_points_stops_at_the_first_exact_zero(monkeypatch, kernel_paths):
         calls.append(x)
         return math.log(x)
 
-    counting = types.SimpleNamespace(exp=math.exp, log=log, nextafter=math.nextafter, inf=math.inf)
+    counting = types.SimpleNamespace(exp=math.exp, log=log, nextafter=math.nextafter,
+                                     inf=math.inf, frexp=math.frexp)
     # The ring loop calls _dp5's math, the seed's residual dynamics'.
     monkeypatch.setattr(_dp5, "math", counting)
     monkeypatch.setattr(dynamics, "math", counting)
     # (6, 0, 4): the seed itself is an exact zero; (6, 0, 5.25): one lies
-    # in the first ring of +-16 ulps; (7, 0, 3): none in the window.
+    # in the first ring of +-16 ulps; (7, 0, 3): none in the window, and
+    # the stop rule closes both sides after the second ring, of +-32 ulps.
     for kernels in kernel_paths():
-        for triple, most in (((6, 0.0, 4.0), 33), ((6, 0.0, 5.25), 33), ((7, 0.0, 3.0), 4097)):
+        for triple, most in (((6, 0.0, 4.0), 33), ((6, 0.0, 5.25), 33), ((7, 0.0, 3.0), 65)):
             calls.clear()
             coeffs = coefficients(ProblemParams(*triple))
             wstar, evaluated = dynamics._snap(coeffs.a0, coeffs.p)
@@ -201,7 +252,19 @@ def test_fixed_points_stops_at_the_first_exact_zero(monkeypatch, kernel_paths):
                 assert evaluated == len(calls), triple
             assert repr(wstar) == repr(_full_scan(coeffs.a0, coeffs.p)), (kernels, triple)
             assert fixed_points(coeffs) == [0.0, wstar]
-        assert evaluated == 4097, kernels
+        assert evaluated == 65, kernels
+        # Outside the stop rule's range the scan runs as without it: the
+        # subnormal seed and the seed 0.0 are exact zeros, and so is an ulp
+        # within +-128 of the seeds below where w^3 overflows; with
+        # p - 1 = 1e9 - 1, no ulp of the whole window is.
+        edges = [(2.0 ** -1070, 2.0, 1), (1e-300, 1.001, 1), (3.0, 1e9, 4097)]
+        edges += [(w * w, 3.0, 257) for w in _overflow_edge(3.0)[0][-3:]]
+        for a0, p, count in edges:
+            seed = a0 ** (1.0 / (p - 1.0))
+            assert _dp5._scan_bound(seed, a0, p) == (0.0, 0.0), (a0, p)
+            wstar, evaluated = dynamics._snap(a0, p)
+            assert evaluated == count, (kernels, a0, p)
+            assert repr(wstar) == repr(_full_scan(a0, p)), (kernels, a0, p)
 
 
 def test_fixed_points_names_an_overflowing_residual():
