@@ -1,26 +1,28 @@
 /* Compiled kernels of hardyhenon4: the Dormand-Prince 5(4) step loop of
- * integrate, which ends the orbit at its crossing by bisection, the ulp
- * ring scan of fixed_points, which stops where an error bound for libm's
- * exp, log and pow within SCAN_LIBM_ULPS ulps rules out every ulp left,
- * the dense Hermite output of a trajectory, the elementwise libm exp and
- * log of transform._exp and transform._log, the elementwise w^q of
- * dynamics._wpow, and the writer and the reader of a field file's
+ * integrate, which ends the orbit at its crossing by bisection and writes
+ * the orbit's uniform samples, the ulp ring scan of fixed_points, which
+ * stops where an error bound for libm's exp, log and pow within
+ * SCAN_LIBM_ULPS ulps rules out every ulp left, the dense Hermite output
+ * of a trajectory, the energy of a stack of states, the elementwise libm
+ * exp and log of transform._exp and transform._log, the elementwise w^q
+ * of dynamics._wpow, and the writer and the reader of a field file's
  * 'radius,value' rows.
  *
  * Each but the reader is its Python twin, all of them in _dp5.py: _steps_py
- * (with _bisect_py), _scan_py (with _scan_bound), _dense_py, _wpow_py,
- * _exp_py, _log_py and _rows_py.  The reader reads the rows the writer
- * writes, and every cell as float() reads it (Eisel-Lemire, then strtod);
- * its twin _parse_py reads nothing, and np.loadtxt reads every file it
- * leaves.  The row writer prints repr()'s bytes; the others are written
- * out expression for expression: every sum keeps its left-to-right order,
- * its leading 0.0 and its zero weights; w^p is exp(p log w) for w > 0,
- * else 0; powers go through pow; min and max keep Python's tie rules; exp
- * and log are the libm functions Python's math module calls.  Built with
- * -ffp-contract=off and without -ffast-math, every operation rounds as
- * Python's float does, so both paths give the same bits.  The loader in
- * _dp5.py compiles this file and falls back to the Python twins when it
- * cannot; each enum below is written there too, with the same values.
+ * (with _bisect_py), _scan_py (with _scan_bound), _dense_py, _energy_py,
+ * _wpow_py, _exp_py, _log_py and _rows_py.  The reader reads the rows the
+ * writer writes, and every cell as float() reads it (Eisel-Lemire, then
+ * strtod); its twin _parse_py reads nothing, and np.loadtxt reads every
+ * file it leaves.  The row writer prints repr()'s bytes; the others are
+ * written out expression for expression: every sum keeps its
+ * left-to-right order, its leading 0.0 and its zero weights; w^p is
+ * exp(p log w) for w > 0, else 0; powers go through pow; min and max keep
+ * Python's tie rules; exp and log are the libm functions Python's math
+ * module calls.  Built with -ffp-contract=off and without -ffast-math,
+ * every operation rounds as Python's float does, so both paths give the
+ * same bits.  The loader in _dp5.py compiles this file and falls back to
+ * the Python twins when it cannot; each enum below is written there too,
+ * with the same values.
  */
 
 #include <float.h>
@@ -38,6 +40,10 @@ enum { END, BLOW_UP, NON_POSITIVE, FULL, UNDERFLOW, OVERFLOW };
 
 /* Doubles per dense segment row, as SEGMENT_COLUMNS in _dp5.py. */
 enum { SEGMENT_COLUMNS = 18 };
+
+/* The lengths of hh_steps' st, prm and cnt, as ST_LEN, PRM_LEN and CNT_LEN
+ * in _dp5.py. */
+enum { ST_LEN = 11, PRM_LEN = 12, CNT_LEN = 3 };
 
 /* Python's min(a, b) and max(a, b): a unless b is strictly smaller / larger. */
 static double py_min(double a, double b) { return b < a ? b : a; }
@@ -116,37 +122,70 @@ static void bisect(const double *seg, double level, double *out)
     hermite(tc, seg, 4, out + 1);
 }
 
-/* Accepted steps of the adaptive loop, appended to seg from row cnt[0] on.
+/* The uniform sample k of uniform_times in dynamics.py: t0 + (sgn k) spacing. */
+static double grid_time(double t0, double sgn, int64_t k, double spacing)
+{
+    return t0 + sgn * (double)k * spacing;
+}
+
+/* Accepted steps of the adaptive loop, appended to seg from row cnt[0] on,
+ * and the orbit's uniform samples, appended to ts and ys from row cnt[2] on.
  *
- * st (in/out): t, y0..y3, f0..f3 (the field at y), h, err_prev.
- * prm: t1, sgn, rtol, atol, p, a0, a1, a2, a3, blowup_threshold.
+ * st (in/out, ST_LEN): t, y0..y3, f0..f3 (the field at y), h, err_prev.
+ * prm (PRM_LEN): t1, sgn, rtol, atol, p, a0, a1, a2, a3, blowup_threshold,
+ * t0, spacing.
  * seg: cap rows of SEGMENT_COLUMNS doubles, (t, t_new, y, y_new, f, f_new)
  * per step.
- * cnt (in/out): rows written, rejected steps.
+ * ts, ys: scap sample times, and scap rows of the 4-jet at them.
+ * cnt (in/out, CNT_LEN): rows written, rejected steps, samples written.
+ *
+ * Sample k lies at grid_time k, for k = 0 .. K = int(|t_end - t0| / spacing)
+ * with t_end the orbit's last t.  Sample 0 holds the initial state; sample
+ * k > 0 the Hermite value in the first step whose end is at or past it, or
+ * in the last step where none is (as hh_dense).  Each accepted step writes
+ * the samples it holds; the orbit's end drops those past K, fills those
+ * past the last step's end, and appends (t_end, y) where sample K is not
+ * at t_end.
+ *
  * Returns END at t1; BLOW_UP or NON_POSITIVE after the step whose w
  * crossed the threshold or 0.0, its row the last one written, with
  * st[0..4] moved back to the crossing in that row and w clamped at 0.0 on
- * a zero crossing; FULL when seg has no room left (call again with a
- * larger seg to go on); UNDERFLOW when the step collapses at st[0]; or
- * OVERFLOW where a stage's w^p overflows.
+ * a zero crossing; FULL when seg has no room for a step, or ts and ys none
+ * for the samples up to the step's end (call again with larger buffers to
+ * go on); UNDERFLOW when the step collapses at st[0]; or OVERFLOW where a
+ * stage's w^p overflows.  The samples are whole at END, BLOW_UP and
+ * NON_POSITIVE only.
  */
-int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *cnt)
+int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *cnt,
+             double *ts, double *ys, int64_t scap)
 {
     double t = st[0], y0 = st[1], y1 = st[2], y2 = st[3], y3 = st[4];
     double k10 = st[5], k11 = st[6], k12 = st[7], k13 = st[8];
     double h = st[9], err_prev = st[10];
     const double t1 = prm[0], sgn = prm[1], rtol = prm[2], atol = prm[3];
     const double p = prm[4], a0 = prm[5], a1 = prm[6], a2 = prm[7], a3 = prm[8];
-    const double blowup_threshold = prm[9];
-    int64_t n = cnt[0], rejected = cnt[1];
+    const double blowup_threshold = prm[9], t0 = prm[10], spacing = prm[11];
+    int64_t n = cnt[0], rejected = cnt[1], k = cnt[2];
     int status = END, ovf = 0;
+    /* A step ending within room of t0 holds no sample past row scap - 2,
+     * with a row to spare for rounding. */
+    const double room = (double)(scap - 3) * spacing;
 
+    if (k == 0 && scap > 0) {
+        ts[0] = grid_time(t0, sgn, 0, spacing);
+        memcpy(ys, st + 1, 4 * sizeof *ys);
+        k = 1;
+    }
     while (sgn * (t1 - t) > 0.0) {
         if (n == cap) {
             status = FULL;
             break;
         }
         h = py_min(h, fabs(t1 - t));
+        if (fabs(t + sgn * h - t0) > room) {
+            status = FULL;
+            break;
+        }
         if (h < 1e-13 * py_max(1.0, fabs(t))) {
             status = UNDERFLOW;
             break;
@@ -224,6 +263,10 @@ int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *c
         row[14] = k70; row[15] = k71; row[16] = k72; row[17] = k73;
         t = tn; y0 = n0; y1 = n1; y2 = n2; y3 = n3;
         k10 = k70; k11 = k71; k12 = k72; k13 = k73;
+        for (double tk; k < scap && sgn * (tk = grid_time(t0, sgn, k, spacing)) <= sgn * tn; k++) {
+            ts[k] = tk;
+            hermite(tk, row, 4, ys + 4 * k);
+        }
 
         if (y0 > blowup_threshold) {
             status = BLOW_UP;
@@ -254,6 +297,23 @@ int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *c
         bisect(seg + SEGMENT_COLUMNS * (n - 1), status == BLOW_UP ? blowup_threshold : 0.0, st);
     if (status == NON_POSITIVE)
         st[1] = py_max(st[1], 0.0);
+    if ((status == END || status == BLOW_UP || status == NON_POSITIVE) && n > 0 && scap > 1) {
+        /* K as int() takes it; the room check keeps K + 2 <= scap, and the
+         * clamp only bounds the writes should it not. */
+        double kd = fabs(st[0] - t0) / spacing;
+        int64_t big_k = kd < (double)(scap - 2) ? (int64_t)kd : scap - 2;
+        for (; k <= big_k; k++) {
+            ts[k] = grid_time(t0, sgn, k, spacing);
+            hermite(ts[k], seg + SEGMENT_COLUMNS * (n - 1), 4, ys + 4 * k);
+        }
+        k = big_k + 1;
+        if (ts[big_k] != st[0]) {
+            ts[k] = st[0];
+            memcpy(ys + 4 * k, st + 1, 4 * sizeof *ys);
+            k++;
+        }
+    }
+    cnt[2] = k;
     return status;
 }
 
@@ -387,6 +447,28 @@ void hh_dense(const double *seg, int64_t m, const double *ts, int64_t k, double 
             lo = m - 1;
         hermite(ts[j], seg + SEGMENT_COLUMNS * lo, 4, out + 4 * j);
     }
+}
+
+/* The energy measure * e(y) at each of the k rows y = (w0, w1, w2, w3) of
+ * rows, as _energy_py: e = w3 w1 - w2^2/2 + a3 w2 w1 + a2 w1^2/2 + a0 w0^2/2
+ * - w0^(p+1)/(p+1), stopping at the first i where w0^(p+1) overflows
+ * (math.exp raises there).  Returns that i, or -1. */
+int64_t hh_energy(const double *rows, int64_t k, double a0, double a2, double a3, double p,
+                  double measure, double *out)
+{
+    double q = p + 1.0;
+    for (int64_t i = 0; i < k; i++) {
+        const double *y = rows + 4 * i;
+        double w0 = y[0], w1 = y[1], w2 = y[2], w3 = y[3];
+        int ovf = 0;
+        double wq = wpow(w0, q, &ovf);
+        if (ovf)
+            return i;
+        double bracket = w3 * w1 - 0.5 * w2 * w2 + a3 * w2 * w1 + 0.5 * a2 * w1 * w1
+                         + 0.5 * a0 * w0 * w0 - wq / q;
+        out[i] = measure * bracket;
+    }
+    return -1;
 }
 
 /* out[i] = exp(x[i]) for the n doubles of x, stopping at the first i where

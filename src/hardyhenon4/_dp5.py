@@ -3,21 +3,23 @@
 load() compiles _dp5.c with the C compiler Python was built with into a
 shared library cached under ~/.cache/hardyhenon4 (or the system temporary
 directory where that is not writable), keyed by the sha256 of the source,
-the compiler and the flags, and returns the eight kernels with the
+the compiler and the flags, and returns the nine kernels with the
 signatures of their Python twins, defined below: _steps_py, _scan_py,
-_dense_py, _wpow_py, _exp_py, _log_py, _rows_py and _parse_py.  The step
-kernel ends an orbit at its crossing itself, as _steps_py does through
-_bisect_py.  Its wrapper is the one place that holds a segment buffer: one
-per thread, kept between calls up to KEEP_ROWS rows, and every call
-returns an exact-size copy of its rows.  The row reader reads the rows the
-row writer writes, each cell as float() reads it, and returns None for any
-other body; its twin returns None for every body, and np.loadtxt reads
-what the reader leaves.  load() returns None, without a word, where
-anything fails (no compiler, a compile error, a target whose doubles carry
-excess precision, no writable cache).  kernels() is the one dispatch
-point: the compiled kernels where they load, else the Python twins, which
-print the same bytes.  Nothing is compiled, and no compiler module
-imported, before the first call.  Nothing is imported from the package.
+_dense_py, _energy_py, _wpow_py, _exp_py, _log_py, _rows_py and _parse_py.
+The step kernel ends an orbit at its crossing itself, as _steps_py does
+through _bisect_py, and writes the orbit's uniform samples as it steps.
+Its wrapper is the one place that holds a segment buffer and a sample
+buffer: one of each per thread, kept between calls up to KEEP_ROWS rows,
+and every call returns exact-size copies of their rows.  The row reader
+reads the rows the row writer writes, each cell as float() reads it, and
+returns None for any other body; its twin returns None for every body,
+and np.loadtxt reads what the reader leaves.  load() returns None, without
+a word, where anything fails (no compiler, a compile error, a target whose
+doubles carry excess precision, no writable cache).  kernels() is the one
+dispatch point: the compiled kernels where they load, else the Python
+twins, which print the same bytes.  Nothing is compiled, and no compiler
+module imported, before the first call.  Nothing is imported from the
+package.
 """
 
 from __future__ import annotations
@@ -48,28 +50,38 @@ END, BLOW_UP, NON_POSITIVE, FULL, UNDERFLOW, OVERFLOW = range(6)
 # Doubles per dense segment row (see hh_steps), as the enum in _dp5.c.
 SEGMENT_COLUMNS = 18
 
+# The lengths of the step kernel's st, prm and cnt (see _steps_py and
+# hh_steps), as the enum in _dp5.c.
+ST_LEN, PRM_LEN, CNT_LEN = 11, 12, 3
+
 # Rows of the step kernel's first segment buffer.
 SEGMENT_ROWS = 1024
-# A thread keeps its segment buffer, as _buffers.seg, between calls, so a
-# call writes into pages already mapped; one per thread, because ctypes
-# lets go of the GIL during a call.  A buffer grown past KEEP_ROWS rows
-# (2.25 MiB at 18 doubles a row) is let go, so one very long orbit does
-# not pin its memory.
+# A thread keeps its segment buffer, as _buffers.seg, and its sample
+# buffer, as _buffers.ts and _buffers.ys, between calls, so a call writes
+# into pages already mapped; one of each per thread, because ctypes lets
+# go of the GIL during a call.  A buffer grown past KEEP_ROWS rows (2.25
+# MiB of segments at 18 doubles a row, 640 KiB of samples at 5) is let go,
+# so one very long orbit does not pin its memory.
 KEEP_ROWS = 16384
 
 
 class _Buffers(threading.local):
-    """A thread's segment buffer and the step kernel's two counts, each
-    with its address, read once per buffer, since a .ctypes.data read
+    """A thread's segment and sample buffers and the step kernel's counts,
+    each with its address, read once per buffer, since a .ctypes.data read
     costs microseconds."""
 
     def __init__(self) -> None:
-        self.cnt = np.zeros(2, np.int64)  # rows written, rejected steps
+        self.cnt = np.zeros(CNT_LEN, np.int64)  # rows written, rejected steps, samples written
         self.cnt_at = self.cnt.ctypes.data
         self.keep(None)
+        self.keep_samples(None, None)
 
     def keep(self, seg: np.ndarray | None) -> None:
         self.seg, self.seg_at = seg, 0 if seg is None else seg.ctypes.data
+
+    def keep_samples(self, ts: np.ndarray | None, ys: np.ndarray | None) -> None:
+        self.ts, self.ys = ts, ys
+        self.ts_at, self.ys_at = (0, 0) if ts is None else (ts.ctypes.data, ys.ctypes.data)
 
 
 _buffers = _Buffers()
@@ -83,11 +95,17 @@ ROW_BYTES = 50
 # POW5_Q_MIN <= q < POW5_Q_MIN + POW5_Q_ROWS.
 POW5_Q_MIN, POW5_Q_ROWS = -342, 651
 
+# The row reader's columns are sized by a newline count over slices of
+# this many bytes of the file, so the count's temporary stays small.
+COUNT_CHUNK = 1 << 16
+
 
 class Kernels(NamedTuple):
-    steps: Callable[[np.ndarray, np.ndarray], tuple[int, np.ndarray, int]]
+    steps: Callable[[np.ndarray, np.ndarray],
+                    tuple[int, np.ndarray, int, np.ndarray, np.ndarray]]
     scan: Callable[[float, float, float, float], tuple[float, int]]
     dense: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    energy: Callable[[np.ndarray, float, float, float, float, float], np.ndarray]
     wpow: Callable[[np.ndarray, float], np.ndarray]
     exp: Callable[[np.ndarray], np.ndarray]
     log: Callable[[np.ndarray], np.ndarray]
@@ -102,7 +120,8 @@ def kernels() -> Kernels:
 
 def _twins() -> Kernels:
     # Looked up per call, so a test can patch a twin.
-    return Kernels(_steps_py, _scan_py, _dense_py, _wpow_py, _exp_py, _log_py, _rows_py, _parse_py)
+    return Kernels(_steps_py, _scan_py, _dense_py, _energy_py, _wpow_py, _exp_py, _log_py,
+                   _rows_py, _parse_py)
 
 
 def _compiler() -> list[str]:
@@ -172,18 +191,21 @@ def load() -> Kernels | None:
         if lib is None:
             return None
         dll = ctypes.CDLL(str(lib))
-        steps, scan, dense, wpow = dll.hh_steps, dll.hh_scan, dll.hh_dense, dll.hh_wpow
-        exp, log, rows, parse = dll.hh_exp, dll.hh_log, dll.hh_rows, dll.hh_parse
+        steps, scan, dense, energy = dll.hh_steps, dll.hh_scan, dll.hh_dense, dll.hh_energy
+        wpow, exp, log, rows, parse = dll.hh_wpow, dll.hh_exp, dll.hh_log, dll.hh_rows, dll.hh_parse
     # No compiler, no home directory, no os.getuid, a CC that will not
     # split, a library that will not load: each leaves the Python twins.
     except (OSError, RuntimeError, AttributeError, ValueError):
         return None
     steps.restype = ctypes.c_int
-    steps.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64, ctypes.c_void_p]
+    steps.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] + [ctypes.c_void_p] * 3 + [
+        ctypes.c_int64]
     scan.restype = ctypes.c_int64
     scan.argtypes = [ctypes.c_double] * 4 + [ctypes.POINTER(ctypes.c_double)]
     dense.restype = None
     dense.argtypes = [ctypes.c_void_p, ctypes.c_int64] * 2 + [ctypes.c_void_p]
+    energy.restype = ctypes.c_int64
+    energy.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_double] * 5 + [ctypes.c_void_p]
     wpow.restype = ctypes.c_int64
     wpow.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p]
     for fn in (exp, log):
@@ -195,23 +217,36 @@ def load() -> Kernels | None:
     # A bytes argument passes its own buffer, which ends in a NUL.
     parse.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3
 
-    def run_steps(st: np.ndarray, prm: np.ndarray) -> tuple[int, np.ndarray, int]:
-        _check(st, (11,), np.float64)
-        _check(prm, (10,), np.float64)
+    def run_steps(st: np.ndarray, prm: np.ndarray):
+        _check(st, (ST_LEN,), np.float64)
+        _check(prm, (PRM_LEN,), np.float64)
         buf = _buffers
         if buf.seg is None:
             buf.keep(np.empty((SEGMENT_ROWS, SEGMENT_COLUMNS)))
+        # Room for the samples of a run to t1: the grid, the terminal point
+        # and the rounding at t1 that hh_steps' room check allows for.
+        t1, t0, spacing = prm[0], prm[10], prm[11]
+        rows = min(int(abs(t1 - t0) / spacing) + 5, KEEP_ROWS)
+        if buf.ts is None or len(buf.ts) < rows:
+            buf.keep_samples(np.empty(rows), np.empty((rows, 4)))
         cnt = buf.cnt
         cnt.fill(0)
         while (status := steps(st.ctypes.data, prm.ctypes.data, buf.seg_at, len(buf.seg),
-                               buf.cnt_at)) == FULL:
-            buf.keep(np.concatenate((buf.seg, np.empty_like(buf.seg))))
-        seg = buf.seg
+                               buf.cnt_at, buf.ts_at, buf.ys_at, len(buf.ts))) == FULL:
+            if cnt[0] == len(buf.seg):
+                buf.keep(np.concatenate((buf.seg, np.empty_like(buf.seg))))
+            else:
+                buf.keep_samples(np.concatenate((buf.ts, np.empty_like(buf.ts))),
+                                 np.concatenate((buf.ys, np.empty_like(buf.ys))))
+        seg, ts, ys = buf.seg, buf.ts, buf.ys
         if len(seg) > KEEP_ROWS:
             buf.keep(None)
+        if len(ts) > KEEP_ROWS:
+            buf.keep_samples(None, None)
         if status == OVERFLOW:
             raise OverflowError("math range error")
-        return status, seg[: cnt[0]].copy(), int(cnt[1])
+        k = cnt[2]
+        return status, seg[: cnt[0]].copy(), int(cnt[1]), ts[:k].copy(), ys[:k].copy()
 
     def run_scan(seed: float, best_g: float, a0: float, p: float) -> tuple[float, int]:
         best = ctypes.c_double()
@@ -231,6 +266,22 @@ def load() -> Kernels | None:
         _check(ts, (len(ts),), np.float64, writable=False)
         out = np.empty((len(ts), 4))
         dense(segments.ctypes.data, len(segments), ts.ctypes.data, len(ts), out.ctypes.data)
+        return out
+
+    # The energy of a (4, k) stack reads the (k, 4) rows of its transpose,
+    # in place where the stack is that of a C-contiguous (k, 4) array such
+    # as traj.states.T.  Like the elementwise maps below, it stops at the
+    # first state where its twin raises, and the twin, run on that state,
+    # raises the same.
+    def run_energy(stack: np.ndarray, a0: float, a2: float, a3: float, p: float,
+                   measure: float) -> np.ndarray:
+        states = np.ascontiguousarray(np.asarray(stack, np.float64).T)
+        _check(states, (len(states), 4), np.float64, writable=False)
+        out = np.empty(len(states))
+        bad = energy(states.ctypes.data, len(states), a0, a2, a3, p, measure, out.ctypes.data)
+        if bad >= 0:
+            _energy_py(states[bad : bad + 1].T, a0, a2, a3, p, measure)
+            raise AssertionError(f"_energy_py of {states[bad]!r} did not raise")
         return out
 
     # An elementwise map stops at the first element where its twin raises;
@@ -261,12 +312,15 @@ def load() -> Kernels | None:
         if type(data) is not bytes or not 0 <= start <= len(data):
             raise ValueError("the row reader needs a bytes object and an offset inside it")
         # Every row but the last ends in a newline.
-        cols = np.empty((2, data.count(b"\n", start) + 1))
+        body = np.frombuffer(data, np.uint8)
+        lines = 1 + sum(int(np.count_nonzero(body[i : i + COUNT_CHUNK] == 10))
+                        for i in range(start, len(data), COUNT_CHUNK))
+        cols = np.empty((2, lines))
         count = parse(data, start, len(data), _pow5_q_rows().ctypes.data,
                       cols[0].ctypes.data, cols[1].ctypes.data)
         return None if count < 0 else (cols[0, :count], cols[1, :count])
 
-    return Kernels(run_steps, run_scan, run_dense, elementwise(wpow, _wpow_py),
+    return Kernels(run_steps, run_scan, run_dense, run_energy, elementwise(wpow, _wpow_py),
                    elementwise(exp, _exp_py), elementwise(log, _log_py), run_rows, run_parse)
 
 
@@ -399,24 +453,35 @@ def _bisect_py(seg: tuple, level: float) -> tuple[float, tuple]:
     return tc, _hermite(tc, seg)
 
 
-def _steps_py(st: np.ndarray, prm: np.ndarray) -> tuple[int, np.ndarray, int]:
+def _steps_py(st: np.ndarray, prm: np.ndarray):
     """integrate's adaptive loop: a status of the step kernel, the (m, 18)
-    rows of the accepted steps and the number of rejected steps.
+    rows of the accepted steps, the number of rejected steps, and the
+    orbit's uniform samples, their (k,) times and (k, 4) states.
 
-    st (updated in place) holds t, y0..y3, the field at y, h and err_prev;
-    prm holds t1, sgn, rtol, atol, p, a0..a3 and the blow-up threshold.
-    The status is END at t1; BLOW_UP or NON_POSITIVE after the step whose
-    w crossed the threshold or 0.0, with st[:5] moved back to the crossing
-    in that step's row (_bisect_py) and w clamped at 0.0 on a zero
-    crossing; or UNDERFLOW when the step collapses at st[0].  An
-    overflowing w^p raises OverflowError.  hh_steps in _dp5.c is this
-    loop in C.
+    st (ST_LEN, updated in place) holds t, y0..y3, the field at y, h and
+    err_prev; prm (PRM_LEN) holds t1, sgn, rtol, atol, p, a0..a3, the
+    blow-up threshold, t0 and the sample spacing.  The status is END at
+    t1; BLOW_UP or NON_POSITIVE after the step whose w crossed the
+    threshold or 0.0, with st[:5] moved back to the crossing in that step's
+    row (_bisect_py) and w clamped at 0.0 on a zero crossing; or UNDERFLOW
+    when the step collapses at st[0].  An overflowing w^p raises
+    OverflowError.
+
+    Sample k lies at t0 + (sgn k) spacing, for k = 0 .. K = int(|t_end - t0|
+    / spacing) with t_end the orbit's last t, as uniform_times in
+    dynamics.py.  Sample 0 holds the initial state; sample k > 0 the
+    Hermite value in the first step whose end is at or past it, or in the
+    last step where none is, as _dense_py reads it.  Each accepted step
+    writes the samples it holds; the orbit's end drops those past K, fills
+    those past the last step's end, and appends (t_end, y) where sample K
+    is not at t_end.  hh_steps in _dp5.c is this loop in C.
     """
     t, y0, y1, y2, y3, k10, k11, k12, k13, h, err_prev = st.tolist()
-    t1, sgn, rtol, atol, p, a0, a1, a2, a3, blowup_threshold = prm.tolist()
+    t1, sgn, rtol, atol, p, a0, a1, a2, a3, blowup_threshold, t0, spacing = prm.tolist()
     rows: list[tuple] = []
     rejected = 0
     status = END
+    times, states = [t0 + sgn * 0 * spacing], [(y0, y1, y2, y3)]
 
     # The step below is the Dormand-Prince tableau written out per stage
     # and per component, with the right-hand side inlined: k<s><j> is
@@ -498,9 +563,13 @@ def _steps_py(st: np.ndarray, prm: np.ndarray) -> tuple[int, np.ndarray, int]:
             continue
 
         tn = t + hs
-        rows.append((t, tn, y0, y1, y2, y3, n0, n1, n2, n3, k10, k11, k12, k13, k70, k71, k72, k73))
+        row = (t, tn, y0, y1, y2, y3, n0, n1, n2, n3, k10, k11, k12, k13, k70, k71, k72, k73)
+        rows.append(row)
         t, y0, y1, y2, y3 = tn, n0, n1, n2, n3
         k10, k11, k12, k13 = k70, k71, k72, k73
+        while sgn * (tk := t0 + sgn * len(times) * spacing) <= sgn * tn:
+            times.append(tk)
+            states.append(_hermite(tk, row))
 
         if y0 > blowup_threshold:
             status = BLOW_UP
@@ -521,7 +590,18 @@ def _steps_py(st: np.ndarray, prm: np.ndarray) -> tuple[int, np.ndarray, int]:
         h *= factor
 
     st[:] = (t, y0, y1, y2, y3, k10, k11, k12, k13, h, err_prev)
-    return status, np.array(rows).reshape(-1, SEGMENT_COLUMNS), rejected
+    if status != UNDERFLOW and rows:
+        big_k = int(abs(t - t0) / spacing)
+        while len(times) <= big_k:
+            tk = t0 + sgn * len(times) * spacing
+            times.append(tk)
+            states.append(_hermite(tk, rows[-1]))
+        del times[big_k + 1 :], states[big_k + 1 :]
+        if times[big_k] != t:
+            times.append(t)
+            states.append((y0, y1, y2, y3))
+    return (status, np.array(rows).reshape(-1, SEGMENT_COLUMNS), rejected, np.array(times),
+            np.array(states).reshape(-1, 4))
 
 
 # The rings of fixed_points' scan double from SCAN_FIRST_RING ulps to
@@ -604,6 +684,24 @@ def _dense_py(segments: np.ndarray, ts: np.ndarray) -> np.ndarray:
     sgn = -1.0 if segments[0, 1] < segments[0, 0] else 1.0
     i = np.searchsorted(sgn * segments[:, 1], sgn * ts)
     return np.stack(_hermite(ts, segments[np.minimum(i, len(segments) - 1)].T), axis=1)
+
+
+def _energy_py(stack: np.ndarray, a0: float, a2: float, a3: float, p: float,
+               measure: float) -> np.ndarray:
+    # energy.energy of a (4, k) stack of states, through the w^q map: the
+    # measure times e = w3 w1 - w2^2/2 + a3 w2 w1 + a2 w1^2/2 + a0 w0^2/2
+    # - w0^(p+1)/(p+1).  hh_energy in _dp5.c is this expression in C, in
+    # one pass.
+    w0, w1, w2, w3 = stack
+    bracket = (
+        w3 * w1
+        - 0.5 * w2 * w2
+        + a3 * w2 * w1
+        + 0.5 * a2 * w1 * w1
+        + 0.5 * a0 * w0 * w0
+        - _wpow_py(w0, p + 1.0) / (p + 1.0)
+    )
+    return measure * bracket
 
 
 def _exp_py(x: np.ndarray) -> np.ndarray:

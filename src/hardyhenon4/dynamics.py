@@ -8,12 +8,12 @@ Backward time (t decreasing) walks toward the singularity r -> 0.  The two
 equilibria are w = 0 and w = a0^{1/(p-1)}; trajectories are produced by an
 embedded Dormand-Prince 5(4) pair with PI step-size control and cubic
 Hermite dense output, and are classified against those equilibria.  The
-step loop, its dense output and the ulp scan of fixed_points run in the
-kernels of _dp5, compiled or as their Python twins.  A
-trajectory is stored as arrays (times, a (k, 4) state array and an
-(m, 18) segment array); Trajectory.sample(ts) evaluates the dense output
-at a whole array of times at once; a closed-form orbit evaluates its
-analytic(ts) instead, which maps k times to a (k, 4) state array.
+step loop with its uniform samples, the dense output and the ulp scan of
+fixed_points run in the kernels of _dp5, compiled or as their Python
+twins.  A trajectory is stored as arrays (times, a (k, 4) state array and
+an (m, 18) segment array); Trajectory.sample(ts) evaluates the dense
+output at a whole array of times at once; a closed-form orbit evaluates
+its analytic(ts) instead, which maps k times to a (k, 4) state array.
 """
 
 from __future__ import annotations
@@ -201,10 +201,11 @@ class Trajectory:
         width = _dp5.SEGMENT_COLUMNS
         if self.segments.ndim != 2 or self.segments.shape[1] != width:
             raise ValueError(f"segments must have shape (m, {width}), got {self.segments.shape}")
-        diffs = np.diff(self.times)
-        if not (np.all(diffs > 0) or np.all(diffs < 0)):
+        t = self.times
+        # Decreasing first: integrate runs backward toward the singularity.
+        if not ((t[1:] < t[:-1]).all() or (t[1:] > t[:-1]).all()):
             raise ValueError("trajectory times must be strictly monotone")
-        if not np.all(np.isfinite(self.states)):
+        if not np.isfinite(self.states).all():
             raise ValueError("trajectory contains a non-finite state")
 
     @property
@@ -364,10 +365,11 @@ def integrate(
     OverflowError
         ("math range error") if w^p overflows a double at a stage.
 
-    One call of the step kernel runs the step loop and ends the orbit at
-    its crossing; the sample fill reads the dense output.  Both run in the
-    compiled kernels of _dp5.c where they build, else in their Python
-    twins in _dp5; the two paths give the same bits.
+    One call of the step kernel runs the step loop, ends the orbit at its
+    crossing, and writes the uniform samples from each step's dense
+    output as the step is accepted.  It runs in the compiled kernels of
+    _dp5.c where they build, else in its Python twin in _dp5; the two paths
+    give the same bits.
     """
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
@@ -388,23 +390,14 @@ def integrate(
     st = np.array([t0, *initial, *f, h, 1.0])
     prm = np.array(
         [t1, sgn, rtol, atol, coeffs.p, coeffs.a0, coeffs.a1, coeffs.a2, coeffs.a3,
-         blowup_threshold]
+         blowup_threshold, t0, DEFAULT_SAMPLE_SPACING]
     )
-    kernels = _dp5.kernels()
-    status, segs, rejected = kernels.steps(st, prm)
-    t, *y = st[:5].tolist()
+    status, segs, rejected, times, states = _dp5.kernels().steps(st, prm)
     if status == _dp5.UNDERFLOW:
-        raise IntegrationUnderflow(f"step size underflow at t={t:.6g}; outcome undetermined")
-
-    # Uniform samples from the dense segments, terminal point included.
-    times = uniform_times(t0, t)
-    states = [[initial], kernels.dense(segs, times[1:])]
-    if times[-1] != t:
-        times = np.append(times, t)
-        states.append([y])
+        raise IntegrationUnderflow(f"step size underflow at t={st[0]:.6g}; outcome undetermined")
     return Trajectory(
-        times=times, states=np.concatenate(states), termination=_TERMINATION[status],
-        segments=segs, rejected=rejected,
+        times=times, states=states, termination=_TERMINATION[status], segments=segs,
+        rejected=rejected,
     )
 
 
@@ -452,9 +445,9 @@ def classify_limit(
         raise ValueError(
             f"trajectory spans {traj.span:.3g} time units, need at least {2.0 * window:.3g}"
         )
-    if np.all(wvals_window < margin):
+    if (wvals_window < margin).all():
         return LimitClass(tag=CONVERGES_TO_ZERO, terminal_value=w_end, window_variation=variation)
-    near = wstar is not None and np.all(np.abs(wvals_window - wstar) < margin)
+    near = wstar is not None and (np.abs(wvals_window - wstar) < margin).all()
     if near and variation < margin:
         return LimitClass(
             tag=CONVERGES_TO_FIXED_POINT, terminal_value=w_end, window_variation=variation

@@ -15,7 +15,8 @@ conserved exactly at it (a1 = a3 = 0), and increases above it.  Note the
 -w2^2/2 term: it is forced by the rate law, since any first integral must
 have its w3-dependence enter through w3 w1 - w2^2/2 for the w3 w2 and
 w1 w2 cross terms to cancel.  E multiplies e by |S^{n-1}|; energy()
-returns E as a float at one state, or as an array over a (4, k) stack.
+returns E as a float at one state, or as an array over a (4, k) stack,
+which the energy kernel of _dp5 evaluates in one pass.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from functools import cache
 
 import numpy as np
 
+from . import _dp5
 from .params import CoefficientSet, SUPERCRITICAL
 from .transform import RadialJet, from_log, to_log
 from .dynamics import Trajectory, _wpow
@@ -64,8 +66,17 @@ class MonotonicityAudit:
 
 def energy(state, coeffs: CoefficientSet) -> float | np.ndarray:
     """E = |S^{n-1}| e at one state, or at each column of a (4, k) stack such as
-    traj.states.T; angular contributions vanish in the radial slice."""
+    traj.states.T; angular contributions vanish in the radial slice.
+
+    A stack goes to the energy kernel of _dp5, which reads traj.states.T
+    in place and keeps the order of operations of the expression below, so
+    each column gets the bits of a call at that state.
+    """
     w0, w1, w2, w3 = state
+    if not (isinstance(w0, float) or np.ndim(w0) == 0):
+        return _dp5.kernels().energy(
+            state, coeffs.a0, coeffs.a2, coeffs.a3, coeffs.p, sphere_measure(coeffs.n)
+        )
     bracket = (
         w3 * w1
         - 0.5 * w2 * w2

@@ -185,9 +185,31 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
 
+def _keyed_rng(seed: int):
+    """keyed(row_key): a Generator in the state of
+    Generator(Philox(key=[seed, row_key])), the same one re-keyed per call.
+
+    Re-keying through the public state setter (counter 0, an empty
+    buffer) costs less than building a Philox and a Generator per key.
+    """
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    zeros = np.zeros(4, np.uint64)
+
+    def keyed(row_key: int) -> np.random.Generator:
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": (seed, row_key)},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return rng
+
+    return keyed
+
+
 def _rng(seed: int, row_key: int) -> np.random.Generator:
-    key = np.array([seed, row_key], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The generator of one row key: Generator(Philox(key=[seed, row_key]))."""
+    return _keyed_rng(seed)(row_key)
 
 
 def _row_key(param_index: int, draw_index: int) -> int:
@@ -235,8 +257,9 @@ def _draws(config: ExperimentConfig, idx: int, center: float, basis=_UNIT_BASIS)
     in (-box, box) from the generator keyed by (seed, row key), so a draw
     does not depend on which other draws run.
     """
+    keyed = _keyed_rng(config.seed)
     for i in range(config.samples):
-        draw = _rng(config.seed, _row_key(idx, i)).uniform(-config.box, config.box, len(basis))
+        draw = keyed(_row_key(idx, i)).uniform(-config.box, config.box, len(basis))
         comps = [center, 0.0, 0.0, 0.0]
         for c, vec in zip(draw.tolist(), basis):
             for k in range(4):

@@ -103,14 +103,16 @@ def _c_enums(source: str) -> list[dict[str, int]]:
 
 
 def test_kernel_enums_match_the_loader_constants():
-    # The statuses of hh_steps, the width of a dense segment row, the rings
-    # and the libm error allowance of hh_scan and the multiplier rows of
-    # hh_rows and hh_parse are written in both files; the loader reads them
-    # by value, and _scan_py's loop runs on them.
+    # The statuses of hh_steps, the width of a dense segment row, the
+    # lengths of hh_steps' st, prm and cnt, the rings and the libm error
+    # allowance of hh_scan and the multiplier rows of hh_rows and hh_parse
+    # are written in both files; the loader reads them by value, and
+    # _scan_py's loop runs on them.
     enums = _c_enums(_dp5.SOURCE.read_text())
     assert [list(e) for e in enums] == [
         ["END", "BLOW_UP", "NON_POSITIVE", "FULL", "UNDERFLOW", "OVERFLOW"],
         ["SEGMENT_COLUMNS"],
+        ["ST_LEN", "PRM_LEN", "CNT_LEN"],
         ["SCAN_FIRST_RING", "SCAN_WINDOW", "SCAN_LIBM_ULPS"],
         ["POW5_INV_ROWS", "POW5_ROWS"],
         ["POW5_Q_MIN", "POW5_Q_ROWS"],

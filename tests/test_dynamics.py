@@ -60,8 +60,8 @@ def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch, tmp_path):
     def python_twin(*args):
         raise AssertionError("a Python twin ran")
 
-    for name in ("_steps_py", "_scan_py", "_bisect_py", "_dense_py", "_wpow_py", "_exp_py",
-                 "_log_py", "_rows_py", "_parse_py"):
+    for name in ("_steps_py", "_scan_py", "_bisect_py", "_dense_py", "_energy_py", "_wpow_py",
+                 "_exp_py", "_log_py", "_rows_py", "_parse_py"):
         monkeypatch.setattr(_dp5, name, python_twin)
     # Steps, the crossing bisection and the sample fill; then dense reads.
     traj = integrate(OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS,
@@ -69,8 +69,9 @@ def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch, tmp_path):
     assert traj.termination == BLOW_UP
     assert traj.sample(traj.times[:-1]).tolist() == traj.states[:-1].tolist()
     assert fixed_points(COEFFS) == [0.0, WSTAR]
-    # The w^q map, through the energy's w^(p+1) = exp((p+1) log w).
+    # The energy of a stack, and the w^q map.
     assert np.all(np.isfinite(energy(traj.states.T, COEFFS)))
+    assert np.all(np.isfinite(dynamics._wpow(traj.states[:, 0], P + 1.0)))
     # The field writer and reader, and both libm maps: the grid's exp and
     # the log of the radii read back.
     grid = green.make_grid(256)
@@ -752,6 +753,84 @@ def test_crossing_matches_generic_bisection_bit_for_bit(initial, t1, threshold, 
             assert _bits([early.t_end, *early.states[-1]]) == _bits([mid, *mid_jet]), kernels
 
 
+def _dense_fill(traj, initial) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle of the step kernel's samples: the dense output of traj's
+    segments at uniform_times to traj's last time, after the initial
+    state, and the last sample again where the grid misses it."""
+    t_end = traj.times[-1]
+    times = dynamics.uniform_times(traj.times[0], t_end)
+    states = [[initial], _dp5.kernels().dense(traj.segments, times[1:])]
+    if times[-1] != t_end:
+        times = np.append(times, t_end)
+        states.append(traj.states[-1:])
+    return times, np.concatenate(states)
+
+
+def _grid_time_past_last_sample_in_last_step(raw) -> bool:
+    # The crossing step holds the grid time after sample K, which is dropped.
+    sgn = 1.0 if raw.times[-1] > raw.times[0] else -1.0
+    k = len(raw.times) - 1  # sample K + 1 is the terminal point
+    tk = raw.times[0] + sgn * k * dynamics.DEFAULT_SAMPLE_SPACING
+    return sgn * raw.times[-1] < sgn * tk <= sgn * raw.segments[-1, 1]
+
+
+@pytest.mark.parametrize(
+    "initial, t1, tol, threshold, claim",
+    [
+        # K = int(0.35 / 0.01) = 35, and 35 * 0.01 rounds past 0.35: the
+        # grid time falls past the last step's end and gets that step's
+        # Hermite value, then the terminal point follows.  (Trajectory
+        # rejects these times as not monotone.)
+        (OdeState(WSTAR + 1e-6, 0.0, 0.0, 0.0), -0.35, 1e-10, 1e6,
+         lambda raw: raw.times[-2] < raw.segments[-1, 1] == raw.times[-1]),
+        (OdeState(WSTAR + 1e-6, 0.0, 0.0, 0.0), -4.0, 1e-10, 1e6,
+         lambda raw: raw.times[-1] == -4.0 and len(raw.times) == 401),
+        (OdeState(WSTAR + 1e-6, 0.0, 0.0, 0.0), -4.005, 1e-10, 1e6,
+         lambda raw: raw.times[-2:].tolist() == [-4.0, -4.005]),
+        (OdeState(WSTAR, 0.2, 0.0, 0.0), -60.0, 1e-10, 1e6,
+         _grid_time_past_last_sample_in_last_step),
+        (OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), -60.0, 1e-10, 10.0,
+         lambda raw: raw.times[-1] > raw.segments[-1, 1]),
+        (OdeState(1e-20, 0.0, 0.0, 0.0), 1.0, 1e-4, 1e6,
+         lambda raw: raw.times[-1] == 1.0 and raw.segments[-1, 1] - raw.segments[-1, 0] > 0.3),
+        (OdeState(WSTAR + 0.01, 0.0, 0.0, 0.0), 3.0, 1e-10, 1e6,
+         lambda raw: raw.times[-1] < raw.segments[-1, 1]),
+    ],
+    ids=["reached-end-past-last-step", "terminal-on-grid", "terminal-off-grid",
+         "crossing-step-past-tc", "blowup", "forward", "forward-blowup"],
+)
+def test_step_kernel_samples_match_the_dense_fill_bit_for_bit(
+    initial, t1, tol, threshold, claim, monkeypatch, kernel_paths
+):
+    # integrate's fields as the step kernel returns them, unchecked.
+    monkeypatch.setattr(dynamics, "Trajectory", lambda **fields: types.SimpleNamespace(**fields))
+    for kernels in kernel_paths():
+        raw = integrate(initial, 0.0, t1, tol, COEFFS, blowup_threshold=threshold)
+        assert claim(raw), kernels
+        times, states = _dense_fill(raw, initial)
+        assert raw.times.tobytes() == times.tobytes(), kernels
+        assert raw.states.tobytes() == states.tobytes(), kernels
+
+
+def test_integrate_makes_one_step_kernel_call_and_no_dense_call(monkeypatch, kernel_paths):
+    for kernels in kernel_paths():
+        real, calls = _dp5.kernels(), []
+
+        def counted(name):
+            def call(*args):
+                calls.append(name)
+                return getattr(real, name)(*args)
+
+            return call
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_dp5, "kernels",
+                          lambda: real._replace(steps=counted("steps"), dense=counted("dense")))
+            traj = integrate(OdeState(WSTAR, 0.2, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS)
+        assert calls == ["steps"], kernels
+        assert len(traj.times) > 100, kernels
+
+
 @pytest.mark.parametrize(
     "initial, t1, threshold, termination",
     [
@@ -819,17 +898,23 @@ def test_integrate_resumes_when_the_segment_buffer_fills(monkeypatch, kernel_pat
     # SEGMENT_ROWS sizes only the first buffer of a thread, so each run goes
     # in a new thread.  With one row to start from, the buffer the thread
     # keeps can only have grown, by doubling, on a FULL at each power of two
-    # below the row count: the kernel returned FULL and resumed each time.
+    # below the row count: the kernel returned FULL and resumed each time,
+    # and each resume went on with the sample it had stopped at.
     initial = OdeState(WSTAR, -1e-3, 0.0, 0.0)
+    keep_rows = _dp5.KEEP_ROWS
 
     def run():
         return integrate(initial, 0.0, -20.0, 1e-12, COEFFS), getattr(_dp5._buffers, "seg", None)
 
     for kernels in kernel_paths():
+        monkeypatch.setattr(_dp5, "KEEP_ROWS", keep_rows)
         monkeypatch.setattr(_dp5, "SEGMENT_ROWS", 1024)
         whole, _ = _in_new_thread(run)
         rows = len(whole.segments)
         assert 1024 < rows <= _dp5.KEEP_ROWS
+        times, states = _dense_fill(whole, initial)
+        assert whole.times.tobytes() == times.tobytes(), kernels
+        assert whole.states.tobytes() == states.tobytes(), kernels
         monkeypatch.setattr(_dp5, "SEGMENT_ROWS", 1)
         pieces, buffer = _in_new_thread(run)
         assert _trajectory_bytes(pieces) == _trajectory_bytes(whole), kernels
@@ -837,6 +922,27 @@ def test_integrate_resumes_when_the_segment_buffer_fills(monkeypatch, kernel_pat
             assert len(buffer) == 2 ** (rows - 1).bit_length()
         else:
             assert buffer is None
+        # A sample buffer sized at KEEP_ROWS = 16 rows has room for the
+        # samples of a few steps only: the kernel returns FULL before a
+        # step that could end past its room, and the wrapper doubles it up
+        # to 512 rows, for the 428 samples to the blow-up at t = -4.26.
+        monkeypatch.setattr(_dp5, "SEGMENT_ROWS", 1024)
+        monkeypatch.setattr(_dp5, "KEEP_ROWS", 16)
+        sizes = []
+        keep_samples = _dp5._Buffers.keep_samples
+
+        def spy(self, ts, ys):
+            sizes.append(None if ts is None else len(ts))
+            keep_samples(self, ts, ys)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_dp5._Buffers, "keep_samples", spy)
+            small, _ = _in_new_thread(run)
+        assert _trajectory_bytes(small) == _trajectory_bytes(whole), kernels
+        if kernels == "compiled":
+            assert len(small.times) == 428 and sizes == [None, 16, 32, 64, 128, 256, 512, None]
+        else:
+            assert sizes == [None]
 
 
 def test_each_integrate_call_owns_its_segments(kernel_paths):

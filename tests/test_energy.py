@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hardyhenon4 import _dp5
 from hardyhenon4.params import CRITICAL, SUBCRITICAL, SUPERCRITICAL, ProblemParams, coefficients
 from hardyhenon4.dynamics import (
     REACHED_END,
@@ -61,6 +62,36 @@ def test_column_stack_matches_per_state_calls_bit_for_bit(p, regime):
         assert fn(states.T, coeffs).tobytes() == want.tobytes()
     want = np.array([neg_laplacian_radial(t, s, coeffs) for t, s in zip(times.tolist(), rows)])
     assert neg_laplacian_radial(times, states.T, coeffs).tobytes() == want.tobytes()
+
+
+def test_energy_kernel_matches_its_twin_bit_for_bit():
+    # hh_energy against _energy_py at w0 <= 0 (where w0^(p+1) is 0), NaN,
+    # infinities, subnormals and large w0, in every regime, on a strided
+    # stack and on the transpose of a C-contiguous one; and at an
+    # overflowing w0^(p+1), where both raise math.exp's OverflowError.
+    kernels = _dp5.load()
+    if kernels is None:
+        pytest.skip("no compiled kernels")
+    w0 = [0.0, -0.0, -1.0, -1e300, -math.inf, math.nan, -math.nan, math.inf, 5e-324, 1e-300,
+          1.0, WSTAR, 1e10, 1e40]
+    rest = np.random.default_rng(5).uniform(-3.0, 3.0, (len(w0), 3))
+    states = np.column_stack([w0, rest])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and the like
+        for p in (4.0, 5.0, 5.5):
+            coeffs = coefficients(ProblemParams(6, 0.0, p))
+            args = (coeffs.a0, coeffs.a2, coeffs.a3, coeffs.p, sphere_measure(coeffs.n))
+            for stack in (states.T, states[::2].T):
+                want = _dp5._energy_py(stack, *args)
+                assert kernels.energy(stack, *args).tobytes() == want.tobytes(), p
+            want = _dp5._energy_py(states.T, *args)
+            assert energy(states.T, coeffs).tobytes() == want.tobytes(), p
+    states[3, 0] = 1e100
+    errors = []
+    for fn in (kernels.energy, _dp5._energy_py):
+        with pytest.raises(OverflowError) as err:
+            fn(states.T, *args)
+        errors.append(str(err.value))
+    assert errors == ["math range error"] * 2
 
 
 finite = st.floats(min_value=-20.0, max_value=20.0)

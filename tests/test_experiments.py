@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from hardyhenon4 import cli, dynamics, experiments
@@ -141,6 +142,21 @@ def test_draws_are_a_prefix_when_samples_grow():
     draws_small = [r for r in small.rows if r[_col(small, "kind")] == "draw"]
     draws_large = [r for r in large.rows if r[_col(large, "kind")] == "draw"]
     assert draws_large[:3] == draws_small
+
+
+def test_keyed_draws_are_those_of_a_fresh_philox_per_key():
+    # One Philox re-keyed per draw gives the bits of a Philox built for
+    # that key, whatever the previous key left in its counter and its
+    # 32-bit buffer (bytes(5) leaves half a word there).
+    keys = (0, (5 << 32) | 17, 2**64 - 1)
+    for seed in (0, 23, 2**64 - 1):
+        keyed = experiments._keyed_rng(seed)
+        for key in keys + keys[::-1]:
+            fresh = np.random.Generator(np.random.Philox(key=np.array([seed, key], np.uint64)))
+            rng = keyed(key)
+            for draw in (lambda g: g.bytes(5), lambda g: g.uniform(-1.0, 1.0, 4).tobytes(),
+                         lambda g: g.integers(0, 2**64, 3, dtype=np.uint64).tobytes()):
+                assert draw(rng) == draw(fresh), (seed, key)
 
 
 def test_collapsed_sampling_box_yields_pure_fixed_point_class():

@@ -357,6 +357,25 @@ def test_compiled_reader_reads_every_repr_back():
         assert kernels.parse(body, 0) is None, body
 
 
+def test_row_reader_columns_hold_one_row_per_newline_and_one_more(monkeypatch):
+    # The reader writes up to one row per '\n' of the body plus a last row
+    # without one, so its columns are sized by that count exactly, counted
+    # over slices of COUNT_CHUNK bytes: here slices that split the body
+    # anywhere, and start anywhere past the header.
+    kernels = _dp5.load()
+    if kernels is None:
+        pytest.skip("no compiled kernels")
+    data = b"# radial-field n=6 alpha=0 p=4\n0.5,1.0\n\n0.75,2.0\n1.0,3.0"
+    head = data.index(b"\n") + 1
+    for chunk in (1, 3, 7, 1 << 16):
+        monkeypatch.setattr(_dp5, "COUNT_CHUNK", chunk)
+        for start in range(head, len(data) + 1):
+            columns = kernels.parse(data, start)
+            if columns is not None:
+                assert columns[0].base.shape == (2, data.count(b"\n", start) + 1), (chunk, start)
+        assert kernels.parse(data, head)[0].tolist() == [0.5, 0.75, 1.0], chunk
+
+
 def test_field_files_in_the_writers_grammar_never_reach_numpy(tmp_path, monkeypatch):
     # A file of dumps, and one of np.savetxt's %.18e cells, load without
     # np.loadtxt wherever the kernels are compiled.
