@@ -1,16 +1,16 @@
 /* Compiled kernels of hardyhenon4: the Dormand-Prince 5(4) step loop of
  * integrate, which ends the orbit at its crossing by bisection and writes
- * the orbit's uniform samples, the ulp ring scan of fixed_points, which
- * stops where an error bound for libm's exp, log and pow within
- * SCAN_LIBM_ULPS ulps rules out every ulp left, the dense Hermite output
- * of a trajectory, the energy of a stack of states, the elementwise libm
- * exp and log of transform._exp and transform._log, the elementwise w^q
- * of dynamics._wpow, and the writer and the reader of a field file's
- * 'radius,value' rows.
+ * the orbit's uniform samples (every grid time not past the orbit's end,
+ * then the end point), the ulp ring scan of fixed_points, which stops
+ * where an error bound for libm's exp, log and pow within SCAN_LIBM_ULPS
+ * ulps rules out every ulp left, the dense Hermite output of a
+ * trajectory, the energy of a stack of states, the elementwise libm exp
+ * and log of transform._exp and transform._log, and the writer and the
+ * reader of a field file's 'radius,value' rows.
  *
  * Each but the reader is its Python twin, all of them in _dp5.py: _steps_py
  * (with _bisect_py), _scan_py (with _scan_bound), _dense_py, _energy_py,
- * _wpow_py, _exp_py, _log_py and _rows_py.  The reader reads the rows the
+ * _exp_py, _log_py and _rows_py.  The reader reads the rows the
  * writer writes, and every cell as float() reads it (Eisel-Lemire, then
  * strtod); its twin _parse_py reads nothing, and np.loadtxt reads every
  * file it leaves.  The row writer prints repr()'s bytes; the others are
@@ -139,13 +139,12 @@ static double grid_time(double t0, double sgn, int64_t k, double spacing)
  * ts, ys: scap sample times, and scap rows of the 4-jet at them.
  * cnt (in/out, CNT_LEN): rows written, rejected steps, samples written.
  *
- * Sample k lies at grid_time k, for k = 0 .. K = int(|t_end - t0| / spacing)
- * with t_end the orbit's last t.  Sample 0 holds the initial state; sample
- * k > 0 the Hermite value in the first step whose end is at or past it, or
- * in the last step where none is (as hh_dense).  Each accepted step writes
- * the samples it holds; the orbit's end drops those past K, fills those
- * past the last step's end, and appends (t_end, y) where sample K is not
- * at t_end.
+ * The samples are every grid time not past the orbit's end, then the end
+ * point: sample k, at grid_time k, holds the initial state for k = 0, else
+ * the Hermite value in the first step whose end is at or past it; the end
+ * point (t_end, y), t_end the orbit's last t, follows unless the last grid
+ * sample is at t_end.  Each accepted step writes the samples it holds; the
+ * orbit's end drops those a crossing step wrote past t_end.
  *
  * Returns END at t1; BLOW_UP or NON_POSITIVE after the step whose w
  * crossed the threshold or 0.0, its row the last one written, with
@@ -297,17 +296,12 @@ int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *c
         bisect(seg + SEGMENT_COLUMNS * (n - 1), status == BLOW_UP ? blowup_threshold : 0.0, st);
     if (status == NON_POSITIVE)
         st[1] = py_max(st[1], 0.0);
-    if ((status == END || status == BLOW_UP || status == NON_POSITIVE) && n > 0 && scap > 1) {
-        /* K as int() takes it; the room check keeps K + 2 <= scap, and the
-         * clamp only bounds the writes should it not. */
-        double kd = fabs(st[0] - t0) / spacing;
-        int64_t big_k = kd < (double)(scap - 2) ? (int64_t)kd : scap - 2;
-        for (; k <= big_k; k++) {
-            ts[k] = grid_time(t0, sgn, k, spacing);
-            hermite(ts[k], seg + SEGMENT_COLUMNS * (n - 1), 4, ys + 4 * k);
-        }
-        k = big_k + 1;
-        if (ts[big_k] != st[0]) {
+    if (k > 0 && (status == END || status == BLOW_UP || status == NON_POSITIVE)) {
+        /* Sample 0 is never past the end; the room check leaves a row for
+         * the end point, and k < scap only bounds the write should it not. */
+        while (k > 1 && sgn * ts[k - 1] > sgn * st[0])
+            k--;
+        if (ts[k - 1] != st[0] && k < scap) {
             ts[k] = st[0];
             memcpy(ys + 4 * k, st + 1, 4 * sizeof *ys);
             k++;
@@ -494,20 +488,6 @@ int64_t hh_log(const double *x, int64_t n, double *out)
         if (v <= 0.0)
             return i;
         out[i] = isfinite(v) ? log(v) : v;
-    }
-    return -1;
-}
-
-/* out[i] = x[i]^q = exp(q log x[i]) for x[i] > 0, else 0 (NaN too), for the
- * n doubles of x, stopping at the first i where math.exp raises
- * OverflowError.  Returns that i, or -1. */
-int64_t hh_wpow(const double *x, int64_t n, double q, double *out)
-{
-    for (int64_t i = 0; i < n; i++) {
-        int ovf = 0;
-        out[i] = wpow(x[i], q, &ovf);
-        if (ovf)
-            return i;
     }
     return -1;
 }

@@ -3,11 +3,12 @@
 load() compiles _dp5.c with the C compiler Python was built with into a
 shared library cached under ~/.cache/hardyhenon4 (or the system temporary
 directory where that is not writable), keyed by the sha256 of the source,
-the compiler and the flags, and returns the nine kernels with the
+the compiler and the flags, and returns the eight kernels with the
 signatures of their Python twins, defined below: _steps_py, _scan_py,
-_dense_py, _energy_py, _wpow_py, _exp_py, _log_py, _rows_py and _parse_py.
+_dense_py, _energy_py, _exp_py, _log_py, _rows_py and _parse_py.
 The step kernel ends an orbit at its crossing itself, as _steps_py does
-through _bisect_py, and writes the orbit's uniform samples as it steps.
+through _bisect_py, and writes the orbit's uniform samples as it steps:
+every grid time not past the orbit's end, then the end point.
 Its wrapper is the one place that holds a segment buffer and a sample
 buffer: one of each per thread, kept between calls up to KEEP_ROWS rows,
 and every call returns exact-size copies of their rows.  The row reader
@@ -106,7 +107,6 @@ class Kernels(NamedTuple):
     scan: Callable[[float, float, float, float], tuple[float, int]]
     dense: Callable[[np.ndarray, np.ndarray], np.ndarray]
     energy: Callable[[np.ndarray, float, float, float, float, float], np.ndarray]
-    wpow: Callable[[np.ndarray, float], np.ndarray]
     exp: Callable[[np.ndarray], np.ndarray]
     log: Callable[[np.ndarray], np.ndarray]
     rows: Callable[[np.ndarray, np.ndarray], str]
@@ -120,8 +120,8 @@ def kernels() -> Kernels:
 
 def _twins() -> Kernels:
     # Looked up per call, so a test can patch a twin.
-    return Kernels(_steps_py, _scan_py, _dense_py, _energy_py, _wpow_py, _exp_py, _log_py,
-                   _rows_py, _parse_py)
+    return Kernels(_steps_py, _scan_py, _dense_py, _energy_py, _exp_py, _log_py, _rows_py,
+                   _parse_py)
 
 
 def _compiler() -> list[str]:
@@ -192,7 +192,7 @@ def load() -> Kernels | None:
             return None
         dll = ctypes.CDLL(str(lib))
         steps, scan, dense, energy = dll.hh_steps, dll.hh_scan, dll.hh_dense, dll.hh_energy
-        wpow, exp, log, rows, parse = dll.hh_wpow, dll.hh_exp, dll.hh_log, dll.hh_rows, dll.hh_parse
+        exp, log, rows, parse = dll.hh_exp, dll.hh_log, dll.hh_rows, dll.hh_parse
     # No compiler, no home directory, no os.getuid, a CC that will not
     # split, a library that will not load: each leaves the Python twins.
     except (OSError, RuntimeError, AttributeError, ValueError):
@@ -206,8 +206,6 @@ def load() -> Kernels | None:
     dense.argtypes = [ctypes.c_void_p, ctypes.c_int64] * 2 + [ctypes.c_void_p]
     energy.restype = ctypes.c_int64
     energy.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_double] * 5 + [ctypes.c_void_p]
-    wpow.restype = ctypes.c_int64
-    wpow.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p]
     for fn in (exp, log):
         fn.restype = ctypes.c_int64
         fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
@@ -287,12 +285,12 @@ def load() -> Kernels | None:
     # An elementwise map stops at the first element where its twin raises;
     # the twin, run on that element, raises the same.
     def elementwise(kernel, twin):
-        def run(x: np.ndarray, *args: float) -> np.ndarray:
+        def run(x: np.ndarray) -> np.ndarray:
             x = np.ascontiguousarray(x, np.float64)
             out = np.empty(x.shape)
-            bad = kernel(x.ctypes.data, x.size, *args, out.ctypes.data)
+            bad = kernel(x.ctypes.data, x.size, out.ctypes.data)
             if bad >= 0:
-                twin(x.flat[bad : bad + 1], *args)
+                twin(x.flat[bad : bad + 1])
                 raise AssertionError(f"{twin.__name__} of {x.flat[bad]!r} did not raise")
             return out
 
@@ -320,8 +318,8 @@ def load() -> Kernels | None:
                       cols[0].ctypes.data, cols[1].ctypes.data)
         return None if count < 0 else (cols[0, :count], cols[1, :count])
 
-    return Kernels(run_steps, run_scan, run_dense, run_energy, elementwise(wpow, _wpow_py),
-                   elementwise(exp, _exp_py), elementwise(log, _log_py), run_rows, run_parse)
+    return Kernels(run_steps, run_scan, run_dense, run_energy, elementwise(exp, _exp_py),
+                   elementwise(log, _log_py), run_rows, run_parse)
 
 
 @functools.cache
@@ -467,14 +465,15 @@ def _steps_py(st: np.ndarray, prm: np.ndarray):
     when the step collapses at st[0].  An overflowing w^p raises
     OverflowError.
 
-    Sample k lies at t0 + (sgn k) spacing, for k = 0 .. K = int(|t_end - t0|
-    / spacing) with t_end the orbit's last t, as uniform_times in
-    dynamics.py.  Sample 0 holds the initial state; sample k > 0 the
-    Hermite value in the first step whose end is at or past it, or in the
-    last step where none is, as _dense_py reads it.  Each accepted step
-    writes the samples it holds; the orbit's end drops those past K, fills
-    those past the last step's end, and appends (t_end, y) where sample K
-    is not at t_end.  hh_steps in _dp5.c is this loop in C.
+    The samples are every grid time not past the orbit's end, then the
+    end point, as uniform_times and analytic_trajectory in dynamics.py
+    take them: sample k, at t0 + (sgn k) spacing, holds the initial state
+    for k = 0, else the Hermite value in the first step whose end is at or
+    past it, as _dense_py reads it; the end point (t_end, y), t_end the
+    orbit's last t, follows unless the last grid sample is at t_end.  Each
+    accepted step writes the samples it holds; the orbit's end drops those
+    a crossing step wrote past t_end.  hh_steps in _dp5.c is this loop in
+    C.
     """
     t, y0, y1, y2, y3, k10, k11, k12, k13, h, err_prev = st.tolist()
     t1, sgn, rtol, atol, p, a0, a1, a2, a3, blowup_threshold, t0, spacing = prm.tolist()
@@ -590,14 +589,10 @@ def _steps_py(st: np.ndarray, prm: np.ndarray):
         h *= factor
 
     st[:] = (t, y0, y1, y2, y3, k10, k11, k12, k13, h, err_prev)
-    if status != UNDERFLOW and rows:
-        big_k = int(abs(t - t0) / spacing)
-        while len(times) <= big_k:
-            tk = t0 + sgn * len(times) * spacing
-            times.append(tk)
-            states.append(_hermite(tk, rows[-1]))
-        del times[big_k + 1 :], states[big_k + 1 :]
-        if times[big_k] != t:
+    if status != UNDERFLOW:
+        while sgn * times[-1] > sgn * t:
+            del times[-1], states[-1]
+        if times[-1] != t:
             times.append(t)
             states.append((y0, y1, y2, y3))
     return (status, np.array(rows).reshape(-1, SEGMENT_COLUMNS), rejected, np.array(times),
@@ -715,8 +710,8 @@ def _log_py(x: np.ndarray) -> np.ndarray:
 
 
 def _wpow_py(w: np.ndarray, q: float) -> np.ndarray:
-    # dynamics._wpow of an array, through the libm maps; hh_wpow in _dp5.c is this
-    # map in C, in one pass.
+    # w^q = exp(q log w) where w > 0, else 0, of an array, through the libm
+    # maps: the formula of dynamics._wpow, on the Python twins.
     pos = w > 0.0
     return _exp_py(q * _log_py(np.where(pos, w, 1.0))) * pos
 

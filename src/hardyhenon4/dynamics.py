@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _dp5
 from .params import CoefficientSet
-from .transform import OdeState, _exp
+from .transform import OdeState, _exp, _log
 
 # Termination reasons.
 REACHED_END = "ReachedEnd"
@@ -62,7 +62,8 @@ def _wpow(w, q: float):
     # power path for the flow, fixed points and energy, so bits agree.
     if isinstance(w, float) or np.ndim(w) == 0:  # np.ndim of a float builds an array
         return math.exp(q * math.log(w)) if w > 0.0 else 0.0
-    return _dp5.kernels().wpow(w, q)
+    pos = w > 0.0
+    return _exp(q * _log(np.where(pos, w, 1.0))) * pos
 
 
 def vector_field(state: OdeState, coeffs: CoefficientSet) -> OdeState:
@@ -261,10 +262,14 @@ class Trajectory:
 
 
 def uniform_times(t0: float, t1: float) -> np.ndarray:
-    """t0 + sgn k h, k = 0 .. floor(|t1 - t0| / h), toward t1; h = DEFAULT_SAMPLE_SPACING."""
+    """Every grid time t0 + sgn k h, k = 0, 1, ..., toward t1 and not past it;
+    h = DEFAULT_SAMPLE_SPACING.  The step kernel samples an orbit at these
+    times, then at its end point."""
     h = DEFAULT_SAMPLE_SPACING
     sgn = 1.0 if t1 > t0 else -1.0
-    return t0 + sgn * np.arange(int(abs(t1 - t0) / h) + 1) * h
+    # The quotient may round to either side of a grid time at t1.
+    ts = t0 + sgn * np.arange(int(abs(t1 - t0) / h) + 2) * h
+    return ts[sgn * ts <= sgn * t1]
 
 
 def analytic_trajectory(fn: Callable[[np.ndarray], np.ndarray], t0: float, t1: float) -> Trajectory:

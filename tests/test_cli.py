@@ -99,6 +99,14 @@ def test_simulate_emits_trajectory_and_diagnostic(capsys):
     assert "classified" in captured.err
 
 
+def test_simulate_ends_at_a_horizon_the_grid_rounds_past(capsys):
+    # 35 * 0.01 rounds past 0.35: the last row is the end point itself.
+    assert main(["simulate", "--n", "6", "--alpha", "0", "--p", "4",
+                 "--t-end", "-0.35"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[0] for row in rows[-2:]] == ["-0.34", "-0.35"]
+
+
 def test_quiet_silences_diagnostics(capsys):
     assert main(["simulate", "--n", "6", "--alpha", "0", "--p", "4",
                  "--t-end", "-12", "--quiet"]) == 0

@@ -89,6 +89,19 @@ def test_kernel_source_compiles_without_a_warning():
     assert run.returncode == 0, run.stderr
 
 
+def test_kernel_library_builds_without_a_warning(tmp_path):
+    # The loader's own build, with every warning of -Wall -Wextra an error:
+    # an unused static function or variable fails it, which -fsyntax-only
+    # does not check for.
+    _needs_compiler()
+    run = subprocess.run(
+        [*_dp5._compiler(), *_dp5.FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "_dp5.so"), str(_dp5.SOURCE), *_dp5.LIBS],
+        capture_output=True, text=True, timeout=_dp5.COMPILE_TIMEOUT_S,
+    )
+    assert run.returncode == 0, run.stderr
+
+
 def _c_enums(source: str) -> list[dict[str, int]]:
     """The constants of each enum in C source, valued as C values them."""
     enums = []

@@ -777,12 +777,11 @@ def _grid_time_past_last_sample_in_last_step(raw) -> bool:
 @pytest.mark.parametrize(
     "initial, t1, tol, threshold, claim",
     [
-        # K = int(0.35 / 0.01) = 35, and 35 * 0.01 rounds past 0.35: the
-        # grid time falls past the last step's end and gets that step's
-        # Hermite value, then the terminal point follows.  (Trajectory
-        # rejects these times as not monotone.)
+        # 35 * 0.01 rounds past 0.35, so grid time 35 lies past the last
+        # step's end, t1: it is no sample, and the end point follows -0.34.
         (OdeState(WSTAR + 1e-6, 0.0, 0.0, 0.0), -0.35, 1e-10, 1e6,
-         lambda raw: raw.times[-2] < raw.segments[-1, 1] == raw.times[-1]),
+         lambda raw: -35 * 0.01 < raw.segments[-1, 1] == -0.35
+         and raw.times[-2:].tolist() == [-0.34, -0.35]),
         (OdeState(WSTAR + 1e-6, 0.0, 0.0, 0.0), -4.0, 1e-10, 1e6,
          lambda raw: raw.times[-1] == -4.0 and len(raw.times) == 401),
         (OdeState(WSTAR + 1e-6, 0.0, 0.0, 0.0), -4.005, 1e-10, 1e6,
@@ -810,6 +809,25 @@ def test_step_kernel_samples_match_the_dense_fill_bit_for_bit(
         times, states = _dense_fill(raw, initial)
         assert raw.times.tobytes() == times.tobytes(), kernels
         assert raw.states.tobytes() == states.tobytes(), kernels
+
+
+def test_orbits_to_a_horizon_the_grid_rounds_past_end_there(kernel_paths):
+    # The two-decimal horizons t1 in [-30, -10] whose grid time
+    # int(|t1| / 0.01) lies past t1, and -0.35: no sample lies past t1,
+    # and the end point follows the last grid time before it.
+    h = dynamics.DEFAULT_SAMPLE_SPACING
+    horizons = [t1 for t1 in (-c / 100 for c in range(1000, 3001))
+                if int(abs(t1) / h) * h > abs(t1)]
+    assert len(horizons) == 206
+    for kernels in kernel_paths():
+        for t1 in (-0.35, *horizons):
+            grid = dynamics.uniform_times(0.0, t1)
+            assert grid[-1] > t1 and int(abs(t1) / h) == len(grid), (kernels, t1)
+            for traj in (integrate(OdeState(WSTAR, 0.0, 0.0, 0.0), 0.0, t1, 1e-10, COEFFS),
+                         equilibrium_trajectory(WSTAR, 0.0, t1)):
+                assert traj.termination == REACHED_END, (kernels, t1)
+                assert (np.diff(traj.times) < 0.0).all() and traj.times.min() == t1, (kernels, t1)
+                assert traj.times.tobytes() == np.append(grid, t1).tobytes(), (kernels, t1)
 
 
 def test_integrate_makes_one_step_kernel_call_and_no_dense_call(monkeypatch, kernel_paths):

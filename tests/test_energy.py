@@ -173,6 +173,17 @@ def test_critical_orbit_conserves_energy():
     assert max(evals) - min(evals) <= 1e-10
 
 
+def test_audit_runs_on_an_orbit_to_a_horizon_the_grid_rounds_past():
+    # int(10.7 / 0.01) * 0.01 rounds past 10.7: the grid time 1070 is no
+    # sample, and the end point -10.7 follows -10.69.
+    traj = integrate(OdeState(WSTAR, 1e-16, 0.0, 0.0), 0.0, -10.7, 1e-11, COEFFS)
+    assert traj.termination == REACHED_END
+    assert traj.times[-2:].tolist() == [-10.69, -10.7]
+    audit = audit_monotonicity(traj, COEFFS)
+    assert audit.max_violation <= 1e-10
+    assert audit.rate_mismatch <= 2e-4
+
+
 def test_audit_rejects_short_trajectories():
     traj = equilibrium_trajectory(WSTAR, t0=0.0, t1=-0.5)
     with pytest.raises(ValueError):

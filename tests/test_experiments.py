@@ -174,6 +174,20 @@ def test_collapsed_sampling_box_yields_pure_fixed_point_class():
     assert summaries[0][_col(table, "count")] == 8
 
 
+def test_sweep_to_a_horizon_the_grid_rounds_past_has_no_error_row():
+    # int(10.7 / 0.01) * 0.01 rounds past 10.7; every draw still ends at
+    # the horizon and is classified.
+    cfg = ExperimentConfig(
+        kind="classification", param_grid=((6, 0.0, 4.0),),
+        box=1e-20, tol=1e-13, horizon=-10.7, samples=8, seed=1,
+    )
+    table = run_classification_sweep(cfg)
+    draws = [r for r in table.rows if r[_col(table, "kind")] == "draw"]
+    assert len(draws) == 8
+    assert all(r[_col(table, "limit_class")] == CONVERGES_TO_FIXED_POINT for r in draws)
+    assert [r[_col(table, "note")] for r in draws] == [""] * 8
+
+
 def test_sweep_rejects_points_outside_the_window():
     cfg = ExperimentConfig(
         kind="classification", param_grid=((6, 0.0, 9.0), (5, -1.0, 3.2)), samples=2
