@@ -4,25 +4,27 @@
  * then the end point), the ulp ring scan of fixed_points, which stops
  * where an error bound for libm's exp, log and pow within SCAN_LIBM_ULPS
  * ulps rules out every ulp left, the dense Hermite output of a
- * trajectory, the energy of a stack of states, the elementwise libm exp
- * and log of transform._exp and transform._log, and the writer and the
- * reader of a field file's 'radius,value' rows.
+ * trajectory, whose segment search walks from each time's segment to the
+ * next, the energy of a stack of states, the monotonicity audit of the
+ * energy along an orbit, the elementwise libm exp and log of
+ * transform._exp and transform._log, and the writer and the reader of a
+ * field file's 'radius,value' rows.
  *
  * Each but the reader is its Python twin, all of them in _dp5.py: _steps_py
  * (with _bisect_py), _scan_py (with _scan_bound), _dense_py, _energy_py,
- * _exp_py, _log_py and _rows_py.  The reader reads the rows the
+ * _audit_py, _exp_py, _log_py and _rows_py.  The reader reads the rows the
  * writer writes, and every cell as float() reads it (Eisel-Lemire, then
  * strtod); its twin _parse_py reads nothing, and np.loadtxt reads every
  * file it leaves.  The row writer prints repr()'s bytes; the others are
  * written out expression for expression: every sum keeps its
  * left-to-right order, its leading 0.0 and its zero weights; w^p is
  * exp(p log w) for w > 0, else 0; powers go through pow; min and max keep
- * Python's tie rules; exp and log are the libm functions Python's math
- * module calls.  Built with -ffp-contract=off and without -ffast-math,
- * every operation rounds as Python's float does, so both paths give the
- * same bits.  The loader in _dp5.py compiles this file and falls back to
- * the Python twins when it cannot; each enum below is written there too,
- * with the same values.
+ * Python's tie rules, and numpy's maximum keeps its NaN; exp and log are
+ * the libm functions Python's math module calls.  Built with
+ * -ffp-contract=off and without -ffast-math, every operation rounds as
+ * Python's float does, so both paths give the same bits.  The loader in
+ * _dp5.py compiles this file and falls back to the Python twins when it
+ * cannot; each enum below is written there too, with the same values.
  */
 
 #include <float.h>
@@ -420,49 +422,154 @@ int64_t hh_scan(double seed, double best_g, double a0, double p, double *best)
 /* numpy's order on doubles, NaN last: a sorts before b. */
 static int npy_lt(double a, double b) { return a < b || (b != b && a == a); }
 
+/* Whether sgn times the end of segment row i sorts before v. */
+static int end_below(const double *seg, int64_t i, double sgn, double v)
+{
+    return npy_lt(sgn * seg[SEGMENT_COLUMNS * i + 1], v);
+}
+
+/* The first of the m segment rows whose sgn * end is not below v in numpy's
+ * order, m where there is none: np.searchsorted on sgn * ends, side left.
+ * The search starts at row j: it gallops away from j, doubling its stride,
+ * to bracket the answer, then bisects the bracket, so an answer d rows
+ * from j costs O(log d) steps. */
+static int64_t walk(const double *seg, int64_t m, double sgn, double v, int64_t j)
+{
+    int64_t lo, hi, stride = 1;
+    /* The answer lies in [lo, hi]: row lo - 1 is below v, row hi is not
+     * or is m. */
+    if (j < m && end_below(seg, j, sgn, v)) {
+        lo = hi = j + 1;
+        while (hi < m && end_below(seg, hi, sgn, v)) {
+            lo = hi + 1;
+            hi += stride;
+            stride *= 2;
+        }
+        if (hi > m)
+            hi = m;
+    } else {
+        hi = j;
+        int64_t probe = j - 1;
+        while (probe >= 0 && !end_below(seg, probe, sgn, v)) {
+            hi = probe;
+            probe -= stride;
+            stride *= 2;
+        }
+        lo = probe < 0 ? 0 : probe + 1;
+    }
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (end_below(seg, mid, sgn, v))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
 /* The dense output of the m segment rows at each of the k times ts, as
  * _dense_py: out, k rows of 4, gets the Hermite value in the first segment
  * whose end is at or past t (np.searchsorted on sgn * ends, side left),
- * the last segment where there is none. */
+ * the last segment where there is none.  Each time's search walks from
+ * the previous time's segment, so times in order cost O(k + m). */
 void hh_dense(const double *seg, int64_t m, const double *ts, int64_t k, double *out)
 {
     double sgn = seg[1] < seg[0] ? -1.0 : 1.0;
+    int64_t i = 0;
     for (int64_t j = 0; j < k; j++) {
-        double v = sgn * ts[j];
-        int64_t lo = 0, hi = m;
-        while (lo < hi) {
-            int64_t mid = lo + (hi - lo) / 2;
-            if (npy_lt(sgn * seg[SEGMENT_COLUMNS * mid + 1], v))
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        if (lo > m - 1)
-            lo = m - 1;
-        hermite(ts[j], seg + SEGMENT_COLUMNS * lo, 4, out + 4 * j);
+        i = walk(seg, m, sgn, sgn * ts[j], i);
+        hermite(ts[j], seg + SEGMENT_COLUMNS * (i < m ? i : m - 1), 4, out + 4 * j);
     }
 }
 
-/* The energy measure * e(y) at each of the k rows y = (w0, w1, w2, w3) of
- * rows, as _energy_py: e = w3 w1 - w2^2/2 + a3 w2 w1 + a2 w1^2/2 + a0 w0^2/2
- * - w0^(p+1)/(p+1), stopping at the first i where w0^(p+1) overflows
- * (math.exp raises there).  Returns that i, or -1. */
+/* The energy measure * e(y) of one state y = (w0, w1, w2, w3), as
+ * _energy_py: e = w3 w1 - w2^2/2 + a3 w2 w1 + a2 w1^2/2 + a0 w0^2/2
+ * - w0^q/q with q = p + 1.  Sets *ovf where w0^q overflows (math.exp
+ * raises there). */
+static double energy_at(const double *y, double a0, double a2, double a3, double q,
+                        double measure, int *ovf)
+{
+    double w0 = y[0], w1 = y[1], w2 = y[2], w3 = y[3];
+    double bracket = w3 * w1 - 0.5 * w2 * w2 + a3 * w2 * w1 + 0.5 * a2 * w1 * w1
+                     + 0.5 * a0 * w0 * w0 - wpow(w0, q, ovf) / q;
+    return measure * bracket;
+}
+
+/* The energy of each of the k rows of 4 of rows, as _energy_py, stopping
+ * at the first i where w0^(p+1) overflows.  Returns that i, or -1. */
 int64_t hh_energy(const double *rows, int64_t k, double a0, double a2, double a3, double p,
                   double measure, double *out)
 {
     double q = p + 1.0;
     for (int64_t i = 0; i < k; i++) {
-        const double *y = rows + 4 * i;
-        double w0 = y[0], w1 = y[1], w2 = y[2], w3 = y[3];
         int ovf = 0;
-        double wq = wpow(w0, q, &ovf);
+        double e = energy_at(rows + 4 * i, a0, a2, a3, q, measure, &ovf);
         if (ovf)
             return i;
-        double bracket = w3 * w1 - 0.5 * w2 * w2 + a3 * w2 * w1 + 0.5 * a2 * w1 * w1
-                         + 0.5 * a0 * w0 * w0 - wq / q;
-        out[i] = measure * bracket;
+        out[i] = e;
     }
     return -1;
+}
+
+/* The finite-difference step of the monotonicity audit and its allowance
+ * per increment, a few ulps of the energy's magnitude; as FD_STEP and
+ * ULP_ALLOWANCE in _dp5.py. */
+static const double FD_STEP = 1e-3, ULP_ALLOWANCE = 4.0 * DBL_EPSILON;
+
+/* np.maximum(a, b): a where a >= b or a is NaN, else b, so a NaN stays. */
+static double np_max(double a, double b) { return a >= b || a != a ? a : b; }
+
+/* Row i in increasing t of the k rows of 4 of rows, stored with t
+ * decreasing where backward is set. */
+static const double *nth_row(const double *rows, int64_t k, int backward, int64_t i)
+{
+    return rows + 4 * (backward ? k - 1 - i : i);
+}
+
+/* The monotonicity audit of energy.audit_monotonicity, as _audit_py.
+ *
+ * rows: the k audited samples in storage order, with t decreasing along
+ * them where backward is set; row i below counts in increasing t.
+ * stencil: 2m rows of 4, the dense output at t + FD_STEP of the m
+ * samples from row first on, then at t - FD_STEP of the same samples.
+ *
+ * out[0] gets the largest increment of the energy E between consecutive
+ * rows in the direction the regime forbids (an increase, a decrease where
+ * supercritical is set), less ULP_ALLOWANCE times the largest of its two
+ * |E| and 1.0;
+ * out[1] the largest |fd - rate| / (1 + |rate|), fd the centered
+ * difference of E over the stencil and rate the exact dE/dt at the sample.
+ * Each maximum starts at 0.0 and keeps a NaN, as np.max does.  Returns 1
+ * where some w0^(p+1) overflows (math.exp raises there), else 0. */
+int hh_audit(const double *rows, int64_t k, int backward, const double *stencil, int64_t m,
+             int64_t first, double a0, double a1, double a2, double a3, double p,
+             double measure, int supercritical, double *out)
+{
+    double q = p + 1.0;
+    int ovf = 0;
+    double violation = 0.0, ea = 0.0;
+    for (int64_t i = 0; i < k; i++) {
+        double eb = energy_at(nth_row(rows, k, backward, i), a0, a2, a3, q, measure, &ovf);
+        if (i > 0) {
+            double inc = supercritical ? -(eb - ea) : eb - ea;
+            double allowance = ULP_ALLOWANCE * np_max(np_max(fabs(ea), fabs(eb)), 1.0);
+            violation = np_max(violation, inc - allowance);
+        }
+        ea = eb;
+    }
+
+    double mismatch = 0.0;
+    for (int64_t j = 0; j < m; j++) {
+        double fd = (energy_at(stencil + 4 * j, a0, a2, a3, q, measure, &ovf)
+                     - energy_at(stencil + 4 * (m + j), a0, a2, a3, q, measure, &ovf))
+                    / (2.0 * FD_STEP);
+        const double *y = nth_row(rows, k, backward, first + j);
+        double rate = measure * (a3 * y[2] * y[2] - a1 * y[1] * y[1]);
+        mismatch = np_max(mismatch, fabs(fd - rate) / (1.0 + fabs(rate)));
+    }
+    out[0] = violation;
+    out[1] = mismatch;
+    return ovf;
 }
 
 /* out[i] = exp(x[i]) for the n doubles of x, stopping at the first i where

@@ -3,15 +3,19 @@
 load() compiles _dp5.c with the C compiler Python was built with into a
 shared library cached under ~/.cache/hardyhenon4 (or the system temporary
 directory where that is not writable), keyed by the sha256 of the source,
-the compiler and the flags, and returns the eight kernels with the
+the compiler and the flags, and returns the nine kernels with the
 signatures of their Python twins, defined below: _steps_py, _scan_py,
-_dense_py, _energy_py, _exp_py, _log_py, _rows_py and _parse_py.
-The step kernel ends an orbit at its crossing itself, as _steps_py does
-through _bisect_py, and writes the orbit's uniform samples as it steps:
-every grid time not past the orbit's end, then the end point.
+_dense_py, _energy_py, _audit_py, _exp_py, _log_py, _rows_py and
+_parse_py.  The step kernel ends an orbit at its crossing itself, as
+_steps_py does through _bisect_py, and writes the orbit's uniform samples
+as it steps: every grid time not past the orbit's end, then the end point.
 Its wrapper is the one place that holds a segment buffer and a sample
 buffer: one of each per thread, kept between calls up to KEEP_ROWS rows,
-and every call returns exact-size copies of their rows.  The row reader
+and every call returns exact-size copies of their rows.  The dense kernel
+starts each time's segment search from the previous time's segment, so a
+read of times in order walks the segments once.  The audit kernel runs
+energy.audit_monotonicity's arithmetic, energies included, in one pass
+over the samples and their stencil.  The row reader
 reads the rows the row writer writes, each cell as float() reads it, and
 returns None for any other body; its twin returns None for every body,
 and np.loadtxt reads what the reader leaves.  load() returns None, without
@@ -54,6 +58,12 @@ SEGMENT_COLUMNS = 18
 # The lengths of the step kernel's st, prm and cnt (see _steps_py and
 # hh_steps), as the enum in _dp5.c.
 ST_LEN, PRM_LEN, CNT_LEN = 11, 12, 3
+
+# The audit's finite-difference step, and its allowance per energy
+# increment: a few ulps of the energy's magnitude, subtracted before an
+# increment counts as a violation.  As FD_STEP and ULP_ALLOWANCE in _dp5.c.
+FD_STEP = 1e-3
+ULP_ALLOWANCE = 4.0 * math.ulp(1.0)
 
 # Rows of the step kernel's first segment buffer.
 SEGMENT_ROWS = 1024
@@ -107,6 +117,7 @@ class Kernels(NamedTuple):
     scan: Callable[[float, float, float, float], tuple[float, int]]
     dense: Callable[[np.ndarray, np.ndarray], np.ndarray]
     energy: Callable[[np.ndarray, float, float, float, float, float], np.ndarray]
+    audit: Callable[..., tuple[float, float]]
     exp: Callable[[np.ndarray], np.ndarray]
     log: Callable[[np.ndarray], np.ndarray]
     rows: Callable[[np.ndarray, np.ndarray], str]
@@ -120,8 +131,8 @@ def kernels() -> Kernels:
 
 def _twins() -> Kernels:
     # Looked up per call, so a test can patch a twin.
-    return Kernels(_steps_py, _scan_py, _dense_py, _energy_py, _exp_py, _log_py, _rows_py,
-                   _parse_py)
+    return Kernels(_steps_py, _scan_py, _dense_py, _energy_py, _audit_py, _exp_py, _log_py,
+                   _rows_py, _parse_py)
 
 
 def _compiler() -> list[str]:
@@ -192,7 +203,8 @@ def load() -> Kernels | None:
             return None
         dll = ctypes.CDLL(str(lib))
         steps, scan, dense, energy = dll.hh_steps, dll.hh_scan, dll.hh_dense, dll.hh_energy
-        exp, log, rows, parse = dll.hh_exp, dll.hh_log, dll.hh_rows, dll.hh_parse
+        audit, exp, log = dll.hh_audit, dll.hh_exp, dll.hh_log
+        rows, parse = dll.hh_rows, dll.hh_parse
     # No compiler, no home directory, no os.getuid, a CC that will not
     # split, a library that will not load: each leaves the Python twins.
     except (OSError, RuntimeError, AttributeError, ValueError):
@@ -206,6 +218,10 @@ def load() -> Kernels | None:
     dense.argtypes = [ctypes.c_void_p, ctypes.c_int64] * 2 + [ctypes.c_void_p]
     energy.restype = ctypes.c_int64
     energy.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_double] * 5 + [ctypes.c_void_p]
+    audit.restype = ctypes.c_int
+    audit.argtypes = ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_void_p]
+                      + [ctypes.c_int64] * 2 + [ctypes.c_double] * 6
+                      + [ctypes.c_int, ctypes.POINTER(ctypes.c_double)])
     for fn in (exp, log):
         fn.restype = ctypes.c_int64
         fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
@@ -282,6 +298,25 @@ def load() -> Kernels | None:
             raise AssertionError(f"_energy_py of {states[bad]!r} did not raise")
         return out
 
+    # Where some w0^(p+1) overflows, the twin, run on the same rows, raises
+    # what energy() raises there.
+    def run_audit(rows: np.ndarray, backward: bool, stencil: np.ndarray, first: int,
+                  a0: float, a1: float, a2: float, a3: float, p: float, measure: float,
+                  supercritical: bool) -> tuple[float, float]:
+        rows = np.ascontiguousarray(rows, np.float64)
+        stencil = np.ascontiguousarray(stencil, np.float64)
+        m = len(stencil) // 2
+        _check(rows, (len(rows), 4), np.float64, writable=False)
+        _check(stencil, (2 * m, 4), np.float64, writable=False)
+        if not 0 <= first <= first + m <= len(rows):
+            raise ValueError(f"{m} stencil samples from sample {first} of {len(rows)}")
+        out = (ctypes.c_double * 2)()
+        if audit(rows.ctypes.data, len(rows), backward, stencil.ctypes.data, m, first,
+                 a0, a1, a2, a3, p, measure, supercritical, out):
+            _audit_py(rows, backward, stencil, first, a0, a1, a2, a3, p, measure, supercritical)
+            raise AssertionError("_audit_py did not raise on an overflowing energy")
+        return out[0], out[1]
+
     # An elementwise map stops at the first element where its twin raises;
     # the twin, run on that element, raises the same.
     def elementwise(kernel, twin):
@@ -318,8 +353,8 @@ def load() -> Kernels | None:
                       cols[0].ctypes.data, cols[1].ctypes.data)
         return None if count < 0 else (cols[0, :count], cols[1, :count])
 
-    return Kernels(run_steps, run_scan, run_dense, run_energy, elementwise(exp, _exp_py),
-                   elementwise(log, _log_py), run_rows, run_parse)
+    return Kernels(run_steps, run_scan, run_dense, run_energy, run_audit,
+                   elementwise(exp, _exp_py), elementwise(log, _log_py), run_rows, run_parse)
 
 
 @functools.cache
@@ -697,6 +732,32 @@ def _energy_py(stack: np.ndarray, a0: float, a2: float, a3: float, p: float,
         - _wpow_py(w0, p + 1.0) / (p + 1.0)
     )
     return measure * bracket
+
+
+def _audit_py(rows: np.ndarray, backward: bool, stencil: np.ndarray, first: int,
+              a0: float, a1: float, a2: float, a3: float, p: float, measure: float,
+              supercritical: bool) -> tuple[float, float]:
+    """The monotonicity audit of energy.audit_monotonicity: (max_violation,
+    rate_mismatch) of the (k, 4) sample rows, stored with t decreasing
+    where backward is set, and of their stencil: the dense output at t +
+    FD_STEP of the m samples from the first-th in increasing t on, then at
+    t - FD_STEP of the same.  hh_audit in _dp5.c is this arithmetic in C."""
+    # the law is stated for increasing t
+    states = rows[::-1] if backward else rows
+    evals = _energy_py(states.T, a0, a2, a3, p, measure)
+    ea, eb = evals[:-1], evals[1:]
+    inc = -(eb - ea) if supercritical else (eb - ea)
+    allowance = ULP_ALLOWANCE * np.maximum(np.maximum(np.abs(ea), np.abs(eb)), 1.0)
+    max_violation = float(np.max(inc - allowance, initial=0.0))
+
+    m = len(stencil) // 2
+    plus, minus = stencil[:m].T, stencil[m:].T
+    fd = (_energy_py(plus, a0, a2, a3, p, measure)
+          - _energy_py(minus, a0, a2, a3, p, measure)) / (2.0 * FD_STEP)
+    _, w1, w2, _ = states[first : first + m].T
+    rate = measure * (a3 * w2 * w2 - a1 * w1 * w1)
+    mismatch = float(np.max(np.abs(fd - rate) / (1.0 + np.abs(rate)), initial=0.0))
+    return max_violation, mismatch
 
 
 def _exp_py(x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ conserved exactly at it (a1 = a3 = 0), and increases above it.  Note the
 have its w3-dependence enter through w3 w1 - w2^2/2 for the w3 w2 and
 w1 w2 cross terms to cancel.  E multiplies e by |S^{n-1}|; energy()
 returns E as a float at one state, or as an array over a (4, k) stack,
-which the energy kernel of _dp5 evaluates in one pass.
+which the energy kernel of _dp5 evaluates in one pass; the audit kernel
+of _dp5 runs audit_monotonicity's energies and maxima in one pass too.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ import numpy as np
 from . import _dp5
 from .params import CoefficientSet, SUPERCRITICAL
 from .transform import RadialJet, from_log, to_log
-from .dynamics import Trajectory, _wpow
-
-_FD_STEP = 1e-3
-# Per-increment floating-point allowance when auditing monotonicity: a few
-# ulps of the energy magnitude, subtracted before calling an increment a
-# violation.
-_ULP_ALLOWANCE = 4.0 * math.ulp(1.0)
+from .dynamics import DEFAULT_SAMPLE_SPACING, Trajectory, _wpow
 
 
 @cache
@@ -49,11 +44,13 @@ def sphere_measure(n: int) -> float:
 class MonotonicityAudit:
     """Worst monotonicity violation and worst rate-law mismatch.
 
-    max_violation is the largest increment of E in the direction the
-    regime forbids (increase below/at critical, decrease above), after
-    subtracting a few-ulp floating-point allowance per increment.
-    rate_mismatch is max |dE/dt_fd - rate| / (1 + |rate|) with centered
-    differences at step 1e-3 on dense resamples.
+    max_violation is the largest increment of E between consecutive audited
+    samples, in increasing t, in the direction the regime forbids (increase
+    below/at critical, decrease above), after subtracting a few-ulp
+    floating-point allowance per increment (_dp5.ULP_ALLOWANCE times the
+    larger |E|, or 1).  rate_mismatch is max |dE/dt_fd - rate| / (1 + |rate|)
+    with centered differences at step _dp5.FD_STEP on dense resamples.
+    Both start at 0.0; a NaN energy or rate makes the maximum it enters NaN.
     """
 
     max_violation: float
@@ -98,32 +95,40 @@ def audit_monotonicity(traj: Trajectory, coeffs: CoefficientSet) -> Monotonicity
     """Check the monotone direction and the rate law along one trajectory.
 
     The audit reads the stored samples that lie on the uniform spacing,
-    where they equal the dense output; only the finite-difference
-    stencils resample it.
+    where they equal the dense output: every sample but the end point,
+    and the end point too where it is the grid time t0 + sgn (k - 1) h of
+    its index, as the step kernel and uniform_times lay the grid out.  The
+    rate law is checked at the samples whose finite-difference stencil
+    lies in the span; one dense read gives the whole stencil, and the audit
+    kernel of _dp5 evaluates every energy and both maxima in one pass.
     """
-    if len(traj.times) < 2:
+    times = traj.times
+    if len(times) < 2:
         raise ValueError("trajectory too short to audit")
-    k = int(traj.span / abs(traj.times[1] - traj.times[0]))
-    # the law is stated for increasing t
-    order = np.argsort(traj.times[: k + 1])
-    times, states = traj.times[order], traj.states[order]
-    if len(times) < 100:
-        raise ValueError(f"need at least 100 samples to audit, got {len(times)}")
-    evals = energy(states.T, coeffs)
-    ea, eb = evals[:-1], evals[1:]
-    inc = -(eb - ea) if coeffs.regime == SUPERCRITICAL else (eb - ea)
-    allowance = _ULP_ALLOWANCE * np.maximum(np.maximum(np.abs(ea), np.abs(eb)), 1.0)
-    max_violation = float(np.max(inc - allowance, initial=0.0))
+    backward = bool(times[1] < times[0])
+    sgn = -1.0 if backward else 1.0
+    k = len(times)
+    if traj.t_end != traj.t_start + sgn * (k - 1) * DEFAULT_SAMPLE_SPACING:
+        k -= 1
+    if k < 100:
+        raise ValueError(f"need at least 100 samples to audit, got {k}")
 
-    lo = min(traj.t_start, traj.t_end)
-    hi = max(traj.t_start, traj.t_end)
-    inside = (times - _FD_STEP >= lo) & (times + _FD_STEP <= hi)
-    t_in = times[inside]
-    stencil = traj.sample(np.concatenate((t_in + _FD_STEP, t_in - _FD_STEP))).T
-    plus, minus = stencil[:, : len(t_in)], stencil[:, len(t_in) :]
-    fd = (energy(plus, coeffs) - energy(minus, coeffs)) / (2.0 * _FD_STEP)
-    rate = energy_rate(states[inside].T, coeffs)
-    mismatch = float(np.max(np.abs(fd - rate) / (1.0 + np.abs(rate)), initial=0.0))
+    # The audited times in increasing t; those whose stencil lies in the
+    # span are a run of them, from first to stop.
+    t_inc = times[k - 1 :: -1] if backward else times[:k]
+    lo, hi = min(traj.t_start, traj.t_end), max(traj.t_start, traj.t_end)
+    step = _dp5.FD_STEP
+    first, stop = 0, k
+    while first < stop and t_inc[first] - step < lo:
+        first += 1
+    while stop > first and t_inc[stop - 1] + step > hi:
+        stop -= 1
+    t_in = t_inc[first:stop]
+    stencil = traj.sample(np.concatenate((t_in + step, t_in - step)))
+    max_violation, mismatch = _dp5.kernels().audit(
+        traj.states[:k], backward, stencil, first, coeffs.a0, coeffs.a1, coeffs.a2,
+        coeffs.a3, coeffs.p, sphere_measure(coeffs.n), coeffs.regime == SUPERCRITICAL,
+    )
     return MonotonicityAudit(max_violation=max_violation, rate_mismatch=mismatch)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from hardyhenon4 import _dp5, dynamics, green, transform
-from hardyhenon4.energy import energy
+from hardyhenon4.energy import audit_monotonicity, energy
 from hardyhenon4.params import CRITICAL, SUBCRITICAL, SUPERCRITICAL, ProblemParams, coefficients
 from hardyhenon4._dp5 import _A, _B5, _E, _MAX_FACTOR, _MIN_FACTOR, _PI_ALPHA, _PI_BETA, _SAFETY
 from hardyhenon4.dynamics import (
@@ -60,8 +60,8 @@ def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch, tmp_path):
     def python_twin(*args):
         raise AssertionError("a Python twin ran")
 
-    for name in ("_steps_py", "_scan_py", "_bisect_py", "_dense_py", "_energy_py", "_wpow_py",
-                 "_exp_py", "_log_py", "_rows_py", "_parse_py"):
+    for name in ("_steps_py", "_scan_py", "_bisect_py", "_dense_py", "_energy_py", "_audit_py",
+                 "_wpow_py", "_exp_py", "_log_py", "_rows_py", "_parse_py"):
         monkeypatch.setattr(_dp5, name, python_twin)
     # Steps, the crossing bisection and the sample fill; then dense reads.
     traj = integrate(OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS,
@@ -72,6 +72,10 @@ def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch, tmp_path):
     # The energy of a stack, and the w^q map.
     assert np.all(np.isfinite(energy(traj.states.T, COEFFS)))
     assert np.all(np.isfinite(dynamics._wpow(traj.states[:, 0], P + 1.0)))
+    # The monotonicity audit, over a dense read of its stencil.
+    audited = integrate(OdeState(WSTAR + 1e-3, 0.0, 0.0, 0.0), 0.0, -6.0, 1e-11, COEFFS,
+                        blowup_threshold=4.0 * WSTAR)
+    assert audit_monotonicity(audited, COEFFS).max_violation <= 1e-10
     # The field writer and reader, and both libm maps: the grid's exp and
     # the log of the radii read back.
     grid = green.make_grid(256)
@@ -703,6 +707,54 @@ def test_sample_matches_generic_hermite_bit_for_bit(initial, t1, kernel_paths):
         assert _bits(traj.sample(ts).ravel().tolist()) == _bits(
             v for s in _generic_dense(segments, ts) for v in s
         ), kernels
+
+
+def test_dense_kernel_walk_matches_its_twin_bit_for_bit():
+    # hh_dense starts each time's segment search from the previous time's
+    # segment; for any order of the times it must pick the segment that
+    # _dense_py's np.searchsorted picks.  Times in order, reversed,
+    # shuffled and repeated, on a backward and a forward orbit, with the
+    # step ends and starts and times within covers()'s slack past either
+    # end; then on an orbit of one segment; then on random segment rows,
+    # where each segment gives its own values, so equal bits mean the same
+    # segment, at their ends, past them, and at inf and NaN.
+    kernels = _dp5.load()
+    if kernels is None:
+        pytest.skip("no compiled kernels")
+    rng = np.random.default_rng(11)
+
+    def orders(ts):
+        ts = np.sort(ts)
+        return (ts, ts[::-1], rng.permutation(ts), np.repeat(ts, 3), np.tile(ts, 2),
+                ts[rng.integers(0, len(ts), 3 * len(ts))])
+
+    for t1 in (-8.0, 3.0):
+        traj = integrate(OdeState(WSTAR + 1e-4, 0.0, 0.0, 0.0), 0.0, t1, 1e-10, COEFFS)
+        assert len(traj.segments) > 50, t1
+        lo, hi = sorted((traj.t_start, traj.t_end))
+        ends = traj.segments[:, :2].ravel()
+        ts = np.concatenate((rng.uniform(lo, hi, 400), ends[traj.covers(ends)],
+                             [lo - 5e-13, lo, hi, hi + 5e-13]))
+        for order in orders(ts):
+            want = _dp5._dense_py(traj.segments, order)
+            assert kernels.dense(traj.segments, order).tobytes() == want.tobytes(), t1
+            assert traj.sample(order).tobytes() == want.tobytes(), t1
+
+    traj = integrate(OdeState(WSTAR, 0.0, 0.0, 0.0), 0.0, -40.0, 1e-10, COEFFS)
+    assert len(traj.segments) == 1
+    for order in orders(np.concatenate((rng.uniform(-40.0, 0.0, 50), [-40.0, 0.0]))):
+        want = _dp5._dense_py(traj.segments, order)
+        assert kernels.dense(traj.segments, order).tobytes() == want.tobytes()
+
+    for sgn in (-1.0, 1.0):
+        grid = sgn * np.cumsum(rng.uniform(0.01, 1.0, 201))
+        segments = np.column_stack((grid[:-1], grid[1:], rng.uniform(-1.0, 1.0, (200, 16))))
+        ts = np.concatenate((rng.uniform(grid.min() - 1.0, grid.max() + 1.0, 300), grid,
+                             [-math.inf, math.inf, math.nan]))
+        for order in orders(ts):
+            with np.errstate(invalid="ignore"):
+                want = _dp5._dense_py(segments, order)
+            assert _bits(kernels.dense(segments, order).ravel()) == _bits(want.ravel()), sgn
 
 
 def test_sample_reads_strided_times_and_only_1d_times(kernel_paths):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -133,34 +134,37 @@ def test_rate_sign_fixed_by_regime():
     assert energy_rate(OdeState(1.0, 3.0, -2.0, 0.5), ccrit) == 0.0
 
 
-def test_audit_trivial_on_equilibrium():
-    traj = equilibrium_trajectory(WSTAR)
-    audit = audit_monotonicity(traj, COEFFS)
-    assert audit.max_violation == 0.0
-    assert audit.rate_mismatch == 0.0
+def test_audit_trivial_on_equilibrium(kernel_paths):
+    for kernels in kernel_paths():
+        traj = equilibrium_trajectory(WSTAR)
+        audit = audit_monotonicity(traj, COEFFS)
+        assert audit.max_violation == 0.0, kernels
+        assert audit.rate_mismatch == 0.0, kernels
 
 
-def test_audit_subcritical_orbit():
-    traj = integrate(
-        OdeState(WSTAR + 1e-3, 0.0, 0.0, 0.0), 0.0, -6.0, 1e-11, COEFFS,
-        blowup_threshold=4.0 * WSTAR,
-    )
-    audit = audit_monotonicity(traj, COEFFS)
-    assert audit.max_violation <= 1e-10
-    assert audit.rate_mismatch <= 2e-4
+def test_audit_subcritical_orbit(kernel_paths):
+    for kernels in kernel_paths():
+        traj = integrate(
+            OdeState(WSTAR + 1e-3, 0.0, 0.0, 0.0), 0.0, -6.0, 1e-11, COEFFS,
+            blowup_threshold=4.0 * WSTAR,
+        )
+        audit = audit_monotonicity(traj, COEFFS)
+        assert audit.max_violation <= 1e-10, kernels
+        assert audit.rate_mismatch <= 2e-4, kernels
 
 
-def test_audit_supercritical_orbit_flips_direction():
+def test_audit_supercritical_orbit_flips_direction(kernel_paths):
     params = ProblemParams(6, 0.0, 5.5)
     coeffs = coefficients(params)
     ws = fixed_points(coeffs)[1]
-    traj = integrate(
-        OdeState(ws * 1.001, 0.0, 0.0, 0.0), 0.0, -6.0, 1e-11, coeffs,
-        blowup_threshold=4.0 * max(ws, 1.0),
-    )
-    audit = audit_monotonicity(traj, coeffs)
-    assert audit.max_violation <= 1e-10
-    assert audit.rate_mismatch <= 2e-4
+    for kernels in kernel_paths():
+        traj = integrate(
+            OdeState(ws * 1.001, 0.0, 0.0, 0.0), 0.0, -6.0, 1e-11, coeffs,
+            blowup_threshold=4.0 * max(ws, 1.0),
+        )
+        audit = audit_monotonicity(traj, coeffs)
+        assert audit.max_violation <= 1e-10, kernels
+        assert audit.rate_mismatch <= 2e-4, kernels
 
 
 def test_critical_orbit_conserves_energy():
@@ -173,21 +177,131 @@ def test_critical_orbit_conserves_energy():
     assert max(evals) - min(evals) <= 1e-10
 
 
-def test_audit_runs_on_an_orbit_to_a_horizon_the_grid_rounds_past():
+def test_audit_runs_on_an_orbit_to_a_horizon_the_grid_rounds_past(kernel_paths):
     # int(10.7 / 0.01) * 0.01 rounds past 10.7: the grid time 1070 is no
     # sample, and the end point -10.7 follows -10.69.
-    traj = integrate(OdeState(WSTAR, 1e-16, 0.0, 0.0), 0.0, -10.7, 1e-11, COEFFS)
-    assert traj.termination == REACHED_END
-    assert traj.times[-2:].tolist() == [-10.69, -10.7]
-    audit = audit_monotonicity(traj, COEFFS)
-    assert audit.max_violation <= 1e-10
-    assert audit.rate_mismatch <= 2e-4
+    for kernels in kernel_paths():
+        traj = integrate(OdeState(WSTAR, 1e-16, 0.0, 0.0), 0.0, -10.7, 1e-11, COEFFS)
+        assert traj.termination == REACHED_END, kernels
+        assert traj.times[-2:].tolist() == [-10.69, -10.7], kernels
+        audit = audit_monotonicity(traj, COEFFS)
+        assert audit.max_violation <= 1e-10, kernels
+        assert audit.rate_mismatch <= 2e-4, kernels
 
 
-def test_audit_rejects_short_trajectories():
-    traj = equilibrium_trajectory(WSTAR, t0=0.0, t1=-0.5)
-    with pytest.raises(ValueError):
-        audit_monotonicity(traj, COEFFS)
+def test_audit_rejects_short_trajectories(kernel_paths):
+    for kernels in kernel_paths():
+        traj = equilibrium_trajectory(WSTAR, t0=0.0, t1=-0.5)
+        with pytest.raises(ValueError):
+            audit_monotonicity(traj, COEFFS)
+
+
+def _audit_args(monkeypatch, traj, coeffs) -> tuple:
+    """The arguments with which audit_monotonicity(traj, coeffs) calls the
+    audit kernel, on the path kernels() takes."""
+    real, calls = _dp5.kernels(), []
+
+    def audit(*args):
+        calls.append(args)
+        return real.audit(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_dp5, "kernels", lambda: real._replace(audit=audit))
+        audit_monotonicity(traj, coeffs)
+    [args] = calls
+    return args
+
+
+def test_audit_reads_the_grid_samples_and_an_end_point_only_on_the_grid(
+    monkeypatch, kernel_paths
+):
+    # The -10.7 orbit's end point lies off the grid, after grid sample 1069
+    # at -10.69: the audit reads samples 0..1069 and not the end point.  A
+    # forward orbit to 3.005 drops its end point too; an orbit to -6.0 and
+    # the closed-form orbit to -15.0 end on grid samples 600 and 1500, and
+    # are read whole.
+    for kernels in kernel_paths():
+        cases = [
+            (integrate(OdeState(WSTAR, 1e-16, 0.0, 0.0), 0.0, -10.7, 1e-11, COEFFS), 1070),
+            (integrate(OdeState(WSTAR, 1e-16, 0.0, 0.0), 0.0, 3.005, 1e-11, COEFFS), 301),
+            (integrate(OdeState(WSTAR, 1e-16, 0.0, 0.0), 0.0, -6.0, 1e-11, COEFFS), 601),
+            (equilibrium_trajectory(WSTAR), 1501),
+        ]
+        for traj, audited in cases:
+            assert traj.termination == REACHED_END, kernels
+            rows, backward, stencil, first, *_ = _audit_args(monkeypatch, traj, COEFFS)
+            assert backward == (traj.t_end < 0.0), (kernels, traj.t_end)
+            assert rows.tobytes() == traj.states[:audited].tobytes(), (kernels, traj.t_end)
+            # The stencil of every audited sample but those within FD_STEP of
+            # the span's ends, in increasing t.
+            t_in = np.sort(traj.times[:audited])
+            t_in = t_in[(t_in - 1e-3 >= traj.times.min()) & (t_in + 1e-3 <= traj.times.max())]
+            assert t_in[0] == np.sort(traj.times[:audited])[first], (kernels, traj.t_end)
+            want = traj.sample(np.concatenate((t_in + 1e-3, t_in - 1e-3)))
+            assert stencil.tobytes() == want.tobytes(), (kernels, traj.t_end)
+
+
+def _strided(a: np.ndarray) -> np.ndarray:
+    """A view of a's values whose rows are not C-contiguous."""
+    wide = np.zeros((len(a), 8))
+    wide[:, ::2] = a
+    return wide[:, ::2]
+
+
+def _audit_bits(result) -> bytes:
+    return struct.pack("<2d", *result)
+
+
+def test_audit_kernel_matches_its_twin_bit_for_bit(monkeypatch):
+    # hh_audit against _audit_py on the arguments of audit_monotonicity for
+    # backward and forward orbits in every regime and for the closed-form
+    # equilibrium orbit, each audited in both directions (so that the ulp
+    # allowance enters the violation); on strided rows and stencils and on
+    # rows stored in the other order; with a NaN energy, which both maxima
+    # keep; and at an overflowing w0^(p+1), where both raise math.exp's
+    # OverflowError.
+    kernels = _dp5.load()
+    if kernels is None:
+        pytest.skip("no compiled kernels")
+    cases = []
+    for p in (4.0, 5.0, 5.5):
+        coeffs = coefficients(ProblemParams(6, 0.0, p))
+        ws = fixed_points(coeffs)[1]
+        for t1, start in ((-6.0, ws * 1.001), (3.0, ws + 1e-6)):
+            traj = integrate(OdeState(start, 0.0, 0.0, 0.0), 0.0, t1, 1e-11, coeffs,
+                             blowup_threshold=4.0 * max(ws, 1.0))
+            cases.append(_audit_args(monkeypatch, traj, coeffs))
+    cases.append(_audit_args(monkeypatch, equilibrium_trajectory(WSTAR), COEFFS))
+    assert sorted(args[1] for args in cases) == [False] * 3 + [True] * 4
+    for rows, backward, stencil, first, *prm, supercritical in cases:
+        assert len(rows) >= 100 and len(stencil) >= 2 * (len(rows) - 3)
+        for sup in (supercritical, not supercritical):
+            want = _dp5._audit_py(rows, backward, stencil, first, *prm, sup)
+            for args in (
+                (rows, backward, stencil, first),
+                (_strided(rows), backward, _strided(stencil), first),
+                (rows[::-1], not backward, stencil, first),
+            ):
+                assert _audit_bits(_dp5._audit_py(*args, *prm, sup)) == _audit_bits(want)
+                assert _audit_bits(kernels.audit(*args, *prm, sup)) == _audit_bits(want)
+    rows, backward, stencil, first, *prm, supercritical = cases[0]
+    bad_row, bad_stencil = rows.copy(), stencil.copy()
+    bad_row[50, 1] = math.nan
+    bad_stencil[10, 2] = math.nan
+    for args in ((bad_row, backward, stencil, first), (rows, backward, bad_stencil, first)):
+        want = _dp5._audit_py(*args, *prm, supercritical)
+        assert _audit_bits(kernels.audit(*args, *prm, supercritical)) == _audit_bits(want)
+        assert math.isnan(want[1]) and math.isnan(want[0]) == (args[0] is bad_row)
+    bad_row, bad_stencil = rows.copy(), stencil.copy()
+    bad_row[3, 0] = 1e100
+    bad_stencil[-1, 0] = 1e100
+    for args in ((bad_row, backward, stencil, first), (rows, backward, bad_stencil, first)):
+        errors = []
+        for fn in (kernels.audit, _dp5._audit_py):
+            with pytest.raises(OverflowError) as err:
+                fn(*args, *prm, supercritical)
+            errors.append(str(err.value))
+        assert errors == ["math range error"] * 2
 
 
 def test_scaling_identity_trivial_cases():
