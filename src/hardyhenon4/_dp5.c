@@ -7,8 +7,10 @@
  * trajectory, whose segment search walks from each time's segment to the
  * next, the energy of a stack of states, the monotonicity audit of the
  * energy along an orbit, the elementwise libm exp and log of
- * transform._exp and transform._log, and the writer and the reader of a
- * field file's 'radius,value' rows.
+ * transform._exp and transform._log, the row writer, which prints k double
+ * columns as lines of comma-joined repr()s (a field file's 'radius,value'
+ * rows, and each float column of a result table), and the reader of a
+ * field file's rows.
  *
  * Each but the reader is its Python twin, all of them in _dp5.py: _steps_py
  * (with _bisect_py), _scan_py (with _scan_bound), _dense_py, _energy_py,
@@ -820,18 +822,19 @@ static int repr_double(double x, const uint64_t *pow5, char *out)
     return (int)(p - out);
 }
 
-/* The n lines f"{r!r},{v!r}\n" of _rows_py for the columns r and v,
- * written at out, which needs room for 50 bytes a line.  pow5 holds the
- * POW5_INV_ROWS + POW5_ROWS multipliers of shortest().  Returns the bytes
- * written. */
-int64_t hh_rows(const double *r, const double *v, int64_t n, const uint64_t *pow5, char *out)
+/* The n lines of _rows_py for the k >= 1 columns cols[0..k), each line the
+ * repr()s of row i's k cells joined by commas, written at out, which
+ * needs room for 25 bytes a cell.  pow5 holds the POW5_INV_ROWS +
+ * POW5_ROWS multipliers of shortest().  Returns the bytes written. */
+int64_t hh_rows(const double *const *cols, int64_t k, int64_t n, const uint64_t *pow5, char *out)
 {
     char *p = out;
     for (int64_t i = 0; i < n; i++) {
-        p += repr_double(r[i], pow5, p);
-        *p++ = ',';
-        p += repr_double(v[i], pow5, p);
-        *p++ = '\n';
+        for (int64_t j = 0; j < k; j++) {
+            p += repr_double(cols[j][i], pow5, p);
+            *p++ = ',';
+        }
+        p[-1] = '\n';
     }
     return p - out;
 }

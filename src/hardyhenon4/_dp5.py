@@ -15,8 +15,10 @@ and every call returns exact-size copies of their rows.  The dense kernel
 starts each time's segment search from the previous time's segment, so a
 read of times in order walks the segments once.  The audit kernel runs
 energy.audit_monotonicity's arithmetic, energies included, in one pass
-over the samples and their stencil.  The row reader
-reads the rows the row writer writes, each cell as float() reads it, and
+over the samples and their stencil.  The row writer prints k double
+columns as lines of comma-joined repr()s: the rows of a field file, and
+each float column of a result table.  The row reader reads the rows the
+row writer writes, each cell as float() reads it, and
 returns None for any other body; its twin returns None for every body,
 and np.loadtxt reads what the reader leaves.  load() returns None, without
 a word, where anything fails (no compiler, a compile error, a target whose
@@ -98,7 +100,8 @@ class _Buffers(threading.local):
 _buffers = _Buffers()
 
 # Multiplier rows of the row writer, as the enum in _dp5.c, and the room
-# it needs per row: two 24-byte reprs, a comma and a newline.
+# it needs per row of two columns: two 24-byte reprs, a comma and a
+# newline; half of that per cell of any row.
 POW5_INV_ROWS, POW5_ROWS = 291, 326
 ROW_BYTES = 50
 
@@ -120,7 +123,7 @@ class Kernels(NamedTuple):
     audit: Callable[..., tuple[float, float]]
     exp: Callable[[np.ndarray], np.ndarray]
     log: Callable[[np.ndarray], np.ndarray]
-    rows: Callable[[np.ndarray, np.ndarray], str]
+    rows: Callable[..., str]
     parse: Callable[[bytes, int], tuple[np.ndarray, np.ndarray] | None]
 
 
@@ -226,7 +229,7 @@ def load() -> Kernels | None:
         fn.restype = ctypes.c_int64
         fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
     rows.restype = ctypes.c_int64
-    rows.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 2
+    rows.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 2
     parse.restype = ctypes.c_int64
     # A bytes argument passes its own buffer, which ends in a NUL.
     parse.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3
@@ -331,14 +334,16 @@ def load() -> Kernels | None:
 
         return run
 
-    def run_rows(radii: np.ndarray, values: np.ndarray) -> str:
-        radii = np.ascontiguousarray(radii, np.float64)
-        values = np.ascontiguousarray(values, np.float64)
-        _check(radii, (len(radii),), np.float64, writable=False)
-        _check(values, (len(radii),), np.float64, writable=False)
-        out = np.empty(ROW_BYTES * len(radii), np.uint8)
-        size = rows(radii.ctypes.data, values.ctypes.data, len(radii),
-                    _pow5_rows().ctypes.data, out.ctypes.data)
+    def run_rows(*cols: np.ndarray) -> str:
+        if not cols:
+            raise ValueError("the row writer needs at least one column")
+        cols = [np.ascontiguousarray(c, np.float64) for c in cols]
+        n = len(cols[0])
+        for c in cols:
+            _check(c, (n,), np.float64, writable=False)
+        at = (ctypes.c_void_p * len(cols))(*[c.ctypes.data for c in cols])
+        out = np.empty(ROW_BYTES // 2 * len(cols) * n, np.uint8)
+        size = rows(at, len(cols), n, _pow5_rows().ctypes.data, out.ctypes.data)
         return str(out[:size], "ascii")
 
     def run_parse(data: bytes, start: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -777,10 +782,17 @@ def _wpow_py(w: np.ndarray, q: float) -> np.ndarray:
     return _exp_py(q * _log_py(np.where(pos, w, 1.0))) * pos
 
 
-def _rows_py(radii: np.ndarray, values: np.ndarray) -> str:
-    """The 'radius,value' lines of a field file, each cell repr() of its
-    double.  hh_rows in _dp5.c writes the same bytes."""
-    return "".join([f"{r!r},{v!r}\n" for r, v in zip(radii.tolist(), values.tolist())])
+def _rows_py(*cols: np.ndarray) -> str:
+    """The lines of the k >= 1 double columns: row i's cells, each repr()
+    of its double, joined by commas.  hh_rows in _dp5.c writes the same
+    bytes."""
+    if not cols:
+        raise ValueError("the row writer needs at least one column")
+    cells = [np.asarray(c, np.float64).tolist() for c in cols]
+    if len({len(c) for c in cells}) != 1:
+        raise ValueError(f"columns of {[len(c) for c in cells]} rows")
+    line = ",".join(["{!r}"] * len(cols)) + "\n"
+    return "".join(map(line.format, *cells))
 
 
 def _parse_py(data: bytes, start: int) -> None:

@@ -3,10 +3,11 @@
 Each runner maps an ExperimentConfig to a ResultTable whose serialization
 is byte-identical for identical configs: pseudo-random initial conditions
 come from a counter-based generator keyed by (seed, row key), so a row's
-draw does not depend on execution order, and every cell is formatted with
-round-trip float repr.  Sweep rows never raise; per-row failures are
-recorded in the note column.  A trajectory table is one orbit, so its
-failure raises.
+draw does not depend on execution order, and every float cell is printed
+as its round-trip repr: a column of floats and blanks in one call to the
+kernel file's row writer, any other column cell by cell through _fmt.
+Sweep rows never raise; per-row failures are recorded in the note
+column.  A trajectory table is one orbit, so its failure raises.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _dp5
 from .params import (
     CRITICAL,
     OUT_OF_RANGE,
@@ -136,6 +138,7 @@ class ExperimentConfig:
 
 
 def _fmt(cell) -> str:
+    """The bytes of one cell."""
     if cell is None:
         return ""
     if isinstance(cell, bool):
@@ -169,20 +172,41 @@ class ResultTable:
             f"# generator hardyhenon4 {__version__} numpy {np.__version__}",
         ]
 
+    def _columns(self) -> list[list[str]]:
+        """The cells of each column, as _fmt prints them."""
+        columns = zip(*self.rows) if self.rows else [()] * len(self.schema)
+        return [_column_cells(column) for column in columns]
+
     def to_csv(self) -> str:
         lines = self._header_lines()
         lines.append(",".join(self.schema))
-        for row in self.rows:
-            lines.append(",".join(_fmt(c) for c in row))
+        lines.extend(map(",".join, zip(*self._columns())))
         return "\n".join(lines) + "\n"
 
     def to_aligned(self) -> str:
-        cells = [list(self.schema)] + [[_fmt(c) for c in row] for row in self.rows]
-        widths = [max(len(r[j]) for r in cells) for j in range(len(self.schema))]
+        columns = []
+        for name, cells in zip(self.schema, self._columns()):
+            cells.insert(0, name)
+            columns.append(list(map(str.ljust, cells, repeat(max(map(len, cells))))))
         lines = self._header_lines()
-        for r in cells:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+        lines.extend(map(str.rstrip, map("  ".join, zip(*columns))))
         return "\n".join(lines) + "\n"
+
+
+_FLOAT_CELLS = {float, type(None)}
+
+
+def _column_cells(column: tuple) -> list[str]:
+    """_fmt of each cell: a column of exact floats and Nones in one row
+    writer call, its Nones blank; any other column cell by cell."""
+    types = set(map(type, column))
+    if not types <= _FLOAT_CELLS:
+        return list(map(_fmt, column))
+    if type(None) not in types:
+        return _dp5.kernels().rows(np.array(column, np.float64)).splitlines()
+    printed = iter(_dp5.kernels().rows(
+        np.array([c for c in column if c is not None], np.float64)).splitlines())
+    return ["" if c is None else next(printed) for c in column]
 
 
 def _keyed_rng(seed: int):
@@ -286,11 +310,16 @@ def run_atlas(config: ExperimentConfig) -> ResultTable:
         "regime", "signs_ok", "w_star", "note",
     )
     rows: list[tuple] = []
-    for _, coeffs, _, w_star, note in _grid_points(config, schema, rows):
-        expected = _EXPECTED_SIGNS.get(coeffs.regime)
-        signs_ok = None if expected is None else classify_regime(coeffs).signs == expected
-        cells = {**vars(critical_exponents(coeffs)), **vars(coeffs)}
-        rows.append(_row(schema, **cells, signs_ok=signs_ok, w_star=w_star, note=note))
+    for _, c, _, w_star, note in _grid_points(config, schema, rows):
+        expected = _EXPECTED_SIGNS.get(c.regime)
+        signs_ok = None if expected is None else classify_regime(c).signs == expected
+        e = critical_exponents(c)
+        rows.append((
+            c.n, c.alpha, c.p,
+            e.serrin, e.hardy_sobolev, e.sobolev, e.upper_dichotomy,
+            c.B, c.a0, c.a1, c.a2, c.a3, c.a4,
+            c.regime, signs_ok, w_star, note,
+        ))
     return _table(ATLAS, schema, rows, config)
 
 

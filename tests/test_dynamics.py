@@ -4,6 +4,7 @@ import importlib.util
 import math
 import os
 import random
+import re
 import shutil
 import struct
 import subprocess
@@ -43,6 +44,7 @@ from hardyhenon4.experiments import (
     ExperimentConfig,
     _backward_decaying_basis,
     _draws,
+    run_atlas,
 )
 from hardyhenon4.transform import OdeState
 
@@ -84,6 +86,9 @@ def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch, tmp_path):
     assert rows == [f"{r!r},{math.sqrt(r)!r}" for r in grid.nodes.tolist()]
     field.save(tmp_path / "field.csv")
     assert green.RadialField.load(tmp_path / "field.csv").values.tolist() == field.values.tolist()
+    # The same writer prints a table's float columns.
+    table = run_atlas(ExperimentConfig(kind="atlas", param_grid=((6, 0.0, 4.0),)))
+    assert table.to_csv().splitlines()[-1].endswith(f",Subcritical,true,{WSTAR!r},")
 
 
 def test_vector_field_vanishes_exactly_at_equilibrium():
@@ -766,6 +771,23 @@ def test_sample_reads_strided_times_and_only_1d_times(kernel_paths):
         for bad in (-0.5, [[-0.5, -0.6], [-0.7, -0.8]]):
             with pytest.raises(ValueError, match="need a 1-D array of times"):
                 traj.sample(bad)
+
+
+def test_sample_takes_the_span_with_its_slack_and_names_the_first_time_outside(kernel_paths):
+    for kernels in kernel_paths():
+        for traj in (integrate(OdeState(WSTAR + 0.01, 0.0, 0.0, 0.0), 0.0, -3.0, 1e-10, COEFFS),
+                     equilibrium_trajectory(WSTAR, 0.0, -3.0)):
+            assert traj.sample(np.array([])).shape == (0, 4), kernels
+            # Times inside the 1e-12 slack past either end are read, not refused.
+            inside = traj.sample([-3.0 - 5e-13, -1.5, 5e-13])
+            assert inside.shape == (3, 4) and np.all(np.isfinite(inside)), kernels
+            for ts, first in (([-1.0, -3.0 - 2e-12, 0.0], -3.0 - 2e-12),
+                              ([-1.0, 2e-12, -4.0], 2e-12),
+                              ([-1.0, math.nan, 5.0], math.nan),
+                              ([math.inf, -1.0], math.inf)):
+                message = f"t={first!r} outside the covered span [0.0, -3.0]"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    traj.sample(ts)
 
 
 @pytest.mark.parametrize(

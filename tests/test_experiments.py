@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -298,6 +299,43 @@ def test_aligned_rendering():
     assert lines[3].startswith("n ")
     assert "Subcritical" in text
     assert not any(ln.endswith(" ") for ln in lines)
+
+
+def _cell_by_cell(table: ResultTable) -> tuple[str, str]:
+    """to_csv() and to_aligned() as they read with every cell through _fmt."""
+    fmt = experiments._fmt
+    lines = table._header_lines() + [",".join(table.schema)]
+    lines += [",".join(fmt(c) for c in row) for row in table.rows]
+    csv = "\n".join(lines) + "\n"
+    cells = [list(table.schema)] + [[fmt(c) for c in row] for row in table.rows]
+    widths = [max(len(r[j]) for r in cells) for j in range(len(table.schema))]
+    lines = table._header_lines()
+    lines += ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells]
+    return csv, "\n".join(lines) + "\n"
+
+
+def test_tables_print_by_column_as_cell_by_cell(kernel_paths):
+    # A column of exact floats and Nones goes through the row writer; a
+    # numpy scalar, an int, a bool or a str cell, cell by cell.
+    floats = [0.1, -0.0, 1e300, 5e-324, math.nan, math.inf, 1e16, 1e-4, 2.0**53 + 1.0]
+    k = len(floats)
+    columns = {
+        "x": floats,
+        "gaps": [None if i % 3 == 0 else floats[-1 - i] for i in range(k)],
+        "np": [np.float64(v) for v in floats],
+        "count": list(range(-2, k - 2)),
+        "flag": [i % 2 == 0 for i in range(k)],
+        "text": [f"a,b\nc {i}" for i in range(k)],
+        "blank": [None] * k,
+        "mixed": [None, 1, 2.5, "x", True, np.float32(0.1), None, 3.0, -7],
+    }
+    rows = tuple(zip(*columns.values()))
+    tables = [ResultTable("atlas", tuple(columns), rows, "x"),
+              ResultTable("atlas", tuple(columns), (), "x"),
+              ResultTable("atlas", ("w",), ((None,), (1.0,), (None,)), "x")]
+    for kernels in kernel_paths():
+        for table in tables:
+            assert (table.to_csv(), table.to_aligned()) == _cell_by_cell(table), kernels
 
 
 @pytest.mark.parametrize(

@@ -249,6 +249,22 @@ def test_field_rows_print_repr_bytes(kernel_paths):
         assert _dp5.kernels().rows(x[:0], y[:0]) == "", kernels
 
 
+def test_row_writer_prints_any_number_of_columns(kernel_paths):
+    # k columns print as lines of k comma-joined reprs; a table prints each
+    # float column as k = 1, a field file as k = 2.
+    x = _repr_oracle_doubles()
+    cols = (x, x[::-1], np.roll(x, 1))
+    reprs = [list(map(repr, c.tolist())) for c in cols]
+    wants = {k: "".join([",".join(r) + "\n" for r in zip(*reprs[:k])]) for k in (1, 2, 3)}
+    for kernels in kernel_paths():
+        for k, want in wants.items():
+            assert _dp5.kernels().rows(*cols[:k]) == want, (kernels, k)
+            assert _dp5.kernels().rows(*(c[:0] for c in cols[:k])) == "", (kernels, k)
+        for bad in ((), (x, x[:-1])):
+            with pytest.raises(ValueError):
+                _dp5.kernels().rows(*bad)
+
+
 @pytest.mark.parametrize("label", [-1.2345678, 3.14159265, 1e-7, 1e20])
 def test_field_header_labels_read_back_bit_for_bit(tmp_path, label, kernel_paths):
     grid = make_grid(count=256)
