@@ -497,20 +497,17 @@ static double energy_at(const double *y, double a0, double a2, double a3, double
     return measure * bracket;
 }
 
-/* The energy of each of the k rows of 4 of rows, as _energy_py, stopping
- * at the first i where w0^(p+1) overflows.  Returns that i, or -1. */
-int64_t hh_energy(const double *rows, int64_t k, double a0, double a2, double a3, double p,
-                  double measure, double *out)
+/* The energy of each of the k rows of 4 of rows, as _energy_py.  Returns 1,
+ * and stops, where some w0^(p+1) overflows (math.exp raises there), else 0;
+ * its wrapper raises that OverflowError. */
+int hh_energy(const double *rows, int64_t k, double a0, double a2, double a3, double p,
+              double measure, double *out)
 {
     double q = p + 1.0;
-    for (int64_t i = 0; i < k; i++) {
-        int ovf = 0;
-        double e = energy_at(rows + 4 * i, a0, a2, a3, q, measure, &ovf);
-        if (ovf)
-            return i;
-        out[i] = e;
-    }
-    return -1;
+    int ovf = 0;
+    for (int64_t i = 0; i < k && !ovf; i++)
+        out[i] = energy_at(rows + 4 * i, a0, a2, a3, q, measure, &ovf);
+    return ovf;
 }
 
 /* The finite-difference step of the monotonicity audit and its allowance

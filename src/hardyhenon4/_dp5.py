@@ -24,9 +24,9 @@ and np.loadtxt reads what the reader leaves.  load() returns None, without
 a word, where anything fails (no compiler, a compile error, a target whose
 doubles carry excess precision, no writable cache).  kernels() is the one
 dispatch point: the compiled kernels where they load, else the Python
-twins, which print the same bytes.  Nothing is compiled, and no compiler
-module imported, before the first call.  Nothing is imported from the
-package.
+twins, which print the same bytes and refuse the same arrays.  Nothing is
+compiled, and no compiler module imported, before the first call.
+Nothing is imported from the package.
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 LIBS = ("-lm",)
 COMPILE_TIMEOUT_S = 120
 
-# Statuses of the step kernel, as the enum in _dp5.c.  The C kernel
-# reports an overflowing w^p as OVERFLOW, and a full segment buffer as
-# FULL; its wrapper raises the OverflowError that math.exp raises in the
-# Python loop, and resumes into a buffer twice the size.
+# Statuses of the step kernel, as the enum in _dp5.c.  On FULL, a full
+# buffer, its wrapper resumes into a buffer twice the size.
 END, BLOW_UP, NON_POSITIVE, FULL, UNDERFLOW, OVERFLOW = range(6)
 
 # Doubles per dense segment row (see hh_steps), as the enum in _dp5.c.
@@ -219,7 +217,7 @@ def load() -> Kernels | None:
     scan.argtypes = [ctypes.c_double] * 4 + [ctypes.POINTER(ctypes.c_double)]
     dense.restype = None
     dense.argtypes = [ctypes.c_void_p, ctypes.c_int64] * 2 + [ctypes.c_void_p]
-    energy.restype = ctypes.c_int64
+    energy.restype = ctypes.c_int
     energy.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_double] * 5 + [ctypes.c_void_p]
     audit.restype = ctypes.c_int
     audit.argtypes = ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_void_p]
@@ -234,9 +232,11 @@ def load() -> Kernels | None:
     # A bytes argument passes its own buffer, which ends in a NUL.
     parse.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3
 
+    # A wrapper raises what its twin raises: the same check refuses the same
+    # arrays, and an overflowing w^p or w0^(p+1) raises math's OverflowError.
     def run_steps(st: np.ndarray, prm: np.ndarray):
-        _check(st, (ST_LEN,), np.float64)
-        _check(prm, (PRM_LEN,), np.float64)
+        _check(st, (ST_LEN,))
+        _check(prm, (PRM_LEN,))
         buf = _buffers
         if buf.seg is None:
             buf.keep(np.empty((SEGMENT_ROWS, SEGMENT_COLUMNS)))
@@ -272,56 +272,35 @@ def load() -> Kernels | None:
             raise OverflowError("math range error")
         return best.value, evaluated
 
-    # Buffers the kernels only read are copied where they are not
-    # C-contiguous float64.
     def run_dense(segments: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        segments = np.ascontiguousarray(segments, np.float64)
-        ts = np.ascontiguousarray(ts, np.float64)
-        if not len(segments):
-            raise ValueError("no dense segments")
-        _check(segments, (len(segments), SEGMENT_COLUMNS), np.float64, writable=False)
-        _check(ts, (len(ts),), np.float64, writable=False)
+        segments, ts = _dense_args(segments, ts)
         out = np.empty((len(ts), 4))
         dense(segments.ctypes.data, len(segments), ts.ctypes.data, len(ts), out.ctypes.data)
         return out
 
-    # The energy of a (4, k) stack reads the (k, 4) rows of its transpose,
-    # in place where the stack is that of a C-contiguous (k, 4) array such
-    # as traj.states.T.  Like the elementwise maps below, it stops at the
-    # first state where its twin raises, and the twin, run on that state,
-    # raises the same.
+    # The energy of a (4, k) stack reads its transpose's (k, 4) rows, in place
+    # where the stack is that of a C-contiguous (k, 4) array: traj.states.T.
     def run_energy(stack: np.ndarray, a0: float, a2: float, a3: float, p: float,
                    measure: float) -> np.ndarray:
-        states = np.ascontiguousarray(np.asarray(stack, np.float64).T)
-        _check(states, (len(states), 4), np.float64, writable=False)
+        states = _read(np.asarray(stack).T, 4)
         out = np.empty(len(states))
-        bad = energy(states.ctypes.data, len(states), a0, a2, a3, p, measure, out.ctypes.data)
-        if bad >= 0:
-            _energy_py(states[bad : bad + 1].T, a0, a2, a3, p, measure)
-            raise AssertionError(f"_energy_py of {states[bad]!r} did not raise")
+        if energy(states.ctypes.data, len(states), a0, a2, a3, p, measure, out.ctypes.data):
+            raise OverflowError("math range error")
         return out
 
-    # Where some w0^(p+1) overflows, the twin, run on the same rows, raises
-    # what energy() raises there.
     def run_audit(rows: np.ndarray, backward: bool, stencil: np.ndarray, first: int,
                   a0: float, a1: float, a2: float, a3: float, p: float, measure: float,
                   supercritical: bool) -> tuple[float, float]:
-        rows = np.ascontiguousarray(rows, np.float64)
-        stencil = np.ascontiguousarray(stencil, np.float64)
-        m = len(stencil) // 2
-        _check(rows, (len(rows), 4), np.float64, writable=False)
-        _check(stencil, (2 * m, 4), np.float64, writable=False)
-        if not 0 <= first <= first + m <= len(rows):
-            raise ValueError(f"{m} stencil samples from sample {first} of {len(rows)}")
+        rows, stencil, m = _audit_args(rows, stencil, first)
         out = (ctypes.c_double * 2)()
         if audit(rows.ctypes.data, len(rows), backward, stencil.ctypes.data, m, first,
                  a0, a1, a2, a3, p, measure, supercritical, out):
-            _audit_py(rows, backward, stencil, first, a0, a1, a2, a3, p, measure, supercritical)
-            raise AssertionError("_audit_py did not raise on an overflowing energy")
+            raise OverflowError("math range error")
         return out[0], out[1]
 
-    # An elementwise map stops at the first element where its twin raises;
-    # the twin, run on that element, raises the same.
+    # The libm maps alone re-run their twin, on the element where the
+    # kernel stopped: the error is the element's, a range error for exp
+    # and a domain error for log, and math raises it.
     def elementwise(kernel, twin):
         def run(x: np.ndarray) -> np.ndarray:
             x = np.ascontiguousarray(x, np.float64)
@@ -335,15 +314,10 @@ def load() -> Kernels | None:
         return run
 
     def run_rows(*cols: np.ndarray) -> str:
-        if not cols:
-            raise ValueError("the row writer needs at least one column")
-        cols = [np.ascontiguousarray(c, np.float64) for c in cols]
-        n = len(cols[0])
-        for c in cols:
-            _check(c, (n,), np.float64, writable=False)
+        cols = _rows_args(cols)
         at = (ctypes.c_void_p * len(cols))(*[c.ctypes.data for c in cols])
-        out = np.empty(ROW_BYTES // 2 * len(cols) * n, np.uint8)
-        size = rows(at, len(cols), n, _pow5_rows().ctypes.data, out.ctypes.data)
+        out = np.empty(ROW_BYTES // 2 * len(cols) * len(cols[0]), np.uint8)
+        size = rows(at, len(cols), len(cols[0]), _pow5_rows().ctypes.data, out.ctypes.data)
         return str(out[:size], "ascii")
 
     def run_parse(data: bytes, start: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -407,13 +381,45 @@ def _words128(words: list[int]) -> np.ndarray:
     return table
 
 
-def _check(a: np.ndarray, shape: tuple[int, ...], dtype: type, writable: bool = True) -> None:
-    # The kernel reads, and writes where writable, these buffers through bare pointers.
-    if (a.shape != shape or a.dtype != dtype or not a.flags.c_contiguous
-            or (writable and not a.flags.writeable)):
-        need = "writable C-contiguous" if writable else "C-contiguous"
+def _check(a: np.ndarray, shape: tuple[int, ...]) -> None:
+    # st and prm as the step kernel reads and writes them in place, through
+    # bare pointers; run_steps and _steps_py refuse any other alike.
+    if (a.shape != shape or a.dtype != np.float64 or not a.flags.c_contiguous
+            or not a.flags.writeable):
         raise ValueError(f"kernel buffer of shape {a.shape} and dtype {a.dtype}, "
-                         f"need a {need} {shape} {np.dtype(dtype)}")
+                         f"need a writable C-contiguous {shape} float64")
+
+
+def _read(a, *tail: int) -> np.ndarray:
+    # a as C-contiguous doubles of shape (len(a), *tail), or a ValueError.  A
+    # wrapper and its twin make the same check below, so both refuse alike.
+    a = np.ascontiguousarray(a, np.float64)
+    if a.shape != (len(a), *tail):
+        raise ValueError(f"kernel buffer of shape {a.shape}, need {(len(a), *tail)}")
+    return a
+
+
+def _dense_args(segments, ts) -> tuple[np.ndarray, np.ndarray]:
+    segments, ts = _read(segments, SEGMENT_COLUMNS), _read(ts)
+    if not len(segments):
+        raise ValueError("trajectory carries no dense segments")
+    return segments, ts
+
+
+def _audit_args(rows, stencil, first: int) -> tuple[np.ndarray, np.ndarray, int]:
+    # k rows of 4, the 2m stencil rows of 4 of m samples from the first-th, and m.
+    rows, stencil = _read(rows, 4), _read(stencil, 4)
+    m = len(stencil) / 2
+    if m % 1 or not 0 <= first <= first + m <= len(rows):
+        raise ValueError(f"{m:.15g} stencil samples from sample {first} of {len(rows)}")
+    return rows, stencil, int(m)
+
+
+def _rows_args(cols) -> list[np.ndarray]:
+    cols = [_read(c) for c in cols]
+    if len({len(c) for c in cols}) != 1:
+        raise ValueError(f"the row writer needs columns of one length, not {list(map(len, cols))}")
+    return cols
 
 
 # The Python twins: the kernels where _dp5.c does not build, and the
@@ -515,6 +521,8 @@ def _steps_py(st: np.ndarray, prm: np.ndarray):
     a crossing step wrote past t_end.  hh_steps in _dp5.c is this loop in
     C.
     """
+    _check(st, (ST_LEN,))
+    _check(prm, (PRM_LEN,))
     t, y0, y1, y2, y3, k10, k11, k12, k13, h, err_prev = st.tolist()
     t1, sgn, rtol, atol, p, a0, a1, a2, a3, blowup_threshold, t0, spacing = prm.tolist()
     rows: list[tuple] = []
@@ -716,6 +724,7 @@ def _dense_py(segments: np.ndarray, ts: np.ndarray) -> np.ndarray:
     # first step ending at or past t holds it; a t within covers()'s slack
     # past the last end falls to the last step.  hh_dense in _dp5.c is
     # this function in C.
+    segments, ts = _dense_args(segments, ts)
     sgn = -1.0 if segments[0, 1] < segments[0, 0] else 1.0
     i = np.searchsorted(sgn * segments[:, 1], sgn * ts)
     return np.stack(_hermite(ts, segments[np.minimum(i, len(segments) - 1)].T), axis=1)
@@ -727,7 +736,7 @@ def _energy_py(stack: np.ndarray, a0: float, a2: float, a3: float, p: float,
     # measure times e = w3 w1 - w2^2/2 + a3 w2 w1 + a2 w1^2/2 + a0 w0^2/2
     # - w0^(p+1)/(p+1).  hh_energy in _dp5.c is this expression in C, in
     # one pass.
-    w0, w1, w2, w3 = stack
+    w0, w1, w2, w3 = _read(np.asarray(stack).T, 4).T
     bracket = (
         w3 * w1
         - 0.5 * w2 * w2
@@ -747,6 +756,7 @@ def _audit_py(rows: np.ndarray, backward: bool, stencil: np.ndarray, first: int,
     where backward is set, and of their stencil: the dense output at t +
     FD_STEP of the m samples from the first-th in increasing t on, then at
     t - FD_STEP of the same.  hh_audit in _dp5.c is this arithmetic in C."""
+    rows, stencil, m = _audit_args(rows, stencil, first)
     # the law is stated for increasing t
     states = rows[::-1] if backward else rows
     evals = _energy_py(states.T, a0, a2, a3, p, measure)
@@ -755,7 +765,6 @@ def _audit_py(rows: np.ndarray, backward: bool, stencil: np.ndarray, first: int,
     allowance = ULP_ALLOWANCE * np.maximum(np.maximum(np.abs(ea), np.abs(eb)), 1.0)
     max_violation = float(np.max(inc - allowance, initial=0.0))
 
-    m = len(stencil) // 2
     plus, minus = stencil[:m].T, stencil[m:].T
     fd = (_energy_py(plus, a0, a2, a3, p, measure)
           - _energy_py(minus, a0, a2, a3, p, measure)) / (2.0 * FD_STEP)
@@ -786,13 +795,8 @@ def _rows_py(*cols: np.ndarray) -> str:
     """The lines of the k >= 1 double columns: row i's cells, each repr()
     of its double, joined by commas.  hh_rows in _dp5.c writes the same
     bytes."""
-    if not cols:
-        raise ValueError("the row writer needs at least one column")
-    cells = [np.asarray(c, np.float64).tolist() for c in cols]
-    if len({len(c) for c in cells}) != 1:
-        raise ValueError(f"columns of {[len(c) for c in cells]} rows")
     line = ",".join(["{!r}"] * len(cols)) + "\n"
-    return "".join(map(line.format, *cells))
+    return "".join(map(line.format, *[c.tolist() for c in _rows_args(cols)]))
 
 
 def _parse_py(data: bytes, start: int) -> None:

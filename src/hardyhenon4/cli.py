@@ -78,14 +78,9 @@ class _Option:
         return "--" + self.name.replace("_", "-")
 
     def parse(self, text: str):
-        if self.type is bool:
-            value = _BOOLEANS.get(text.lower())
-            if value is None:
-                raise ValueError(f"{text!r} is not one of {', '.join(_BOOLEANS)}")
-            return value
-        value = self.type(text)
-        if self.choices is not None and value not in self.choices:
-            raise ValueError(f"{text!r} is not one of {', '.join(self.choices)}")
+        value = _BOOLEANS.get(text.lower()) if self.type is bool else self.type(text)
+        if value is None or (self.choices is not None and value not in self.choices):
+            raise ValueError(f"{text!r} is not one of {', '.join(self.choices or _BOOLEANS)}")
         return value
 
 

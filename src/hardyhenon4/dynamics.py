@@ -257,8 +257,6 @@ class Trajectory:
             raise ValueError(f"t={t!r} outside the covered span [{self.t_start}, {self.t_end}]")
         if self.analytic is not None:
             return self.analytic(ts)
-        if not len(self.segments):
-            raise ValueError("trajectory carries no dense segments")
         return _dp5.kernels().dense(self.segments, ts)
 
 

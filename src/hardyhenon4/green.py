@@ -90,16 +90,20 @@ def _cumulative_down(g: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _tail_estimate(F: np.ndarray, h: float) -> float:
+def _tail_estimate(F: np.ndarray, grid: RadialGrid) -> float:
     """Mass of int_{-inf}^{t_0} g dt assuming a geometric (power-law) tail.
 
     The exponent is read off the bottom octave sums S1, S2 of F, the
     cumulative integral of g: for g = C e^{sigma t} the estimate
     S1 / (S2/S1 - 1) is exact, and the panel-rule errors cancel in the ratio.
+    IntegrabilityError where it cannot be formed: the grid spans less than
+    the two octaves below r = 1, or the octave ratio S2/S1 is not above 1.
     """
-    m = max(2, int(round(math.log(2.0) / h)))
+    m = max(2, int(round(math.log(2.0) / grid.h)))
     if 2 * m >= len(F):
-        raise ValueError("grid too coarse for the octave tail estimate")
+        raise IntegrabilityError(f"grid too shallow for the octave tail estimate: its smallest "
+                                 f"radius {grid.nodes[0]:.6g} is above r = "
+                                 f"{math.exp(-2 * m * grid.h):.6g}, two octaves below r = 1")
     s1, s2 = float(F[m]), float(F[2 * m] - F[m])
     if s1 <= 0.0:
         return 0.0
@@ -280,7 +284,7 @@ def poisson_solve_radial(f: RadialField, n: int) -> RadialField:
     grid = f.grid
     g_in = f.values * _exp(n * grid.t)
     F = _cumulative_up(g_in, grid.h)
-    inner = _tail_estimate(F, grid.h) + F
+    inner = _tail_estimate(F, grid) + F
     g_out = inner * _exp((2.0 - n) * grid.t)
     return RadialField(grid=grid, values=_cumulative_down(g_out, grid.h))
 
@@ -462,11 +466,10 @@ def integrability_report(traj: Trajectory, coeffs: CoefficientSet) -> Integrabil
     # ratios[k] = deeper shell / shallower shell
     l1_ratios, wt_ratios = (tuple((s[1:] / s[:-1]).tolist()) for s in sums)
     run = _DIVERGENCE_RUN
-    l1_diverges = all(q >= 1.0 for q in l1_ratios[-run:])
-    if l1_diverges:
+    if all(q >= 1.0 for q in l1_ratios[-run:]):
         raise IntegrabilityError(
-            "L^1 dyadic test diverges: last "
-            f"{run} shell ratios all >= 1 (deepest {l1_ratios[-1]:.6g})"
+            f"L^1 dyadic test diverges: last {run} shell ratios all >= 1 "
+            f"(deepest {l1_ratios[-1]:.6g})"
         )
     l1_conv = all(q < 1.0 for q in l1_ratios[-run:])
     wt_div = all(q >= 1.0 for q in wt_ratios[-run:])

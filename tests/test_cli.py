@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -322,6 +323,19 @@ def test_config_values_get_flag_checks(tmp_path, capsys):
     assert "quiet" in capsys.readouterr().err
 
 
+def test_config_booleans_switch_quiet(tmp_path, capsys):
+    # An accepted config boolean: yes silences simulate's diagnostic line,
+    # 0 keeps it.
+    cfg = tmp_path / "run.ini"
+    for value, silent in (("yes", True), ("0", False)):
+        cfg.write_text(f"n = 6\nalpha = 0\np = 4\nquiet = {value}\n")
+        assert main(["simulate", "--config", str(cfg), "--t-end", "-3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("# result-table kind=trajectory"), value
+        assert (captured.err == "") == silent, value
+        assert silent or captured.err.startswith("terminated ReachedEnd at t=-3; classified")
+
+
 def _field_file(path, radii):
     lines = ["# radial-field n=6 alpha=0 p=4"] + [f"{float(r)!r},1.0" for r in radii]
     path.write_text("\n".join(lines) + "\n")
@@ -367,6 +381,23 @@ def test_green_check_field_data_defects_exit_two(tmp_path, capsys):
     path = _write(tmp_path / "extra.csv", "\n".join(extra) + "\n")
     assert main(["green-check", "--field", str(path)]) == 2
     assert f"{path}: expected 'radius,value' rows: body row 100 has 3 cells" in capsys.readouterr().err
+
+
+def test_green_check_field_too_shallow_for_the_tail_exits_two(tmp_path, capsys):
+    # The file is a valid field, but spans less than the two octaves below
+    # r = 1 that the solve's tail estimate reads: a numerical failure.
+    # --n 2 on it stays a usage error.
+    radii = np.exp(np.linspace(math.log(0.61), 0.0, 256))
+    path = _field_file(tmp_path / "shallow.csv", radii)
+    assert main(["green-check", "--field", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "hardyhenon4 green-check: numerical failure: grid too shallow for the octave tail "
+        "estimate: its smallest radius 0.61 is above r = 0.249597, two octaves below r = 1\n"
+    )
+    assert main(["green-check", "--field", str(path), "--n", "2"]) == 1
+    assert "error: need dimension n >= 3" in capsys.readouterr().err
 
 
 def test_green_check_field_below_node_floor_exits_two(tmp_path, capsys):

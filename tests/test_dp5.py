@@ -6,6 +6,7 @@ import shutil
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hardyhenon4 import _dp5
@@ -157,3 +158,77 @@ def test_the_loader_is_a_leaf_that_pairs_each_kernel_with_its_twin():
     assert sorted(exported) == sorted(bound) == sorted(f"hh_{name}" for name in twins)
     for name, twin in twins.items():
         assert twin.__module__ == _dp5.__name__, name
+
+
+def test_the_loader_reruns_no_twin_but_the_libm_maps():
+    # One failure rule: a wrapper refuses bad arguments by the check its
+    # twin makes, and raises OverflowError itself where its kernel reports
+    # an overflowing power.  Only the libm maps re-run their twin, on the
+    # element where the kernel stopped, since math's error depends on that
+    # element; so inside load() a twin's name is only an argument of
+    # elementwise(...).  hh_energy and hh_audit return that report as a flag.
+    tree = ast.parse(Path(_dp5.__file__).read_text())
+    load = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "load")
+    twins = {name for name in vars(_dp5) if name.endswith("_py")}
+    mapped = {id(arg) for node in ast.walk(load)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "elementwise"
+              for arg in node.args}
+    named = [node for node in ast.walk(load) if isinstance(node, ast.Name) and node.id in twins]
+    assert [node.id for node in named if id(node) not in mapped] == []
+    assert sorted(node.id for node in named) == ["_exp_py", "_log_py"]
+    source = _dp5.SOURCE.read_text()
+    for name in ("hh_energy", "hh_audit"):
+        assert re.search(rf"^int {name}\(", source, re.MULTILINE), name
+
+
+def test_both_kernel_paths_refuse_alike(kernel_paths):
+    # The same exception and text from either path: an overflowing
+    # w0^(p+1) in an energy stack, in the audit rows and in the audit
+    # stencil; zero segment rows; a stencil that runs past the rows or has
+    # an odd row count; and buffers of the wrong shape, length or mode.
+    rows, stencil = np.ones((336, 4)), np.ones((662, 4))
+    huge_rows, huge_stencil = rows.copy(), stencil.copy()
+    huge_rows[7, 0] = huge_stencil[-1, 0] = 1e100
+    stack = np.ones((4, 3))
+    stack[0, 1] = 1e100
+    segments = np.ones((2, _dp5.SEGMENT_COLUMNS))
+    read_only = np.zeros(_dp5.PRM_LEN)
+    read_only.flags.writeable = False
+    coeffs = (1.0, 1.0, 1.0, 1.0, 4.0, 1.0, False)  # a0..a3, p, the measure, supercritical
+    overflow = (OverflowError, "math range error")
+    cases = {
+        "energy overflow": (lambda k: k.energy(stack, 1.0, 1.0, 1.0, 4.0, 1.0), overflow),
+        "audit row overflow": (lambda k: k.audit(huge_rows, False, stencil, 5, *coeffs),
+                               overflow),
+        "audit stencil overflow": (lambda k: k.audit(rows, True, huge_stencil, 0, *coeffs),
+                                   overflow),
+        "no segment rows": (lambda k: k.dense(segments[:0], np.zeros(3)),
+                            (ValueError, "trajectory carries no dense segments")),
+        "stencil past the rows": (lambda k: k.audit(rows, False, stencil, 10, *coeffs),
+                                  (ValueError, "331 stencil samples from sample 10 of 336")),
+        "odd stencil": (lambda k: k.audit(rows, False, stencil[:5], 0, *coeffs),
+                        (ValueError, "2.5 stencil samples from sample 0 of 336")),
+        "energy stack of 3": (lambda k: k.energy(stack[:3], 1.0, 1.0, 1.0, 4.0, 1.0),
+                              (ValueError, "kernel buffer of shape (3, 3), need (3, 4)")),
+        "2-D dense times": (lambda k: k.dense(segments, np.zeros((2, 2))),
+                            (ValueError, "kernel buffer of shape (2, 2), need (2,)")),
+        "2-D column": (lambda k: k.rows(np.ones((2, 2))),
+                       (ValueError, "kernel buffer of shape (2, 2), need (2,)")),
+        "no columns": (lambda k: k.rows(),
+                       (ValueError, "the row writer needs columns of one length, not []")),
+        "unequal columns": (lambda k: k.rows(np.ones(2), np.ones(3)),
+                            (ValueError, "the row writer needs columns of one length, not [2, 3]")),
+        "short step state": (lambda k: k.steps(np.zeros(3), np.zeros(_dp5.PRM_LEN)),
+                             (ValueError, "kernel buffer of shape (3,) and dtype float64, need a "
+                                          "writable C-contiguous (11,) float64")),
+        "read-only step parameters": (lambda k: k.steps(np.zeros(_dp5.ST_LEN), read_only),
+                                      (ValueError, "kernel buffer of shape (12,) and dtype "
+                                                   "float64, need a writable C-contiguous (12,) "
+                                                   "float64")),
+    }
+    for path in kernel_paths():
+        for name, (call, (kind, text)) in cases.items():
+            with pytest.raises(Exception) as err:
+                call(_dp5.kernels())
+            assert (type(err.value), str(err.value)) == (kind, text), (path, name)

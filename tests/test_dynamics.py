@@ -78,6 +78,16 @@ def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch, tmp_path):
     audited = integrate(OdeState(WSTAR + 1e-3, 0.0, 0.0, 0.0), 0.0, -6.0, 1e-11, COEFFS,
                         blowup_threshold=4.0 * WSTAR)
     assert audit_monotonicity(audited, COEFFS).max_violation <= 1e-10
+    # An overflowing w0^(p+1) in an energy stack and in an audit: the
+    # wrapper raises math.exp's OverflowError itself, running no twin.
+    huge = audited.states.copy()
+    huge[5, 0] = 1e100
+    prm = (COEFFS.a0, COEFFS.a1, COEFFS.a2, COEFFS.a3, P, 1.0, False)
+    for run in (lambda: energy(huge.T, COEFFS),
+                lambda: _dp5.kernels().audit(huge, True, huge[:4], 0, *prm)):
+        with pytest.raises(OverflowError) as err:
+            run()
+        assert str(err.value) == "math range error"
     # The field writer and reader, and both libm maps: the grid's exp and
     # the log of the radii read back.
     grid = green.make_grid(256)
@@ -1254,3 +1264,12 @@ def test_wpow_overflow_raises_at_the_first_overflowing_element(monkeypatch, kern
                 with pytest.raises(OverflowError, match="^math range error$"):
                     dynamics._wpow(w, q)
                 assert args[-1] == q * math.log(overflowing[0]), (kernels, q, first)
+
+
+def test_sample_refuses_an_orbit_without_segments_or_a_closed_form(kernel_paths):
+    traj = dynamics.Trajectory(times=np.array([0.0, -0.01]), states=np.ones((2, 4)),
+                               termination=REACHED_END)
+    for kernels in kernel_paths():
+        with pytest.raises(ValueError) as err:
+            traj.sample(np.array([-0.005]))
+        assert str(err.value) == "trajectory carries no dense segments", kernels

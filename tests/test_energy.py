@@ -9,6 +9,7 @@ from hardyhenon4 import _dp5
 from hardyhenon4.params import CRITICAL, SUBCRITICAL, SUPERCRITICAL, ProblemParams, coefficients
 from hardyhenon4.dynamics import (
     REACHED_END,
+    Trajectory,
     equilibrium_trajectory,
     fixed_points,
     integrate,
@@ -190,10 +191,15 @@ def test_audit_runs_on_an_orbit_to_a_horizon_the_grid_rounds_past(kernel_paths):
 
 
 def test_audit_rejects_short_trajectories(kernel_paths):
+    one = Trajectory(times=np.array([0.0]), states=np.array([[WSTAR, 0.0, 0.0, 0.0]]),
+                     termination=REACHED_END)
     for kernels in kernel_paths():
         traj = equilibrium_trajectory(WSTAR, t0=0.0, t1=-0.5)
         with pytest.raises(ValueError):
             audit_monotonicity(traj, COEFFS)
+        with pytest.raises(ValueError) as err:
+            audit_monotonicity(one, COEFFS)
+        assert str(err.value) == "trajectory too short to audit", kernels
 
 
 def _audit_args(monkeypatch, traj, coeffs) -> tuple:

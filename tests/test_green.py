@@ -178,6 +178,19 @@ def test_tail_rejects_borderline_integrand():
         poisson_solve_radial(f, 6)
 
 
+def test_tail_needs_two_octaves_below_one(tmp_path):
+    # 256 log-uniform radii from 0.61 to 1 make a field RadialField.load
+    # takes, but span less than the two octaves below r = 1 that the tail
+    # estimate reads.
+    radii = np.exp(np.linspace(math.log(0.61), 0.0, 256)).tolist()
+    path = tmp_path / "shallow.csv"
+    path.write_text("".join(["# radial-field n=6 alpha=0 p=4\n", *(f"{r!r},1.0\n" for r in radii)]))
+    with pytest.raises(IntegrabilityError) as err:
+        poisson_solve_radial(RadialField.load(path), 6)
+    assert str(err.value) == ("grid too shallow for the octave tail estimate: its smallest "
+                              "radius 0.61 is above r = 0.249597, two octaves below r = 1")
+
+
 # -------------------------------------------------------- serialization
 
 
@@ -528,6 +541,30 @@ def test_representation_residual_shrinks_under_refinement():
     assert coarse.node_count == 2048
     assert coarse.residual <= 5e-11
     assert fine.residual < coarse.residual
+
+
+def test_span_residual_needs_one_grid_and_a_u_without_zeros():
+    grid = make_grid(count=512)
+    u = RadialField(grid=grid, values=np.ones(grid.count))
+    other = RadialField(grid=make_grid(count=256), values=np.ones(256))
+    with pytest.raises(ValueError) as err:
+        biharmonic_span_residual(u, other, 6)
+    assert str(err.value) == "u and source must share a grid"
+    u.values[grid.count // 2] = 0.0
+    with pytest.raises(ValueError) as err:
+        biharmonic_span_residual(u, RadialField(grid=grid, values=np.ones(grid.count)), 6)
+    assert str(err.value) == "u vanishes on the interior window; cannot form relative residual"
+
+
+def test_checks_refuse_an_orbit_whose_w_is_negative(kernel_paths):
+    traj = mode_trajectory([(-1.0, COEFFS.B)], 0.0, -16.0)
+    for kernels in kernel_paths():
+        with pytest.raises(ValueError) as err:
+            representation_check(traj, COEFFS)
+        assert str(err.value) == "non-positive field value at node 0 (r=9.60152e-07)", kernels
+        with pytest.raises(ValueError) as err:
+            integrability_report(traj, COEFFS)
+        assert str(err.value) == "negative w at t=-0.693147; integrand undefined", kernels
 
 
 def test_representation_requires_coverage():
