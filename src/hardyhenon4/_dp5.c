@@ -1,16 +1,16 @@
 /* Compiled kernels of hardyhenon4: the Dormand-Prince 5(4) step loop of
  * integrate, which ends the orbit at its crossing by bisection and writes
- * the orbit's uniform samples (every grid time not past the orbit's end,
- * then the end point), the ulp ring scan of fixed_points, which stops
- * where an error bound for libm's exp, log and pow within SCAN_LIBM_ULPS
- * ulps rules out every ulp left, the dense Hermite output of a
- * trajectory, whose segment search walks from each time's segment to the
- * next, the energy of a stack of states, the monotonicity audit of the
- * energy along an orbit, the elementwise libm exp and log of
- * transform._exp and transform._log, the row writer, which prints k double
- * columns as lines of comma-joined repr()s (a field file's 'radius,value'
- * rows, and each float column of a result table), and the reader of a
- * field file's rows.
+ * the orbit's uniform samples as (t, w0..w3) rows (every grid time not
+ * past the orbit's end, then the end point), the ulp ring scan of
+ * fixed_points, which stops where an error bound for libm's exp, log and
+ * pow within SCAN_LIBM_ULPS ulps rules out every ulp left, the dense
+ * Hermite output of a trajectory, whose segment search walks from each
+ * time's segment to the next, the energy of a stack of states, the
+ * monotonicity audit of the energy along an orbit, the elementwise libm
+ * exp and log of transform._exp and transform._log, the row writer, which
+ * prints k double columns as lines of comma-joined repr()s (a field file's
+ * 'radius,value' rows, and each float column of a result table), and the
+ * reader of a field file's rows.
  *
  * Each but the reader is its Python twin, all of them in _dp5.py: _steps_py
  * (with _bisect_py), _scan_py (with _scan_bound), _dense_py, _energy_py,
@@ -47,7 +47,7 @@ enum { SEGMENT_COLUMNS = 18 };
 
 /* The lengths of hh_steps' st, prm and cnt, as ST_LEN, PRM_LEN and CNT_LEN
  * in _dp5.py. */
-enum { ST_LEN = 11, PRM_LEN = 12, CNT_LEN = 3 };
+enum { ST_LEN = 11, PRM_LEN = 11, CNT_LEN = 3 };
 
 /* Python's min(a, b) and max(a, b): a unless b is strictly smaller / larger. */
 static double py_min(double a, double b) { return b < a ? b : a; }
@@ -133,14 +133,14 @@ static double grid_time(double t0, double sgn, int64_t k, double spacing)
 }
 
 /* Accepted steps of the adaptive loop, appended to seg from row cnt[0] on,
- * and the orbit's uniform samples, appended to ts and ys from row cnt[2] on.
+ * and the orbit's uniform samples, appended to smp from row cnt[2] on, in
+ * the direction sgn from t0 to t1.
  *
  * st (in/out, ST_LEN): t, y0..y3, f0..f3 (the field at y), h, err_prev.
- * prm (PRM_LEN): t1, sgn, rtol, atol, p, a0, a1, a2, a3, blowup_threshold,
- * t0, spacing.
+ * prm (PRM_LEN): t1, rtol, atol, p, a0..a3, blowup_threshold, t0, spacing.
  * seg: cap rows of SEGMENT_COLUMNS doubles, (t, t_new, y, y_new, f, f_new)
  * per step.
- * ts, ys: scap sample times, and scap rows of the 4-jet at them.
+ * smp: scap sample rows (t, y0..y3), the layout of st[0..4].
  * cnt (in/out, CNT_LEN): rows written, rejected steps, samples written.
  *
  * The samples are every grid time not past the orbit's end, then the end
@@ -153,21 +153,22 @@ static double grid_time(double t0, double sgn, int64_t k, double spacing)
  * Returns END at t1; BLOW_UP or NON_POSITIVE after the step whose w
  * crossed the threshold or 0.0, its row the last one written, with
  * st[0..4] moved back to the crossing in that row and w clamped at 0.0 on
- * a zero crossing; FULL when seg has no room for a step, or ts and ys none
- * for the samples up to the step's end (call again with larger buffers to
+ * a zero crossing; FULL when seg has no room for a step, or smp none for
+ * the samples up to the step's end (call again with larger buffers to
  * go on); UNDERFLOW when the step collapses at st[0]; or OVERFLOW where a
- * stage's w^p overflows.  The samples are whole at END, BLOW_UP and
- * NON_POSITIVE only.
+ * stage's w^p overflows.  The samples are whole at every status but FULL
+ * and OVERFLOW.
  */
 int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *cnt,
-             double *ts, double *ys, int64_t scap)
+             double *smp, int64_t scap)
 {
     double t = st[0], y0 = st[1], y1 = st[2], y2 = st[3], y3 = st[4];
     double k10 = st[5], k11 = st[6], k12 = st[7], k13 = st[8];
     double h = st[9], err_prev = st[10];
-    const double t1 = prm[0], sgn = prm[1], rtol = prm[2], atol = prm[3];
-    const double p = prm[4], a0 = prm[5], a1 = prm[6], a2 = prm[7], a3 = prm[8];
-    const double blowup_threshold = prm[9], t0 = prm[10], spacing = prm[11];
+    const double t1 = prm[0], rtol = prm[1], atol = prm[2];
+    const double p = prm[3], a0 = prm[4], a1 = prm[5], a2 = prm[6], a3 = prm[7];
+    const double blowup_threshold = prm[8], t0 = prm[9], spacing = prm[10];
+    const double sgn = t1 > t0 ? 1.0 : -1.0;
     int64_t n = cnt[0], rejected = cnt[1], k = cnt[2];
     int status = END, ovf = 0;
     /* A step ending within room of t0 holds no sample past row scap - 2,
@@ -175,9 +176,8 @@ int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *c
     const double room = (double)(scap - 3) * spacing;
 
     if (k == 0 && scap > 0) {
-        ts[0] = grid_time(t0, sgn, 0, spacing);
-        memcpy(ys, st + 1, 4 * sizeof *ys);
-        k = 1;
+        memcpy(smp, st, 5 * sizeof *smp);
+        smp[0] = grid_time(t0, sgn, k++, spacing);
     }
     while (sgn * (t1 - t) > 0.0) {
         if (n == cap) {
@@ -267,8 +267,8 @@ int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *c
         t = tn; y0 = n0; y1 = n1; y2 = n2; y3 = n3;
         k10 = k70; k11 = k71; k12 = k72; k13 = k73;
         for (double tk; k < scap && sgn * (tk = grid_time(t0, sgn, k, spacing)) <= sgn * tn; k++) {
-            ts[k] = tk;
-            hermite(tk, row, 4, ys + 4 * k);
+            smp[5 * k] = tk;
+            hermite(tk, row, 4, smp + 5 * k + 1);
         }
 
         if (y0 > blowup_threshold) {
@@ -294,22 +294,18 @@ int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *c
     st[0] = t;   st[1] = y0;  st[2] = y1;  st[3] = y2;  st[4] = y3;
     st[5] = k10; st[6] = k11; st[7] = k12; st[8] = k13;
     st[9] = h;   st[10] = err_prev;
-    cnt[0] = n;
-    cnt[1] = rejected;
+    cnt[0] = n;  cnt[1] = rejected;
     if (status == BLOW_UP || status == NON_POSITIVE)
         bisect(seg + SEGMENT_COLUMNS * (n - 1), status == BLOW_UP ? blowup_threshold : 0.0, st);
     if (status == NON_POSITIVE)
         st[1] = py_max(st[1], 0.0);
-    if (k > 0 && (status == END || status == BLOW_UP || status == NON_POSITIVE)) {
+    if (k > 0 && status != FULL) {
         /* Sample 0 is never past the end; the room check leaves a row for
          * the end point, and k < scap only bounds the write should it not. */
-        while (k > 1 && sgn * ts[k - 1] > sgn * st[0])
+        while (k > 1 && sgn * smp[5 * (k - 1)] > sgn * st[0])
             k--;
-        if (ts[k - 1] != st[0] && k < scap) {
-            ts[k] = st[0];
-            memcpy(ys + 4 * k, st + 1, 4 * sizeof *ys);
-            k++;
-        }
+        if (smp[5 * (k - 1)] != st[0] && k < scap)
+            memcpy(smp + 5 * k++, st, 5 * sizeof *smp);
     }
     cnt[2] = k;
     return status;

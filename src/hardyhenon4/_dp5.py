@@ -8,25 +8,25 @@ signatures of their Python twins, defined below: _steps_py, _scan_py,
 _dense_py, _energy_py, _audit_py, _exp_py, _log_py, _rows_py and
 _parse_py.  The step kernel ends an orbit at its crossing itself, as
 _steps_py does through _bisect_py, and writes the orbit's uniform samples
-as it steps: every grid time not past the orbit's end, then the end point.
-Its wrapper is the one place that holds a segment buffer and a sample
-buffer: one of each per thread, kept between calls up to KEEP_ROWS rows,
-and every call returns exact-size copies of their rows.  The dense kernel
-starts each time's segment search from the previous time's segment, so a
-read of times in order walks the segments once.  The audit kernel runs
-energy.audit_monotonicity's arithmetic, energies included, in one pass
-over the samples and their stencil.  The row writer prints k double
-columns as lines of comma-joined repr()s: the rows of a field file, and
-each float column of a result table.  The row reader reads the rows the
-row writer writes, each cell as float() reads it, and
-returns None for any other body; its twin returns None for every body,
-and np.loadtxt reads what the reader leaves.  load() returns None, without
-a word, where anything fails (no compiler, a compile error, a target whose
-doubles carry excess precision, no writable cache).  kernels() is the one
-dispatch point: the compiled kernels where they load, else the Python
-twins, which print the same bytes and refuse the same arrays.  Nothing is
-compiled, and no compiler module imported, before the first call.
-Nothing is imported from the package.
+as it steps, each a (t, w0..w3) row: every grid time not past the orbit's
+end, then the end point.  Its wrapper is the one place that holds a
+segment buffer and a sample buffer: one of each per thread, kept between
+calls up to KEEP_ROWS rows, and every call returns exact-size copies.  The
+dense kernel starts each time's segment search from the previous time's
+segment, so a read of times in order walks the segments once.  The audit
+kernel runs energy.audit_monotonicity's arithmetic, energies included, in
+one pass over the samples and their stencil.  The row writer prints k
+double columns as lines of comma-joined repr()s: the rows of a field file,
+and each float column of a result table.  The row reader reads the rows
+the row writer writes, each cell as float() reads it, and returns None for
+any other body; its twin returns None for every body, and np.loadtxt reads
+what the reader leaves.  load() returns None, without a word, where
+anything fails (no compiler, a compile error, a target whose doubles carry
+excess precision, no writable cache).  kernels() is the one dispatch
+point: the compiled kernels where they load, else the Python twins, which
+print the same bytes and refuse the same arrays.  Nothing is compiled, and
+no compiler module imported, before the first call.  Nothing is imported
+from the package.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ SEGMENT_COLUMNS = 18
 
 # The lengths of the step kernel's st, prm and cnt (see _steps_py and
 # hh_steps), as the enum in _dp5.c.
-ST_LEN, PRM_LEN, CNT_LEN = 11, 12, 3
+ST_LEN, PRM_LEN, CNT_LEN = 11, 11, 3
 
 # The audit's finite-difference step, and its allowance per energy
 # increment: a few ulps of the energy's magnitude, subtracted before an
@@ -67,12 +67,11 @@ ULP_ALLOWANCE = 4.0 * math.ulp(1.0)
 
 # Rows of the step kernel's first segment buffer.
 SEGMENT_ROWS = 1024
-# A thread keeps its segment buffer, as _buffers.seg, and its sample
-# buffer, as _buffers.ts and _buffers.ys, between calls, so a call writes
-# into pages already mapped; one of each per thread, because ctypes lets
-# go of the GIL during a call.  A buffer grown past KEEP_ROWS rows (2.25
-# MiB of segments at 18 doubles a row, 640 KiB of samples at 5) is let go,
-# so one very long orbit does not pin its memory.
+# A thread keeps its segment buffer, _buffers.seg, and its (t, w0..w3)
+# sample rows, _buffers.smp, between calls, so a call writes into pages
+# already mapped; one of each per thread, as ctypes lets go of the GIL
+# during a call.  A buffer grown past KEEP_ROWS rows (2.25 MiB of segments,
+# 640 KiB of samples) is let go, so one very long orbit does not pin it.
 KEEP_ROWS = 16384
 
 
@@ -85,14 +84,13 @@ class _Buffers(threading.local):
         self.cnt = np.zeros(CNT_LEN, np.int64)  # rows written, rejected steps, samples written
         self.cnt_at = self.cnt.ctypes.data
         self.keep(None)
-        self.keep_samples(None, None)
+        self.keep_samples(None)
 
     def keep(self, seg: np.ndarray | None) -> None:
         self.seg, self.seg_at = seg, 0 if seg is None else seg.ctypes.data
 
-    def keep_samples(self, ts: np.ndarray | None, ys: np.ndarray | None) -> None:
-        self.ts, self.ys = ts, ys
-        self.ts_at, self.ys_at = (0, 0) if ts is None else (ts.ctypes.data, ys.ctypes.data)
+    def keep_samples(self, smp: np.ndarray | None) -> None:
+        self.smp, self.smp_at = smp, 0 if smp is None else smp.ctypes.data
 
 
 _buffers = _Buffers()
@@ -211,7 +209,7 @@ def load() -> Kernels | None:
     except (OSError, RuntimeError, AttributeError, ValueError):
         return None
     steps.restype = ctypes.c_int
-    steps.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] + [ctypes.c_void_p] * 3 + [
+    steps.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] + [ctypes.c_void_p] * 2 + [
         ctypes.c_int64]
     scan.restype = ctypes.c_int64
     scan.argtypes = [ctypes.c_double] * 4 + [ctypes.POINTER(ctypes.c_double)]
@@ -242,28 +240,27 @@ def load() -> Kernels | None:
             buf.keep(np.empty((SEGMENT_ROWS, SEGMENT_COLUMNS)))
         # Room for the samples of a run to t1: the grid, the terminal point
         # and the rounding at t1 that hh_steps' room check allows for.
-        t1, t0, spacing = prm[0], prm[10], prm[11]
+        t1, t0, spacing = prm[0], prm[9], prm[10]
         rows = min(int(abs(t1 - t0) / spacing) + 5, KEEP_ROWS)
-        if buf.ts is None or len(buf.ts) < rows:
-            buf.keep_samples(np.empty(rows), np.empty((rows, 4)))
+        if buf.smp is None or len(buf.smp) < rows:
+            buf.keep_samples(np.empty((rows, 5)))
         cnt = buf.cnt
         cnt.fill(0)
         while (status := steps(st.ctypes.data, prm.ctypes.data, buf.seg_at, len(buf.seg),
-                               buf.cnt_at, buf.ts_at, buf.ys_at, len(buf.ts))) == FULL:
+                               buf.cnt_at, buf.smp_at, len(buf.smp))) == FULL:
             if cnt[0] == len(buf.seg):
                 buf.keep(np.concatenate((buf.seg, np.empty_like(buf.seg))))
             else:
-                buf.keep_samples(np.concatenate((buf.ts, np.empty_like(buf.ts))),
-                                 np.concatenate((buf.ys, np.empty_like(buf.ys))))
-        seg, ts, ys = buf.seg, buf.ts, buf.ys
+                buf.keep_samples(np.concatenate((buf.smp, np.empty_like(buf.smp))))
+        seg, smp = buf.seg, buf.smp
         if len(seg) > KEEP_ROWS:
             buf.keep(None)
-        if len(ts) > KEEP_ROWS:
-            buf.keep_samples(None, None)
+        if len(smp) > KEEP_ROWS:
+            buf.keep_samples(None)
         if status == OVERFLOW:
             raise OverflowError("math range error")
         k = cnt[2]
-        return status, seg[: cnt[0]].copy(), int(cnt[1]), ts[:k].copy(), ys[:k].copy()
+        return status, seg[: cnt[0]].copy(), int(cnt[1]), smp[:k, 0].copy(), smp[:k, 1:].copy()
 
     def run_scan(seed: float, best_g: float, a0: float, p: float) -> tuple[float, int]:
         best = ctypes.c_double()
@@ -321,8 +318,7 @@ def load() -> Kernels | None:
         return str(out[:size], "ascii")
 
     def run_parse(data: bytes, start: int) -> tuple[np.ndarray, np.ndarray] | None:
-        if type(data) is not bytes or not 0 <= start <= len(data):
-            raise ValueError("the row reader needs a bytes object and an offset inside it")
+        _parse_args(data, start)
         # Every row but the last ends in a newline.
         body = np.frombuffer(data, np.uint8)
         lines = 1 + sum(int(np.count_nonzero(body[i : i + COUNT_CHUNK] == 10))
@@ -415,6 +411,11 @@ def _audit_args(rows, stencil, first: int) -> tuple[np.ndarray, np.ndarray, int]
     return rows, stencil, int(m)
 
 
+def _parse_args(data, start: int) -> None:
+    if type(data) is not bytes or not 0 <= start <= len(data):
+        raise ValueError("the row reader needs a bytes object and an offset inside it")
+
+
 def _rows_args(cols) -> list[np.ndarray]:
     cols = [_read(c) for c in cols]
     if len({len(c) for c in cols}) != 1:
@@ -503,32 +504,33 @@ def _steps_py(st: np.ndarray, prm: np.ndarray):
     orbit's uniform samples, their (k,) times and (k, 4) states.
 
     st (ST_LEN, updated in place) holds t, y0..y3, the field at y, h and
-    err_prev; prm (PRM_LEN) holds t1, sgn, rtol, atol, p, a0..a3, the
-    blow-up threshold, t0 and the sample spacing.  The status is END at
-    t1; BLOW_UP or NON_POSITIVE after the step whose w crossed the
-    threshold or 0.0, with st[:5] moved back to the crossing in that step's
-    row (_bisect_py) and w clamped at 0.0 on a zero crossing; or UNDERFLOW
-    when the step collapses at st[0].  An overflowing w^p raises
-    OverflowError.
+    err_prev; prm (PRM_LEN) holds t1, rtol, atol, p, a0..a3, the blow-up
+    threshold, t0 and the sample spacing; the direction sgn is that from
+    t0 to t1.  The status is END at t1; BLOW_UP or NON_POSITIVE after the
+    step whose w crossed the threshold or 0.0, with st[:5] moved back to
+    the crossing in that step's row (_bisect_py) and w clamped at 0.0 on a
+    zero crossing; or UNDERFLOW when the step collapses at st[0].  An
+    overflowing w^p raises OverflowError.
 
-    The samples are every grid time not past the orbit's end, then the
-    end point, as uniform_times and analytic_trajectory in dynamics.py
-    take them: sample k, at t0 + (sgn k) spacing, holds the initial state
-    for k = 0, else the Hermite value in the first step whose end is at or
-    past it, as _dense_py reads it; the end point (t_end, y), t_end the
-    orbit's last t, follows unless the last grid sample is at t_end.  Each
-    accepted step writes the samples it holds; the orbit's end drops those
-    a crossing step wrote past t_end.  hh_steps in _dp5.c is this loop in
-    C.
+    The samples are (t, y0..y3) rows, the layout of st[:5]: every grid
+    time not past the orbit's end, then the end point, as uniform_times
+    and analytic_trajectory in dynamics.py take them.  Sample k, at t0 +
+    (sgn k) spacing, holds the initial state for k = 0, else the Hermite
+    value in the first step whose end is at or past it, as _dense_py reads
+    it; the end point (t_end, y), t_end the orbit's last t, follows unless
+    the last grid sample is at t_end.  Each accepted step writes the
+    samples it holds; the orbit's end drops those a crossing step wrote
+    past t_end.  hh_steps in _dp5.c is this loop in C.
     """
     _check(st, (ST_LEN,))
     _check(prm, (PRM_LEN,))
     t, y0, y1, y2, y3, k10, k11, k12, k13, h, err_prev = st.tolist()
-    t1, sgn, rtol, atol, p, a0, a1, a2, a3, blowup_threshold, t0, spacing = prm.tolist()
+    t1, rtol, atol, p, a0, a1, a2, a3, blowup_threshold, t0, spacing = prm.tolist()
+    sgn = 1.0 if t1 > t0 else -1.0
     rows: list[tuple] = []
     rejected = 0
     status = END
-    times, states = [t0 + sgn * 0 * spacing], [(y0, y1, y2, y3)]
+    samples = [(t0 + sgn * 0 * spacing, y0, y1, y2, y3)]
 
     # The step below is the Dormand-Prince tableau written out per stage
     # and per component, with the right-hand side inlined: k<s><j> is
@@ -614,9 +616,8 @@ def _steps_py(st: np.ndarray, prm: np.ndarray):
         rows.append(row)
         t, y0, y1, y2, y3 = tn, n0, n1, n2, n3
         k10, k11, k12, k13 = k70, k71, k72, k73
-        while sgn * (tk := t0 + sgn * len(times) * spacing) <= sgn * tn:
-            times.append(tk)
-            states.append(_hermite(tk, row))
+        while sgn * (tk := t0 + sgn * len(samples) * spacing) <= sgn * tn:
+            samples.append((tk, *_hermite(tk, row)))
 
         if y0 > blowup_threshold:
             status = BLOW_UP
@@ -637,14 +638,13 @@ def _steps_py(st: np.ndarray, prm: np.ndarray):
         h *= factor
 
     st[:] = (t, y0, y1, y2, y3, k10, k11, k12, k13, h, err_prev)
-    if status != UNDERFLOW:
-        while sgn * times[-1] > sgn * t:
-            del times[-1], states[-1]
-        if times[-1] != t:
-            times.append(t)
-            states.append((y0, y1, y2, y3))
-    return (status, np.array(rows).reshape(-1, SEGMENT_COLUMNS), rejected, np.array(times),
-            np.array(states).reshape(-1, 4))
+    while sgn * samples[-1][0] > sgn * t:
+        del samples[-1]
+    if samples[-1][0] != t:
+        samples.append((t, y0, y1, y2, y3))
+    smp = np.array(samples)
+    return (status, np.array(rows).reshape(-1, SEGMENT_COLUMNS), rejected, smp[:, 0].copy(),
+            smp[:, 1:].copy())
 
 
 # The rings of fixed_points' scan double from SCAN_FIRST_RING ulps to
@@ -802,4 +802,4 @@ def _rows_py(*cols: np.ndarray) -> str:
 def _parse_py(data: bytes, start: int) -> None:
     """The Python twin of hh_parse reads no body: where the kernels are not
     compiled, np.loadtxt reads every field file."""
-    return None
+    _parse_args(data, start)

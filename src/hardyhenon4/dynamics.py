@@ -387,13 +387,12 @@ def integrate(
         raise NonPositiveState(f"initial w={initial.w0!r} < 0")
 
     rtol, atol = tol, tol * 1e-2
-    sgn = 1.0 if t1 > t0 else -1.0
     f = _rhs(initial, coeffs)
     h = _initial_step(initial, f, abs(t1 - t0), rtol, atol)
-    # The kernel state (see _dp5._steps_py): t, y, the field at y, h, err_prev.
+    # st and prm as _dp5._steps_py reads them; the direction follows from t0 and t1.
     st = np.array([t0, *initial, *f, h, 1.0])
     prm = np.array(
-        [t1, sgn, rtol, atol, coeffs.p, coeffs.a0, coeffs.a1, coeffs.a2, coeffs.a3,
+        [t1, rtol, atol, coeffs.p, coeffs.a0, coeffs.a1, coeffs.a2, coeffs.a3,
          blowup_threshold, t0, DEFAULT_SAMPLE_SPACING]
     )
     status, segs, rejected, times, states = _dp5.kernels().steps(st, prm)

@@ -119,7 +119,8 @@ def _regime_tag(params: ProblemParams) -> str:
 
 
 def coefficients(params: ProblemParams) -> CoefficientSet:
-    """B and A0..A4, evaluated exactly as the displayed polynomials in B."""
+    """B and A0..A4, evaluated exactly as the displayed polynomials in B;
+    OverflowError, naming the triple, where one is not a finite double."""
     n = float(params.n)
     B = params.B
     q = n * n - 10.0 * n + 20.0
@@ -128,6 +129,9 @@ def coefficients(params: ProblemParams) -> CoefficientSet:
     a2 = 6.0 * B**2 - 6.0 * (n - 4.0) * B + q
     a3 = -4.0 * B + 2.0 * n - 8.0
     a4 = 2.0 * B**2 - 2.0 * (n - 4.0) * B - 2.0 * (n - 4.0)
+    if not all(map(math.isfinite, (B, a0, a1, a2, a3, a4))):
+        raise OverflowError(f"coefficients overflow a double at n={n:g}, "
+                            f"alpha={params.alpha!r}, p={params.p!r}")
     return CoefficientSet(
         n=params.n, alpha=params.alpha, p=params.p,
         B=B, a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, regime=_regime_tag(params),

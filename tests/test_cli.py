@@ -282,15 +282,20 @@ def test_infinite_exponent_is_usage_error(command, capsys):
 
 
 def test_atlas_grid_rejects_unusable_triples_per_row(capsys):
-    assert main(["atlas", "--grid", "6.5 0 4; inf 0 4; 6 1e300 4; 6 0 4",
+    # At n = 1e308 and 1e200, n * n overflows a double: the row names the
+    # triple and has no coefficient, regime or equilibrium cells.
+    assert main(["atlas", "--grid", "6.5 0 4; inf 0 4; 6 1e300 4; 1e308 0 4; 1e200 0 4; 6 0 4",
                  "--format", "csv"]) == 0
     rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
-    assert len(rows) == 5
+    assert len(rows) == 7
     assert rows[1].startswith("6.5,0.0,4.0,")
     assert rows[1].endswith("dimension n must be an integer; got 6.5")
-    for row in rows[2:4]:
+    for row in rows[2:6]:
         assert row.split(",")[13:16] == ["", "", ""] and row.split(",")[16]
-    assert rows[4].endswith(",Subcritical,true,1.9917354429142955,")
+    for row, n in zip(rows[4:6], ("1e+308", "1e+200")):
+        assert row.split(",")[1:] == ["0.0", "4.0"] + [""] * 13 + [
+            f"coefficients overflow a double at n={n}; alpha=0.0; p=4.0"]
+    assert rows[6].endswith(",Subcritical,true,1.9917354429142955,")
 
 
 def test_large_B_prints_no_traceback(capsys):

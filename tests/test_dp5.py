@@ -55,6 +55,17 @@ def test_missing_compiler_falls_back_silently(tmp_path, monkeypatch, fresh_load)
     assert list((tmp_path / "cache").iterdir()) == []
 
 
+def test_compile_error_falls_back_silently(tmp_path, monkeypatch, fresh_load):
+    # A compiler that runs and fails: the build's temporary file goes, and
+    # no library is left in the cache.
+    if shutil.which("false") is None:
+        pytest.skip("no false command")
+    monkeypatch.setattr(_dp5, "_cache_dirs", lambda: [tmp_path / "cache"])
+    monkeypatch.setattr(_dp5, "_compiler", lambda: ["false"])
+    assert fresh_load() is None
+    assert list((tmp_path / "cache").iterdir()) == []
+
+
 def test_unwritable_cache_directory_falls_to_the_next(tmp_path, monkeypatch, fresh_load):
     _needs_compiler()
     (tmp_path / "file").write_text("")
@@ -186,7 +197,8 @@ def test_both_kernel_paths_refuse_alike(kernel_paths):
     # The same exception and text from either path: an overflowing
     # w0^(p+1) in an energy stack, in the audit rows and in the audit
     # stencil; zero segment rows; a stencil that runs past the rows or has
-    # an odd row count; and buffers of the wrong shape, length or mode.
+    # an odd row count; buffers of the wrong shape, length or mode; and a
+    # row reader's body that is not bytes, or an offset past its end.
     rows, stencil = np.ones((336, 4)), np.ones((662, 4))
     huge_rows, huge_stencil = rows.copy(), stencil.copy()
     huge_rows[7, 0] = huge_stencil[-1, 0] = 1e100
@@ -197,6 +209,7 @@ def test_both_kernel_paths_refuse_alike(kernel_paths):
     read_only.flags.writeable = False
     coeffs = (1.0, 1.0, 1.0, 1.0, 4.0, 1.0, False)  # a0..a3, p, the measure, supercritical
     overflow = (OverflowError, "math range error")
+    unreadable = (ValueError, "the row reader needs a bytes object and an offset inside it")
     cases = {
         "energy overflow": (lambda k: k.energy(stack, 1.0, 1.0, 1.0, 4.0, 1.0), overflow),
         "audit row overflow": (lambda k: k.audit(huge_rows, False, stencil, 5, *coeffs),
@@ -223,9 +236,11 @@ def test_both_kernel_paths_refuse_alike(kernel_paths):
                              (ValueError, "kernel buffer of shape (3,) and dtype float64, need a "
                                           "writable C-contiguous (11,) float64")),
         "read-only step parameters": (lambda k: k.steps(np.zeros(_dp5.ST_LEN), read_only),
-                                      (ValueError, "kernel buffer of shape (12,) and dtype "
-                                                   "float64, need a writable C-contiguous (12,) "
+                                      (ValueError, "kernel buffer of shape (11,) and dtype "
+                                                   "float64, need a writable C-contiguous (11,) "
                                                    "float64")),
+        "row reader on text": (lambda k: k.parse("1.0,2.0\n", 0), unreadable),
+        "row reader past the body": (lambda k: k.parse(b"1.0,2.0\n", 99), unreadable),
     }
     for path in kernel_paths():
         for name, (call, (kind, text)) in cases.items():

@@ -1033,9 +1033,9 @@ def test_integrate_resumes_when_the_segment_buffer_fills(monkeypatch, kernel_pat
         sizes = []
         keep_samples = _dp5._Buffers.keep_samples
 
-        def spy(self, ts, ys):
-            sizes.append(None if ts is None else len(ts))
-            keep_samples(self, ts, ys)
+        def spy(self, smp):
+            sizes.append(None if smp is None else len(smp))
+            keep_samples(self, smp)
 
         with monkeypatch.context() as patch:
             patch.setattr(_dp5._Buffers, "keep_samples", spy)

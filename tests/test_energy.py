@@ -16,6 +16,7 @@ from hardyhenon4.dynamics import (
     vector_field,
 )
 from hardyhenon4.energy import (
+    MonotonicityAudit,
     audit_monotonicity,
     energy,
     energy_rate,
@@ -200,6 +201,12 @@ def test_audit_rejects_short_trajectories(kernel_paths):
         with pytest.raises(ValueError) as err:
             audit_monotonicity(one, COEFFS)
         assert str(err.value) == "trajectory too short to audit", kernels
+
+
+def test_audit_fields_are_nonnegative():
+    with pytest.raises(ValueError) as err:
+        MonotonicityAudit(-1.0, 0.0)
+    assert str(err.value) == "audit fields must be nonnegative"
 
 
 def _audit_args(monkeypatch, traj, coeffs) -> tuple:

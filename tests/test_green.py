@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import warnings
@@ -547,9 +548,13 @@ def test_span_residual_needs_one_grid_and_a_u_without_zeros():
     grid = make_grid(count=512)
     u = RadialField(grid=grid, values=np.ones(grid.count))
     other = RadialField(grid=make_grid(count=256), values=np.ones(256))
-    with pytest.raises(ValueError) as err:
-        biharmonic_span_residual(u, other, 6)
-    assert str(err.value) == "u and source must share a grid"
+    # The same node count on a grid that starts elsewhere is another grid.
+    moved = RadialField(grid=dataclasses.replace(grid, r_min=2.0 * grid.r_min),
+                        values=np.ones(grid.count))
+    for source in (other, moved):
+        with pytest.raises(ValueError) as err:
+            biharmonic_span_residual(u, source, 6)
+        assert str(err.value) == "u and source must share a grid"
     u.values[grid.count // 2] = 0.0
     with pytest.raises(ValueError) as err:
         biharmonic_span_residual(u, RadialField(grid=grid, values=np.ones(grid.count)), 6)
