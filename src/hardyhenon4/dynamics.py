@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _dp5
-from .params import CoefficientSet
+from .params import CRITICAL, CoefficientSet
 from .transform import OdeState, _exp, _log
 
 # Termination reasons.
@@ -146,24 +146,41 @@ class LinearizationReport:
     roots: tuple[complex, complex, complex, complex]
     n_unstable_backward: int
 
-    def residual(self) -> float:
-        """Relative defect between the roots multiplied out and char_coeffs."""
-        poly = np.poly(np.array(self.roots))
-        ref = np.array(self.char_coeffs)
-        return float(np.max(np.abs(poly.real - ref)) / (1.0 + np.max(np.abs(ref))))
-
 
 def linearize(point: float, coeffs: CoefficientSet) -> LinearizationReport:
     """Characteristic polynomial and roots of the linearization at a point.
 
-    The polynomial is mu^4 + a3 mu^3 + a2 mu^2 + a1 mu + (a0 - p point^{p-1});
-    roots come from numpy's balanced companion eigenvalues, which stay
-    accurate when root patterns collide near the critical exponent.
+    The polynomial is mu^4 + a3 mu^3 + a2 mu^2 + a1 mu + (a0 - c) with
+    c = p point^{p-1}.  With lam = mu - B it is the radial Delta^2 symbol
+    lam (lam - 2)(lam + n - 2)(lam + n - 4) less c, even in lam + A, so
+    its roots are, in closed form,
+
+        mu = B - A +- sqrt(M + 1 +- sqrt(4M + c)),
+        A = (n - 4)/2,  M = ((n - 2)/2)^2.
+
+    The outer pair is real; the center pair is real iff c <= (M - 1)^2 =
+    n^2 (n - 4)^2 / 16, and otherwise B - A +- i sqrt(sqrt(4M + c) - M - 1).
+    At w* the constant term is a0 - p a0, so there the threshold reads
+    p a0 <= n^2 (n - 4)^2 / 16 (Gazzola-Grunau).
+    At a critical triple B = A exactly, but B - A computed can be an ulp
+    off 0, so there the shift B - A is 0.0: a complex center pair is then
+    neutral and not counted in n_unstable_backward.  The roots are sorted
+    by (real, imag).
     """
-    c0 = coeffs.a0 - coeffs.p * _wpow(point, coeffs.p - 1.0)
-    cs = (1.0, coeffs.a3, coeffs.a2, coeffs.a1, c0)
-    roots = np.roots(np.array(cs))
-    roots = tuple(sorted((complex(z) for z in roots), key=lambda z: (z.real, z.imag)))
+    c = coeffs.p * _wpow(point, coeffs.p - 1.0)
+    cs = (1.0, coeffs.a3, coeffs.a2, coeffs.a1, coeffs.a0 - c)
+    n = float(coeffs.n)
+    m = 0.25 * (n - 2.0) ** 2
+    shift = 0.0 if coeffs.regime == CRITICAL else coeffs.B - 0.5 * (n - 4.0)
+    spread = math.sqrt((n - 2.0) ** 2 + c)
+    outer = math.sqrt(m + 1.0 + spread)
+    center = m + 1.0 - spread
+    y = math.sqrt(abs(center))
+    if center >= 0.0:
+        pair = (complex(shift - y), complex(shift + y))
+    else:
+        pair = (complex(shift, -y), complex(shift, y))
+    roots = (complex(shift - outer), *pair, complex(shift + outer))
     n_right = sum(1 for z in roots if z.real > 0.0)
     return LinearizationReport(char_coeffs=cs, roots=roots, n_unstable_backward=n_right)
 

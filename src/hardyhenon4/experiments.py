@@ -441,11 +441,11 @@ def _backward_decaying_basis(wstar: float, coeffs: CoefficientSet) -> list[OdeSt
     rep = linearize(wstar, coeffs)
     basis = []
     for z in rep.roots:
-        if z.real <= 0.0 or z.imag < -1e-9:
+        if z.real <= 0.0 or z.imag < 0.0:
             continue
         v = np.array([z**k for k in range(4)])
         basis.append(v.real / math.hypot(*v.real.tolist()))
-        if abs(z.imag) >= 1e-9:
+        if z.imag > 0.0:
             basis.append(v.imag / math.hypot(*v.imag.tolist()))
     return [OdeState(*map(float, b)) for b in basis]
 

@@ -295,14 +295,23 @@ def bilaplacian_solve_radial(f: RadialField, n: int) -> RadialField:
 
 
 def _project_span(target: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    # Least squares with per-column equilibration: the biharmonic columns
-    # span many decades on a log grid and would otherwise fall below the
-    # SVD cutoff, silently dropping the directions the fit needs.
-    scale = np.linalg.norm(columns, axis=0)
-    scale[scale == 0.0] = 1.0
-    cols = columns / scale
-    coef, *_ = np.linalg.lstsq(cols, target, rcond=None)
-    return target - cols @ coef
+    # Modified Gram-Schmidt with one reorthogonalization pass, every inner
+    # product an np.sum(a * b): a fixed order of operations, so the
+    # residual does not depend on which BLAS kernel the machine loads.
+    # A column that comes out zero (an underflowed power) is dropped.
+    def deflate(v: np.ndarray) -> np.ndarray:
+        for _ in range(2):
+            for q in basis:
+                v = v - np.sum(q * v) * q
+        return v
+
+    basis: list[np.ndarray] = []
+    for column in columns.T:
+        v = deflate(column)
+        norm = math.sqrt(np.sum(v * v))
+        if norm > 0.0:
+            basis.append(v / norm)
+    return deflate(target)
 
 
 def biharmonic_span_residual(u: RadialField, source: RadialField, n: int) -> float:

@@ -124,12 +124,16 @@ def coefficients(params: ProblemParams) -> CoefficientSet:
     n = float(params.n)
     B = params.B
     q = n * n - 10.0 * n + 20.0
-    a0 = B**4 - 2.0 * (n - 4.0) * B**3 + q * B**2 + 2.0 * (n - 2.0) * (n - 4.0) * B
-    a1 = -4.0 * B**3 + 6.0 * (n - 4.0) * B**2 - 2.0 * q * B - 2.0 * (n - 2.0) * (n - 4.0)
-    a2 = 6.0 * B**2 - 6.0 * (n - 4.0) * B + q
-    a3 = -4.0 * B + 2.0 * n - 8.0
-    a4 = 2.0 * B**2 - 2.0 * (n - 4.0) * B - 2.0 * (n - 4.0)
-    if not all(map(math.isfinite, (B, a0, a1, a2, a3, a4))):
+    try:
+        a0 = B**4 - 2.0 * (n - 4.0) * B**3 + q * B**2 + 2.0 * (n - 2.0) * (n - 4.0) * B
+        a1 = -4.0 * B**3 + 6.0 * (n - 4.0) * B**2 - 2.0 * q * B - 2.0 * (n - 2.0) * (n - 4.0)
+        a2 = 6.0 * B**2 - 6.0 * (n - 4.0) * B + q
+        a3 = -4.0 * B + 2.0 * n - 8.0
+        a4 = 2.0 * B**2 - 2.0 * (n - 4.0) * B - 2.0 * (n - 4.0)
+        finite = all(map(math.isfinite, (B, a0, a1, a2, a3, a4)))
+    except OverflowError:  # a power B**k itself past a double
+        finite = False
+    if not finite:
         raise OverflowError(f"coefficients overflow a double at n={n:g}, "
                             f"alpha={params.alpha!r}, p={params.p!r}")
     return CoefficientSet(

@@ -150,6 +150,22 @@ def test_criterion_04_kernel_roots():
         assert abs(root - want) <= 1e-10
 
 
+def test_criterion_04_closed_form_roots_match_companion_eigenvalues():
+    # np.roots, LAPACK's eigenvalues of the companion matrix, is an
+    # independent reference for linearize's closed form, at 0 and at w*.
+    stream = _param_stream(4)
+    for _ in range(1000):
+        n, alpha, rng = next(stream)
+        p = float(rng.uniform(1.5, 12.0))
+        c = coefficients(ProblemParams(n, alpha, p))
+        for point in (0.0, fixed_points(c)[1]) if c.a0 > 0.0 else (0.0,):
+            rep = linearize(point, c)
+            ref = sorted(map(complex, np.roots(rep.char_coeffs)), key=lambda z: (z.real, z.imag))
+            size = max(map(abs, ref))
+            assert max(abs(z - w) for z, w in zip(rep.roots, ref)) <= 1e-11 * size, (n, alpha, p)
+            assert rep.n_unstable_backward == sum(z.real > 0.0 for z in ref), (n, alpha, p)
+
+
 def test_criterion_05_energy_monotonicity_and_rate():
     cfg = ExperimentConfig(
         kind="energy-audit", param_grid=((6, 0.0, 4.0),), samples=64, seed=3

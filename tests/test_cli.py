@@ -282,8 +282,9 @@ def test_infinite_exponent_is_usage_error(command, capsys):
 
 
 def test_atlas_grid_rejects_unusable_triples_per_row(capsys):
-    # At n = 1e308 and 1e200, n * n overflows a double: the row names the
-    # triple and has no coefficient, regime or equilibrium cells.
+    # At alpha = 1e300 a power of B overflows a double, and at n = 1e308
+    # and 1e200 n * n does: the row names the triple and has no
+    # coefficient, regime or equilibrium cells.
     assert main(["atlas", "--grid", "6.5 0 4; inf 0 4; 6 1e300 4; 1e308 0 4; 1e200 0 4; 6 0 4",
                  "--format", "csv"]) == 0
     rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
@@ -292,6 +293,8 @@ def test_atlas_grid_rejects_unusable_triples_per_row(capsys):
     assert rows[1].endswith("dimension n must be an integer; got 6.5")
     for row in rows[2:6]:
         assert row.split(",")[13:16] == ["", "", ""] and row.split(",")[16]
+    assert rows[3].split(",")[1:] == ["1e+300", "4.0"] + [""] * 13 + [
+        "coefficients overflow a double at n=6; alpha=1e+300; p=4.0"]
     for row, n in zip(rows[4:6], ("1e+308", "1e+200")):
         assert row.split(",")[1:] == ["0.0", "4.0"] + [""] * 13 + [
             f"coefficients overflow a double at n={n}; alpha=0.0; p=4.0"]

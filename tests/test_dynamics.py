@@ -293,6 +293,16 @@ def test_fixed_points_names_an_overflowing_residual():
         fixed_points(coefficients(ProblemParams(12, -3.0, 1.021525)))
 
 
+def _char_defect(rep):
+    # The characteristic polynomial at each root, relative to the sum of
+    # the sizes of its terms there.
+    worst = 0.0
+    for z in rep.roots:
+        terms = [c * z ** (4 - k) for k, c in enumerate(rep.char_coeffs)]
+        worst = max(worst, abs(sum(terms)) / sum(map(abs, terms)))
+    return worst
+
+
 def test_linearization_at_zero_has_biharmonic_kernel_roots():
     # the linear flow at w=0 is the biharmonic kernel {1, r^2, r^{2-n}, r^{4-n}}
     # read in log variables: mu in {B, B+2, B+2-n, B+4-n}
@@ -303,7 +313,7 @@ def test_linearization_at_zero_has_biharmonic_kernel_roots():
         assert abs(root.imag) < 1e-8
         assert root.real == pytest.approx(want, abs=1e-8)
     assert rep.n_unstable_backward == 2
-    assert rep.residual() < 1e-12
+    assert _char_defect(rep) < 1e-12
 
 
 def test_linearization_critical_roots_are_integers():
@@ -318,7 +328,7 @@ def test_linearization_critical_roots_are_integers():
 def test_linearization_at_equilibrium():
     rep = linearize(WSTAR, COEFFS)
     assert rep.n_unstable_backward == 3
-    assert rep.residual() < 1e-12
+    assert _char_defect(rep) < 1e-12
     reals = [z for z in rep.roots if abs(z.imag) < 1e-9]
     pairs = [z for z in rep.roots if z.imag > 1e-9]
     assert len(reals) == 2 and len(pairs) == 1
@@ -329,6 +339,57 @@ def test_linearization_at_equilibrium():
     assert abs(z.imag) == pytest.approx(1.378, abs=2e-3)
     # conjugate partner present
     assert any(abs(w - z.conjugate()) < 1e-9 for w in rep.roots)
+
+
+# The three critical triples whose computed B - (n-4)/2 is 0.0, and one
+# from the atlas workload's seeded list where it is 2.2e-16.
+ATLAS_CRITICAL = (7, 0.969197, 4.312798)
+
+
+@pytest.mark.parametrize(
+    "triple", [(6, 0.0, 5.0), (7, 0.0, 11.0 / 3.0), (6, -1.0, 4.0), ATLAS_CRITICAL]
+)
+def test_critical_center_pair_is_neutral(triple):
+    # At a critical triple B = (n-4)/2, so the center pair at w* is
+    # +-i y exactly: neither unstable nor decaying, whatever B - (n-4)/2
+    # rounds to.  Only the outer root counts, and only its mode is drawn.
+    coeffs = coefficients(ProblemParams(*triple))
+    assert coeffs.regime == CRITICAL
+    assert (coeffs.B - 0.5 * (coeffs.n - 4) != 0.0) == (triple == ATLAS_CRITICAL)
+    wstar = fixed_points(coeffs)[1]
+    rep = linearize(wstar, coeffs)
+    low, high = rep.roots[1:3]
+    assert (low.real, high.real) == (0.0, 0.0)
+    assert low == high.conjugate() and high.imag > 0.0
+    assert rep.n_unstable_backward == 1
+    assert len(_backward_decaying_basis(wstar, coeffs)) == 1
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 9])
+def test_center_pair_turns_complex_past_the_gazzola_grunau_threshold(n):
+    # At w* the constant term is a0 - p a0, and the center pair is real
+    # iff p a0 <= n^2 (n-4)^2 / 16.  p a0 rises from 0 at the Serrin
+    # exponent past the threshold before the critical one; bisect p to
+    # the crossing and step a relative 1e-6 to either side.
+    threshold = n * n * (n - 4) ** 2 / 16.0
+    lo, hi = n / (n - 4) + 1e-9, (n + 4) / (n - 4)
+
+    def excess(p):
+        return p * coefficients(ProblemParams(n, 0.0, p)).a0 - threshold
+
+    assert excess(lo) < 0.0 < excess(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) < 0.0 else (lo, mid)
+    for p, real in ((lo * (1.0 - 1e-6), True), (hi * (1.0 + 1e-6), False)):
+        coeffs = coefficients(ProblemParams(n, 0.0, p))
+        rep = linearize(fixed_points(coeffs)[1], coeffs)
+        low, high = rep.roots[1:3]
+        if real:
+            assert all(z.imag == 0.0 for z in rep.roots) and low.real < high.real, p
+        else:
+            assert low == high.conjugate() and high.imag > 0.0, p
+        assert _char_defect(rep) < 1e-12
 
 
 def test_integrate_validates_inputs():

@@ -20,6 +20,7 @@ from hardyhenon4.green import (
     RadialField,
     _cumulative_up,
     _panel_increments,
+    _project_span,
     bilaplacian_solve_radial,
     biharmonic_span_residual,
     integrability_report,
@@ -533,6 +534,27 @@ def test_biharmonic_functions_have_zero_residual():
     u = RadialField(grid=grid, values=1.0 + r**2 + r**-4.0)
     zero = RadialField(grid=grid, values=np.zeros(grid.count))
     assert biharmonic_span_residual(u, zero, 6) <= 1e-10
+
+
+def test_span_projection_matches_least_squares():
+    # np.linalg.lstsq on norm-equilibrated columns, the solver the
+    # projection replaced, is an independent reference.  The columns are
+    # the biharmonic span {1, r^2, r^-4, r^-2} of n = 6 over the interior
+    # window of a 1024-node grid, divided by a profile as the residual
+    # divides by |u|; their entries span 27 decades.  A zero column, as an
+    # underflowed power would give, leaves the projection unchanged.
+    grid = make_grid(count=1024)
+    t = grid.t[256:768]
+    profile = np.exp(-0.5 * t) * (2.0 + np.sin(t))
+    columns = np.exp(np.multiply.outer(t, (0.0, 2.0, -4.0, -2.0))) / profile[:, None]
+    target = columns @ np.array([1.0, -2.0, 3e-12, 4e-6]) + 1e-3 * np.cos(3.0 * t)
+    scale = np.linalg.norm(columns, axis=0)
+    coef, *_ = np.linalg.lstsq(columns / scale, target, rcond=None)
+    want = target - (columns / scale) @ coef
+    got = _project_span(target, columns)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(target))
+    with_zero = np.column_stack([columns[:, :2], np.zeros(len(t)), columns[:, 2:]])
+    assert np.array_equal(_project_span(target, with_zero), got)
 
 
 def test_representation_residual_shrinks_under_refinement():

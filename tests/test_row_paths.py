@@ -22,7 +22,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from hardyhenon4 import _dp5
 from hardyhenon4.cli import main
@@ -127,26 +126,31 @@ with tempfile.TemporaryDirectory() as tmp:
 
 
 def test_tables_ignore_numpy_cpu_dispatch():
-    # numpy picks SIMD kernels for exp and log by CPU at run time; the
-    # tables take every exp and log from libm, so switching off every
-    # dispatched feature numpy found here must not move a byte.
+    # numpy picks SIMD kernels for exp and log by CPU at run time, and
+    # OpenBLAS its BLAS kernels.  The tables take every exp and log from
+    # libm and call no BLAS, so neither switching off every dispatched
+    # feature numpy found here nor loading OpenBLAS's Prescott or Haswell
+    # kernels may move a byte.
     found = np.__config__.CONFIG.get("SIMD Extensions", {}).get("found", [])
-    if not found:
-        pytest.skip("numpy found no CPU features beyond its baseline")
+    variants = [{}, {"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_CORETYPE": "Haswell"}]
+    if found:
+        variants.append({"NPY_DISABLE_CPU_FEATURES": " ".join(found)})
     here = Path(__file__).resolve().parent
-    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(here.parent / "src"), str(here), env.get("PYTHONPATH")))
     )
     outs = []
-    for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(found)}):
+    for variant in variants:
         run = subprocess.run(
-            [sys.executable, "-c", _CHILD], env={**env, **disabled},
+            [sys.executable, "-c", _CHILD], env={**env, **variant},
             capture_output=True, text=True, timeout=300, check=True,
         )
         outs.append(run.stdout)
     assert "# radial-field n=6" in outs[0]
-    assert outs[0] == outs[1]
+    for variant, out in zip(variants[1:], outs[1:]):
+        assert out == outs[0], variant
 
 
 def _relative_change(old: str, new: str) -> str:
