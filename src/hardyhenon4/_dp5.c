@@ -9,12 +9,15 @@
  * monotonicity audit of the energy along an orbit, the elementwise libm
  * exp and log of transform._exp and transform._log, the row writer, which
  * prints k double columns as lines of comma-joined repr()s (a field file's
- * 'radius,value' rows, and each float column of a result table), and the
- * reader of a field file's rows.
+ * 'radius,value' rows, and each float column of a result table), the
+ * reader of a field file's rows, and the grid pass, which gives each
+ * (n, alpha, p) of a parameter grid its exponents, coefficients, regime,
+ * sign codes and w*.
  *
  * Each but the reader is its Python twin, all of them in _dp5.py: _steps_py
  * (with _bisect_py), _scan_py (with _scan_bound), _dense_py, _energy_py,
- * _audit_py, _exp_py, _log_py and _rows_py.  The reader reads the rows the
+ * _audit_py, _exp_py, _log_py, _rows_py and _grid_py, which loops the
+ * scalar path of record it is given.  The reader reads the rows the
  * writer writes, and every cell as float() reads it (Eisel-Lemire, then
  * strtod); its twin _parse_py reads nothing, and np.loadtxt reads every
  * file it leaves.  The row writer prints repr()'s bytes; the others are
@@ -26,9 +29,11 @@
  * -ffp-contract=off and without -ffast-math, every operation rounds as
  * Python's float does, so both paths give the same bits.  The loader in
  * _dp5.py compiles this file and falls back to the Python twins when it
- * cannot; each enum below is written there too, with the same values.
+ * cannot; each enum and #define below is written there too, with the same
+ * values.
  */
 
+#include <errno.h>
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
@@ -415,6 +420,128 @@ int64_t hh_scan(double seed, double best_g, double a0, double p, double *best)
     }
     *best = best_w;
     return 1 + below + above;
+}
+
+/* Row statuses of hh_grid, as ROW_OK ... ROW_SCALAR in _dp5.py: a triple
+ * of the problem; one ProblemParams refuses; one whose coefficients
+ * overflow a double; one whose equilibrium overflows; one the kernel
+ * leaves to the scalar path. */
+#define ROW_OK 0
+#define ROW_INVALID 1
+#define ROW_OVERFLOW 2
+#define ROW_EQUILIBRIUM_OVERFLOW 3
+#define ROW_SCALAR 4
+
+/* Regime codes, as REGIME_OUT_OF_RANGE ... in _dp5.py, and p's distance
+ * from the Hardy-Sobolev exponent below which it is critical, as
+ * params.CRITICALITY_TOL. */
+#define REGIME_OUT_OF_RANGE 0
+#define REGIME_SUBCRITICAL 1
+#define REGIME_CRITICAL 2
+#define REGIME_SUPERCRITICAL 3
+#define CRITICALITY_TOL 1e-12
+
+/* Codes and values per row of hh_grid, as GRID_CODES and GRID_VALUES in
+ * _dp5.py. */
+#define GRID_CODES 5
+#define GRID_VALUES 11
+
+/* x ** y as Python's float power computes it for a finite x >= 0 and a
+ * finite y != 0: libm's pow, with *raised set where Python raises
+ * OverflowError, at an infinite result or one libm flagged in errno that
+ * is not 0.  y is volatile so that the compiler cannot fold pow(x, 2.0)
+ * into x * x, which pow need not equal. */
+static double py_pow(double x, volatile double y, int *raised)
+{
+    errno = 0;
+    double r = pow(x, y);
+    if (isinf(r) || (errno != 0 && r != 0.0))
+        *raised = 1;
+    return r;
+}
+
+/* params._sign_tag as a code: 0 where |x| <= 1e-12 scale, else x's sign. */
+static int64_t sign_code(double x, double scale)
+{
+    if (fabs(x) <= 1e-12 * scale)
+        return 0;
+    return x > 0.0 ? 1 : -1;
+}
+
+/* One grid triple (n, alpha, p) as experiments._scalar_row computes it:
+ * ProblemParams' checks, critical_exponents, coefficients, the regime and
+ * the sign tags of classify_regime, and fixed_points' w* (_snap).  Fills
+ * c[1..4] (the regime, then the sign codes of a0, a1 and a3) and v (the
+ * four exponents, B, a0..a4 and w*), and returns the status, c[0].  A
+ * value the status leaves out is NaN and a code 0; w* is NaN where a0 <= 0
+ * too.  A NaN n marks a triple whose arithmetic in doubles is not the
+ * scalar path's (see _grid_args in _dp5.py), or a NaN n of the grid: that
+ * row is ROW_SCALAR, and the scalar path decides it. */
+static int64_t grid_row(const double *t, int64_t *c, double *v)
+{
+    double n = t[0], alpha = t[1], p = t[2];
+    for (int j = 1; j < GRID_CODES; j++)
+        c[j] = 0;
+    for (int j = 0; j < GRID_VALUES; j++)
+        v[j] = NAN;
+    if (isnan(n))
+        return ROW_SCALAR;
+    if (isinf(n) || n != trunc(n) || !(n > 4.0) || !(alpha > -4.0) || !(p > 1.0)
+        || !isfinite(alpha) || !isfinite(p))
+        return ROW_INVALID;
+
+    double d = n - 4.0;
+    double serrin = (n + alpha) / d, hardy_sobolev = (n + 4.0 + 2.0 * alpha) / d;
+    int raised = 0;
+    double B = (4.0 + alpha) / (p - 1.0);
+    double q = n * n - 10.0 * n + 20.0;
+    double b2 = py_pow(B, 2.0, &raised), b3 = py_pow(B, 3.0, &raised);
+    double b4 = py_pow(B, 4.0, &raised);
+    double a0 = b4 - 2.0 * (n - 4.0) * b3 + q * b2 + 2.0 * (n - 2.0) * (n - 4.0) * B;
+    double a1 = -4.0 * b3 + 6.0 * (n - 4.0) * b2 - 2.0 * q * B - 2.0 * (n - 2.0) * (n - 4.0);
+    double a2 = 6.0 * b2 - 6.0 * (n - 4.0) * B + q;
+    double a3 = -4.0 * B + 2.0 * n - 8.0;
+    double a4 = 2.0 * b2 - 2.0 * (n - 4.0) * B - 2.0 * (n - 4.0);
+    if (raised || !(isfinite(B) && isfinite(a0) && isfinite(a1) && isfinite(a2)
+                    && isfinite(a3) && isfinite(a4)))
+        return ROW_OVERFLOW;
+
+    v[0] = serrin;
+    v[1] = hardy_sobolev;
+    v[2] = (n + 4.0) / d;
+    v[3] = (n + 4.0 + alpha) / d;
+    v[4] = B;   v[5] = a0;  v[6] = a1;  v[7] = a2;  v[8] = a3;  v[9] = a4;
+    if (p <= serrin)
+        c[1] = REGIME_OUT_OF_RANGE;
+    else if (fabs(p - hardy_sobolev) < CRITICALITY_TOL)
+        c[1] = REGIME_CRITICAL;
+    else
+        c[1] = p < hardy_sobolev ? REGIME_SUBCRITICAL : REGIME_SUPERCRITICAL;
+    double scale = 1.0 + fabs(a2);
+    c[2] = sign_code(a0, scale);
+    c[3] = sign_code(a1, scale);
+    c[4] = sign_code(a3, scale);
+
+    if (!(a0 > 0.0))
+        return ROW_OK;
+    double seed = py_pow(a0, 1.0 / (p - 1.0), &raised);
+    if (raised)
+        return ROW_EQUILIBRIUM_OVERFLOW;
+    double best_g = fabs(wpow(seed, p, &raised) - a0 * seed);
+    if (raised || hh_scan(seed, best_g, a0, p, v + 10) < 0)
+        return ROW_EQUILIBRIUM_OVERFLOW;
+    return ROW_OK;
+}
+
+/* The k grid triples, rows of (n, alpha, p), each as grid_row: row i of
+ * codes (GRID_CODES) gets its status, its regime and its sign codes, row i
+ * of values (GRID_VALUES) the exponents, B, a0..a4 and w*. */
+void hh_grid(const double *triples, int64_t k, int64_t *codes, double *values)
+{
+    for (int64_t i = 0; i < k; i++) {
+        int64_t *c = codes + GRID_CODES * i;
+        c[0] = grid_row(triples + 3 * i, c, values + GRID_VALUES * i);
+    }
 }
 
 /* numpy's order on doubles, NaN last: a sorts before b. */

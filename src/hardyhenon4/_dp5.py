@@ -3,10 +3,10 @@
 load() compiles _dp5.c with the C compiler Python was built with into a
 shared library cached under ~/.cache/hardyhenon4 (or the system temporary
 directory where that is not writable), keyed by the sha256 of the source,
-the compiler and the flags, and returns the nine kernels with the
+the compiler and the flags, and returns the ten kernels with the
 signatures of their Python twins, defined below: _steps_py, _scan_py,
-_dense_py, _energy_py, _audit_py, _exp_py, _log_py, _rows_py and
-_parse_py.  The step kernel ends an orbit at its crossing itself, as
+_dense_py, _energy_py, _audit_py, _exp_py, _log_py, _rows_py, _parse_py
+and _grid_py.  The step kernel ends an orbit at its crossing itself, as
 _steps_py does through _bisect_py, and writes the orbit's uniform samples
 as it steps, each a (t, w0..w3) row: every grid time not past the orbit's
 end, then the end point.  Its wrapper is the one place that holds a
@@ -20,7 +20,13 @@ double columns as lines of comma-joined repr()s: the rows of a field file,
 and each float column of a result table.  The row reader reads the rows
 the row writer writes, each cell as float() reads it, and returns None for
 any other body; its twin returns None for every body, and np.loadtxt reads
-what the reader leaves.  load() returns None, without a word, where
+what the reader leaves.  The grid pass gives every (n, alpha, p) of a
+grid its exponents, coefficients, regime, sign codes and w* in one call;
+its twin loops the scalar path it is given, row(n, alpha, p), and the
+compiled wrapper runs that path on the rows its kernel leaves: a triple
+whose arithmetic in doubles is not the scalar path's (an int n past 2^52,
+which Python adds and divides exactly, or an alpha or p that is no float)
+and a NaN n.  load() returns None, without a word, where
 anything fails (no compiler, a compile error, a target whose doubles carry
 excess precision, no writable cache).  kernels() is the one dispatch
 point: the compiled kernels where they load, else the Python twins, which
@@ -105,6 +111,20 @@ ROW_BYTES = 50
 # POW5_Q_MIN <= q < POW5_Q_MIN + POW5_Q_ROWS.
 POW5_Q_MIN, POW5_Q_ROWS = -342, 651
 
+# Row statuses of the grid pass, as the #defines in _dp5.c: a triple of the
+# problem; one ProblemParams refuses; one whose coefficients overflow a
+# double; one whose equilibrium overflows; one the kernel leaves to the
+# scalar path (which never leaves its wrapper).
+ROW_OK, ROW_INVALID, ROW_OVERFLOW, ROW_EQUILIBRIUM_OVERFLOW, ROW_SCALAR = range(5)
+# Its regime codes, params' OutOfRange, Subcritical, Critical and
+# Supercritical, and its codes and values per row: (status, regime, the
+# sign codes of a0, a1 and a3) and (the four exponents, B, a0..a4, w*).
+REGIME_OUT_OF_RANGE, REGIME_SUBCRITICAL, REGIME_CRITICAL, REGIME_SUPERCRITICAL = range(4)
+GRID_CODES, GRID_VALUES = 5, 11
+# Past 2^52 an int n and its double part ways: Python adds and divides
+# such ints exactly.
+EXACT_N = 2**52
+
 # The row reader's columns are sized by a newline count over slices of
 # this many bytes of the file, so the count's temporary stays small.
 COUNT_CHUNK = 1 << 16
@@ -121,6 +141,7 @@ class Kernels(NamedTuple):
     log: Callable[[np.ndarray], np.ndarray]
     rows: Callable[..., str]
     parse: Callable[[bytes, int], tuple[np.ndarray, np.ndarray] | None]
+    grid: Callable[..., tuple[np.ndarray, np.ndarray]]
 
 
 def kernels() -> Kernels:
@@ -131,7 +152,7 @@ def kernels() -> Kernels:
 def _twins() -> Kernels:
     # Looked up per call, so a test can patch a twin.
     return Kernels(_steps_py, _scan_py, _dense_py, _energy_py, _audit_py, _exp_py, _log_py,
-                   _rows_py, _parse_py)
+                   _rows_py, _parse_py, _grid_py)
 
 
 def _compiler() -> list[str]:
@@ -203,7 +224,7 @@ def load() -> Kernels | None:
         dll = ctypes.CDLL(str(lib))
         steps, scan, dense, energy = dll.hh_steps, dll.hh_scan, dll.hh_dense, dll.hh_energy
         audit, exp, log = dll.hh_audit, dll.hh_exp, dll.hh_log
-        rows, parse = dll.hh_rows, dll.hh_parse
+        rows, parse, grid = dll.hh_rows, dll.hh_parse, dll.hh_grid
     # No compiler, no home directory, no os.getuid, a CC that will not
     # split, a library that will not load: each leaves the Python twins.
     except (OSError, RuntimeError, AttributeError, ValueError):
@@ -229,6 +250,8 @@ def load() -> Kernels | None:
     parse.restype = ctypes.c_int64
     # A bytes argument passes its own buffer, which ends in a NUL.
     parse.argtypes = [ctypes.c_char_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3
+    grid.restype = None
+    grid.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 2
 
     # A wrapper raises what its twin raises: the same check refuses the same
     # arrays, and an overflowing w^p or w0^(p+1) raises math's OverflowError.
@@ -328,8 +351,18 @@ def load() -> Kernels | None:
                       cols[0].ctypes.data, cols[1].ctypes.data)
         return None if count < 0 else (cols[0, :count], cols[1, :count])
 
+    def run_grid(triples, row) -> tuple[np.ndarray, np.ndarray]:
+        at = _grid_args(triples)
+        codes = np.empty((len(at), GRID_CODES), np.int64)
+        values = np.empty((len(at), GRID_VALUES))
+        grid(at.ctypes.data, len(at), codes.ctypes.data, values.ctypes.data)
+        for i in np.flatnonzero(codes[:, 0] == ROW_SCALAR).tolist():
+            codes[i], values[i] = row(*triples[i])[:2]
+        return codes, values
+
     return Kernels(run_steps, run_scan, run_dense, run_energy, run_audit,
-                   elementwise(exp, _exp_py), elementwise(log, _log_py), run_rows, run_parse)
+                   elementwise(exp, _exp_py), elementwise(log, _log_py), run_rows, run_parse,
+                   run_grid)
 
 
 @functools.cache
@@ -414,6 +447,21 @@ def _audit_args(rows, stencil, first: int) -> tuple[np.ndarray, np.ndarray, int]
 def _parse_args(data, start: int) -> None:
     if type(data) is not bytes or not 0 <= start <= len(data):
         raise ValueError("the row reader needs a bytes object and an offset inside it")
+
+
+def _grid_args(triples) -> np.ndarray:
+    # The k triples (n, alpha, p) as a (k, 3) array of doubles, NaNs for a
+    # triple whose arithmetic in doubles is not the scalar path's: an alpha
+    # or p that is no float, or an n that is neither a float nor an int
+    # within EXACT_N of 0.  The kernel leaves a NaN n to the scalar path.
+    at = np.array([(n, alpha, p) if _exact(n, alpha, p) else (math.nan,) * 3
+                   for n, alpha, p in triples], np.float64)
+    return _read(at if len(at) else at.reshape(0, 3), 3)
+
+
+def _exact(n, alpha, p) -> bool:
+    return (type(alpha) is float and type(p) is float
+            and (type(n) is float or type(n) is int and -EXACT_N <= n <= EXACT_N))
 
 
 def _rows_args(cols) -> list[np.ndarray]:
@@ -803,3 +851,14 @@ def _parse_py(data: bytes, start: int) -> None:
     """The Python twin of hh_parse reads no body: where the kernels are not
     compiled, np.loadtxt reads every field file."""
     _parse_args(data, start)
+
+
+def _grid_py(triples, row) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, GRID_CODES) codes and (k, GRID_VALUES) values of the k triples
+    (n, alpha, p), each row as row(n, alpha, p)[:2] gives it: the scalar
+    path of record, in experiments.  hh_grid in _dp5.c is that path in C
+    for the triples _grid_args reads as doubles."""
+    _grid_args(triples)
+    out = [row(*t)[:2] for t in triples]
+    return (np.array([c for c, _ in out], np.int64).reshape(-1, GRID_CODES),
+            np.array([v for _, v in out], np.float64).reshape(-1, GRID_VALUES))

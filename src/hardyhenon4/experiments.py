@@ -74,11 +74,14 @@ DEFAULT_HORIZON = -60.0
 _PERTURBED_HORIZON = -4.0
 _AUDIT_ESCAPE_FACTOR = 4.0
 
-_EXPECTED_SIGNS = {
-    SUBCRITICAL: ("+", "+", "-"),
-    CRITICAL: ("+", "0", "0"),
-    SUPERCRITICAL: ("+", "-", "+"),
-}
+# The grid pass's regime codes index _REGIMES; its sign codes are -1, 0
+# and 1 for classify_regime's tags "-", "0" and "+".
+_REGIMES = (OUT_OF_RANGE, SUBCRITICAL, CRITICAL, SUPERCRITICAL)
+_SIGN_CODES = {"-": -1, "0": 0, "+": 1}
+# The sign codes of (a0, a1, a3) each regime expects, by regime code; none
+# for OutOfRange.
+_EXPECTED_SIGNS = (None, [1, 1, -1], [1, 0, 0], [1, -1, 1])
+_REJECTED = (_dp5.ROW_INVALID, _dp5.ROW_OVERFLOW)
 
 
 @dataclass(frozen=True)
@@ -256,22 +259,58 @@ def _table(kind: str, schema: tuple[str, ...], rows: list, config: ExperimentCon
     return ResultTable(kind=kind, schema=schema, rows=tuple(rows), config_digest=config.digest())
 
 
+def _scalar_row(n, alpha, p) -> tuple[tuple, tuple, str]:
+    """One grid triple by the scalar path of record, in the grid pass's
+    layout, and its note: (status, regime, the sign codes of a0, a1 and
+    a3), (the four exponents, B, a0..a4, w*) with NaN for a value the
+    status leaves out or a0 <= 0, and the error the status stands for."""
+    try:
+        c = coefficients(ProblemParams(n=n, alpha=alpha, p=p))
+    except ValueError as err:
+        return (_dp5.ROW_INVALID, 0, 0, 0, 0), (math.nan,) * _dp5.GRID_VALUES, str(err)
+    except ArithmeticError as err:
+        return (_dp5.ROW_OVERFLOW, 0, 0, 0, 0), (math.nan,) * _dp5.GRID_VALUES, str(err)
+    wstar, problem = _equilibrium(c)
+    e = critical_exponents(c)
+    status = _dp5.ROW_EQUILIBRIUM_OVERFLOW if problem else _dp5.ROW_OK
+    signs = [_SIGN_CODES[s] for s in classify_regime(c).signs]
+    return ((status, _REGIMES.index(c.regime), *signs),
+            (e.serrin, e.hardy_sobolev, e.sobolev, e.upper_dichotomy,
+             c.B, c.a0, c.a1, c.a2, c.a3, c.a4, math.nan if wstar is None else wstar),
+            problem)
+
+
+def _grid_pass(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The grid pass's codes and values for every triple of the config, from
+    one kernel call, and each row's note: a row whose status is not ROW_OK
+    re-runs the scalar path for its error text."""
+    grid = config.param_grid
+    codes, values = _dp5.kernels().grid(grid, _scalar_row)
+    notes = [""] * len(grid)
+    for i in np.flatnonzero(codes[:, 0] != _dp5.ROW_OK).tolist():
+        notes[i] = _scalar_row(*grid[i])[2]
+    return codes, values, notes
+
+
 def _grid_points(config: ExperimentConfig, schema: tuple[str, ...], rows: list, **reject):
     """Yield (index, coeffs, tag, wstar, problem) for each valid grid triple.
 
     An invalid triple, or one whose coefficients overflow a double, gets
     one row with the error message and the `reject` cells instead.  coeffs
-    is the point's one problem value, wstar and problem its one _equilibrium
-    scan; tag holds the n, alpha, p and regime cells every row starts with.
+    is the point's one problem value and wstar its snapped equilibrium, None
+    where a0 <= 0 or where it overflows, which problem then says; all come
+    from the one grid pass.  tag holds the n, alpha, p and regime cells
+    every row starts with.
     """
-    for idx, (n, alpha, p) in enumerate(config.param_grid):
-        try:
-            coeffs = coefficients(ProblemParams(n=n, alpha=alpha, p=p))
-        except (ValueError, ArithmeticError) as err:
-            rows.append(_row(schema, n=n, alpha=alpha, p=p, note=str(err), **reject))
+    codes, values, notes = _grid_pass(config)
+    for idx, ((n, alpha, p), (status, regime, *_), v, note) in enumerate(
+            zip(config.param_grid, codes.tolist(), values.tolist(), notes)):
+        if status in _REJECTED:
+            rows.append(_row(schema, n=n, alpha=alpha, p=p, note=note, **reject))
             continue
-        tag = dict(n=coeffs.n, alpha=coeffs.alpha, p=coeffs.p, regime=coeffs.regime)
-        yield idx, coeffs, tag, *_equilibrium(coeffs)
+        coeffs = CoefficientSet(n, alpha, p, *v[4:10], _REGIMES[regime])
+        tag = dict(n=n, alpha=alpha, p=p, regime=coeffs.regime)
+        yield idx, coeffs, tag, None if math.isnan(v[10]) else v[10], note
 
 
 def _draws(config: ExperimentConfig, idx: int, center: float, basis=_UNIT_BASIS):
@@ -302,25 +341,28 @@ def _equilibrium(coeffs: CoefficientSet) -> tuple[float | None, str]:
 
 
 def run_atlas(config: ExperimentConfig) -> ResultTable:
-    """One row per grid point: exponents, coefficients, regime, equilibrium."""
+    """One row per grid point: exponents, coefficients, regime, equilibrium.
+
+    The columns come straight from the grid pass's arrays; a rejected
+    triple's row keeps n, alpha, p and the note, its other cells blank."""
     schema = (
         "n", "alpha", "p",
         "serrin", "hardy_sobolev", "sobolev", "upper_dichotomy",
         "B", "a0", "a1", "a2", "a3", "a4",
         "regime", "signs_ok", "w_star", "note",
     )
-    rows: list[tuple] = []
-    for _, c, _, w_star, note in _grid_points(config, schema, rows):
-        expected = _EXPECTED_SIGNS.get(c.regime)
-        signs_ok = None if expected is None else classify_regime(c).signs == expected
-        e = critical_exponents(c)
-        rows.append((
-            c.n, c.alpha, c.p,
-            e.serrin, e.hardy_sobolev, e.sobolev, e.upper_dichotomy,
-            c.B, c.a0, c.a1, c.a2, c.a3, c.a4,
-            c.regime, signs_ok, w_star, note,
-        ))
-    return _table(ATLAS, schema, rows, config)
+    codes, values, notes = _grid_pass(config)
+    cells = values.astype(object)
+    cells[np.isnan(values)] = None  # every value of a rejected row, and a missing w*
+    regime, signs_ok = [], []
+    for status, r, *signs in codes.tolist():
+        kept = status not in _REJECTED
+        regime.append(_REGIMES[r] if kept else None)
+        expected = _EXPECTED_SIGNS[r]
+        signs_ok.append(signs == expected if kept and expected else None)
+    *value_columns, w_star = cells.T.tolist()
+    columns = (*zip(*config.param_grid), *value_columns, regime, signs_ok, w_star, notes)
+    return _table(ATLAS, schema, list(zip(*columns)), config)
 
 
 def run_classification_sweep(config: ExperimentConfig) -> ResultTable:

@@ -39,6 +39,8 @@ class ProblemParams:
     p: float
 
     def __post_init__(self) -> None:
+        if not -math.inf < self.n < math.inf:
+            raise ValueError(f"need finite n, got n={self.n}")
         if int(self.n) != self.n:
             raise ValueError(f"dimension n must be an integer, got {self.n!r}")
         if self.n <= 4:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hardyhenon4 import cli
 from hardyhenon4.cli import _OPTIONS, COMMANDS, main, parse_invocation
 from hardyhenon4.green import RadialField, bilaplacian_solve_radial, make_grid
 
@@ -565,3 +566,36 @@ def test_flags_of_one_parse_never_reach_the_next():
     assert (second.flags, second.config_path) == ({"n": 7}, None)
     third = parse_invocation(["atlas", "--grid", "6 0 4"])
     assert (third.command, third.flags) == ("atlas", {"grid": "6 0 4"})
+
+
+def test_atlas_grid_notes_a_non_finite_n(capsys):
+    assert main(["atlas", "--grid", "nan 0 4; inf 0 4; -inf 0 4", "--format", "csv"]) == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[4:]]
+    assert [(row[0], row[16]) for row in rows] == [
+        ("nan", "need finite n; got n=nan"),
+        ("inf", "need finite n; got n=inf"),
+        ("-inf", "need finite n; got n=-inf"),
+    ]
+    assert all(row[3:16] == [""] * 13 for row in rows)
+
+
+# What `import hardyhenon4.cli` may load after numpy, on CPython 3.11: the
+# package's nine modules and these eight, so an import that would grow the
+# start-up time of every command shows here.
+_STARTUP_MODULES = {
+    "hardyhenon4", "hardyhenon4._dp5", "hardyhenon4.cli", "hardyhenon4.dynamics",
+    "hardyhenon4.energy", "hardyhenon4.experiments", "hardyhenon4.green",
+    "hardyhenon4.params", "hardyhenon4.transform",
+    "__future__", "_blake2", "_hashlib", "argparse", "copy", "dataclasses", "gettext", "hashlib",
+}
+
+
+def test_cli_import_loads_no_new_module():
+    code = ("import sys, numpy; before = set(sys.modules); import hardyhenon4.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+    added = set(run.stdout.split())
+    assert "hardyhenon4.cli" in added
+    assert added <= _STARTUP_MODULES, sorted(added - _STARTUP_MODULES)

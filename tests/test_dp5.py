@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardyhenon4 import _dp5
+from hardyhenon4 import _dp5, params
 from hardyhenon4.cli import main
 
 PACKAGE = Path(_dp5.__file__).parent
@@ -146,6 +146,20 @@ def test_kernel_enums_match_the_loader_constants():
         assert constants == {name: getattr(_dp5, name) for name in constants}
 
 
+def test_grid_kernel_defines_match_the_loader_constants():
+    # hh_grid's statuses, regime codes and row widths are #defines in
+    # _dp5.c, written in _dp5.py too; its criticality tolerance is params'.
+    defines = dict(re.findall(r"^#define (\w+) (\S+)$", _dp5.SOURCE.read_text(), re.MULTILINE))
+    assert float(defines.pop("CRITICALITY_TOL")) == params.CRITICALITY_TOL
+    assert list(defines) == [
+        "ROW_OK", "ROW_INVALID", "ROW_OVERFLOW", "ROW_EQUILIBRIUM_OVERFLOW", "ROW_SCALAR",
+        "REGIME_OUT_OF_RANGE", "REGIME_SUBCRITICAL", "REGIME_CRITICAL", "REGIME_SUPERCRITICAL",
+        "GRID_CODES", "GRID_VALUES",
+    ]
+    assert {name: int(value) for name, value in defines.items()} == {
+        name: getattr(_dp5, name) for name in defines}
+
+
 def test_the_loader_is_a_leaf_that_pairs_each_kernel_with_its_twin():
     # _dp5.py owns what _dp5.c owns: it imports nothing from the package,
     # and each exported kernel is bound by load() and has a Kernels field
@@ -241,6 +255,8 @@ def test_both_kernel_paths_refuse_alike(kernel_paths):
                                                    "float64")),
         "row reader on text": (lambda k: k.parse("1.0,2.0\n", 0), unreadable),
         "row reader past the body": (lambda k: k.parse(b"1.0,2.0\n", 99), unreadable),
+        "grid of pairs": (lambda k: k.grid([(6, 0.0)], None),
+                          (ValueError, "not enough values to unpack (expected 3, got 2)")),
     }
     for path in kernel_paths():
         for name, (call, (kind, text)) in cases.items():

@@ -1,11 +1,15 @@
+import hashlib
+import importlib.util
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hardyhenon4 import cli, dynamics, experiments
-from hardyhenon4.params import ProblemParams, classify_regime, coefficients
+from hardyhenon4 import _dp5, cli, dynamics, experiments
+from hardyhenon4.params import ProblemParams, classify_regime, coefficients, critical_exponents
 from hardyhenon4.dynamics import CONVERGES_TO_FIXED_POINT
 from hardyhenon4.experiments import (
     ExperimentConfig,
@@ -383,7 +387,9 @@ _ONE_POINT = {
 
 
 @pytest.mark.parametrize("run", [*_ONE_POINT, "simulate"])
-def test_each_runner_finds_the_equilibrium_once(run, monkeypatch, capsys):
+def test_each_runner_finds_the_equilibrium_once(run, monkeypatch, capsys, kernel_paths):
+    # One scan for the one grid point, on each kernel path: a call of
+    # fixed_points, or a row of the compiled grid pass, which scans in C.
     scan, calls = dynamics.fixed_points, []
 
     def counting(coeffs):
@@ -392,11 +398,20 @@ def test_each_runner_finds_the_equilibrium_once(run, monkeypatch, capsys):
 
     for module in (dynamics, experiments):
         monkeypatch.setattr(module, "fixed_points", counting)
-    if run == "simulate":
-        assert cli.main(["simulate", "--n", "6", "--alpha", "0", "--p", "4", "--seed", "1"]) == 0
-    else:
-        run_experiment(ExperimentConfig(kind=run, param_grid=((6, 0.0, 4.0),), **_ONE_POINT[run]))
-    assert len(calls) == 1
+    compiled = _dp5.load()
+    if compiled is not None:
+        def grid(triples, row):
+            calls.extend(triples)
+            return compiled.grid(triples, row)
+
+        monkeypatch.setattr(_dp5, "load", lambda: compiled._replace(grid=grid))
+    for path in kernel_paths():
+        calls.clear()
+        if run == "simulate":
+            assert cli.main(["simulate", "--n", "6", "--alpha", "0", "--p", "4", "--seed", "1"]) == 0
+        else:
+            run_experiment(ExperimentConfig(kind=run, param_grid=((6, 0.0, 4.0),), **_ONE_POINT[run]))
+        assert len(calls) == 1, path
 
 
 _SIMULATE = ["simulate", "--n", "6", "--alpha", "0", "--p", "4", "--seed", "0",
@@ -437,3 +452,114 @@ def test_trajectory_config_is_one_draw_at_one_point():
             run_experiment(ExperimentConfig(kind="trajectory", param_grid=grid, samples=samples))
     with pytest.raises(ValueError, match="no positive equilibrium"):
         run_experiment(ExperimentConfig(kind="trajectory", param_grid=((5, -1.0, 3.2),), samples=1))
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+# The stable part (from the config digest on, the generator line left out)
+# of the atlas table of the benchmark's 768 seed-23 triples, as the
+# per-triple scalar path printed it before the grid pass.
+ATLAS_23_SHA256 = "0cae190523729ddcc5e91b98c1adabe4e65f7b89d24a97415938521f5d2f9327"
+# Every kind of grid row: an invalid n, no equilibrium, the rejects of
+# test_atlas_grid_rejects_unusable_triples_per_row, non-finite n, an
+# overflowing w* and w*^p, the critical triples and p just inside and just
+# outside the criticality tolerance, B so small that its powers underflow to
+# 0 or to subnormals, and the triples the kernel leaves to the scalar path:
+# an int n past 2^52 (2**53 + 1 is no double, 10**400 past every double)
+# and an int alpha or p.
+EDGE_GRID = (
+    (4, 0.0, 4.0), (5, -1.0, 3.2),
+    (6.5, 0.0, 4.0), (math.inf, 0.0, 4.0), (6, 1e300, 4.0), (1e308, 0.0, 4.0),
+    (1e200, 0.0, 4.0), (6, 0.0, 4.0),
+    (math.nan, 0.0, 4.0), (-math.inf, 0.0, 4.0), (-1e300, 0.0, 4.0),
+    (12, -3.0, 1.006), (12, -3.0, 1.021525),
+    (6, 0.0, 5.0), (7, 0.0, 11.0 / 3.0), (6, -1.0, 4.0),
+    (6, 0.0, 5.0 + 5e-13), (6, 0.0, 5.0 + 2e-12),
+    (5, -3.9999999999999996, 1e300), (5, -3.9999999999999996, 4.4e64),
+    (6, 2.0, 1.0000000000000002),
+    (1e17, 0.0, 4.0), (2.0**53 + 2, 0.0, 4.0), (2**53 + 1, -1.0, 3.5), (2.0**52, 0.5, 1.5),
+    ProblemParams(6, 0, 4), ProblemParams(5, 2**53 + 1, 1e30), ProblemParams(10**400, 0.0, 4.0),
+)
+
+
+def _atlas_triples(seed: int) -> list:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # @dataclass looks the module up while the body runs
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads.atlas_triples(seed)
+
+
+def _atlas_by_triple(config: ExperimentConfig) -> ResultTable:
+    """The atlas table by the per-triple scalar path, row by row."""
+    expected = {"Subcritical": ("+", "+", "-"), "Critical": ("+", "0", "0"),
+                "Supercritical": ("+", "-", "+")}
+    rows = []
+    for n, alpha, p in config.param_grid:
+        try:
+            c = coefficients(ProblemParams(n, alpha, p))
+        except (ValueError, ArithmeticError) as err:
+            rows.append((n, alpha, p, *[None] * 13, str(err)))
+            continue
+        e = critical_exponents(c)
+        wstar, note = None, ""
+        if c.a0 > 0.0:
+            try:
+                wstar = dynamics.fixed_points(c)[1]
+            except OverflowError as err:
+                note = str(err)
+        ok = expected.get(c.regime)
+        rows.append((
+            n, alpha, p, e.serrin, e.hardy_sobolev, e.sobolev, e.upper_dichotomy,
+            c.B, c.a0, c.a1, c.a2, c.a3, c.a4,
+            c.regime, None if ok is None else classify_regime(c).signs == ok, wstar, note,
+        ))
+    table = run_atlas(config)
+    return ResultTable(table.kind, table.schema, tuple(rows), config.digest())
+
+
+def _stable_sha256(csv: str) -> str:
+    lines = csv.splitlines()
+    start = next(i for i, ln in enumerate(lines) if ln.startswith("# config sha256="))
+    kept = [ln for ln in lines[start:] if not ln.startswith("# generator ")]
+    return hashlib.sha256(("\n".join(kept) + "\n").encode()).hexdigest()
+
+
+def test_grid_pass_prints_the_scalar_path_bytes(kernel_paths):
+    seeded = ExperimentConfig(kind="atlas", param_grid=tuple(_atlas_triples(23)))
+    edge = ExperimentConfig(kind="atlas", param_grid=EDGE_GRID)
+    for path in kernel_paths():
+        for config in (seeded, edge):
+            csv = run_atlas(config).to_csv()
+            assert csv == _atlas_by_triple(config).to_csv(), path
+            assert run_atlas(config).to_aligned() == _atlas_by_triple(config).to_aligned(), path
+        assert _stable_sha256(run_atlas(seeded).to_csv()) == ATLAS_23_SHA256, path
+
+
+def test_grid_kernel_gives_its_twin_bits():
+    compiled = _dp5.load()
+    if compiled is None:
+        pytest.skip("no compiled kernels")
+    for grid in (EDGE_GRID, tuple(_atlas_triples(23)), ()):
+        grid = ExperimentConfig(kind="atlas", param_grid=grid).param_grid
+        codes, values = compiled.grid(grid, experiments._scalar_row)
+        twin_codes, twin_values = _dp5._grid_py(grid, experiments._scalar_row)
+        assert codes.shape == twin_codes.shape == (len(grid), _dp5.GRID_CODES)
+        assert codes.tolist() == twin_codes.tolist()
+        assert values.shape == (len(grid), _dp5.GRID_VALUES)
+        assert values.tobytes() == twin_values.tobytes()
+
+
+def test_grid_points_yield_the_scalar_coefficient_sets(kernel_paths):
+    config = ExperimentConfig(kind="classification",
+                              param_grid=EDGE_GRID + tuple(_atlas_triples(23)))
+    for path in kernel_paths():
+        rows, seen = [], []
+        for idx, coeffs, tag, wstar, problem in experiments._grid_points(config, ("note",), rows):
+            want = coefficients(ProblemParams(*config.param_grid[idx]))
+            assert (coeffs, repr(coeffs)) == (want, repr(want)), (path, idx)
+            assert tag == dict(n=want.n, alpha=want.alpha, p=want.p, regime=want.regime)
+            seen.append(idx)
+        assert len(rows) + len(seen) == len(config.param_grid) and len(rows) == 10, path
