@@ -88,6 +88,7 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "
 
 _INTEGRATING = ("simulate", "classify", "energy-audit", "green-check")
 _SWEEPS = ("classify", "energy-audit", "green-check")
+_GRIDDED = ("atlas", *_SWEEPS)
 _BACKWARD = ("simulate", "classify", "energy-audit")
 
 # The output options go on every command, so one config file can set
@@ -109,8 +110,9 @@ _OPTIONS = {
         _Option("quiet", bool, COMMANDS, "silence diagnostics"),
         _Option("jobs", int, ("classify",), "accepted for compatibility; runs stay single-process"),
         _Option("field", str, ("green-check",), "stored radial field to validate and solve",
-                excludes=("alpha", "p", "tol", "seed", "samples", "grid_nodes", "format")),
-        _Option("grid", str, ("atlas",), "semicolon-separated n alpha p triples",
+                excludes=("alpha", "p", "tol", "seed", "samples", "grid_nodes", "grid",
+                          "format")),
+        _Option("grid", str, _GRIDDED, "semicolon-separated n alpha p triples",
                 excludes=("n", "alpha", "p")),
     )
 }
@@ -201,7 +203,11 @@ def _parse_grid(text: str) -> list[tuple[float, float, float]]:
         parts = chunk.replace(",", " ").split()
         if len(parts) != 3:
             raise UsageError(f"grid entry {chunk!r} is not an 'n alpha p' triple")
-        triples.append((float(parts[0]), float(parts[1]), float(parts[2])))
+        try:
+            n = int(parts[0])  # exact past 2^53, as --n reads it
+        except ValueError:
+            n = float(parts[0])
+        triples.append((n, float(parts[1]), float(parts[2])))
     if not triples:
         raise UsageError("grid is empty")
     return triples
@@ -217,6 +223,17 @@ def _require_triple(opts: dict) -> tuple[int, float, float]:
 def _require_params(opts: dict) -> ProblemParams:
     n, alpha, p = _require_triple(opts)
     return ProblemParams(n=n, alpha=alpha, p=p)
+
+
+def _param_grid(opts: dict, reject_rows: bool = False) -> tuple:
+    """The --grid triples, else the one --n --alpha --p triple.
+
+    A grid triple outside the command's domain gets a reject row.  The one
+    triple is checked here, so an invalid one is a usage error, unless
+    `reject_rows` gives it a reject row too (atlas)."""
+    if "grid" in opts:
+        return tuple(_parse_grid(opts["grid"]))
+    return (_require_triple(opts) if reject_rows else _require_params(opts),)
 
 
 def _emit(text: str, opts: dict) -> None:
@@ -255,27 +272,29 @@ def _check_options(opts: dict) -> None:
 _CONFIG_FIELDS = ("tol", "seed", "samples", "margin", "grid_nodes")
 
 
-def _config(kind: str, params: ProblemParams, opts: dict, **defaults) -> ExperimentConfig:
-    """The given options over the command's `defaults` over ExperimentConfig's."""
+def _config(kind: str, opts: dict, **defaults) -> ExperimentConfig:
+    """The command's grid, and the given options over the command's
+    `defaults` over ExperimentConfig's."""
+    grid = _param_grid(opts)
     fields = {**defaults, **{name: opts[name] for name in _CONFIG_FIELDS if name in opts}}
     t_end = opts.get("t_end")
     if t_end is not None:
         if not -math.inf < t_end < 0.0:
             raise UsageError(f"--t-end must be finite and negative (backward time), got {t_end}")
         fields["horizon"] = t_end
-    return ExperimentConfig(kind=kind, param_grid=(params,), **fields)
+    return ExperimentConfig(kind=kind, param_grid=grid, **fields)
 
 
 # Each handler returns the table to render, or finished text.
 
 
 def _cmd_coeffs(opts: dict) -> ResultTable:
-    return run_experiment(ExperimentConfig(kind=ATLAS, param_grid=(_require_params(opts),)))
+    return run_experiment(_config(ATLAS, opts))
 
 
 def _cmd_atlas(opts: dict) -> ResultTable:
-    grid = _parse_grid(opts["grid"]) if "grid" in opts else [_require_triple(opts)]
-    return run_experiment(ExperimentConfig(kind=ATLAS, param_grid=tuple(grid)))
+    grid = _param_grid(opts, reject_rows=True)
+    return run_experiment(ExperimentConfig(kind=ATLAS, param_grid=grid))
 
 
 def _cmd_simulate(opts: dict) -> ResultTable:
@@ -283,19 +302,18 @@ def _cmd_simulate(opts: dict) -> ResultTable:
     ok, reason = in_dichotomy_window(params)
     if not ok:
         raise UsageError(reason)
-    table = run_experiment(_config(TRAJECTORY, params, opts, samples=1, horizon=-15.0))
+    table = run_experiment(_config(TRAJECTORY, opts, samples=1, horizon=-15.0))
     _log(table.diagnostic, opts)
     return table
 
 
 def _cmd_sweep(kind: str, opts: dict) -> ResultTable:
-    return run_experiment(_config(kind, _require_params(opts), opts))
+    return run_experiment(_config(kind, opts))
 
 
 def _cmd_green_check(opts: dict) -> ResultTable | str:
     if "field" not in opts:
-        params = _require_params(opts)
-        return run_experiment(_config(GREEN_STUDY, params, opts, tol=1e-12, samples=4, box=1e-5))
+        return run_experiment(_config(GREEN_STUDY, opts, tol=1e-12, samples=4, box=1e-5))
     try:
         field_obj = RadialField.load(opts["field"])
     except ValueError as err:

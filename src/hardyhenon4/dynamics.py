@@ -339,9 +339,14 @@ def _rhs(y, coeffs: CoefficientSet):
 
 def _initial_step(y0, f0, span: float, rtol: float, atol: float) -> float:
     # Standard curvature-free heuristic; a vanishing field means the state
-    # is an exact equilibrium and the whole span can be taken at once.
-    d0 = math.sqrt(sum((y0[i] / (atol + rtol * abs(y0[i]))) ** 2 for i in range(4)) / 4.0)
-    d1 = math.sqrt(sum((f0[i] / (atol + rtol * abs(y0[i]))) ** 2 for i in range(4)) / 4.0)
+    # is an exact equilibrium and the whole span can be taken at once.  A
+    # square past a double raises errno 34's text: it gets the text of an
+    # overflowing stage, which has the same cause.
+    try:
+        d0 = math.sqrt(sum((y0[i] / (atol + rtol * abs(y0[i]))) ** 2 for i in range(4)) / 4.0)
+        d1 = math.sqrt(sum((f0[i] / (atol + rtol * abs(y0[i]))) ** 2 for i in range(4)) / 4.0)
+    except OverflowError:
+        raise OverflowError("math range error") from None
     if d1 == 0.0:
         return span
     if d0 < 1e-5:

@@ -101,15 +101,18 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {_KINDS}")
+        # Each entry, a triple or a ProblemParams, as (n, float alpha, float
+        # p), n an int where it is integral: an int n as given, so one past
+        # every double stays exact.
         grid = []
         for item in self.param_grid:
             if isinstance(item, ProblemParams):
-                grid.append((item.n, item.alpha, item.p))
-                continue
+                item = (item.n, item.alpha, item.p)
             if len(item) != 3:
                 raise ValueError(f"param grid entries are (n, alpha, p) triples, got {item!r}")
             n, alpha, p = item
-            n = int(n) if float(n).is_integer() else float(n)
+            if type(n) is not int:
+                n = int(n) if float(n).is_integer() else float(n)
             grid.append((n, float(alpha), float(p)))
         object.__setattr__(self, "param_grid", tuple(grid))
         if not TOL_MIN <= self.tol <= TOL_MAX:

@@ -449,9 +449,9 @@ TAKES = {
     "coeffs": {"n", "alpha", "p"},
     "atlas": {"n", "alpha", "p", "grid"},
     "simulate": {"n", "alpha", "p", "tol", "seed", "margin", "t_end"},
-    "classify": {"n", "alpha", "p", "tol", "seed", "samples", "margin", "t_end", "jobs"},
-    "energy-audit": {"n", "alpha", "p", "tol", "seed", "samples", "t_end"},
-    "green-check": {"n", "alpha", "p", "tol", "seed", "samples", "grid_nodes", "field"},
+    "classify": {"n", "alpha", "p", "grid", "tol", "seed", "samples", "margin", "t_end", "jobs"},
+    "energy-audit": {"n", "alpha", "p", "grid", "tol", "seed", "samples", "t_end"},
+    "green-check": {"n", "alpha", "p", "grid", "tol", "seed", "samples", "grid_nodes", "field"},
 }
 UNREAD = [(command, opt) for command in COMMANDS for opt in _OPTIONS.values()
           if command not in opt.commands]
@@ -466,6 +466,24 @@ def _example(opt) -> str:
 def test_declared_options_per_command():
     declared = {c: {o.name for o in _OPTIONS.values() if c in o.commands} for c in COMMANDS}
     assert declared == {c: names | {"out", "format", "quiet"} for c, names in TAKES.items()}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_option_table_matches_the_declared_options():
+    # The per-command table of the README's command-line section, which
+    # leaves out the output options every command takes.
+    lines = README.read_text().splitlines()
+    start = lines.index("| command | options |")
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        command, options = line.strip("|").split("|")
+        table[command.strip().strip("`")] = set(re.findall(r"--[a-z][a-z-]*", options))
+    declared = {c: {o.flag for o in _OPTIONS.values() if c in o.commands} for c in COMMANDS}
+    assert table == {c: flags - {"--out", "--format", "--quiet"} for c, flags in declared.items()}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -506,9 +524,95 @@ def test_atlas_grid_rejects_a_triple_beside_it(tmp_path, capsys):
     assert "--grid does not read --p" in capsys.readouterr().err
 
 
+SWEEPS = ("classify", "energy-audit", "green-check")
+
+
+@pytest.mark.parametrize("command", SWEEPS)
+def test_grid_beside_a_triple_is_usage_error(command, tmp_path, capsys):
+    assert main([command, "--grid", "6 0 4", "--n", "6", "--samples", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"hardyhenon4 {command}: error: --grid does not read --n" in captured.err
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("grid = 6 0 4; 7 0 3\nalpha = 0\n")
+    assert main([command, "--config", str(cfg), "--samples", "0"]) == 1
+    assert "--grid does not read --alpha" in capsys.readouterr().err
+
+
+# The benchmark's triples of each sweep.
+ONE_TRIPLES = {
+    "classify": ("6 0 4", "7 0 3", "6 -1 3.5"),
+    "energy-audit": ("6 0 4", "6 0 5", "6 0 5.5"),
+    "green-check": ("6 0 4", "7 0 3", "6 -1 3.5"),
+}
+
+
+@pytest.mark.parametrize("command", SWEEPS)
+def test_one_grid_triple_prints_the_triple_form_bytes(command, kernel_paths, capsys):
+    for path in kernel_paths():
+        for triple in ONE_TRIPLES[command]:
+            n, alpha, p = triple.split()
+            for fmt in ("csv", "aligned"):
+                outs = []
+                for given in (["--grid", triple], ["--n", n, "--alpha", alpha, "--p", p]):
+                    argv = [command, *given, "--samples", "2", "--seed", "23", "--format", fmt]
+                    assert main(argv) == 0, (path, argv)
+                    outs.append(capsys.readouterr())
+                assert outs[0] == outs[1], (path, triple, fmt)
+
+
+def test_grid_reads_an_integer_n_exactly(capsys):
+    # 2^53 + 1 is no double: --n reads it as an int, and so does --grid.
+    outs = []
+    for given in (["--grid", "9007199254740993 0 4"],
+                  ["--n", "9007199254740993", "--alpha", "0", "--p", "4"]):
+        assert main(["atlas", *given, "--format", "csv"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[-1].startswith("9007199254740993,0.0,4.0,")
+
+
+# An invalid triple, one outside the dichotomy window, one without w*
+# (a0 < 0), one whose draws end in step-size underflow, and a normal one.
+MIXED_GRID = "3 0 4; 6 0 5.5; 6 0 2.5; 5 2 100; 6 0 4"
+MIXED_TRIPLES = [("3", "0.0", "4.0"), ("6", "0.0", "5.5"), ("6", "0.0", "2.5"),
+                 ("5", "2.0", "100.0"), ("6", "0.0", "4.0")]
+
+
+@pytest.mark.parametrize("command", SWEEPS)
+def test_grid_sweep_prints_every_triple_in_grid_order(command, capsys):
+    argv = [command, "--grid", MIXED_GRID, "--seed", "1", "--samples", "2", "--format", "csv"]
+    assert main(argv) == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[4:]]
+    triples = [tuple(row[:3]) for row in rows]
+    assert triples == sorted(triples, key=MIXED_TRIPLES.index)  # in grid order, each contiguous
+    by_triple = {t: [row[3:] for row in rows if tuple(row[:3]) == t] for t in MIXED_TRIPLES}
+    assert [cells[-1] for cells in by_triple[MIXED_TRIPLES[0]]] == ["need n > 2m; got n=3; m=2"]
+    outside, no_wstar, underflow, normal = (by_triple[t] for t in MIXED_TRIPLES[1:])
+    if command == "classify":
+        for cells in outside + no_wstar:
+            assert cells[1] == "reject" and "outside the admissible window" in cells[-1]
+        assert [cells[1:3] for cells in underflow] == [["draw", "0"], ["draw", "1"]]
+        assert [cells[1] for cells in normal].count("draw") == 2
+    if command == "energy-audit":
+        assert [cells[1] for cells in outside] == ["0", "1"]
+        assert all(cells[-1] == "no monotone-direction contract for OutOfRange"
+                   for cells in no_wstar)
+        assert [cells[1] for cells in underflow] == ["0", "1"]
+    if command != "green-check":
+        assert all(cells[-1].startswith("step size underflow at t=") for cells in underflow)
+        assert all(not cells[-1] for cells in normal)
+    else:
+        assert [cells[1] for cells in no_wstar] == ["removable", "reject"]
+        assert no_wstar[1][-1] == "no positive equilibrium (a0 <= 0)"
+        for cells in (outside, underflow, normal):
+            assert [c[1] for c in cells] == ["removable", "exact", "perturbed", "perturbed"]
+
+
 @pytest.mark.parametrize("extra", [["--alpha", "1"], ["--p", "3"], ["--tol", "1e-9"],
                                    ["--seed", "2"], ["--samples", "3"],
-                                   ["--grid-nodes", "4096"], ["--format", "csv"]])
+                                   ["--grid-nodes", "4096"], ["--format", "csv"],
+                                   ["--grid", "6 0 4"]])
 def test_green_check_field_rejects_study_options(extra, tmp_path, capsys):
     grid = make_grid(count=512)
     RadialField(grid=grid, values=np.ones(grid.count), n=6).save(tmp_path / "f.csv")

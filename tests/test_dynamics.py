@@ -1238,6 +1238,16 @@ def test_integrate_reports_an_overflowing_stage(monkeypatch, kernel_paths):
         assert str(err.value) == "math range error", kernels
 
 
+def test_integrate_names_an_overflowing_start_as_a_stage_does(kernel_paths):
+    # From 1e40 to 1e70 the square of the initial step's norm overflows
+    # first, from 1e80 on the first w^4: one cause, one text.
+    for kernels in kernel_paths():
+        for w0 in (1e40, 1e50, 1e60, 1e70, 1e80, 1e120):
+            with pytest.raises(OverflowError) as err:
+                integrate(OdeState(w0, 0.0, 0.0, 0.0), 0.0, -1.0, 1e-10, COEFFS)
+            assert str(err.value) == "math range error", (kernels, w0)
+
+
 # Exponents of the w^q oracle: the flow's w^p, the energy's w^(p+1), the
 # linearization's w^(p-1), and two that take the other branches of exp.
 WPOW_EXPONENTS = (P, P + 1.0, P - 1.0, 0.0, -0.5)

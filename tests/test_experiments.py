@@ -63,6 +63,22 @@ def test_config_accepts_params_objects():
     assert cfg.param_grid == ((6, 0.0, 4.0),)
 
 
+def test_config_normalizes_params_objects_like_triples():
+    # An int alpha or p is a float either way, and an int n past every
+    # double stays exact either way.
+    for params in (ProblemParams(6, 0, 4), ProblemParams(5, 2**53 + 1, 1e30),
+                   ProblemParams(10**400, 0.0, 4.0), ProblemParams(6.0, -1, 3.5)):
+        triple = (params.n, params.alpha, params.p)
+        by_params = ExperimentConfig(kind="atlas", param_grid=(params,))
+        by_triple = ExperimentConfig(kind="atlas", param_grid=(triple,))
+        assert by_params.param_grid == by_triple.param_grid, params
+        assert [type(v) for v in by_params.param_grid[0][1:]] == [float, float], params
+        assert by_params.digest() == by_triple.digest(), params
+        assert run_atlas(by_params).to_csv() == run_atlas(by_triple).to_csv(), params
+    cfg = ExperimentConfig(kind="atlas", param_grid=(ProblemParams(6, 0, 4),))
+    assert run_atlas(cfg).to_csv().splitlines()[4].startswith("6,0.0,4.0,")
+
+
 def test_config_digest_tracks_content():
     a = ExperimentConfig(kind="atlas", param_grid=((6, 0.0, 4.0),))
     b = ExperimentConfig(kind="atlas", param_grid=((6, 0.0, 4.0),))
