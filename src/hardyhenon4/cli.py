@@ -194,7 +194,7 @@ def _merged_options(inv: CliInvocation) -> dict:
     return opts
 
 
-def _parse_grid(text: str) -> list[tuple[float, float, float]]:
+def _parse_grid(text: str) -> tuple[tuple[int | float, float, float], ...]:
     triples = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -210,7 +210,7 @@ def _parse_grid(text: str) -> list[tuple[float, float, float]]:
         triples.append((n, float(parts[1]), float(parts[2])))
     if not triples:
         raise UsageError("grid is empty")
-    return triples
+    return tuple(triples)
 
 
 def _require_triple(opts: dict) -> tuple[int, float, float]:
@@ -232,7 +232,7 @@ def _param_grid(opts: dict, reject_rows: bool = False) -> tuple:
     triple is checked here, so an invalid one is a usage error, unless
     `reject_rows` gives it a reject row too (atlas)."""
     if "grid" in opts:
-        return tuple(_parse_grid(opts["grid"]))
+        return _parse_grid(opts["grid"])
     return (_require_triple(opts) if reject_rows else _require_params(opts),)
 
 

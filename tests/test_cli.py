@@ -529,13 +529,13 @@ SWEEPS = ("classify", "energy-audit", "green-check")
 
 @pytest.mark.parametrize("command", SWEEPS)
 def test_grid_beside_a_triple_is_usage_error(command, tmp_path, capsys):
-    assert main([command, "--grid", "6 0 4", "--n", "6", "--samples", "0"]) == 1
+    assert main([command, "--grid", "6 0 4", "--n", "6"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"hardyhenon4 {command}: error: --grid does not read --n" in captured.err
     cfg = tmp_path / "run.ini"
     cfg.write_text("grid = 6 0 4; 7 0 3\nalpha = 0\n")
-    assert main([command, "--config", str(cfg), "--samples", "0"]) == 1
+    assert main([command, "--config", str(cfg)]) == 1
     assert "--grid does not read --alpha" in capsys.readouterr().err
 
 
