@@ -25,6 +25,7 @@ from .params import (
     critical_exponents,
     coefficients,
     a0_factored,
+    kelvin_dual,
     classify_regime,
     in_dichotomy_window,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "critical_exponents",
     "coefficients",
     "a0_factored",
+    "kelvin_dual",
     "classify_regime",
     "in_dichotomy_window",
     "RadialJet",

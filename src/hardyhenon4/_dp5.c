@@ -725,8 +725,9 @@ int64_t hh_log(const double *x, int64_t n, double *out)
  * and POW5_ROWS in _dp5.py: each row is a 128-bit (low, high) word pair. */
 enum { POW5_INV_ROWS = 291, POW5_ROWS = 326 };
 
-/* The 128-bit product a * b from 32-bit halves: the low word, *hi the high. */
-static uint64_t umul128(uint64_t a, uint64_t b, uint64_t *hi)
+/* The 128-bit product a * b from 32-bit halves: the low word, *hi the high.
+ * Inline, as its callers sit on the row writer's and reader's hot paths. */
+static inline uint64_t umul128(uint64_t a, uint64_t b, uint64_t *hi)
 {
     uint64_t a_lo = (uint32_t)a, a_hi = a >> 32, b_lo = (uint32_t)b, b_hi = b >> 32;
     uint64_t b00 = a_lo * b_lo, b01 = a_lo * b_hi, b10 = a_hi * b_lo, b11 = a_hi * b_hi;
@@ -736,17 +737,50 @@ static uint64_t umul128(uint64_t a, uint64_t b, uint64_t *hi)
     return (mid2 << 32) | (uint32_t)b00;
 }
 
-/* (m * mul) >> j for the 128-bit multiplier mul, m below 2^55 and
- * 64 < j < 128, where the result fits 64 bits. */
-static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+/* The 128-bit value (hi, lo) shifted right by 0 < dist < 64, low word. */
+static uint64_t shift_right128(uint64_t lo, uint64_t hi, int32_t dist)
 {
-    uint64_t high0, high1;
-    uint64_t low1 = umul128(m, mul[1], &high1);
-    umul128(m, mul[0], &high0);
-    uint64_t sum = high0 + low1;
-    if (sum < high0)
-        high1++;
-    return (high1 << (128 - j)) | (sum >> (j - 64));
+    return (hi << (64 - dist)) | (lo >> dist);
+}
+
+/* (4 m * mul) >> j as the return value, ((4 m + 2) * mul) >> j at *vp and
+ * ((4 m - 1 - mm_shift) * mul) >> j at *vm, for the 128-bit multiplier
+ * mul, m below 2^54 and 65 < j < 128: all three from the two 64x64-bit
+ * products of 2m * mul, as Ryu's mulShiftAll64 does without a 128-bit
+ * type. */
+static uint64_t mul_shift_all(uint64_t m, const uint64_t *mul, int32_t j, uint64_t *vp,
+                              uint64_t *vm, uint32_t mm_shift)
+{
+    m <<= 1;
+    /* 2m * mul as the 192-bit (hi, mid, lo). */
+    uint64_t tmp, hi;
+    uint64_t lo = umul128(m, mul[0], &tmp);
+    uint64_t mid = tmp + umul128(m, mul[1], &hi);
+    hi += mid < tmp;
+
+    /* (2m + 1) * mul */
+    uint64_t lo2 = lo + mul[0];
+    uint64_t mid2 = mid + mul[1] + (lo2 < lo);
+    uint64_t hi2 = hi + (mid2 < mid);
+    *vp = shift_right128(mid2, hi2, j - 65);
+
+    if (mm_shift == 1) {
+        /* (2m - 1) * mul */
+        uint64_t lo3 = lo - mul[0];
+        uint64_t mid3 = mid - mul[1] - (lo3 > lo);
+        uint64_t hi3 = hi - (mid3 > mid);
+        *vm = shift_right128(mid3, hi3, j - 65);
+    } else {
+        /* (4m - 1) * mul */
+        uint64_t lo3 = lo + lo;
+        uint64_t mid3 = mid + mid + (lo3 < lo);
+        uint64_t hi3 = hi + hi + (mid3 < mid);
+        uint64_t lo4 = lo3 - mul[0];
+        uint64_t mid4 = mid3 - mul[1] - (lo4 > lo3);
+        uint64_t hi4 = hi3 - (mid4 > mid3);
+        *vm = shift_right128(mid4, hi4, j - 64);
+    }
+    return shift_right128(mid, hi, j - 65);
 }
 
 /* The bit length of 5^e, floor(log10(2^e)) and floor(log10(5^e)), exact for
@@ -784,7 +818,6 @@ static uint64_t shortest(uint64_t ieee_m, int32_t ieee_e, const uint64_t *pow5, 
     int accept = (m2 & 1) == 0;
     uint64_t mv = 4 * m2;
     uint32_t mm_shift = ieee_m != 0 || ieee_e <= 1;
-    uint64_t mp = mv + 2, mm = mv - 1 - mm_shift;
 
     uint64_t vr, vp, vm;
     int vm_zeros = 0, vr_zeros = 0;
@@ -793,17 +826,16 @@ static uint64_t shortest(uint64_t ieee_m, int32_t ieee_e, const uint64_t *pow5, 
         const uint64_t *mul = pow5 + 2 * q;
         int32_t j = -e2 + q + 124 + pow5bits(q);
         *e10 = q;
-        vr = mul_shift(mv, mul, j);
-        vp = mul_shift(mp, mul, j);
-        vm = mul_shift(mm, mul, j);
+        vr = mul_shift_all(m2, mul, j, &vp, &vm, mm_shift);
         if (q <= 21) {
-            /* At most one of mp, mv and mm is a multiple of 5. */
+            /* At most one of mv + 2, mv and mv - 1 - mm_shift is a
+             * multiple of 5. */
             if (mv % 5 == 0)
                 vr_zeros = multiple_of_pow5(mv, q);
             else if (accept)
-                vm_zeros = multiple_of_pow5(mm, q);
+                vm_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
             else
-                vp -= (uint64_t)multiple_of_pow5(mp, q);
+                vp -= (uint64_t)multiple_of_pow5(mv + 2, q);
         }
     } else {
         int32_t q = log10_pow5(-e2) - (-e2 > 1);
@@ -811,11 +843,9 @@ static uint64_t shortest(uint64_t ieee_m, int32_t ieee_e, const uint64_t *pow5, 
         const uint64_t *mul = pow5 + 2 * (POW5_INV_ROWS + i);
         int32_t j = q - (pow5bits(i) - 125);
         *e10 = q + e2;
-        vr = mul_shift(mv, mul, j);
-        vp = mul_shift(mp, mul, j);
-        vm = mul_shift(mm, mul, j);
+        vr = mul_shift_all(m2, mul, j, &vp, &vm, mm_shift);
         if (q <= 1) {
-            /* mv has two trailing zero bits, mm one where mm_shift is 1. */
+            /* mv has two trailing zero bits, mv - 2 one where mm_shift is 1. */
             vr_zeros = 1;
             if (accept)
                 vm_zeros = mm_shift == 1;
@@ -854,8 +884,17 @@ static uint64_t shortest(uint64_t ieee_m, int32_t ieee_e, const uint64_t *pow5, 
             last = 4; /* an exact tie: round to even */
         out = vr + ((vr == vm && (!accept || !vm_zeros)) || last >= 5);
     } else {
+        /* The common case: no trailing zeros to track, so two digits go
+         * at a time while the interval allows, then at most one more. */
         int round_up = 0;
-        while (vp / 10 > vm / 10) {
+        while (vp / 100 > vm / 100) {
+            round_up = vr % 100 >= 50;
+            vr /= 100;
+            vp /= 100;
+            vm /= 100;
+            removed += 2;
+        }
+        if (vp / 10 > vm / 10) {
             round_up = vr % 10 >= 5;
             vr /= 10;
             vp /= 10;
@@ -866,6 +905,37 @@ static uint64_t shortest(uint64_t ieee_m, int32_t ieee_e, const uint64_t *pow5, 
     }
     *e10 += removed;
     return out;
+}
+
+/* The powers of ten below 10^17, the bound of shortest()'s digits. */
+static const uint64_t POW10[17] = {
+    UINT64_C(1), UINT64_C(10), UINT64_C(100), UINT64_C(1000), UINT64_C(10000),
+    UINT64_C(100000), UINT64_C(1000000), UINT64_C(10000000), UINT64_C(100000000),
+    UINT64_C(1000000000), UINT64_C(10000000000), UINT64_C(100000000000),
+    UINT64_C(1000000000000), UINT64_C(10000000000000), UINT64_C(100000000000000),
+    UINT64_C(1000000000000000), UINT64_C(10000000000000000),
+};
+
+/* "00" "01" ... "99": two digits per table entry. */
+static const char DIGIT_PAIRS[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The count low decimal digits of v, written in pairs so that they end
+ * just before end.  Returns v with those digits dropped. */
+static uint64_t put_digits(char *end, uint64_t v, int count)
+{
+    for (; count >= 2; count -= 2) {
+        end -= 2;
+        memcpy(end, DIGIT_PAIRS + 2 * (v % 100), 2);
+        v /= 100;
+    }
+    if (count) {
+        *--end = (char)('0' + v % 10);
+        v /= 10;
+    }
+    return v;
 }
 
 /* repr(x) at out, in the layout of Python's float repr: fixed notation for
@@ -892,42 +962,39 @@ static int repr_double(double x, const uint64_t *pow5, char *out)
 
     int32_t e10;
     uint64_t v = shortest(ieee_m, ieee_e, pow5, &e10);
-    char digits[20];
-    int nd = 0;
-    for (; v; v /= 10)
-        digits[19 - nd++] = (char)('0' + v % 10);
-    const char *d = digits + 20 - nd;
+    /* The digit count, from the top: most doubles print 16 or 17. */
+    int nd = 17;
+    while (nd > 1 && v < POW10[nd - 1])
+        nd--;
     /* x = 0.d1d2... * 10^decpt */
     int decpt = nd + e10;
 
     if (-4 < decpt && decpt <= 16) {
         if (decpt <= 0) {
-            memcpy(p, "0.", 2);
-            p += 2;
-            memset(p, '0', (size_t)-decpt);
-            p += -decpt;
-            memcpy(p, d, (size_t)nd);
-            p += nd;
+            memcpy(p, "0.0000", (size_t)(2 - decpt));
+            p += 2 - decpt + nd;
+            put_digits(p, v, nd);
         } else if (decpt < nd) {
-            memcpy(p, d, (size_t)decpt);
-            p += decpt;
-            *p++ = '.';
-            memcpy(p, d + decpt, (size_t)(nd - decpt));
-            p += nd - decpt;
+            v = put_digits(p + nd + 1, v, nd - decpt);
+            p[decpt] = '.';
+            put_digits(p + decpt, v, decpt);
+            p += nd + 1;
         } else {
-            memcpy(p, d, (size_t)nd);
             p += nd;
+            put_digits(p, v, nd);
             memset(p, '0', (size_t)(decpt - nd));
             p += decpt - nd;
             memcpy(p, ".0", 2);
             p += 2;
         }
     } else {
-        *p++ = d[0];
+        v = put_digits(p + nd + 1, v, nd - 1);
+        p[0] = (char)('0' + v);
         if (nd > 1) {
-            *p++ = '.';
-            memcpy(p, d + 1, (size_t)(nd - 1));
-            p += nd - 1;
+            p[1] = '.';
+            p += nd + 1;
+        } else {
+            p++;
         }
         int e = decpt - 1;
         *p++ = 'e';
@@ -936,8 +1003,8 @@ static int repr_double(double x, const uint64_t *pow5, char *out)
             e = -e;
         if (e >= 100)
             *p++ = (char)('0' + e / 100);
-        *p++ = (char)('0' + e / 10 % 10);
-        *p++ = (char)('0' + e % 10);
+        memcpy(p, DIGIT_PAIRS + 2 * (e % 100), 2);
+        p += 2;
     }
     return (int)(p - out);
 }
@@ -964,17 +1031,16 @@ int64_t hh_rows(const double *const *cols, int64_t k, int64_t n, const uint64_t 
  * (low, high) word pair. */
 enum { POW5_Q_MIN = -342, POW5_Q_ROWS = 651 };
 
-/* The leading zero bits of x > 0. */
+/* The leading zero bits of 0 < x < 10^19, without a branch: the exponent
+ * of x as a double, less one where rounding carried x up to the next
+ * power of two. */
 static int leading_zeros(uint64_t x)
 {
-    int n = 0;
-    for (int bits = 32; bits; bits /= 2) {
-        if (!(x >> (64 - bits))) {
-            n += bits;
-            x <<= bits;
-        }
-    }
-    return n;
+    double d = (double)x;
+    uint64_t bits;
+    memcpy(&bits, &d, sizeof bits);
+    int e = (int)(bits >> 52) - 1023;
+    return 63 - e + ((x >> e) == 0);
 }
 
 /* The double nearest w * 10^q, ties to even, for 0 < w < 10^19 and q in
@@ -1030,14 +1096,62 @@ static int eisel_lemire(uint64_t w, int32_t q, const uint64_t *pow5, double *out
 
 static int is_digit(char c) { return c >= '0' && c <= '9'; }
 
+/* The 8 bytes at p as a word, p[0] in the low byte, on any byte order. */
+static uint64_t load8(const char *p)
+{
+    const unsigned char *b = (const unsigned char *)p;
+    return (uint64_t)b[0] | (uint64_t)b[1] << 8 | (uint64_t)b[2] << 16 | (uint64_t)b[3] << 24
+           | (uint64_t)b[4] << 32 | (uint64_t)b[5] << 40 | (uint64_t)b[6] << 48
+           | (uint64_t)b[7] << 56;
+}
+
+/* Whether each byte of the word is an ASCII digit: adding 0x46 carries
+ * into the top bit of a byte above '9', subtracting 0x30 borrows into it
+ * below '0' (Lemire, "Number Parsing at a Gigabyte per Second"). */
+static int eight_digits(uint64_t word)
+{
+    return (((word + UINT64_C(0x4646464646464646)) | (word - UINT64_C(0x3030303030303030)))
+            & UINT64_C(0x8080808080808080)) == 0;
+}
+
+/* The value of the 8 digits of the word, its low byte first, in three
+ * multiplies: pairs, then groups of four, then all eight. */
+static uint64_t eight_digit_value(uint64_t word)
+{
+    const uint64_t mask = UINT64_C(0x000000ff000000ff);
+    const uint64_t mul1 = UINT64_C(0x000f424000000064); /* 100 + (1000000 << 32) */
+    const uint64_t mul2 = UINT64_C(0x0000271000000001); /* 1 + (10000 << 32) */
+    word -= UINT64_C(0x3030303030303030);
+    word = word * 10 + (word >> 8);
+    return (((word & mask) * mul1) + (((word >> 16) & mask) * mul2)) >> 32;
+}
+
+/* The digits at *p into w, as w = 10 w + d for each, wrapping mod 2^64:
+ * eight at a time while 8 bytes remain before end, then one at a time.
+ * Moves *p past them. */
+static uint64_t read_digits(const char **p, const char *end, uint64_t w)
+{
+    const char *s = *p;
+    uint64_t word;
+    while (end - s >= 8 && eight_digits(word = load8(s))) {
+        w = w * 100000000 + eight_digit_value(word);
+        s += 8;
+    }
+    for (; is_digit(*s); s++)
+        w = 10 * w + (uint64_t)(*s - '0');
+    *p = s;
+    return w;
+}
+
 /* The cell -?digits(.digits)?([eE][+-]?digits)? at *ps, read into *out as
  * float() reads it, with *ps moved past it.  Eisel-Lemire reads up to 19
  * significant digits; strtod reads longer cells and every case
  * Eisel-Lemire leaves.  Returns 0 where *ps does not start such a cell,
  * or where strtod stops elsewhere than at its end (under a locale whose
  * decimal point is not '.').  Every scan stops at the first byte that
- * cannot continue the cell, so a NUL after the buffer bounds them. */
-static int read_cell(const char **ps, const uint64_t *pow5, double *out)
+ * cannot continue the cell, so a NUL at end bounds them; only whole
+ * words before end are read 8 bytes at a time. */
+static int read_cell(const char **ps, const char *end, const uint64_t *pow5, double *out)
 {
     const char *cell = *ps, *p = cell;
     int neg = *p == '-';
@@ -1047,9 +1161,7 @@ static int read_cell(const char **ps, const uint64_t *pow5, double *out)
         p++;
     /* The digits from the first nonzero one, wrapping past 19 of them. */
     const char *first = p;
-    uint64_t w = 0;
-    for (; is_digit(*p); p++)
-        w = 10 * w + (uint64_t)(*p - '0');
+    uint64_t w = read_digits(&p, end, 0);
     if (p == digits)
         return 0;
     int64_t sig = p - first, q = 0; /* the cell is w * 10^q while sig <= 19 */
@@ -1059,8 +1171,7 @@ static int read_cell(const char **ps, const uint64_t *pow5, double *out)
             while (*p == '0')
                 p++;
         first = p;
-        for (; is_digit(*p); p++)
-            w = 10 * w + (uint64_t)(*p - '0');
+        w = read_digits(&p, end, w);
         if (p == digits)
             return 0;
         sig += p - first;
@@ -1089,9 +1200,9 @@ static int read_cell(const char **ps, const uint64_t *pow5, double *out)
         *out = neg ? -x : x;
         return 1;
     }
-    char *end;
-    *out = strtod(cell, &end);
-    return end == p;
+    char *stop;
+    *out = strtod(cell, &stop);
+    return stop == p;
 }
 
 /* The 'radius,value' rows of a field file's body: the bytes s[start..len)
@@ -1111,7 +1222,8 @@ int64_t hh_parse(const char *s, int64_t start, int64_t len, const uint64_t *pow5
             p++;
             continue;
         }
-        if (!read_cell(&p, pow5, r + n) || *p++ != ',' || !read_cell(&p, pow5, v + n))
+        if (!read_cell(&p, end, pow5, r + n) || *p++ != ','
+            || !read_cell(&p, end, pow5, v + n))
             return -1;
         n++;
         if (*p == '\n')

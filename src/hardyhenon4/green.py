@@ -277,21 +277,42 @@ def _header_label(name: str, text: str) -> int | float | None:
     return int(text) if name == "n" else value
 
 
-def poisson_solve_radial(f: RadialField, n: int) -> RadialField:
-    """Solve -Delta v = f radially with v(1) = 0 by double cumulative quadrature."""
+def _check_dimension(n: int) -> None:
     if n < 3:
         raise ValueError(f"need dimension n >= 3, got {n}")
+
+
+def _inner_integral(values: np.ndarray, grid: RadialGrid, r_n: np.ndarray) -> np.ndarray:
+    # int_{-inf}^t f e^{ns} ds at each node: the tail below the grid plus
+    # the cumulative quadrature, with r_n = e^{nt} on the grid.
+    F = _cumulative_up(values * r_n, grid.h)
+    return _tail_estimate(F, grid) + F
+
+
+def poisson_solve_radial(f: RadialField, n: int) -> RadialField:
+    """Solve -Delta v = f radially with v(1) = 0 by double cumulative quadrature."""
+    _check_dimension(n)
     grid = f.grid
-    g_in = f.values * _exp(n * grid.t)
-    F = _cumulative_up(g_in, grid.h)
-    inner = _tail_estimate(F, grid) + F
+    inner = _inner_integral(f.values, grid, _exp(n * grid.t))
     g_out = inner * _exp((2.0 - n) * grid.t)
     return RadialField(grid=grid, values=_cumulative_down(g_out, grid.h))
 
 
 def bilaplacian_solve_radial(f: RadialField, n: int) -> RadialField:
-    """Solve Delta^2 v = f radially with Navier data v(1) = Delta v(1) = 0."""
-    return poisson_solve_radial(poisson_solve_radial(f, n), n)
+    """Solve Delta^2 v = f radially with Navier data v(1) = Delta v(1) = 0.
+
+    Two Poisson solves, poisson_solve_radial(poisson_solve_radial(f, n), n)
+    to the byte, that compute the weights e^{nt} and e^{(2-n)t} once.
+    """
+    _check_dimension(n)
+    grid = f.grid
+    r_n = _exp(n * grid.t)
+    inner = _inner_integral(f.values, grid, r_n)
+    r_2n = _exp((2.0 - n) * grid.t)
+    # A field, so that a non-finite first solve raises as poisson_solve_radial's does.
+    v = RadialField(grid=grid, values=_cumulative_down(inner * r_2n, grid.h))
+    inner = _inner_integral(v.values, grid, r_n)
+    return RadialField(grid=grid, values=_cumulative_down(inner * r_2n, grid.h))
 
 
 def _project_span(target: np.ndarray, columns: np.ndarray) -> np.ndarray:

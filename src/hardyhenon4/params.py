@@ -151,6 +151,20 @@ def a0_factored(coeffs: CoefficientSet) -> float:
     return B * (B + 2.0) * (n - 2.0 - B) * (n - 4.0 - B)
 
 
+def kelvin_dual(coeffs: CoefficientSet) -> CoefficientSet:
+    """The coefficient set of the Kelvin-dual problem (n, alpha', p), with
+    alpha' = (n-4)p - (n+4) - alpha.
+
+    The Kelvin transform u -> |x|^(4-n) u(x/|x|^2) maps solutions of
+    Delta^2 u = |x|^alpha u^p to solutions with alpha'.  In log variables
+    B' = n - 4 - B and w'(t) = w(-t): a0 and a2 are kept, a1 and a3 change
+    sign.  ValueError where alpha' <= -4, i.e. p at or below the Serrin
+    exponent, as ProblemParams refuses it.
+    """
+    n, p = coeffs.n, coeffs.p
+    return coefficients(ProblemParams(n, (n - 4) * p - (n + 4) - coeffs.alpha, p))
+
+
 def _sign_tag(x: float, scale: float) -> str:
     if abs(x) <= 1e-12 * scale:
         return "0"

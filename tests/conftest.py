@@ -1,5 +1,8 @@
 import contextlib
+import importlib.util
 import signal
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,3 +57,15 @@ def kernel_paths(monkeypatch):
         yield "python"
 
     return paths
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's perfbench/workloads.py, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # @dataclass looks the module up in sys.modules while the body runs.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module

@@ -6,31 +6,15 @@ workload's plan and the reference panel and parses every argv.  It also
 writes the 65,536-row field file of the `green` workload and reads it back.
 """
 
-import importlib.util
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 
 from hardyhenon4 import _dp5
 from hardyhenon4.cli import parse_invocation
-from hardyhenon4.green import RadialField
+from hardyhenon4.green import RadialField, bilaplacian_solve_radial, poisson_solve_radial
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def _workloads(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    # @dataclass looks the module up in sys.modules while the body runs.
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
-def test_every_benchmark_argv_parses(tmp_path, monkeypatch):
-    workloads = _workloads(monkeypatch)
+def test_every_benchmark_argv_parses(tmp_path, workloads):
     plans = [workloads.build_plan(name, 1, tmp_path) for name in workloads.WORKLOADS]
     plans.append(workloads.panel_plan())
     for plan in plans:
@@ -39,8 +23,7 @@ def test_every_benchmark_argv_parses(tmp_path, monkeypatch):
             assert parse_invocation(inv.argv).command == inv.argv[0], inv.label
 
 
-def test_benchmark_field_file_loads_exactly_and_lean(tmp_path, monkeypatch):
-    workloads = _workloads(monkeypatch)
+def test_benchmark_field_file_loads_exactly_and_lean(tmp_path, workloads):
     text = workloads.field_text(workloads.field_spec(1))
     path = tmp_path / "field.csv"
     path.write_text(text)
@@ -59,8 +42,7 @@ def test_benchmark_field_file_loads_exactly_and_lean(tmp_path, monkeypatch):
     assert peak < 6.5e6, peak
 
 
-def test_benchmark_field_file_dumps_exactly_and_lean(tmp_path, monkeypatch, kernel_paths):
-    workloads = _workloads(monkeypatch)
+def test_benchmark_field_file_dumps_exactly_and_lean(tmp_path, workloads, kernel_paths):
     text = workloads.field_text(workloads.field_spec(1))
     path = tmp_path / "field.csv"
     path.write_text(text)
@@ -84,3 +66,14 @@ def test_benchmark_field_file_dumps_exactly_and_lean(tmp_path, monkeypatch, kern
     if "compiled" in peaks:
         assert peaks["compiled"] < bound, peaks
     assert peaks["python"] > bound, peaks
+
+
+def test_benchmark_field_solves_as_two_poisson_solves(tmp_path, workloads):
+    # The `green` workload's seed-23 field: bilaplacian_solve_radial shares
+    # its weights between the passes and keeps the two solves' bytes.
+    spec = workloads.field_spec(23)
+    path = tmp_path / "field.csv"
+    path.write_text(workloads.field_text(spec))
+    field, n = RadialField.load(path), spec["n"]
+    want = poisson_solve_radial(poisson_solve_radial(field, n), n)
+    assert bilaplacian_solve_radial(field, n).values.tobytes() == want.values.tobytes()

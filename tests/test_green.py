@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 import warnings
 from decimal import Decimal
@@ -152,6 +153,29 @@ def test_bilaplacian_constant_source():
     assert np.max(np.abs(v.values - exact)) <= 1e-10
 
 
+def test_bilaplacian_is_two_poisson_solves_to_the_byte():
+    # bilaplacian_solve_radial computes the weights e^{nt} and e^{(2-n)t}
+    # once for both passes; its bytes are those of the two solves.
+    grid = make_grid(2048)
+    f = RadialField(grid=grid, values=1.7 * grid.nodes**-1.3)
+    for n in (5, 6, 9):
+        want = poisson_solve_radial(poisson_solve_radial(f, n), n)
+        assert bilaplacian_solve_radial(f, n).values.tobytes() == want.values.tobytes(), n
+
+
+def test_bilaplacian_raises_what_two_poisson_solves_raise():
+    grid = make_grid(count=512)
+    cases = [
+        (RadialField(grid=grid, values=np.ones(grid.count)), 2),
+        (RadialField(grid=grid, values=grid.nodes**-6.0), 6),  # a non-integrable tail
+    ]
+    for f, n in cases:
+        with pytest.raises((ValueError, IntegrabilityError)) as want:
+            poisson_solve_radial(poisson_solve_radial(f, n), n)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            bilaplacian_solve_radial(f, n)
+
+
 def test_solves_are_linear_and_positive():
     grid = make_grid(count=512)
     f1 = RadialField(grid=grid, values=grid.nodes**0.5)
@@ -280,6 +304,44 @@ def test_row_writer_prints_any_number_of_columns(kernel_paths):
                 _dp5.kernels().rows(*bad)
 
 
+def _shortest_digit_count(text: str) -> int:
+    """The significant digits of a repr(): 1 for '100.0', 3 for '1.25e-07'."""
+    mantissa = text.lstrip("-").partition("e")[0].replace(".", "")
+    return len(mantissa.strip("0"))
+
+
+def _power_of_ten_edges() -> list[float]:
+    # For each 10^k and d = 1..17: d nines just below it, a d-digit 10..01
+    # (or 2 for d = 1) just above it, and its neighbouring doubles, which
+    # have 16 or 17 digits.
+    xs = []
+    for k in range(-25, 26):
+        power = float(f"1e{k}")
+        xs += [power, math.nextafter(power, 0.0), math.nextafter(power, math.inf)]
+        for d in range(1, 18):
+            xs.append(float(f"{'9' * d}e{k - d}"))
+            xs.append(float(f"1{'0' * (d - 2)}1e{k - d + 1}" if d > 1 else f"2e{k}"))
+    # Both sides of the fixed/exponent switch.
+    for edge in (1e-4, 1e16):
+        xs += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+    return xs + [-x for x in xs]
+
+
+def test_row_writer_prints_every_digit_count_around_each_power_of_ten(kernel_paths):
+    # The writer counts digits against the powers of ten and writes them
+    # in pairs straight to their place: integer-valued and fractional
+    # doubles of 1 to 17 shortest digits around each 10^k, in the fixed
+    # and the exponent layout, print as repr() does.
+    xs = _power_of_ten_edges()
+    reprs = list(map(repr, xs))
+    kinds = {(x.is_integer(), _shortest_digit_count(r)) for x, r in zip(xs, reprs)}
+    assert kinds >= {(integral, d) for integral in (True, False) for d in range(1, 18)}
+    assert {"0.0001", "9.999999999999999e-05", "1e+16", "9999999999999998.0"} <= set(reprs)
+    want = "".join(r + "\n" for r in reprs)
+    for kernels in kernel_paths():
+        assert _dp5.kernels().rows(np.array(xs)) == want, kernels
+
+
 @pytest.mark.parametrize("label", [-1.2345678, 3.14159265, 1e-7, 1e20])
 def test_field_header_labels_read_back_bit_for_bit(tmp_path, label, kernel_paths):
     grid = make_grid(count=256)
@@ -360,6 +422,58 @@ def test_field_load_reads_every_cell_as_float_does(tmp_path, kernel_paths):
         assert back.grid.nodes.tolist() == nodes, kernels
         with pytest.raises(ValueError, match="overflow.csv: non-finite field value at node 9$"):
             RadialField.load(overflow)
+
+
+def _digit_run(count: int, first: int) -> str:
+    return "".join(str((first + i) % 10) for i in range(count))
+
+
+# Digit runs on either side of one and two 8-byte words, and past the 19
+# digits Eisel-Lemire reads.
+WORD_EDGE_LENGTHS = (7, 8, 9, 15, 16, 17, 19, 20)
+
+
+def _word_edge_cells() -> list[str]:
+    # Integer and fraction parts of every length above, alone and together,
+    # followed by 'e' or by the cell's end; and 17 to 19 digits just below
+    # a power of two, which rounds up to it as a double.
+    cells = [f"{2**k - 1}e{e}" for k in range(54, 64) for e in (-30, 0, 30)]
+    for a in WORD_EDGE_LENGTHS:
+        cells += [_digit_run(a, 1), _digit_run(a, 4) + "e-5", "0." + _digit_run(a, 3),
+                  "0." + "0" * a + _digit_run(9, 5), "0." + _digit_run(a, 6) + "e+2"]
+        cells += [f"{_digit_run(a, 2)}.{_digit_run(b, 7)}" for b in WORD_EDGE_LENGTHS]
+        cells += [f"{_digit_run(a, 9)}.{_digit_run(b, 8)}e-{a + b}" for b in WORD_EDGE_LENGTHS]
+    return cells + ["-" + c for c in cells]
+
+
+def test_field_load_reads_digit_runs_across_word_edges(tmp_path, kernel_paths):
+    # The compiled reader takes digits eight at a time while 8 bytes remain
+    # before the body's end, then one at a time.  Every cell reads as
+    # float() reads it: in the radius column (followed by ','), in the value
+    # column (followed by '\n'), and as the last cell of a body with no
+    # trailing '\n', whose last digits are read one at a time.
+    cells = _word_edge_cells()
+    want = np.array([float(c) for c in cells])
+    nodes = make_grid(count=len(cells)).nodes.tolist()
+    path = tmp_path / "edges.csv"
+    path.write_text("# radial-field n=6 alpha=0 p=4\n"
+                    + "".join(f"{r!r},{c}\n" for r, c in zip(nodes, cells)))
+    last = tmp_path / "last.csv"
+    for kernels in kernel_paths():
+        back = RadialField.load(path)
+        assert back.values.tobytes() == want.tobytes(), kernels
+        if kernels == "compiled":
+            body = "".join(f"{c},{c}\n" for c in cells).encode()
+            radii, values = _dp5.kernels().parse(body, 0)
+            assert radii.tobytes() == want.tobytes() and values.tobytes() == want.tobytes()
+            for i, cell in enumerate(cells):
+                for body, column in ((f"1.5,{cell}", 1), (f"{cell},1.5", 0)):
+                    got = _dp5.kernels().parse(body.encode(), 0)[column]
+                    assert got.tobytes() == want[i : i + 1].tobytes(), body
+        for cell in cells[:: len(cells) // 12]:
+            rows = [f"{r!r},{1.0 + r}" for r in nodes[:-1]] + [f"{nodes[-1]!r},{cell}"]
+            last.write_text("\n".join(["# radial-field n=6 alpha=0 p=4", *rows]))
+            assert RadialField.load(last).values[-1] == float(cell), (kernels, cell)
 
 
 def test_compiled_reader_reads_every_repr_back():

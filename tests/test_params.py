@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardyhenon4.params import (
+    CRITICALITY_TOL,
     CRITICAL,
     OUT_OF_RANGE,
     SUBCRITICAL,
@@ -14,6 +15,7 @@ from hardyhenon4.params import (
     coefficients,
     critical_exponents,
     in_dichotomy_window,
+    kelvin_dual,
 )
 
 
@@ -134,6 +136,42 @@ def test_dichotomy_window_rejects_with_numeric_reason():
     ok, reason = in_dichotomy_window(ProblemParams(5, -1.0, 3.2))
     assert not ok
     assert "4" in reason
+
+
+@pytest.mark.parametrize("n, alpha, p", [(6, 0.0, 4.0), (7, 0.0, 3.0), (6, -1.0, 3.5), (8, -2.0, 3.0)])
+def test_kelvin_dual_keeps_a0_a2_and_negates_a1_a3(n, alpha, p):
+    # B' = n - 4 - B: the dual flow is the original one run backward.
+    coeffs = coefficients(ProblemParams(n, alpha, p))
+    dual = kelvin_dual(coeffs)
+    assert (dual.n, dual.alpha, dual.p) == (n, (n - 4) * p - (n + 4) - alpha, p)
+    assert dual.B == pytest.approx(n - 4 - coeffs.B, rel=1e-15)
+    want = (coeffs.a0, -coeffs.a1, coeffs.a2, -coeffs.a3)
+    for got, expected in zip((dual.a0, dual.a1, dual.a2, dual.a3), want):
+        assert abs(got - expected) <= 5.3e-15 * abs(expected)
+    # Twice dual is the problem itself.
+    assert kelvin_dual(dual).alpha == alpha
+
+
+def test_kelvin_dual_of_a_triple_at_or_below_serrin_is_refused():
+    # p at the Serrin exponent (n + alpha) / (n - 4) makes alpha' = -4.
+    with pytest.raises(ValueError, match="alpha > -4"):
+        kelvin_dual(coefficients(ProblemParams(6, 0.0, 3.0)))
+
+
+def test_dichotomy_window_is_its_kelvin_dual_reading(workloads):
+    # serrin < p iff alpha' > -4, and p < (n + 4 + alpha)/(n - 4) iff
+    # alpha' < 0: the window is alpha <= 0, -4 < alpha' < 0 and p not
+    # critical, on every atlas triple, none of them decided by rounding.
+    triples = workloads.atlas_triples(23)
+    inside = 0
+    for n, alpha, p in triples:
+        params = ProblemParams(n, alpha, p)
+        dual_alpha = (n - 4) * p - (n + 4) - alpha
+        critical = abs(p - critical_exponents(params).hardy_sobolev) < CRITICALITY_TOL
+        ok = alpha <= 0.0 and -4.0 < dual_alpha < 0.0 and not critical
+        assert in_dichotomy_window(params)[0] == ok, (n, alpha, p)
+        inside += ok
+    assert len(triples) == 768 and 0 < inside < 768
 
 
 def test_b_scales_with_alpha_and_p():
