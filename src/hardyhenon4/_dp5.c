@@ -1,7 +1,8 @@
 /* Compiled kernels of hardyhenon4: the Dormand-Prince 5(4) step loop of
  * integrate, which ends the orbit at its crossing by bisection and writes
  * the orbit's uniform samples as (t, w0..w3) rows (every grid time not
- * past the orbit's end, then the end point), the ulp ring scan of
+ * past the orbit's end, then the end point), that loop over many starts
+ * in turn, their samples packed into one buffer, the ulp ring scan of
  * fixed_points, which stops where an error bound for libm's exp, log and
  * pow within SCAN_LIBM_ULPS ulps rules out every ulp left, the dense
  * Hermite output of a trajectory, whose segment search walks from each
@@ -15,9 +16,9 @@
  * sign codes and w*.
  *
  * Each but the reader is its Python twin, all of them in _dp5.py: _steps_py
- * (with _bisect_py), _scan_py (with _scan_bound), _dense_py, _energy_py,
- * _audit_py, _exp_py, _log_py, _rows_py and _grid_py, which loops the
- * scalar path of record it is given.  The reader reads the rows the
+ * (with _bisect_py), _orbits_py, _scan_py (with _scan_bound), _dense_py,
+ * _energy_py, _audit_py, _exp_py, _log_py, _rows_py and _grid_py, which
+ * loops the scalar path of record it is given.  The reader reads the rows the
  * writer writes, and every cell as float() reads it (Eisel-Lemire, then
  * strtod); its twin _parse_py reads nothing, and np.loadtxt reads every
  * file it leaves.  The row writer prints repr()'s bytes; the others are
@@ -314,6 +315,41 @@ int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *c
     }
     cnt[2] = k;
     return status;
+}
+
+/* hh_steps for k starts in turn, all with the parameters prm: orbit i
+ * steps from st row i (in/out, ST_LEN doubles each) with cnt row i
+ * (in/out, CNT_LEN each; zeros for a fresh start) and gets its status in
+ * status[i].
+ *
+ * seg (cap rows) is a ring: where it fills, the row count restarts at 0.
+ * hh_steps reads only the last row written, for the crossing and for
+ * that step's samples, so no orbit needs more.  The samples of each orbit
+ * follow those of the one before in smp (scap rows), from row 0 on.  An
+ * OVERFLOW orbit keeps no sample and counts no rejected step.
+ *
+ * Returns k when every orbit has ended, else the index of the orbit
+ * whose samples found no room (FULL): the caller passes that orbit and
+ * the rest again, its st and cnt rows as left, with a larger buffer for
+ * its samples and those after. */
+int64_t hh_orbits(double *st, const double *prm, int64_t k, double *seg, int64_t cap,
+                  int64_t *cnt, int64_t *status, double *smp, int64_t scap)
+{
+    int64_t used = 0;
+    for (int64_t i = 0; i < k; i++) {
+        int64_t *c = cnt + CNT_LEN * i;
+        int s;
+        while ((s = hh_steps(st + ST_LEN * i, prm, seg, cap, c, smp + 5 * used, scap - used))
+               == FULL && c[0] == cap)
+            c[0] = 0;
+        if (s == FULL)
+            return i;
+        if (s == OVERFLOW)
+            c[1] = c[2] = 0;
+        status[i] = s;
+        used += c[2];
+    }
+    return k;
 }
 
 /* The rings of the scan double from SCAN_FIRST_RING ulps to SCAN_WINDOW,

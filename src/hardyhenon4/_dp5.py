@@ -3,15 +3,19 @@
 load() compiles _dp5.c with the C compiler Python was built with into a
 shared library cached under ~/.cache/hardyhenon4 (or the system temporary
 directory where that is not writable), keyed by the sha256 of the source,
-the compiler and the flags, and returns the ten kernels with the
-signatures of their Python twins, defined below: _steps_py, _scan_py,
-_dense_py, _energy_py, _audit_py, _exp_py, _log_py, _rows_py, _parse_py
-and _grid_py.  The step kernel ends an orbit at its crossing itself, as
-_steps_py does through _bisect_py, and writes the orbit's uniform samples
-as it steps, each a (t, w0..w3) row: every grid time not past the orbit's
-end, then the end point.  Its wrapper is the one place that holds a
-segment buffer and a sample buffer: one of each per thread, kept between
-calls up to KEEP_ROWS rows, and every call returns exact-size copies.  The
+the compiler and the flags, and returns the eleven kernels with the
+signatures of their Python twins, defined below: _steps_py, _orbits_py,
+_scan_py, _dense_py, _energy_py, _audit_py, _exp_py, _log_py, _rows_py,
+_parse_py and _grid_py.  The step kernel ends an orbit at its crossing
+itself, as _steps_py does through _bisect_py, and writes the orbit's
+uniform samples as it steps, each a (t, w0..w3) row: every grid time not
+past the orbit's end, then the end point.  Its wrapper holds a segment
+buffer and a sample buffer: one of each per thread, kept between calls up
+to KEEP_ROWS rows, and every call returns exact-size copies.  The batch
+kernel steps many starts in turn through the step kernel, with one
+segment buffer reused as a ring and every orbit's samples packed into one
+buffer; its wrapper splits the starts into one share per CPU the process
+may use and runs each share's call on a thread of its own.  The
 dense kernel starts each time's segment search from the previous time's
 segment, so a read of times in order walks the segments once.  The audit
 kernel runs energy.audit_monotonicity's arithmetic, energies included, in
@@ -79,6 +83,11 @@ SEGMENT_ROWS = 1024
 # during a call.  A buffer grown past KEEP_ROWS rows (2.25 MiB of segments,
 # 640 KiB of samples) is let go, so one very long orbit does not pin it.
 KEEP_ROWS = 16384
+# The batch wrapper keeps a segment ring and a sample buffer per share of
+# the starts for the calling thread, each sample buffer up to
+# KEEP_SHARE_ROWS rows (2.5 MiB, below the 4 MiB from which numpy asks for
+# huge pages): the packed samples of a share of a sweep's draws.
+KEEP_SHARE_ROWS = 4 * KEEP_ROWS
 
 
 class _Buffers(threading.local):
@@ -91,6 +100,7 @@ class _Buffers(threading.local):
         self.cnt_at = self.cnt.ctypes.data
         self.keep(None)
         self.keep_samples(None)
+        self.shares: list[list] = []  # the batch wrapper's [segment ring, samples] per share
 
     def keep(self, seg: np.ndarray | None) -> None:
         self.seg, self.seg_at = seg, 0 if seg is None else seg.ctypes.data
@@ -133,6 +143,7 @@ COUNT_CHUNK = 1 << 16
 class Kernels(NamedTuple):
     steps: Callable[[np.ndarray, np.ndarray],
                     tuple[int, np.ndarray, int, np.ndarray, np.ndarray]]
+    orbits: Callable[[np.ndarray, np.ndarray], list[tuple[int, int, np.ndarray, np.ndarray]]]
     scan: Callable[[float, float, float, float], tuple[float, int]]
     dense: Callable[[np.ndarray, np.ndarray], np.ndarray]
     energy: Callable[[np.ndarray, float, float, float, float, float], np.ndarray]
@@ -151,8 +162,15 @@ def kernels() -> Kernels:
 
 def _twins() -> Kernels:
     # Looked up per call, so a test can patch a twin.
-    return Kernels(_steps_py, _scan_py, _dense_py, _energy_py, _audit_py, _exp_py, _log_py,
-                   _rows_py, _parse_py, _grid_py)
+    return Kernels(_steps_py, _orbits_py, _scan_py, _dense_py, _energy_py, _audit_py, _exp_py,
+                   _log_py, _rows_py, _parse_py, _grid_py)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on, read per call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _compiler() -> list[str]:
@@ -222,7 +240,8 @@ def load() -> Kernels | None:
         if lib is None:
             return None
         dll = ctypes.CDLL(str(lib))
-        steps, scan, dense, energy = dll.hh_steps, dll.hh_scan, dll.hh_dense, dll.hh_energy
+        steps, orbits, scan = dll.hh_steps, dll.hh_orbits, dll.hh_scan
+        dense, energy = dll.hh_dense, dll.hh_energy
         audit, exp, log = dll.hh_audit, dll.hh_exp, dll.hh_log
         rows, parse, grid = dll.hh_rows, dll.hh_parse, dll.hh_grid
     # No compiler, no home directory, no os.getuid, a CC that will not
@@ -232,6 +251,9 @@ def load() -> Kernels | None:
     steps.restype = ctypes.c_int
     steps.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] + [ctypes.c_void_p] * 2 + [
         ctypes.c_int64]
+    orbits.restype = ctypes.c_int64
+    orbits.argtypes = ([ctypes.c_void_p] * 2 + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+                       + [ctypes.c_void_p] * 3 + [ctypes.c_int64])
     scan.restype = ctypes.c_int64
     scan.argtypes = [ctypes.c_double] * 4 + [ctypes.POINTER(ctypes.c_double)]
     dense.restype = None
@@ -284,6 +306,68 @@ def load() -> Kernels | None:
             raise OverflowError("math range error")
         k = cnt[2]
         return status, seg[: cnt[0]].copy(), int(cnt[1]), smp[:k, 0].copy(), smp[:k, 1:].copy()
+
+    # One contiguous share of the starts per CPU, never more shares than
+    # starts: the first share steps in the calling thread, each other one on
+    # a thread of its own, and ctypes lets go of the GIL during each kernel
+    # call.  A share's sample buffer starts with room for one run to t1 and
+    # doubles where its orbits need more, so it maps about the pages its
+    # samples fill: one sized per start at the span maps a page for every
+    # few samples, and a buffer of 4 MiB or more maps huge pages.  The
+    # calling thread copies each orbit's samples out at their exact size,
+    # into its own heap.
+    def run_orbits(st: np.ndarray, prm: np.ndarray):
+        _check(st, (len(st), ST_LEN))
+        _check(prm, (PRM_LEN,))
+        k = len(st)
+        cnt = np.zeros((k, CNT_LEN), np.int64)
+        status = np.empty(k, np.int64)
+        st_at, prm_at, cnt_at, status_at = (a.ctypes.data for a in (st, prm, cnt, status))
+        rows = min(int(abs(prm[0] - prm[9]) / prm[10]) + 5, KEEP_ROWS)
+        shares = max(min(_cpus(), k), 1)
+        bounds = [k * j // shares for j in range(shares + 1)]
+        kept = _buffers.shares
+        kept += [[np.empty((SEGMENT_ROWS, SEGMENT_COLUMNS)), None]
+                 for _ in range(len(kept), shares)]
+        errors: list[Exception] = []
+
+        def run_share(j: int) -> None:
+            a, b = bounds[j], bounds[j + 1]
+            seg, smp = kept[j]
+            if smp is None or len(smp) < rows:
+                smp = np.empty((rows, 5))
+            i, used = a, 0  # the first start left to step, and the sample rows before it
+            try:
+                while (i := i + orbits(st_at + 8 * ST_LEN * i, prm_at, b - i, seg.ctypes.data,
+                                       len(seg), cnt_at + 8 * CNT_LEN * i, status_at + 8 * i,
+                                       smp.ctypes.data + 40 * used, len(smp) - used)) < b:
+                    used = int(cnt[a:i, 2].sum())
+                    smp = np.concatenate((smp, np.empty_like(smp)))
+            except Exception as err:  # raised again in the calling thread
+                errors.append(err)
+            kept[j][1] = smp
+
+        threads = [threading.Thread(target=run_share, args=(j,)) for j in range(1, shares)]
+        for thread in threads:
+            thread.start()
+        try:
+            run_share(0)
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
+        out = []
+        for j, (_, smp) in enumerate(kept[:shares]):
+            at = 0
+            for i in range(bounds[j], bounds[j + 1]):
+                n = int(cnt[i, 2])
+                out.append((int(status[i]), int(cnt[i, 1]), smp[at : at + n, 0].copy(),
+                            smp[at : at + n, 1:].copy()))
+                at += n
+            if len(smp) > KEEP_SHARE_ROWS:
+                kept[j][1] = None
+        return out
 
     def run_scan(seed: float, best_g: float, a0: float, p: float) -> tuple[float, int]:
         best = ctypes.c_double()
@@ -360,7 +444,7 @@ def load() -> Kernels | None:
             codes[i], values[i] = row(*triples[i])[:2]
         return codes, values
 
-    return Kernels(run_steps, run_scan, run_dense, run_energy, run_audit,
+    return Kernels(run_steps, run_orbits, run_scan, run_dense, run_energy, run_audit,
                    elementwise(exp, _exp_py), elementwise(log, _log_py), run_rows, run_parse,
                    run_grid)
 
@@ -693,6 +777,25 @@ def _steps_py(st: np.ndarray, prm: np.ndarray):
     smp = np.array(samples)
     return (status, np.array(rows).reshape(-1, SEGMENT_COLUMNS), rejected, smp[:, 0].copy(),
             smp[:, 1:].copy())
+
+
+def _orbits_py(st: np.ndarray, prm: np.ndarray):
+    """_steps_py from each (ST_LEN,) row of st, updated in place, to the one
+    prm: per start, its status, the number of rejected steps and its
+    samples' (k,) times and (k, 4) states, without its segment rows.  A
+    start whose w^p overflows gets the status OVERFLOW, no rejected step and
+    no sample, and the next start goes on.  hh_orbits in _dp5.c runs
+    hh_steps this way."""
+    _check(st, (len(st), ST_LEN))
+    _check(prm, (PRM_LEN,))
+    out = []
+    for row in st:
+        try:
+            status, _, rejected, times, states = _steps_py(row, prm)
+        except OverflowError:
+            status, rejected, times, states = OVERFLOW, 0, np.empty(0), np.empty((0, 4))
+        out.append((status, rejected, times, states))
+    return out
 
 
 # The rings of fixed_points' scan double from SCAN_FIRST_RING ulps to

@@ -108,7 +108,8 @@ _OPTIONS = {
         _Option("out", str, COMMANDS, "write data here instead of stdout"),
         _Option("format", str, COMMANDS, "force output format", choices=("csv", "aligned")),
         _Option("quiet", bool, COMMANDS, "silence diagnostics"),
-        _Option("jobs", int, ("classify",), "accepted for compatibility; runs stay single-process"),
+        _Option("jobs", int, ("classify",),
+                "has no effect; classify steps its draws on every CPU the process may use"),
         _Option("field", str, ("green-check",), "stored radial field to validate and solve",
                 excludes=("alpha", "p", "tol", "seed", "samples", "grid_nodes", "grid",
                           "format")),

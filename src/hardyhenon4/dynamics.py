@@ -397,33 +397,87 @@ def integrate(
     _dp5.c where they build, else in its Python twin in _dp5; the two paths
     give the same bits.
     """
+    prm = _step_params(t0, t1, tol, coeffs, blowup_threshold)
+    st = np.array(_start(initial, t0, t1, tol, coeffs))
+    status, segs, rejected, times, states = _dp5.kernels().steps(st, prm)
+    return _trajectory(status, st, rejected, times, states, segs)
+
+
+def _integrate_each(
+    initials: Sequence[OdeState],
+    t0: float,
+    t1: float,
+    tol: float,
+    coeffs: CoefficientSet,
+    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
+) -> list[Trajectory | Exception]:
+    """integrate from each of the initials over one span, in one call of the
+    batch step kernel: per start, the Trajectory integrate returns, without
+    its dense segments, or the exception integrate raises.  A tol or span
+    integrate refuses is refused for the whole call.
+
+    The compiled kernel steps the starts in one share per CPU the process
+    may use, each on a thread of its own; the bits do not depend on the
+    split.  A trajectory of the batch has no dense output: rhs_evals reads
+    0, and h_min and h_max NaN.
+    """
+    prm = _step_params(t0, t1, tol, coeffs, blowup_threshold)
+    out: list[Trajectory | Exception] = [None] * len(initials)
+    rows, started = [], []
+    for i, initial in enumerate(initials):
+        try:
+            rows.append(_start(initial, t0, t1, tol, coeffs))
+            started.append(i)
+        except (ValueError, OverflowError) as err:
+            out[i] = err
+    st = np.array(rows).reshape(-1, _dp5.ST_LEN)
+    for i, row, (status, rejected, times, states) in zip(
+            started, st, _dp5.kernels().orbits(st, prm)):
+        try:
+            out[i] = _trajectory(status, row, rejected, times, states,
+                                 np.empty((0, _dp5.SEGMENT_COLUMNS)))
+        except (ArithmeticError, ValueError, IntegrationUnderflow) as err:
+            out[i] = err
+    return out
+
+
+def _step_params(t0: float, t1: float, tol: float, coeffs: CoefficientSet,
+                 blowup_threshold: float) -> np.ndarray:
+    # prm as _dp5._steps_py reads it, for a tol and a span integrate takes;
+    # the direction follows from t0 and t1.
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"time span must be finite, got t0={t0!r}, t1={t1!r}")
     if t0 == t1:
         raise ValueError("need t0 != t1")
+    return np.array(
+        [t1, tol, tol * 1e-2, coeffs.p, coeffs.a0, coeffs.a1, coeffs.a2, coeffs.a3,
+         blowup_threshold, t0, DEFAULT_SAMPLE_SPACING]
+    )
+
+
+def _start(initial: OdeState, t0: float, t1: float, tol: float,
+           coeffs: CoefficientSet) -> list[float]:
+    # st as _dp5._steps_py reads it, for a start integrate takes: t0, the
+    # state, the field there, the first step and err_prev 1.0.
     if not initial.finite:
         raise ValueError("initial state must be finite")
     if initial.w0 < 0.0:
         raise NonPositiveState(f"initial w={initial.w0!r} < 0")
-
-    rtol, atol = tol, tol * 1e-2
     f = _rhs(initial, coeffs)
-    h = _initial_step(initial, f, abs(t1 - t0), rtol, atol)
-    # st and prm as _dp5._steps_py reads them; the direction follows from t0 and t1.
-    st = np.array([t0, *initial, *f, h, 1.0])
-    prm = np.array(
-        [t1, rtol, atol, coeffs.p, coeffs.a0, coeffs.a1, coeffs.a2, coeffs.a3,
-         blowup_threshold, t0, DEFAULT_SAMPLE_SPACING]
-    )
-    status, segs, rejected, times, states = _dp5.kernels().steps(st, prm)
+    return [t0, *initial, *f, _initial_step(initial, f, abs(t1 - t0), tol, tol * 1e-2), 1.0]
+
+
+def _trajectory(status: int, st: np.ndarray, rejected: int, times: np.ndarray,
+                states: np.ndarray, segments: np.ndarray) -> Trajectory:
+    # The orbit a step kernel's status ends with, or integrate's exception.
     if status == _dp5.UNDERFLOW:
         raise IntegrationUnderflow(f"step size underflow at t={st[0]:.6g}; outcome undetermined")
-    return Trajectory(
-        times=times, states=states, termination=_TERMINATION[status], segments=segs,
-        rejected=rejected,
-    )
+    if status == _dp5.OVERFLOW:
+        raise OverflowError("math range error")
+    return Trajectory(times=times, states=states, termination=_TERMINATION[status],
+                      segments=segments, rejected=rejected)
 
 
 @dataclass(frozen=True)

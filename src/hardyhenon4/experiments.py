@@ -41,6 +41,7 @@ from .dynamics import (
     TOL_MIN,
     IntegrationUnderflow,
     Trajectory,
+    _integrate_each,
     _wide_margin,
     classify_limit,
     equilibrium_trajectory,
@@ -374,7 +375,8 @@ def run_classification_sweep(config: ExperimentConfig) -> ResultTable:
     Grid points outside the dichotomy window are rejected per row, except
     that points with alpha > 0 and a positive equilibrium still run,
     tagged exploratory: there is no removable/singular contract there,
-    only the two-sided bound regime.
+    only the two-sided bound regime.  A grid point's draws are integrated
+    in one batch call (see dynamics._integrate_each).
     """
     schema = (
         "n", "alpha", "p", "regime", "kind", "index",
@@ -396,9 +398,12 @@ def run_classification_sweep(config: ExperimentConfig) -> ResultTable:
             rows.append(_row(schema, **tag, kind="reject", note=problem))
             continue
         counts: Counter[str] = Counter()
-        for i, state in _draws(config, idx, wstar):
+        states = [state for _, state in _draws(config, idx, wstar)]
+        trajs = _integrate_each(states, 0.0, config.horizon, config.tol, coeffs)
+        for i, traj in enumerate(trajs):
             try:
-                traj = integrate(state, 0.0, config.horizon, config.tol, coeffs)
+                if isinstance(traj, Exception):
+                    raise traj
                 cls = classify_limit(traj, wstar, margin=config.margin)
             except _DRAW_ERRORS as err:
                 rows.append(_row(schema, **tag, kind="draw", index=i, note=str(err)))

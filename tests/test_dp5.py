@@ -249,6 +249,11 @@ def test_both_kernel_paths_refuse_alike(kernel_paths):
         "short step state": (lambda k: k.steps(np.zeros(3), np.zeros(_dp5.PRM_LEN)),
                              (ValueError, "kernel buffer of shape (3,) and dtype float64, need a "
                                           "writable C-contiguous (11,) float64")),
+        "one batch start as a row": (lambda k: k.orbits(np.zeros(_dp5.ST_LEN),
+                                                        np.zeros(_dp5.PRM_LEN)),
+                                     (ValueError, "kernel buffer of shape (11,) and dtype "
+                                                  "float64, need a writable C-contiguous (11, 11) "
+                                                  "float64")),
         "read-only step parameters": (lambda k: k.steps(np.zeros(_dp5.ST_LEN), read_only),
                                       (ValueError, "kernel buffer of shape (11,) and dtype "
                                                    "float64, need a writable C-contiguous (11,) "

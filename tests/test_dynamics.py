@@ -29,6 +29,7 @@ from hardyhenon4.dynamics import (
     UNDETERMINED,
     NonPositiveState,
     _initial_step,
+    _integrate_each,
     _rhs,
     analytic_trajectory,
     classify_limit,
@@ -45,6 +46,7 @@ from hardyhenon4.experiments import (
     _backward_decaying_basis,
     _draws,
     run_atlas,
+    run_classification_sweep,
 )
 from hardyhenon4.transform import OdeState
 
@@ -62,13 +64,17 @@ def test_compiled_kernels_run_where_a_compiler_exists(monkeypatch, tmp_path):
     def python_twin(*args):
         raise AssertionError("a Python twin ran")
 
-    for name in ("_steps_py", "_scan_py", "_bisect_py", "_dense_py", "_energy_py", "_audit_py",
-                 "_wpow_py", "_exp_py", "_log_py", "_rows_py", "_parse_py"):
+    for name in ("_steps_py", "_orbits_py", "_scan_py", "_bisect_py", "_dense_py", "_energy_py",
+                 "_audit_py", "_wpow_py", "_exp_py", "_log_py", "_rows_py", "_parse_py"):
         monkeypatch.setattr(_dp5, name, python_twin)
     # Steps, the crossing bisection and the sample fill; then dense reads.
     traj = integrate(OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS,
                      blowup_threshold=10.0)
     assert traj.termination == BLOW_UP
+    # The same steps in the batch kernel, on two shares.
+    [batch, _] = _integrate_each([OdeState(WSTAR + 0.1, 0.0, 0.0, 0.0)] * 2, 0.0, -60.0, 1e-10,
+                                 COEFFS, blowup_threshold=10.0)
+    assert batch.states.tobytes() == traj.states.tobytes()
     assert traj.sample(traj.times[:-1]).tolist() == traj.states[:-1].tolist()
     assert fixed_points(COEFFS) == [0.0, WSTAR]
     # The energy of a stack, and the w^q map.
@@ -1127,17 +1133,23 @@ def test_each_integrate_call_owns_its_segments(kernel_paths):
         assert _trajectory_bytes(integrate(*long_run)) == kept, kernels
 
 
+def _classify_draws() -> list[tuple]:
+    """(coeffs, the 64 seed-23 draws) at each triple of the classify benchmark."""
+    out = []
+    for triple in ((6, 0.0, 4.0), (7, 0.0, 3.0), (6, -1.0, 3.5)):
+        coeffs = coefficients(ProblemParams(*triple))
+        config = ExperimentConfig(CLASSIFICATION, (triple,), seed=23)
+        out.append((coeffs, [state for _, state in _draws(config, 0, fixed_points(coeffs)[1])]))
+    return out
+
+
 def test_threads_step_the_classify_draws_as_one_thread_does():
     # The step kernel runs without the GIL, and each thread steps in its
     # own buffer: threads at once, more of them than cores (up to 8) and
     # switching often, give the bytes of one.
     if _dp5.load() is None:
         pytest.skip("the compiled kernels do not build here")
-    draws = []
-    for triple in ((6, 0.0, 4.0), (7, 0.0, 3.0), (6, -1.0, 3.5)):
-        coeffs = coefficients(ProblemParams(*triple))
-        config = ExperimentConfig(CLASSIFICATION, (triple,), seed=23)
-        draws += [(state, coeffs) for _, state in _draws(config, 0, fixed_points(coeffs)[1])]
+    draws = [(state, coeffs) for coeffs, states in _classify_draws() for state in states]
     assert len(draws) == 192
 
     def run():
@@ -1154,6 +1166,201 @@ def test_threads_step_the_classify_draws_as_one_thread_does():
             assert [r.result(timeout=120) for r in runs] == [want] * threads
     finally:
         sys.setswitchinterval(interval)
+
+
+def _integrate_outcome(*args):
+    """integrate's Trajectory, or the exception it raised."""
+    try:
+        return integrate(*args)
+    except Exception as err:
+        return err
+
+
+def _outcome_bytes(outcome) -> tuple:
+    """A trajectory's bytes without its segments, or an exception's type and text."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return _trajectory_bytes(dataclasses.replace(outcome, segments=np.empty((0, 18))))
+
+
+def test_the_batch_steps_each_draw_as_integrate_does(kernel_paths):
+    # The BlowUp draws take more steps than the segment ring has rows, so
+    # their crossings are bisected in a ring that wrapped.
+    draws = _classify_draws()
+    for kernels in kernel_paths():
+        longest = 0
+        for coeffs, states in draws:
+            want = [integrate(state, 0.0, -60.0, 1e-10, coeffs) for state in states]
+            got = _integrate_each(states, 0.0, -60.0, 1e-10, coeffs)
+            assert list(map(_outcome_bytes, got)) == list(map(_outcome_bytes, want)), kernels
+            for traj in got:
+                assert len(traj.segments) == traj.rhs_evals == 0, kernels
+                assert math.isnan(traj.h_min) and math.isnan(traj.h_max), kernels
+            longest = max(longest, *(len(traj.segments) for traj in want))
+        assert longest > _dp5.SEGMENT_ROWS, kernels
+
+
+def test_the_batch_grows_its_sample_buffer_as_integrate_does(monkeypatch, kernel_paths):
+    # At a -400 horizon the first sample buffer of a share has KEEP_ROWS
+    # rows; the exact equilibrium is one step of 400 with 40001 samples, so
+    # each share's buffer doubles twice, and the draws after it are packed
+    # into the grown buffer.
+    coeffs, states = _classify_draws()[0]
+    still = OdeState(WSTAR, 0.0, 0.0, 0.0)
+    starts = [still, *states[:32], still, *states[32:]]
+    monkeypatch.setattr(_dp5, "_cpus", lambda: 2)
+
+    def run():
+        return (_integrate_each(starts, 0.0, -400.0, 1e-10, coeffs),
+                [None if smp is None else len(smp) for _, smp in _dp5._buffers.shares])
+
+    for kernels in kernel_paths():
+        got, sizes = _in_new_thread(run)
+        want = [integrate(state, 0.0, -400.0, 1e-10, coeffs) for state in starts]
+        assert list(map(_outcome_bytes, got)) == list(map(_outcome_bytes, want)), kernels
+        assert len(got[0].times) == len(got[33].times) == 40001, kernels
+        assert sizes == ([_dp5.KEEP_SHARE_ROWS] * 2 if kernels == "compiled" else []), kernels
+
+
+def test_each_start_of_a_batch_gets_its_own_outcome(monkeypatch, kernel_paths):
+    # At (5, 2, 100) most draws underflow; a first step of 1 from w = 1000
+    # with w' = -1e5 takes the second stage to w = 21000, where w^100
+    # overflows in the step kernel, while w0 = 1e80 overflows at the first
+    # field.  At (6, 0, 4) the equilibrium is exact: one step to the end.
+    real = dynamics._initial_step
+    monkeypatch.setattr(dynamics, "_initial_step",
+                        lambda y, f, *args: 1.0 if y[0] == 1000.0 else real(y, f, *args))
+    triple = (5, 2.0, 100.0)
+    steep = coefficients(ProblemParams(*triple))
+    config = ExperimentConfig(CLASSIFICATION, (triple,), seed=23, samples=8)
+    draws = [state for _, state in _draws(config, 0, fixed_points(steep)[1])]
+    batches = [
+        (steep, [draws[0], draws[1], OdeState(1000.0, -1e5, 0.0, 0.0), draws[2],
+                 OdeState(1e80, 0.0, 0.0, 0.0), OdeState(-0.5, 0.0, 0.0, 0.0), draws[3],
+                 OdeState(math.nan, 0.0, 0.0, 0.0), *draws[4:]]),
+        (COEFFS, [*_classify_draws()[0][1][:5], OdeState(WSTAR, 0.0, 0.0, 0.0),
+                  OdeState(1e80, 0.0, 0.0, 0.0), OdeState(WSTAR, 0.1, 0.0, 0.0)]),
+    ]
+    kinds = [
+        ["IntegrationUnderflow", NON_POSITIVE, "OverflowError", NON_POSITIVE, "OverflowError",
+         "NonPositiveState", NON_POSITIVE, "ValueError", "IntegrationUnderflow",
+         "IntegrationUnderflow", NON_POSITIVE, "IntegrationUnderflow"],
+        [BLOW_UP, NON_POSITIVE, NON_POSITIVE, NON_POSITIVE, NON_POSITIVE, REACHED_END,
+         "OverflowError", NON_POSITIVE],
+    ]
+    for kernels in kernel_paths():
+        for (coeffs, starts), kind in zip(batches, kinds):
+            want = [_integrate_outcome(state, 0.0, -60.0, 1e-10, coeffs) for state in starts]
+            for cpus in (1, 3):
+                monkeypatch.setattr(_dp5, "_cpus", lambda: cpus)
+                got = _integrate_each(starts, 0.0, -60.0, 1e-10, coeffs)
+                assert list(map(_outcome_bytes, got)) == list(map(_outcome_bytes, want)), kernels
+            assert [getattr(o, "termination", type(o).__name__) for o in got] == kind, kernels
+        assert _integrate_each([], 0.0, -60.0, 1e-10, COEFFS) == [], kernels
+    with pytest.raises(ValueError, match="need t0 != t1"):
+        _integrate_each([OdeState(WSTAR, 0.0, 0.0, 0.0)], 0.0, 0.0, 1e-10, COEFFS)
+
+
+def test_the_batch_kernel_returns_its_twins_bits(monkeypatch):
+    # The raw per-start outcomes and the st rows left behind.  From a
+    # sample buffer of KEEP_ROWS = 16 rows (a new thread keeps none yet)
+    # every orbit returns FULL and resumes; the start at w = 1000 takes a
+    # first step of 1 only once its buffer has room for it, and overflows
+    # there, after its first sample: both paths drop that sample and its
+    # rejected steps.
+    if _dp5.load() is None:
+        pytest.skip("the compiled kernels do not build here")
+    real = dynamics._initial_step
+    monkeypatch.setattr(dynamics, "_initial_step",
+                        lambda y, f, *args: 1.0 if y[0] == 1000.0 else real(y, f, *args))
+    monkeypatch.setattr(_dp5, "KEEP_ROWS", 16)
+    coeffs = coefficients(ProblemParams(5, 2.0, 100.0))
+    config = ExperimentConfig(CLASSIFICATION, ((5, 2.0, 100.0),), seed=23, samples=3)
+    starts = [state for _, state in _draws(config, 0, fixed_points(coeffs)[1])]
+    starts.insert(1, OdeState(1000.0, -1e5, 0.0, 0.0))
+    prm = dynamics._step_params(0.0, -60.0, 1e-10, coeffs, dynamics.DEFAULT_BLOWUP_THRESHOLD)
+    st = np.array([dynamics._start(state, 0.0, -60.0, 1e-10, coeffs) for state in starts])
+    for cpus in (1, 2):
+        monkeypatch.setattr(_dp5, "_cpus", lambda: cpus)
+        outs = []
+        for orbits in (_dp5.load().orbits, _dp5._orbits_py):
+            left = st.copy()
+            outs.append(([(status, rejected, times.tobytes(), states.tobytes())
+                          for status, rejected, times, states
+                          in _in_new_thread(lambda: orbits(left, prm))], left.tobytes()))
+        assert outs[0] == outs[1], cpus
+    assert [status for status, *_ in outs[0][0]] == [
+        _dp5.UNDERFLOW, _dp5.OVERFLOW, _dp5.NON_POSITIVE, _dp5.NON_POSITIVE]
+
+
+def test_the_batch_bytes_do_not_depend_on_the_workers(monkeypatch):
+    # One share per CPU, never more shares than starts; callers at once,
+    # each with share buffers of its own, switching often, give the bytes
+    # of one worker.
+    if _dp5.load() is None:
+        pytest.skip("the compiled kernels do not build here")
+    draws = _classify_draws()
+    threads_started = []
+    start = _dp5.threading.Thread.start
+
+    def counted_start(thread):
+        threads_started.append(thread)
+        start(thread)
+
+    def run():
+        return [list(map(_outcome_bytes, _integrate_each(states, 0.0, -60.0, 1e-10, coeffs)))
+                for coeffs, states in draws]
+
+    monkeypatch.setattr(_dp5, "_cpus", lambda: 1)
+    want = run()
+    monkeypatch.setattr(_dp5.threading.Thread, "start", counted_start)
+    for cpus in (2, 3, 200):
+        monkeypatch.setattr(_dp5, "_cpus", lambda: cpus)
+        threads_started.clear()
+        assert _in_new_thread(run) == want, cpus
+        # The thread run() went in, then a thread per share but the first.
+        assert len(threads_started) == 1 + 3 * (min(cpus, 64) - 1), cpus
+    monkeypatch.undo()
+    monkeypatch.setattr(_dp5, "_cpus", lambda: 3)
+    callers = min(os.cpu_count() or 1, 8) + 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(callers) as pool:
+            runs = [pool.submit(run) for _ in range(callers)]
+            assert [r.result(timeout=120) for r in runs] == [want] * callers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_classify_steps_each_grid_points_draws_in_one_batch_call(monkeypatch, kernel_paths):
+    # One batch call per grid point, and no integrate call; a draw whose
+    # orbit fails gets integrate's error as its note: at (5, 2, 100) most
+    # draws underflow.
+    grid = ((6, 0.0, 4.0), (5, 2.0, 100.0))
+    config = ExperimentConfig(CLASSIFICATION, grid, seed=23, samples=5, horizon=-20.0)
+    steep = coefficients(ProblemParams(*grid[1]))
+    outcomes = [_integrate_outcome(state, 0.0, -20.0, 1e-10, steep)
+                for _, state in _draws(config, 1, fixed_points(steep)[1])]
+    errors = {i: str(o) for i, o in enumerate(outcomes) if isinstance(o, Exception)}
+    assert 0 < len(errors) < 5
+    for kernels in kernel_paths():
+        real, calls = _dp5.kernels(), []
+
+        def counted(name):
+            def call(st, prm):
+                calls.append((name, len(st) if st.ndim == 2 else None))
+                return getattr(real, name)(st, prm)
+
+            return call
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_dp5, "kernels",
+                          lambda: real._replace(steps=counted("steps"), orbits=counted("orbits")))
+            table = run_classification_sweep(config)
+        assert calls == [("orbits", 5), ("orbits", 5)], kernels
+        notes = {row[5]: row[-1] for row in table.rows if row[4] == "draw" and row[0] == 5}
+        assert len(notes) == 5 and {i: notes[i] for i in errors} == errors, kernels
 
 
 def test_integrate_maps_no_fresh_pages_per_call():
