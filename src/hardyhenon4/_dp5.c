@@ -1,12 +1,13 @@
 /* Compiled kernels of hardyhenon4: the Dormand-Prince 5(4) step loop of
- * integrate, which ends the orbit at its crossing by bisection and writes
- * the orbit's uniform samples as (t, w0..w3) rows (every grid time not
- * past the orbit's end, then the end point), that loop over many starts
- * in turn, their samples packed into one buffer, the ulp ring scan of
- * fixed_points, which stops where an error bound for libm's exp, log and
- * pow within SCAN_LIBM_ULPS ulps rules out every ulp left, the dense
- * Hermite output of a trajectory, whose segment search walks from each
- * time's segment to the next, the energy of a stack of states, the
+ * integrate and classify over many starts in turn, which ends each orbit
+ * at its crossing by bisection and writes the orbit's uniform samples as
+ * (t, w0..w3) rows (every grid time not past the orbit's end, then the end
+ * point), every orbit's samples packed into one buffer and its segment
+ * rows either packed the same way or stepped through a ring, the ulp ring
+ * scan of fixed_points, which stops where an error bound for libm's exp,
+ * log and pow within SCAN_LIBM_ULPS ulps rules out every ulp left, the
+ * dense Hermite output of a trajectory, whose segment search walks from
+ * each time's segment to the next, the energy of a stack of states, the
  * monotonicity audit of the energy along an orbit, the elementwise libm
  * exp and log of transform._exp and transform._log, the row writer, which
  * prints k double columns as lines of comma-joined repr()s (a field file's
@@ -15,10 +16,11 @@
  * (n, alpha, p) of a parameter grid its exponents, coefficients, regime,
  * sign codes and w*.
  *
- * Each but the reader is its Python twin, all of them in _dp5.py: _steps_py
- * (with _bisect_py), _orbits_py, _scan_py (with _scan_bound), _dense_py,
- * _energy_py, _audit_py, _exp_py, _log_py, _rows_py and _grid_py, which
- * loops the scalar path of record it is given.  The reader reads the rows the
+ * Each but the reader is its Python twin, all of them in _dp5.py:
+ * _orbits_py (which loops _steps_py, the twin of the static hh_steps, with
+ * _bisect_py), _scan_py (with _scan_bound), _dense_py, _energy_py,
+ * _audit_py, _exp_py, _log_py, _rows_py and _grid_py, which loops the
+ * scalar path of record it is given.  The reader reads the rows the
  * writer writes, and every cell as float() reads it (Eisel-Lemire, then
  * strtod); its twin _parse_py reads nothing, and np.loadtxt reads every
  * file it leaves.  The row writer prints repr()'s bytes; the others are
@@ -45,7 +47,8 @@
 #error "double expressions must round to double at every operation"
 #endif
 
-/* Return statuses of hh_steps, as END ... OVERFLOW = range(6) in _dp5.py. */
+/* Return statuses of hh_steps, and of each orbit of hh_orbits, as END ...
+ * OVERFLOW = range(6) in _dp5.py. */
 enum { END, BLOW_UP, NON_POSITIVE, FULL, UNDERFLOW, OVERFLOW };
 
 /* Doubles per dense segment row, as SEGMENT_COLUMNS in _dp5.py. */
@@ -165,8 +168,8 @@ static double grid_time(double t0, double sgn, int64_t k, double spacing)
  * stage's w^p overflows.  The samples are whole at every status but FULL
  * and OVERFLOW.
  */
-int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *cnt,
-             double *smp, int64_t scap)
+static int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *cnt,
+                    double *smp, int64_t scap)
 {
     double t = st[0], y0 = st[1], y1 = st[2], y2 = st[3], y3 = st[4];
     double k10 = st[5], k11 = st[6], k12 = st[7], k13 = st[8];
@@ -322,31 +325,37 @@ int hh_steps(double *st, const double *prm, double *seg, int64_t cap, int64_t *c
  * (in/out, CNT_LEN each; zeros for a fresh start) and gets its status in
  * status[i].
  *
- * seg (cap rows) is a ring: where it fills, the row count restarts at 0.
- * hh_steps reads only the last row written, for the crossing and for
- * that step's samples, so no orbit needs more.  The samples of each orbit
- * follow those of the one before in smp (scap rows), from row 0 on.  An
- * OVERFLOW orbit keeps no sample and counts no rejected step.
+ * The segment rows of each orbit follow those of the one before in seg
+ * (cap rows) where keep is set.  Else seg is a ring: where it fills, the
+ * row count restarts at 0.  hh_steps reads only the last row written, for
+ * the crossing and for that step's samples, so no orbit needs more.  The
+ * samples of each orbit follow those of the one before in smp (scap rows),
+ * from row 0 on.  An orbit ends with its count of kept segment rows in
+ * cnt[0], 0 for a ring.  An OVERFLOW orbit keeps no segment row, no sample
+ * and no rejected step.
  *
- * Returns k when every orbit has ended, else the index of the orbit
- * whose samples found no room (FULL): the caller passes that orbit and
- * the rest again, its st and cnt rows as left, with a larger buffer for
- * its samples and those after. */
-int64_t hh_orbits(double *st, const double *prm, int64_t k, double *seg, int64_t cap,
+ * Returns k when every orbit has ended, else the index of the orbit whose
+ * kept segment rows or samples found no room (FULL): the caller passes
+ * that orbit and the rest again, its st and cnt rows as left, with a
+ * larger buffer for its rows or samples and those after. */
+int64_t hh_orbits(double *st, const double *prm, int64_t k, int keep, double *seg, int64_t cap,
                   int64_t *cnt, int64_t *status, double *smp, int64_t scap)
 {
-    int64_t used = 0;
+    int64_t rows = 0, used = 0;
     for (int64_t i = 0; i < k; i++) {
         int64_t *c = cnt + CNT_LEN * i;
         int s;
-        while ((s = hh_steps(st + ST_LEN * i, prm, seg, cap, c, smp + 5 * used, scap - used))
-               == FULL && c[0] == cap)
+        while ((s = hh_steps(st + ST_LEN * i, prm, seg + SEGMENT_COLUMNS * rows, cap - rows, c,
+                             smp + 5 * used, scap - used)) == FULL && !keep && c[0] == cap)
             c[0] = 0;
         if (s == FULL)
             return i;
         if (s == OVERFLOW)
-            c[1] = c[2] = 0;
+            c[0] = c[1] = c[2] = 0;
+        if (!keep)
+            c[0] = 0; /* a ring's row count is no orbit's */
         status[i] = s;
+        rows += c[0];
         used += c[2];
     }
     return k;

@@ -3,19 +3,20 @@
 load() compiles _dp5.c with the C compiler Python was built with into a
 shared library cached under ~/.cache/hardyhenon4 (or the system temporary
 directory where that is not writable), keyed by the sha256 of the source,
-the compiler and the flags, and returns the eleven kernels with the
-signatures of their Python twins, defined below: _steps_py, _orbits_py,
-_scan_py, _dense_py, _energy_py, _audit_py, _exp_py, _log_py, _rows_py,
-_parse_py and _grid_py.  The step kernel ends an orbit at its crossing
-itself, as _steps_py does through _bisect_py, and writes the orbit's
-uniform samples as it steps, each a (t, w0..w3) row: every grid time not
-past the orbit's end, then the end point.  Its wrapper holds a segment
-buffer and a sample buffer: one of each per thread, kept between calls up
-to KEEP_ROWS rows, and every call returns exact-size copies.  The batch
-kernel steps many starts in turn through the step kernel, with one
-segment buffer reused as a ring and every orbit's samples packed into one
-buffer; its wrapper splits the starts into one share per CPU the process
-may use and runs each share's call on a thread of its own.  The
+the compiler and the flags, and returns the ten kernels with the
+signatures of their Python twins, defined below: _orbits_py, _scan_py,
+_dense_py, _energy_py, _audit_py, _exp_py, _log_py, _rows_py, _parse_py
+and _grid_py.  The step kernel is the one entry to the Dormand-Prince
+step loop: it steps many starts in turn, ends each orbit at its crossing
+itself, as _orbits_py's per-orbit loop _steps_py does through _bisect_py,
+and writes each orbit's uniform samples as it steps, each a (t, w0..w3)
+row: every grid time not past the orbit's end, then the end point.  Every
+orbit's samples are packed into one buffer; its segment rows are packed
+the same way where the caller keeps them (integrate, one start), else
+stepped through a ring (classify, a grid point's draws).  Its wrapper
+splits the starts into one share per CPU the process may use, runs each
+share's call on a thread of its own, keeps each share's two buffers
+between calls up to a size, and returns exact-size copies.  The
 dense kernel starts each time's segment search from the previous time's
 segment, so a read of times in order walks the segments once.  The audit
 kernel runs energy.audit_monotonicity's arithmetic, energies included, in
@@ -58,15 +59,15 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 LIBS = ("-lm",)
 COMPILE_TIMEOUT_S = 120
 
-# Statuses of the step kernel, as the enum in _dp5.c.  On FULL, a full
-# buffer, its wrapper resumes into a buffer twice the size.
+# Statuses of the step loop, as the enum in _dp5.c.  On FULL, a full
+# buffer, the step kernel's wrapper resumes into a buffer twice the size.
 END, BLOW_UP, NON_POSITIVE, FULL, UNDERFLOW, OVERFLOW = range(6)
 
-# Doubles per dense segment row (see hh_steps), as the enum in _dp5.c.
+# Doubles per dense segment row (see _steps_py), as the enum in _dp5.c.
 SEGMENT_COLUMNS = 18
 
-# The lengths of the step kernel's st, prm and cnt (see _steps_py and
-# hh_steps), as the enum in _dp5.c.
+# The lengths of the step loop's st, prm and cnt (see _steps_py), as the
+# enum in _dp5.c.
 ST_LEN, PRM_LEN, CNT_LEN = 11, 11, 3
 
 # The audit's finite-difference step, and its allowance per energy
@@ -75,38 +76,42 @@ ST_LEN, PRM_LEN, CNT_LEN = 11, 11, 3
 FD_STEP = 1e-3
 ULP_ALLOWANCE = 4.0 * math.ulp(1.0)
 
-# Rows of the step kernel's first segment buffer.
+# Rows of a share's first segment buffer, and of the segment ring.
 SEGMENT_ROWS = 1024
-# A thread keeps its segment buffer, _buffers.seg, and its (t, w0..w3)
-# sample rows, _buffers.smp, between calls, so a call writes into pages
-# already mapped; one of each per thread, as ctypes lets go of the GIL
-# during a call.  A buffer grown past KEEP_ROWS rows (2.25 MiB of segments,
-# 640 KiB of samples) is let go, so one very long orbit does not pin it.
+# The step kernel's wrapper keeps a segment buffer and a (t, w0..w3) sample
+# buffer per share of the starts for the calling thread, so a call writes
+# into pages already mapped.  A buffer grown past its limit is let go, so
+# one very long orbit does not pin it: KEEP_ROWS rows of segments (2.25
+# MiB) and KEEP_SHARE_ROWS rows of samples (2.5 MiB, the packed samples of
+# a share of a sweep's draws), both below the 4 MiB from which numpy asks
+# for huge pages.  A share's first sample buffer has room for one run to
+# t1, up to KEEP_ROWS rows.
 KEEP_ROWS = 16384
-# The batch wrapper keeps a segment ring and a sample buffer per share of
-# the starts for the calling thread, each sample buffer up to
-# KEEP_SHARE_ROWS rows (2.5 MiB, below the 4 MiB from which numpy asks for
-# huge pages): the packed samples of a share of a sweep's draws.
 KEEP_SHARE_ROWS = 4 * KEEP_ROWS
 
 
-class _Buffers(threading.local):
-    """A thread's segment and sample buffers and the step kernel's counts,
-    each with its address, read once per buffer, since a .ctypes.data read
-    costs microseconds."""
+class _Share:
+    """A share's kept segment and sample buffers, each with its address,
+    read once per buffer."""
+
+    __slots__ = ("seg", "seg_at", "smp", "smp_at")
 
     def __init__(self) -> None:
-        self.cnt = np.zeros(CNT_LEN, np.int64)  # rows written, rejected steps, samples written
-        self.cnt_at = self.cnt.ctypes.data
-        self.keep(None)
+        self.keep_segments(None)
         self.keep_samples(None)
-        self.shares: list[list] = []  # the batch wrapper's [segment ring, samples] per share
 
-    def keep(self, seg: np.ndarray | None) -> None:
-        self.seg, self.seg_at = seg, 0 if seg is None else seg.ctypes.data
+    def keep_segments(self, seg: np.ndarray | None) -> None:
+        self.seg, self.seg_at = seg, 0 if seg is None else _address(seg)
 
     def keep_samples(self, smp: np.ndarray | None) -> None:
-        self.smp, self.smp_at = smp, 0 if smp is None else smp.ctypes.data
+        self.smp, self.smp_at = smp, 0 if smp is None else _address(smp)
+
+
+class _Buffers(threading.local):
+    """A thread's shares, as ctypes lets go of the GIL during a call."""
+
+    def __init__(self) -> None:
+        self.shares: list[_Share] = []
 
 
 _buffers = _Buffers()
@@ -141,9 +146,8 @@ COUNT_CHUNK = 1 << 16
 
 
 class Kernels(NamedTuple):
-    steps: Callable[[np.ndarray, np.ndarray],
-                    tuple[int, np.ndarray, int, np.ndarray, np.ndarray]]
-    orbits: Callable[[np.ndarray, np.ndarray], list[tuple[int, int, np.ndarray, np.ndarray]]]
+    orbits: Callable[[np.ndarray, np.ndarray, bool],
+                     list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]]
     scan: Callable[[float, float, float, float], tuple[float, int]]
     dense: Callable[[np.ndarray, np.ndarray], np.ndarray]
     energy: Callable[[np.ndarray, float, float, float, float, float], np.ndarray]
@@ -162,8 +166,8 @@ def kernels() -> Kernels:
 
 def _twins() -> Kernels:
     # Looked up per call, so a test can patch a twin.
-    return Kernels(_steps_py, _orbits_py, _scan_py, _dense_py, _energy_py, _audit_py, _exp_py,
-                   _log_py, _rows_py, _parse_py, _grid_py)
+    return Kernels(_orbits_py, _scan_py, _dense_py, _energy_py, _audit_py, _exp_py, _log_py,
+                   _rows_py, _parse_py, _grid_py)
 
 
 def _cpus() -> int:
@@ -240,7 +244,7 @@ def load() -> Kernels | None:
         if lib is None:
             return None
         dll = ctypes.CDLL(str(lib))
-        steps, orbits, scan = dll.hh_steps, dll.hh_orbits, dll.hh_scan
+        orbits, scan = dll.hh_orbits, dll.hh_scan
         dense, energy = dll.hh_dense, dll.hh_energy
         audit, exp, log = dll.hh_audit, dll.hh_exp, dll.hh_log
         rows, parse, grid = dll.hh_rows, dll.hh_parse, dll.hh_grid
@@ -248,12 +252,10 @@ def load() -> Kernels | None:
     # split, a library that will not load: each leaves the Python twins.
     except (OSError, RuntimeError, AttributeError, ValueError):
         return None
-    steps.restype = ctypes.c_int
-    steps.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] + [ctypes.c_void_p] * 2 + [
-        ctypes.c_int64]
     orbits.restype = ctypes.c_int64
-    orbits.argtypes = ([ctypes.c_void_p] * 2 + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
-                       + [ctypes.c_void_p] * 3 + [ctypes.c_int64])
+    orbits.argtypes = ([ctypes.c_void_p] * 2 + [ctypes.c_int64, ctypes.c_int, ctypes.c_void_p,
+                                                ctypes.c_int64] + [ctypes.c_void_p] * 3
+                       + [ctypes.c_int64])
     scan.restype = ctypes.c_int64
     scan.argtypes = [ctypes.c_double] * 4 + [ctypes.POINTER(ctypes.c_double)]
     dense.restype = None
@@ -277,79 +279,66 @@ def load() -> Kernels | None:
 
     # A wrapper raises what its twin raises: the same check refuses the same
     # arrays, and an overflowing w^p or w0^(p+1) raises math's OverflowError.
-    def run_steps(st: np.ndarray, prm: np.ndarray):
-        _check(st, (ST_LEN,))
-        _check(prm, (PRM_LEN,))
-        buf = _buffers
-        if buf.seg is None:
-            buf.keep(np.empty((SEGMENT_ROWS, SEGMENT_COLUMNS)))
-        # Room for the samples of a run to t1: the grid, the terminal point
-        # and the rounding at t1 that hh_steps' room check allows for.
-        t1, t0, spacing = prm[0], prm[9], prm[10]
-        rows = min(int(abs(t1 - t0) / spacing) + 5, KEEP_ROWS)
-        if buf.smp is None or len(buf.smp) < rows:
-            buf.keep_samples(np.empty((rows, 5)))
-        cnt = buf.cnt
-        cnt.fill(0)
-        while (status := steps(st.ctypes.data, prm.ctypes.data, buf.seg_at, len(buf.seg),
-                               buf.cnt_at, buf.smp_at, len(buf.smp))) == FULL:
-            if cnt[0] == len(buf.seg):
-                buf.keep(np.concatenate((buf.seg, np.empty_like(buf.seg))))
-            else:
-                buf.keep_samples(np.concatenate((buf.smp, np.empty_like(buf.smp))))
-        seg, smp = buf.seg, buf.smp
-        if len(seg) > KEEP_ROWS:
-            buf.keep(None)
-        if len(smp) > KEEP_ROWS:
-            buf.keep_samples(None)
-        if status == OVERFLOW:
-            raise OverflowError("math range error")
-        k = cnt[2]
-        return status, seg[: cnt[0]].copy(), int(cnt[1]), smp[:k, 0].copy(), smp[:k, 1:].copy()
-
+    #
     # One contiguous share of the starts per CPU, never more shares than
     # starts: the first share steps in the calling thread, each other one on
     # a thread of its own, and ctypes lets go of the GIL during each kernel
     # call.  A share's sample buffer starts with room for one run to t1 and
     # doubles where its orbits need more, so it maps about the pages its
     # samples fill: one sized per start at the span maps a page for every
-    # few samples, and a buffer of 4 MiB or more maps huge pages.  The
-    # calling thread copies each orbit's samples out at their exact size,
-    # into its own heap.
-    def run_orbits(st: np.ndarray, prm: np.ndarray):
+    # few samples, and a buffer of 4 MiB or more maps huge pages.  Its
+    # segment buffer is a ring of SEGMENT_ROWS rows, or, where keep is set,
+    # holds its orbits' rows packed and doubles the same way.  The calling
+    # thread copies each orbit's rows out at their exact size, into its own
+    # heap.
+    def run_orbits(st: np.ndarray, prm: np.ndarray, keep: bool):
         _check(st, (len(st), ST_LEN))
         _check(prm, (PRM_LEN,))
         k = len(st)
-        cnt = np.zeros((k, CNT_LEN), np.int64)
-        status = np.empty(k, np.int64)
-        st_at, prm_at, cnt_at, status_at = (a.ctypes.data for a in (st, prm, cnt, status))
-        rows = min(int(abs(prm[0] - prm[9]) / prm[10]) + 5, KEEP_ROWS)
-        shares = max(min(_cpus(), k), 1)
-        bounds = [k * j // shares for j in range(shares + 1)]
+        if not k:
+            return []
+        # The cnt rows, then the statuses: zeros in a ctypes array, whose
+        # address and values read faster than a numpy array's.
+        counts = (ctypes.c_int64 * ((CNT_LEN + 1) * k))()
+        st_at, prm_at, cnt_at = _address(st), _address(prm), ctypes.addressof(counts)
+        # Room for the samples of a run to t1: the grid, the terminal point
+        # and the rounding at t1 that hh_steps' room check allows for.
+        rows = min(int(abs(prm.item(0) - prm.item(9)) / prm.item(10)) + 5, KEEP_ROWS)
+        shares = min(_cpus(), k) if k > 1 else 1
         kept = _buffers.shares
-        kept += [[np.empty((SEGMENT_ROWS, SEGMENT_COLUMNS)), None]
-                 for _ in range(len(kept), shares)]
+        while len(kept) < shares:
+            kept.append(_Share())
         errors: list[Exception] = []
 
         def run_share(j: int) -> None:
-            a, b = bounds[j], bounds[j + 1]
-            seg, smp = kept[j]
-            if smp is None or len(smp) < rows:
-                smp = np.empty((rows, 5))
-            i, used = a, 0  # the first start left to step, and the sample rows before it
+            a, b = k * j // shares, k * (j + 1) // shares
+            share = kept[j]
+            if share.seg is None:
+                share.keep_segments(np.empty((SEGMENT_ROWS, SEGMENT_COLUMNS)))
+            if share.smp is None or len(share.smp) < rows:
+                share.keep_samples(np.empty((rows, 5)))
+            cap = len(share.seg) if keep else min(len(share.seg), SEGMENT_ROWS)
+            i = a  # the first start left to step
+            done = used = 0  # the segment and sample rows before it
             try:
-                while (i := i + orbits(st_at + 8 * ST_LEN * i, prm_at, b - i, seg.ctypes.data,
-                                       len(seg), cnt_at + 8 * CNT_LEN * i, status_at + 8 * i,
-                                       smp.ctypes.data + 40 * used, len(smp) - used)) < b:
-                    used = int(cnt[a:i, 2].sum())
-                    smp = np.concatenate((smp, np.empty_like(smp)))
+                while (i := i + orbits(st_at + 8 * ST_LEN * i, prm_at, b - i, keep,
+                                       share.seg_at + 8 * SEGMENT_COLUMNS * done, cap - done,
+                                       cnt_at + 8 * CNT_LEN * i, cnt_at + 8 * (CNT_LEN * k + i),
+                                       share.smp_at + 40 * used, len(share.smp) - used)) < b:
+                    done = sum(counts[CNT_LEN * a : CNT_LEN * i : CNT_LEN])
+                    used = sum(counts[CNT_LEN * a + 2 : CNT_LEN * i : CNT_LEN])
+                    if counts[CNT_LEN * i] == cap - done:  # never so for a ring
+                        share.keep_segments(np.concatenate((share.seg, np.empty_like(share.seg))))
+                        cap = len(share.seg)
+                    else:
+                        share.keep_samples(np.concatenate((share.smp, np.empty_like(share.smp))))
             except Exception as err:  # raised again in the calling thread
                 errors.append(err)
-            kept[j][1] = smp
 
-        threads = [threading.Thread(target=run_share, args=(j,)) for j in range(1, shares)]
-        for thread in threads:
-            thread.start()
+        threads = []
+        for j in range(1, shares):
+            threads.append(threading.Thread(target=run_share, args=(j,)))
+            threads[-1].start()
         try:
             run_share(0)
         finally:
@@ -358,15 +347,20 @@ def load() -> Kernels | None:
         if errors:
             raise errors[0]
         out = []
-        for j, (_, smp) in enumerate(kept[:shares]):
-            at = 0
-            for i in range(bounds[j], bounds[j + 1]):
-                n = int(cnt[i, 2])
-                out.append((int(status[i]), int(cnt[i, 1]), smp[at : at + n, 0].copy(),
-                            smp[at : at + n, 1:].copy()))
-                at += n
+        counted = counts[:]
+        for j, share in enumerate(kept[:shares]):
+            seg, smp = share.seg, share.smp
+            done = used = 0
+            for i in range(k * j // shares, k * (j + 1) // shares):
+                m, rejected, n = counted[CNT_LEN * i : CNT_LEN * i + CNT_LEN]
+                out.append((counted[CNT_LEN * k + i], rejected, smp[used : used + n, 0].copy(),
+                            smp[used : used + n, 1:].copy(), seg[done : done + m].copy()))
+                done += m
+                used += n
+            if len(seg) > KEEP_ROWS:
+                share.keep_segments(None)
             if len(smp) > KEEP_SHARE_ROWS:
-                kept[j][1] = None
+                share.keep_samples(None)
         return out
 
     def run_scan(seed: float, best_g: float, a0: float, p: float) -> tuple[float, int]:
@@ -444,7 +438,7 @@ def load() -> Kernels | None:
             codes[i], values[i] = row(*triples[i])[:2]
         return codes, values
 
-    return Kernels(run_steps, run_orbits, run_scan, run_dense, run_energy, run_audit,
+    return Kernels(run_orbits, run_scan, run_dense, run_energy, run_audit,
                    elementwise(exp, _exp_py), elementwise(log, _log_py), run_rows, run_parse,
                    run_grid)
 
@@ -496,11 +490,18 @@ def _words128(words: list[int]) -> np.ndarray:
 
 def _check(a: np.ndarray, shape: tuple[int, ...]) -> None:
     # st and prm as the step kernel reads and writes them in place, through
-    # bare pointers; run_steps and _steps_py refuse any other alike.
+    # bare pointers; run_orbits and _orbits_py refuse any other alike.
     if (a.shape != shape or a.dtype != np.float64 or not a.flags.c_contiguous
             or not a.flags.writeable):
         raise ValueError(f"kernel buffer of shape {a.shape} and dtype {a.dtype}, "
                          f"need a writable C-contiguous {shape} float64")
+
+
+def _address(a: np.ndarray) -> int:
+    # The address of a writable, C-contiguous and nonempty array's data:
+    # through a ctypes view of its first byte, a third of the time a
+    # .ctypes.data read takes.
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
 def _read(a, *tail: int) -> np.ndarray:
@@ -631,7 +632,7 @@ def _bisect_py(seg: tuple, level: float) -> tuple[float, tuple]:
 
 
 def _steps_py(st: np.ndarray, prm: np.ndarray):
-    """integrate's adaptive loop: a status of the step kernel, the (m, 18)
+    """_orbits_py's per-orbit adaptive loop: a status, the (m, 18)
     rows of the accepted steps, the number of rejected steps, and the
     orbit's uniform samples, their (k,) times and (k, 4) states.
 
@@ -654,8 +655,6 @@ def _steps_py(st: np.ndarray, prm: np.ndarray):
     samples it holds; the orbit's end drops those a crossing step wrote
     past t_end.  hh_steps in _dp5.c is this loop in C.
     """
-    _check(st, (ST_LEN,))
-    _check(prm, (PRM_LEN,))
     t, y0, y1, y2, y3, k10, k11, k12, k13, h, err_prev = st.tolist()
     t1, rtol, atol, p, a0, a1, a2, a3, blowup_threshold, t0, spacing = prm.tolist()
     sgn = 1.0 if t1 > t0 else -1.0
@@ -779,22 +778,24 @@ def _steps_py(st: np.ndarray, prm: np.ndarray):
             smp[:, 1:].copy())
 
 
-def _orbits_py(st: np.ndarray, prm: np.ndarray):
+def _orbits_py(st: np.ndarray, prm: np.ndarray, keep: bool):
     """_steps_py from each (ST_LEN,) row of st, updated in place, to the one
-    prm: per start, its status, the number of rejected steps and its
-    samples' (k,) times and (k, 4) states, without its segment rows.  A
-    start whose w^p overflows gets the status OVERFLOW, no rejected step and
-    no sample, and the next start goes on.  hh_orbits in _dp5.c runs
-    hh_steps this way."""
+    prm: per start, its status, the number of rejected steps, its samples'
+    (k,) times and (k, 4) states, and its (m, 18) segment rows where keep is
+    set, else none.  A start whose w^p overflows gets the status OVERFLOW,
+    no rejected step, no sample and no segment row, and the next start goes
+    on.  hh_orbits in _dp5.c runs hh_steps this way."""
     _check(st, (len(st), ST_LEN))
     _check(prm, (PRM_LEN,))
     out = []
     for row in st:
         try:
-            status, _, rejected, times, states = _steps_py(row, prm)
+            status, seg, rejected, times, states = _steps_py(row, prm)
         except OverflowError:
-            status, rejected, times, states = OVERFLOW, 0, np.empty(0), np.empty((0, 4))
-        out.append((status, rejected, times, states))
+            status, seg, rejected, times, states = OVERFLOW, None, 0, np.empty(0), np.empty((0, 4))
+        if not keep or seg is None:
+            seg = np.empty((0, SEGMENT_COLUMNS))
+        out.append((status, rejected, times, states, seg))
     return out
 
 

@@ -391,16 +391,17 @@ def integrate(
     OverflowError
         ("math range error") if w^p overflows a double at a stage.
 
-    One call of the step kernel runs the step loop, ends the orbit at its
-    crossing, and writes the uniform samples from each step's dense
-    output as the step is accepted.  It runs in the compiled kernels of
-    _dp5.c where they build, else in its Python twin in _dp5; the two paths
-    give the same bits.
+    integrate makes _integrate_each's call of the step kernel for its one
+    start, with the segment rows kept.  The kernel runs the step loop, ends
+    the orbit at its crossing, and writes the uniform samples from each
+    step's dense output as the step is accepted.  It runs in the compiled
+    kernels of _dp5.c where they build, else in its Python twin in _dp5;
+    the two paths give the same bits.
     """
     prm = _step_params(t0, t1, tol, coeffs, blowup_threshold)
-    st = np.array(_start(initial, t0, t1, tol, coeffs))
-    status, segs, rejected, times, states = _dp5.kernels().steps(st, prm)
-    return _trajectory(status, st, rejected, times, states, segs)
+    st = np.array([_start(initial, t0, t1, tol, coeffs)])
+    [(status, rejected, times, states, segments)] = _dp5.kernels().orbits(st, prm, True)
+    return _trajectory(status, st[0], rejected, times, states, segments)
 
 
 def _integrate_each(
@@ -412,14 +413,14 @@ def _integrate_each(
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD,
 ) -> list[Trajectory | Exception]:
     """integrate from each of the initials over one span, in one call of the
-    batch step kernel: per start, the Trajectory integrate returns, without
-    its dense segments, or the exception integrate raises.  A tol or span
+    step kernel: per start, the Trajectory integrate returns, without its
+    segment rows, or the exception integrate raises.  A tol or span
     integrate refuses is refused for the whole call.
 
     The compiled kernel steps the starts in one share per CPU the process
     may use, each on a thread of its own; the bits do not depend on the
-    split.  A trajectory of the batch has no dense output: rhs_evals reads
-    0, and h_min and h_max NaN.
+    split.  A trajectory without segment rows has no dense output:
+    rhs_evals reads 0, and h_min and h_max NaN.
     """
     prm = _step_params(t0, t1, tol, coeffs, blowup_threshold)
     out: list[Trajectory | Exception] = [None] * len(initials)
@@ -431,11 +432,10 @@ def _integrate_each(
         except (ValueError, OverflowError) as err:
             out[i] = err
     st = np.array(rows).reshape(-1, _dp5.ST_LEN)
-    for i, row, (status, rejected, times, states) in zip(
-            started, st, _dp5.kernels().orbits(st, prm)):
+    for i, row, (status, rejected, times, states, segments) in zip(
+            started, st, _dp5.kernels().orbits(st, prm, False)):
         try:
-            out[i] = _trajectory(status, row, rejected, times, states,
-                                 np.empty((0, _dp5.SEGMENT_COLUMNS)))
+            out[i] = _trajectory(status, row, rejected, times, states, segments)
         except (ArithmeticError, ValueError, IntegrationUnderflow) as err:
             out[i] = err
     return out
@@ -443,7 +443,7 @@ def _integrate_each(
 
 def _step_params(t0: float, t1: float, tol: float, coeffs: CoefficientSet,
                  blowup_threshold: float) -> np.ndarray:
-    # prm as _dp5._steps_py reads it, for a tol and a span integrate takes;
+    # prm as _dp5._orbits_py reads it, for a tol and a span integrate takes;
     # the direction follows from t0 and t1.
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol={tol!r} outside [{TOL_MIN}, {TOL_MAX}]")
@@ -459,8 +459,8 @@ def _step_params(t0: float, t1: float, tol: float, coeffs: CoefficientSet,
 
 def _start(initial: OdeState, t0: float, t1: float, tol: float,
            coeffs: CoefficientSet) -> list[float]:
-    # st as _dp5._steps_py reads it, for a start integrate takes: t0, the
-    # state, the field there, the first step and err_prev 1.0.
+    # A row of st as _dp5._orbits_py reads it, for a start integrate takes:
+    # t0, the state, the field there, the first step and err_prev 1.0.
     if not initial.finite:
         raise ValueError("initial state must be finite")
     if initial.w0 < 0.0:

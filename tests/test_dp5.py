@@ -246,15 +246,16 @@ def test_both_kernel_paths_refuse_alike(kernel_paths):
                        (ValueError, "the row writer needs columns of one length, not []")),
         "unequal columns": (lambda k: k.rows(np.ones(2), np.ones(3)),
                             (ValueError, "the row writer needs columns of one length, not [2, 3]")),
-        "short step state": (lambda k: k.steps(np.zeros(3), np.zeros(_dp5.PRM_LEN)),
-                             (ValueError, "kernel buffer of shape (3,) and dtype float64, need a "
-                                          "writable C-contiguous (11,) float64")),
+        "short step state": (lambda k: k.orbits(np.zeros((1, 3)), np.zeros(_dp5.PRM_LEN), True),
+                             (ValueError, "kernel buffer of shape (1, 3) and dtype float64, need "
+                                          "a writable C-contiguous (1, 11) float64")),
         "one batch start as a row": (lambda k: k.orbits(np.zeros(_dp5.ST_LEN),
-                                                        np.zeros(_dp5.PRM_LEN)),
+                                                        np.zeros(_dp5.PRM_LEN), False),
                                      (ValueError, "kernel buffer of shape (11,) and dtype "
                                                   "float64, need a writable C-contiguous (11, 11) "
                                                   "float64")),
-        "read-only step parameters": (lambda k: k.steps(np.zeros(_dp5.ST_LEN), read_only),
+        "read-only step parameters": (lambda k: k.orbits(np.zeros((1, _dp5.ST_LEN)), read_only,
+                                                         True),
                                       (ValueError, "kernel buffer of shape (11,) and dtype "
                                                    "float64, need a writable C-contiguous (11,) "
                                                    "float64")),

@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import importlib.util
+import itertools
 import math
 import os
 import random
@@ -18,7 +19,9 @@ import pytest
 
 from hardyhenon4 import _dp5, dynamics, green, transform
 from hardyhenon4.energy import audit_monotonicity, energy
-from hardyhenon4.params import CRITICAL, SUBCRITICAL, SUPERCRITICAL, ProblemParams, coefficients
+from hardyhenon4.params import (
+    CRITICAL, SUBCRITICAL, SUPERCRITICAL, ProblemParams, coefficients, kelvin_dual,
+)
 from hardyhenon4._dp5 import _A, _B5, _E, _MAX_FACTOR, _MIN_FACTOR, _PI_ALPHA, _PI_BETA, _SAFETY
 from hardyhenon4.dynamics import (
     BLOW_UP,
@@ -982,22 +985,23 @@ def test_orbits_to_a_horizon_the_grid_rounds_past_end_there(kernel_paths):
 
 
 def test_integrate_makes_one_step_kernel_call_and_no_dense_call(monkeypatch, kernel_paths):
+    # One start, whose segment rows the kernel keeps.
     for kernels in kernel_paths():
         real, calls = _dp5.kernels(), []
 
         def counted(name):
             def call(*args):
-                calls.append(name)
+                calls.append((name, len(args[0]), *args[2:]))
                 return getattr(real, name)(*args)
 
             return call
 
         with monkeypatch.context() as patch:
             patch.setattr(_dp5, "kernels",
-                          lambda: real._replace(steps=counted("steps"), dense=counted("dense")))
+                          lambda: real._replace(orbits=counted("orbits"), dense=counted("dense")))
             traj = integrate(OdeState(WSTAR, 0.2, 0.0, 0.0), 0.0, -60.0, 1e-10, COEFFS)
-        assert calls == ["steps"], kernels
-        assert len(traj.times) > 100, kernels
+        assert calls == [("orbits", 1, True)], kernels
+        assert len(traj.times) > 100 and len(traj.segments) > 100, kernels
 
 
 @pytest.mark.parametrize(
@@ -1063,55 +1067,67 @@ def _trajectory_bytes(traj) -> tuple:
             traj.termination, traj.rejected)
 
 
+def _kept_sizes(monkeypatch) -> dict[str, list]:
+    """The row counts of every buffer a share keeps, in order, per kind;
+    None where it lets one go."""
+    sizes = {"keep_segments": [], "keep_samples": []}
+    for name, kept in sizes.items():
+        def spy(self, buffer, keep=getattr(_dp5._Share, name), kept=kept):
+            kept.append(None if buffer is None else len(buffer))
+            keep(self, buffer)
+
+        monkeypatch.setattr(_dp5._Share, name, spy)
+    return sizes
+
+
 def test_integrate_resumes_when_the_segment_buffer_fills(monkeypatch, kernel_paths):
-    # SEGMENT_ROWS sizes only the first buffer of a thread, so each run goes
-    # in a new thread.  With one row to start from, the buffer the thread
-    # keeps can only have grown, by doubling, on a FULL at each power of two
-    # below the row count: the kernel returned FULL and resumed each time,
-    # and each resume went on with the sample it had stopped at.
+    # SEGMENT_ROWS sizes only the first buffer of a thread's share, so each
+    # run goes in a new thread.  With one row to start from, the segment
+    # buffer can only have grown, by doubling, on a FULL at each power of
+    # two below the row count: the kernel returned FULL and resumed each
+    # time, and each resume went on with the sample it had stopped at.
     initial = OdeState(WSTAR, -1e-3, 0.0, 0.0)
-    keep_rows = _dp5.KEEP_ROWS
 
     def run():
-        return integrate(initial, 0.0, -20.0, 1e-12, COEFFS), getattr(_dp5._buffers, "seg", None)
+        return integrate(initial, 0.0, -20.0, 1e-12, COEFFS)
 
     for kernels in kernel_paths():
-        monkeypatch.setattr(_dp5, "KEEP_ROWS", keep_rows)
-        monkeypatch.setattr(_dp5, "SEGMENT_ROWS", 1024)
-        whole, _ = _in_new_thread(run)
+        with monkeypatch.context() as patch:
+            patch.setattr(_dp5, "SEGMENT_ROWS", 1024)
+            whole = _in_new_thread(run)
         rows = len(whole.segments)
         assert 1024 < rows <= _dp5.KEEP_ROWS
         times, states = _dense_fill(whole, initial)
         assert whole.times.tobytes() == times.tobytes(), kernels
         assert whole.states.tobytes() == states.tobytes(), kernels
-        monkeypatch.setattr(_dp5, "SEGMENT_ROWS", 1)
-        pieces, buffer = _in_new_thread(run)
+        with monkeypatch.context() as patch:
+            patch.setattr(_dp5, "SEGMENT_ROWS", 1)
+            sizes = _kept_sizes(patch)
+            pieces = _in_new_thread(run)
         assert _trajectory_bytes(pieces) == _trajectory_bytes(whole), kernels
+        doubled = [2**i for i in range((rows - 1).bit_length() + 1)]
         if kernels == "compiled":
-            assert len(buffer) == 2 ** (rows - 1).bit_length()
+            assert sizes["keep_segments"] == [None, *doubled], kernels
         else:
-            assert buffer is None
+            assert sizes == {"keep_segments": [], "keep_samples": []}
         # A sample buffer sized at KEEP_ROWS = 16 rows has room for the
         # samples of a few steps only: the kernel returns FULL before a
         # step that could end past its room, and the wrapper doubles it up
         # to 512 rows, for the 428 samples to the blow-up at t = -4.26.
-        monkeypatch.setattr(_dp5, "SEGMENT_ROWS", 1024)
-        monkeypatch.setattr(_dp5, "KEEP_ROWS", 16)
-        sizes = []
-        keep_samples = _dp5._Buffers.keep_samples
-
-        def spy(self, smp):
-            sizes.append(None if smp is None else len(smp))
-            keep_samples(self, smp)
-
+        # Past KEEP_SHARE_ROWS = 256 sample rows and KEEP_ROWS = 16 segment
+        # rows, each buffer is let go after the call.
         with monkeypatch.context() as patch:
-            patch.setattr(_dp5._Buffers, "keep_samples", spy)
-            small, _ = _in_new_thread(run)
+            patch.setattr(_dp5, "KEEP_ROWS", 16)
+            patch.setattr(_dp5, "KEEP_SHARE_ROWS", 256)
+            sizes = _kept_sizes(patch)
+            small = _in_new_thread(run)
         assert _trajectory_bytes(small) == _trajectory_bytes(whole), kernels
         if kernels == "compiled":
-            assert len(small.times) == 428 and sizes == [None, 16, 32, 64, 128, 256, 512, None]
+            assert len(small.times) == 428, kernels
+            assert sizes == {"keep_segments": [None, *(d for d in doubled if d >= 1024), None],
+                             "keep_samples": [None, 16, 32, 64, 128, 256, 512, None]}, kernels
         else:
-            assert sizes == [None]
+            assert sizes == {"keep_segments": [], "keep_samples": []}
 
 
 def test_each_integrate_call_owns_its_segments(kernel_paths):
@@ -1125,8 +1141,10 @@ def test_each_integrate_call_owns_its_segments(kernel_paths):
         assert _trajectory_bytes(first) == kept, kernels
         assert not np.shares_memory(first.segments, second.segments), kernels
         if kernels == "compiled":
+            [share] = _dp5._buffers.shares[:1]
             for traj in (first, second):
-                assert not np.shares_memory(traj.segments, _dp5._buffers.seg)
+                assert not np.shares_memory(traj.segments, share.seg)
+                assert not np.shares_memory(traj.states, share.smp)
         # Nor does writing into a trajectory reach the next call.
         first.segments[:] = np.nan
         second.segments[:] = np.nan
@@ -1212,7 +1230,8 @@ def test_the_batch_grows_its_sample_buffer_as_integrate_does(monkeypatch, kernel
 
     def run():
         return (_integrate_each(starts, 0.0, -400.0, 1e-10, coeffs),
-                [None if smp is None else len(smp) for _, smp in _dp5._buffers.shares])
+                [None if share.smp is None else len(share.smp)
+                 for share in _dp5._buffers.shares])
 
     for kernels in kernel_paths():
         got, sizes = _in_new_thread(run)
@@ -1262,35 +1281,40 @@ def test_each_start_of_a_batch_gets_its_own_outcome(monkeypatch, kernel_paths):
 
 
 def test_the_batch_kernel_returns_its_twins_bits(monkeypatch):
-    # The raw per-start outcomes and the st rows left behind.  From a
-    # sample buffer of KEEP_ROWS = 16 rows (a new thread keeps none yet)
-    # every orbit returns FULL and resumes; the start at w = 1000 takes a
-    # first step of 1 only once its buffer has room for it, and overflows
-    # there, after its first sample: both paths drop that sample and its
-    # rejected steps.
+    # The raw per-start outcomes and the st rows left behind, with and
+    # without the segment rows.  From a sample buffer of KEEP_ROWS = 16
+    # rows (a new thread keeps none yet) every orbit returns FULL and
+    # resumes; the start at w = 1000 takes a first step of 1 only once its
+    # buffer has room for it, and overflows there, after its first sample:
+    # both paths drop that sample, its segment rows and its rejected steps.
+    # Kept segment rows start from a buffer of SEGMENT_ROWS = 4 rows, which
+    # fills and doubles between the samples' resumes.
     if _dp5.load() is None:
         pytest.skip("the compiled kernels do not build here")
     real = dynamics._initial_step
     monkeypatch.setattr(dynamics, "_initial_step",
                         lambda y, f, *args: 1.0 if y[0] == 1000.0 else real(y, f, *args))
     monkeypatch.setattr(_dp5, "KEEP_ROWS", 16)
+    monkeypatch.setattr(_dp5, "SEGMENT_ROWS", 4)
     coeffs = coefficients(ProblemParams(5, 2.0, 100.0))
     config = ExperimentConfig(CLASSIFICATION, ((5, 2.0, 100.0),), seed=23, samples=3)
     starts = [state for _, state in _draws(config, 0, fixed_points(coeffs)[1])]
     starts.insert(1, OdeState(1000.0, -1e5, 0.0, 0.0))
     prm = dynamics._step_params(0.0, -60.0, 1e-10, coeffs, dynamics.DEFAULT_BLOWUP_THRESHOLD)
     st = np.array([dynamics._start(state, 0.0, -60.0, 1e-10, coeffs) for state in starts])
-    for cpus in (1, 2):
+    for cpus, keep in itertools.product((1, 2), (False, True)):
         monkeypatch.setattr(_dp5, "_cpus", lambda: cpus)
         outs = []
         for orbits in (_dp5.load().orbits, _dp5._orbits_py):
             left = st.copy()
-            outs.append(([(status, rejected, times.tobytes(), states.tobytes())
-                          for status, rejected, times, states
-                          in _in_new_thread(lambda: orbits(left, prm))], left.tobytes()))
-        assert outs[0] == outs[1], cpus
-    assert [status for status, *_ in outs[0][0]] == [
-        _dp5.UNDERFLOW, _dp5.OVERFLOW, _dp5.NON_POSITIVE, _dp5.NON_POSITIVE]
+            outs.append(([(status, rejected, times.tobytes(), states.tobytes(), segs.shape,
+                           segs.tobytes())
+                          for status, rejected, times, states, segs
+                          in _in_new_thread(lambda: orbits(left, prm, keep))], left.tobytes()))
+        assert outs[0] == outs[1], (cpus, keep)
+        assert [status for status, *_ in outs[0][0]] == [
+            _dp5.UNDERFLOW, _dp5.OVERFLOW, _dp5.NON_POSITIVE, _dp5.NON_POSITIVE]
+        assert [len(out[-1]) > 4 for out in outs[0][0]] == [keep, False, keep, keep]
 
 
 def test_the_batch_bytes_do_not_depend_on_the_workers(monkeypatch):
@@ -1348,17 +1372,16 @@ def test_classify_steps_each_grid_points_draws_in_one_batch_call(monkeypatch, ke
         real, calls = _dp5.kernels(), []
 
         def counted(name):
-            def call(st, prm):
-                calls.append((name, len(st) if st.ndim == 2 else None))
-                return getattr(real, name)(st, prm)
+            def call(st, prm, keep):
+                calls.append((name, len(st), keep))
+                return getattr(real, name)(st, prm, keep)
 
             return call
 
         with monkeypatch.context() as patch:
-            patch.setattr(_dp5, "kernels",
-                          lambda: real._replace(steps=counted("steps"), orbits=counted("orbits")))
+            patch.setattr(_dp5, "kernels", lambda: real._replace(orbits=counted("orbits")))
             table = run_classification_sweep(config)
-        assert calls == [("orbits", 5), ("orbits", 5)], kernels
+        assert calls == [("orbits", 5, False), ("orbits", 5, False)], kernels
         notes = {row[5]: row[-1] for row in table.rows if row[4] == "draw" and row[0] == 5}
         assert len(notes) == 5 and {i: notes[i] for i in errors} == errors, kernels
 
@@ -1424,6 +1447,44 @@ def test_trajectory_rejects_malformed_samples():
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             dynamics.Trajectory(times=times, states=states, termination=REACHED_END)
+
+
+# Kelvin duality: the dual problem's flow is the original one run backward
+# with w1 and w3 negated.  Where the dual's a1 and a3 are the exact
+# negations of the original's, so is every stage, and the orbits agree bit
+# for bit; elsewhere a1 or a3 differs from the negation by an ulp, and the
+# orbits by 2.1e-13 at (6, 0, 4) and 1.1e-13 at (6, -1, 3.5), relative to
+# the largest state component.  The bound leaves 4.7x headroom over both.
+KELVIN_RELATIVE_BOUND = 1e-12
+
+
+@pytest.mark.parametrize(
+    "triple, exact",
+    [((7, 0.0, 3.0), True), ((8, -2.0, 3.0), True), ((6, 0.0, 4.0), False),
+     ((6, -1.0, 3.5), False)],
+)
+def test_a_forward_orbit_is_its_kelvin_duals_backward_orbit(triple, exact, kernel_paths):
+    coeffs = coefficients(ProblemParams(*triple))
+    dual = kelvin_dual(coeffs)
+    exact_negation = (dual.a0, dual.a1, dual.a2, dual.a3) == (
+        coeffs.a0, -coeffs.a1, coeffs.a2, -coeffs.a3)
+    assert exact_negation == exact
+    w = fixed_points(coeffs)[1]
+    start = OdeState(*(c * w for c in (1.01, 0.01, -0.02, 0.005)))
+    mirror = np.array([1.0, -1.0, 1.0, -1.0])
+    for kernels in kernel_paths():
+        forward = integrate(start, 0.0, 2.0, 1e-12, coeffs)
+        backward = integrate(OdeState(*(mirror * start)), 0.0, -2.0, 1e-12, dual)
+        assert forward.termination == backward.termination == REACHED_END, kernels
+        assert len(forward.times) == 201, kernels
+        # The same values; t = 0 is 0.0 on one side and -0.0 on the other.
+        assert forward.times.tolist() == (-backward.times).tolist(), kernels
+        states = backward.states * mirror
+        if exact:
+            assert forward.states.tobytes() == states.tobytes(), kernels
+        else:
+            gap = np.abs(forward.states - states).max() / np.abs(forward.states).max()
+            assert 0.0 < gap < KELVIN_RELATIVE_BOUND, kernels
 
 
 def test_integrate_reports_step_underflow(kernel_paths):
